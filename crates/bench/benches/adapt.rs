@@ -4,14 +4,13 @@
 //!
 //! Running this bench records the break-even table (simulated cycles
 //! per switch point — deterministic, so the single run *is* the
-//! median) plus wall-clock medians of the three drivers into
+//! median) plus wall-clock medians of the adaptive and static runs into
 //! `BENCH_adapt.json`, and enforces the acceptance guards:
 //!
 //! * on the mid-run phase change the adaptive driver's end-to-end
 //!   cycles — migration traffic included — must beat the best static
 //!   mapping;
-//! * `AdaptConfig::disabled()` must be bit-identical to `Machine::run`;
-//! * the adaptive report must be bit-identical serial vs sharded.
+//! * `AdaptConfig::disabled()` must be bit-identical to `Machine::run`.
 //!
 //! Any violation panics, so the CI adapt-bench step fails loudly.
 
@@ -71,13 +70,12 @@ fn run_static(geom: Geometry, trace: &Trace, id: MappingId) -> ExecutionReport {
     Machine::new(MachineConfig::accelerator(), geom).run(trace, &engine)
 }
 
-fn run_adaptive(geom: Geometry, trace: &Trace, threads: usize) -> ExecutionReport {
+fn run_adaptive(geom: Geometry, trace: &Trace) -> ExecutionReport {
     let mut engine = fresh_engine(geom);
-    Machine::new(MachineConfig::accelerator(), geom).run_adaptive_with(
+    Machine::new(MachineConfig::accelerator(), geom).run_adaptive(
         trace,
         &mut engine,
         &AdaptConfig::default(),
-        threads,
     )
 }
 
@@ -87,7 +85,7 @@ fn bench_adapt(c: &mut Criterion) {
     let mut g = c.benchmark_group("adapt");
     g.sample_size(10);
     g.bench_function("adaptive_phase_change_128k", |b| {
-        b.iter(|| black_box(run_adaptive(geom, &trace, 1)))
+        b.iter(|| black_box(run_adaptive(geom, &trace)))
     });
     g.bench_function("static_identity_phase_change_128k", |b| {
         b.iter(|| black_box(run_static(geom, &trace, MappingId(0))))
@@ -108,7 +106,7 @@ fn median_ms(runs: usize, mut f: impl FnMut() -> ExecutionReport) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Runs the break-even sweep, enforces the three guards, and writes
+/// Runs the break-even sweep, enforces the two guards, and writes
 /// `BENCH_adapt.json`.
 fn record_break_even() {
     let geom = Geometry::hbm2_8gb();
@@ -120,7 +118,7 @@ fn record_break_even() {
         let trace = phase_trace(switch);
         let identity = run_static(geom, &trace, MappingId(0));
         let tuned = run_static(geom, &trace, MappingId(1));
-        let adaptive = run_adaptive(geom, &trace, 1);
+        let adaptive = run_adaptive(geom, &trace);
         let best_static = identity.cycles.min(tuned.cycles);
         if (switch - SWITCH).abs() < f64::EPSILON {
             assert!(
@@ -154,20 +152,15 @@ fn record_break_even() {
         "AdaptConfig::disabled() diverged from Machine::run"
     );
 
-    // Guard 3: adaptive serial and sharded reports are bit-identical.
-    let serial = run_adaptive(geom, &trace, 1);
-    let sharded = run_adaptive(geom, &trace, 4);
-    assert_eq!(serial, sharded, "adaptive sharded diverged from serial");
-
     let runs: usize = std::env::var("SDAM_BENCH_SAMPLES")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(9)
         .max(1);
     for _ in 0..2 {
-        black_box(run_adaptive(geom, &trace, 1));
+        black_box(run_adaptive(geom, &trace));
     }
-    let adaptive_ms = median_ms(runs, || run_adaptive(geom, &trace, 1));
+    let adaptive_ms = median_ms(runs, || run_adaptive(geom, &trace));
     let static_ms = median_ms(runs, || run_static(geom, &trace, MappingId(0)));
 
     let json = format!(
@@ -180,8 +173,7 @@ fn record_break_even() {
          \"static_wall_ms\": {static_ms:.3},\n  \
          \"runs\": {runs},\n  \
          \"disabled_bit_identical\": true,\n  \
-         \"serial_sharded_bit_identical\": true,\n  \
-         \"note\": \"Cycle counts are simulation facts and fully deterministic, so one run per switch point is the median. The adaptive driver starts on the boot identity mapping, detects the stride-32 phase pinning both hot chunks to one channel (sustained conflict rate over few channels), and live-migrates them to the declared stride-32 mapping; its cycles include the detection windows and the injected migration traffic. 'adaptive_wins' flips at the break-even switch points: a very early or very late phase change leaves too little mismatched tail to amortize the migration. All three guards (adaptive beats best static at switch 0.5, disabled bit-identity, serial/sharded bit-identity) are asserted by this bench.\"\n}}\n",
+         \"note\": \"Cycle counts are simulation facts and fully deterministic, so one run per switch point is the median. The adaptive driver starts on the boot identity mapping, detects the stride-32 phase pinning both hot chunks to one channel (sustained conflict rate over few channels), and live-migrates them to the declared stride-32 mapping; its cycles include the detection windows and the injected migration traffic. 'adaptive_wins' flips at the break-even switch points: a very early or very late phase change leaves too little mismatched tail to amortize the migration. Both guards (adaptive beats best static at switch 0.5, disabled bit-identity) are asserted by this bench.\"\n}}\n",
         rows.join(",\n"),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adapt.json");

@@ -7,10 +7,10 @@
 //! [`sdam_mem`]); nothing in a hot loop touches a registry or an
 //! atomic. This module is where those accumulators are *merged* into
 //! one [`Registry`] — once per run, at the report barrier — which is
-//! what keeps the snapshot bit-identical between the serial driver and
-//! the channel-sharded parallel one: the shards are always folded in a
-//! fixed order (channel order, core order, process order, lineup
-//! order), never racily.
+//! what keeps the snapshot bit-identical between serial and threaded
+//! pipelines: the accumulators are always folded in a fixed order
+//! (channel order, core order, process order, lineup order), never
+//! racily.
 //!
 //! The merge is gated on the `obs` cargo feature. With the feature off
 //! every function here returns/leaves an empty registry, the per-run

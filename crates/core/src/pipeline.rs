@@ -350,7 +350,7 @@ pub fn try_run_corun_with_cache(
     machine_cfg.num_cores *= workloads.len();
     let mut machine = Machine::new(machine_cfg, exp.geometry).with_timing(exp.timing);
     let t0 = Instant::now();
-    let report = machine.run_with(&combined, &engine, exp.parallelism.threads());
+    let report = machine.run(&combined, &engine);
     phases.execute = t0.elapsed();
     let metrics = crate::metrics::collect_run_metrics(&report, Some(&sys), &phases);
     Ok(RunResult {

@@ -438,7 +438,7 @@ impl Stage for ExecuteStage {
         let mut machine =
             Machine::new(ctx.exp.machine, ctx.exp.geometry).with_timing(ctx.exp.timing);
         let t0 = Instant::now();
-        let report = machine.run_with(pa_trace, &engine, ctx.exp.parallelism.threads());
+        let report = machine.run(pa_trace, &engine);
         ctx.phases.execute = t0.elapsed();
         ctx.engine = Some(engine);
         ctx.report = Some(report);

@@ -12,9 +12,9 @@ pub const DEFAULT_REORDER_WINDOW: usize = 16;
 /// The permutation-based bank interleave of Zhang, Zhu & Zhang
 /// (MICRO-33): the effective bank is the stated bank XOR an XOR-fold of
 /// the whole row index, so streams differing in *any* row bit (low or
-/// high) land on different banks. Standalone so that channel-sharded
-/// simulation (which bypasses [`Hbm::service_rw`]) applies the exact
-/// same transform.
+/// high) land on different banks. Standalone so that code which
+/// bypasses [`Hbm::service_rw`] (adaptive candidate scoring, probe
+/// ground truth) applies the exact same transform.
 pub fn bank_hashed(geometry: Geometry, mut addr: DecodedAddr) -> DecodedAddr {
     let bank_bits = geometry.bank_bits();
     if bank_bits == 0 {
@@ -174,9 +174,10 @@ impl Hbm {
     }
 
     /// The address as the controller actually presents it to a channel
-    /// (bank hash applied when enabled). Exposed so external schedulers
-    /// — the channel-sharded machine model in `sdam-sys` — can replicate
-    /// the device's behavior exactly.
+    /// (bank hash applied when enabled). Exposed so callers that inject
+    /// traffic through [`Hbm::service_effective_rw`] — the adaptive
+    /// driver's migrations in `sdam-sys` — see the device's exact
+    /// addresses.
     pub fn effective_addr(&self, addr: DecodedAddr) -> DecodedAddr {
         self.effective(addr)
     }

@@ -14,11 +14,10 @@
 //! ordinary HBM service path, then `Cmt::assign_chunk` flips the table
 //! entry so the epoch bump invalidates every scalar and block memo.
 //!
-//! Everything the controller consumes is deterministically merged
-//! state: per-chunk counters accumulated in trace order (serial) or
-//! folded commutatively at the boundary (sharded), so adaptive runs are
-//! bit-identical serial vs threaded, and a disabled controller leaves
-//! the driver untouched.
+//! Everything the controller consumes is deterministic state: per-chunk
+//! counters accumulated in trace order by the single-threaded driver,
+//! so adaptive runs are reproducible bit for bit, and a disabled
+//! controller leaves the driver untouched.
 
 use std::collections::BTreeMap;
 
@@ -67,7 +66,7 @@ pub struct AdaptConfig {
 
 impl AdaptConfig {
     /// Adaptation off: the driver must be bit-identical to
-    /// [`crate::Machine::run_with`].
+    /// [`crate::Machine::run`].
     pub fn disabled() -> Self {
         AdaptConfig {
             enabled: false,
@@ -231,10 +230,8 @@ impl RemapController {
         }
     }
 
-    /// Records the row-buffer outcome of a serviced workload request.
-    /// The serial driver calls this inline in replay order; the sharded
-    /// driver folds each window's outcomes at the boundary — the
-    /// counters are commutative, so both orders merge identically.
+    /// Records the row-buffer outcome of a serviced workload request;
+    /// the driver calls this inline in replay order.
     pub fn note_outcome(&mut self, chunk: u64, channel: u64, outcome: RowOutcome) {
         let w = self.window.entry(chunk).or_default();
         w.channel_mask |= 1u64 << channel.min(63);

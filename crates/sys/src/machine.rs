@@ -12,14 +12,8 @@
 //! form.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc;
 
-use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{
-    bank_hashed, bank_hashed_block, ChannelStats, DecodedAddr, Geometry, Hbm, RowOutcome, SimStats,
-    Timing,
-};
+use sdam_hbm::{DecodedAddr, Geometry, Hbm, Timing};
 use sdam_mapping::{Cmt, PhysAddr};
 use sdam_trace::Trace;
 
@@ -205,10 +199,8 @@ impl ExecutionReport {
     }
 }
 
-/// Sums per-core translation-cache counters in core order. Both the
-/// serial and the sharded driver fold their caches through this, and
-/// both drive the caches serially from the same trace, so the result is
-/// bit-identical across drivers by construction.
+/// Sums per-core translation-cache counters in core order. Every driver
+/// folds its caches through this.
 fn sum_translation(caches: &[TranslationCache]) -> TranslationStats {
     let mut total = TranslationStats::default();
     for c in caches {
@@ -260,9 +252,6 @@ struct MissStage {
     /// each miss (compute cycles + cache-hit latencies since block
     /// start, including this access's compute cycles).
     advances: Vec<Vec<u64>>,
-    /// Trace slot of each miss (used by the sharded driver to address
-    /// its completion slots; the serial driver leaves it zero).
-    slots: Vec<Vec<usize>>,
     /// Decoded (and bank-hashed) hardware addresses, per core; filled
     /// by phase B.
     decoded: Vec<Vec<DecodedAddr>>,
@@ -275,7 +264,6 @@ impl MissStage {
             pas: vec![Vec::new(); cores],
             writes: vec![Vec::new(); cores],
             advances: vec![Vec::new(); cores],
-            slots: vec![Vec::new(); cores],
             decoded: vec![Vec::new(); cores],
         }
     }
@@ -286,17 +274,15 @@ impl MissStage {
             self.pas[c].clear();
             self.writes[c].clear();
             self.advances[c].clear();
-            self.slots[c].clear();
             self.decoded[c].clear();
         }
     }
 
-    fn push(&mut self, core: usize, pa: u64, is_write: bool, advance: u64, slot: usize) {
+    fn push(&mut self, core: usize, pa: u64, is_write: bool, advance: u64) {
         self.order.push((core as u32, self.pas[core].len() as u32));
         self.pas[core].push(pa);
         self.writes[core].push(is_write);
         self.advances[core].push(advance);
-        self.slots[core].push(slot);
     }
 }
 
@@ -411,7 +397,7 @@ impl Machine {
 
                 memory_requests += 1;
                 per_core[core].misses += 1;
-                stage.push(core, a.addr, a.is_write, advance[core], 0);
+                stage.push(core, a.addr, a.is_write, advance[core]);
             }
 
             // Phase B: batched PA→HA translation, decode, and bank
@@ -566,265 +552,18 @@ impl Machine {
         }
     }
 
-    /// [`Machine::run`] with the memory device sharded across `threads`
-    /// worker threads by channel. The report is bit-identical to the
-    /// serial run's.
-    ///
-    /// Why this is exact: channels are independent state machines, and
-    /// the core model (the serial driver here) issues each channel's
-    /// requests in global trace order with fully determined arrival
-    /// cycles. The driver only *consumes* a completion when a core's
-    /// miss window fills (or at the final drain), so up to
-    /// `num_cores x mlp_window` requests are in flight between the
-    /// driver and the workers — that slack is the parallelism. Each
-    /// completion is published through a per-request slot; the driver
-    /// blocks on a slot only when the serial model would have blocked on
-    /// that same request.
-    ///
-    /// `threads <= 1` falls back to the serial path.
-    pub fn run_with(
-        &mut self,
-        trace: &Trace,
-        engine: &MappingEngine,
-        threads: usize,
-    ) -> ExecutionReport {
-        if threads <= 1 {
-            return self.run(trace, engine);
-        }
-        self.run_sharded(trace, engine, threads)
-    }
-
-    /// Fallible twin of [`Machine::run_with`]: re-checks the machine
-    /// configuration (a `Machine` can be built from a mutated config by
-    /// value) and then runs. The report is identical to
-    /// [`Machine::run_with`]'s.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if the machine configuration is invalid.
-    pub fn try_run_with(
-        &mut self,
-        trace: &Trace,
-        engine: &MappingEngine,
-        threads: usize,
-    ) -> Result<ExecutionReport, ConfigError> {
-        self.config.try_validate()?;
-        Ok(self.run_with(trace, engine, threads))
-    }
-
-    fn run_sharded(
-        &mut self,
-        trace: &Trace,
-        engine: &MappingEngine,
-        threads: usize,
-    ) -> ExecutionReport {
-        /// Sentinel: completion not yet published.
-        const PENDING: u64 = u64::MAX;
-
-        let n = self.config.num_cores;
-        let geom = self.geometry;
-        let timing = self.timing;
-        let num_channels = geom.num_channels();
-        let workers = threads.min(num_channels);
-        let lookup = engine.lookup_cycles(&timing);
-
-        // One completion slot per potential miss (bounded by the trace
-        // length; 8 B per access).
-        let slots: Vec<AtomicU64> = (0..trace.len()).map(|_| AtomicU64::new(PENDING)).collect();
-        let slots = &slots[..];
-        let wait_for = |slot: usize| -> u64 {
-            let mut spins = 0u32;
-            loop {
-                let v = slots[slot].load(Ordering::Acquire);
-                if v != PENDING {
-                    return v;
-                }
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        };
-
-        let mut l1s: Vec<Option<Cache>> = (0..n).map(|_| self.config.l1.map(Cache::new)).collect();
-        let mut llc: Option<Cache> = self.config.llc.map(Cache::new);
-        let mut clocks = vec![0u64; n];
-        // Slot indices (not completions) of in-flight misses per core.
-        let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); n];
-        let mut memory_requests = 0u64;
-        let mut l1_hits = 0u64;
-        let mut per_core = vec![CoreStats::default(); n];
-        let mut caches = vec![TranslationCache::default(); n];
-
-        let per_channel = std::thread::scope(|s| {
-            // Worker w owns channels where `channel % workers == w`; it
-            // receives that subset of the trace's misses in global trace
-            // order (the serial driver sends in trace order), which is
-            // exactly the order `Hbm::service_rw` would apply.
-            let mut senders: Vec<mpsc::Sender<(usize, DecodedAddr, bool, u64)>> = Vec::new();
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let (tx, rx) = mpsc::channel::<(usize, DecodedAddr, bool, u64)>();
-                senders.push(tx);
-                handles.push(s.spawn(move || {
-                    let owned = (num_channels - w).div_ceil(workers);
-                    let mut chans: Vec<ChannelSim> = (0..owned)
-                        .map(|_| ChannelSim::new(geom.banks_per_channel()))
-                        .collect();
-                    for (slot, addr, is_write, issue) in rx {
-                        let local = addr.channel as usize / workers;
-                        let done = chans[local].service_in_order_rw(addr, is_write, issue, &timing);
-                        slots[slot].store(done, Ordering::Release);
-                    }
-                    chans
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, c)| (w + i * workers, c.stats()))
-                        .collect::<Vec<(usize, ChannelStats)>>()
-                }));
-            }
-
-            // The driver: the same block-phase core model as the serial
-            // [`Machine::run`], with `service_effective_rw` replaced by
-            // a send and completions resolved lazily through the slots.
-            let mut stage = MissStage::new(n);
-            let mut advance = vec![0u64; n];
-            let mut consumed = vec![0u64; n];
-            for (block_idx, block) in trace.accesses().chunks(MISS_BLOCK).enumerate() {
-                let base_slot = block_idx * MISS_BLOCK;
-                // Phase A: cache filter.
-                stage.clear();
-                advance.fill(0);
-                consumed.fill(0);
-                for (off, a) in block.iter().enumerate() {
-                    let core = a.thread.index() % n;
-                    per_core[core].accesses += 1;
-                    advance[core] += self.config.compute_cycles;
-
-                    if let Some(l1) = &mut l1s[core] {
-                        if l1.access(a.addr) == CacheOutcome::Hit {
-                            advance[core] += l1.config().hit_latency;
-                            l1_hits += 1;
-                            continue;
-                        }
-                    }
-                    if let Some(llc) = &mut llc {
-                        if llc.access(a.addr) == CacheOutcome::Hit {
-                            advance[core] += llc.config().hit_latency;
-                            continue;
-                        }
-                    }
-
-                    memory_requests += 1;
-                    per_core[core].misses += 1;
-                    stage.push(core, a.addr, a.is_write, advance[core], base_slot + off);
-                }
-
-                // Phase B: batched translate/decode. `Hbm::service_rw`
-                // applies the controller's bank hash internally;
-                // replicate it block-wide here so the sharded channels
-                // see the same effective addresses.
-                for (c, cache) in caches.iter_mut().enumerate().take(n) {
-                    if stage.pas[c].is_empty() {
-                        continue;
-                    }
-                    engine.decode_block(&mut stage.pas[c], geom, cache, &mut stage.decoded[c]);
-                    bank_hashed_block(geom, &mut stage.decoded[c]);
-                }
-
-                // Phase C: clock replay; issues become sends.
-                for &(c, i) in &stage.order {
-                    let (c, i) = (c as usize, i as usize);
-                    let adv = stage.advances[c][i];
-                    clocks[c] += adv - consumed[c];
-                    consumed[c] = adv;
-                    if outstanding[c].len() >= self.config.mlp_window {
-                        if let Some(oldest_slot) = outstanding[c].pop_front() {
-                            let oldest = wait_for(oldest_slot);
-                            if oldest > clocks[c] {
-                                per_core[c].window_stall_cycles += oldest - clocks[c];
-                                clocks[c] = oldest;
-                            }
-                        }
-                    }
-                    let eff = stage.decoded[c][i];
-                    let slot = stage.slots[c][i];
-                    let issue = clocks[c] + lookup;
-                    // A send fails only if the worker died (panicked);
-                    // store a completion so the driver cannot deadlock —
-                    // the panic resurfaces at join below.
-                    if senders[eff.channel as usize % workers]
-                        .send((slot, eff, stage.writes[c][i], issue))
-                        .is_err()
-                    {
-                        slots[slot].store(issue, Ordering::Release);
-                    }
-                    outstanding[c].push_back(slot);
-                    clocks[c] += 1; // issue slot
-                }
-                for c in 0..n {
-                    clocks[c] += advance[c] - consumed[c];
-                }
-            }
-            drop(senders); // workers drain and exit
-
-            let mut per_channel = vec![ChannelStats::default(); num_channels];
-            for h in handles {
-                match h.join() {
-                    Ok(list) => {
-                        for (ch, stats) in list {
-                            per_channel[ch] = stats;
-                        }
-                    }
-                    Err(e) => std::panic::resume_unwind(e),
-                }
-            }
-            per_channel
-        });
-
-        // Drain: a core finishes when its last miss returns. All slots
-        // are published by now (the workers exited).
-        for c in 0..n {
-            let last_mem = outstanding[c].back().map(|&s| wait_for(s)).unwrap_or(0);
-            if last_mem > clocks[c] {
-                per_core[c].window_stall_cycles += last_mem - clocks[c];
-                clocks[c] = last_mem;
-            }
-            per_core[c].cycles = clocks[c];
-        }
-        let cycles = clocks.iter().copied().max().unwrap_or(0);
-
-        let makespan = per_channel
-            .iter()
-            .map(|c| c.last_completion)
-            .max()
-            .unwrap_or(0);
-        ExecutionReport {
-            cycles,
-            accesses: trace.len() as u64,
-            memory_requests,
-            l1_hits,
-            memory: SimStats {
-                requests: memory_requests,
-                makespan,
-                per_channel,
-                timing,
-            },
-            mapping_name: engine.name().to_string(),
-            per_core,
-            translation: sum_translation(&caches),
-            adapt: AdaptReport::default(),
-        }
-    }
-
     /// [`Machine::run`] with online adaptive remapping: a
     /// [`RemapController`] watches per-chunk conflict attribution at
     /// window boundaries and live-migrates mismatched chunks to better
     /// registered mappings (injecting the migration traffic through the
     /// device, then flipping the CMT entry — which is why the engine is
     /// taken mutably).
+    ///
+    /// The driver is [`Machine::run`]'s block phases with the
+    /// controller hooks: per-miss attribution in phase A, outcome
+    /// attribution in phase C (the chunk number survives translation,
+    /// so it is recovered from the translated address), and the window
+    /// boundary (detection + migration) at block edges.
     ///
     /// With `cfg.enabled == false`, or for a non-chunked engine (no
     /// per-chunk assignment to adapt), this is exactly
@@ -839,49 +578,10 @@ impl Machine {
         engine: &mut MappingEngine,
         cfg: &AdaptConfig,
     ) -> ExecutionReport {
-        self.run_adaptive_with(trace, engine, cfg, 1)
-    }
-
-    /// [`Machine::run_adaptive`] with the memory device sharded across
-    /// `threads` workers by channel, exactly as [`Machine::run_with`].
-    /// The report is bit-identical to the serial adaptive run: the
-    /// controller consumes only deterministically-merged state (phase-A
-    /// attribution in trace order, commutative outcome folds at the
-    /// boundary), and migration traffic reaches each channel in the
-    /// same order and at the same arrival cycle as serially.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid ([`AdaptConfig::validate`]).
-    pub fn run_adaptive_with(
-        &mut self,
-        trace: &Trace,
-        engine: &mut MappingEngine,
-        cfg: &AdaptConfig,
-        threads: usize,
-    ) -> ExecutionReport {
         cfg.validate();
         if !cfg.enabled || engine.as_chunked().is_none() {
-            return self.run_with(trace, engine, threads);
+            return self.run(trace, engine);
         }
-        if threads <= 1 {
-            self.run_adaptive_serial(trace, engine, cfg)
-        } else {
-            self.run_adaptive_sharded(trace, engine, cfg, threads)
-        }
-    }
-
-    /// The serial adaptive driver: [`Machine::run`]'s block phases with
-    /// the controller hooks — per-miss attribution in phase A, outcome
-    /// attribution in phase C (the chunk number survives translation,
-    /// so it is recovered from the translated address), and the window
-    /// boundary (detection + migration) at block edges.
-    fn run_adaptive_serial(
-        &mut self,
-        trace: &Trace,
-        engine: &mut MappingEngine,
-        cfg: &AdaptConfig,
-    ) -> ExecutionReport {
         let n = self.config.num_cores;
         let chunk_bits = engine.as_chunked().map_or(0, Cmt::chunk_bits);
         let mut ctl = RemapController::new(*cfg, chunk_bits, self.geometry);
@@ -926,7 +626,7 @@ impl Machine {
 
                 memory_requests += 1;
                 per_core[core].misses += 1;
-                stage.push(core, a.addr, a.is_write, advance[core], 0);
+                stage.push(core, a.addr, a.is_write, advance[core]);
                 ctl.note_access(a.addr);
             }
 
@@ -1037,330 +737,29 @@ impl Machine {
         }
     }
 
-    /// The channel-sharded adaptive driver. Structure of
-    /// [`Machine::run_sharded`] plus the controller hooks; the three
-    /// adaptive additions preserve bit-identity with the serial
-    /// adaptive driver:
+    /// Alias of [`Machine::run_adaptive`]: `threads` is ignored and the
+    /// run is always serial, because handing single channel services
+    /// (~12 ns each) to other threads costs more than it saves
+    /// (DESIGN.md §8).
     ///
-    /// * workers publish each request's row outcome (one byte per
-    ///   slot, stored before the completion's release store) so the
-    ///   boundary can fold the window's outcomes — commutative
-    ///   counters, so fold order vs the serial inline order is moot;
-    /// * at a boundary the driver waits for the window's slots before
-    ///   running the controller, so detection reads exactly the state
-    ///   the serial driver had;
-    /// * migration requests are sent after every workload send of the
-    ///   window, hence reach each channel in the same per-channel
-    ///   order, at the same arrival cycle, as the serial injection.
-    fn run_adaptive_sharded(
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid ([`AdaptConfig::validate`]).
+    pub fn run_adaptive_with(
         &mut self,
         trace: &Trace,
         engine: &mut MappingEngine,
         cfg: &AdaptConfig,
-        threads: usize,
+        _threads: usize,
     ) -> ExecutionReport {
-        /// Sentinel: completion not yet published.
-        const PENDING: u64 = u64::MAX;
-
-        let n = self.config.num_cores;
-        let geom = self.geometry;
-        let timing = self.timing;
-        let num_channels = geom.num_channels();
-        let workers = threads.min(num_channels);
-        let lookup = engine.lookup_cycles(&timing);
-        let chunk_bits = engine.as_chunked().map_or(0, Cmt::chunk_bits);
-        let lines_per_chunk = engine.as_chunked().map_or(0, |c| c.chunk_bytes() / 64);
-        let mut ctl = RemapController::new(*cfg, chunk_bits, geom);
-
-        // One completion slot per potential miss, plus room for every
-        // migration request the budget allows.
-        let extra = cfg.max_migrations as usize * 2 * lines_per_chunk as usize;
-        let slots: Vec<AtomicU64> = (0..trace.len() + extra)
-            .map(|_| AtomicU64::new(PENDING))
-            .collect();
-        let slots = &slots[..];
-        // Row outcome per slot (0 = pending): stored by the worker
-        // before the completion slot's release store, so an acquire
-        // load of the completion makes the outcome visible.
-        let outcomes: Vec<AtomicU8> = (0..trace.len() + extra).map(|_| AtomicU8::new(0)).collect();
-        let outcomes = &outcomes[..];
-        let wait_for = |slot: usize| -> u64 {
-            let mut spins = 0u32;
-            loop {
-                let v = slots[slot].load(Ordering::Acquire);
-                if v != PENDING {
-                    return v;
-                }
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        };
-
-        let mut l1s: Vec<Option<Cache>> = (0..n).map(|_| self.config.l1.map(Cache::new)).collect();
-        let mut llc: Option<Cache> = self.config.llc.map(Cache::new);
-        let mut clocks = vec![0u64; n];
-        let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); n];
-        let mut memory_requests = 0u64;
-        let mut l1_hits = 0u64;
-        let mut per_core = vec![CoreStats::default(); n];
-        let mut caches = vec![TranslationCache::default(); n];
-        // The current window's serviced misses: (chunk, channel, slot),
-        // folded into the controller at the boundary.
-        let mut window_pending: Vec<(u64, u64, usize)> = Vec::new();
-        let mut next_mig_slot = trace.len();
-
-        let per_channel = std::thread::scope(|s| {
-            let mut senders: Vec<mpsc::Sender<(usize, DecodedAddr, bool, u64)>> = Vec::new();
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let (tx, rx) = mpsc::channel::<(usize, DecodedAddr, bool, u64)>();
-                senders.push(tx);
-                handles.push(s.spawn(move || {
-                    let owned = (num_channels - w).div_ceil(workers);
-                    let mut chans: Vec<ChannelSim> = (0..owned)
-                        .map(|_| ChannelSim::new(geom.banks_per_channel()))
-                        .collect();
-                    for (slot, addr, is_write, issue) in rx {
-                        let local = addr.channel as usize / workers;
-                        let (done, outcome) = chans[local]
-                            .service_in_order_rw_outcome(addr, is_write, issue, &timing);
-                        outcomes[slot].store(outcome_code(outcome), Ordering::Relaxed);
-                        slots[slot].store(done, Ordering::Release);
-                    }
-                    chans
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, c)| (w + i * workers, c.stats()))
-                        .collect::<Vec<(usize, ChannelStats)>>()
-                }));
-            }
-
-            let mut stage = MissStage::new(n);
-            let mut advance = vec![0u64; n];
-            let mut consumed = vec![0u64; n];
-            for (block_idx, block) in trace.accesses().chunks(MISS_BLOCK).enumerate() {
-                let base_slot = block_idx * MISS_BLOCK;
-                // Phase A: cache filter + per-chunk request attribution.
-                stage.clear();
-                advance.fill(0);
-                consumed.fill(0);
-                for (off, a) in block.iter().enumerate() {
-                    let core = a.thread.index() % n;
-                    per_core[core].accesses += 1;
-                    advance[core] += self.config.compute_cycles;
-
-                    if let Some(l1) = &mut l1s[core] {
-                        if l1.access(a.addr) == CacheOutcome::Hit {
-                            advance[core] += l1.config().hit_latency;
-                            l1_hits += 1;
-                            continue;
-                        }
-                    }
-                    if let Some(llc) = &mut llc {
-                        if llc.access(a.addr) == CacheOutcome::Hit {
-                            advance[core] += llc.config().hit_latency;
-                            continue;
-                        }
-                    }
-
-                    memory_requests += 1;
-                    per_core[core].misses += 1;
-                    stage.push(core, a.addr, a.is_write, advance[core], base_slot + off);
-                    ctl.note_access(a.addr);
-                }
-
-                // Phase B: batched translate/decode + bank hash.
-                for (c, cache) in caches.iter_mut().enumerate().take(n) {
-                    if stage.pas[c].is_empty() {
-                        continue;
-                    }
-                    engine.decode_block(&mut stage.pas[c], geom, cache, &mut stage.decoded[c]);
-                    bank_hashed_block(geom, &mut stage.decoded[c]);
-                }
-
-                // Phase C: clock replay; issues become sends.
-                for &(c, i) in &stage.order {
-                    let (c, i) = (c as usize, i as usize);
-                    let adv = stage.advances[c][i];
-                    clocks[c] += adv - consumed[c];
-                    consumed[c] = adv;
-                    if outstanding[c].len() >= self.config.mlp_window {
-                        if let Some(oldest_slot) = outstanding[c].pop_front() {
-                            let oldest = wait_for(oldest_slot);
-                            if oldest > clocks[c] {
-                                per_core[c].window_stall_cycles += oldest - clocks[c];
-                                clocks[c] = oldest;
-                            }
-                        }
-                    }
-                    let eff = stage.decoded[c][i];
-                    let slot = stage.slots[c][i];
-                    let issue = clocks[c] + lookup;
-                    if senders[eff.channel as usize % workers]
-                        .send((slot, eff, stage.writes[c][i], issue))
-                        .is_err()
-                    {
-                        slots[slot].store(issue, Ordering::Release);
-                    }
-                    window_pending.push((stage.pas[c][i] >> chunk_bits, eff.channel, slot));
-                    outstanding[c].push_back(slot);
-                    clocks[c] += 1; // issue slot
-                }
-                for c in 0..n {
-                    clocks[c] += advance[c] - consumed[c];
-                }
-
-                // Window boundary: fold the window's outcomes, run
-                // detection, inject migrations.
-                if ctl.block_done(block.len()) {
-                    for &(chunk, channel, slot) in &window_pending {
-                        wait_for(slot);
-                        ctl.note_outcome(
-                            chunk,
-                            channel,
-                            outcome_from(outcomes[slot].load(Ordering::Relaxed)),
-                        );
-                    }
-                    window_pending.clear();
-                    let plans = match engine.as_chunked() {
-                        Some(cmt) => ctl.end_window(cmt),
-                        None => Vec::new(),
-                    };
-                    if !plans.is_empty() {
-                        let before = clocks.iter().copied().max().unwrap_or(0);
-                        let mut mig_slots: Vec<usize> = Vec::new();
-                        for plan in &plans {
-                            let reqs = match engine.as_chunked() {
-                                Some(cmt) => migration_requests_for(cmt, geom, plan),
-                                None => Vec::new(),
-                            };
-                            for &(d, w) in &reqs {
-                                let eff = bank_hashed(geom, d);
-                                let slot = next_mig_slot;
-                                next_mig_slot += 1;
-                                if senders[eff.channel as usize % workers]
-                                    .send((slot, eff, w, before))
-                                    .is_err()
-                                {
-                                    slots[slot].store(before, Ordering::Release);
-                                }
-                                mig_slots.push(slot);
-                            }
-                            ctl.note_migration(reqs.len() as u64, (reqs.len() as u64 / 2) * 64);
-                            if let Some(cmt) = engine.as_chunked_mut() {
-                                // Infallible: plans only name registered
-                                // mappings and in-range chunks.
-                                let _ = cmt.assign_chunk(plan.chunk, plan.to);
-                            }
-                        }
-                        let mut last = before;
-                        for slot in mig_slots {
-                            let done = wait_for(slot);
-                            last = last.max(done);
-                            ctl.note_migration_outcome(outcome_from(
-                                outcomes[slot].load(Ordering::Relaxed),
-                            ));
-                        }
-                        ctl.note_migration_stall(last - before);
-                        for c in clocks.iter_mut() {
-                            *c = last;
-                        }
-                    }
-                }
-            }
-            // The trailing partial window never reaches a boundary, but
-            // its outcomes still belong in the cumulative attribution
-            // (the serial driver noted them inline in phase C).
-            for &(chunk, channel, slot) in &window_pending {
-                wait_for(slot);
-                ctl.note_outcome(
-                    chunk,
-                    channel,
-                    outcome_from(outcomes[slot].load(Ordering::Relaxed)),
-                );
-            }
-            window_pending.clear();
-            drop(senders); // workers drain and exit
-
-            let mut per_channel = vec![ChannelStats::default(); num_channels];
-            for h in handles {
-                match h.join() {
-                    Ok(list) => {
-                        for (ch, stats) in list {
-                            per_channel[ch] = stats;
-                        }
-                    }
-                    Err(e) => std::panic::resume_unwind(e),
-                }
-            }
-            per_channel
-        });
-
-        for c in 0..n {
-            let last_mem = outstanding[c].back().map(|&s| wait_for(s)).unwrap_or(0);
-            if last_mem > clocks[c] {
-                per_core[c].window_stall_cycles += last_mem - clocks[c];
-                clocks[c] = last_mem;
-            }
-            per_core[c].cycles = clocks[c];
-        }
-        let cycles = clocks.iter().copied().max().unwrap_or(0);
-
-        let makespan = per_channel
-            .iter()
-            .map(|c| c.last_completion)
-            .max()
-            .unwrap_or(0);
-        let adapt = ctl.into_report();
-        ExecutionReport {
-            cycles,
-            accesses: trace.len() as u64,
-            memory_requests,
-            l1_hits,
-            memory: SimStats {
-                requests: memory_requests + adapt.migration_requests,
-                makespan,
-                per_channel,
-                timing,
-            },
-            mapping_name: engine.name().to_string(),
-            per_core,
-            translation: sum_translation(&caches),
-            adapt,
-        }
-    }
-}
-
-/// Encodes a row outcome for the sharded drivers' per-slot byte
-/// (0 is reserved for "pending").
-fn outcome_code(o: RowOutcome) -> u8 {
-    match o {
-        RowOutcome::Hit => 1,
-        RowOutcome::Miss => 2,
-        RowOutcome::Conflict => 3,
-    }
-}
-
-/// Decodes [`outcome_code`]. An unpublished byte (a dead worker's
-/// fallback slot) reads as a hit; that path only occurs when a worker
-/// panicked, and the panic resurfaces at join before the report is
-/// used.
-fn outcome_from(code: u8) -> RowOutcome {
-    match code {
-        2 => RowOutcome::Miss,
-        3 => RowOutcome::Conflict,
-        _ => RowOutcome::Hit,
+        self.run_adaptive(trace, engine, cfg)
     }
 }
 
 /// The migration traffic for one plan: every line of the chunk is read
 /// at its address under the old mapping and written at its address
 /// under the new one, interleaved per line, in line order. Decoded but
-/// *not* bank-hashed (callers apply their driver's hash step).
+/// *not* bank-hashed (the caller applies the device's hash step).
 fn migration_requests_for(
     cmt: &Cmt,
     geom: Geometry,
@@ -1649,49 +1048,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_identical_to_serial() {
-        // The tentpole invariant: channel-sharded execution reproduces
-        // the serial report bit for bit — cycles, per-core stats, and
-        // the full per-channel memory statistics.
-        let geom = Geometry::hbm2_8gb();
-        let fixed =
-            MappingEngine::Global(Box::new(sdam_mapping::select::shuffle_for_stride(32, geom)));
-        for engine in [MappingEngine::identity(), fixed] {
-            for stride in [1u64, 32, 33] {
-                let trace = mt_stride_trace(stride, 3_000);
-                let mut m = Machine::new(MachineConfig::cpu(), geom);
-                let serial = m.run(&trace, &engine);
-                for threads in [2usize, 4, 7, 64] {
-                    let got = m.run_with(&trace, &engine, threads);
-                    assert_eq!(
-                        serial, got,
-                        "stride {stride} x {threads} threads diverged from serial"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn translation_counters_account_for_every_miss() {
         // Identity: on the chunked path every external request is
         // exactly one memo hit or miss; global mappings never touch the
-        // memo. Holds on both drivers (they share the serial core model).
+        // memo.
         let geom = Geometry::hbm2_8gb();
         let chunked = MappingEngine::Chunked(sdam_mapping::Cmt::new(geom.addr_bits(), 21));
         let trace = mt_stride_trace(32, 2_000);
         let mut m = Machine::new(MachineConfig::cpu(), geom);
-        for threads in [1usize, 4] {
-            let r = m.run_with(&trace, &chunked, threads);
-            assert_eq!(
-                r.translation.lookups(),
-                r.memory_requests,
-                "{threads} threads: every miss translates exactly once"
-            );
-            assert!(r.translation.memo_hits > 0, "stride runs are chunk-local");
-            let g = m.run_with(&trace, &MappingEngine::identity(), threads);
-            assert_eq!(g.translation, TranslationStats::default());
-        }
+        let r = m.run(&trace, &chunked);
+        assert_eq!(
+            r.translation.lookups(),
+            r.memory_requests,
+            "every miss translates exactly once"
+        );
+        assert!(r.translation.memo_hits > 0, "stride runs are chunk-local");
+        let g = m.run(&trace, &MappingEngine::identity());
+        assert_eq!(g.translation, TranslationStats::default());
     }
 
     #[test]
@@ -1741,16 +1114,6 @@ mod tests {
             Err(ConfigError::Cache { .. })
         ));
         assert!(Machine::try_new(MachineConfig::cpu(), geom).is_ok());
-    }
-
-    #[test]
-    fn try_run_with_matches_run_with() {
-        let geom = Geometry::hbm2_8gb();
-        let mut m = Machine::new(MachineConfig::cpu(), geom);
-        let t = mt_stride_trace(32, 500);
-        let want = m.run_with(&t, &MappingEngine::identity(), 2);
-        let got = m.try_run_with(&t, &MappingEngine::identity(), 2).unwrap();
-        assert_eq!(want, got);
     }
 
     #[test]

@@ -66,18 +66,14 @@ pub fn rmat(n: usize, edge_factor: usize, seed: u64) -> Csr {
     for _ in 0..m {
         let (mut src, mut dst) = (0usize, 0usize);
         for _ in 0..scale {
+            // Quadrants [0,a) → (0,0), [a,a+b) → (0,1), [a+b,a+b+c) →
+            // (1,0), the rest → (1,1), picked without branches: the
+            // source bit is the upper half, the destination bit the
+            // parity of the thresholds crossed.
             let r: f64 = rng.gen();
-            let (sbit, dbit) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            src = (src << 1) | sbit;
-            dst = (dst << 1) | dbit;
+            let (t1, t2, t3) = (r >= a, r >= a + b, r >= a + b + c);
+            src = (src << 1) | t2 as usize;
+            dst = (dst << 1) | (t1 ^ t2 ^ t3) as usize;
         }
         edges.push((src as u32, dst as u32));
     }

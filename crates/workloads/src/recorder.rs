@@ -7,8 +7,6 @@
 //! work on real Rust containers while the recorder captures the address
 //! stream the same computation would produce on the paper's prototype.
 
-use std::collections::HashMap;
-
 use sdam_trace::{MemAccess, ThreadId, Trace, VariableId};
 
 /// An allocated region of the synthetic address space.
@@ -38,6 +36,10 @@ impl Region {
     }
 }
 
+/// Sentinel in [`Recorder`]'s per-variable line column: nothing touched
+/// yet. Lines are 64 B aligned, so no real line equals it.
+const NO_LINE: u64 = u64::MAX;
+
 /// Allocates regions and records accesses into a [`Trace`].
 #[derive(Debug, Clone)]
 pub struct Recorder {
@@ -46,8 +48,9 @@ pub struct Recorder {
     next_variable: u32,
     thread: ThreadId,
     next_pc: u64,
-    /// Last 64 B line touched per variable, for coalescing.
-    last_line: HashMap<u32, u64>,
+    /// Last 64 B line touched per variable, indexed by variable id, for
+    /// coalescing ([`NO_LINE`] = none yet).
+    last_line: Vec<u64>,
     /// Expected total accesses, used to size lane traces in
     /// [`run_parallel`]; zero means unknown.
     capacity_hint: usize,
@@ -68,7 +71,7 @@ impl Recorder {
             next_variable: 0,
             thread: ThreadId(0),
             next_pc: 0x40_0000,
-            last_line: HashMap::new(),
+            last_line: Vec::new(),
             capacity_hint: 0,
         }
     }
@@ -135,10 +138,14 @@ impl Recorder {
         // re-emits once another line of the variable intervenes, so
         // line-level reuse still reaches the cache simulator.
         let line = addr & !63;
-        if self.last_line.get(&region.variable.0) == Some(&line) {
+        let v = region.variable.0 as usize;
+        if v >= self.last_line.len() {
+            self.last_line.resize(v + 1, NO_LINE);
+        }
+        if self.last_line[v] == line {
             return;
         }
-        self.last_line.insert(region.variable.0, line);
+        self.last_line[v] = line;
         self.trace.push(MemAccess {
             addr,
             pc: 0x40_0000 + region.variable.0 as u64 * 0x100,
@@ -173,7 +180,7 @@ impl Recorder {
             next_variable: self.next_variable,
             thread,
             next_pc: self.next_pc,
-            last_line: HashMap::new(),
+            last_line: Vec::new(),
             capacity_hint: 0,
         }
     }
