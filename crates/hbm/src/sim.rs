@@ -232,24 +232,16 @@ impl Hbm {
         is_write: bool,
         arrival: Cycle,
     ) -> Cycle {
-        let done = self.channels[addr.channel as usize].service_in_order_rw(
-            addr,
-            is_write,
-            arrival,
-            &self.timing,
-        );
-        self.requests += 1;
-        self.makespan = self.makespan.max(done);
-        done
+        self.service_effective_rw_outcome(addr, is_write, arrival).0
     }
 
     /// [`Hbm::service_effective_rw`] that also reports the row-buffer
     /// classification (hit / miss / conflict) of the served request.
     ///
-    /// The timing result and all device statistics are bit-identical to
-    /// the outcome-less path; the extra return value only *observes* the
-    /// classification that [`crate::bank::BankState::access`] already
-    /// computed, so drivers attributing conflicts per chunk pay nothing.
+    /// The extra return value only *observes* the classification that
+    /// [`crate::bank::BankState::access`] already computed, so drivers
+    /// attributing conflicts per chunk pay nothing; the outcome-less
+    /// [`Hbm::service_effective_rw`] is this call's timing result.
     ///
     /// # Panics
     ///

@@ -1,10 +1,10 @@
 //! # Online adaptive remapping — the DReAM-style feedback loop
 //!
 //! The paper selects mappings *offline* from a profiling pass; this
-//! module closes the loop at runtime. The block drivers in
-//! [`crate::machine`] attribute row conflicts to the 2^chunk_bits-byte
+//! module closes the loop at runtime. The block driver in
+//! [`crate::machine`] attributes row conflicts to the 2^chunk_bits-byte
 //! chunk that produced them, and at block-window boundaries a
-//! [`RemapController`] inspects those counters, detects a
+//! remap controller inspects those counters, detects a
 //! mapping/workload mismatch (a hot chunk whose conflict rate stays
 //! above threshold for K consecutive windows while its traffic is
 //! pinned to a few channels), scores every registered mapping against
@@ -16,8 +16,8 @@
 //!
 //! Everything the controller consumes is deterministic state: per-chunk
 //! counters accumulated in trace order by the single-threaded driver,
-//! so adaptive runs are reproducible bit for bit, and a disabled
-//! controller leaves the driver untouched.
+//! so adaptive runs are reproducible bit for bit, and a controller that
+//! only observes leaves the run untouched.
 
 use std::collections::BTreeMap;
 
@@ -33,9 +33,6 @@ use sdam_mapping::{Cmt, MappingId, PhysAddr};
 /// migration budget that bounds worst-case injected traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
-    /// Master switch; `false` leaves the driver bit-identical to the
-    /// non-adaptive one.
-    pub enabled: bool,
     /// Trace accesses per observation window. Boundaries are evaluated
     /// at driver block edges, so the effective boundary lands at the
     /// first block edge at or past each multiple of this.
@@ -55,7 +52,8 @@ pub struct AdaptConfig {
     /// Windows a chunk is exempt from reconsideration after a
     /// migration — or after scoring found no better mapping.
     pub cooldown_windows: u32,
-    /// Total migration budget for the run (bounds injected traffic).
+    /// Total migration budget for the run (bounds injected traffic);
+    /// `0` makes the controller observe only.
     pub max_migrations: u32,
     /// Migrations allowed at one window boundary.
     pub max_migrations_per_window: u32,
@@ -65,15 +63,6 @@ pub struct AdaptConfig {
 }
 
 impl AdaptConfig {
-    /// Adaptation off: the driver must be bit-identical to
-    /// [`crate::Machine::run`].
-    pub fn disabled() -> Self {
-        AdaptConfig {
-            enabled: false,
-            ..AdaptConfig::default()
-        }
-    }
-
     /// Validates the knobs.
     ///
     /// # Panics
@@ -93,7 +82,6 @@ impl AdaptConfig {
 impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {
-            enabled: true,
             window_accesses: 4096,
             conflict_threshold: 0.15,
             min_chunk_requests: 64,
@@ -121,8 +109,8 @@ pub struct ChunkTraffic {
 /// [`crate::ExecutionReport`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AdaptReport {
-    /// Whether the adaptive driver ran (false for `AdaptConfig::disabled`
-    /// or a non-chunked engine; the rest of the report is then zero).
+    /// Whether the adaptive controller ran (false for `Machine::run` or
+    /// a non-chunked engine; the rest of the report is then zero).
     pub enabled: bool,
     /// Observation windows completed.
     pub windows: u64,
@@ -150,7 +138,7 @@ pub struct AdaptReport {
 
 /// A remap order for one chunk, produced at a window boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationPlan {
+pub(crate) struct MigrationPlan {
     /// Chunk number to move.
     pub chunk: u64,
     /// Mapping the chunk is currently assigned to.
@@ -186,7 +174,7 @@ struct ChunkWindow {
 /// All state lives in `BTreeMap`s keyed by chunk number, so iteration —
 /// and therefore plan order — is deterministic.
 #[derive(Debug)]
-pub struct RemapController {
+pub(crate) struct RemapController {
     cfg: AdaptConfig,
     chunk_bits: u32,
     geom: Geometry,
@@ -218,9 +206,9 @@ impl RemapController {
         }
     }
 
-    /// Records an external miss (phase A of the drivers): counts the
+    /// Records an external miss (phase A of the driver): counts the
     /// request against its chunk and keeps the first `sample_lines`
-    /// physical addresses for candidate scoring. Both drivers call this
+    /// physical addresses for candidate scoring. The driver calls this
     /// in trace order, before translation.
     pub fn note_access(&mut self, pa: u64) {
         let w = self.window.entry(pa >> self.chunk_bits).or_default();
@@ -242,8 +230,8 @@ impl RemapController {
 
     /// Advances the access counter by one driver block; returns `true`
     /// when a window boundary has been crossed and
-    /// [`RemapController::end_window`] should run. Both drivers count
-    /// the same trace blocks, so boundaries land identically.
+    /// [`RemapController::end_window`] should run. Boundaries land on
+    /// driver block edges, so they depend only on the trace length.
     pub fn block_done(&mut self, block_len: usize) -> bool {
         self.accesses_seen += block_len as u64;
         if self.accesses_seen < self.next_window_at {

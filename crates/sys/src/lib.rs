@@ -45,7 +45,7 @@ pub mod machine;
 pub mod path;
 pub mod probe;
 
-pub use adapt::{AdaptConfig, AdaptReport, ChunkTraffic, MigrationPlan, RemapController};
+pub use adapt::{AdaptConfig, AdaptReport, ChunkTraffic};
 pub use cache::{Cache, CacheConfig};
 pub use error::ConfigError;
 pub use machine::{safe_speedup, ExecutionReport, Machine, MachineConfig};

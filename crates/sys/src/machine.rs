@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use sdam_hbm::{DecodedAddr, Geometry, Hbm, Timing};
+use sdam_hbm::{DecodedAddr, Geometry, Hbm, RowOutcome, Timing};
 use sdam_mapping::{Cmt, PhysAddr};
 use sdam_trace::Trace;
 
@@ -199,8 +199,8 @@ impl ExecutionReport {
     }
 }
 
-/// Sums per-core translation-cache counters in core order. Every driver
-/// folds its caches through this.
+/// Sums per-core translation-cache counters in core order. Both drivers
+/// fold their caches through this.
 fn sum_translation(caches: &[TranslationCache]) -> TranslationStats {
     let mut total = TranslationStats::default();
     for c in caches {
@@ -219,16 +219,16 @@ pub fn safe_speedup(baseline_cycles: u64, cycles: u64) -> f64 {
     }
 }
 
-/// Accesses per batching block in the block-based drivers.
+/// Accesses per batching block in the block driver.
 ///
-/// Within one block the drivers run three phases — cache filter,
+/// Within one block the driver runs three phases — cache filter,
 /// batched decode/translate, clock replay — over a reused [`MissStage`]
 /// arena. The size trades locality (small enough that the block's miss
 /// columns stay cache-resident) against amortization of the per-block
 /// engine dispatch.
 const MISS_BLOCK: usize = 4096;
 
-/// Per-block staging for the batched drivers: external misses collected
+/// Per-block staging for the block driver: external misses collected
 /// during the cache-filter phase (A), translated and decoded per core
 /// in the batch phase (B), and replayed through the clock model in
 /// phase C. All buffers are reused across blocks, so a steady-state
@@ -337,11 +337,11 @@ impl Machine {
     /// engine, and the memory device. Each access is attributed to core
     /// `thread % num_cores`.
     ///
-    /// Requests are processed in blocks of [`MISS_BLOCK`] accesses with
-    /// three phases per block: (A) cache filter — caches are probed in
-    /// trace order and external misses collected into a reused
-    /// [`MissStage`] arena, (B) batched translate/decode — each core's
-    /// misses go through [`MappingEngine::decode_block`] (one engine
+    /// Requests are processed in blocks of 4096 accesses with three
+    /// phases per block: (A) cache filter — caches are probed in trace
+    /// order and external misses collected into a reused staging
+    /// arena, (B) batched translate/decode — each core's misses go
+    /// through [`MappingEngine::decode_block`] (one engine
     /// dispatch per core per block) and the controller's bank hash is
     /// applied block-wide, (C) clock replay — the per-core clock,
     /// window-stall, and issue logic consumes the decoded block in
@@ -351,124 +351,7 @@ impl Machine {
     /// (preserved), and phase C replays the exact clock arithmetic at
     /// every miss via the recorded phase-A advances.
     pub fn run(&mut self, trace: &Trace, engine: &MappingEngine) -> ExecutionReport {
-        let n = self.config.num_cores;
-        let mut hbm = Hbm::new(self.geometry, self.timing);
-        let mut l1s: Vec<Option<Cache>> = (0..n).map(|_| self.config.l1.map(Cache::new)).collect();
-        let mut llc: Option<Cache> = self.config.llc.map(Cache::new);
-        let mut clocks = vec![0u64; n];
-        let mut outstanding: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
-        let mut memory_requests = 0u64;
-        let mut l1_hits = 0u64;
-        let mut per_core = vec![CoreStats::default(); n];
-        let mut caches = vec![TranslationCache::default(); n];
-        let lookup = engine.lookup_cycles(&self.timing);
-
-        let mut stage = MissStage::new(n);
-        // Phase-A clock additions per core since block start, and the
-        // prefix of them already folded into `clocks` by phase C.
-        let mut advance = vec![0u64; n];
-        let mut consumed = vec![0u64; n];
-
-        for block in trace.accesses().chunks(MISS_BLOCK) {
-            // Phase A: cache filter. Only commutative clock additions
-            // happen here; they are accumulated in `advance` and folded
-            // into `clocks` at the exact miss boundaries in phase C.
-            stage.clear();
-            advance.fill(0);
-            consumed.fill(0);
-            for a in block {
-                let core = a.thread.index() % n;
-                per_core[core].accesses += 1;
-                advance[core] += self.config.compute_cycles;
-
-                if let Some(l1) = &mut l1s[core] {
-                    if l1.access(a.addr) == CacheOutcome::Hit {
-                        advance[core] += l1.config().hit_latency;
-                        l1_hits += 1;
-                        continue;
-                    }
-                }
-                if let Some(llc) = &mut llc {
-                    if llc.access(a.addr) == CacheOutcome::Hit {
-                        advance[core] += llc.config().hit_latency;
-                        continue;
-                    }
-                }
-
-                memory_requests += 1;
-                per_core[core].misses += 1;
-                stage.push(core, a.addr, a.is_write, advance[core]);
-            }
-
-            // Phase B: batched PA→HA translation, decode, and bank
-            // hash, one core's stream at a time.
-            for (c, cache) in caches.iter_mut().enumerate().take(n) {
-                if stage.pas[c].is_empty() {
-                    continue;
-                }
-                engine.decode_block(
-                    &mut stage.pas[c],
-                    self.geometry,
-                    cache,
-                    &mut stage.decoded[c],
-                );
-                hbm.effective_block(&mut stage.decoded[c]);
-            }
-
-            // Phase C: replay the clock model over the misses in trace
-            // order.
-            for &(c, i) in &stage.order {
-                let (c, i) = (c as usize, i as usize);
-                let adv = stage.advances[c][i];
-                clocks[c] += adv - consumed[c];
-                consumed[c] = adv;
-                if outstanding[c].len() >= self.config.mlp_window {
-                    if let Some(oldest) = outstanding[c].pop_front() {
-                        if oldest > clocks[c] {
-                            per_core[c].window_stall_cycles += oldest - clocks[c];
-                            clocks[c] = oldest;
-                        }
-                    }
-                }
-                // The CMT lookup sits on the miss path; its SRAM
-                // latency is constant (paper §5.3: 6 ns, negligible
-                // next to >130 ns of HBM). Global mappings are
-                // combinational.
-                let issue = clocks[c] + lookup;
-                let completion =
-                    hbm.service_effective_rw(stage.decoded[c][i], stage.writes[c][i], issue);
-                outstanding[c].push_back(completion);
-                clocks[c] += 1; // issue slot
-            }
-            // Fold in the additions that landed after each core's last
-            // miss of the block.
-            for c in 0..n {
-                clocks[c] += advance[c] - consumed[c];
-            }
-        }
-
-        // Drain: a core finishes when its last miss returns.
-        for c in 0..n {
-            let last_mem = outstanding[c].back().copied().unwrap_or(0);
-            if last_mem > clocks[c] {
-                per_core[c].window_stall_cycles += last_mem - clocks[c];
-                clocks[c] = last_mem;
-            }
-            per_core[c].cycles = clocks[c];
-        }
-        let cycles = clocks.iter().copied().max().unwrap_or(0);
-
-        ExecutionReport {
-            cycles,
-            accesses: trace.len() as u64,
-            memory_requests,
-            l1_hits,
-            memory: hbm.stats(),
-            mapping_name: engine.name().to_string(),
-            per_core,
-            translation: sum_translation(&caches),
-            adapt: AdaptReport::default(),
-        }
+        self.drive(trace, engine)
     }
 
     /// The original per-request serial driver, kept verbatim as the
@@ -552,22 +435,20 @@ impl Machine {
         }
     }
 
-    /// [`Machine::run`] with online adaptive remapping: a
-    /// [`RemapController`] watches per-chunk conflict attribution at
-    /// window boundaries and live-migrates mismatched chunks to better
-    /// registered mappings (injecting the migration traffic through the
-    /// device, then flipping the CMT entry — which is why the engine is
-    /// taken mutably).
+    /// [`Machine::run`] with online adaptive remapping: the
+    /// [`crate::adapt`] controller watches per-chunk conflict
+    /// attribution at window boundaries and live-migrates mismatched
+    /// chunks to better registered mappings (injecting the migration
+    /// traffic through the device, then flipping the CMT entry — which
+    /// is why the engine is taken mutably).
     ///
-    /// The driver is [`Machine::run`]'s block phases with the
-    /// controller hooks: per-miss attribution in phase A, outcome
-    /// attribution in phase C (the chunk number survives translation,
-    /// so it is recovered from the translated address), and the window
-    /// boundary (detection + migration) at block edges.
+    /// The controller hooks into [`Machine::run`]'s block driver: miss
+    /// attribution in phase A, outcome attribution in phase C, and the
+    /// window boundary (detection + migration) at block edges.
     ///
-    /// With `cfg.enabled == false`, or for a non-chunked engine (no
-    /// per-chunk assignment to adapt), this is exactly
-    /// [`Machine::run`] — bit-identical report, `adapt` all-default.
+    /// For a non-chunked engine (no per-chunk assignment to adapt) this
+    /// is exactly [`Machine::run`] — bit-identical report, `adapt`
+    /// all-default.
     ///
     /// # Panics
     ///
@@ -579,12 +460,42 @@ impl Machine {
         cfg: &AdaptConfig,
     ) -> ExecutionReport {
         cfg.validate();
-        if !cfg.enabled || engine.as_chunked().is_none() {
+        let Some(chunk_bits) = engine.as_chunked().map(Cmt::chunk_bits) else {
             return self.run(trace, engine);
-        }
+        };
+        let hook = Adaptive {
+            engine,
+            ctl: RemapController::new(*cfg, chunk_bits, self.geometry),
+            chunk_bits,
+            geometry: self.geometry,
+        };
+        self.drive(trace, hook)
+    }
+
+    /// Alias of [`Machine::run_adaptive`]: `threads` is ignored and the
+    /// run is always serial, because handing single channel services
+    /// (~12 ns each) to other threads costs more than it saves
+    /// (DESIGN.md §8).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid ([`AdaptConfig::validate`]).
+    pub fn run_adaptive_with(
+        &mut self,
+        trace: &Trace,
+        engine: &mut MappingEngine,
+        cfg: &AdaptConfig,
+        _threads: usize,
+    ) -> ExecutionReport {
+        self.run_adaptive(trace, engine, cfg)
+    }
+
+    /// The block driver behind [`Machine::run`] and
+    /// [`Machine::run_adaptive`]: the three phases documented on
+    /// [`Machine::run`], with `hook` called at each miss, each served
+    /// request, and each block end.
+    fn drive<H: BlockHook>(&self, trace: &Trace, mut hook: H) -> ExecutionReport {
         let n = self.config.num_cores;
-        let chunk_bits = engine.as_chunked().map_or(0, Cmt::chunk_bits);
-        let mut ctl = RemapController::new(*cfg, chunk_bits, self.geometry);
         let mut hbm = Hbm::new(self.geometry, self.timing);
         let mut l1s: Vec<Option<Cache>> = (0..n).map(|_| self.config.l1.map(Cache::new)).collect();
         let mut llc: Option<Cache> = self.config.llc.map(Cache::new);
@@ -594,14 +505,18 @@ impl Machine {
         let mut l1_hits = 0u64;
         let mut per_core = vec![CoreStats::default(); n];
         let mut caches = vec![TranslationCache::default(); n];
-        let lookup = engine.lookup_cycles(&self.timing);
+        let lookup = hook.engine().lookup_cycles(&self.timing);
 
         let mut stage = MissStage::new(n);
+        // Phase-A clock additions per core since block start, and the
+        // prefix of them already folded into `clocks` by phase C.
         let mut advance = vec![0u64; n];
         let mut consumed = vec![0u64; n];
 
         for block in trace.accesses().chunks(MISS_BLOCK) {
-            // Phase A: cache filter + per-chunk request attribution.
+            // Phase A: cache filter. Only commutative clock additions
+            // happen here; they are accumulated in `advance` and folded
+            // into `clocks` at the exact miss boundaries in phase C.
             stage.clear();
             advance.fill(0);
             consumed.fill(0);
@@ -627,15 +542,16 @@ impl Machine {
                 memory_requests += 1;
                 per_core[core].misses += 1;
                 stage.push(core, a.addr, a.is_write, advance[core]);
-                ctl.note_access(a.addr);
+                hook.on_miss(a.addr);
             }
 
-            // Phase B: batched PA→HA translation, decode, bank hash.
+            // Phase B: batched PA→HA translation, decode, and bank
+            // hash, one core's stream at a time.
             for (c, cache) in caches.iter_mut().enumerate().take(n) {
                 if stage.pas[c].is_empty() {
                     continue;
                 }
-                engine.decode_block(
+                hook.engine().decode_block(
                     &mut stage.pas[c],
                     self.geometry,
                     cache,
@@ -644,7 +560,8 @@ impl Machine {
                 hbm.effective_block(&mut stage.decoded[c]);
             }
 
-            // Phase C: clock replay + per-chunk outcome attribution.
+            // Phase C: replay the clock model over the misses in trace
+            // order.
             for &(c, i) in &stage.order {
                 let (c, i) = (c as usize, i as usize);
                 let adv = stage.advances[c][i];
@@ -658,62 +575,28 @@ impl Machine {
                         }
                     }
                 }
+                // The CMT lookup sits on the miss path; its SRAM
+                // latency is constant (paper §5.3: 6 ns, negligible
+                // next to >130 ns of HBM). Global mappings are
+                // combinational.
                 let issue = clocks[c] + lookup;
-                let (completion, outcome) = hbm.service_effective_rw_outcome(
-                    stage.decoded[c][i],
-                    stage.writes[c][i],
-                    issue,
-                );
-                // The CMT permutes only the chunk-offset window, so the
-                // chunk number is recoverable from the translated
-                // address in `stage.pas` (phase B wrote HAs in place).
-                ctl.note_outcome(
-                    stage.pas[c][i] >> chunk_bits,
-                    stage.decoded[c][i].channel,
-                    outcome,
-                );
+                let decoded = stage.decoded[c][i];
+                let (completion, outcome) =
+                    hbm.service_effective_rw_outcome(decoded, stage.writes[c][i], issue);
+                // Phase B wrote the translated addresses into `stage.pas`.
+                hook.on_served(stage.pas[c][i], decoded.channel, outcome);
                 outstanding[c].push_back(completion);
                 clocks[c] += 1; // issue slot
             }
+            // Fold in the additions that landed after each core's last
+            // miss of the block.
             for c in 0..n {
                 clocks[c] += advance[c] - consumed[c];
             }
-
-            // Window boundary: detection, then stop-the-world migration.
-            if ctl.block_done(block.len()) {
-                let plans = match engine.as_chunked() {
-                    Some(cmt) => ctl.end_window(cmt),
-                    None => Vec::new(),
-                };
-                if !plans.is_empty() {
-                    let before = clocks.iter().copied().max().unwrap_or(0);
-                    let mut last = before;
-                    for plan in &plans {
-                        let reqs = match engine.as_chunked() {
-                            Some(cmt) => migration_requests_for(cmt, self.geometry, plan),
-                            None => Vec::new(),
-                        };
-                        for &(d, w) in &reqs {
-                            let eff = hbm.effective_addr(d);
-                            let (done, o) = hbm.service_effective_rw_outcome(eff, w, before);
-                            ctl.note_migration_outcome(o);
-                            last = last.max(done);
-                        }
-                        ctl.note_migration(reqs.len() as u64, (reqs.len() as u64 / 2) * 64);
-                        if let Some(cmt) = engine.as_chunked_mut() {
-                            // Infallible: plans only name registered
-                            // mappings and in-range chunks.
-                            let _ = cmt.assign_chunk(plan.chunk, plan.to);
-                        }
-                    }
-                    ctl.note_migration_stall(last - before);
-                    for c in clocks.iter_mut() {
-                        *c = last;
-                    }
-                }
-            }
+            hook.on_block_end(block.len(), &mut hbm, &mut clocks);
         }
 
+        // Drain: a core finishes when its last miss returns.
         for c in 0..n {
             let last_mem = outstanding[c].back().copied().unwrap_or(0);
             if last_mem > clocks[c] {
@@ -730,29 +613,103 @@ impl Machine {
             memory_requests,
             l1_hits,
             memory: hbm.stats(),
-            mapping_name: engine.name().to_string(),
+            mapping_name: hook.engine().name().to_string(),
             per_core,
             translation: sum_translation(&caches),
-            adapt: ctl.into_report(),
+            adapt: hook.into_report(),
         }
     }
+}
 
-    /// Alias of [`Machine::run_adaptive`]: `threads` is ignored and the
-    /// run is always serial, because handing single channel services
-    /// (~12 ns each) to other threads costs more than it saves
-    /// (DESIGN.md §8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid ([`AdaptConfig::validate`]).
-    pub fn run_adaptive_with(
-        &mut self,
-        trace: &Trace,
-        engine: &mut MappingEngine,
-        cfg: &AdaptConfig,
-        _threads: usize,
-    ) -> ExecutionReport {
-        self.run_adaptive(trace, engine, cfg)
+/// What [`Machine::drive`] calls out to around its fixed phases. The
+/// callbacks default to no-ops, so the plain hook (`&MappingEngine`)
+/// monomorphises to the bare block loop.
+trait BlockHook {
+    /// The engine phase B translates through.
+    fn engine(&self) -> &MappingEngine;
+    /// Phase A, in trace order: an external miss to physical address `pa`.
+    fn on_miss(&mut self, _pa: u64) {}
+    /// Phase C, in trace order: a served request's translated address,
+    /// channel, and row-buffer outcome.
+    fn on_served(&mut self, _ha: u64, _channel: u64, _outcome: RowOutcome) {}
+    /// After every core's clock has absorbed a block of `len` accesses;
+    /// may inject device traffic and move clocks.
+    fn on_block_end(&mut self, _len: usize, _hbm: &mut Hbm, _clocks: &mut [u64]) {}
+    /// The run's adaptation report.
+    fn into_report(self) -> AdaptReport;
+}
+
+/// The plain run: no observation, no adaptation.
+impl BlockHook for &MappingEngine {
+    fn engine(&self) -> &MappingEngine {
+        self
+    }
+
+    fn into_report(self) -> AdaptReport {
+        AdaptReport::default()
+    }
+}
+
+/// The adaptive run: feeds per-chunk attribution to the controller and
+/// performs its migrations at window boundaries.
+struct Adaptive<'e> {
+    /// Always [`MappingEngine::Chunked`] (see [`Machine::run_adaptive`]).
+    engine: &'e mut MappingEngine,
+    ctl: RemapController,
+    chunk_bits: u32,
+    geometry: Geometry,
+}
+
+impl BlockHook for Adaptive<'_> {
+    fn engine(&self) -> &MappingEngine {
+        self.engine
+    }
+
+    fn on_miss(&mut self, pa: u64) {
+        self.ctl.note_access(pa);
+    }
+
+    fn on_served(&mut self, ha: u64, channel: u64, outcome: RowOutcome) {
+        // The CMT permutes only the chunk-offset window, so the chunk
+        // number is recoverable from the translated address.
+        self.ctl
+            .note_outcome(ha >> self.chunk_bits, channel, outcome);
+    }
+
+    /// Window boundary: detection, then stop-the-world migration.
+    fn on_block_end(&mut self, len: usize, hbm: &mut Hbm, clocks: &mut [u64]) {
+        if !self.ctl.block_done(len) {
+            return;
+        }
+        let MappingEngine::Chunked(cmt) = &mut *self.engine else {
+            return;
+        };
+        let plans = self.ctl.end_window(cmt);
+        if plans.is_empty() {
+            return;
+        }
+        let before = clocks.iter().copied().max().unwrap_or(0);
+        let mut last = before;
+        for plan in &plans {
+            let reqs = migration_requests_for(cmt, self.geometry, plan);
+            for &(d, w) in &reqs {
+                let eff = hbm.effective_addr(d);
+                let (done, o) = hbm.service_effective_rw_outcome(eff, w, before);
+                self.ctl.note_migration_outcome(o);
+                last = last.max(done);
+            }
+            self.ctl
+                .note_migration(reqs.len() as u64, (reqs.len() as u64 / 2) * 64);
+            // Infallible: plans only name registered mappings and
+            // in-range chunks.
+            let _ = cmt.assign_chunk(plan.chunk, plan.to);
+        }
+        self.ctl.note_migration_stall(last - before);
+        clocks.fill(last);
+    }
+
+    fn into_report(self) -> AdaptReport {
+        self.ctl.into_report()
     }
 }
 

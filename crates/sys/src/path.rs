@@ -180,8 +180,8 @@ impl MappingEngine {
         }
     }
 
-    /// Mutable twin of [`MappingEngine::as_chunked`], used by the
-    /// adaptive driver to `assign_chunk` after migrating a chunk.
+    /// Mutable twin of [`MappingEngine::as_chunked`], e.g. to
+    /// `assign_chunk` before a run.
     pub fn as_chunked_mut(&mut self) -> Option<&mut Cmt> {
         match self {
             MappingEngine::Global(_) => None,
