@@ -9,6 +9,7 @@
 //! entry into the CMT.
 
 use sdam_hbm::{DecodedAddr, Geometry};
+use sdam_mapping::cmt::MAX_MAPPINGS;
 use sdam_mapping::{BitPermutation, Cmt, MappingId, PhysAddr};
 use sdam_mem::heap::MultiHeapMalloc;
 use sdam_mem::phys::{ChunkAllocator, ChunkEvent};
@@ -84,7 +85,16 @@ pub struct SdamSystem {
     free_pids: Vec<u32>,
     cmt: Cmt,
     page_bits: u32,
-    registered: Vec<MappingId>,
+    /// Global membership mask of registered mapping ids, indexed by id
+    /// (the default mapping is always set). Processes register an id in
+    /// their own malloc lazily, on first use.
+    registered: [bool; MAX_MAPPINGS],
+    /// Per-mapping user lists, indexed by id: the pids, ascending, that
+    /// have registered the id. `pid ∈ users[id]` exactly when the
+    /// process is live, `id` is not the default mapping, and its malloc
+    /// has `id` registered — so retiring a mapping visits only the
+    /// processes that used it.
+    users: Vec<Vec<u32>>,
     retired: RetiredCounters,
     /// Structured allocation/CMT event trace. All pushes happen on the
     /// system's serial mutation paths (`malloc_in`, `touch_in`), so the
@@ -135,7 +145,8 @@ impl SdamSystem {
             free_pids: Vec::new(),
             cmt,
             page_bits,
-            registered: vec![MappingId::DEFAULT],
+            registered: std::array::from_fn(|id| id == usize::from(MappingId::DEFAULT.0)),
+            users: vec![Vec::new(); MAX_MAPPINGS],
             retired: RetiredCounters::default(),
             events: EventRing::with_capacity(if OBS_ENABLED {
                 DEFAULT_RING_CAPACITY
@@ -149,17 +160,14 @@ impl SdamSystem {
     /// that share this system's physical memory, chunk groups, and CMT
     /// (the paper's §4: "the physical memory space ... is globally
     /// shared by all the processes"). Every registered mapping is
-    /// visible in the new process. Pids of exited processes are reused
-    /// (LIFO), so the process table stays bounded by the peak live
-    /// count under tenant churn.
+    /// visible in the new process; it joins a mapping's heaps on its
+    /// first allocation or `mmap` under it. Pids of exited processes
+    /// are reused (LIFO), so the process table stays bounded by the
+    /// peak live count under tenant churn.
     pub fn spawn_process(&mut self) -> ProcessId {
-        let mut malloc = MultiHeapMalloc::new(self.page_bits);
-        for &id in &self.registered {
-            malloc.register_external(id);
-        }
         let process = Process {
             aspace: AddressSpace::new(self.page_bits),
-            malloc,
+            malloc: MultiHeapMalloc::new(self.page_bits),
         };
         let pid = if let Some(pid) = self.free_pids.pop() {
             self.processes[pid as usize] = Some(process);
@@ -197,6 +205,12 @@ impl SdamSystem {
         self.retired.free_calls += p.malloc.free_calls();
         self.retired.heaps_created += p.malloc.heaps_created();
         self.retired.processes_exited += 1;
+        for &id in p.malloc.registered_mappings() {
+            let users = &mut self.users[id.0 as usize];
+            if let Ok(at) = users.binary_search(&pid.0) {
+                users.remove(at);
+            }
+        }
         self.processes[pid.0 as usize] = None;
         self.free_pids.push(pid.0);
         if OBS_ENABLED {
@@ -208,7 +222,7 @@ impl SdamSystem {
 
     /// Number of live processes.
     pub fn process_count(&self) -> usize {
-        self.processes.iter().flatten().count()
+        self.processes.len() - self.free_pids.len()
     }
 
     /// Processes that have exited over the system's lifetime.
@@ -290,19 +304,18 @@ impl SdamSystem {
             .cmt
             .allocate_id()
             .map_err(|_| SdamError::Mem(MemError::MappingIdsExhausted))?;
-        for p in self.processes.iter_mut().flatten() {
-            p.malloc.register_external(id);
-        }
-        self.registered.push(id);
         self.cmt.try_register(id, perm)?;
+        self.registered[id.0 as usize] = true;
         Ok(id)
     }
 
     /// Removes a mapping registered with [`SdamSystem::add_mapping`],
-    /// recycling its id: the mapping's (empty) heaps are retired in
-    /// every process, its chunk group must already have drained back to
-    /// the free list, and the CMT slot is unregistered — after which
-    /// [`SdamSystem::add_mapping`] reuses the id for the next tenant.
+    /// recycling its id: the mapping's (empty) heaps are unmapped and
+    /// retired in every process that used it, its chunk group drains
+    /// back to the free list, and the CMT slot is unregistered — after
+    /// which [`SdamSystem::add_mapping`] reuses the id for the next
+    /// tenant. Only the mapping's users are visited, in ascending pid
+    /// order, so the cost does not grow with the process table.
     ///
     /// # Errors
     ///
@@ -312,19 +325,25 @@ impl SdamSystem {
     /// assigned to it (free the allocations and unmap the heaps first —
     /// [`SdamSystem::exit_process`] does both for a whole tenant).
     pub fn remove_mapping(&mut self, id: MappingId) -> Result<(), MemError> {
-        if id == MappingId::DEFAULT || !self.registered.contains(&id) {
+        let slot = id.0 as usize;
+        if id == MappingId::DEFAULT || !self.registered[slot] {
             return Err(MemError::UnknownMapping(id));
         }
-        // Pre-check every process before mutating any, so a failure
-        // leaves the system untouched.
-        for p in self.processes.iter().flatten() {
-            if p.malloc.is_registered(id) && p.malloc.live_bytes(id) > 0 {
-                return Err(MemError::MappingInUse(id));
+        // Pre-check every user before mutating any, so a failure leaves
+        // the system untouched.
+        for &pid in &self.users[slot] {
+            if let Some(Some(p)) = self.processes.get(pid as usize) {
+                if p.malloc.live_bytes(id) > 0 {
+                    return Err(MemError::MappingInUse(id));
+                }
             }
         }
-        // Unmap the mapping's (allocation-free) heap VMAs so resident
-        // pages of freed allocations release their chunks.
-        for pid in 0..self.processes.len() as u32 {
+        // Unmap the mapping's (allocation-free) heap and mmap VMAs so
+        // resident pages of freed allocations release their chunks.
+        // Users are visited in ascending pid order, which fixes the
+        // order chunks return to the free list.
+        for k in 0..self.users[slot].len() {
+            let pid = self.users[slot][k];
             let Some(Some(p)) = self.processes.get_mut(pid as usize) else {
                 continue;
             };
@@ -338,19 +357,20 @@ impl SdamSystem {
                 p.aspace.munmap(start, &mut self.phys)?;
             }
             self.sync_cmt(ProcessId(pid))?;
-            let Some(Some(p)) = self.processes.get_mut(pid as usize) else {
-                continue;
-            };
-            if p.malloc.is_registered(id) {
-                p.malloc.remove_addr_map(id)?;
-            }
         }
         // All chunks drained: the CMT slot can retire and recycle.
         self.cmt.unregister(id).map_err(|e| match e {
             sdam_mapping::CmtError::MappingInUse { id, .. } => MemError::MappingInUse(id),
             _ => MemError::UnknownMapping(id),
         })?;
-        self.registered.retain(|&m| m != id);
+        self.registered[slot] = false;
+        // Retire the users' empty heaps; the pre-check above guarantees
+        // each of them holds no live bytes under `id`.
+        for pid in self.users[slot].drain(..) {
+            if let Some(Some(p)) = self.processes.get_mut(pid as usize) {
+                p.malloc.remove_addr_map(id)?;
+            }
+        }
         if OBS_ENABLED {
             self.events
                 .push("sys.mapping_removed", &[("mapping", u64::from(id.0))]);
@@ -371,10 +391,36 @@ impl SdamSystem {
     /// Looks up a process, rejecting pids this system never handed out
     /// and pids whose process has exited.
     fn process_mut(&mut self, pid: ProcessId) -> Result<&mut Process, MemError> {
-        self.processes
+        self.process_using(pid, None)
+    }
+
+    /// [`SdamSystem::process_mut`] for a process about to use `mapping`:
+    /// on the process's first use of a registered non-default id, its
+    /// malloc registers the id and the pid joins the id's user list.
+    /// Unregistered ids pass through, so malloc reports them.
+    fn process_using(
+        &mut self,
+        pid: ProcessId,
+        mapping: Option<MappingId>,
+    ) -> Result<&mut Process, MemError> {
+        let p = self
+            .processes
             .get_mut(pid.0 as usize)
             .and_then(Option::as_mut)
-            .ok_or(MemError::UnknownProcess { pid: pid.0 })
+            .ok_or(MemError::UnknownProcess { pid: pid.0 })?;
+        if let Some(id) = mapping {
+            if id != MappingId::DEFAULT
+                && self.registered[id.0 as usize]
+                && !p.malloc.is_registered(id)
+            {
+                p.malloc.register_external(id);
+                let users = &mut self.users[id.0 as usize];
+                if let Err(at) = users.binary_search(&pid.0) {
+                    users.insert(at, pid.0);
+                }
+            }
+        }
+        Ok(p)
     }
 
     /// [`SdamSystem::malloc`] in a specific process.
@@ -389,7 +435,7 @@ impl SdamSystem {
         size: u64,
         mapping: Option<MappingId>,
     ) -> Result<VirtAddr, MemError> {
-        let p = self.process_mut(pid)?;
+        let p = self.process_using(pid, mapping)?;
         let va = p.malloc.malloc(size, mapping)?;
         let regions = p.malloc.drain_new_heaps();
         for region in &regions {
@@ -433,7 +479,7 @@ impl SdamSystem {
         size: u64,
         mapping: Option<MappingId>,
     ) -> Result<VirtAddr, MemError> {
-        let p = self.process_mut(ProcessId(0))?;
+        let p = self.process_using(ProcessId(0), mapping)?;
         let va = p.malloc.malloc_sensitive(size, mapping)?;
         let regions = p.malloc.drain_new_heaps();
         for region in &regions {
@@ -543,10 +589,12 @@ impl SdamSystem {
         len: u64,
         mapping: MappingId,
     ) -> Result<VirtAddr, MemError> {
-        if !self.registered.contains(&mapping) {
+        if !self.registered[mapping.0 as usize] {
             return Err(MemError::UnknownMapping(mapping));
         }
-        self.process_mut(pid)?.aspace.mmap(len, mapping)
+        self.process_using(pid, Some(mapping))?
+            .aspace
+            .mmap(len, mapping)
     }
 
     /// Unmaps the area starting at `start` in a specific process,
@@ -734,6 +782,37 @@ mod tests {
         let mut t: Vec<u32> = (0..n as u32).collect();
         t.swap(a, b);
         BitPermutation::new(6, t).unwrap()
+    }
+
+    /// Checks the user-list invariant — `pid ∈ users[id]` exactly when
+    /// the process is live, `id` is not the default mapping, and its
+    /// malloc has `id` registered; lists ascending — plus the O(1)
+    /// `process_count` against a scan of the slot table.
+    fn assert_invariants(sys: &SdamSystem) {
+        for (id, users) in sys.users.iter().enumerate() {
+            assert!(
+                users.windows(2).all(|w| w[0] < w[1]),
+                "users[{id}] unsorted"
+            );
+            for (pid, slot) in sys.processes.iter().enumerate() {
+                let uses = id != 0
+                    && slot
+                        .as_ref()
+                        .is_some_and(|p| p.malloc.is_registered(MappingId(id as u8)));
+                assert_eq!(
+                    users.contains(&(pid as u32)),
+                    uses,
+                    "users[{id}] disagrees with pid {pid}"
+                );
+            }
+        }
+        assert_eq!(sys.process_count(), sys.processes.iter().flatten().count());
+    }
+
+    fn registered_in(sys: &SdamSystem, pid: ProcessId, id: MappingId) -> bool {
+        sys.processes[pid.0 as usize]
+            .as_ref()
+            .is_some_and(|p| p.malloc.is_registered(id))
     }
 
     #[test]
@@ -943,6 +1022,7 @@ mod tests {
             sys.exit_process(pid).unwrap();
             sys.remove_mapping(id).unwrap();
         }
+        assert_invariants(&sys);
         assert_eq!(sys.process_count(), 1);
         assert_eq!(sys.in_use_chunks(), 0);
         assert_eq!(sys.processes_exited(), 600);
@@ -962,6 +1042,171 @@ mod tests {
         // Unknown mapping and bad addresses are rejected.
         assert!(sys.mmap_in(pid, 4096, MappingId(99)).is_err());
         assert!(sys.munmap_in(pid, VirtAddr(42)).is_err());
+    }
+
+    #[test]
+    fn mapping_used_via_malloc_and_mmap_retires_in_both_users() {
+        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let id = sys.add_mapping(&swap_perm(&sys, 0, 4)).unwrap();
+        let heap_user = sys.spawn_process();
+        let mmap_user = sys.spawn_process();
+        assert!(sys.users[id.0 as usize].is_empty(), "registration is lazy");
+        let va = sys.malloc_in(heap_user, 8192, Some(id)).unwrap();
+        sys.touch_in(heap_user, va).unwrap();
+        let region = sys.mmap_in(mmap_user, 16 * 4096, id).unwrap();
+        sys.touch_in(mmap_user, region).unwrap();
+        assert_eq!(sys.users[id.0 as usize], [heap_user.0, mmap_user.0]);
+        assert!(!registered_in(&sys, ProcessId(0), id), "pid0 never used it");
+        assert_invariants(&sys);
+        assert!(sys.in_use_chunks() > 0);
+
+        sys.free_in(heap_user, va).unwrap();
+        sys.remove_mapping(id).unwrap();
+        // Both users' VMAs are gone and every chunk drained back.
+        assert_eq!(sys.in_use_chunks(), 0);
+        assert!(sys.touch_in(heap_user, va).is_err());
+        assert!(sys.touch_in(mmap_user, region).is_err());
+        assert!(sys.users[id.0 as usize].is_empty());
+        assert!(!registered_in(&sys, heap_user, id));
+        assert!(!registered_in(&sys, mmap_user, id));
+        assert_invariants(&sys);
+    }
+
+    #[test]
+    fn non_owner_live_bytes_block_removal_and_change_nothing() {
+        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let id = sys.add_mapping(&swap_perm(&sys, 1, 5)).unwrap();
+        let owner = sys.spawn_process();
+        let other = sys.spawn_process();
+        let mine = sys.malloc_in(owner, 4096, Some(id)).unwrap();
+        sys.touch_in(owner, mine).unwrap();
+        sys.free_in(owner, mine).unwrap();
+        let theirs = sys.malloc_in(other, 4096, Some(id)).unwrap();
+        let pa = sys.touch_in(other, theirs).unwrap();
+
+        let users = sys.users[id.0 as usize].clone();
+        let (in_use, claimed, released) = (
+            sys.in_use_chunks(),
+            sys.chunks_claimed(),
+            sys.chunks_released(),
+        );
+        assert_eq!(
+            sys.remove_mapping(id).unwrap_err(),
+            MemError::MappingInUse(id)
+        );
+        // Nothing moved: user list, registrations, chunks, CMT, frames.
+        assert_eq!(sys.users[id.0 as usize], users);
+        assert!(registered_in(&sys, owner, id) && registered_in(&sys, other, id));
+        assert_eq!(
+            (
+                sys.in_use_chunks(),
+                sys.chunks_claimed(),
+                sys.chunks_released()
+            ),
+            (in_use, claimed, released)
+        );
+        assert_eq!(sys.cmt().chunk_mapping(pa.chunk_number(21)), id);
+        assert_eq!(sys.touch_in(other, theirs).unwrap(), pa);
+        assert_eq!(
+            sys.touch_in(owner, mine).unwrap().chunk_number(21),
+            pa.chunk_number(21)
+        );
+        assert_invariants(&sys);
+
+        // Once the non-owner frees, the retry succeeds.
+        sys.free_in(other, theirs).unwrap();
+        sys.remove_mapping(id).unwrap();
+        assert_eq!(sys.in_use_chunks(), 0);
+        assert_invariants(&sys);
+    }
+
+    #[test]
+    fn recycled_pid_that_never_used_the_mapping_is_not_a_user() {
+        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let id = sys.add_mapping(&swap_perm(&sys, 2, 6)).unwrap();
+        let first = sys.spawn_process();
+        let va = sys.malloc_in(first, 4096, Some(id)).unwrap();
+        sys.touch_in(first, va).unwrap();
+        sys.exit_process(first).unwrap();
+        assert!(sys.users[id.0 as usize].is_empty(), "exit leaves the list");
+        let second = sys.spawn_process();
+        assert_eq!(second, first, "pid recycled");
+        let mine = sys.malloc_in(second, 4096, None).unwrap();
+        let pa = sys.touch_in(second, mine).unwrap();
+        assert!(!registered_in(&sys, second, id));
+        assert_invariants(&sys);
+
+        sys.remove_mapping(id).unwrap();
+        // The recycled process was neither visited nor registered: its
+        // default-mapping allocation and frame are untouched.
+        assert!(!registered_in(&sys, second, id));
+        assert_eq!(sys.touch_in(second, mine).unwrap(), pa);
+        assert_eq!(sys.in_use_chunks(), 1);
+        assert_invariants(&sys);
+    }
+
+    #[test]
+    fn remove_mapping_releases_users_chunks_in_ascending_pid_order() {
+        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let id = sys.add_mapping(&swap_perm(&sys, 1, 8)).unwrap();
+        let low = sys.spawn_process();
+        let high = sys.spawn_process();
+        // The higher pid uses the mapping first and fills a whole chunk;
+        // the lower pid's page then lands in a second chunk.
+        let chunk_pages = 1u64 << (21 - sys.page_bits);
+        let big = sys.mmap_in(high, chunk_pages * 4096, id).unwrap();
+        let mut high_chunks = std::collections::BTreeSet::new();
+        for page in 0..chunk_pages {
+            let pa = sys
+                .touch_in(high, VirtAddr(big.raw() + page * 4096))
+                .unwrap();
+            high_chunks.insert(pa.chunk_number(21));
+        }
+        let small = sys.mmap_in(low, 4096, id).unwrap();
+        let low_chunk = sys.touch_in(low, small).unwrap().chunk_number(21);
+        assert!(!high_chunks.contains(&low_chunk));
+        assert_eq!(sys.users[id.0 as usize], [low.0, high.0]);
+
+        let before = sys.events().total_pushed();
+        sys.remove_mapping(id).unwrap();
+        assert_eq!(sys.in_use_chunks(), 0);
+        if OBS_ENABLED {
+            let released: Vec<u64> = sys
+                .events()
+                .iter()
+                .filter(|e| e.seq >= before && e.kind == "cmt.release_chunk")
+                .map(|e| e.fields[0].1)
+                .collect();
+            let mut want = vec![low_chunk];
+            want.extend(&high_chunks);
+            assert_eq!(released, want, "lower pid's chunks return first");
+        }
+        assert_invariants(&sys);
+    }
+
+    #[test]
+    fn recycled_mapping_id_starts_from_fresh_heaps() {
+        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let old = sys.add_mapping(&swap_perm(&sys, 0, 7)).unwrap();
+        let pid = sys.spawn_process();
+        let va = sys.malloc_in(pid, 4096, Some(old)).unwrap();
+        sys.touch_in(pid, va).unwrap();
+        sys.free_in(pid, va).unwrap();
+        sys.remove_mapping(old).unwrap();
+
+        let new = sys.add_mapping(&swap_perm(&sys, 3, 7)).unwrap();
+        assert_eq!(new, old, "id recycled");
+        assert!(!registered_in(&sys, pid, new), "re-registration is lazy");
+        let fresh = sys.malloc_in(pid, 4096, Some(new)).unwrap();
+        assert_ne!(fresh, va, "the retired heap is not reused");
+        // The old heap's address resolves to nothing; the new one lives
+        // in the recycled id's chunk group.
+        assert!(sys.free_in(pid, va).is_err());
+        assert!(sys.touch_in(pid, va).is_err());
+        let pa = sys.touch_in(pid, fresh).unwrap();
+        assert_eq!(sys.cmt().chunk_mapping(pa.chunk_number(21)), new);
+        assert_eq!(sys.users[new.0 as usize], [pid.0]);
+        assert_invariants(&sys);
     }
 
     #[test]
