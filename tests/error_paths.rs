@@ -185,3 +185,40 @@ fn empty_profile_is_a_typed_error_for_learned_configs() {
         );
     }
 }
+
+#[test]
+fn zero_clusters_is_a_config_error_not_a_panic() {
+    let exp = Experiment::quick();
+    let w = DataCopy::new(vec![1, 16]);
+    let is_cluster_error =
+        |e: &SdamError| matches!(e, SdamError::Config(ConfigError::System { .. }));
+    for config in [
+        SystemConfig::SdmBsmMl { clusters: 0 },
+        SystemConfig::SdmBsmDl { clusters: 0 },
+    ] {
+        let err = pipeline::try_run(&w, config, &exp).err();
+        assert!(
+            err.as_ref().is_some_and(is_cluster_error),
+            "{config} via try_run: expected Config(System), got {err:?}"
+        );
+        let err = pipeline::try_compare(&w, &[config], &exp).err();
+        assert!(
+            err.as_ref().is_some_and(is_cluster_error),
+            "{config} via try_compare: expected Config(System), got {err:?}"
+        );
+        let err = pipeline::try_run_corun(&[&w], config, &exp).err();
+        assert!(
+            err.as_ref().is_some_and(is_cluster_error),
+            "{config} via try_run_corun: expected Config(System), got {err:?}"
+        );
+    }
+    // Straight into selection, with a real (non-empty) profile.
+    let data = sdam::profiling::try_profile_on_baseline(&w, &exp).expect("profile fits");
+    let err =
+        sdam::profiling::try_select_mappings(SystemConfig::SdmBsmMl { clusters: 0 }, &data, &exp)
+            .err();
+    assert!(
+        err.as_ref().is_some_and(is_cluster_error),
+        "try_select_mappings: expected Config(System), got {err:?}"
+    );
+}
