@@ -47,7 +47,7 @@ fn bench_chunk_alloc(c: &mut Criterion) {
 fn bench_fault_path(c: &mut Criterion) {
     c.bench_function("sdam_system_fault_512_pages", |b| {
         b.iter(|| {
-            let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+            let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
             let perm = sys.permutation_for_stride(16);
             let id = sys.add_mapping(&perm).unwrap();
             let va = sys.malloc(512 * 4096, Some(id)).unwrap();

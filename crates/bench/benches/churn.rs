@@ -334,7 +334,7 @@ fn replay_system(script: &ChurnScript) -> SystemRow {
         objects: Vec<(VirtAddr, u64)>,
         regions: Vec<(VirtAddr, u64)>,
     }
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), CHUNK_BITS);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), CHUNK_BITS).unwrap();
     let mut slots: Vec<Option<Tenant>> = (0..script.sessions).map(|_| None).collect();
     let t0 = Instant::now();
     let mut applied = 0u64;

@@ -29,7 +29,7 @@ const CEILING_MS: f64 = 50.0;
 fn bench_traces() -> (Vec<Vec<u64>>, Experiment) {
     let exp = Experiment::quick();
     let w = DataCopy::new(vec![1, 16]);
-    let data = profiling::profile_on_baseline(&w, &exp);
+    let data = profiling::try_profile_on_baseline(&w, &exp).unwrap();
     let traces = data
         .major
         .iter()

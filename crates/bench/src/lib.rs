@@ -80,7 +80,7 @@ pub fn write_metrics_sidecar(tag: &str, reg: &sdam_obs::Registry) {
 
 /// Merges the per-run snapshots of hand-built comparisons (the figure
 /// binaries that assemble [`sdam::report::Comparison`] themselves) in
-/// row order — mirroring what [`sdam::pipeline::compare`] does for its
+/// row order — mirroring what [`sdam::pipeline::try_compare`] does for its
 /// own lineup.
 pub fn merged_comparison_metrics(comparisons: &[sdam::report::Comparison]) -> sdam_obs::Registry {
     let mut reg = sdam_obs::Registry::new();

@@ -57,18 +57,8 @@ impl SystemConfig {
         !matches!(self, SystemConfig::BsDm | SystemConfig::BsHm)
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a clustered configuration has zero clusters.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible twin of [`SystemConfig::validate`].
+    /// Validates the configuration: a clustered configuration needs at
+    /// least one cluster.
     ///
     /// # Errors
     ///
@@ -101,8 +91,8 @@ impl std::fmt::Display for SystemConfig {
 /// How much host parallelism the evaluation pipeline may use.
 ///
 /// Parallel execution is *deterministic*: every tier (per-config runs
-/// in [`crate::pipeline::compare`], per-workload profiling in
-/// [`crate::pipeline::run_corun`], and DL minibatch training) produces
+/// in [`crate::pipeline::try_compare`], per-workload profiling in
+/// [`crate::pipeline::try_run_corun`], and DL minibatch training) produces
 /// reports bit-identical to [`Parallelism::Serial`]. The knob only
 /// trades wall-clock for host threads. Executing one trace on the
 /// machine model is always serial: its per-request channel work is too
@@ -178,25 +168,10 @@ impl Experiment {
         }
     }
 
-    /// Validates the experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk does not fit the physical space or is smaller
-    /// than a page.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible twin of [`Experiment::validate`].
-    ///
-    /// Beyond the page/memory sandwich the original asserts checked,
-    /// this also enforces the CMT's crossbar window (at most 21
-    /// chunk-offset bits above the 6-bit line offset) — previously an
-    /// invalid `chunk_bits` passed validation and panicked later inside
-    /// `Cmt::new`.
+    /// Validates the experiment: the chunk must be larger than a page,
+    /// smaller than the physical space, and within the CMT's crossbar
+    /// window (at most 21 chunk-offset bits above the 6-bit line
+    /// offset); the machine and training configurations must be valid.
     ///
     /// # Errors
     ///
@@ -250,8 +225,8 @@ mod tests {
 
     #[test]
     fn quick_experiment_is_valid() {
-        Experiment::quick().validate();
-        Experiment::bench().validate();
+        Experiment::quick().try_validate().unwrap();
+        Experiment::bench().try_validate().unwrap();
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! Each layer keeps its own error — [`ConfigError`] for shapes,
 //! [`MemError`] for the allocation stack, [`CmtError`] for the mapping
 //! hardware, [`TraceIoError`] for trace files — and the pipeline's
-//! fallible entry points (`try_run`, `try_compare`, `try_run_corun`)
-//! fold them all into [`SdamError`], so a caller embedding the
-//! evaluation pipeline handles one type. The panicking wrappers (`run`,
-//! `compare`, …) remain for the figure binaries, which want fail-fast
-//! behaviour and route every error through one `exit_on_err`.
+//! entry points (`try_run`, `try_compare`, `try_run_corun`) fold them
+//! all into [`SdamError`], so a caller embedding the evaluation
+//! pipeline handles one type. The figure binaries, which want fail-fast
+//! behaviour, route every error through one `exit_on_err`.
 
 use sdam_mapping::CmtError;
 use sdam_mem::MemError;

@@ -39,13 +39,14 @@
 //! // A 4-thread data copy with a channel-hostile stride.
 //! let workload = DataCopy::new(vec![32]);
 //! let exp = Experiment::quick();
-//! let cmp = pipeline::compare(
+//! let cmp = pipeline::try_compare(
 //!     &workload,
 //!     &[SystemConfig::BsDm, SystemConfig::SdmBsm],
 //!     &exp,
-//! );
+//! )?;
 //! // SDAM beats the fixed default mapping on this workload.
 //! assert!(cmp.speedup_of(SystemConfig::SdmBsm).unwrap() > 1.2);
+//! # Ok::<(), sdam::SdamError>(())
 //! ```
 
 #![forbid(unsafe_code)]

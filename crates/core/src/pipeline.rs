@@ -1,26 +1,23 @@
 //! The end-to-end evaluation pipeline:
 //! profile → select → allocate → execute → report.
 //!
-//! Each entry point comes in two flavours: a fallible `try_*` function
-//! returning [`SdamError`] (for embedders), and a signature-compatible
-//! panicking wrapper (for the figure binaries, which want fail-fast
-//! behaviour). All of them drive the composable stages of
+//! Every entry point is fallible and returns [`SdamError`]; the figure
+//! binaries, which want fail-fast behaviour, route errors through one
+//! `exit_on_err`. All of them drive the composable stages of
 //! [`crate::stage`]; the `*_with_cache` variants accept an external
 //! [`StageCache`] so a harness can reuse profiles and selections across
 //! calls.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use sdam_mapping::MappingId;
-use sdam_sys::{Machine, MappingEngine};
+use sdam_sys::Machine;
 use sdam_trace::VariableId;
 use sdam_workloads::Workload;
 
 use crate::config::{Experiment, SystemConfig};
 use crate::error::SdamError;
 use crate::par::par_map_indexed;
-use crate::profiling::{self, ProfileData, Selection};
+use crate::profiling::{self, ProfileData};
 use crate::report::{Comparison, PhaseTimes, RunResult};
 use crate::stage::{
     profile_key, run_stages, selection_key, standard_stages, ProfileHandle, RunContext, StageCache,
@@ -33,23 +30,10 @@ use crate::system::SdamSystem;
 /// input (`exp.profile_seed`); execution uses the evaluation input
 /// (`exp.scale.seed`) — the paper's cross-validation protocol.
 ///
-/// # Panics
-///
-/// Panics if the experiment is invalid or physical memory is exhausted
-/// at the configured scale.
-pub fn run(workload: &dyn Workload, config: SystemConfig, exp: &Experiment) -> RunResult {
-    match try_run(workload, config, exp) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`run`].
-///
 /// # Errors
 ///
-/// Any [`SdamError`] the stages surface — an invalid experiment,
-/// exhausted physical memory, an empty profile.
+/// Any [`SdamError`] the stages surface — an invalid experiment or
+/// configuration, exhausted physical memory, an empty profile.
 pub fn try_run(
     workload: &dyn Workload,
     config: SystemConfig,
@@ -59,26 +43,9 @@ pub fn try_run(
     try_run_with_cache(workload, config, exp, None, &cache)
 }
 
-/// Like [`run`], but with an externally supplied profile (lets callers
-/// profile once and evaluate many configurations, and lets the BS+BSM
-/// baseline use a workload-mix profile as the paper does).
-///
-/// # Panics
-///
-/// As [`run`].
-pub fn run_with_profile(
-    workload: &dyn Workload,
-    config: SystemConfig,
-    exp: &Experiment,
-    data: Option<&ProfileData>,
-) -> RunResult {
-    match try_run_with_profile(workload, config, exp, data) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`run_with_profile`].
+/// Like [`try_run`], but with an externally supplied profile (lets
+/// callers profile once and evaluate many configurations, and lets the
+/// BS+BSM baseline use a workload-mix profile as the paper does).
 ///
 /// # Errors
 ///
@@ -126,18 +93,6 @@ pub fn try_run_with_cache(
 /// The per-configuration runs are independent given the shared profile,
 /// so they fan out across `exp.parallelism` worker threads; results come
 /// back in lineup order and are bit-identical to a serial sweep.
-///
-/// # Panics
-///
-/// As [`run`].
-pub fn compare(workload: &dyn Workload, configs: &[SystemConfig], exp: &Experiment) -> Comparison {
-    match try_compare(workload, configs, exp) {
-        Ok(c) => c,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`compare`].
 ///
 /// # Errors
 ///
@@ -205,18 +160,6 @@ pub fn try_compare_with_cache(
 /// Under SDAM each workload's variables get their own mappings; under
 /// the global baselines one mapping must serve the whole mix — the
 /// system-level version of the paper's Observation 2.
-///
-/// # Panics
-///
-/// Panics if `workloads` is empty or the experiment is invalid.
-pub fn run_corun(workloads: &[&dyn Workload], config: SystemConfig, exp: &Experiment) -> RunResult {
-    match try_run_corun(workloads, config, exp) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`run_corun`].
 ///
 /// # Errors
 ///
@@ -312,16 +255,7 @@ pub fn try_run_corun_with_cache(
         });
 
     let mut sys = SdamSystem::try_new(exp.geometry, exp.chunk_bits)?;
-    let var_mapping: BTreeMap<VariableId, MappingId> = match &out.selection {
-        Selection::Sdam { perms, assignment } => {
-            let mut ids = Vec::with_capacity(perms.len());
-            for p in perms {
-                ids.push(sys.try_add_mapping(p)?);
-            }
-            assignment.iter().map(|(&v, &c)| (v, ids[c])).collect()
-        }
-        _ => BTreeMap::new(),
-    };
+    let var_mapping = out.selection.install(&mut sys)?;
     let mut pa_traces = Vec::new();
     for (i, t) in eval.iter().enumerate() {
         let pid = if i == 0 {
@@ -339,16 +273,11 @@ pub fn try_run_corun_with_cache(
     let combined = sdam_trace::gen::interleave_round_robin(pa_traces);
     phases.materialize = t0.elapsed();
 
-    let engine = match &out.selection {
-        Selection::GlobalIdentity => MappingEngine::identity(),
-        Selection::GlobalShuffle(m) => MappingEngine::Global(Box::new(m.clone())),
-        Selection::GlobalHash(m) => MappingEngine::Global(Box::new(m.clone())),
-        Selection::Sdam { .. } => MappingEngine::Chunked(sys.cmt_snapshot()),
-    };
+    let engine = out.selection.engine(&sys);
     // The machine grows to host all workloads' cores.
     let mut machine_cfg = exp.machine;
     machine_cfg.num_cores *= workloads.len();
-    let mut machine = Machine::new(machine_cfg, exp.geometry).with_timing(exp.timing);
+    let mut machine = Machine::try_new(machine_cfg, exp.geometry)?.with_timing(exp.timing);
     let t0 = Instant::now();
     let report = machine.run(&combined, &engine);
     phases.execute = t0.elapsed();
@@ -370,7 +299,7 @@ mod tests {
     #[test]
     fn sdam_beats_default_on_hostile_stride() {
         let w = DataCopy::new(vec![32]);
-        let cmp = compare(&w, &[SystemConfig::SdmBsm], &Experiment::quick());
+        let cmp = try_compare(&w, &[SystemConfig::SdmBsm], &Experiment::quick()).unwrap();
         let s = cmp.speedup_of(SystemConfig::SdmBsm).unwrap();
         assert!(s > 1.25, "SDM+BSM should fix the pinned stride, got {s}");
     }
@@ -384,11 +313,12 @@ mod tests {
         // not win here, and per-variable clustering must recover most of
         // the loss.
         let w = DataCopy::new(vec![1]);
-        let cmp = compare(
+        let cmp = try_compare(
             &w,
             &[SystemConfig::SdmBsm, SystemConfig::SdmBsmMl { clusters: 4 }],
             &Experiment::quick(),
-        );
+        )
+        .unwrap();
         let s = cmp.speedup_of(SystemConfig::SdmBsm).unwrap();
         assert!((0.5..1.3).contains(&s), "streaming speedup {s}");
         let ml = cmp
@@ -406,11 +336,12 @@ mod tests {
         // global shuffle cannot serve both patterns but per-variable
         // SDAM can.
         let w = DataCopy::new(vec![1, 32]);
-        let cmp = compare(
+        let cmp = try_compare(
             &w,
             &[SystemConfig::BsBsm, SystemConfig::SdmBsmMl { clusters: 4 }],
             &Experiment::quick(),
-        );
+        )
+        .unwrap();
         let global = cmp.speedup_of(SystemConfig::BsBsm).unwrap();
         let per_var = cmp
             .speedup_of(SystemConfig::SdmBsmMl { clusters: 4 })
@@ -428,7 +359,7 @@ mod tests {
     #[test]
     fn baseline_always_present() {
         let w = DataCopy::new(vec![8]);
-        let cmp = compare(&w, &[SystemConfig::BsHm], &Experiment::quick());
+        let cmp = try_compare(&w, &[SystemConfig::BsHm], &Experiment::quick()).unwrap();
         assert_eq!(cmp.results[0].config, SystemConfig::BsDm);
         assert_eq!(cmp.results.len(), 2);
         assert!((cmp.speedup_of(SystemConfig::BsDm).unwrap() - 1.0).abs() < 1e-12);
@@ -480,7 +411,7 @@ mod tests {
         // reports the same cycles as independent fresh runs.
         let w = DataCopy::new(vec![4, 16]);
         let exp = Experiment::quick();
-        let fresh = compare(&w, &[SystemConfig::SdmBsm], &exp);
+        let fresh = try_compare(&w, &[SystemConfig::SdmBsm], &exp).unwrap();
         let cache = StageCache::new();
         let cached = try_compare_with_cache(&w, &[SystemConfig::SdmBsm], &exp, &cache).unwrap();
         for (a, b) in fresh.results.iter().zip(&cached.results) {
@@ -500,11 +431,12 @@ mod tests {
         let strider = DataCopy::with_threads(vec![32], 1);
         let exp = Experiment::quick();
         let run = |config| {
-            run_corun(
+            try_run_corun(
                 &[&streamer as &dyn sdam_workloads::Workload, &strider],
                 config,
                 &exp,
             )
+            .unwrap()
             .report
             .cycles
         };
@@ -543,13 +475,14 @@ mod tests {
     #[test]
     fn learning_time_only_for_learned_configs() {
         let w = DataCopy::new(vec![16]);
-        let r = run(&w, SystemConfig::BsDm, &Experiment::quick());
+        let r = try_run(&w, SystemConfig::BsDm, &Experiment::quick()).unwrap();
         assert!(r.learning_time.is_none());
-        let r = run(
+        let r = try_run(
             &w,
             SystemConfig::SdmBsmMl { clusters: 2 },
             &Experiment::quick(),
-        );
+        )
+        .unwrap();
         assert!(r.learning_time.is_some());
     }
 }

@@ -11,7 +11,10 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use sdam_mapping::{select, BfrvAccumulator, BitFlipRateVector, BitPermutation, HashMapping};
+use sdam_mapping::{
+    select, BfrvAccumulator, BitFlipRateVector, BitPermutation, HashMapping, MappingId,
+};
+use sdam_sys::MappingEngine;
 use sdam_trace::{profile, Trace, VariableId};
 use sdam_workloads::Workload;
 
@@ -48,42 +51,11 @@ pub fn variable_spans(trace: &Trace) -> BTreeMap<VariableId, (u64, u64)> {
 }
 
 /// Translates a workload trace to physical addresses by allocating every
-/// variable on `sys` under the given per-variable mapping ids
-/// (default mapping when absent) and demand-paging as the trace touches
-/// memory.
-///
-/// # Panics
-///
-/// Panics if physical memory is exhausted (the experiment scales are
-/// chosen so it never is).
-pub fn materialize(
-    trace: &Trace,
-    sys: &mut SdamSystem,
-    var_mapping: &BTreeMap<VariableId, sdam_mapping::MappingId>,
-) -> Trace {
-    materialize_in(trace, sys, crate::ProcessId(0), var_mapping)
-}
-
-/// [`materialize`] into a specific process of the system (the co-run
-/// path: several workloads share the physical memory but not the
-/// address space).
-///
-/// # Panics
-///
-/// As [`materialize`].
-pub fn materialize_in(
-    trace: &Trace,
-    sys: &mut SdamSystem,
-    pid: crate::ProcessId,
-    var_mapping: &BTreeMap<VariableId, sdam_mapping::MappingId>,
-) -> Trace {
-    match try_materialize_in(trace, sys, pid, var_mapping) {
-        Ok(t) => t,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`materialize_in`].
+/// variable in process `pid` of `sys` under the given per-variable
+/// mapping ids (default mapping when absent) and demand-paging as the
+/// trace touches memory. The co-run path materializes several
+/// workloads into one system this way: they share the physical memory
+/// but not the address space.
 ///
 /// # Errors
 ///
@@ -94,7 +66,7 @@ pub fn try_materialize_in(
     trace: &Trace,
     sys: &mut SdamSystem,
     pid: crate::ProcessId,
-    var_mapping: &BTreeMap<VariableId, sdam_mapping::MappingId>,
+    var_mapping: &BTreeMap<VariableId, MappingId>,
 ) -> Result<Trace, sdam_mem::MemError> {
     let spans = variable_spans(trace);
     let mut bases: BTreeMap<VariableId, u64> = BTreeMap::new();
@@ -131,14 +103,6 @@ pub fn try_materialize_in(
 /// per-variable BFRV reflects the pattern SDAM's allocator will
 /// reproduce at run time — without segregation, demand paging scrambles
 /// every bit above the page offset.
-pub fn profile_on_baseline(workload: &dyn Workload, exp: &Experiment) -> ProfileData {
-    match try_profile_on_baseline(workload, exp) {
-        Ok(d) => d,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`profile_on_baseline`].
 ///
 /// # Errors
 ///
@@ -238,6 +202,37 @@ pub enum Selection {
     },
 }
 
+impl Selection {
+    /// Registers an SDAM plan's permutations on `sys` and returns each
+    /// assigned variable's mapping id; a global plan registers nothing
+    /// and leaves every variable on the default mapping.
+    pub(crate) fn install(
+        &self,
+        sys: &mut SdamSystem,
+    ) -> Result<BTreeMap<VariableId, MappingId>, SdamError> {
+        let Selection::Sdam { perms, assignment } = self else {
+            return Ok(BTreeMap::new());
+        };
+        let mut ids = Vec::with_capacity(perms.len());
+        for p in perms {
+            ids.push(sys.try_add_mapping(p)?);
+        }
+        Ok(assignment.iter().map(|(&v, &c)| (v, ids[c])).collect())
+    }
+
+    /// The engine the machine runs this plan with. An SDAM plan
+    /// translates through the CMT of `sys`, the system it was
+    /// [installed](Selection::install) into.
+    pub(crate) fn engine(&self, sys: &SdamSystem) -> MappingEngine {
+        match self {
+            Selection::GlobalIdentity => MappingEngine::identity(),
+            Selection::GlobalShuffle(m) => MappingEngine::Global(Box::new(m.clone())),
+            Selection::GlobalHash(m) => MappingEngine::Global(Box::new(m.clone())),
+            Selection::Sdam { .. } => MappingEngine::Chunked(sys.cmt_snapshot()),
+        }
+    }
+}
+
 /// Result of selection, with the profiling/learning cost (the paper's
 /// Fig. 13 metric).
 #[derive(Debug, Clone)]
@@ -250,29 +245,12 @@ pub struct SelectionOutcome {
 
 /// Selects mappings for a configuration from profile data.
 ///
-/// # Panics
-///
-/// Panics if a profiling-dependent configuration is given an empty
-/// profile (no major variables).
-pub fn select_mappings(
-    config: SystemConfig,
-    data: &ProfileData,
-    exp: &Experiment,
-) -> SelectionOutcome {
-    match try_select_mappings(config, data, exp) {
-        Ok(out) => out,
-        // Keep the historical wording: tooling greps for it.
-        Err(SdamError::EmptyProfile) => panic!("profiling found no major variables"),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`select_mappings`].
-///
 /// # Errors
 ///
-/// [`SdamError::EmptyProfile`] when a profiling-dependent configuration
-/// is given a profile with no major variables.
+/// [`SdamError::Config`] for an invalid configuration (a clustered one
+/// with zero clusters); [`SdamError::EmptyProfile`] when a
+/// profiling-dependent configuration is given a profile with no major
+/// variables.
 pub fn try_select_mappings(
     config: SystemConfig,
     data: &ProfileData,
@@ -305,6 +283,7 @@ fn select_impl(
     exp: &Experiment,
     dl_cache: Option<(&crate::stage::StageCache, &str)>,
 ) -> Result<SelectionOutcome, SdamError> {
+    config.try_validate()?;
     let window_hi = exp.chunk_bits;
     let windowed = |bfrv: &BitFlipRateVector| {
         select::permutation_for_bfrv_windowed(bfrv, exp.geometry, window_hi)
@@ -449,7 +428,7 @@ mod tests {
 
     #[test]
     fn profile_identifies_copy_variables() {
-        let data = profile_on_baseline(&DataCopy::new(vec![16]), &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![16]), &exp()).unwrap();
         assert!(!data.major.is_empty());
         assert_eq!(data.bfrvs.len(), data.major.len());
         assert!(data.aggregate.samples() > 0);
@@ -457,21 +436,30 @@ mod tests {
 
     #[test]
     fn selection_shapes_per_config() {
-        let data = profile_on_baseline(&DataCopy::new(vec![4, 16]), &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![4, 16]), &exp()).unwrap();
         let e = exp();
         assert!(matches!(
-            select_mappings(SystemConfig::BsDm, &data, &e).selection,
+            try_select_mappings(SystemConfig::BsDm, &data, &e)
+                .unwrap()
+                .selection,
             Selection::GlobalIdentity
         ));
         assert!(matches!(
-            select_mappings(SystemConfig::BsHm, &data, &e).selection,
+            try_select_mappings(SystemConfig::BsHm, &data, &e)
+                .unwrap()
+                .selection,
             Selection::GlobalHash(_)
         ));
         assert!(matches!(
-            select_mappings(SystemConfig::BsBsm, &data, &e).selection,
+            try_select_mappings(SystemConfig::BsBsm, &data, &e)
+                .unwrap()
+                .selection,
             Selection::GlobalShuffle(_)
         ));
-        match select_mappings(SystemConfig::SdmBsm, &data, &e).selection {
+        match try_select_mappings(SystemConfig::SdmBsm, &data, &e)
+            .unwrap()
+            .selection
+        {
             Selection::Sdam { perms, assignment } => {
                 assert_eq!(perms.len(), 1);
                 assert_eq!(assignment.len(), data.major.len());
@@ -484,9 +472,9 @@ mod tests {
     fn ml_selection_groups_same_stride_variables() {
         // Two strides, two clusters: src/dst of the same stride should
         // land in the same cluster.
-        let data = profile_on_baseline(&DataCopy::new(vec![1, 16]), &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![1, 16]), &exp()).unwrap();
         let e = exp();
-        let out = select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &e);
+        let out = try_select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &e).unwrap();
         match out.selection {
             Selection::Sdam { perms, assignment } => {
                 assert_eq!(perms.len(), 2);
@@ -502,8 +490,9 @@ mod tests {
 
     #[test]
     fn learning_time_recorded() {
-        let data = profile_on_baseline(&DataCopy::new(vec![8]), &exp());
-        let out = select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![8]), &exp()).unwrap();
+        let out =
+            try_select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &exp()).unwrap();
         // Duration is non-negative by type; just check it was measured.
         assert!(out.learning_time.as_nanos() < u128::MAX);
     }

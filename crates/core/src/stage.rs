@@ -16,25 +16,24 @@
 //! deterministic function of. A selection's key adds the system
 //! configuration and the training hyper-parameters. Because every
 //! artifact is a pure function of its key, a cache hit is bit-identical
-//! to recomputation; [`crate::pipeline::compare`] exploits this to
+//! to recomputation; [`crate::pipeline::try_compare`] exploits this to
 //! profile each workload exactly once across all configurations, and a
 //! harness sweeping many configurations can pass one cache to
 //! [`crate::pipeline::try_compare_with_cache`] to reuse artifacts across
 //! calls. Hit/miss counters expose the reuse for tests and benchmarks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sdam_mapping::MappingId;
 use sdam_sys::{ExecutionReport, Machine, MappingEngine};
-use sdam_trace::{Trace, VariableId};
+use sdam_trace::Trace;
 use sdam_workloads::Workload;
 
 use crate::config::{Experiment, SystemConfig};
 use crate::error::SdamError;
-use crate::profiling::{self, ProfileData, Selection, SelectionOutcome};
+use crate::profiling::{self, ProfileData, SelectionOutcome};
 use crate::report::{PhaseTimes, RunResult};
 use crate::system::SdamSystem;
 
@@ -77,8 +76,8 @@ pub fn embedding_key(profile_key: &str, clusters: usize, exp: &Experiment) -> St
 /// A content-keyed memo of the pipeline's expensive artifacts.
 ///
 /// Shared by reference across the per-configuration fan-out of
-/// [`crate::pipeline::compare`] and the per-workload profiling of
-/// [`crate::pipeline::run_corun`]; a harness can hold one cache across
+/// [`crate::pipeline::try_compare`] and the per-workload profiling of
+/// [`crate::pipeline::try_run_corun`]; a harness can hold one cache across
 /// many calls to amortize profiling over a whole sweep.
 #[derive(Debug, Default)]
 pub struct StageCache {
@@ -213,8 +212,8 @@ impl StageCache {
     }
 }
 
-/// A profile either borrowed from the caller (the historical
-/// `run_with_profile` contract) or shared out of the [`StageCache`] —
+/// A profile either borrowed from the caller
+/// ([`crate::pipeline::try_run_with_profile`]) or shared out of the [`StageCache`] —
 /// either way, the stages read it without copying the data.
 #[derive(Debug, Clone)]
 pub enum ProfileHandle<'a> {
@@ -389,16 +388,7 @@ impl Stage for AllocStage {
         let t0 = Instant::now();
         let eval = ctx.workload.generate(ctx.exp.scale);
         let mut sys = SdamSystem::try_new(ctx.exp.geometry, ctx.exp.chunk_bits)?;
-        let var_mapping: BTreeMap<VariableId, MappingId> = match &outcome.selection {
-            Selection::Sdam { perms, assignment } => {
-                let mut ids = Vec::with_capacity(perms.len());
-                for p in perms {
-                    ids.push(sys.try_add_mapping(p)?);
-                }
-                assignment.iter().map(|(&v, &c)| (v, ids[c])).collect()
-            }
-            _ => BTreeMap::new(),
-        };
+        let var_mapping = outcome.selection.install(&mut sys)?;
         let pa_trace =
             profiling::try_materialize_in(&eval, &mut sys, crate::ProcessId(0), &var_mapping)?;
         ctx.sys = Some(sys);
@@ -421,22 +411,15 @@ impl Stage for ExecuteStage {
         let Some(outcome) = &ctx.selection else {
             panic!("ExecuteStage needs SelectStage's selection");
         };
-        let engine = match &outcome.selection {
-            Selection::GlobalIdentity => MappingEngine::identity(),
-            Selection::GlobalShuffle(m) => MappingEngine::Global(Box::new(m.clone())),
-            Selection::GlobalHash(m) => MappingEngine::Global(Box::new(m.clone())),
-            Selection::Sdam { .. } => {
-                let Some(sys) = &ctx.sys else {
-                    panic!("ExecuteStage needs AllocStage's system for a chunked engine");
-                };
-                MappingEngine::Chunked(sys.cmt_snapshot())
-            }
+        let Some(sys) = &ctx.sys else {
+            panic!("ExecuteStage needs AllocStage's system");
         };
+        let engine = outcome.selection.engine(sys);
         let Some(pa_trace) = &ctx.pa_trace else {
             panic!("ExecuteStage needs AllocStage's materialized trace");
         };
         let mut machine =
-            Machine::new(ctx.exp.machine, ctx.exp.geometry).with_timing(ctx.exp.timing);
+            Machine::try_new(ctx.exp.machine, ctx.exp.geometry)?.with_timing(ctx.exp.timing);
         let t0 = Instant::now();
         let report = machine.run(pa_trace, &engine);
         ctx.phases.execute = t0.elapsed();

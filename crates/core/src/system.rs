@@ -30,7 +30,7 @@ use crate::metrics::OBS_ENABLED;
 /// use sdam_mapping::select;
 ///
 /// let geom = Geometry::hbm2_8gb();
-/// let mut sys = SdamSystem::new(geom, 21);
+/// let mut sys = SdamSystem::try_new(geom, 21)?;
 ///
 /// // Register a mapping tuned for a stride-16 structure.
 /// let perm = sys.permutation_for_stride(16);
@@ -40,7 +40,7 @@ use crate::metrics::OBS_ENABLED;
 /// let va = sys.malloc(1 << 20, Some(id))?;
 /// let coords = sys.access(va)?;
 /// assert!(coords.channel < geom.num_channels() as u64);
-/// # Ok::<(), sdam_mem::MemError>(())
+/// # Ok::<(), sdam::SdamError>(())
 /// ```
 /// Identifies a process sharing the system's physical memory and CMT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -106,19 +106,6 @@ pub struct SdamSystem {
 impl SdamSystem {
     /// Builds a system over `geometry` with `2^chunk_bits`-byte chunks
     /// and 4 KB pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk size does not fit between a page and the
-    /// device capacity.
-    pub fn new(geometry: Geometry, chunk_bits: u32) -> Self {
-        match SdamSystem::try_new(geometry, chunk_bits) {
-            Ok(sys) => sys,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible twin of [`SdamSystem::new`].
     ///
     /// # Errors
     ///
@@ -817,7 +804,7 @@ mod tests {
 
     #[test]
     fn end_to_end_allocation_and_translation() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 8)).unwrap();
         let va = sys.malloc(8192, Some(id)).unwrap();
         let pa = sys.touch(va).unwrap();
@@ -830,7 +817,7 @@ mod tests {
 
     #[test]
     fn default_and_custom_mappings_coexist() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 1)).unwrap();
         let v_default = sys.malloc(4096, None).unwrap();
         let v_custom = sys.malloc(4096, Some(id)).unwrap();
@@ -846,7 +833,7 @@ mod tests {
 
     #[test]
     fn stride_mapping_spreads_channels() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let stride = 32u64; // pins one channel under the default
         let perm = sys.permutation_for_stride(stride);
         let id = sys.add_mapping(&perm).unwrap();
@@ -865,7 +852,7 @@ mod tests {
 
     #[test]
     fn free_and_realloc() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let va = sys.malloc(4096, None).unwrap();
         sys.free(va).unwrap();
         assert!(sys.free(va).is_err());
@@ -875,7 +862,7 @@ mod tests {
 
     #[test]
     fn processes_share_chunk_groups_but_not_address_spaces() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 3)).unwrap();
         let p1 = sys.spawn_process();
         assert_eq!(sys.process_count(), 2);
@@ -901,7 +888,7 @@ mod tests {
 
     #[test]
     fn mappings_registered_before_spawn_are_visible_after() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let before = sys.add_mapping(&swap_perm(&sys, 1, 2)).unwrap();
         let p1 = sys.spawn_process();
         assert!(sys.malloc_in(p1, 64, Some(before)).is_ok());
@@ -912,7 +899,7 @@ mod tests {
 
     #[test]
     fn remap_migrates_resident_pages_to_the_new_mapping() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let m1 = sys.add_mapping(&swap_perm(&sys, 0, 1)).unwrap();
         let m2 = sys.add_mapping(&swap_perm(&sys, 0, 8)).unwrap();
         let va = sys.malloc(8 * 4096, Some(m1)).unwrap();
@@ -934,7 +921,7 @@ mod tests {
 
     #[test]
     fn sensitive_allocation_is_guard_isolated_end_to_end() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let secret = sys.malloc_sensitive(4096, None).unwrap();
         let pa = sys.touch(secret).unwrap();
         let chunk = pa.chunk_number(21);
@@ -952,7 +939,7 @@ mod tests {
 
     #[test]
     fn exit_process_releases_chunks_and_recycles_pids() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 2)).unwrap();
         let free_before = sys.fragmentation_stats().free_chunks;
         let p1 = sys.spawn_process();
@@ -983,7 +970,7 @@ mod tests {
 
     #[test]
     fn remove_mapping_recycles_the_global_id() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 2)).unwrap();
         let va = sys.malloc(4096, Some(id)).unwrap();
         sys.touch(va).unwrap();
@@ -1011,7 +998,7 @@ mod tests {
 
     #[test]
     fn mapping_churn_never_exhausts_ids() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         for round in 0..600usize {
             let id = sys
                 .add_mapping(&swap_perm(&sys, round % 14, (round + 1) % 14 + 1))
@@ -1030,7 +1017,7 @@ mod tests {
 
     #[test]
     fn mmap_munmap_lifecycle_in_process() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 1, 3)).unwrap();
         let pid = sys.spawn_process();
         let va = sys.mmap_in(pid, 16 * 4096, id).unwrap();
@@ -1046,7 +1033,7 @@ mod tests {
 
     #[test]
     fn mapping_used_via_malloc_and_mmap_retires_in_both_users() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 4)).unwrap();
         let heap_user = sys.spawn_process();
         let mmap_user = sys.spawn_process();
@@ -1074,7 +1061,7 @@ mod tests {
 
     #[test]
     fn non_owner_live_bytes_block_removal_and_change_nothing() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 1, 5)).unwrap();
         let owner = sys.spawn_process();
         let other = sys.spawn_process();
@@ -1122,7 +1109,7 @@ mod tests {
 
     #[test]
     fn recycled_pid_that_never_used_the_mapping_is_not_a_user() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 2, 6)).unwrap();
         let first = sys.spawn_process();
         let va = sys.malloc_in(first, 4096, Some(id)).unwrap();
@@ -1147,7 +1134,7 @@ mod tests {
 
     #[test]
     fn remove_mapping_releases_users_chunks_in_ascending_pid_order() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 1, 8)).unwrap();
         let low = sys.spawn_process();
         let high = sys.spawn_process();
@@ -1186,7 +1173,7 @@ mod tests {
 
     #[test]
     fn recycled_mapping_id_starts_from_fresh_heaps() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let old = sys.add_mapping(&swap_perm(&sys, 0, 7)).unwrap();
         let pid = sys.spawn_process();
         let va = sys.malloc_in(pid, 4096, Some(old)).unwrap();
@@ -1211,7 +1198,7 @@ mod tests {
 
     #[test]
     fn mapping_of_reports_heap_mapping() {
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 2, 3)).unwrap();
         let va = sys.malloc(128, Some(id)).unwrap();
         assert_eq!(sys.mapping_of(va), Some(id));

@@ -100,19 +100,21 @@ impl TrainingConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// Panicking form of [`TrainingConfig::try_validate`], for the
+    /// model constructors.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension or the step count is zero, or λ is
-    /// negative.
-    pub fn validate(&self) {
+    /// Panics if the configuration is invalid.
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
         }
     }
 
-    /// Fallible twin of [`TrainingConfig::validate`].
+    /// Validates the configuration: every dimension and the step count
+    /// positive, sequences of at least two elements, and λ and the
+    /// early-stopping threshold non-negative.
     ///
     /// # Errors
     ///

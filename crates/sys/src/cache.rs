@@ -46,19 +46,20 @@ impl CacheConfig {
         (self.capacity_bytes / (self.line_bytes * self.ways as u64)) as usize
     }
 
-    /// Validates the shape.
+    /// Panicking form of [`CacheConfig::try_validate`], for
+    /// [`Cache::new`].
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero, the line size is not a power of
-    /// two, or the capacity does not divide evenly into sets.
-    pub fn validate(&self) {
+    /// Panics if the shape is invalid.
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
         }
     }
 
-    /// Fallible twin of [`CacheConfig::validate`].
+    /// Validates the shape: non-zero parameters, a power-of-two line
+    /// size, and a capacity that divides evenly into sets.
     ///
     /// # Errors
     ///
@@ -124,7 +125,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`CacheConfig::validate`]).
+    /// [`CacheConfig::try_validate`]).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
         Cache {

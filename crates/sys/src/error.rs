@@ -1,10 +1,10 @@
 //! Typed configuration errors.
 //!
 //! Every `validate()` in the workspace used to `assert!`; a bad request
-//! then killed the process. The fallible twins (`try_validate`,
+//! then killed the process. The validators (`try_validate`,
 //! `Machine::try_new`, `Experiment::try_validate` in `sdam`) return
-//! [`ConfigError`] instead, and the panicking wrappers are kept for the
-//! figure binaries, which still want fail-fast behaviour.
+//! [`ConfigError`] instead; the figure binaries, which want fail-fast
+//! behaviour, exit on the error themselves.
 //!
 //! Ownership: `sdam-sys` owns the machine- and cache-shape variants;
 //! the chunk/system/training variants are filled in by `sdam` (core)

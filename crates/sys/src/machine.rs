@@ -92,18 +92,8 @@ impl MachineConfig {
         }
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` or `mlp_window` is zero.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible twin of [`MachineConfig::validate`].
+    /// Validates the configuration: at least one core, a miss window
+    /// of at least one outstanding request, and valid cache shapes.
     ///
     /// # Errors
     ///

@@ -10,13 +10,13 @@
 //! cargo run --release --example accelerator_offload
 //! ```
 
-use sdam::{pipeline, Experiment, SystemConfig};
+use sdam::{pipeline, Experiment, SdamError, SystemConfig};
 use sdam_sys::MachineConfig;
 use sdam_workloads::analytics::HashJoin;
 use sdam_workloads::ann::KMeansWorkload;
 use sdam_workloads::{Scale, Workload};
 
-fn main() {
+fn main() -> Result<(), SdamError> {
     let config = SystemConfig::SdmBsmMl { clusters: 32 };
     for w in [&KMeansWorkload as &dyn Workload, &HashJoin as &dyn Workload] {
         println!("{}:", w.name());
@@ -27,11 +27,12 @@ fn main() {
             let mut exp = Experiment::bench();
             exp.scale = Scale::small();
             exp.machine = machine;
-            let cmp = pipeline::compare(w, &[config], &exp);
+            let cmp = pipeline::try_compare(w, &[config], &exp)?;
             let base = cmp.baseline_cycles();
             let speedup = cmp.speedup_of(config).expect("config ran");
             println!("  {name:<20} baseline {base:>9} cycles, SDAM speedup {speedup:.2}x");
         }
     }
     println!("\npaper: accelerators gain more (2.58x vs 1.84x on the CPU)");
+    Ok(())
 }

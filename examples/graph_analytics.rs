@@ -6,11 +6,11 @@
 //! cargo run --release --example graph_analytics
 //! ```
 
-use sdam::{pipeline, Experiment, SystemConfig};
+use sdam::{pipeline, Experiment, SdamError, SystemConfig};
 use sdam_workloads::graph::{Bfs, PageRank};
 use sdam_workloads::{Scale, Workload};
 
-fn main() {
+fn main() -> Result<(), SdamError> {
     let mut exp = Experiment::bench();
     exp.scale = Scale::small();
 
@@ -22,7 +22,7 @@ fn main() {
 
     for workload in [&Bfs as &dyn Workload, &PageRank as &dyn Workload] {
         println!("profiling and running {} ...", workload.name());
-        let cmp = pipeline::compare(workload, &configs, &exp);
+        let cmp = pipeline::try_compare(workload, &configs, &exp)?;
         print!("{cmp}");
         let base = cmp
             .results
@@ -36,4 +36,5 @@ fn main() {
             100.0 * base.report.l1_hits as f64 / base.report.accesses as f64
         );
     }
+    Ok(())
 }

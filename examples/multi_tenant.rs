@@ -28,7 +28,7 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use sdam::{ProcessId, SdamSystem};
+use sdam::{ProcessId, SdamError, SdamSystem};
 use sdam_hbm::{DecodedAddr, Geometry, Hbm, Timing};
 use sdam_mapping::{BitPermutation, MappingId};
 use sdam_mem::VirtAddr;
@@ -170,7 +170,7 @@ fn measure(geometry: Geometry, sessions: &[(u32, &[DecodedAddr])]) -> Registry {
     reg
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), SdamError> {
     // Thousands of tenant sessions: the steady population is 96 but
     // replacement churn pushes total sessions past 2000.
     let config = ChurnConfig {
@@ -179,7 +179,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ChurnConfig::default()
     };
     let script = generate(config);
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), CHUNK_BITS);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), CHUNK_BITS)?;
     let (accesses, dedicated) = run_lifecycle(&mut sys, &script);
 
     println!("tenant churn over one shared SDAM control plane");

@@ -5,14 +5,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sdam::SdamSystem;
+use sdam::{SdamError, SdamSystem};
 use sdam_hbm::Geometry;
 use sdam_mem::VirtAddr;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), SdamError> {
     // The paper's device: 8 GB HBM2, 32 channels, 2 MB chunks.
     let geom = Geometry::hbm2_8gb();
-    let mut sys = SdamSystem::new(geom, 21);
+    let mut sys = SdamSystem::try_new(geom, 21)?;
     println!("device: {geom}");
 
     // A streaming buffer is happy with the boot-time default mapping.

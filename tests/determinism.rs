@@ -35,10 +35,10 @@ fn compare_is_identical_serial_and_parallel() {
         SystemConfig::SdmBsmMl { clusters: 4 },
         SystemConfig::SdmBsmDl { clusters: 4 },
     ];
-    let serial = pipeline::compare(&w, &configs, &serial_exp());
+    let serial = pipeline::try_compare(&w, &configs, &serial_exp()).unwrap();
     let mut exp = serial_exp();
     exp.parallelism = Parallelism::Threads(4);
-    let parallel = pipeline::compare(&w, &configs, &exp);
+    let parallel = pipeline::try_compare(&w, &configs, &exp).unwrap();
 
     assert_eq!(serial.results.len(), parallel.results.len());
     for (s, p) in serial.results.iter().zip(&parallel.results) {
@@ -67,12 +67,12 @@ fn metrics_snapshot_identical_serial_and_threaded() {
         SystemConfig::SdmBsmMl { clusters: 4 },
         SystemConfig::SdmBsmDl { clusters: 4 },
     ];
-    let serial = pipeline::compare(&w, &configs, &serial_exp());
+    let serial = pipeline::try_compare(&w, &configs, &serial_exp()).unwrap();
     let reference = serial.metrics.stable_json();
     for threads in [1usize, 2, 8] {
         let mut exp = serial_exp();
         exp.parallelism = Parallelism::Threads(threads);
-        let parallel = pipeline::compare(&w, &configs, &exp);
+        let parallel = pipeline::try_compare(&w, &configs, &exp).unwrap();
         assert_eq!(
             reference,
             parallel.metrics.stable_json(),
@@ -94,21 +94,18 @@ fn corun_is_identical_serial_and_parallel() {
     let a = DataCopy::with_threads(vec![1], 1);
     let b = DataCopy::with_threads(vec![32], 1);
     let workloads: [&dyn Workload; 2] = [&a, &b];
-    let serial = pipeline::run_corun(&workloads, SystemConfig::SdmBsm, &serial_exp());
+    let serial = pipeline::try_run_corun(&workloads, SystemConfig::SdmBsm, &serial_exp()).unwrap();
     let mut exp = serial_exp();
     exp.parallelism = Parallelism::Threads(4);
-    let parallel = pipeline::run_corun(&workloads, SystemConfig::SdmBsm, &exp);
+    let parallel = pipeline::try_run_corun(&workloads, SystemConfig::SdmBsm, &exp).unwrap();
     assert_eq!(serial.report, parallel.report);
 }
 
 #[test]
-fn lut_translate_plus_indexed_drain_identical_serial_and_parallel() {
-    // End-to-end through both new fast paths: physical addresses go
-    // through the table-driven CMT/AMU datapath (per-chunk non-identity
-    // permutations, memoized lookups), then the decoded stream is
-    // drained by the indexed FR-FCFS scheduler with a multi-request
-    // reorder window, serially and on several thread counts.
-    use sdam_hbm::{Hbm, Timing};
+fn lut_translate_identical_to_bitwise_translate() {
+    // Physical addresses through the table-driven CMT/AMU datapath
+    // (per-chunk non-identity permutations, memoized lookups) must
+    // translate exactly as the bitwise reference does.
     use sdam_mapping::{BitPermutation, Cmt, CmtLookupCache, MappingId, PhysAddr};
 
     let geom = Geometry::hbm2_8gb();
@@ -125,23 +122,13 @@ fn lut_translate_plus_indexed_drain_identical_serial_and_parallel() {
     }
 
     let mut cache = CmtLookupCache::default();
-    let addrs: Vec<_> = (0..20_000u64)
-        .map(|i| PhysAddr((i * 17 * 64) & ((1u64 << 25) - 1)))
-        .map(|pa| {
-            let ha = cmt.translate_cached(pa, &mut cache);
-            assert_eq!(ha, cmt.translate(pa), "memoized translate diverged");
-            geom.decode(ha)
-        })
-        .collect();
-
-    for window in [4usize, 16] {
-        let mut hbm = Hbm::new(geom, Timing::hbm2());
-        let serial = hbm.run_open_loop_windowed(addrs.iter().copied(), window);
-        for threads in [2usize, 4, 7] {
-            let mut hbm = Hbm::new(geom, Timing::hbm2());
-            let par = hbm.run_open_loop_windowed_par(addrs.iter().copied(), window, threads);
-            assert_eq!(serial, par, "window {window}, {threads} threads diverged");
-        }
+    for i in 0..20_000u64 {
+        let pa = PhysAddr((i * 17 * 64) & ((1u64 << 25) - 1));
+        assert_eq!(
+            cmt.translate_cached(pa, &mut cache),
+            cmt.translate(pa),
+            "memoized translate diverged at {pa:?}"
+        );
     }
 }
 
@@ -308,11 +295,10 @@ fn probe_recovery_identical_serial_and_threaded() {
 }
 
 #[test]
-fn streamed_trace_replay_identical_serial_and_parallel() {
+fn streamed_trace_replay_identical_to_in_memory_run() {
     // A trace serialized to the binary format and replayed off the
     // stream through the bounded-memory driver must reproduce the
-    // in-memory windowed run bit-for-bit — and so must the
-    // channel-parallel open-loop drain over the same decoded stream.
+    // in-memory windowed run bit-for-bit.
     use sdam_hbm::{HardwareAddr, Hbm, Timing};
     use sdam_trace::io::{write_trace, TraceReader};
     use sdam_trace::{MemAccess, Trace};
@@ -348,11 +334,5 @@ fn streamed_trace_replay_identical_serial_and_parallel() {
             serial, streamed,
             "streamed replay diverged at block {block}"
         );
-    }
-    for threads in [2usize, 8] {
-        let mut hbm = Hbm::new(geom, Timing::hbm2());
-        let par =
-            hbm.run_open_loop_windowed_par(trace.iter().map(|a| decode(a.addr)), window, threads);
-        assert_eq!(serial, par, "parallel replay diverged at {threads} threads");
     }
 }

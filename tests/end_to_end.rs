@@ -23,7 +23,7 @@ fn every_config_runs_every_quick_workload() {
     for w in &workloads {
         let expected = w.generate(exp.scale).len() as u64;
         for config in SystemConfig::paper_lineup() {
-            let r = pipeline::run(w.as_ref(), config, &exp);
+            let r = pipeline::try_run(w.as_ref(), config, &exp).unwrap();
             assert_eq!(
                 r.report.accesses,
                 expected,
@@ -43,17 +43,19 @@ fn every_config_runs_every_quick_workload() {
 fn comparisons_share_one_profile_and_stay_consistent() {
     let w = DataCopy::new(vec![4, 32]);
     let exp = quick();
-    let cmp = pipeline::compare(
+    let cmp = pipeline::try_compare(
         &w,
         &[SystemConfig::SdmBsm, SystemConfig::SdmBsmMl { clusters: 2 }],
         &exp,
-    );
+    )
+    .unwrap();
     // Deterministic: running again gives identical cycle counts.
-    let cmp2 = pipeline::compare(
+    let cmp2 = pipeline::try_compare(
         &w,
         &[SystemConfig::SdmBsm, SystemConfig::SdmBsmMl { clusters: 2 }],
         &exp,
-    );
+    )
+    .unwrap();
     for (a, b) in cmp.results.iter().zip(&cmp2.results) {
         assert_eq!(
             a.report.cycles, b.report.cycles,
@@ -67,7 +69,7 @@ fn comparisons_share_one_profile_and_stay_consistent() {
 fn profiling_attributes_every_major_variable() {
     let exp = quick();
     for w in standard_suite().iter().take(4) {
-        let data = profiling::profile_on_baseline(w.as_ref(), &exp);
+        let data = profiling::try_profile_on_baseline(w.as_ref(), &exp).unwrap();
         assert!(
             !data.major.is_empty(),
             "{} has no major variables",
@@ -101,7 +103,8 @@ fn frequency_scaling_increases_sdam_benefit() {
     let speedup_at = |scale: u64| {
         let mut exp = quick();
         exp.timing = sdam_hbm::Timing::hbm2().scaled(scale);
-        pipeline::compare(&w, &[config], &exp)
+        pipeline::try_compare(&w, &[config], &exp)
+            .unwrap()
             .speedup_of(config)
             .expect("config ran")
     };
@@ -127,7 +130,7 @@ fn stream_triad_behaviour_under_sdam() {
     let mut exp = quick();
     exp.scale = Scale::tiny();
     let w = sdam_workloads::stream::Stream::triad();
-    let cmp = pipeline::compare(&w, &[SystemConfig::SdmBsm], &exp);
+    let cmp = pipeline::try_compare(&w, &[SystemConfig::SdmBsm], &exp).unwrap();
     let s = cmp.speedup_of(SystemConfig::SdmBsm).expect("config ran");
     assert!(
         (0.8..4.0).contains(&s),
@@ -139,7 +142,7 @@ fn stream_triad_behaviour_under_sdam() {
 fn remap_pays_off_after_a_phase_change() {
     // The migration extension: a buffer allocated for streaming is
     // remapped for the column-walk phase; the walk then spreads.
-    let mut sys = sdam::SdamSystem::new(sdam_hbm::Geometry::hbm2_8gb(), 21);
+    let mut sys = sdam::SdamSystem::try_new(sdam_hbm::Geometry::hbm2_8gb(), 21).unwrap();
     let stream_map = sys.add_mapping(&sys.permutation_for_stride(1)).unwrap();
     let column_map = sys.add_mapping(&sys.permutation_for_stride(32)).unwrap();
     let va = sys.malloc(2 << 20, Some(stream_map)).unwrap();
@@ -172,7 +175,7 @@ fn learning_time_is_reported_for_ml_and_dl() {
         SystemConfig::SdmBsmMl { clusters: 2 },
         SystemConfig::SdmBsmDl { clusters: 2 },
     ] {
-        let r = pipeline::run(&w, config, &exp);
+        let r = pipeline::try_run(&w, config, &exp).unwrap();
         assert!(r.learning_time.is_some(), "{config} lost its learning time");
     }
 }

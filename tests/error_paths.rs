@@ -60,7 +60,7 @@ fn out_of_memory_reaches_the_pipeline_as_sdam_error() {
 
 #[test]
 fn zero_and_oversized_mallocs_are_rejected() {
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
     assert!(matches!(
         sys.malloc(0, None),
         Err(MemError::InvalidSize { size: 0 })
@@ -74,7 +74,7 @@ fn zero_and_oversized_mallocs_are_rejected() {
 
 #[test]
 fn unknown_mapping_is_rejected_at_allocation_time() {
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
     let err = sys.malloc(4096, Some(MappingId(123)));
     assert!(
         matches!(err, Err(MemError::UnknownMapping(MappingId(123)))),
@@ -84,7 +84,7 @@ fn unknown_mapping_is_rejected_at_allocation_time() {
 
 #[test]
 fn mapping_ids_exhaust_with_a_typed_error() {
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
     let identity = BitPermutation::identity(6, 15);
     let mut ok = 0u32;
     let exhausted = loop {
@@ -157,7 +157,7 @@ fn invalid_machine_config_fails_through_every_entry_point() {
 
 #[test]
 fn unknown_process_is_a_typed_error() {
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
     let ghost = sdam::ProcessId(42);
     assert!(matches!(
         sys.malloc_in(ghost, 4096, None),

@@ -30,7 +30,8 @@ fn snapshot() -> String {
         parallelism: Parallelism::Serial,
         ..Experiment::quick()
     };
-    pipeline::run(&w, SystemConfig::SdmBsm, &exp)
+    pipeline::try_run(&w, SystemConfig::SdmBsm, &exp)
+        .unwrap()
         .metrics
         .stable_json()
 }

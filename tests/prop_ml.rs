@@ -215,7 +215,7 @@ proptest! {
         // Random allocations under random mapping choices: every
         // faulted frame must live in a chunk registered to its heap's
         // mapping — the paper's §4 correctness condition, end to end.
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let m1 = sys.add_mapping(&sys.permutation_for_stride(16)).unwrap();
         let m2 = sys.add_mapping(&sys.permutation_for_stride(4)).unwrap();
         for (i, &size) in sizes.iter().enumerate() {
@@ -238,7 +238,7 @@ proptest! {
     #[test]
     fn sdam_translation_is_stable(reps in 1usize..6) {
         // Repeated access to the same VA yields the same coordinates.
-        let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&sys.permutation_for_stride(8)).unwrap();
         let va = sys.malloc(1 << 16, Some(id)).unwrap();
         let first = sys.access(va).unwrap();

@@ -12,7 +12,7 @@ use sdam_mem::VirtAddr;
 #[test]
 fn randomized_system_stress() {
     let mut rng = StdRng::seed_from_u64(0xace);
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), 21);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
     let mut mappings = vec![MappingId::DEFAULT];
     let mut pids = vec![ProcessId(0)];
     // (pid, va, mapping) of live allocations.

@@ -168,7 +168,7 @@ fn replay(tenants: usize, ops: usize) -> u64 {
         mapping_cap: 200,
         ..ChurnConfig::default()
     });
-    let mut sys = SdamSystem::new(Geometry::hbm2_8gb(), CHUNK_BITS);
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), CHUNK_BITS).unwrap();
     let mut slots: Vec<Option<Tenant>> = (0..script.sessions).map(|_| None).collect();
     let mut h = Fnv::new();
     // Warm-up is one arrive/malloc/touch triple per tenant.
