@@ -92,9 +92,9 @@ impl std::fmt::Display for SystemConfig {
 ///
 /// Parallel execution is *deterministic*: every tier (per-config runs
 /// in [`crate::pipeline::try_compare`], per-workload profiling in
-/// [`crate::pipeline::try_run_corun`], and DL minibatch training) produces
-/// reports bit-identical to [`Parallelism::Serial`]. The knob only
-/// trades wall-clock for host threads. Executing one trace on the
+/// [`crate::pipeline::try_run_corun`], and DL minibatch training)
+/// produces reports bit-identical to [`Parallelism::Serial`]. The knob
+/// only trades wall-clock for host threads. Executing one trace on the
 /// machine model is always serial: its per-request channel work is too
 /// fine-grained to hand off to other threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

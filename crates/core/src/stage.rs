@@ -213,8 +213,9 @@ impl StageCache {
 }
 
 /// A profile either borrowed from the caller
-/// ([`crate::pipeline::try_run_with_profile`]) or shared out of the [`StageCache`] —
-/// either way, the stages read it without copying the data.
+/// ([`crate::pipeline::try_run_with_profile`]) or shared out of the
+/// [`StageCache`] — either way, the stages read it without copying the
+/// data.
 #[derive(Debug, Clone)]
 pub enum ProfileHandle<'a> {
     /// Supplied by the caller; the context only borrows it.
