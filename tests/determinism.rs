@@ -207,31 +207,48 @@ fn adaptive_run_is_reproducible() {
     assert_eq!(first, m.run_adaptive_with(&trace, &mut engine(), &cfg, 8));
 }
 
+/// The `adapt` bench's workload: the same phase change at full size
+/// (2^17 accesses over 2^14 lines), switching at `switch`.
+fn break_even_trace(switch: f64) -> sdam_trace::Trace {
+    Phased::new(
+        Box::new(StrideLoop::new(1, 4 << 20, 4)),
+        Box::new(StrideLoop::new(32, 4 << 20, 4)),
+        switch,
+    )
+    .generate(Scale {
+        n: 1 << 14,
+        accesses: 1 << 17,
+        seed: 1,
+    })
+}
+
 #[test]
 fn adaptive_break_even_is_pinned() {
     // The `adapt` bench's break-even sweep, pinned to its recorded
     // figures (BENCH_adapt.json): any change to the adaptive driver that
-    // moves detection, migration cost or the window count shows here.
+    // moves detection, migration cost or the window count shows here,
+    // and so does any change to either static mapping's cycles.
     let geom = Geometry::hbm2_8gb();
     let (_, engine) = adaptive_scenario();
+    // Every chunk of the 4 MB footprint pinned to `id`.
+    let static_engine = |id: MappingId| {
+        let mut e = engine();
+        let cmt = e.as_chunked_mut().unwrap();
+        for chunk in 0..(4u64 << 20) >> 21 {
+            cmt.assign_chunk(chunk, id).unwrap();
+        }
+        e
+    };
+    // (switch, adaptive, identity, tuned) cycles.
     let pinned = [
-        (0.1, 98_186),
-        (0.25, 85_102),
-        (0.5, 83_438),
-        (0.75, 81_774),
-        (0.9, 83_799),
+        (0.1, 98_186, 475_202, 55_049),
+        (0.25, 85_102, 401_472, 78_695),
+        (0.5, 83_438, 278_592, 117_587),
+        (0.75, 81_774, 155_712, 156_471),
+        (0.9, 83_799, 81_992, 180_048),
     ];
-    for (switch, cycles) in pinned {
-        let trace = Phased::new(
-            Box::new(StrideLoop::new(1, 4 << 20, 4)),
-            Box::new(StrideLoop::new(32, 4 << 20, 4)),
-            switch,
-        )
-        .generate(Scale {
-            n: 1 << 14,
-            accesses: 1 << 17,
-            seed: 1,
-        });
+    for (switch, cycles, identity, tuned) in pinned {
+        let trace = break_even_trace(switch);
         let mut m = Machine::new(MachineConfig::accelerator(), geom);
         let r = m.run_adaptive(&trace, &mut engine(), &AdaptConfig::default());
         assert_eq!(r.cycles, cycles, "switch {switch}: cycles moved");
@@ -239,6 +256,21 @@ fn adaptive_break_even_is_pinned() {
         assert_eq!(r.adapt.migration_clocks, 17_919, "switch {switch}");
         assert_eq!(r.adapt.windows, 32, "switch {switch}");
         assert_eq!(r.memory.requests, 262_144, "switch {switch}");
+        let statics =
+            [MappingId(0), MappingId(1)].map(|id| m.run(&trace, &static_engine(id)).cycles);
+        assert_eq!(
+            statics,
+            [identity, tuned],
+            "switch {switch}: static cycles moved"
+        );
+        // Migration cost included, adaptive beats the best static
+        // mapping exactly when enough mismatched tail is left to
+        // amortise it.
+        assert_eq!(
+            r.cycles < identity.min(tuned),
+            switch == 0.5 || switch == 0.75,
+            "switch {switch}: break-even moved"
+        );
     }
 }
 
@@ -248,25 +280,28 @@ fn adaptive_observe_only_is_bit_identical_to_plain_run() {
     // miss, outcome and window boundary through the driver's hooks but
     // never migrates: the report must equal `Machine::run`'s bit for
     // bit in every field but `adapt`, which must show the observation.
+    // Both the small scenario and the `adapt` bench's mid-run input.
     let geom = Geometry::hbm2_8gb();
-    let (trace, engine) = adaptive_scenario();
-    let mut m = Machine::new(MachineConfig::accelerator(), geom);
-    let plain = m.run(&trace, &engine());
+    let (small, engine) = adaptive_scenario();
     let cfg = AdaptConfig {
         max_migrations: 0,
         ..AdaptConfig::default()
     };
-    let observed = m.run_adaptive(&trace, &mut engine(), &cfg);
-    assert!(observed.adapt.enabled);
-    assert!(observed.adapt.windows > 0);
-    assert_eq!(observed.adapt.migrations, 0);
-    assert_eq!(
-        plain,
-        sdam_sys::ExecutionReport {
-            adapt: Default::default(),
-            ..observed
-        }
-    );
+    for trace in [small, break_even_trace(0.5)] {
+        let mut m = Machine::new(MachineConfig::accelerator(), geom);
+        let plain = m.run(&trace, &engine());
+        let observed = m.run_adaptive(&trace, &mut engine(), &cfg);
+        assert!(observed.adapt.enabled);
+        assert!(observed.adapt.windows > 0);
+        assert_eq!(observed.adapt.migrations, 0);
+        assert_eq!(
+            plain,
+            sdam_sys::ExecutionReport {
+                adapt: Default::default(),
+                ..observed
+            }
+        );
+    }
 }
 
 #[test]
