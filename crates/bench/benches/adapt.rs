@@ -5,17 +5,12 @@
 //! Running this bench records the break-even table (simulated cycles
 //! per switch point — deterministic, so the single run *is* the
 //! median) plus wall-clock medians of the adaptive and static runs into
-//! `BENCH_adapt.json`, and enforces the acceptance guards:
-//!
-//! * on the mid-run phase change the adaptive driver's end-to-end
-//!   cycles — migration traffic included — must beat the best static
-//!   mapping;
-//! * an observe-only controller (`max_migrations: 0`) must leave the
-//!   report bit-identical to `Machine::run` outside its `adapt` section.
-//!
-//! Any violation panics, so the CI adapt-bench step fails loudly.
-
-use std::time::Instant;
+//! `BENCH_adapt.json`. It asserts nothing: every cycle count in the
+//! table, and adaptive beating the best static mapping exactly at
+//! switch 0.5 and 0.75, is pinned by
+//! `tests/determinism.rs::adaptive_break_even_is_pinned`; the
+//! observe-only identity on this input by
+//! `adaptive_observe_only_is_bit_identical_to_plain_run`.
 
 use criterion::{black_box, criterion_group, Criterion};
 use sdam_hbm::Geometry;
@@ -94,26 +89,11 @@ fn bench_adapt(c: &mut Criterion) {
     g.finish();
 }
 
-/// Median wall-clock of `runs` calls to `f`, in milliseconds.
-fn median_ms(runs: usize, mut f: impl FnMut() -> ExecutionReport) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
-/// Runs the break-even sweep, enforces the two guards, and writes
-/// `BENCH_adapt.json`.
+/// Runs the break-even sweep, times the mid-run phase change, and
+/// writes `BENCH_adapt.json`.
 fn record_break_even() {
     let geom = Geometry::hbm2_8gb();
 
-    // Guard 1 (and the sweep): mid-run phase change — adaptive must
-    // beat the best static end to end, migration cost included.
     let mut rows = Vec::new();
     for switch in [0.1, 0.25, 0.5, 0.75, 0.9] {
         let trace = phase_trace(switch);
@@ -121,14 +101,6 @@ fn record_break_even() {
         let tuned = run_static(geom, &trace, MappingId(1));
         let adaptive = run_adaptive(geom, &trace);
         let best_static = identity.cycles.min(tuned.cycles);
-        if (switch - SWITCH).abs() < f64::EPSILON {
-            assert!(
-                adaptive.cycles < best_static,
-                "adaptive ({}) must beat the best static mapping ({best_static}) \
-                 on the mid-run phase change",
-                adaptive.cycles
-            );
-        }
         rows.push(format!(
             "    {{\"switch\": {switch}, \"identity_cycles\": {}, \"tuned_cycles\": {}, \
              \"best_static_cycles\": {best_static}, \"adaptive_cycles\": {}, \
@@ -142,39 +114,13 @@ fn record_break_even() {
         ));
     }
 
-    // Guard 2: observing without migrating changes nothing but the
-    // adapt section.
     let trace = phase_trace(SWITCH);
-    let mut m = Machine::new(MachineConfig::accelerator(), geom);
-    let plain = m.run(&trace, &fresh_engine(geom));
-    let observe_only = AdaptConfig {
-        max_migrations: 0,
-        ..AdaptConfig::default()
-    };
-    let observed = m.run_adaptive(&trace, &mut fresh_engine(geom), &observe_only);
-    assert!(
-        observed.adapt.windows > 0,
-        "the observe-only controller saw no window"
-    );
-    assert_eq!(
-        plain,
-        ExecutionReport {
-            adapt: Default::default(),
-            ..observed
-        },
-        "the observe-only adaptive run diverged from Machine::run"
-    );
-
-    let runs: usize = std::env::var("SDAM_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(9)
-        .max(1);
+    let runs = sdam_bench::bench_samples(9);
     for _ in 0..2 {
         black_box(run_adaptive(geom, &trace));
     }
-    let adaptive_ms = median_ms(runs, || run_adaptive(geom, &trace));
-    let static_ms = median_ms(runs, || run_static(geom, &trace, MappingId(0)));
+    let adaptive_ms = sdam_bench::median_ms(runs, || run_adaptive(geom, &trace));
+    let static_ms = sdam_bench::median_ms(runs, || run_static(geom, &trace, MappingId(0)));
 
     let json = format!(
         "{{\n  \"name\": \"adaptive-remapping-break-even\",\n  \
@@ -185,15 +131,10 @@ fn record_break_even() {
          \"adaptive_wall_ms\": {adaptive_ms:.3},\n  \
          \"static_wall_ms\": {static_ms:.3},\n  \
          \"runs\": {runs},\n  \
-         \"observe_only_bit_identical\": true,\n  \
-         \"note\": \"Cycle counts are simulation facts and fully deterministic, so one run per switch point is the median. The adaptive driver starts on the boot identity mapping, detects the stride-32 phase pinning both hot chunks to one channel (sustained conflict rate over few channels), and live-migrates them to the declared stride-32 mapping; its cycles include the detection windows and the injected migration traffic. 'adaptive_wins' flips at the break-even switch points: a very early or very late phase change leaves too little mismatched tail to amortize the migration. Both guards are asserted by this bench: adaptive beats the best static mapping at switch 0.5, and an observe-only controller (max_migrations 0) leaves the report bit-identical to Machine::run outside its adapt section.\"\n}}\n",
+         \"note\": \"Cycle counts are simulation facts and fully deterministic, so one run per switch point is the median. The adaptive driver starts on the boot identity mapping, detects the stride-32 phase pinning both hot chunks to one channel (sustained conflict rate over few channels), and live-migrates them to the declared stride-32 mapping; its cycles include the detection windows and the injected migration traffic. 'adaptive_wins' flips at the break-even switch points: a very early or very late phase change leaves too little mismatched tail to amortize the migration. tests/determinism.rs pins every cycle count here (adaptive_break_even_is_pinned, which also asserts adaptive_wins exactly at 0.5 and 0.75) and checks that an observe-only controller (max_migrations 0) leaves this input's report bit-identical to Machine::run outside its adapt section.\"\n}}\n",
         rows.join(",\n"),
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adapt.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("adaptive break-even table written to {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    sdam_bench::write_bench_json("BENCH_adapt.json", &json);
 }
 
 criterion_group!(benches, bench_adapt);

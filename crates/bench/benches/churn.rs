@@ -13,21 +13,25 @@
 //! * golden equivalence: both allocators produce identical address
 //!   checksums, error counts, and claim/release counters on every
 //!   scale's stream;
+//! * conservation on the lowered stream: after the script's drain
+//!   phase, `chunks_claimed - chunks_released == 0` and no internal
+//!   fragmentation is left;
 //! * flat scaling: ops/s at 4096 tenants stays within 2x of 64
 //!   tenants (the O(1) headline);
-//! * conservation under churn: after the script's drain phase,
-//!   `chunks_claimed - chunks_released == 0` and no chunk stays in
-//!   use;
 //! * full-stack scaling: `SdamSystem` ops/s at 4096 tenants stays
 //!   within 3x of 64 tenants, so tenant arrival and departure cost what
 //!   the tenant owns, not what the process table holds.
 //!
-//! Any violation panics, so the CI control-plane guard fails loudly.
+//! Any violation panics, so the CI "Bench smoke" step fails loudly.
+//! The full-stack replay's own conservation (no chunk in use and only
+//! the primordial process left after the drain) is checked by
+//! `tests/system_churn_golden.rs`, which also pins its digest.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, Criterion};
 use sdam::{ProcessId, SdamSystem};
+use sdam_bench::median;
 use sdam_hbm::Geometry;
 use sdam_mapping::{BitPermutation, MappingId, PhysAddr};
 use sdam_mem::phys::{ChunkAllocator, ChunkAllocatorReference, FragmentationStats};
@@ -237,11 +241,6 @@ macro_rules! make_driver {
 make_driver!(drive_flat, ChunkAllocator);
 make_driver!(drive_reference, ChunkAllocatorReference);
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
 struct ScaleRow {
     tenants: usize,
     ctl_ops: u64,
@@ -304,6 +303,7 @@ struct SystemRow {
     chunks_released: u64,
     processes_exited: u64,
     page_faults: u64,
+    in_use_after_drain: u64,
 }
 
 /// Full-stack churn: the same script drives a live `SdamSystem` —
@@ -324,8 +324,7 @@ fn run_system_churn(tenants: usize, runs: usize) -> SystemRow {
     row
 }
 
-/// One replay of `script` through a fresh `SdamSystem`, asserting
-/// conservation after the drain.
+/// One replay of `script` through a fresh `SdamSystem`.
 fn replay_system(script: &ChurnScript) -> SystemRow {
     #[derive(Default)]
     struct Tenant {
@@ -414,14 +413,6 @@ fn replay_system(script: &ChurnScript) -> SystemRow {
         }
     }
     let secs = t0.elapsed().as_secs_f64();
-    // Conservation after the drain: every chunk claimed was released.
-    assert_eq!(
-        sys.in_use_chunks(),
-        0,
-        "system churn left chunks in use after the drain"
-    );
-    assert_eq!(sys.chunks_claimed(), sys.chunks_released());
-    assert_eq!(sys.process_count(), 1, "only the primordial process left");
     SystemRow {
         tenants: script.config.tenants,
         ops: applied,
@@ -430,6 +421,7 @@ fn replay_system(script: &ChurnScript) -> SystemRow {
         chunks_released: sys.chunks_released(),
         processes_exited: sys.processes_exited(),
         page_faults: sys.page_faults(),
+        in_use_after_drain: sys.in_use_chunks(),
     }
 }
 
@@ -454,11 +446,7 @@ fn bench_churn(c: &mut Criterion) {
 /// Runs the scaling sweep, enforces the guards, writes
 /// `BENCH_churn.json`.
 fn record_churn() {
-    let runs: usize = std::env::var("SDAM_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5)
-        .max(1);
+    let runs = sdam_bench::bench_samples(5);
 
     let rows: Vec<ScaleRow> = [64usize, 512, 4096]
         .iter()
@@ -515,7 +503,7 @@ fn record_churn() {
             format!(
                 "    {{\"tenants\": {}, \"ops\": {}, \"ops_per_s\": {:.0}, \
                  \"chunks_claimed\": {}, \"chunks_released\": {}, \"processes_exited\": {}, \
-                 \"page_faults\": {}, \"in_use_after_drain\": 0}}",
+                 \"page_faults\": {}, \"in_use_after_drain\": {}}}",
                 r.tenants,
                 r.ops,
                 r.ops_per_s,
@@ -523,6 +511,7 @@ fn record_churn() {
                 r.chunks_released,
                 r.processes_exited,
                 r.page_faults,
+                r.in_use_after_drain,
             )
         })
         .collect();
@@ -539,18 +528,14 @@ fn record_churn() {
          \"system_ops_per_s_4096_over_64\": {:.3},\n  \
          \"golden_equivalence\": true,\n  \
          \"runs\": {runs},\n  \
-         \"note\": \"Both allocators replay the identical lowered op stream; the checksum over every returned physical address plus error and claim/release counters must match exactly (asserted). The flat allocator keeps per-chunk state columns and per-(mapping,sensitivity) largest-free-order buckets, so alloc/free cost no longer grows with live tenants or group sizes; the guard asserts 4096-tenant ops/s stays within 2x of 64-tenant ops/s. Fragmentation (free-list length, longest contiguous free run) is read directly off the flat bitmap at peak occupancy. The system rows replay the same lifecycle ({SYSTEM_STEADY_OPS} steady ops) through SdamSystem end to end — spawn/exit, heap growth, demand paging, CMT writes, pid and mapping-id recycling — and assert chunk conservation after the drain. Processes register a mapping lazily on first use and each mapping keeps the list of its users, so add/spawn/exit/remove cost what the tenant or mapping owns rather than a walk of the process table; the guard asserts 4096-tenant system ops/s stays within 3x of 64-tenant ops/s (the whole-table walk it replaced fell about 4x).\"\n}}\n",
+         \"note\": \"Both allocators replay the identical lowered op stream; the checksum over every returned physical address plus error and claim/release counters must match exactly (asserted). The flat allocator keeps per-chunk state columns and per-(mapping,sensitivity) largest-free-order buckets, so alloc/free cost no longer grows with live tenants or group sizes; the guard asserts 4096-tenant ops/s stays within 2x of 64-tenant ops/s. Fragmentation (free-list length, longest contiguous free run) is read directly off the flat bitmap at peak occupancy. The system rows replay the same lifecycle ({SYSTEM_STEADY_OPS} steady ops) through SdamSystem end to end — spawn/exit, heap growth, demand paging, CMT writes, pid and mapping-id recycling; 'in_use_after_drain' is read off the system after the drain, and tests/system_churn_golden.rs asserts it is 0. Processes register a mapping lazily on first use and each mapping keeps the list of its users, so add/spawn/exit/remove cost what the tenant or mapping owns rather than a walk of the process table; the guard asserts 4096-tenant system ops/s stays within 3x of 64-tenant ops/s (the whole-table walk it replaced fell about 4x).\"\n}}\n",
         scaling.join(",\n"),
         flat_4096 / flat_64,
         rows[2].reference_ops_per_s / rows[0].reference_ops_per_s,
         system_rows.join(",\n"),
         sys_4096 / sys_64,
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_churn.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("churn scaling table written to {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    sdam_bench::write_bench_json("BENCH_churn.json", &json);
 }
 
 criterion_group!(benches, bench_churn);

@@ -13,10 +13,7 @@
 //! * its median latency for the 32 K run must stay under the 2 ms CI
 //!   ceiling.
 //!
-//! Either violation panics, so the CI core-throughput-guard step fails
-//! loudly.
-
-use std::time::Instant;
+//! Either violation panics, so the CI "Bench smoke" step fails loudly.
 
 use criterion::{black_box, criterion_group, Criterion};
 use sdam_hbm::channel::ChannelSim;
@@ -34,19 +31,12 @@ const CEILING_MS: f64 = 2.0;
 /// oracle instead.
 const SEED_BASELINE_MS: f64 = 5.76;
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^ (x >> 27)
-}
-
 /// The bench workload: 32 K line addresses uniformly mixed over the
 /// device's full 33-bit space — row hits, misses, and conflicts on
 /// every channel, so both schedulers exercise all their branches.
 fn bench_addrs(geom: Geometry) -> Vec<DecodedAddr> {
     (0..REQUESTS)
-        .map(|i| geom.decode(HardwareAddr(mix(i) & ((1 << 33) - 1))))
+        .map(|i| geom.decode(HardwareAddr(sdam_bench::mix(i) & ((1 << 33) - 1))))
         .collect()
 }
 
@@ -97,19 +87,6 @@ fn bench_core(c: &mut Criterion) {
     g.finish();
 }
 
-/// Median wall-clock of `runs` calls to `f`, in milliseconds.
-fn median_ms(runs: usize, mut f: impl FnMut() -> SimStats) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
 /// Measures both drivers, enforces the oracle-equality and latency
 /// guards, and writes `BENCH_core.json`.
 fn record_core_times() {
@@ -123,21 +100,15 @@ fn record_core_times() {
         "arena drain diverged from the drain_reference oracle on the bench workload"
     );
 
-    // Honor the CI smoke knob the criterion shim uses, so the smoke run
-    // stays cheap while a real bench run gets stable medians.
-    let runs: usize = std::env::var("SDAM_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(9)
-        .max(1);
+    let runs = sdam_bench::bench_samples(9);
     // Warm both paths (allocator pools, clock ramp) so the medians match
     // what a steady-state criterion run sees.
     for _ in 0..2 {
         black_box(fast_run(geom, &addrs));
         black_box(reference_run(geom, &addrs));
     }
-    let after_ms = median_ms(runs, || fast_run(geom, &addrs));
-    let reference_ms = median_ms(runs.min(3), || reference_run(geom, &addrs));
+    let after_ms = sdam_bench::median_ms(runs, || fast_run(geom, &addrs));
+    let reference_ms = sdam_bench::median_ms(runs.min(3), || reference_run(geom, &addrs));
     assert!(
         after_ms < CEILING_MS,
         "core open-loop median {after_ms:.3} ms breached the {CEILING_MS} ms ceiling"
@@ -162,11 +133,7 @@ fn record_core_times() {
         reference_ms / after_ms,
         REQUESTS as f64 / (after_ms / 1e3),
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_core.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("core open-loop medians written to {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    sdam_bench::write_bench_json("BENCH_core.json", &json);
 }
 
 criterion_group!(benches, bench_core);

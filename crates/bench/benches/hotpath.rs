@@ -3,20 +3,15 @@
 //! the indexed FR-FCFS drain. Every "new" routine is benched against
 //! the preserved reference oracle it replaced (`apply_reference`,
 //! `from_addrs_scalar`, `drain_reference`), so one run produces the
-//! speedup table recorded in `BENCH_hotpath.json`.
+//! speedup table recorded in `BENCH_hotpath.json`. The whole-device
+//! 32 K open loop these pieces add up to is timed by the `core` bench
+//! (`core/run_open_loop_32k`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sdam_bench::mix;
 use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{DecodedAddr, Geometry, Hbm, Timing};
+use sdam_hbm::{DecodedAddr, Timing};
 use sdam_mapping::{BitFlipRateVector, BitPermutation, Cmt, CmtLookupCache, MappingId, PhysAddr};
-
-/// Deterministic 64-bit mixer (splitmix-style) for address streams.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^ (x >> 27)
-}
 
 fn bench_translate(c: &mut Criterion) {
     // A 21-bit window (the widest the CMT accepts) exercises all three
@@ -122,25 +117,5 @@ fn bench_drain(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
-    // Whole-device open loop: decode + bank hash + per-channel drains.
-    let geom = Geometry::hbm2_8gb();
-    let addrs: Vec<DecodedAddr> = (0..32_768u64)
-        .map(|i| geom.decode(sdam_hbm::HardwareAddr(mix(i) & ((1 << 33) - 1))))
-        .collect();
-    c.bench_function("run_open_loop_32k", |b| {
-        b.iter(|| {
-            let mut hbm = Hbm::new(geom, Timing::hbm2());
-            black_box(hbm.run_open_loop(addrs.iter().copied()))
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_translate,
-    bench_bfrv,
-    bench_drain,
-    bench_end_to_end
-);
+criterion_group!(benches, bench_translate, bench_bfrv, bench_drain);
 criterion_main!(benches);

@@ -5,20 +5,15 @@
 //! staged pipeline uses (datacopy strides [1, 16], tiny scale).
 //!
 //! Running this bench also records both medians into `BENCH_ml.json` at
-//! the workspace root and enforces the two acceptance guards:
-//!
-//! * the fast path must select the **same cluster partition** (up to
-//!   cluster relabeling) as the reference loop, and
-//! * its median selection latency must stay under the 50 ms CI
-//!   ceiling.
-//!
-//! Either violation panics, so the CI bench-smoke step fails loudly.
-
-use std::time::Instant;
+//! the workspace root and enforces one guard: the fast path's median
+//! selection latency must stay under the 50 ms CI ceiling, or the bench
+//! panics. That both paths select the same partition is checked by
+//! `tests/dl_golden.rs::seeded_dl_assignments_match_golden`, which pins
+//! each of them to the same golden assignments.
 
 use criterion::{black_box, criterion_group, Criterion};
 use sdam::{profiling, Experiment};
-use sdam_ml::dlkmeans::{cluster_variables_dl, cluster_variables_dl_reference, DlClustering};
+use sdam_ml::dlkmeans::{cluster_variables_dl, cluster_variables_dl_reference};
 use sdam_workloads::datacopy::DataCopy;
 
 const CLUSTERS: usize = 4;
@@ -36,19 +31,6 @@ fn bench_traces() -> (Vec<Vec<u64>>, Experiment) {
         .map(|v| data.pa_streams[v].clone())
         .collect();
     (traces, exp)
-}
-
-/// Relabels cluster ids in first-appearance order so two clusterings
-/// compare equal iff they induce the same partition.
-fn canonical(assignments: &[usize]) -> Vec<usize> {
-    let mut map = std::collections::HashMap::new();
-    assignments
-        .iter()
-        .map(|&c| {
-            let next = map.len();
-            *map.entry(c).or_insert(next)
-        })
-        .collect()
 }
 
 fn bench_dl_select(c: &mut Criterion) {
@@ -72,47 +54,19 @@ fn bench_dl_select(c: &mut Criterion) {
     g.finish();
 }
 
-/// Median wall-clock of `runs` calls to `f`, in milliseconds.
-fn median_ms(runs: usize, mut f: impl FnMut() -> DlClustering) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
-/// Measures both paths, enforces the partition-equality and latency
-/// guards, and writes `BENCH_ml.json`.
+/// Measures both paths, enforces the latency guard, and writes
+/// `BENCH_ml.json`.
 fn record_ml_times() {
     let (traces, exp) = bench_traces();
     let bits = exp.geometry.addr_bits();
 
     let fast = cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training);
     let reference = cluster_variables_dl_reference(&traces, bits, CLUSTERS, &exp.training);
-    assert_eq!(
-        canonical(&fast.assignments),
-        canonical(&reference.assignments),
-        "fast DL path selected a different cluster partition than the reference \
-         (fast {:?} vs reference {:?})",
-        fast.assignments,
-        reference.assignments,
-    );
-
-    // Honor the CI smoke knob the criterion shim uses, so the smoke run
-    // stays cheap while a real bench run gets stable medians.
-    let runs: usize = std::env::var("SDAM_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(9)
-        .max(1);
-    let fast_ms = median_ms(runs, || {
+    let runs = sdam_bench::bench_samples(9);
+    let fast_ms = sdam_bench::median_ms(runs, || {
         cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training)
     });
-    let ref_ms = median_ms(runs, || {
+    let ref_ms = sdam_bench::median_ms(runs, || {
         cluster_variables_dl_reference(&traces, bits, CLUSTERS, &exp.training)
     });
     // The pre-rewrite selection path: the per-step reference loop on the
@@ -128,7 +82,7 @@ fn record_ml_times() {
         min_delta: 0.0,
         ..exp.training.clone()
     };
-    let before_ms = median_ms(runs.min(3), || {
+    let before_ms = sdam_bench::median_ms(runs.min(3), || {
         cluster_variables_dl_reference(&traces, bits, CLUSTERS, &old_preset)
     });
     assert!(
@@ -147,18 +101,13 @@ fn record_ml_times() {
          \"reference_same_preset_ms\": {ref_ms:.2},\n  \
          \"runs\": {runs},\n  \
          \"train_steps\": {{ \"fast\": {}, \"reference\": {} }},\n  \
-         \"partition_identical\": true,\n  \
          \"ceiling_ms\": {CEILING_MS},\n  \
-         \"note\": \"'before' is the pre-rewrite selection path re-measured on this host: the per-step reference loop on the old laptop() preset (hidden=24/emb=12/seq=16/steps=300, no early stop) — the 473 ms hot spot. 'after' is the deduplicated, batched, early-stopped loop on the retuned preset (hidden=12/emb=8/seq=8/steps<=64, patience=3). 'reference_same_preset_ms' isolates the loop rewrite at equal hyper-parameters. The ~5 ms target was not reachable without changing the selected partition — the preset is the smallest whose fast loop still matches the reference partition; both guards (partition equality, {CEILING_MS} ms ceiling) are asserted by this bench.\"\n}}\n",
+         \"note\": \"'before' is the pre-rewrite selection path re-measured on this host: the per-step reference loop on the old laptop() preset (hidden=24/emb=12/seq=16/steps=300, no early stop) — the 473 ms hot spot. 'after' is the deduplicated, batched, early-stopped loop on the retuned preset (hidden=12/emb=8/seq=8/steps<=64, patience=3). 'reference_same_preset_ms' isolates the loop rewrite at equal hyper-parameters. The ~5 ms target was not reachable without changing the selected partition — the preset is the smallest whose fast loop still matches the reference partition (tests/dl_golden.rs pins both paths to the same golden assignments). The {CEILING_MS} ms ceiling is asserted by this bench.\"\n}}\n",
         before_ms / fast_ms,
         fast.train_steps,
         reference.train_steps,
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ml.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("DL selection medians written to {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    sdam_bench::write_bench_json("BENCH_ml.json", &json);
 }
 
 criterion_group!(benches, bench_dl_select);

@@ -5,7 +5,9 @@
 //!
 //! Running this bench also records one staged run's [`PhaseTimes`] per
 //! configuration into `BENCH_stages.json` at the workspace root, so the
-//! per-stage cost split is tracked alongside the criterion numbers.
+//! per-stage cost split is tracked alongside the criterion numbers. A
+//! pipeline error panics, so the CI "Bench smoke" step fails on a
+//! broken pipeline instead of skipping the record.
 
 use criterion::{black_box, criterion_group, Criterion};
 use sdam::stage::{standard_stages, RunContext, StageCache};
@@ -97,13 +99,8 @@ fn record_stage_times() {
         SystemConfig::SdmBsmMl { clusters: 4 },
         SystemConfig::SdmBsmDl { clusters: 4 },
     ] {
-        let r = match pipeline::try_run_with_cache(&w, config, &exp, None, &cache) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("stage-time recording failed for {config}: {e}");
-                return;
-            }
-        };
+        let r = pipeline::try_run_with_cache(&w, config, &exp, None, &cache)
+            .unwrap_or_else(|e| panic!("stage-time recording failed for {config}: {e}"));
         let p = r.phases;
         rows.push(format!(
             "    {{ \"config\": \"{config}\", \"profile_ms\": {:.3}, \"select_ms\": {:.3}, \
@@ -126,11 +123,7 @@ fn record_stage_times() {
         cache.embedding_hits(),
         rows.join(",\n"),
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_stages.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("per-stage phase times written to {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    sdam_bench::write_bench_json("BENCH_stages.json", &json);
 }
 
 criterion_group!(

@@ -4,16 +4,12 @@
 //! The figure of merit is *probes per recovered bit* — how many timed
 //! accesses the black-box agent needs before the mapping function is
 //! pinned down exactly. Running this bench sweeps every seeded target
-//! (direct-mapped fold, global channel hashes, SDAM AMU windows),
-//! records per-target probe counts against the committed CI ceilings
-//! into `BENCH_probe.json`, and enforces the acceptance guards:
-//!
-//! * every recovery is *exact* against ground truth (checked through
-//!   `Cmt::translate_under` / canonical-gauge comparison — APIs the
-//!   agent itself can never reach);
-//! * every probe count stays under its committed ceiling, so a
-//!   regression in the protocol's probe budget fails loudly;
-//! * validation confidence is 1.0 on every function.
+//! (direct-mapped fold, global channel hashes, SDAM AMU windows) and
+//! records per-target probe counts, exactness and validation
+//! confidence against the committed CI ceilings into
+//! `BENCH_probe.json`. It asserts nothing: exact recovery within the
+//! ceilings at confidence 1.0 is checked by
+//! `tests/probe_suite.rs::every_seeded_mapping_is_recovered_exactly_within_the_ceiling`.
 
 use std::time::Instant;
 
@@ -30,16 +26,13 @@ struct Row {
     hit: u64,
     closed: u64,
     separable: bool,
+    exact: bool,
     secs: f64,
 }
 
-/// Runs the sweep, enforces the guards, writes `BENCH_probe.json`.
+/// Runs the sweep and writes `BENCH_probe.json`.
 fn record_probe() {
-    let runs: usize = std::env::var("SDAM_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+    let runs = sdam_bench::bench_samples(3);
 
     let suite = seeded_suite().expect("suite definition must compile");
     let mut rows = Vec::with_capacity(suite.len());
@@ -51,27 +44,7 @@ fn record_probe() {
         }
         let secs = start.elapsed().as_secs_f64() / runs as f64;
         let report = report.expect("runs >= 1");
-        assert!(
-            report.all_exact(),
-            "{}: recovery not exact: {}",
-            entry.name,
-            report.to_json()
-        );
-        assert!(
-            report.total_probes() <= entry.probe_ceiling(),
-            "{}: {} probes exceed the committed ceiling of {}",
-            entry.name,
-            report.total_probes(),
-            entry.probe_ceiling()
-        );
         for f in &report.functions {
-            assert!(
-                f.confidence >= 0.999,
-                "{}: {} validated at only {}",
-                entry.name,
-                f.function,
-                f.confidence
-            );
             rows.push(Row {
                 target: entry.name,
                 function: f.function.clone(),
@@ -82,6 +55,7 @@ fn record_probe() {
                 hit: report.calibration.hit_latency(),
                 closed: report.calibration.closed_latency(),
                 separable: report.calibration.separable(),
+                exact: f.exact == Some(true),
                 secs,
             });
         }
@@ -94,7 +68,7 @@ fn record_probe() {
                 "    {{\"target\": \"{}\", \"function\": \"{}\", \"probes\": {}, \
                  \"ceiling\": {}, \"bits\": {}, \"probes_per_bit\": {:.1}, \
                  \"confidence\": {:.4}, \"hit\": {}, \"closed\": {}, \
-                 \"separable\": {}, \"exact\": true, \"secs\": {:.4}}}",
+                 \"separable\": {}, \"exact\": {}, \"secs\": {:.4}}}",
                 r.target,
                 r.function,
                 r.probes,
@@ -105,6 +79,7 @@ fn record_probe() {
                 r.hit,
                 r.closed,
                 r.separable,
+                r.exact,
                 r.secs,
             )
         })
@@ -119,14 +94,10 @@ fn record_probe() {
          \"targets\": [\n{}\n  ],\n  \
          \"total_probes\": {total},\n  \
          \"runs\": {runs},\n  \
-         \"note\": \"The agent sees one opaque trait method returning a latency; it classifies pair experiments with an online-trained calibrator, solves channel-hash source sets by GF(2) elimination, and labels AMU window bits by single-flip and anchor-pair probing. Every recovery is verified exact against privileged ground truth (translate_under / canonical gauge) after the fact, and probe counts are asserted under the committed CI ceilings.\"\n}}\n",
+         \"note\": \"The agent sees one opaque trait method returning a latency; it classifies pair experiments with an online-trained calibrator, solves channel-hash source sets by GF(2) elimination, and labels AMU window bits by single-flip and anchor-pair probing. 'exact' compares each recovery against privileged ground truth (translate_under / canonical gauge) after the fact; tests/probe_suite.rs asserts every recovery exact, under its committed ceiling, at confidence 1.0.\"\n}}\n",
         body.join(",\n"),
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("probes-to-recovery table written to {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    sdam_bench::write_bench_json("BENCH_probe.json", &json);
 }
 
 fn bench_probe(c: &mut Criterion) {

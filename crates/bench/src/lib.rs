@@ -98,6 +98,55 @@ pub fn merged_comparison_metrics(comparisons: &[sdam::report::Comparison]) -> sd
     reg
 }
 
+/// Timed samples a bench recorder takes: `SDAM_BENCH_SAMPLES` if set
+/// and positive, else `default` — the rule the criterion shim applies,
+/// so `0` or garbage means the default.
+pub fn bench_samples(default: usize) -> usize {
+    std::env::var("SDAM_BENCH_SAMPLES")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
+
+/// Median of `samples`: the upper middle element after sorting.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    samples[samples.len() / 2]
+}
+
+/// Median wall-clock of `runs` calls to `f`, in milliseconds.
+pub fn median_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut samples: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    median(&mut samples)
+}
+
+/// Writes a bench record to `name` at the workspace root.
+pub fn write_bench_json(name: &str, json: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    match std::fs::write(&path, json) {
+        Ok(()) => println!("bench record written to {}", path.display()),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+    }
+}
+
+/// Deterministic 64-bit mixer (splitmix-style) for bench address
+/// streams.
+pub fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^ (x >> 27)
+}
+
 /// Prints an aligned row of cells.
 pub fn row(cells: &[String]) {
     let line: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
@@ -122,5 +171,11 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f2(1.234), "1.23");
         assert_eq!(gbps(123.45), "123.5");
+    }
+
+    #[test]
+    fn median_takes_the_upper_middle() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
     }
 }
