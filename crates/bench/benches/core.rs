@@ -59,7 +59,7 @@ fn reference_run(geom: Geometry, addrs: &[DecodedAddr]) -> SimStats {
     let mut makespan = 0u64;
     for &a in addrs {
         let a = probe.effective_addr(a);
-        channels[a.channel as usize].push_rw(a, false, 0);
+        channels[a.channel as usize].push(a, false, 0);
         requests += 1;
     }
     for ch in &mut channels {

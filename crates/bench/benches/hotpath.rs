@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sdam_bench::mix;
 use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{DecodedAddr, Timing};
+use sdam_hbm::{DecodedAddr, DrainScratch, Timing};
 use sdam_mapping::{BitFlipRateVector, BitPermutation, Cmt, CmtLookupCache, MappingId, PhysAddr};
 
 fn bench_translate(c: &mut Criterion) {
@@ -98,14 +98,17 @@ fn bench_drain(c: &mut Criterion) {
                 channel: 0,
                 col: (r >> 16) % 4,
             },
+            false,
             0,
         );
     }
     let mut g = c.benchmark_group("drain_8k_w64");
     g.bench_function("indexed", |b| {
         b.iter(|| {
+            // A fresh scratch per iteration: each drain pays its table
+            // set-up, as a channel's first drain does.
             let mut ch = loaded.clone();
-            black_box(ch.drain(64, &timing))
+            black_box(ch.drain(64, &timing, &mut DrainScratch::default()))
         })
     });
     g.bench_function("reference", |b| {

@@ -1,24 +1,26 @@
 //! Per-channel scheduling: bank bookkeeping plus data-bus arbitration.
 //!
-//! Each channel owns its banks and its data bus. Two service disciplines
-//! are provided:
+//! Each channel owns its banks and its data bus. There is one entry
+//! point per operation:
 //!
-//! * [`ChannelSim::service_in_order`] — requests are served in arrival
-//!   order. This is the incremental interface the closed-loop system
-//!   model (`sdam-sys`) uses, because a core can only learn a miss's
-//!   completion time when it issues it.
-//! * [`ChannelSim::push`] + [`ChannelSim::drain`] — batch mode with a
-//!   bounded FR-FCFS reorder window: among the oldest `window` pending
-//!   requests, row hits are preferred, otherwise the oldest is served.
-//!   This is what real memory controllers (and the paper's Xilinx HBM
-//!   controller) approximate.
+//! * [`ChannelSim::service_in_order`] serves one request in arrival
+//!   order and returns its completion cycle and row-buffer outcome. The
+//!   closed-loop system model (`sdam-sys`) uses it, because a core can
+//!   only learn a miss's completion time when it issues it.
+//! * [`ChannelSim::push`] queues a request for batch service, and
+//!   [`ChannelSim::drain`] serves the queue with a bounded FR-FCFS
+//!   reorder window: among the oldest `window` pending requests, row
+//!   hits are preferred, otherwise the oldest is served. This is what
+//!   real memory controllers (and the paper's Xilinx HBM controller)
+//!   approximate. [`ChannelSim::drain_partial`] stops at the youngest
+//!   `window - 1` requests, so a stream can be drained in blocks.
 //!
-//! The batch path stores pending requests in a struct-of-arrays
-//! [`RequestArena`] and drains them with reusable
-//! [`crate::arena::DrainScratch`] state, so a steady-state push/drain
-//! cycle performs no allocation at all (see the `arena` module docs for
-//! the column layout and index-link invariants). The definitional
-//! linear-scan scheduler is preserved as
+//! Every request, queued or not, is served by the same private service
+//! core. The batch path stores pending requests in a struct-of-arrays
+//! [`RequestArena`] and drains them with a caller-owned [`DrainScratch`],
+//! so a steady-state push/drain cycle performs no allocation at all (see
+//! the `arena` module docs for the column layout and index-link
+//! invariants). The definitional linear-scan scheduler is preserved as
 //! [`ChannelSim::drain_reference`], the golden-equivalence oracle.
 
 use crate::arena::{DrainScratch, RequestArena, NIL};
@@ -32,7 +34,6 @@ pub struct ChannelSim {
     banks: Vec<BankState>,
     bus_free: Cycle,
     pending: RequestArena,
-    scratch: DrainScratch,
     stats: ChannelStats,
     /// Next refresh boundary (when the timing enables refresh).
     next_refresh: Cycle,
@@ -54,7 +55,6 @@ impl ChannelSim {
             banks: vec![BankState::new(); num_banks],
             bus_free: 0,
             pending: RequestArena::new(),
-            scratch: DrainScratch::default(),
             stats: ChannelStats::default(),
             next_refresh: 0,
             last_was_write: false,
@@ -63,7 +63,11 @@ impl ChannelSim {
     }
 
     /// Serves one request immediately (arrival order) and returns its
-    /// completion cycle.
+    /// completion cycle together with how it classified against the row
+    /// buffer. Switching between reads and writes pays the channel's
+    /// write-to-read turnaround (`tWTR`). The adaptive machine driver
+    /// uses the outcome to attribute conflicts to chunks; it is the
+    /// same classification the channel's [`ChannelStats`] count.
     ///
     /// # Panics
     ///
@@ -71,45 +75,11 @@ impl ChannelSim {
     pub fn service_in_order(
         &mut self,
         addr: DecodedAddr,
-        arrival: Cycle,
-        timing: &Timing,
-    ) -> Cycle {
-        self.service_core(addr.bank as usize, addr.row, false, arrival, timing)
-    }
-
-    /// [`ChannelSim::service_in_order`] with an explicit data direction:
-    /// switching between reads and writes pays the channel's turnaround
-    /// penalty (`tWTR`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr.bank` is out of range for this channel.
-    pub fn service_in_order_rw(
-        &mut self,
-        addr: DecodedAddr,
-        is_write: bool,
-        arrival: Cycle,
-        timing: &Timing,
-    ) -> Cycle {
-        self.service_core(addr.bank as usize, addr.row, is_write, arrival, timing)
-    }
-
-    /// [`ChannelSim::service_in_order_rw`] that also reports how the
-    /// request classified against the row buffer. The adaptive machine
-    /// driver uses the outcome to attribute conflicts to chunks; the
-    /// timing result is bit-identical to the outcome-less path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr.bank` is out of range for this channel.
-    pub fn service_in_order_rw_outcome(
-        &mut self,
-        addr: DecodedAddr,
         is_write: bool,
         arrival: Cycle,
         timing: &Timing,
     ) -> (Cycle, RowOutcome) {
-        self.service_core_classified(addr.bank as usize, addr.row, is_write, arrival, timing)
+        self.service_core(addr.bank as usize, addr.row, is_write, arrival, timing)
     }
 
     /// The one service path every discipline funnels through: bank
@@ -119,21 +89,6 @@ impl ChannelSim {
     /// drain feed it straight from its column slices.
     #[inline]
     fn service_core(
-        &mut self,
-        bank: usize,
-        row: u64,
-        is_write: bool,
-        arrival: Cycle,
-        timing: &Timing,
-    ) -> Cycle {
-        self.service_core_classified(bank, row, is_write, arrival, timing)
-            .0
-    }
-
-    /// [`ChannelSim::service_core`] plus the row-buffer classification of
-    /// the served request.
-    #[inline]
-    fn service_core_classified(
         &mut self,
         bank: usize,
         row: u64,
@@ -182,17 +137,11 @@ impl ChannelSim {
         (completion, outcome)
     }
 
-    /// Queues a read request for batch (FR-FCFS) service.
-    #[inline]
-    pub fn push(&mut self, addr: DecodedAddr, arrival: Cycle) {
-        self.pending.push(addr, false, arrival);
-    }
-
-    /// Queues a request with an explicit data direction; writes drained
+    /// Queues a request for batch (FR-FCFS) service. Writes drained
     /// later pay the same turnaround rules as
-    /// [`ChannelSim::service_in_order_rw`].
+    /// [`ChannelSim::service_in_order`].
     #[inline]
-    pub fn push_rw(&mut self, addr: DecodedAddr, is_write: bool, arrival: Cycle) {
+    pub fn push(&mut self, addr: DecodedAddr, is_write: bool, arrival: Cycle) {
         self.pending.push(addr, is_write, arrival);
     }
 
@@ -226,34 +175,14 @@ impl ChannelSim {
     /// [`ChannelSim::drain_reference`], which is kept as the
     /// golden-equivalence oracle.
     ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn drain(&mut self, window: usize, timing: &Timing) -> Cycle {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let last = self.drain_bounded(window, 0, timing, &mut scratch);
-        self.scratch = scratch;
-        last
-    }
-
-    /// [`ChannelSim::drain`] with caller-provided scratch state.
-    ///
-    /// Channels draining one after another (the serial device loop) can
-    /// share a single [`DrainScratch`] — the dominant cost of a drain
-    /// on a *fresh* channel is zeroing its scratch tables, and sharing
-    /// pays it once per device instead of once per channel. Results are
-    /// identical to [`ChannelSim::drain`]; the scratch is workspace,
-    /// never carried state.
+    /// `scratch` is workspace, never carried state: channels draining one
+    /// after another (the serial device loop) share one, so a fresh
+    /// device zeroes its scratch tables once instead of once per channel.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn drain_with(
-        &mut self,
-        window: usize,
-        timing: &Timing,
-        scratch: &mut DrainScratch,
-    ) -> Cycle {
+    pub fn drain(&mut self, window: usize, timing: &Timing, scratch: &mut DrainScratch) -> Cycle {
         self.drain_bounded(window, 0, timing, scratch)
     }
 
@@ -271,26 +200,13 @@ impl ChannelSim {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn drain_partial(&mut self, window: usize, timing: &Timing) -> Cycle {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let last = self.drain_bounded(window, window - 1, timing, &mut scratch);
-        self.scratch = scratch;
-        last
-    }
-
-    /// [`ChannelSim::drain_partial`] with caller-provided scratch state
-    /// (see [`ChannelSim::drain_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn drain_partial_with(
+    pub fn drain_partial(
         &mut self,
         window: usize,
         timing: &Timing,
         scratch: &mut DrainScratch,
     ) -> Cycle {
-        self.drain_bounded(window, window - 1, timing, scratch)
+        self.drain_bounded(window, window.saturating_sub(1), timing, scratch)
     }
 
     /// Serves pending requests in FR-FCFS order until only `keep`
@@ -318,13 +234,15 @@ impl ChannelSim {
         if window == 1 {
             // Degenerate in-order service: no reordering possible.
             for i in 0..serve_n {
-                last = self.service_core(
-                    arena.banks()[i] as usize,
-                    arena.rows()[i],
-                    arena.is_writes()[i],
-                    arena.arrivals()[i],
-                    timing,
-                );
+                last = self
+                    .service_core(
+                        arena.banks()[i] as usize,
+                        arena.rows()[i],
+                        arena.is_writes()[i],
+                        arena.arrivals()[i],
+                        timing,
+                    )
+                    .0;
             }
             if keep == 0 {
                 arena.clear();
@@ -387,13 +305,15 @@ impl ChannelSim {
             }
             scratch.served[pick] = true;
             let b = arena.banks()[pick] as usize;
-            last = self.service_core(
-                b,
-                arena.rows()[pick],
-                arena.is_writes()[pick],
-                arena.arrivals()[pick],
-                timing,
-            );
+            last = self
+                .service_core(
+                    b,
+                    arena.rows()[pick],
+                    arena.is_writes()[pick],
+                    arena.arrivals()[pick],
+                    timing,
+                )
+                .0;
             // Serving mutates exactly one bank's row state, and the bank
             // now holds row[pick] open — so the only candidate to refresh
             // is bank b's. Within a (bank, row) list requests are served
@@ -458,13 +378,15 @@ impl ChannelSim {
                 i += 1;
             }
             served[pick] = true;
-            last = self.service_core(
-                arena.banks()[pick] as usize,
-                arena.rows()[pick],
-                arena.is_writes()[pick],
-                arena.arrivals()[pick],
-                timing,
-            );
+            last = self
+                .service_core(
+                    arena.banks()[pick] as usize,
+                    arena.rows()[pick],
+                    arena.is_writes()[pick],
+                    arena.arrivals()[pick],
+                    timing,
+                )
+                .0;
         }
         arena.clear();
         self.pending = arena;
@@ -576,8 +498,8 @@ mod tests {
         let tm = t();
         let mut ch = ChannelSim::new(16);
         // Two hits to different banks, same arrival: the bus is shared.
-        ch.service_in_order(addr(0, 0, 0), 0, &tm);
-        ch.service_in_order(addr(0, 0, 1), 0, &tm);
+        ch.service_in_order(addr(0, 0, 0), false, 0, &tm);
+        ch.service_in_order(addr(0, 0, 1), false, 0, &tm);
         let s = ch.stats();
         assert_eq!(s.requests, 2);
         assert_eq!(s.row_hits, 1);
@@ -587,20 +509,21 @@ mod tests {
 
     #[test]
     fn frfcfs_prefers_row_hits() {
+        let mut scratch = DrainScratch::default();
         let tm = t();
         // Queue: [row0, row1, row0]. In-order: miss, conflict, conflict.
         // FR-FCFS (window >= 3): serves both row0 before row1.
         let mut inorder = ChannelSim::new(1);
         for (r, a) in [(0u64, 0u64), (1, 0), (0, 0)] {
-            inorder.push(addr(r, 0, 0), a);
+            inorder.push(addr(r, 0, 0), false, a);
         }
-        let end_inorder = inorder.drain(1, &tm);
+        let end_inorder = inorder.drain(1, &tm, &mut scratch);
 
         let mut frfcfs = ChannelSim::new(1);
         for (r, a) in [(0u64, 0u64), (1, 0), (0, 0)] {
-            frfcfs.push(addr(r, 0, 0), a);
+            frfcfs.push(addr(r, 0, 0), false, a);
         }
-        let end_frfcfs = frfcfs.drain(8, &tm);
+        let end_frfcfs = frfcfs.drain(8, &tm, &mut scratch);
 
         assert!(frfcfs.stats().row_hits > inorder.stats().row_hits);
         assert!(end_frfcfs < end_inorder);
@@ -608,12 +531,13 @@ mod tests {
 
     #[test]
     fn drain_empties_queue_and_counts_all() {
+        let mut scratch = DrainScratch::default();
         let tm = t();
         let mut ch = ChannelSim::new(4);
         for i in 0..100u64 {
-            ch.push(addr(i % 8, i % 4, 0), 0);
+            ch.push(addr(i % 8, i % 4, 0), false, 0);
         }
-        ch.drain(16, &tm);
+        ch.drain(16, &tm, &mut scratch);
         assert_eq!(ch.pending_len(), 0);
         assert_eq!(ch.stats().requests, 100);
     }
@@ -622,8 +546,8 @@ mod tests {
     fn reset_clears_everything() {
         let tm = t();
         let mut ch = ChannelSim::new(2);
-        ch.service_in_order(addr(3, 1, 0), 0, &tm);
-        ch.push(addr(0, 0, 0), 0);
+        ch.service_in_order(addr(3, 1, 0), false, 0, &tm);
+        ch.push(addr(0, 0, 0), false, 0);
         ch.reset();
         assert_eq!(ch.stats(), ChannelStats::default());
         assert_eq!(ch.pending_len(), 0);
@@ -632,20 +556,35 @@ mod tests {
 
     #[test]
     fn window_one_equals_in_order() {
+        let mut scratch = DrainScratch::default();
         let tm = t();
-        let reqs: Vec<_> = (0..50u64).map(|i| addr(i % 5, i % 2, 0)).collect();
+        // Rows repeat in runs, so the stream has hits, misses and
+        // conflicts.
+        let reqs: Vec<_> = (0..50u64).map(|i| addr(i / 3 % 5, i % 2, 0)).collect();
         let mut a = ChannelSim::new(2);
         for &r in &reqs {
-            a.push(r, 0);
+            a.push(r, false, 0);
         }
-        let end_a = a.drain(1, &tm);
+        let end_a = a.drain(1, &tm, &mut scratch);
         let mut b = ChannelSim::new(2);
         let mut end_b = 0;
+        // The outcome the adaptive controller receives must be the one
+        // the channel counts.
+        let mut tally = [0u64; 3];
         for &r in &reqs {
-            end_b = b.service_in_order(r, 0, &tm);
+            let (done, outcome) = b.service_in_order(r, false, 0, &tm);
+            end_b = done;
+            tally[match outcome {
+                RowOutcome::Hit => 0,
+                RowOutcome::Miss => 1,
+                RowOutcome::Conflict => 2,
+            }] += 1;
         }
         assert_eq!(end_a, end_b);
         assert_eq!(a.stats(), b.stats());
+        let s = b.stats();
+        assert_eq!(tally, [s.row_hits, s.row_misses, s.row_conflicts]);
+        assert!(tally.iter().all(|&n| n > 0), "{tally:?}");
     }
 
     #[test]
@@ -653,7 +592,7 @@ mod tests {
         let tm = t();
         let mut ch = ChannelSim::new(4);
         for i in 0..12u64 {
-            ch.service_in_order(addr(0, i % 3, 0), 0, &tm);
+            ch.service_in_order(addr(0, i % 3, 0), false, 0, &tm);
         }
         assert_eq!(ch.bank_requests(), &[4, 4, 4, 0]);
         ch.reset();
@@ -671,8 +610,10 @@ mod tests {
         let mut end_r = 0;
         let mut end_m = 0;
         for i in 0..64u64 {
-            end_r = reads.service_in_order_rw(addr(0, i % 16, 0), false, 0, &tm);
-            end_m = mixed.service_in_order_rw(addr(0, i % 16, 0), i % 2 == 1, 0, &tm);
+            end_r = reads.service_in_order(addr(0, i % 16, 0), false, 0, &tm).0;
+            end_m = mixed
+                .service_in_order(addr(0, i % 16, 0), i % 2 == 1, 0, &tm)
+                .0;
         }
         // 31 write→read transitions pay tWTR.
         assert!(
@@ -686,6 +627,7 @@ mod tests {
 
     #[test]
     fn pushed_writes_pay_turnaround_in_drain() {
+        let mut scratch = DrainScratch::default();
         let tm = t();
         // In-order (window 1) drains of the same mixed-direction stream
         // must match the incremental rw service path exactly.
@@ -693,10 +635,12 @@ mod tests {
         let mut incremental = ChannelSim::new(16);
         let mut end_i = 0;
         for i in 0..64u64 {
-            drained.push_rw(addr(0, i % 16, 0), i % 2 == 1, 0);
-            end_i = incremental.service_in_order_rw(addr(0, i % 16, 0), i % 2 == 1, 0, &tm);
+            drained.push(addr(0, i % 16, 0), i % 2 == 1, 0);
+            end_i = incremental
+                .service_in_order(addr(0, i % 16, 0), i % 2 == 1, 0, &tm)
+                .0;
         }
-        let end_d = drained.drain(1, &tm);
+        let end_d = drained.drain(1, &tm, &mut scratch);
         assert_eq!(end_d, end_i);
         assert_eq!(drained.stats(), incremental.stats());
     }
@@ -709,7 +653,9 @@ mod tests {
             let mut ch = ChannelSim::new(16);
             let mut end = 0;
             for i in 0..4096u64 {
-                end = ch.service_in_order(addr(i / 256, i % 16, 0), 0, tm);
+                end = ch
+                    .service_in_order(addr(i / 256, i % 16, 0), false, 0, tm)
+                    .0;
             }
             (end, ch.stats().refresh_stalls)
         };
@@ -751,6 +697,7 @@ mod tests {
 
     #[test]
     fn indexed_drain_matches_reference_pick_order() {
+        let mut scratch = DrainScratch::default();
         // Golden equivalence: for random request mixes, every window
         // size, and refresh on/off, the indexed drain must reproduce the
         // linear-scan reference bit for bit — makespan, stats, and
@@ -763,10 +710,10 @@ mod tests {
                         let mut fast = ChannelSim::new(banks as usize);
                         let mut slow = ChannelSim::new(banks as usize);
                         for &(a, arr) in &reqs {
-                            fast.push(a, arr);
-                            slow.push(a, arr);
+                            fast.push(a, false, arr);
+                            slow.push(a, false, arr);
                         }
-                        let end_fast = fast.drain(window, &tm);
+                        let end_fast = fast.drain(window, &tm, &mut scratch);
                         let end_slow = slow.drain_reference(window, &tm);
                         assert_eq!(
                             end_fast, end_slow,
@@ -782,20 +729,25 @@ mod tests {
 
     #[test]
     fn window_one_drain_matches_reference() {
+        let mut scratch = DrainScratch::default();
         let tm = t();
         let reqs = mixed_stream(300, 4, 16, 7);
         let mut fast = ChannelSim::new(4);
         let mut slow = ChannelSim::new(4);
         for &(a, arr) in &reqs {
-            fast.push(a, arr);
-            slow.push(a, arr);
+            fast.push(a, false, arr);
+            slow.push(a, false, arr);
         }
-        assert_eq!(fast.drain(1, &tm), slow.drain_reference(1, &tm));
+        assert_eq!(
+            fast.drain(1, &tm, &mut scratch),
+            slow.drain_reference(1, &tm)
+        );
         assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]
     fn row_hit_heavy_reference_regression() {
+        let mut scratch = DrainScratch::default();
         // Regression for the oracle's old O(n) `VecDeque::remove` per
         // row hit: on an all-hits-per-bank stream every pick used to
         // shift the whole tail. With tombstones this finishes instantly
@@ -808,10 +760,10 @@ mod tests {
             // One hot row per bank: after the first touch, every further
             // access to the bank is a row hit.
             let a = addr(7, i % 8, 0);
-            fast.push(a, 0);
-            slow.push(a, 0);
+            fast.push(a, false, 0);
+            slow.push(a, false, 0);
         }
-        let end_fast = fast.drain(64, &tm);
+        let end_fast = fast.drain(64, &tm, &mut scratch);
         let end_slow = slow.drain_reference(64, &tm);
         assert_eq!(end_fast, end_slow);
         assert_eq!(fast.stats(), slow.stats());
@@ -820,6 +772,7 @@ mod tests {
 
     #[test]
     fn partial_drain_interleaved_with_pushes_is_bit_identical() {
+        let mut scratch = DrainScratch::default();
         // The streaming contract: pushing in blocks and calling
         // `drain_partial` between them, then a final full drain, must
         // reproduce the one-shot drain exactly — picks, stats, per-bank
@@ -830,20 +783,21 @@ mod tests {
                 let tm = t();
                 let mut oneshot = ChannelSim::new(8);
                 for &(a, arr) in &reqs {
-                    oneshot.push(a, arr);
+                    oneshot.push(a, false, arr);
                 }
-                let end_one = oneshot.drain(window, &tm);
+                let end_one = oneshot.drain(window, &tm, &mut scratch);
 
                 let mut streamed = ChannelSim::new(8);
                 let mut end_s = 0;
                 for chunk in reqs.chunks(block) {
                     for &(a, arr) in chunk {
-                        streamed.push(a, arr);
+                        streamed.push(a, false, arr);
                     }
-                    let done = streamed.drain_partial(window, &tm);
+                    let done = streamed.drain_partial(window, &tm, &mut scratch);
+                    assert!(streamed.pending_len() < window);
                     end_s = end_s.max(done);
                 }
-                let done = streamed.drain(window, &tm);
+                let done = streamed.drain(window, &tm, &mut scratch);
                 end_s = end_s.max(done);
                 assert!(
                     streamed.pending_len() == 0,
@@ -861,17 +815,26 @@ mod tests {
 
     #[test]
     fn partial_drain_leaves_youngest_window_minus_one() {
+        let mut scratch = DrainScratch::default();
         let tm = t();
         let mut ch = ChannelSim::new(4);
         for i in 0..100u64 {
-            ch.push(addr(i, i % 4, 0), 0);
+            ch.push(addr(i, i % 4, 0), false, 0);
         }
-        ch.drain_partial(16, &tm);
+        ch.drain_partial(16, &tm, &mut scratch);
         assert_eq!(ch.pending_len(), 15);
         assert_eq!(ch.stats().requests, 85);
         // Draining the rest serves everyone.
-        ch.drain(16, &tm);
+        ch.drain(16, &tm, &mut scratch);
         assert_eq!(ch.stats().requests, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "reorder window must be >= 1")]
+    fn zero_window_partial_drain_panics() {
+        let mut ch = ChannelSim::new(2);
+        ch.push(addr(0, 0, 0), false, 0);
+        ch.drain_partial(0, &t(), &mut DrainScratch::default());
     }
 
     #[test]
@@ -879,8 +842,8 @@ mod tests {
         let tm = t();
         let mut ch = ChannelSim::new(4);
         // Dirty the channel: open rows, pending turnaround state.
-        ch.service_in_order_rw(addr(7, 0, 0), true, 0, &tm);
-        ch.service_in_order_rw(addr(3, 1, 0), true, 0, &tm);
+        ch.service_in_order(addr(7, 0, 0), true, 0, &tm);
+        ch.service_in_order(addr(3, 1, 0), true, 0, &tm);
         let before = ch.stats();
         let now = 10_000;
         ch.quiesce(now, &tm);
@@ -889,10 +852,12 @@ mod tests {
         assert_eq!(ch.bank_requests(), &[1, 1, 0, 0]);
         // First access after quiesce is a pure closed-bank access — no
         // stale open row (would be a conflict), no write turnaround.
-        let done = ch.service_in_order(addr(0, 0, 0), now, &tm);
+        let done = ch.service_in_order(addr(0, 0, 0), false, now, &tm).0;
         assert_eq!(done - now, tm.closed_latency());
         // Re-access: pure row hit.
-        let done2 = ch.service_in_order(addr(0, 0, 0), done + tm.t_ras, &tm);
+        let done2 = ch
+            .service_in_order(addr(0, 0, 0), false, done + tm.t_ras, &tm)
+            .0;
         assert_eq!(done2 - (done + tm.t_ras), tm.hit_latency());
     }
 
@@ -909,8 +874,10 @@ mod tests {
         let arrival = k * tm.t_refi + tm.t_rfc / 2;
 
         let mut polluted = ChannelSim::new(4);
-        polluted.service_in_order(addr(0, 0, 0), 0, &tm); // start the clock
-        let done = polluted.service_in_order(addr(0, 1, 0), arrival, &tm);
+        polluted.service_in_order(addr(0, 0, 0), false, 0, &tm); // start the clock
+        let done = polluted
+            .service_in_order(addr(0, 1, 0), false, arrival, &tm)
+            .0;
         assert!(
             done - arrival > tm.closed_latency(),
             "without quiesce the catch-up boundary must pollute the class: {} vs {}",
@@ -919,9 +886,9 @@ mod tests {
         );
 
         let mut clean = ChannelSim::new(4);
-        clean.service_in_order(addr(0, 0, 0), 0, &tm);
+        clean.service_in_order(addr(0, 0, 0), false, 0, &tm);
         clean.quiesce(arrival, &tm);
-        let done = clean.service_in_order(addr(0, 1, 0), arrival, &tm);
+        let done = clean.service_in_order(addr(0, 1, 0), false, arrival, &tm).0;
         assert_eq!(
             done - arrival,
             tm.closed_latency(),
@@ -932,7 +899,7 @@ mod tests {
         let far = arrival + 2 * tm.t_refi;
         let stalls_before = clean.stats().refresh_stalls;
         for i in 0..2_000u64 {
-            clean.service_in_order(addr(i / 64, i % 4, 0), far, &tm);
+            clean.service_in_order(addr(i / 64, i % 4, 0), false, far, &tm);
         }
         assert!(
             clean.stats().refresh_stalls > stalls_before,
@@ -945,7 +912,7 @@ mod tests {
     fn quiesce_with_pending_requests_panics() {
         let tm = t();
         let mut ch = ChannelSim::new(2);
-        ch.push(addr(0, 0, 0), 0);
+        ch.push(addr(0, 0, 0), false, 0);
         ch.quiesce(100, &tm);
     }
 
@@ -958,9 +925,9 @@ mod tests {
         // after the arrival.
         let tm = Timing::hbm2_with_refresh();
         let mut ch = ChannelSim::new(4);
-        ch.service_in_order(addr(0, 0, 0), 0, &tm);
+        ch.service_in_order(addr(0, 0, 0), false, 0, &tm);
         let gap = 1u64 << 55;
-        let done = ch.service_in_order(addr(0, 1, 0), gap, &tm);
+        let done = ch.service_in_order(addr(0, 1, 0), false, gap, &tm).0;
         assert!(done >= gap, "completion precedes arrival");
         assert!(
             done < gap + tm.t_refi + tm.t_rfc + 1000,
@@ -1012,7 +979,10 @@ mod tests {
         let got: Vec<Cycle> = arrivals
             .iter()
             .enumerate()
-            .map(|(i, &arr)| ch.service_in_order(addr(i as u64 % 3, 0, 0), arr, &tm))
+            .map(|(i, &arr)| {
+                ch.service_in_order(addr(i as u64 % 3, 0, 0), false, arr, &tm)
+                    .0
+            })
             .collect();
         assert_eq!(got, reference(&arrivals));
     }

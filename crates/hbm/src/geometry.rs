@@ -127,6 +127,20 @@ pub struct Geometry {
     row_bits: u32,
 }
 
+/// The presets, checked at compile time: an invalid layout fails the
+/// build instead of panicking at run time.
+const HBM2_8GB: Geometry = preset(Geometry::new(2, 5, 4, 16));
+const HBM2_4GB: Geometry = preset(Geometry::new(2, 4, 4, 16));
+const DDR4_8GB: Geometry = preset(Geometry::new(5, 2, 4, 16));
+const HMC_4GB: Geometry = preset(Geometry::new(2, 4, 3, 17));
+
+const fn preset(geometry: Result<Geometry, GeometryError>) -> Geometry {
+    match geometry {
+        Ok(g) => g,
+        Err(_) => panic!("invalid geometry preset"),
+    }
+}
+
 impl Geometry {
     /// Creates a geometry from field widths (in bits).
     ///
@@ -139,7 +153,7 @@ impl Geometry {
     /// `bank_bits`, or `row_bits` is zero, or if the total address width
     /// exceeds 58 bits (we reserve headroom in a `u64`). `col_bits == 0`
     /// is allowed: a row buffer holding a single line.
-    pub fn new(
+    pub const fn new(
         col_bits: u32,
         channel_bits: u32,
         bank_bits: u32,
@@ -182,26 +196,26 @@ impl Geometry {
     /// Layout: 6 b line + 2 b column + 5 b channel + 4 b bank + 16 b row
     /// = 33 bits = 8 GB.
     pub fn hbm2_8gb() -> Self {
-        Geometry::new(2, 5, 4, 16).expect("static geometry is valid")
+        HBM2_8GB
     }
 
     /// A single HBM2 stack: 4 GB, 16 channels (the configuration of the
     /// paper's Fig. 2 example: 4-bit channel field).
     pub fn hbm2_4gb() -> Self {
-        Geometry::new(2, 4, 4, 16).expect("static geometry is valid")
+        HBM2_4GB
     }
 
     /// A DDR4-like organization for comparison experiments: 4 channels,
     /// 16 banks, 2 KB row buffers, 8 GB.
     pub fn ddr4_8gb() -> Self {
-        Geometry::new(5, 2, 4, 16).expect("static geometry is valid")
+        DDR4_8GB
     }
 
     /// A Hybrid Memory Cube organization (the other 3D-memory
     /// realization the paper names): 16 vaults acting as channels,
     /// 8 banks per vault, 256 B rows, 4 GB.
     pub fn hmc_4gb() -> Self {
-        Geometry::new(2, 4, 3, 17).expect("static geometry is valid")
+        HMC_4GB
     }
 
     /// Bits of within-line byte offset (always `log2(64) = 6`).

@@ -44,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
 pub mod bank;
@@ -56,7 +57,7 @@ pub mod timing;
 pub use arena::{DrainScratch, RequestArena};
 pub use bank::RowOutcome;
 pub use geometry::{DecodedAddr, Geometry, HardwareAddr};
-pub use sim::{bank_hashed, bank_hashed_block, bank_hashed_reference, Hbm};
+pub use sim::{bank_hashed, bank_hashed_reference, Hbm};
 pub use stats::{ChannelStats, SimStats};
 pub use timing::Timing;
 

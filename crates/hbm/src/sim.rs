@@ -1,6 +1,7 @@
 //! The top-level memory device: a set of independent channels.
 
 use crate::arena::DrainScratch;
+use crate::bank::RowOutcome;
 use crate::channel::ChannelSim;
 use crate::stats::SimStats;
 use crate::{Cycle, DecodedAddr, Geometry, Timing};
@@ -11,20 +12,19 @@ pub const DEFAULT_REORDER_WINDOW: usize = 16;
 
 /// The permutation-based bank interleave of Zhang, Zhu & Zhang
 /// (MICRO-33): the effective bank is the stated bank XOR an XOR-fold of
-/// the whole row index, so streams differing in *any* row bit (low or
-/// high) land on different banks. Standalone so that code which
-/// bypasses [`Hbm::service_rw`] (adaptive candidate scoring, probe
-/// ground truth) applies the exact same transform.
+/// every `bank_bits`-wide slice of the row index, so streams differing
+/// in *any* row bit (low or high) land on different banks. Standalone so
+/// that code which bypasses [`Hbm::effective_addr`] (adaptive candidate
+/// scoring, probe ground truth) applies the exact same transform.
+#[inline]
 pub fn bank_hashed(geometry: Geometry, mut addr: DecodedAddr) -> DecodedAddr {
-    let bank_bits = geometry.bank_bits();
-    if bank_bits == 0 {
-        return addr; // one bank per channel: nothing to permute
-    }
-    // Branch-free XOR fold: each doubling round XORs the next group of
-    // `bank_bits`-wide chunks into the low chunk, so after at most six
-    // rounds the low `bank_bits` bits hold the XOR of every chunk —
-    // replacing the data-dependent per-chunk loop
+    // `Geometry::new` rejects zero bank bits, so the doubling below
+    // terminates. Branch-free XOR fold: each doubling round XORs the
+    // next group of `bank_bits`-wide slices into the low slice, so after
+    // at most six rounds the low `bank_bits` bits hold the XOR of every
+    // slice — replacing the data-dependent per-slice loop
     // ([`bank_hashed_reference`], kept as the oracle).
+    let bank_bits = geometry.bank_bits();
     let mut fold = addr.row;
     let mut shift = bank_bits;
     while shift < u64::BITS {
@@ -35,29 +35,7 @@ pub fn bank_hashed(geometry: Geometry, mut addr: DecodedAddr) -> DecodedAddr {
     addr
 }
 
-/// [`bank_hashed`] applied in place over a block of addresses: the
-/// `bank_bits` branch and mask are hoisted out of the loop, so batching
-/// callers (the block-based machine driver in `sdam-sys`) pay one setup
-/// per block instead of one per request. Bit-identical to mapping
-/// [`bank_hashed`] over the slice.
-pub fn bank_hashed_block(geometry: Geometry, addrs: &mut [DecodedAddr]) {
-    let bank_bits = geometry.bank_bits();
-    if bank_bits == 0 {
-        return; // one bank per channel: nothing to permute
-    }
-    let mask = (1u64 << bank_bits) - 1;
-    for addr in addrs {
-        let mut fold = addr.row;
-        let mut shift = bank_bits;
-        while shift < u64::BITS {
-            fold ^= fold >> shift;
-            shift <<= 1;
-        }
-        addr.bank ^= fold & mask;
-    }
-}
-
-/// The original per-chunk fold loop of [`bank_hashed`], kept as the
+/// The original per-slice fold loop of [`bank_hashed`], kept as the
 /// oracle the doubling fold is tested against.
 pub fn bank_hashed_reference(geometry: Geometry, mut addr: DecodedAddr) -> DecodedAddr {
     let bank_bits = geometry.bank_bits();
@@ -124,11 +102,12 @@ impl Hbm {
     /// Creates a device with the given geometry and timing.
     ///
     /// Bank-address hashing is enabled by default: the effective bank is
-    /// `bank XOR (row mod banks)`, the permutation-based interleaving of
-    /// Zhang, Zhu & Zhang (MICRO-33) that real controllers (including
-    /// the Xilinx HBM IP's bank-group interleave) use to keep streams
-    /// that share address alignment but differ in row from fighting
-    /// over one bank.
+    /// the stated bank XOR-ed with every bank-width slice of the row (see
+    /// [`bank_hashed`]), the permutation-based interleaving of Zhang,
+    /// Zhu & Zhang (MICRO-33) that real controllers (including the
+    /// Xilinx HBM IP's bank-group interleave) use to keep streams that
+    /// share address alignment but differ in row from fighting over one
+    /// bank.
     pub fn new(geometry: Geometry, timing: Timing) -> Self {
         let channels = (0..geometry.num_channels())
             .map(|_| ChannelSim::new(geometry.banks_per_channel()))
@@ -148,14 +127,6 @@ impl Hbm {
     pub fn without_bank_hash(mut self) -> Self {
         self.bank_hash = false;
         self
-    }
-
-    fn effective(&self, addr: DecodedAddr) -> DecodedAddr {
-        if self.bank_hash {
-            bank_hashed(self.geometry, addr)
-        } else {
-            addr
-        }
     }
 
     /// Sizes every channel's pending queue for an incoming stream of
@@ -178,8 +149,23 @@ impl Hbm {
     /// traffic through [`Hbm::service_effective_rw`] — the adaptive
     /// driver's migrations in `sdam-sys` — see the device's exact
     /// addresses.
+    #[inline]
     pub fn effective_addr(&self, addr: DecodedAddr) -> DecodedAddr {
-        self.effective(addr)
+        if self.bank_hash {
+            bank_hashed(self.geometry, addr)
+        } else {
+            addr
+        }
+    }
+
+    /// [`Hbm::effective_addr`] applied in place over a block of decoded
+    /// addresses, so block drivers hash a whole decode block up front.
+    pub fn effective_block(&self, addrs: &mut [DecodedAddr]) {
+        if self.bank_hash {
+            for a in addrs {
+                *a = bank_hashed(self.geometry, *a);
+            }
+        }
     }
 
     /// The device geometry.
@@ -192,7 +178,7 @@ impl Hbm {
         self.timing
     }
 
-    /// Serves one request in arrival order on its channel, returning the
+    /// Serves one read in arrival order on its channel, returning the
     /// completion cycle. Channels do not interfere with each other.
     ///
     /// # Panics
@@ -200,28 +186,23 @@ impl Hbm {
     /// Panics if `addr.channel` or `addr.bank` is out of range for the
     /// device geometry.
     pub fn service(&mut self, addr: DecodedAddr, arrival: Cycle) -> Cycle {
-        self.service_rw(addr, false, arrival)
+        self.service_effective_rw(self.effective_addr(addr), false, arrival)
+            .0
     }
 
-    /// [`Hbm::service`] with an explicit data direction: channel
-    /// direction switches pay the write-to-read turnaround.
-    ///
-    /// # Panics
-    ///
-    /// As [`Hbm::service`].
-    pub fn service_rw(&mut self, addr: DecodedAddr, is_write: bool, arrival: Cycle) -> Cycle {
-        let addr = self.effective(addr);
-        self.service_effective_rw(addr, is_write, arrival)
-    }
-
-    /// [`Hbm::service_rw`] for an address that has *already* been run
-    /// through [`Hbm::effective_block`] (or [`Hbm::effective_addr`]).
+    /// Serves one request in arrival order, for an address that has
+    /// *already* been through [`Hbm::effective_block`] (or
+    /// [`Hbm::effective_addr`]), and returns its completion cycle and
+    /// row-buffer outcome (hit / miss / conflict).
     ///
     /// Block-based drivers hoist the controller bank hash out of the
     /// issue loop by hashing whole decode blocks up front; this entry
     /// point lets them service those addresses without hashing twice
-    /// (the hash is an involution-free transform, so double application
-    /// would corrupt the bank index).
+    /// (the hash is not an involution, so double application would
+    /// corrupt the bank index). Channel direction switches pay the
+    /// write-to-read turnaround. The outcome is the classification the
+    /// channel's statistics count, so drivers attributing conflicts per
+    /// chunk pay nothing extra.
     ///
     /// # Panics
     ///
@@ -231,28 +212,8 @@ impl Hbm {
         addr: DecodedAddr,
         is_write: bool,
         arrival: Cycle,
-    ) -> Cycle {
-        self.service_effective_rw_outcome(addr, is_write, arrival).0
-    }
-
-    /// [`Hbm::service_effective_rw`] that also reports the row-buffer
-    /// classification (hit / miss / conflict) of the served request.
-    ///
-    /// The extra return value only *observes* the classification that
-    /// [`crate::bank::BankState::access`] already computed, so drivers
-    /// attributing conflicts per chunk pay nothing; the outcome-less
-    /// [`Hbm::service_effective_rw`] is this call's timing result.
-    ///
-    /// # Panics
-    ///
-    /// As [`Hbm::service`].
-    pub fn service_effective_rw_outcome(
-        &mut self,
-        addr: DecodedAddr,
-        is_write: bool,
-        arrival: Cycle,
-    ) -> (Cycle, crate::bank::RowOutcome) {
-        let (done, outcome) = self.channels[addr.channel as usize].service_in_order_rw_outcome(
+    ) -> (Cycle, RowOutcome) {
+        let (done, outcome) = self.channels[addr.channel as usize].service_in_order(
             addr,
             is_write,
             arrival,
@@ -261,15 +222,6 @@ impl Hbm {
         self.requests += 1;
         self.makespan = self.makespan.max(done);
         (done, outcome)
-    }
-
-    /// Applies the controller's effective-address transform (the bank
-    /// hash, unless disabled) to a block of decoded addresses in place —
-    /// the block twin of [`Hbm::effective_addr`].
-    pub fn effective_block(&self, addrs: &mut [DecodedAddr]) {
-        if self.bank_hash {
-            bank_hashed_block(self.geometry, addrs);
-        }
     }
 
     /// Runs a whole stream open-loop (all requests available at cycle 0)
@@ -286,6 +238,7 @@ impl Hbm {
     }
 
     /// Like [`Hbm::run_open_loop`] but with an explicit reorder window.
+    /// This is [`Hbm::run_open_loop_streaming`] with one unbounded block.
     ///
     /// # Panics
     ///
@@ -294,20 +247,7 @@ impl Hbm {
     where
         I: IntoIterator<Item = DecodedAddr>,
     {
-        let addrs = addrs.into_iter();
-        self.reserve_per_channel(addrs.size_hint().0);
-        for a in addrs {
-            let a = self.effective(a);
-            self.channels[a.channel as usize].push(a, 0);
-            self.requests += 1;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for ch in &mut self.channels {
-            let done = ch.drain_with(window, &self.timing, &mut scratch);
-            self.makespan = self.makespan.max(done);
-        }
-        self.scratch = scratch;
-        self.stats()
+        self.run_open_loop_streaming(addrs, window, usize::MAX)
     }
 
     /// Like [`Hbm::run_open_loop_windowed`], but with **bounded resident
@@ -336,27 +276,34 @@ impl Hbm {
     {
         assert!(window > 0, "reorder window must be >= 1");
         assert!(block > 0, "stream block must be >= 1");
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let addrs = addrs.into_iter();
+        self.reserve_per_channel(addrs.size_hint().0.min(block));
         let mut in_block = 0usize;
         for a in addrs {
-            let a = self.effective(a);
-            self.channels[a.channel as usize].push(a, 0);
+            let a = self.effective_addr(a);
+            self.channels[a.channel as usize].push(a, false, 0);
             self.requests += 1;
             in_block += 1;
             if in_block == block {
                 in_block = 0;
-                for ch in &mut self.channels {
-                    let done = ch.drain_partial_with(window, &self.timing, &mut scratch);
-                    self.makespan = self.makespan.max(done);
-                }
+                self.drain_channels(window, true);
             }
         }
+        self.drain_channels(window, false);
+        self.stats()
+    }
+
+    /// Drains every channel in turn through the shared scratch, fully or
+    /// (`partial`) down to its youngest `window - 1` requests.
+    fn drain_channels(&mut self, window: usize, partial: bool) {
         for ch in &mut self.channels {
-            let done = ch.drain_with(window, &self.timing, &mut scratch);
+            let done = if partial {
+                ch.drain_partial(window, &self.timing, &mut self.scratch)
+            } else {
+                ch.drain(window, &self.timing, &mut self.scratch)
+            };
             self.makespan = self.makespan.max(done);
         }
-        self.scratch = scratch;
-        self.stats()
     }
 
     /// A snapshot of the statistics accumulated since construction or the
@@ -539,22 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_open_loop_bounds_pending_queues() {
-        let geom = Geometry::hbm2_8gb();
-        let mut hbm = device();
-        let window = 16usize;
-        let block = 256usize;
-        // Channel-pinned stream (worst case: every request on channel 0).
-        let addrs = stride_stream(geom, 32, 4096);
-        // Drive the blocks by hand to observe the invariant mid-stream.
-        for chunk in addrs.chunks(block) {
-            hbm.run_open_loop_streaming(chunk.iter().copied(), window, block);
-        }
-        // After every partial drain each channel holds < window requests.
-        assert_eq!(hbm.stats().requests, 4096);
-    }
-
-    #[test]
     fn block_bank_hash_matches_scalar() {
         for geom in [
             Geometry::hbm2_8gb(),
@@ -574,7 +505,7 @@ mod tests {
                 })
                 .collect();
             let expected: Vec<DecodedAddr> = addrs.iter().map(|&a| bank_hashed(geom, a)).collect();
-            bank_hashed_block(geom, &mut addrs);
+            Hbm::new(geom, Timing::hbm2()).effective_block(&mut addrs);
             assert_eq!(addrs, expected);
         }
     }

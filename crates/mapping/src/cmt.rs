@@ -480,7 +480,15 @@ impl Cmt {
     /// superseded mapping.
     #[inline]
     pub fn translate_cached(&self, pa: PhysAddr, cache: &mut CmtLookupCache) -> HardwareAddr {
-        let chunk = pa.chunk_number(self.chunk_bits);
+        let amu = self.memo_amu(pa.chunk_number(self.chunk_bits), cache);
+        HardwareAddr(amu.apply(pa.0))
+    }
+
+    /// The AMU of `chunk`, looked up through the per-stream memo: a hit
+    /// when the memo holds this chunk from the current epoch, otherwise a
+    /// CMT read that refills the memo.
+    #[inline]
+    fn memo_amu(&self, chunk: u64, cache: &mut CmtLookupCache) -> &Amu {
         let id = match cache.entry {
             Some((c, id)) if c == chunk && cache.epoch == self.epoch => {
                 cache.hits += 1;
@@ -494,10 +502,9 @@ impl Cmt {
                 id
             }
         };
-        let amu = self.amus[id as usize]
+        self.amus[id as usize]
             .as_ref()
-            .unwrap_or(&self.fallback_amu);
-        HardwareAddr(amu.apply(pa.0))
+            .unwrap_or(&self.fallback_amu)
     }
 
     /// Translates a block of raw physical addresses in place, through
@@ -522,23 +529,8 @@ impl Cmt {
             while j < addrs.len() && PhysAddr(addrs[j]).chunk_number(self.chunk_bits) == chunk {
                 j += 1;
             }
-            let id = match cache.entry {
-                Some((c, id)) if c == chunk && cache.epoch == self.epoch => {
-                    cache.hits += 1;
-                    id
-                }
-                _ => {
-                    let id = self.chunk_index[chunk as usize];
-                    cache.entry = Some((chunk, id));
-                    cache.epoch = self.epoch;
-                    cache.misses += 1;
-                    id
-                }
-            };
+            let amu = self.memo_amu(chunk, cache);
             cache.hits += (j - i - 1) as u64;
-            let amu = self.amus[id as usize]
-                .as_ref()
-                .unwrap_or(&self.fallback_amu);
             amu.apply_block(&mut addrs[i..j]);
             i = j;
         }

@@ -396,7 +396,8 @@ impl Machine {
             // constant (paper §5.3: 6 ns, negligible next to >130 ns of
             // HBM). Global mappings are combinational.
             let issue = clocks[core] + lookup;
-            let completion = hbm.service_rw(ha, a.is_write, issue);
+            let (completion, _) =
+                hbm.service_effective_rw(hbm.effective_addr(ha), a.is_write, issue);
             outstanding[core].push_back(completion);
             clocks[core] += 1; // issue slot
         }
@@ -572,7 +573,7 @@ impl Machine {
                 let issue = clocks[c] + lookup;
                 let decoded = stage.decoded[c][i];
                 let (completion, outcome) =
-                    hbm.service_effective_rw_outcome(decoded, stage.writes[c][i], issue);
+                    hbm.service_effective_rw(decoded, stage.writes[c][i], issue);
                 // Phase B wrote the translated addresses into `stage.pas`.
                 hook.on_served(stage.pas[c][i], decoded.channel, outcome);
                 outstanding[c].push_back(completion);
@@ -684,7 +685,7 @@ impl BlockHook for Adaptive<'_> {
             let reqs = migration_requests_for(cmt, self.geometry, plan);
             for &(d, w) in &reqs {
                 let eff = hbm.effective_addr(d);
-                let (done, o) = hbm.service_effective_rw_outcome(eff, w, before);
+                let (done, o) = hbm.service_effective_rw(eff, w, before);
                 self.ctl.note_migration_outcome(o);
                 last = last.max(done);
             }

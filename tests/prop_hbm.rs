@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{Geometry, HardwareAddr, Hbm, Timing};
+use sdam_hbm::{DrainScratch, Geometry, HardwareAddr, Hbm, Timing};
 use sdam_sys::cache::{Cache, CacheConfig, CacheOutcome};
 
 fn line_addrs(n: usize) -> impl Strategy<Value = Vec<u64>> {
@@ -118,10 +118,10 @@ proptest! {
         for (i, &a) in addrs.iter().enumerate() {
             let d = geom.decode(HardwareAddr(a));
             let is_write = i % 3 == 0;
-            fast.push_rw(d, is_write, 0);
-            reference.push_rw(d, is_write, 0);
+            fast.push(d, is_write, 0);
+            reference.push(d, is_write, 0);
         }
-        let m_fast = fast.drain(window, &timing);
+        let m_fast = fast.drain(window, &timing, &mut DrainScratch::default());
         let m_ref = reference.drain_reference(window, &timing);
         prop_assert_eq!(m_fast, m_ref, "makespan diverged at window {}", window);
         prop_assert_eq!(fast.stats(), reference.stats());
