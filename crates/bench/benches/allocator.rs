@@ -2,7 +2,7 @@
 //! chunk-group page allocation, and the demand-paging fault path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sdam::SdamSystem;
+use sdam::{ProcessId, SdamSystem};
 use sdam_hbm::Geometry;
 use sdam_mapping::MappingId;
 use sdam_mem::heap::MultiHeapMalloc;
@@ -50,9 +50,10 @@ fn bench_fault_path(c: &mut Criterion) {
             let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
             let perm = sys.permutation_for_stride(16);
             let id = sys.add_mapping(&perm).unwrap();
-            let va = sys.malloc(512 * 4096, Some(id)).unwrap();
+            let pid = ProcessId(0);
+            let va = sys.malloc_in(pid, 512 * 4096, Some(id)).unwrap();
             for i in 0..512u64 {
-                black_box(sys.touch(VirtAddr(va.raw() + i * 4096)).unwrap());
+                black_box(sys.touch_in(pid, VirtAddr(va.raw() + i * 4096)).unwrap());
             }
             black_box(sys.page_faults())
         })

@@ -23,8 +23,12 @@
 //!
 //! 1. [`system::SdamSystem`] — the "OS + hardware" object a program
 //!    talks to: `add_mapping()` (the paper's `add_addr_map()`),
-//!    mapping-aware allocation, demand paging, CMT maintenance, and
-//!    address translation all the way to memory coordinates.
+//!    mapping-aware allocation (`malloc_in`, and guard-isolated
+//!    `malloc_sensitive_in`), demand paging, CMT maintenance, and
+//!    address translation all the way to memory coordinates. Every
+//!    per-process operation names its [`ProcessId`]; the system starts
+//!    with the primordial `ProcessId(0)`, and the CMT alone decides
+//!    which mapping ids are registered.
 //! 2. [`pipeline`] — the evaluation harness: profile a workload,
 //!    select mappings under one of the paper's six
 //!    [`SystemConfig`]urations, allocate, execute on the machine

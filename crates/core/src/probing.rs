@@ -25,7 +25,7 @@ use sdam_mem::VirtAddr;
 use sdam_probe::{Agent, FunctionReport, RecoveryError, RecoveryReport, TargetFactory};
 use sdam_sys::{EngineTarget, MappingEngine};
 
-use crate::system::SdamSystem;
+use crate::system::{ProcessId, SdamSystem};
 
 /// Committed probe-count ceiling for a bank-fold recovery (CI guard;
 /// measured ≈ 131 on `hbm2_8gb`).
@@ -210,12 +210,13 @@ pub fn sdam_probe_region(
     // base is found by walking until the next faulted PA is
     // size-aligned. Over-allocate by one region so the walk always has
     // a full window left once it gets there.
+    let pid = ProcessId(0);
     let va = sys
-        .malloc(2 * size, Some(id))
+        .malloc_in(pid, 2 * size, Some(id))
         .map_err(|e| ProbingError::Setup(format!("malloc: {e}")))?;
     let page = sys.page_bytes();
     let mut touch = |addr: u64| {
-        sys.touch(VirtAddr(addr))
+        sys.touch_in(pid, VirtAddr(addr))
             .map(|pa| pa.0)
             .map_err(|e| ProbingError::Setup(format!("touch of {addr:#x}: {e}")))
     };

@@ -20,28 +20,6 @@ use sdam_obs::{EventRing, Registry, DEFAULT_RING_CAPACITY};
 use crate::error::SdamError;
 use crate::metrics::OBS_ENABLED;
 
-/// The software-defined-address-mapping system.
-///
-/// # Example
-///
-/// ```
-/// use sdam::SdamSystem;
-/// use sdam_hbm::Geometry;
-/// use sdam_mapping::select;
-///
-/// let geom = Geometry::hbm2_8gb();
-/// let mut sys = SdamSystem::try_new(geom, 21)?;
-///
-/// // Register a mapping tuned for a stride-16 structure.
-/// let perm = sys.permutation_for_stride(16);
-/// let id = sys.add_mapping(&perm)?;
-///
-/// // Allocate the structure under that mapping and touch it.
-/// let va = sys.malloc(1 << 20, Some(id))?;
-/// let coords = sys.access(va)?;
-/// assert!(coords.channel < geom.num_channels() as u64);
-/// # Ok::<(), sdam::SdamError>(())
-/// ```
 /// Identifies a process sharing the system's physical memory and CMT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub u32);
@@ -72,7 +50,30 @@ struct RetiredCounters {
 
 /// The software-defined-address-mapping system: shared physical
 /// memory, chunk groups, and CMT, plus one or more processes each with
-/// its own address space and mapping-aware heap allocator.
+/// its own address space and mapping-aware heap allocator. Every
+/// per-process operation names its [`ProcessId`]; the primordial
+/// process is `ProcessId(0)`.
+///
+/// # Example
+///
+/// ```
+/// use sdam::{ProcessId, SdamSystem};
+/// use sdam_hbm::Geometry;
+///
+/// let geom = Geometry::hbm2_8gb();
+/// let mut sys = SdamSystem::try_new(geom, 21)?;
+/// let pid = ProcessId(0);
+///
+/// // Register a mapping tuned for a stride-16 structure.
+/// let perm = sys.permutation_for_stride(16);
+/// let id = sys.add_mapping(&perm)?;
+///
+/// // Allocate the structure under that mapping and touch it.
+/// let va = sys.malloc_in(pid, 1 << 20, Some(id))?;
+/// let coords = sys.access_in(pid, va)?;
+/// assert!(coords.channel < geom.num_channels() as u64);
+/// # Ok::<(), sdam::SdamError>(())
+/// ```
 #[derive(Debug)]
 pub struct SdamSystem {
     geometry: Geometry,
@@ -85,10 +86,6 @@ pub struct SdamSystem {
     free_pids: Vec<u32>,
     cmt: Cmt,
     page_bits: u32,
-    /// Global membership mask of registered mapping ids, indexed by id
-    /// (the default mapping is always set). Processes register an id in
-    /// their own malloc lazily, on first use.
-    registered: [bool; MAX_MAPPINGS],
     /// Per-mapping user lists, indexed by id: the pids, ascending, that
     /// have registered the id. `pid ∈ users[id]` exactly when the
     /// process is live, `id` is not the default mapping, and its malloc
@@ -105,7 +102,9 @@ pub struct SdamSystem {
 
 impl SdamSystem {
     /// Builds a system over `geometry` with `2^chunk_bits`-byte chunks
-    /// and 4 KB pages.
+    /// and 4 KB pages. The system starts with one live process, the
+    /// primordial `ProcessId(0)`; [`SdamSystem::spawn_process`] adds
+    /// more.
     ///
     /// # Errors
     ///
@@ -132,7 +131,6 @@ impl SdamSystem {
             free_pids: Vec::new(),
             cmt,
             page_bits,
-            registered: std::array::from_fn(|id| id == usize::from(MappingId::DEFAULT.0)),
             users: vec![Vec::new(); MAX_MAPPINGS],
             retired: RetiredCounters::default(),
             events: EventRing::with_capacity(if OBS_ENABLED {
@@ -292,7 +290,6 @@ impl SdamSystem {
             .allocate_id()
             .map_err(|_| SdamError::Mem(MemError::MappingIdsExhausted))?;
         self.cmt.try_register(id, perm)?;
-        self.registered[id.0 as usize] = true;
         Ok(id)
     }
 
@@ -313,7 +310,7 @@ impl SdamSystem {
     /// [`SdamSystem::exit_process`] does both for a whole tenant).
     pub fn remove_mapping(&mut self, id: MappingId) -> Result<(), MemError> {
         let slot = id.0 as usize;
-        if id == MappingId::DEFAULT || !self.registered[slot] {
+        if id == MappingId::DEFAULT || !self.is_registered(id) {
             return Err(MemError::UnknownMapping(id));
         }
         // Pre-check every user before mutating any, so a failure leaves
@@ -350,7 +347,6 @@ impl SdamSystem {
             sdam_mapping::CmtError::MappingInUse { id, .. } => MemError::MappingInUse(id),
             _ => MemError::UnknownMapping(id),
         })?;
-        self.registered[slot] = false;
         // Retire the users' empty heaps; the pre-check above guarantees
         // each of them holds no live bytes under `id`.
         for pid in self.users[slot].drain(..) {
@@ -365,14 +361,10 @@ impl SdamSystem {
         Ok(())
     }
 
-    /// Allocates `size` bytes under `mapping` (default mapping when
-    /// `None`), wiring any newly created heap to a VMA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator errors ([`MemError`]).
-    pub fn malloc(&mut self, size: u64, mapping: Option<MappingId>) -> Result<VirtAddr, MemError> {
-        self.malloc_in(ProcessId(0), size, mapping)
+    /// Whether `id` is registered in the CMT — the single registration
+    /// authority (the default mapping always is).
+    fn is_registered(&self, id: MappingId) -> bool {
+        self.cmt.registered_ids_slice().binary_search(&id).is_ok()
     }
 
     /// Looks up a process, rejecting pids this system never handed out
@@ -390,16 +382,14 @@ impl SdamSystem {
         pid: ProcessId,
         mapping: Option<MappingId>,
     ) -> Result<&mut Process, MemError> {
+        let joins = mapping.filter(|&id| id != MappingId::DEFAULT && self.is_registered(id));
         let p = self
             .processes
             .get_mut(pid.0 as usize)
             .and_then(Option::as_mut)
             .ok_or(MemError::UnknownProcess { pid: pid.0 })?;
-        if let Some(id) = mapping {
-            if id != MappingId::DEFAULT
-                && self.registered[id.0 as usize]
-                && !p.malloc.is_registered(id)
-            {
+        if let Some(id) = joins {
+            if !p.malloc.is_registered(id) {
                 p.malloc.register_external(id);
                 let users = &mut self.users[id.0 as usize];
                 if let Err(at) = users.binary_search(&pid.0) {
@@ -410,24 +400,61 @@ impl SdamSystem {
         Ok(p)
     }
 
-    /// [`SdamSystem::malloc`] in a specific process.
+    /// Allocates `size` bytes in process `pid` under `mapping` (default
+    /// mapping when `None`), wiring any newly created heap to a VMA.
     ///
     /// # Errors
     ///
-    /// As [`SdamSystem::malloc`], plus [`MemError::UnknownProcess`] for
-    /// a pid this system never returned.
+    /// Propagates allocator errors ([`MemError`]), plus
+    /// [`MemError::UnknownProcess`] for a pid this system never
+    /// returned or whose process has exited.
     pub fn malloc_in(
         &mut self,
         pid: ProcessId,
         size: u64,
         mapping: Option<MappingId>,
     ) -> Result<VirtAddr, MemError> {
+        self.malloc_with(pid, size, mapping, false)
+    }
+
+    /// Allocates guard-isolated (rowhammer-sensitive) memory in process
+    /// `pid`: the chunks backing it get free guard chunks on both
+    /// physical sides, so no other security domain can hammer adjacent
+    /// rows — the paper's §4 extension, end to end.
+    ///
+    /// # Errors
+    ///
+    /// As [`SdamSystem::malloc_in`], plus
+    /// [`MemError::OutOfPhysicalMemory`] when no isolated chunk exists.
+    pub fn malloc_sensitive_in(
+        &mut self,
+        pid: ProcessId,
+        size: u64,
+        mapping: Option<MappingId>,
+    ) -> Result<VirtAddr, MemError> {
+        self.malloc_with(pid, size, mapping, true)
+    }
+
+    /// The body of [`SdamSystem::malloc_in`] and
+    /// [`SdamSystem::malloc_sensitive_in`]: allocate, then map every
+    /// heap the allocation created with its sensitivity.
+    fn malloc_with(
+        &mut self,
+        pid: ProcessId,
+        size: u64,
+        mapping: Option<MappingId>,
+        sensitive: bool,
+    ) -> Result<VirtAddr, MemError> {
         let p = self.process_using(pid, mapping)?;
-        let va = p.malloc.malloc(size, mapping)?;
+        let va = if sensitive {
+            p.malloc.malloc_sensitive(size, mapping)?
+        } else {
+            p.malloc.malloc(size, mapping)?
+        };
         let regions = p.malloc.drain_new_heaps();
         for region in &regions {
             p.aspace
-                .mmap_fixed(region.start, region.len, region.mapping)?;
+                .mmap_fixed_with(region.start, region.len, region.mapping, region.sensitive)?;
         }
         self.trace_heap_growth(pid, &regions);
         Ok(va)
@@ -452,42 +479,13 @@ impl SdamSystem {
         }
     }
 
-    /// Allocates guard-isolated (rowhammer-sensitive) memory: the
-    /// chunks backing it get free guard chunks on both physical sides,
-    /// so no other security domain can hammer adjacent rows — the
-    /// paper's §4 extension, end to end.
-    ///
-    /// # Errors
-    ///
-    /// As [`SdamSystem::malloc`], plus
-    /// [`MemError::OutOfPhysicalMemory`] when no isolated chunk exists.
-    pub fn malloc_sensitive(
-        &mut self,
-        size: u64,
-        mapping: Option<MappingId>,
-    ) -> Result<VirtAddr, MemError> {
-        let p = self.process_using(ProcessId(0), mapping)?;
-        let va = p.malloc.malloc_sensitive(size, mapping)?;
-        let regions = p.malloc.drain_new_heaps();
-        for region in &regions {
-            p.aspace
-                .mmap_fixed_with(region.start, region.len, region.mapping, region.sensitive)?;
-        }
-        self.trace_heap_growth(ProcessId(0), &regions);
-        Ok(va)
-    }
-
-    /// Number of chunks currently reserved as rowhammer guards.
-    pub fn guard_chunks(&self) -> u64 {
-        self.phys.guard_chunk_count()
-    }
-
-    /// Migrates an allocation to a different address mapping — the
-    /// dynamic-adaptation path the paper sketches ("reconfigure free
-    /// memory into the desired mapping", §4). Because a chunk's PA→HA
-    /// function changes, the data must physically move: the allocation
-    /// is reallocated under `new_mapping` and every resident page is
-    /// copied (modeled as a fault of the destination page).
+    /// Migrates an allocation of process `pid` to a different address
+    /// mapping — the dynamic-adaptation path the paper sketches
+    /// ("reconfigure free memory into the desired mapping", §4).
+    /// Because a chunk's PA→HA function changes, the data must
+    /// physically move: the allocation is reallocated under
+    /// `new_mapping` and every resident page is copied (modeled as a
+    /// fault of the destination page).
     ///
     /// Returns the new virtual address and the number of pages moved —
     /// the cost a runtime would weigh against the expected CLP gain.
@@ -529,34 +527,14 @@ impl SdamSystem {
         Ok((new_va, moved))
     }
 
-    /// [`SdamSystem::remap_in`] for the primordial process.
+    /// Frees an allocation made in process `pid` with
+    /// [`SdamSystem::malloc_in`] or [`SdamSystem::malloc_sensitive_in`].
     ///
     /// # Errors
     ///
-    /// As [`SdamSystem::remap_in`].
-    pub fn remap(
-        &mut self,
-        va: VirtAddr,
-        new_mapping: MappingId,
-    ) -> Result<(VirtAddr, u64), MemError> {
-        self.remap_in(ProcessId(0), va, new_mapping)
-    }
-
-    /// Frees an allocation made with [`SdamSystem::malloc`].
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::BadFree`] for invalid pointers.
-    pub fn free(&mut self, va: VirtAddr) -> Result<(), MemError> {
-        self.free_in(ProcessId(0), va)
-    }
-
-    /// [`SdamSystem::free`] in a specific process.
-    ///
-    /// # Errors
-    ///
-    /// As [`SdamSystem::free`], plus [`MemError::UnknownProcess`] for a
-    /// pid this system never returned.
+    /// [`MemError::BadFree`] for invalid pointers, plus
+    /// [`MemError::UnknownProcess`] for a pid this system never
+    /// returned.
     pub fn free_in(&mut self, pid: ProcessId, va: VirtAddr) -> Result<(), MemError> {
         self.process_mut(pid)?.malloc.free(va)
     }
@@ -576,7 +554,7 @@ impl SdamSystem {
         len: u64,
         mapping: MappingId,
     ) -> Result<VirtAddr, MemError> {
-        if !self.registered[mapping.0 as usize] {
+        if !self.is_registered(mapping) {
             return Err(MemError::UnknownMapping(mapping));
         }
         self.process_using(pid, Some(mapping))?
@@ -599,23 +577,16 @@ impl SdamSystem {
         self.sync_cmt(pid)
     }
 
-    /// Translates a virtual address to a physical address, demand-paging
-    /// on first touch and forwarding chunk events to the CMT.
+    /// Translates a virtual address of process `pid` to a physical
+    /// address, demand-paging on first touch and forwarding chunk
+    /// events to the CMT.
     ///
     /// # Errors
     ///
     /// [`MemError::BadAddress`] outside any allocation,
-    /// [`MemError::OutOfPhysicalMemory`] when memory is exhausted.
-    pub fn touch(&mut self, va: VirtAddr) -> Result<PhysAddr, MemError> {
-        self.touch_in(ProcessId(0), va)
-    }
-
-    /// [`SdamSystem::touch`] in a specific process.
-    ///
-    /// # Errors
-    ///
-    /// As [`SdamSystem::touch`], plus [`MemError::UnknownProcess`] for
-    /// a pid this system never returned.
+    /// [`MemError::OutOfPhysicalMemory`] when memory is exhausted, plus
+    /// [`MemError::UnknownProcess`] for a pid this system never
+    /// returned.
     pub fn touch_in(&mut self, pid: ProcessId, va: VirtAddr) -> Result<PhysAddr, MemError> {
         let Some(Some(p)) = self.processes.get_mut(pid.0 as usize) else {
             return Err(MemError::UnknownProcess { pid: pid.0 });
@@ -662,29 +633,15 @@ impl SdamSystem {
         Ok(())
     }
 
-    /// Full translation: VA → PA → HA → device coordinates.
+    /// Full translation of a virtual address of process `pid`:
+    /// VA → PA → HA → device coordinates.
     ///
     /// # Errors
     ///
-    /// As [`SdamSystem::touch`].
-    pub fn access(&mut self, va: VirtAddr) -> Result<DecodedAddr, MemError> {
-        let pa = self.touch(va)?;
-        Ok(self.geometry.decode(self.cmt.translate(pa)))
-    }
-
-    /// [`SdamSystem::access`] in a specific process.
-    ///
-    /// # Errors
-    ///
-    /// As [`SdamSystem::access`].
+    /// As [`SdamSystem::touch_in`].
     pub fn access_in(&mut self, pid: ProcessId, va: VirtAddr) -> Result<DecodedAddr, MemError> {
         let pa = self.touch_in(pid, va)?;
         Ok(self.geometry.decode(self.cmt.translate(pa)))
-    }
-
-    /// The mapping id of the allocation containing `va`.
-    pub fn mapping_of(&self, va: VirtAddr) -> Option<MappingId> {
-        self.processes[0].as_ref()?.malloc.mapping_of(va)
     }
 
     /// Demand-paging fault count so far (live processes plus every
@@ -699,14 +656,9 @@ impl SdamSystem {
                 .sum::<u64>()
     }
 
-    /// Internal fragmentation in stranded pages (paper §4's bound).
-    pub fn fragmentation_pages(&self) -> u64 {
-        self.phys.internal_fragmentation_pages()
-    }
-
     /// Fragmentation read straight off the flat allocator columns:
-    /// free-list length, longest contiguous free run, guard count,
-    /// stranded pages.
+    /// free-list length, longest contiguous free run, guard count, and
+    /// stranded pages (internal fragmentation, paper §4's bound).
     pub fn fragmentation_stats(&self) -> sdam_mem::phys::FragmentationStats {
         self.phys.fragmentation_stats()
     }
@@ -764,6 +716,8 @@ impl SdamSystem {
 mod tests {
     use super::*;
 
+    const P0: ProcessId = ProcessId(0);
+
     fn swap_perm(sys: &SdamSystem, a: usize, b: usize) -> BitPermutation {
         let n = (sys.cmt.chunk_bits() - 6) as usize;
         let mut t: Vec<u32> = (0..n as u32).collect();
@@ -806,12 +760,15 @@ mod tests {
     fn end_to_end_allocation_and_translation() {
         let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 8)).unwrap();
-        let va = sys.malloc(8192, Some(id)).unwrap();
-        let pa = sys.touch(va).unwrap();
+        let va = sys.malloc_in(P0, 8192, Some(id)).unwrap();
+        let pa = sys.touch_in(P0, va).unwrap();
         // The frame's chunk is registered to the new mapping in the CMT.
         assert_eq!(sys.cmt().chunk_mapping(pa.chunk_number(21)), id);
         // Translation is consistent when repeated.
-        assert_eq!(sys.access(va).unwrap(), sys.access(va).unwrap());
+        assert_eq!(
+            sys.access_in(P0, va).unwrap(),
+            sys.access_in(P0, va).unwrap()
+        );
         assert_eq!(sys.page_faults(), 1);
     }
 
@@ -819,10 +776,10 @@ mod tests {
     fn default_and_custom_mappings_coexist() {
         let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 1)).unwrap();
-        let v_default = sys.malloc(4096, None).unwrap();
-        let v_custom = sys.malloc(4096, Some(id)).unwrap();
-        let pa_d = sys.touch(v_default).unwrap();
-        let pa_c = sys.touch(v_custom).unwrap();
+        let v_default = sys.malloc_in(P0, 4096, None).unwrap();
+        let v_custom = sys.malloc_in(P0, 4096, Some(id)).unwrap();
+        let pa_d = sys.touch_in(P0, v_default).unwrap();
+        let pa_c = sys.touch_in(P0, v_custom).unwrap();
         assert_ne!(pa_d.chunk_number(21), pa_c.chunk_number(21));
         assert_eq!(
             sys.cmt().chunk_mapping(pa_d.chunk_number(21)),
@@ -837,10 +794,12 @@ mod tests {
         let stride = 32u64; // pins one channel under the default
         let perm = sys.permutation_for_stride(stride);
         let id = sys.add_mapping(&perm).unwrap();
-        let va = sys.malloc(2 << 20, Some(id)).unwrap();
+        let va = sys.malloc_in(P0, 2 << 20, Some(id)).unwrap();
         let mut channels = std::collections::HashSet::new();
         for i in 0..64u64 {
-            let coords = sys.access(VirtAddr(va.raw() + i * stride * 64)).unwrap();
+            let coords = sys
+                .access_in(P0, VirtAddr(va.raw() + i * stride * 64))
+                .unwrap();
             channels.insert(coords.channel);
         }
         assert!(
@@ -853,10 +812,10 @@ mod tests {
     #[test]
     fn free_and_realloc() {
         let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
-        let va = sys.malloc(4096, None).unwrap();
-        sys.free(va).unwrap();
-        assert!(sys.free(va).is_err());
-        let vb = sys.malloc(4096, None).unwrap();
+        let va = sys.malloc_in(P0, 4096, None).unwrap();
+        sys.free_in(P0, va).unwrap();
+        assert!(sys.free_in(P0, va).is_err());
+        let vb = sys.malloc_in(P0, 4096, None).unwrap();
         assert_eq!(va, vb, "allocation reused");
     }
 
@@ -869,13 +828,13 @@ mod tests {
 
         // Same-sized allocations in both processes land at the same VA
         // (fresh address spaces)...
-        let va0 = sys.malloc_in(super::ProcessId(0), 4096, Some(id)).unwrap();
+        let va0 = sys.malloc_in(P0, 4096, Some(id)).unwrap();
         let va1 = sys.malloc_in(p1, 4096, Some(id)).unwrap();
         assert_eq!(va0, va1, "independent address spaces start alike");
 
         // ...but back distinct frames, drawn from the SAME chunk group
         // (paper §4: chunks hold data "from one or more processes").
-        let pa0 = sys.touch_in(super::ProcessId(0), va0).unwrap();
+        let pa0 = sys.touch_in(P0, va0).unwrap();
         let pa1 = sys.touch_in(p1, va1).unwrap();
         assert_ne!(pa0, pa1, "frames are distinct");
         assert_eq!(
@@ -902,38 +861,55 @@ mod tests {
         let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let m1 = sys.add_mapping(&swap_perm(&sys, 0, 1)).unwrap();
         let m2 = sys.add_mapping(&swap_perm(&sys, 0, 8)).unwrap();
-        let va = sys.malloc(8 * 4096, Some(m1)).unwrap();
+        let va = sys.malloc_in(P0, 8 * 4096, Some(m1)).unwrap();
         // Touch 3 of 8 pages.
         for p in [0u64, 3, 7] {
-            sys.touch(VirtAddr(va.raw() + p * 4096)).unwrap();
+            sys.touch_in(P0, VirtAddr(va.raw() + p * 4096)).unwrap();
         }
-        let (new_va, moved) = sys.remap(va, m2).unwrap();
+        let (new_va, moved) = sys.remap_in(P0, va, m2).unwrap();
         assert_eq!(moved, 3, "only resident pages are copied");
         assert_ne!(new_va, va);
         // The new allocation lives in m2's chunk group.
-        let pa = sys.touch(new_va).unwrap();
+        let pa = sys.touch_in(P0, new_va).unwrap();
         assert_eq!(sys.cmt().chunk_mapping(pa.chunk_number(21)), m2);
         // The old allocation is gone.
-        assert!(sys.free(va).is_err());
+        assert!(sys.free_in(P0, va).is_err());
         // Remapping an invalid pointer errors.
-        assert!(sys.remap(VirtAddr(12), m1).is_err());
+        assert!(sys.remap_in(P0, VirtAddr(12), m1).is_err());
     }
 
     #[test]
     fn sensitive_allocation_is_guard_isolated_end_to_end() {
-        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
-        let secret = sys.malloc_sensitive(4096, None).unwrap();
-        let pa = sys.touch(secret).unwrap();
-        let chunk = pa.chunk_number(21);
-        assert!(sys.guard_chunks() > 0);
-        // An ordinary allocation can never land in the adjacent chunks.
-        for _ in 0..64 {
-            let va = sys.malloc(2 << 20, None).unwrap();
-            let pa2 = sys.touch(va).unwrap();
+        for spawned in [false, true] {
+            let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
+            let pid = if spawned { sys.spawn_process() } else { P0 };
+            let neighbour = sys.spawn_process();
+            // An ordinary page first takes the lowest chunk, so the
+            // sensitive chunk has a physical neighbour on each side.
+            let first = sys.malloc_in(neighbour, 4096, None).unwrap();
+            let first_chunk = sys.touch_in(neighbour, first).unwrap().chunk_number(21);
+            let secret = sys.malloc_sensitive_in(pid, 4096, None).unwrap();
+            let chunk = sys.touch_in(pid, secret).unwrap().chunk_number(21);
             assert!(
-                pa2.chunk_number(21).abs_diff(chunk) != 1,
-                "neighbour chunk leaked"
+                chunk > first_chunk + 1,
+                "{pid}: chunk {chunk} has no guard below"
             );
+            assert!(
+                sys.phys.is_guard_chunk(chunk - 1) && sys.phys.is_guard_chunk(chunk + 1),
+                "{pid}: both physical neighbours are guards"
+            );
+            assert_eq!(sys.fragmentation_stats().guard_chunks, 2);
+            // No ordinary allocation, in the owner or another process,
+            // can ever land in the adjacent chunks.
+            for i in 0..64 {
+                let owner = if i % 2 == 0 { pid } else { neighbour };
+                let va = sys.malloc_in(owner, 2 << 20, None).unwrap();
+                let pa = sys.touch_in(owner, va).unwrap();
+                assert!(
+                    pa.chunk_number(21).abs_diff(chunk) != 1,
+                    "{pid}: neighbour chunk leaked to {owner}"
+                );
+            }
         }
     }
 
@@ -972,20 +948,20 @@ mod tests {
     fn remove_mapping_recycles_the_global_id() {
         let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&swap_perm(&sys, 0, 2)).unwrap();
-        let va = sys.malloc(4096, Some(id)).unwrap();
-        sys.touch(va).unwrap();
+        let va = sys.malloc_in(P0, 4096, Some(id)).unwrap();
+        sys.touch_in(P0, va).unwrap();
         // Live allocation blocks removal.
         assert_eq!(
             sys.remove_mapping(id).unwrap_err(),
             MemError::MappingInUse(id)
         );
-        sys.free(va).unwrap();
+        sys.free_in(P0, va).unwrap();
         // Freed but still resident: removal unmaps the empty heap and
         // drains the chunk group.
         sys.remove_mapping(id).unwrap();
         assert_eq!(sys.in_use_chunks(), 0);
         assert!(matches!(
-            sys.malloc(64, Some(id)),
+            sys.malloc_in(P0, 64, Some(id)),
             Err(MemError::UnknownMapping(_))
         ));
         // The id recycles for the next tenant's mapping.
@@ -1043,7 +1019,7 @@ mod tests {
         let region = sys.mmap_in(mmap_user, 16 * 4096, id).unwrap();
         sys.touch_in(mmap_user, region).unwrap();
         assert_eq!(sys.users[id.0 as usize], [heap_user.0, mmap_user.0]);
-        assert!(!registered_in(&sys, ProcessId(0), id), "pid0 never used it");
+        assert!(!registered_in(&sys, P0, id), "pid0 never used it");
         assert_invariants(&sys);
         assert!(sys.in_use_chunks() > 0);
 
@@ -1194,14 +1170,5 @@ mod tests {
         assert_eq!(sys.cmt().chunk_mapping(pa.chunk_number(21)), new);
         assert_eq!(sys.users[new.0 as usize], [pid.0]);
         assert_invariants(&sys);
-    }
-
-    #[test]
-    fn mapping_of_reports_heap_mapping() {
-        let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
-        let id = sys.add_mapping(&swap_perm(&sys, 2, 3)).unwrap();
-        let va = sys.malloc(128, Some(id)).unwrap();
-        assert_eq!(sys.mapping_of(va), Some(id));
-        assert_eq!(sys.mapping_of(VirtAddr(0)), None);
     }
 }

@@ -572,16 +572,11 @@ impl Cmt {
         self.ids_cache.len()
     }
 
-    /// The registered mapping ids, in ascending id order. Adaptive
-    /// controllers iterate this to score candidate mappings for a chunk.
-    /// Prefer [`Cmt::registered_ids_slice`] on hot paths — this clones.
-    pub fn registered_ids(&self) -> Vec<MappingId> {
-        self.ids_cache.clone()
-    }
-
     /// The registered mapping ids in ascending id order, as a borrowed
     /// slice — maintained incrementally on register/unregister, so
-    /// per-window scoring loops iterate candidates with zero allocation.
+    /// per-window scoring loops iterate candidates with zero allocation
+    /// and a membership test is a binary search. Adaptive controllers
+    /// iterate this to score candidate mappings for a chunk.
     #[inline]
     pub fn registered_ids_slice(&self) -> &[MappingId] {
         &self.ids_cache
@@ -1014,7 +1009,6 @@ mod tests {
             cmt.registered_ids_slice(),
             &[MappingId(0), MappingId(3), MappingId(9)]
         );
-        assert_eq!(cmt.registered_ids(), cmt.registered_ids_slice().to_vec());
         cmt.unregister(MappingId(3)).unwrap();
         assert_eq!(cmt.registered_ids_slice(), &[MappingId(0), MappingId(9)]);
         // Re-registration is idempotent on the cache.

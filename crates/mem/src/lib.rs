@@ -16,10 +16,7 @@
 //!   page-fault path that allocates frames from the right chunk group,
 //! * [`heap::MultiHeapMalloc`] — the glibc side: one heap per mapping
 //!   id (`add_addr_map()` + `malloc(size, id)`), page-aligned heaps so
-//!   a page never mixes mappings,
-//! * [`guard::GuardRowPolicy`] — the paper's sketched rowhammer
-//!   mitigation: guard rows around sensitive allocations (§4, future
-//!   work; included as an extension).
+//!   a page never mixes mappings.
 //!
 //! ## Example: one page, one mapping
 //!
@@ -51,7 +48,6 @@
 pub mod bitset;
 pub mod buddy;
 pub mod error;
-pub mod guard;
 pub mod heap;
 pub mod phys;
 pub mod vma;

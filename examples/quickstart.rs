@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sdam::{SdamError, SdamSystem};
+use sdam::{ProcessId, SdamError, SdamSystem};
 use sdam_hbm::Geometry;
 use sdam_mem::VirtAddr;
 
@@ -14,9 +14,11 @@ fn main() -> Result<(), SdamError> {
     let geom = Geometry::hbm2_8gb();
     let mut sys = SdamSystem::try_new(geom, 21)?;
     println!("device: {geom}");
+    // Every allocation names its process; pid 0 is the primordial one.
+    let pid = ProcessId(0);
 
     // A streaming buffer is happy with the boot-time default mapping.
-    let streaming = sys.malloc(1 << 20, None)?;
+    let streaming = sys.malloc_in(pid, 1 << 20, None)?;
 
     // A matrix walked column-wise strides 2 KB (32 lines) per access —
     // the worst case for the default mapping. Ask the system for a
@@ -24,7 +26,7 @@ fn main() -> Result<(), SdamError> {
     let stride_lines = 32;
     let perm = sys.permutation_for_stride(stride_lines);
     let id = sys.add_mapping(&perm)?;
-    let column_major = sys.malloc(1 << 20, Some(id))?;
+    let column_major = sys.malloc_in(pid, 1 << 20, Some(id))?;
     println!("registered mapping {id} for a stride-{stride_lines} structure");
 
     // Touch both structures with their natural patterns and count the
@@ -33,7 +35,7 @@ fn main() -> Result<(), SdamError> {
         let mut set = std::collections::HashSet::new();
         for i in 0..64u64 {
             let va = VirtAddr(base.raw() + i * stride * 64);
-            set.insert(sys.access(va).expect("mapped").channel);
+            set.insert(sys.access_in(pid, va).expect("mapped").channel);
         }
         set.len()
     };
@@ -48,7 +50,7 @@ fn main() -> Result<(), SdamError> {
     println!(
         "page faults: {}, internal fragmentation: {} pages",
         sys.page_faults(),
-        sys.fragmentation_pages()
+        sys.fragmentation_stats().stranded_pages
     );
     Ok(())
 }

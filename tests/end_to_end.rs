@@ -145,17 +145,19 @@ fn remap_pays_off_after_a_phase_change() {
     let mut sys = sdam::SdamSystem::try_new(sdam_hbm::Geometry::hbm2_8gb(), 21).unwrap();
     let stream_map = sys.add_mapping(&sys.permutation_for_stride(1)).unwrap();
     let column_map = sys.add_mapping(&sys.permutation_for_stride(32)).unwrap();
-    let va = sys.malloc(2 << 20, Some(stream_map)).unwrap();
+    let pid = sdam::ProcessId(0);
+    let va = sys.malloc_in(pid, 2 << 20, Some(stream_map)).unwrap();
     // Streaming phase touches everything.
     for off in (0..(2 << 20)).step_by(4096) {
-        sys.touch(sdam_mem::VirtAddr(va.raw() + off)).unwrap();
+        sys.touch_in(pid, sdam_mem::VirtAddr(va.raw() + off))
+            .unwrap();
     }
-    let (new_va, moved) = sys.remap(va, column_map).unwrap();
+    let (new_va, moved) = sys.remap_in(pid, va, column_map).unwrap();
     assert_eq!(moved, 512, "whole buffer was resident");
     // Column walk on the migrated buffer spreads across channels.
     let chans: std::collections::HashSet<u64> = (0..64u64)
         .map(|i| {
-            sys.access(sdam_mem::VirtAddr(new_va.raw() + i * 32 * 64))
+            sys.access_in(pid, sdam_mem::VirtAddr(new_va.raw() + i * 32 * 64))
                 .expect("mapped")
                 .channel
         })

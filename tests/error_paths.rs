@@ -5,12 +5,15 @@
 //! `unwrap()` or index its way into, and pins the exact error variant
 //! the workspace-level [`SdamError`] taxonomy assigns it.
 
-use sdam::{pipeline, Experiment, SdamError, SdamSystem, SystemConfig};
+use sdam::{pipeline, Experiment, ProcessId, SdamError, SdamSystem, SystemConfig};
 use sdam_hbm::Geometry;
 use sdam_mapping::{BitPermutation, Cmt, CmtError, MappingId};
 use sdam_mem::{MemError, VirtAddr};
 use sdam_sys::ConfigError;
 use sdam_workloads::datacopy::DataCopy;
+
+/// The primordial process every system starts with.
+const P0: ProcessId = ProcessId(0);
 
 /// A 16 KB device: 6 line + 2 col + 1 channel + 1 bank + 4 row = 14
 /// address bits, two 8 KB chunks — small enough to exhaust in a test.
@@ -24,9 +27,9 @@ fn out_of_physical_memory_is_an_error_not_a_panic() {
     // Demand-page allocations until the two 8 KB chunks are exhausted.
     let mut last = Ok(());
     'outer: for _ in 0..64 {
-        match sys.malloc(4096, None) {
+        match sys.malloc_in(P0, 4096, None) {
             Ok(va) => {
-                if let Err(e) = sys.touch(va) {
+                if let Err(e) = sys.touch_in(P0, va) {
                     last = Err(e);
                     break 'outer;
                 }
@@ -62,12 +65,12 @@ fn out_of_memory_reaches_the_pipeline_as_sdam_error() {
 fn zero_and_oversized_mallocs_are_rejected() {
     let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
     assert!(matches!(
-        sys.malloc(0, None),
+        sys.malloc_in(P0, 0, None),
         Err(MemError::InvalidSize { size: 0 })
     ));
     let huge = sdam_mem::MAX_ALLOC_BYTES + 1;
     assert!(matches!(
-        sys.malloc(huge, None),
+        sys.malloc_in(P0, huge, None),
         Err(MemError::InvalidSize { size }) if size == huge
     ));
 }
@@ -75,7 +78,7 @@ fn zero_and_oversized_mallocs_are_rejected() {
 #[test]
 fn unknown_mapping_is_rejected_at_allocation_time() {
     let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
-    let err = sys.malloc(4096, Some(MappingId(123)));
+    let err = sys.malloc_in(P0, 4096, Some(MappingId(123)));
     assert!(
         matches!(err, Err(MemError::UnknownMapping(MappingId(123)))),
         "expected UnknownMapping(123), got {err:?}"

@@ -4,13 +4,16 @@
 //! programs.
 
 use proptest::prelude::*;
-use sdam::SdamSystem;
+use sdam::{ProcessId, SdamSystem};
 use sdam_hbm::Geometry;
 use sdam_mem::VirtAddr;
 use sdam_ml::autoencoder::{LstmAutoencoder, MiniBatchItem, SeqSample};
 use sdam_ml::kmeans::{kmeans, KMeansConfig};
 use sdam_ml::linalg::Mat;
 use sdam_ml::TrainingConfig;
+
+/// The primordial process every system starts with.
+const P0: ProcessId = ProcessId(0);
 
 fn points(dim: usize, n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(-10.0f64..10.0, dim..=dim), 1..n)
@@ -224,10 +227,10 @@ proptest! {
                 1 => Some(m1),
                 _ => Some(m2),
             };
-            let va = sys.malloc(size, id).unwrap();
+            let va = sys.malloc_in(P0, size, id).unwrap();
             // Touch the first, middle, and last page of the allocation.
             for off in [0, size / 2, size - 1] {
-                let pa = sys.touch(VirtAddr(va.raw() + off)).unwrap();
+                let pa = sys.touch_in(P0, VirtAddr(va.raw() + off)).unwrap();
                 let chunk = pa.chunk_number(21);
                 let expect = id.unwrap_or(sdam_mapping::MappingId::DEFAULT);
                 prop_assert_eq!(sys.cmt().chunk_mapping(chunk), expect);
@@ -240,10 +243,10 @@ proptest! {
         // Repeated access to the same VA yields the same coordinates.
         let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
         let id = sys.add_mapping(&sys.permutation_for_stride(8)).unwrap();
-        let va = sys.malloc(1 << 16, Some(id)).unwrap();
-        let first = sys.access(va).unwrap();
+        let va = sys.malloc_in(P0, 1 << 16, Some(id)).unwrap();
+        let first = sys.access_in(P0, va).unwrap();
         for _ in 0..reps {
-            prop_assert_eq!(sys.access(va).unwrap(), first);
+            prop_assert_eq!(sys.access_in(P0, va).unwrap(), first);
         }
         prop_assert_eq!(sys.page_faults(), 1);
     }

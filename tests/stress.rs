@@ -60,12 +60,12 @@ fn randomized_system_stress() {
                     assert_eq!(sys.touch_in(pid, va).expect("still mapped"), pa);
                 }
             }
-            // Free (only process-0 allocations: `free` is pid-0 sugar;
-            // other processes' memory stays live).
+            // Free any tenant's live allocation in its own process.
             _ => {
-                if let Some(pos) = live.iter().position(|&(p, _, _)| p == ProcessId(0)) {
-                    let (_, va, _) = live.swap_remove(pos);
-                    sys.free(va).expect("live allocation frees");
+                if !live.is_empty() {
+                    let (pid, va, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                    sys.free_in(pid, va).expect("live allocation frees");
+                    assert!(sys.free_in(pid, va).is_err(), "double free rejected");
                 }
             }
         }
@@ -73,7 +73,7 @@ fn randomized_system_stress() {
     // End state is still coherent.
     assert!(sys.process_count() <= 6);
     assert!(sys.page_faults() > 0);
-    let frag = sys.fragmentation_pages();
+    let frag = sys.fragmentation_stats().stranded_pages;
     // Fragmentation is bounded by (mappings x sensitivity classes) chunks.
     assert!(
         frag <= mappings.len() as u64 * 2 * 512,
