@@ -86,6 +86,29 @@ fn unknown_mapping_is_rejected_at_allocation_time() {
 }
 
 #[test]
+fn failed_remap_frees_its_destination() {
+    let mut sys = SdamSystem::try_new(tiny_geometry(), 13).unwrap();
+    let m = sys
+        .try_add_mapping(&BitPermutation::identity(6, 7))
+        .unwrap();
+    // Four resident default-mapping pages fill both 8 KB chunks, so the
+    // remap's first page copy cannot find a chunk for `m`.
+    let va = sys.malloc_in(P0, 4 * 4096, None).unwrap();
+    for page in 0..4 {
+        sys.touch_in(P0, VirtAddr(va.raw() + page * 4096)).unwrap();
+    }
+    let err = sys.remap_in(P0, va, m);
+    assert!(
+        matches!(err, Err(MemError::OutOfPhysicalMemory)),
+        "expected OutOfPhysicalMemory, got {err:?}"
+    );
+    // The failed remap leaves the caller holding only `va`; once it is
+    // freed, nothing lives under `m` and the mapping can be removed.
+    sys.free_in(P0, va).unwrap();
+    assert_eq!(sys.remove_mapping(m), Ok(()));
+}
+
+#[test]
 fn mapping_ids_exhaust_with_a_typed_error() {
     let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
     let identity = BitPermutation::identity(6, 15);
