@@ -13,8 +13,7 @@ fn bench_malloc(c: &mut Criterion) {
     c.bench_function("malloc_free_1k_mixed_mappings", |b| {
         b.iter(|| {
             let mut m = MultiHeapMalloc::new(12);
-            let m1 = m.add_addr_map().unwrap();
-            let m2 = m.add_addr_map().unwrap();
+            let (m1, m2) = (MappingId(1), MappingId(2));
             let mut ptrs = Vec::with_capacity(1000);
             for i in 0..1000u64 {
                 let id = if i % 2 == 0 { m1 } else { m2 };

@@ -39,7 +39,15 @@ fn bench_dl_select(c: &mut Criterion) {
     let mut g = c.benchmark_group("dl_select");
     g.sample_size(10);
     g.bench_function("fast", |b| {
-        b.iter(|| black_box(cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training)))
+        b.iter(|| {
+            black_box(cluster_variables_dl(
+                &traces,
+                bits,
+                CLUSTERS,
+                &exp.training,
+                1,
+            ))
+        })
     });
     g.bench_function("reference", |b| {
         b.iter(|| {
@@ -60,11 +68,11 @@ fn record_ml_times() {
     let (traces, exp) = bench_traces();
     let bits = exp.geometry.addr_bits();
 
-    let fast = cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training);
+    let fast = cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training, 1);
     let reference = cluster_variables_dl_reference(&traces, bits, CLUSTERS, &exp.training);
     let runs = sdam_bench::bench_samples(9);
     let fast_ms = sdam_bench::median_ms(runs, || {
-        cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training)
+        cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training, 1)
     });
     let ref_ms = sdam_bench::median_ms(runs, || {
         cluster_variables_dl_reference(&traces, bits, CLUSTERS, &exp.training)

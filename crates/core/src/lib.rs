@@ -60,7 +60,6 @@
 pub mod config;
 pub mod error;
 pub mod metrics;
-pub mod par;
 pub mod pipeline;
 pub mod probing;
 pub mod profiling;

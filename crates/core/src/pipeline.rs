@@ -10,13 +10,13 @@
 
 use std::time::Instant;
 
+use sdam_ml::par::par_map_indexed;
 use sdam_sys::Machine;
 use sdam_trace::VariableId;
 use sdam_workloads::Workload;
 
 use crate::config::{Experiment, SystemConfig};
 use crate::error::SdamError;
-use crate::par::par_map_indexed;
 use crate::profiling::{self, ProfileData};
 use crate::report::{Comparison, PhaseTimes, RunResult};
 use crate::stage::{

@@ -346,7 +346,7 @@ fn select_impl(
                     .iter()
                     .map(|v| data.pa_streams[v].clone())
                     .collect();
-                sdam_ml::dlkmeans::cluster_variables_dl_threaded(
+                sdam_ml::dlkmeans::cluster_variables_dl(
                     &traces,
                     exp.geometry.addr_bits(),
                     clusters,

@@ -1,9 +1,11 @@
 //! The mapping-aware multi-heap `malloc` (the paper's glibc side).
 //!
 //! The paper extends glibc so that each heap is associated with one
-//! address mapping (§6.1, Fig. 8): `add_addr_map()` registers a mapping
-//! and returns its id; `malloc(size, id)` allocates from a heap of that
-//! mapping, creating a new heap when none has room. Heaps are
+//! address mapping (§6.1, Fig. 8): `malloc(size, id)` allocates from a
+//! heap of that mapping, creating a new heap when none has room. The
+//! ids themselves come from `add_addr_map()`, which registers a mapping
+//! in the CMT shared by every process; this allocator only keys its
+//! heaps by id and keeps no registry of its own. Heaps are
 //! page-aligned and allocate/free independently, so *every page contains
 //! data of exactly one mapping* — the property that lets the kernel back
 //! each heap with chunks of a single chunk group.
@@ -18,8 +20,8 @@
 //! The heap-for-address lookup is a binary search over the (monotonic)
 //! region starts, and each heap carries an upper bound on its largest
 //! free block so full heaps are skipped without touching their free
-//! lists. Mapping ids recycle through a free list under the 256-entry
-//! limit, mirroring the CMT's recycling rule.
+//! lists. [`MultiHeapMalloc::retire_mapping`] retires an id's empty
+//! heaps, so an id the CMT recycles starts from fresh heaps.
 
 use sdam_mapping::MappingId;
 
@@ -368,11 +370,11 @@ impl Heap {
 /// # Example
 ///
 /// ```
+/// use sdam_mapping::MappingId;
 /// use sdam_mem::heap::MultiHeapMalloc;
 ///
 /// let mut m = MultiHeapMalloc::new(12);
-/// let stream_map = m.add_addr_map()?;
-/// let random_map = m.add_addr_map()?;
+/// let (stream_map, random_map) = (MappingId(1), MappingId(2));
 /// let a = m.malloc(1024, Some(stream_map))?;
 /// let b = m.malloc(1024, Some(random_map))?;
 /// // Different mappings live in different heaps, hence different pages.
@@ -389,15 +391,6 @@ pub struct MultiHeapMalloc {
     /// Mapping id → indices into `heaps` (the heap-mapping array),
     /// indexed directly by the 8-bit id.
     by_mapping: Vec<Vec<u32>>,
-    /// Registered ids in registration order (id 0 first).
-    registered: Vec<MappingId>,
-    /// O(1) membership column for `registered`.
-    registered_mask: Vec<bool>,
-    /// Ids released by [`MultiHeapMalloc::remove_addr_map`], reused
-    /// before fresh ids — the recycling rule that keeps long-uptime
-    /// tenant churn under the 256-entry limit.
-    free_ids: Vec<u8>,
-    next_mapping: u16,
     next_region: u64,
     /// `(start, heap index)` per heap, in creation order; region starts
     /// grow monotonically, so this stays sorted and address-to-heap
@@ -430,17 +423,11 @@ impl MultiHeapMalloc {
         assert!(heap_bytes > 0, "heap size must be non-zero");
         let page = 1u64 << page_bits;
         let heap_bytes = heap_bytes.div_ceil(page) * page;
-        let mut registered_mask = vec![false; 256];
-        registered_mask[0] = true;
         MultiHeapMalloc {
             page_bits,
             heap_bytes,
             heaps: Vec::new(),
             by_mapping: (0..256).map(|_| Vec::new()).collect(),
-            registered: vec![MappingId::DEFAULT],
-            registered_mask,
-            free_ids: Vec::new(),
-            next_mapping: 1,
             next_region: HEAP_BASE,
             starts: Vec::new(),
             new_regions: Vec::new(),
@@ -450,45 +437,16 @@ impl MultiHeapMalloc {
         }
     }
 
-    /// Registers a new address mapping, returning its id — the paper's
-    /// `add_addr_map()` API. Ids released by
-    /// [`MultiHeapMalloc::remove_addr_map`] are reused first (O(1) from
-    /// the free list), so churning tenants stay under the cap.
+    /// Retires a mapping's heaps once its id is unregistered: they no
+    /// longer resolve addresses, and later allocations under the same
+    /// (recycled) id start from fresh heaps, so a new tenant can never
+    /// reach the old one's addresses.
     ///
     /// # Errors
     ///
-    /// [`MemError::MappingIdsExhausted`] when 255 ids are simultaneously
-    /// live (id 0 is the pre-registered default).
-    pub fn add_addr_map(&mut self) -> Result<MappingId, MemError> {
-        let id = if let Some(id) = self.free_ids.pop() {
-            MappingId(id)
-        } else {
-            if self.next_mapping > u8::MAX as u16 {
-                return Err(MemError::MappingIdsExhausted);
-            }
-            let id = MappingId(self.next_mapping as u8);
-            self.next_mapping += 1;
-            id
-        };
-        self.registered_mask[id.0 as usize] = true;
-        self.registered.push(id);
-        Ok(id)
-    }
-
-    /// Unregisters a mapping and recycles its id for a later
-    /// [`MultiHeapMalloc::add_addr_map`]. Its heaps must hold no live
-    /// allocations; they are retired — a recycled id starts from fresh
-    /// heaps and can never resolve another tenant's addresses.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::UnknownMapping`] for the default id or an id that is
-    /// not registered; [`MemError::MappingInUse`] when live allocations
-    /// remain in the mapping's heaps.
-    pub fn remove_addr_map(&mut self, id: MappingId) -> Result<(), MemError> {
-        if id == MappingId::DEFAULT || !self.registered_mask[id.0 as usize] {
-            return Err(MemError::UnknownMapping(id));
-        }
+    /// [`MemError::MappingInUse`] when live allocations remain in the
+    /// mapping's heaps; nothing is retired then.
+    pub fn retire_mapping(&mut self, id: MappingId) -> Result<(), MemError> {
         if self.live_bytes(id) > 0 {
             return Err(MemError::MappingInUse(id));
         }
@@ -496,32 +454,7 @@ impl MultiHeapMalloc {
             self.heaps[i as usize].retired = true;
         }
         self.by_mapping[id.0 as usize].clear();
-        self.registered_mask[id.0 as usize] = false;
-        self.registered.retain(|&m| m != id);
-        self.free_ids.push(id.0);
         Ok(())
-    }
-
-    /// Registers an externally assigned mapping id (used when the id
-    /// space is owned by a global authority — the CMT is shared by all
-    /// processes, so ids must be, too). Idempotent.
-    pub fn register_external(&mut self, id: MappingId) {
-        if !self.registered_mask[id.0 as usize] {
-            self.registered_mask[id.0 as usize] = true;
-            self.registered.push(id);
-            self.free_ids.retain(|&f| f != id.0);
-            self.next_mapping = self.next_mapping.max(id.0 as u16 + 1);
-        }
-    }
-
-    /// Registered mapping ids, in registration order (id 0 first).
-    pub fn registered_mappings(&self) -> &[MappingId] {
-        &self.registered
-    }
-
-    /// True when `id` is currently registered.
-    pub fn is_registered(&self, id: MappingId) -> bool {
-        self.registered_mask[id.0 as usize]
     }
 
     /// Allocates `size` bytes from a heap of `mapping` (the default
@@ -530,8 +463,7 @@ impl MultiHeapMalloc {
     /// # Errors
     ///
     /// [`MemError::InvalidSize`] for zero or oversized
-    /// (> [`MAX_ALLOC_BYTES`]) sizes; [`MemError::UnknownMapping`] for
-    /// unregistered ids.
+    /// (> [`MAX_ALLOC_BYTES`]) sizes.
     pub fn malloc(&mut self, size: u64, mapping: Option<MappingId>) -> Result<VirtAddr, MemError> {
         self.malloc_with(size, mapping, false)
     }
@@ -561,9 +493,6 @@ impl MultiHeapMalloc {
         let mapping = mapping.unwrap_or(MappingId::DEFAULT);
         if size == 0 || size > MAX_ALLOC_BYTES {
             return Err(MemError::InvalidSize { size });
-        }
-        if !self.registered_mask[mapping.0 as usize] {
-            return Err(MemError::UnknownMapping(mapping));
         }
         let size = size.div_ceil(ALIGN) * ALIGN;
         // Try existing heaps of this mapping and sensitivity; the
@@ -710,86 +639,34 @@ mod tests {
     }
 
     #[test]
-    fn add_addr_map_hands_out_sequential_ids() {
+    fn retire_mapping_refuses_live_allocations() {
         let mut m = small();
-        assert_eq!(m.add_addr_map().unwrap(), MappingId(1));
-        assert_eq!(m.add_addr_map().unwrap(), MappingId(2));
-        assert_eq!(m.registered_mappings().len(), 3);
-    }
-
-    #[test]
-    fn external_registration_is_idempotent_and_reserves_ids() {
-        let mut m = small();
-        m.register_external(MappingId(7));
-        m.register_external(MappingId(7));
-        assert!(m.malloc(64, Some(MappingId(7))).is_ok());
-        // The internal counter skips past externally claimed ids.
-        assert_eq!(m.add_addr_map().unwrap(), MappingId(8));
-    }
-
-    #[test]
-    fn mapping_ids_exhaust_at_256() {
-        let mut m = small();
-        for _ in 1..=255 {
-            m.add_addr_map().unwrap();
-        }
-        assert_eq!(m.add_addr_map().unwrap_err(), MemError::MappingIdsExhausted);
-    }
-
-    #[test]
-    fn removed_ids_recycle_in_lifo_order() {
-        let mut m = small();
-        let a = m.add_addr_map().unwrap();
-        let b = m.add_addr_map().unwrap();
-        m.remove_addr_map(a).unwrap();
-        m.remove_addr_map(b).unwrap();
-        assert!(!m.is_registered(a));
-        // LIFO reuse: the most recently released id comes back first.
-        assert_eq!(m.add_addr_map().unwrap(), b);
-        assert_eq!(m.add_addr_map().unwrap(), a);
-        // Under churn the id space never exhausts.
-        for _ in 0..1000 {
-            let id = m.add_addr_map().unwrap();
-            m.remove_addr_map(id).unwrap();
-        }
-    }
-
-    #[test]
-    fn remove_addr_map_guards_misuse() {
-        let mut m = small();
-        let id = m.add_addr_map().unwrap();
-        assert_eq!(
-            m.remove_addr_map(MappingId::DEFAULT).unwrap_err(),
-            MemError::UnknownMapping(MappingId::DEFAULT)
-        );
-        assert_eq!(
-            m.remove_addr_map(MappingId(77)).unwrap_err(),
-            MemError::UnknownMapping(MappingId(77))
-        );
+        let id = MappingId(3);
         let va = m.malloc(64, Some(id)).unwrap();
         assert_eq!(
-            m.remove_addr_map(id).unwrap_err(),
+            m.retire_mapping(id).unwrap_err(),
             MemError::MappingInUse(id)
         );
+        // The refusal retired nothing: the allocation still resolves.
+        assert_eq!(m.mapping_of(va), Some(id));
         m.free(va).unwrap();
-        m.remove_addr_map(id).unwrap();
+        m.retire_mapping(id).unwrap();
+        assert_eq!(m.mapping_of(va), None);
     }
 
     #[test]
     fn retired_heaps_never_serve_recycled_ids() {
         let mut m = small();
-        let a = m.add_addr_map().unwrap();
-        let va = m.malloc(64, Some(a)).unwrap();
+        let id = MappingId(1);
+        let va = m.malloc(64, Some(id)).unwrap();
         m.free(va).unwrap();
-        m.remove_addr_map(a).unwrap();
+        m.retire_mapping(id).unwrap();
         // The id comes back, but the old heap does not: the recycled
         // mapping's first allocation opens a fresh heap, and the stale
         // address no longer resolves to anything.
-        let b = m.add_addr_map().unwrap();
-        assert_eq!(a, b);
         assert_eq!(m.mapping_of(va), None);
         assert!(m.free(va).is_err());
-        let va2 = m.malloc(64, Some(b)).unwrap();
+        let va2 = m.malloc(64, Some(id)).unwrap();
         assert_ne!(
             m.heap_region(va2).unwrap().start.0,
             va.0 & !0xfff,
@@ -798,26 +675,16 @@ mod tests {
     }
 
     #[test]
-    fn default_mapping_needs_no_registration() {
+    fn no_mapping_means_the_default_mapping() {
         let mut m = small();
         let va = m.malloc(100, None).unwrap();
         assert_eq!(m.mapping_of(va), Some(MappingId::DEFAULT));
     }
 
     #[test]
-    fn unregistered_mapping_rejected() {
-        let mut m = small();
-        assert_eq!(
-            m.malloc(100, Some(MappingId(9))).unwrap_err(),
-            MemError::UnknownMapping(MappingId(9))
-        );
-    }
-
-    #[test]
     fn heaps_are_page_disjoint_across_mappings() {
         let mut m = small();
-        let m1 = m.add_addr_map().unwrap();
-        let m2 = m.add_addr_map().unwrap();
+        let (m1, m2) = (MappingId(1), MappingId(2));
         let mut pages: std::collections::HashMap<u64, MappingId> = Default::default();
         for i in 0..200u64 {
             let id = if i % 2 == 0 { m1 } else { m2 };
@@ -830,7 +697,7 @@ mod tests {
     #[test]
     fn heap_grows_when_full() {
         let mut m = small();
-        let id = m.add_addr_map().unwrap();
+        let id = MappingId(1);
         let heap_capacity = 16 * 4096u64;
         let mut count = 0;
         while (count + 1) * 1024 <= 3 * heap_capacity {
@@ -896,8 +763,7 @@ mod tests {
         // Heads of different heaps must not share the same line offset,
         // so equal-index streams of different variables decorrelate.
         let mut m = small();
-        let id1 = m.add_addr_map().unwrap();
-        let id2 = m.add_addr_map().unwrap();
+        let (id1, id2) = (MappingId(1), MappingId(2));
         let a = m.malloc(64, Some(id1)).unwrap();
         let b = m.malloc(64, Some(id2)).unwrap();
         let off = |v: VirtAddr| v.0 - m.heap_region(v).unwrap().start.0;
@@ -911,7 +777,7 @@ mod tests {
     #[test]
     fn sensitive_and_ordinary_data_never_share_a_heap() {
         let mut m = small();
-        let id = m.add_addr_map().unwrap();
+        let id = MappingId(1);
         let plain = m.malloc(64, Some(id)).unwrap();
         let secret = m.malloc_sensitive(64, Some(id)).unwrap();
         let rp = m.heap_region(plain).unwrap();

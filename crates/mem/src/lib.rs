@@ -15,8 +15,9 @@
 //!   `vm_area_struct`-style regions, a page table, and an on-demand
 //!   page-fault path that allocates frames from the right chunk group,
 //! * [`heap::MultiHeapMalloc`] — the glibc side: one heap per mapping
-//!   id (`add_addr_map()` + `malloc(size, id)`), page-aligned heaps so
-//!   a page never mixes mappings.
+//!   id (`malloc(size, id)`), page-aligned heaps so a page never mixes
+//!   mappings. Ids are registered (`add_addr_map()`) in the CMT every
+//!   process shares, so the allocator takes them as given.
 //!
 //! ## Example: one page, one mapping
 //!
@@ -30,8 +31,7 @@
 //! let mut aspace = AddressSpace::new(12);
 //! let mut malloc = MultiHeapMalloc::new(12);
 //!
-//! let streaming = malloc.add_addr_map().unwrap();
-//! assert_eq!(streaming, MappingId(1));
+//! let streaming = MappingId(1); // an id the CMT handed out
 //! let va = malloc.malloc(4096, Some(streaming)).unwrap();
 //! let region = malloc.heap_region(va).unwrap();
 //! aspace.mmap_fixed(region.start, region.len, streaming).unwrap();

@@ -171,7 +171,10 @@ impl LstmAutoencoder {
         sample.validate(self.bits);
         let inputs = self.encoder_inputs(sample);
         let (top, _) = self.encoder.forward(&inputs);
-        top.last().expect("non-empty sample").clone()
+        let Some(z) = top.last().cloned() else {
+            panic!("a validated sample has at least one step");
+        };
+        z
     }
 
     /// Reconstruction loss of a sample without updating parameters.
@@ -179,7 +182,9 @@ impl LstmAutoencoder {
         sample.validate(self.bits);
         let inputs = self.encoder_inputs(sample);
         let (top, _) = self.encoder.forward(&inputs);
-        let z = top.last().expect("non-empty").clone();
+        let Some(z) = top.last().cloned() else {
+            panic!("a validated sample has at least one step");
+        };
         let dec_in = vec![z; sample.delta_ids.len()];
         let (dec_top, _) = self.decoder.forward(&dec_in);
         let mut loss = 0.0;
@@ -470,7 +475,9 @@ impl LstmAutoencoder {
         let denom = (steps * self.bits) as f64;
         let enc_inputs = self.encoder_inputs(sample);
         let (enc_top, enc_cache) = self.encoder.forward(&enc_inputs);
-        let z = enc_top.last().expect("non-empty").clone();
+        let Some(z) = enc_top.last().cloned() else {
+            panic!("a validated sample has at least one step");
+        };
         let dec_inputs = vec![z.clone(); steps];
         let (dec_top, dec_cache) = self.decoder.forward(&dec_inputs);
 

@@ -7,8 +7,7 @@
 //!
 //! Two training loops implement the four phases:
 //!
-//! * [`cluster_variables_dl`] (and its explicit-thread-count twin
-//!   [`cluster_variables_dl_threaded`]) — the production path.
+//! * [`cluster_variables_dl`] — the production path.
 //!   Duplicate windows are collapsed to one weighted sample each, both
 //!   training phases run weighted mini-batches through the batched
 //!   LSTM kernels, a deterministic patience rule stops each phase once
@@ -279,27 +278,15 @@ fn dedup_windows(ws: &[SeqSample]) -> Vec<(SeqSample, f64)> {
 /// Variables with fewer than three accesses produce no windows and are
 /// assigned to cluster 0.
 ///
+/// `threads` is the worker count for the mini-batch fan-out (1 runs
+/// serially). Results are bit-identical for every `threads` value
+/// (gradients reduce in fixed input order).
+///
 /// # Panics
 ///
 /// Panics if `traces` is empty, `k` is zero, or `addr_bits` is not in
 /// `1..=64`.
 pub fn cluster_variables_dl(
-    traces: &[Vec<u64>],
-    addr_bits: u32,
-    k: usize,
-    config: &TrainingConfig,
-) -> DlClustering {
-    cluster_variables_dl_threaded(traces, addr_bits, k, config, 1)
-}
-
-/// [`cluster_variables_dl`] with an explicit worker-thread count for
-/// the mini-batch fan-out. Results are bit-identical for every
-/// `threads` value (gradients reduce in fixed input order).
-///
-/// # Panics
-///
-/// As [`cluster_variables_dl`].
-pub fn cluster_variables_dl_threaded(
     traces: &[Vec<u64>],
     addr_bits: u32,
     k: usize,
@@ -624,7 +611,7 @@ mod tests {
             steps: 200,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg);
+        let r = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
         assert_eq!(r.assignments.len(), 4);
         assert_eq!(r.assignments[0], r.assignments[1], "stride-1 pair split");
         assert_eq!(r.assignments[2], r.assignments[3], "stride-16 pair split");
@@ -684,9 +671,9 @@ mod tests {
             steps: 60,
             ..TrainingConfig::laptop()
         };
-        let serial = cluster_variables_dl_threaded(&traces, 33, 2, &cfg, 1);
+        let serial = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
         for threads in [2, 4] {
-            let par = cluster_variables_dl_threaded(&traces, 33, 2, &cfg, threads);
+            let par = cluster_variables_dl(&traces, 33, 2, &cfg, threads);
             assert_eq!(serial.assignments, par.assignments, "threads={threads}");
             assert_eq!(serial.embeddings, par.embeddings, "threads={threads}");
             assert_eq!(serial.loss_curve, par.loss_curve, "threads={threads}");
@@ -723,7 +710,7 @@ mod tests {
             patience: 0,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg);
+        let r = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
         assert!(r.loss_curve.len() >= 10);
         let head: f64 = r.loss_curve[..3].iter().sum::<f64>() / 3.0;
         let tail: f64 = r.loss_curve[r.loss_curve.len() - 3..].iter().sum::<f64>() / 3.0;
@@ -740,7 +727,7 @@ mod tests {
             steps: 10,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg);
+        let r = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
         assert_eq!(r.assignments.len(), 2);
     }
 
@@ -751,8 +738,8 @@ mod tests {
             steps: 50,
             ..TrainingConfig::laptop()
         };
-        let a = cluster_variables_dl(&traces, 33, 2, &cfg);
-        let b = cluster_variables_dl(&traces, 33, 2, &cfg);
+        let a = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
+        let b = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.embeddings, b.embeddings);
     }
@@ -760,6 +747,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one variable")]
     fn empty_input_panics() {
-        let _ = cluster_variables_dl(&[], 33, 2, &TrainingConfig::laptop());
+        let _ = cluster_variables_dl(&[], 33, 2, &TrainingConfig::laptop(), 1);
     }
 }

@@ -182,14 +182,17 @@ fn update_centroids(points: &[Vec<f64>], assignments: &[usize], centroids: &mut 
         if counts[c] == 0 {
             // At most k-1 clusters can be empty (every point is
             // assigned somewhere), so an unused point always exists.
-            let far = (0..points.len())
+            // `total_cmp` keeps the order total when a caller's point
+            // has a NaN coordinate (its distances are NaN).
+            let Some(far) = (0..points.len())
                 .filter(|i| !reseeded.contains(i))
                 .max_by(|&a, &b| {
                     sq_dist(&points[a], &centroids[assignments[a]])
-                        .partial_cmp(&sq_dist(&points[b], &centroids[assignments[b]]))
-                        .expect("finite distances")
+                        .total_cmp(&sq_dist(&points[b], &centroids[assignments[b]]))
                 })
-                .expect("non-empty points");
+            else {
+                panic!("an empty cluster found no unused point to reseed on");
+            };
             centroids[c] = points[far].clone();
             reseeded.push(far);
         } else {
@@ -398,6 +401,30 @@ mod tests {
         );
         assert!(r.loss < 1e-12);
         assert_eq!(r.assignments.len(), 8);
+    }
+
+    #[test]
+    fn nan_point_does_not_panic_the_reseed() {
+        // A NaN coordinate makes every distance to it NaN, so an
+        // empty-cluster reseed must order distances totally.
+        let pts = vec![
+            vec![f64::NAN, 0.0],
+            vec![1.0, 0.0],
+            vec![2.0, 0.0],
+            vec![3.0, 0.0],
+        ];
+        for seed in 0..7 {
+            let r = kmeans(
+                &pts,
+                &KMeansConfig {
+                    k: 3,
+                    seed,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(r.assignments.len(), pts.len());
+            assert!(r.assignments.iter().all(|&a| a < 3));
+        }
     }
 
     #[test]

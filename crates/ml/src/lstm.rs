@@ -542,7 +542,10 @@ impl Lstm {
                 c[l] = nc;
                 layer_caches.push(sc);
             }
-            top.push(h.last().expect("at least one layer").clone());
+            let Some(h_top) = h.last() else {
+                panic!("an LSTM has at least one layer");
+            };
+            top.push(h_top.clone());
             cache.steps.push(layer_caches);
         }
         (top, cache)

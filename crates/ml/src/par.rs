@@ -1,8 +1,7 @@
 //! Deterministic fan-out over independent work items.
 //!
 //! Both the pipeline's outer loops (per-configuration runs, per-workload
-//! profiling — re-exported from `sdam::par`) and the trainer's
-//! minibatch fan-out are embarrassingly parallel: each item is a pure
+//! profiling in `sdam::pipeline`) and the trainer's minibatch fan-out are embarrassingly parallel: each item is a pure
 //! function of its inputs. [`par_map_indexed`] runs them on scoped
 //! threads and returns results in *input order*, so callers that reduce
 //! the results left-to-right are bit-identical to a serial `map`

@@ -42,7 +42,6 @@ pub mod churn;
 pub mod datacopy;
 pub mod graph;
 pub mod phased;
-pub mod probe_replay;
 pub mod recorder;
 pub mod sparse;
 pub mod stream;

@@ -10,9 +10,7 @@
 //! checking the partition still separates the stride classes.
 
 use sdam::{profiling, Experiment};
-use sdam_ml::dlkmeans::{
-    cluster_variables_dl, cluster_variables_dl_reference, cluster_variables_dl_threaded,
-};
+use sdam_ml::dlkmeans::{cluster_variables_dl, cluster_variables_dl_reference};
 use sdam_workloads::datacopy::DataCopy;
 
 /// The pinned assignments for datacopy strides [1, 16] at tiny scale,
@@ -36,7 +34,7 @@ fn bench_traces() -> (Vec<Vec<u64>>, Experiment) {
 fn seeded_dl_assignments_match_golden() {
     let (traces, exp) = bench_traces();
     let bits = exp.geometry.addr_bits();
-    let fast = cluster_variables_dl(&traces, bits, 4, &exp.training);
+    let fast = cluster_variables_dl(&traces, bits, 4, &exp.training, 1);
     assert_eq!(
         fast.assignments, GOLDEN,
         "fast DL path drifted from the pinned assignments"
@@ -53,7 +51,7 @@ fn threaded_dl_assignments_match_golden() {
     let (traces, exp) = bench_traces();
     let bits = exp.geometry.addr_bits();
     for threads in [2usize, 4] {
-        let r = cluster_variables_dl_threaded(&traces, bits, 4, &exp.training, threads);
+        let r = cluster_variables_dl(&traces, bits, 4, &exp.training, threads);
         assert_eq!(
             r.assignments, GOLDEN,
             "threaded ({threads}) DL path drifted from the pinned assignments"
