@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full SDAM pipeline from workload
 //! generation to simulated execution.
 
+use sdam::stage::{ProfileHandle, RunContext, SelectStage, Stage, StageCache};
 use sdam::{pipeline, profiling, Experiment, SystemConfig};
 use sdam_workloads::datacopy::DataCopy;
 use sdam_workloads::{data_intensive_suite, standard_suite, Scale, Workload};
@@ -63,6 +64,46 @@ fn comparisons_share_one_profile_and_stay_consistent() {
             a.config
         );
     }
+}
+
+#[test]
+fn caller_supplied_profile_drives_its_own_selection() {
+    // Two profiles of one workload selected through one StageCache: the
+    // second selection must come from the second profile, not from
+    // whatever the cache recorded for the first.
+    let exp = quick();
+    let w = DataCopy::new(vec![1, 32]);
+    let own = profiling::try_profile_on_baseline(&w, &exp).unwrap();
+    let mut other = own.clone();
+    other.aggregate = profiling::try_profile_on_baseline(&DataCopy::new(vec![16]), &exp)
+        .unwrap()
+        .aggregate;
+    let shuffle = |outcome: profiling::SelectionOutcome| match outcome.selection {
+        profiling::Selection::GlobalShuffle(m) => m,
+        other => panic!("BS+BSM must select a global shuffle, got {other:?}"),
+    };
+    let expected =
+        shuffle(profiling::try_select_mappings(SystemConfig::BsBsm, &own, &exp).unwrap());
+    let foreign =
+        shuffle(profiling::try_select_mappings(SystemConfig::BsBsm, &other, &exp).unwrap());
+    assert_ne!(
+        expected, foreign,
+        "the two profiles must select differently"
+    );
+
+    let cache = StageCache::new();
+    let mut selected = Vec::new();
+    for data in [&other, &own] {
+        let mut ctx = RunContext::new(&w, SystemConfig::BsBsm, &exp, &cache);
+        ctx.profile = Some(ProfileHandle::Borrowed(data));
+        SelectStage.run(&mut ctx).unwrap();
+        selected.push(shuffle(ctx.selection.take().unwrap()));
+    }
+    assert_eq!(selected[0], foreign);
+    assert_eq!(
+        selected[1], expected,
+        "the caller's profile was served another profile's selection"
+    );
 }
 
 #[test]
