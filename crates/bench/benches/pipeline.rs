@@ -10,7 +10,7 @@
 //! broken pipeline instead of skipping the record.
 
 use criterion::{black_box, criterion_group, Criterion};
-use sdam::stage::{standard_stages, RunContext, StageCache};
+use sdam::stage::{run_stages, standard_stages, RunContext, StageCache};
 use sdam::{pipeline, profiling, Experiment, SystemConfig};
 use sdam_workloads::datacopy::DataCopy;
 
@@ -43,9 +43,9 @@ fn bench_profiling_pass(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-stage cost of the staged pipeline, with a warm artifact cache
-/// (steady state of a sweep): profile/select measure the cache-hit
-/// path, alloc/execute the real per-run work.
+/// Per-stage cost of the staged pipeline, with a warm profile cache
+/// (steady state of a sweep): profile measures the cache-hit path,
+/// select/alloc/execute the real per-run work.
 fn bench_stage_breakdown(c: &mut Criterion) {
     let exp = Experiment::quick();
     let w = DataCopy::new(vec![1, 16]);
@@ -53,7 +53,7 @@ fn bench_stage_breakdown(c: &mut Criterion) {
     let cache = StageCache::new();
     let stages = standard_stages();
     {
-        // Warm the cache so profile/select measure the steady state.
+        // Warm the cache so profile measures the steady state.
         let mut ctx = RunContext::new(&w, config, &exp, &cache);
         for s in &stages {
             s.run(&mut ctx).expect("warm-up run succeeds");
@@ -82,13 +82,14 @@ fn bench_stage_breakdown(c: &mut Criterion) {
     g.finish();
 }
 
-/// Runs the staged pipeline once per configuration and writes the
-/// recorded per-stage [`sdam::PhaseTimes`] to `BENCH_stages.json` at
-/// the workspace root.
+/// Drives the standard stages once per configuration over one shared
+/// [`StageCache`] and writes the recorded per-stage
+/// [`sdam::PhaseTimes`] to `BENCH_stages.json` at the workspace root.
 fn record_stage_times() {
     let exp = Experiment::quick();
     let w = DataCopy::new(vec![1, 16]);
     let cache = StageCache::new();
+    let stages = standard_stages();
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let mut rows = Vec::new();
     for config in [
@@ -99,9 +100,10 @@ fn record_stage_times() {
         SystemConfig::SdmBsmMl { clusters: 4 },
         SystemConfig::SdmBsmDl { clusters: 4 },
     ] {
-        let r = pipeline::try_run_with_cache(&w, config, &exp, None, &cache)
+        let mut ctx = RunContext::new(&w, config, &exp, &cache);
+        run_stages(&mut ctx, &stages)
             .unwrap_or_else(|e| panic!("stage-time recording failed for {config}: {e}"));
-        let p = r.phases;
+        let p = ctx.phases;
         rows.push(format!(
             "    {{ \"config\": \"{config}\", \"profile_ms\": {:.3}, \"select_ms\": {:.3}, \
              \"materialize_ms\": {:.3}, \"execute_ms\": {:.3}, \"total_ms\": {:.3} }}",
@@ -114,13 +116,9 @@ fn record_stage_times() {
     }
     let json = format!
 (
-        "{{\n  \"name\": \"staged-pipeline-phase-times\",\n  \"command\": \"cargo bench -p sdam-bench --bench pipeline\",\n  \"workload\": \"datacopy strides [1, 16], tiny scale\",\n  \"note\": \"one staged run per configuration on a shared StageCache: the first profiled configuration pays the profiling pass, later ones hit the cache (profile_ms ~ 0)\",\n  \"cache\": {{ \"profile_misses\": {}, \"profile_hits\": {}, \"selection_misses\": {}, \"selection_hits\": {}, \"embedding_misses\": {}, \"embedding_hits\": {} }},\n  \"stage_times\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"name\": \"staged-pipeline-phase-times\",\n  \"command\": \"cargo bench -p sdam-bench --bench pipeline\",\n  \"workload\": \"datacopy strides [1, 16], tiny scale\",\n  \"note\": \"one staged run per configuration on a shared StageCache: the first profiled configuration pays the profiling pass, later ones hit the cache (profile_ms ~ 0)\",\n  \"cache\": {{ \"profile_misses\": {}, \"profile_hits\": {} }},\n  \"stage_times\": [\n{}\n  ]\n}}\n",
         cache.profile_misses(),
         cache.profile_hits(),
-        cache.selection_misses(),
-        cache.selection_hits(),
-        cache.embedding_misses(),
-        cache.embedding_hits(),
         rows.join(",\n"),
     );
     sdam_bench::write_bench_json("BENCH_stages.json", &json);

@@ -6,7 +6,6 @@
 //! *processes* co-resident in one `SdamSystem` (shared chunks, shared
 //! CMT), with the machine hosting both workloads' cores.
 
-use sdam::stage::StageCache;
 use sdam::{pipeline, Experiment, SystemConfig};
 use sdam_bench::{exit_on_err, f2, header, row, scale_from_args};
 use sdam_workloads::datacopy::DataCopy;
@@ -45,24 +44,19 @@ fn main() {
     head.extend(configs.iter().skip(1).map(|c| c.to_string()));
     row(&head);
     for (name, a, b) in pairs {
-        // One artifact cache per pair: the four configurations share the
-        // two per-tenant profiling passes.
-        let cache = StageCache::new();
-        let base = exit_on_err(pipeline::try_run_corun_with_cache(
+        let base = exit_on_err(pipeline::try_run_corun(
             &[a.as_ref(), b.as_ref()],
             SystemConfig::BsDm,
             &exp,
-            &cache,
         ))
         .report
         .cycles as f64;
         let mut cells = vec![name.to_string()];
         for &config in &configs[1..] {
-            let r = exit_on_err(pipeline::try_run_corun_with_cache(
+            let r = exit_on_err(pipeline::try_run_corun(
                 &[a.as_ref(), b.as_ref()],
                 config,
                 &exp,
-                &cache,
             ));
             cells.push(f2(base / r.report.cycles as f64));
         }

@@ -6,7 +6,6 @@
 //! and a much smaller cache — so it gains more from SDAM (paper: 2.58x
 //! for SDM+BSM+DL).
 
-use sdam::stage::StageCache;
 use sdam::{pipeline, report, Experiment, SystemConfig};
 use sdam_bench::{
     exit_on_err, f2, header, merged_comparison_metrics, scale_from_args, write_metrics_sidecar,
@@ -40,17 +39,9 @@ fn main() {
     }
     println!();
 
-    // One cache across the whole suite: each benchmark is profiled
-    // once and every configuration reuses it.
-    let cache = StageCache::new();
     let mut comparisons = Vec::new();
     for w in data_intensive_suite() {
-        let cmp = exit_on_err(pipeline::try_compare_with_cache(
-            w.as_ref(),
-            &configs,
-            &exp,
-            &cache,
-        ));
+        let cmp = exit_on_err(pipeline::try_compare(w.as_ref(), &configs, &exp));
         print!("{:<14}", cmp.workload);
         for &c in &configs {
             print!(" {:>15}", f2(cmp.speedup_of(c).expect("config ran")));

@@ -26,7 +26,7 @@
 //! | `cmt.*`    | [`sdam_sys::TranslationStats::export_into`] (CMT translate memo) |
 //! | `mem.*`    | [`SdamSystem::export_into`] (chunk allocator + malloc + faults) |
 //! | `machine.*`| the [`ExecutionReport`] headline numbers            |
-//! | `stage.*`  | [`StageCache`] hit/miss counters and (volatile) per-phase wall-clock |
+//! | `stage.*`  | [`StageCache`] profile hit/miss counters and (volatile) per-phase wall-clock |
 //!
 //! `stage.<phase>.nanos` entries are host wall-clock and therefore go
 //! into the registry's *volatile* section, which
@@ -117,14 +117,12 @@ pub fn export_phases(phases: &PhaseTimes, reg: &mut Registry) {
 }
 
 /// Merges the per-run snapshots of a comparison sweep, in lineup
-/// order, and appends the stage-cache counters.
+/// order, and appends the sweep's profile-cache counters.
 ///
 /// The cache counters are deterministic even under the threaded
-/// fan-out because [`crate::pipeline::try_compare_with_cache`] warms
-/// the profile serially before fanning out (so the miss count does not
-/// depend on thread interleaving) and selection keys are distinct per
-/// configuration. Note they read the *cache's* cumulative totals: a
-/// harness sharing one cache across sweeps sees the running sum.
+/// fan-out because [`crate::pipeline::try_compare`] warms the profile
+/// serially into its own cache before fanning out, so the miss count
+/// does not depend on thread interleaving.
 pub fn merge_sweep_metrics(results: &[RunResult], cache: &StageCache) -> Registry {
     let mut reg = Registry::new();
     if !OBS_ENABLED {
@@ -135,10 +133,6 @@ pub fn merge_sweep_metrics(results: &[RunResult], cache: &StageCache) -> Registr
     }
     reg.incr("stage.profile_cache.hits", cache.profile_hits());
     reg.incr("stage.profile_cache.misses", cache.profile_misses());
-    reg.incr("stage.selection_cache.hits", cache.selection_hits());
-    reg.incr("stage.selection_cache.misses", cache.selection_misses());
-    reg.incr("stage.embedding_cache.hits", cache.embedding_hits());
-    reg.incr("stage.embedding_cache.misses", cache.embedding_misses());
     reg
 }
 

@@ -3,10 +3,10 @@
 //!
 //! Every entry point is fallible and returns [`SdamError`]; the figure
 //! binaries, which want fail-fast behaviour, route errors through one
-//! `exit_on_err`. All of them drive the composable stages of
-//! [`crate::stage`]; the `*_with_cache` variants accept an external
-//! [`StageCache`] so a harness can reuse profiles and selections across
-//! calls.
+//! `exit_on_err`. [`try_run`], [`try_run_with_profile`] and
+//! [`try_compare`] drive the composable stages of [`crate::stage`];
+//! a harness that wants to reuse profiles across calls drives those
+//! stages itself over one shared [`StageCache`].
 
 use std::time::Instant;
 
@@ -20,7 +20,7 @@ use crate::error::SdamError;
 use crate::profiling::{self, ProfileData};
 use crate::report::{Comparison, PhaseTimes, RunResult};
 use crate::stage::{
-    profile_key, run_stages, selection_key, standard_stages, ProfileHandle, RunContext, StageCache,
+    profile_key, run_stages, standard_stages, ProfileHandle, RunContext, StageCache,
 };
 use crate::system::SdamSystem;
 
@@ -39,8 +39,7 @@ pub fn try_run(
     config: SystemConfig,
     exp: &Experiment,
 ) -> Result<RunResult, SdamError> {
-    let cache = StageCache::new();
-    try_run_with_cache(workload, config, exp, None, &cache)
+    try_run_with_profile(workload, config, exp, None)
 }
 
 /// Like [`try_run`], but with an externally supplied profile (lets
@@ -56,18 +55,13 @@ pub fn try_run_with_profile(
     exp: &Experiment,
     data: Option<&ProfileData>,
 ) -> Result<RunResult, SdamError> {
-    let cache = StageCache::new();
-    try_run_with_cache(workload, config, exp, data, &cache)
+    run_staged(workload, config, exp, data, &StageCache::new())
 }
 
-/// The full staged run with an explicit artifact cache: seeds a
-/// [`RunContext`] (borrowing `data` when supplied), drives the standard
+/// The full staged run: seeds a [`RunContext`] (borrowing `data` when
+/// supplied, else profiling through `cache`), drives the standard
 /// stages, and returns the assembled result.
-///
-/// # Errors
-///
-/// As [`try_run`].
-pub fn try_run_with_cache(
+fn run_staged(
     workload: &dyn Workload,
     config: SystemConfig,
     exp: &Experiment,
@@ -87,12 +81,15 @@ pub fn try_run_with_cache(
 }
 
 /// Compares a workload across configurations; the BS+DM baseline is
-/// prepended when absent. Profiling runs once and is shared through the
-/// stage cache.
+/// prepended when absent.
 ///
-/// The per-configuration runs are independent given the shared profile,
-/// so they fan out across `exp.parallelism` worker threads; results come
-/// back in lineup order and are bit-identical to a serial sweep.
+/// The workload's profile is warmed into a private [`StageCache`]
+/// *before* the per-configuration fan-out, so exactly one profiling
+/// pass runs no matter how many configurations need it (reported as
+/// `stage.profile_cache.*` in [`Comparison::metrics`]). The
+/// per-configuration runs are independent given that profile, so they
+/// fan out across `exp.parallelism` worker threads; results come back
+/// in lineup order and are bit-identical to a serial sweep.
 ///
 /// # Errors
 ///
@@ -102,48 +99,27 @@ pub fn try_compare(
     configs: &[SystemConfig],
     exp: &Experiment,
 ) -> Result<Comparison, SdamError> {
-    let cache = StageCache::new();
-    try_compare_with_cache(workload, configs, exp, &cache)
-}
-
-/// [`try_compare`] with an external artifact cache, so a harness
-/// sweeping many workloads × configurations (the repro binaries) can
-/// reuse profiles and selections across calls.
-///
-/// The workload's profile is warmed into the cache *before* the
-/// per-configuration fan-out, so exactly one profiling pass runs per
-/// workload no matter how many configurations need it (observable via
-/// [`StageCache::profile_misses`]).
-///
-/// # Errors
-///
-/// As [`try_run`].
-pub fn try_compare_with_cache(
-    workload: &dyn Workload,
-    configs: &[SystemConfig],
-    exp: &Experiment,
-    cache: &StageCache,
-) -> Result<Comparison, SdamError> {
     exp.try_validate()?;
     let mut lineup = Vec::new();
     if !configs.contains(&SystemConfig::BsDm) {
         lineup.push(SystemConfig::BsDm);
     }
     lineup.extend_from_slice(configs);
+    let cache = StageCache::new();
     if lineup.iter().any(|c| c.needs_profiling()) {
         cache.profile_or_try(&profile_key(workload, exp), || {
             profiling::try_profile_on_baseline(workload, exp)
         })?;
     }
     let results = par_map_indexed(exp.parallelism.threads(), lineup, |_, c| {
-        try_run_with_cache(workload, c, exp, None, cache)
+        run_staged(workload, c, exp, None, &cache)
     });
     let results: Result<Vec<RunResult>, SdamError> = results.into_iter().collect();
     let results = results?;
     // Snapshots merge in lineup order — the fan-out already returns
     // results in that order, so the merged registry (event trace
     // included) is bit-identical to a serial sweep.
-    let metrics = crate::metrics::merge_sweep_metrics(&results, cache);
+    let metrics = crate::metrics::merge_sweep_metrics(&results, &cache);
     Ok(Comparison {
         workload: workload.name().to_string(),
         results,
@@ -170,24 +146,6 @@ pub fn try_run_corun(
     config: SystemConfig,
     exp: &Experiment,
 ) -> Result<RunResult, SdamError> {
-    let cache = StageCache::new();
-    try_run_corun_with_cache(workloads, config, exp, &cache)
-}
-
-/// [`try_run_corun`] with an external artifact cache: per-workload
-/// profiles and the merged-mix selection are keyed and reused, so a
-/// harness sweeping configurations over the same mix profiles each
-/// workload once.
-///
-/// # Errors
-///
-/// As [`try_run_corun`].
-pub fn try_run_corun_with_cache(
-    workloads: &[&dyn Workload],
-    config: SystemConfig,
-    exp: &Experiment,
-    cache: &StageCache,
-) -> Result<RunResult, SdamError> {
     if workloads.is_empty() {
         return Err(SdamError::NoWorkloads);
     }
@@ -201,11 +159,10 @@ pub fn try_run_corun_with_cache(
     // profiling runs are independent, so they fan out across the
     // experiment's thread budget (merge order stays the input order).
     let t0 = Instant::now();
-    let keys: Vec<String> = workloads.iter().map(|w| profile_key(*w, exp)).collect();
-    let profiles = par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |i, w| {
-        cache.profile_or_try(&keys[i], || profiling::try_profile_on_baseline(w, exp))
+    let profiles = par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |_, w| {
+        profiling::try_profile_on_baseline(w, exp)
     });
-    let profiles: Vec<std::sync::Arc<ProfileData>> = profiles
+    let profiles: Vec<ProfileData> = profiles
         .into_iter()
         .collect::<Result<Vec<_>, SdamError>>()?;
     phases.profile = t0.elapsed();
@@ -227,11 +184,7 @@ pub fn try_run_corun_with_cache(
     merged.aggregate = sdam_mapping::BitFlipRateVector::mean(agg_members);
 
     let t0 = Instant::now();
-    let mix_pkey = format!("corun[{}]", keys.join("+"));
-    let mix_key = selection_key(&mix_pkey, config, exp);
-    let out = cache.selection_or_try(&mix_key, || {
-        profiling::try_select_mappings_cached(config, &merged, exp, cache, &mix_pkey)
-    })?;
+    let out = profiling::try_select_mappings(config, &merged, exp)?;
     phases.select = t0.elapsed();
 
     // Materialize all workloads into ONE system; each runs in its own
@@ -370,8 +323,7 @@ mod tests {
         // The acceptance criterion of the staged pipeline: N
         // configurations share ONE profiling pass through the cache.
         let w = DataCopy::new(vec![16]);
-        let cache = StageCache::new();
-        let cmp = try_compare_with_cache(
+        let cmp = try_compare(
             &w,
             &[
                 SystemConfig::BsBsm,
@@ -379,45 +331,22 @@ mod tests {
                 SystemConfig::SdmBsmMl { clusters: 2 },
             ],
             &Experiment::quick(),
-            &cache,
         )
         .unwrap();
         assert_eq!(cmp.results.len(), 4, "BS+DM prepended");
-        assert_eq!(cache.profile_misses(), 1, "exactly one profiling pass");
+        if !crate::metrics::OBS_ENABLED {
+            return;
+        }
         assert_eq!(
-            cache.profile_hits(),
+            cmp.metrics.counter("stage.profile_cache.misses"),
+            1,
+            "exactly one profiling pass"
+        );
+        assert_eq!(
+            cmp.metrics.counter("stage.profile_cache.hits"),
             3,
             "every profiled configuration hit the cache"
         );
-        // A second sweep on the same cache reuses everything.
-        let cmp2 = try_compare_with_cache(
-            &w,
-            &[SystemConfig::BsBsm, SystemConfig::SdmBsm],
-            &Experiment::quick(),
-            &cache,
-        )
-        .unwrap();
-        assert_eq!(cache.profile_misses(), 1, "no new profiling pass");
-        // Cache reuse is bit-identical to recomputation.
-        assert_eq!(
-            cmp.speedup_of(SystemConfig::SdmBsm),
-            cmp2.speedup_of(SystemConfig::SdmBsm)
-        );
-    }
-
-    #[test]
-    fn cached_compare_matches_fresh_compare() {
-        // Determinism across the cache boundary: a shared-cache sweep
-        // reports the same cycles as independent fresh runs.
-        let w = DataCopy::new(vec![4, 16]);
-        let exp = Experiment::quick();
-        let fresh = try_compare(&w, &[SystemConfig::SdmBsm], &exp).unwrap();
-        let cache = StageCache::new();
-        let cached = try_compare_with_cache(&w, &[SystemConfig::SdmBsm], &exp, &cache).unwrap();
-        for (a, b) in fresh.results.iter().zip(&cached.results) {
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.report.cycles, b.report.cycles);
-        }
     }
 
     #[test]
@@ -450,20 +379,6 @@ mod tests {
             "per-variable ({s_per_var:.2}) must beat the global mix ({s_global:.2})"
         );
         assert!(s_per_var > 1.05, "co-run should improve: {s_per_var:.2}");
-    }
-
-    #[test]
-    fn corun_reuses_profiles_across_configs() {
-        let streamer = DataCopy::with_threads(vec![1], 1);
-        let strider = DataCopy::with_threads(vec![32], 1);
-        let exp = Experiment::quick();
-        let cache = StageCache::new();
-        let workloads: Vec<&dyn sdam_workloads::Workload> = vec![&streamer, &strider];
-        try_run_corun_with_cache(&workloads, SystemConfig::BsBsm, &exp, &cache).unwrap();
-        assert_eq!(cache.profile_misses(), 2, "one pass per workload");
-        try_run_corun_with_cache(&workloads, SystemConfig::SdmBsm, &exp, &cache).unwrap();
-        assert_eq!(cache.profile_misses(), 2, "second config reuses both");
-        assert_eq!(cache.profile_hits(), 2);
     }
 
     #[test]

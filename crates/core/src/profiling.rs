@@ -256,33 +256,6 @@ pub fn try_select_mappings(
     data: &ProfileData,
     exp: &Experiment,
 ) -> Result<SelectionOutcome, SdamError> {
-    select_impl(config, data, exp, None)
-}
-
-/// [`try_select_mappings`] with the trained DL clustering memoized in
-/// `cache` under [`crate::stage::embedding_key`] (built from
-/// `profile_key`). Identical results to the uncached path — a hit just
-/// skips retraining the autoencoder, which dominates DL selection cost.
-///
-/// # Errors
-///
-/// As [`try_select_mappings`].
-pub fn try_select_mappings_cached(
-    config: SystemConfig,
-    data: &ProfileData,
-    exp: &Experiment,
-    cache: &crate::stage::StageCache,
-    profile_key: &str,
-) -> Result<SelectionOutcome, SdamError> {
-    select_impl(config, data, exp, Some((cache, profile_key)))
-}
-
-fn select_impl(
-    config: SystemConfig,
-    data: &ProfileData,
-    exp: &Experiment,
-    dl_cache: Option<(&crate::stage::StageCache, &str)>,
-) -> Result<SelectionOutcome, SdamError> {
     config.try_validate()?;
     let window_hi = exp.chunk_bits;
     let windowed = |bfrv: &BitFlipRateVector| {
@@ -340,31 +313,19 @@ fn select_impl(
             if data.major.is_empty() {
                 return Err(SdamError::EmptyProfile);
             }
-            let train = || {
-                let traces: Vec<Vec<u64>> = data
-                    .major
-                    .iter()
-                    .map(|v| data.pa_streams[v].clone())
-                    .collect();
-                sdam_ml::dlkmeans::cluster_variables_dl(
-                    &traces,
-                    exp.geometry.addr_bits(),
-                    clusters,
-                    &exp.training,
-                    exp.parallelism.threads(),
-                )
-            };
-            let assignments = match dl_cache {
-                Some((cache, pkey)) => {
-                    let key = crate::stage::embedding_key(pkey, clusters, exp);
-                    cache
-                        .embedding_or_try(&key, || Ok(train()))?
-                        .assignments
-                        .clone()
-                }
-                None => train().assignments,
-            };
-            cluster_selection(data, &assignments, exp)
+            let traces: Vec<Vec<u64>> = data
+                .major
+                .iter()
+                .map(|v| data.pa_streams[v].clone())
+                .collect();
+            let clustering = sdam_ml::dlkmeans::cluster_variables_dl(
+                &traces,
+                exp.geometry.addr_bits(),
+                clusters,
+                &exp.training,
+                exp.parallelism.threads(),
+            );
+            cluster_selection(data, &clustering.assignments, exp)
         }
     };
     Ok(SelectionOutcome {

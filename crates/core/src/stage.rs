@@ -9,25 +9,24 @@
 //! produces its own, and records its wall-clock in
 //! [`PhaseTimes`].
 //!
-//! Expensive artifacts are memoized in a [`StageCache`] keyed by
-//! *content*: a profile's key folds in the workload's
+//! The only memoized artifact is the workload's profile, held in a
+//! [`StageCache`] keyed by *content*: the key folds in the workload's
 //! [`fingerprint`](Workload::fingerprint), the profiling seed/scale, the
-//! memory geometry, and the chunk size — everything the artifact is a
-//! deterministic function of. A selection's key adds the system
-//! configuration and the training hyper-parameters. Because every
-//! artifact is a pure function of its key, a cache hit is bit-identical
-//! to recomputation; [`crate::pipeline::try_compare`] exploits this to
-//! profile each workload exactly once across all configurations, and a
-//! harness sweeping many configurations can pass one cache to
-//! [`crate::pipeline::try_compare_with_cache`] to reuse artifacts across
-//! calls. Hit/miss counters expose the reuse for tests and benchmarks.
+//! memory geometry, and the chunk size — everything the profile is a
+//! deterministic function of. Because a profile is a pure function of
+//! its key, a cache hit is bit-identical to recomputation;
+//! [`crate::pipeline::try_compare`] exploits this to profile each
+//! workload exactly once across all configurations, and a harness that
+//! wants cross-call reuse drives the stages over one shared cache.
+//! Selection always runs on the context's profile. Hit/miss counters
+//! expose the reuse for tests and benchmarks.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sdam_sys::{ExecutionReport, Machine, MappingEngine};
+use sdam_sys::{ExecutionReport, Machine};
 use sdam_trace::Trace;
 use sdam_workloads::Workload;
 
@@ -57,71 +56,17 @@ pub fn profile_key(workload: &dyn Workload, exp: &Experiment) -> String {
     )
 }
 
-/// The content key under which a selection is cached: the profile's key
-/// plus the configuration and the training hyper-parameters.
-pub fn selection_key(profile_key: &str, config: SystemConfig, exp: &Experiment) -> String {
-    format!("{profile_key}|cfg={config:?}|train={:?}", exp.training)
-}
-
-/// The content key under which a trained DL clustering is cached: the
-/// profile's key plus the training hyper-parameters and the cluster
-/// count — everything [`sdam_ml::dlkmeans::cluster_variables_dl`] is a
-/// deterministic function of. Narrower than [`selection_key`]: it omits
-/// the [`SystemConfig`], so any configuration that trains on the same
-/// profile with the same hyper-parameters shares the embedding.
-pub fn embedding_key(profile_key: &str, clusters: usize, exp: &Experiment) -> String {
-    format!("{profile_key}|train={:?}|k={clusters}", exp.training)
-}
-
-/// One content-keyed memo: shared artifacts by key, plus the hit/miss
-/// counters the `stage.*_cache.*` metrics read.
-#[derive(Debug)]
-struct Memo<T> {
-    map: Mutex<HashMap<String, Arc<T>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<T> Default for Memo<T> {
-    fn default() -> Self {
-        Memo {
-            map: Mutex::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl<T> Memo<T> {
-    /// The get-or-compute body of every `StageCache::*_or_try` method
-    /// (contract on [`StageCache::profile_or_try`]).
-    fn get_or_try<F>(&self, key: &str, compute: F) -> Result<Arc<T>, SdamError>
-    where
-        F: FnOnce() -> Result<T, SdamError>,
-    {
-        if let Some(v) = lock(&self.map).get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(v));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = Arc::new(compute()?);
-        Ok(Arc::clone(
-            lock(&self.map).entry(key.to_string()).or_insert(computed),
-        ))
-    }
-}
-
-/// A content-keyed memo of the pipeline's expensive artifacts.
+/// A content-keyed memo of workload profiles, the pipeline's one
+/// expensive artifact that configurations share.
 ///
 /// Shared by reference across the per-configuration fan-out of
-/// [`crate::pipeline::try_compare`] and the per-workload profiling of
-/// [`crate::pipeline::try_run_corun`]; a harness can hold one cache across
-/// many calls to amortize profiling over a whole sweep.
+/// [`crate::pipeline::try_compare`]; a harness can hold one cache across
+/// many staged runs to amortize profiling over a whole sweep.
 #[derive(Debug, Default)]
 pub struct StageCache {
-    profiles: Memo<ProfileData>,
-    selections: Memo<SelectionOutcome>,
-    embeddings: Memo<sdam_ml::dlkmeans::DlClustering>,
+    profiles: Mutex<HashMap<String, Arc<ProfileData>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl StageCache {
@@ -142,75 +87,27 @@ impl StageCache {
     where
         F: FnOnce() -> Result<ProfileData, SdamError>,
     {
-        self.profiles.get_or_try(key, compute)
-    }
-
-    /// Returns the cached selection for `key`, computing and inserting
-    /// it on a miss (same contract as [`StageCache::profile_or_try`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute`'s error; nothing is cached on failure.
-    pub fn selection_or_try<F>(
-        &self,
-        key: &str,
-        compute: F,
-    ) -> Result<Arc<SelectionOutcome>, SdamError>
-    where
-        F: FnOnce() -> Result<SelectionOutcome, SdamError>,
-    {
-        self.selections.get_or_try(key, compute)
-    }
-
-    /// Returns the cached DL clustering for `key` (see
-    /// [`embedding_key`]), computing and inserting it on a miss (same
-    /// contract as [`StageCache::profile_or_try`]). Training the
-    /// autoencoder dominates DL selection cost, so memoizing the
-    /// clustering lets a sweep pay for training once per
-    /// (profile, hyper-parameters, k) triple.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute`'s error; nothing is cached on failure.
-    pub fn embedding_or_try<F>(
-        &self,
-        key: &str,
-        compute: F,
-    ) -> Result<Arc<sdam_ml::dlkmeans::DlClustering>, SdamError>
-    where
-        F: FnOnce() -> Result<sdam_ml::dlkmeans::DlClustering, SdamError>,
-    {
-        self.embeddings.get_or_try(key, compute)
+        if let Some(v) = lock(&self.profiles).get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(v));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let computed = Arc::new(compute()?);
+        Ok(Arc::clone(
+            lock(&self.profiles)
+                .entry(key.to_string())
+                .or_insert(computed),
+        ))
     }
 
     /// Profile lookups served from the cache.
     pub fn profile_hits(&self) -> u64 {
-        self.profiles.hits.load(Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Profile lookups that had to compute (= profiling passes run).
     pub fn profile_misses(&self) -> u64 {
-        self.profiles.misses.load(Ordering::Relaxed)
-    }
-
-    /// Selection lookups served from the cache.
-    pub fn selection_hits(&self) -> u64 {
-        self.selections.hits.load(Ordering::Relaxed)
-    }
-
-    /// Selection lookups that had to compute.
-    pub fn selection_misses(&self) -> u64 {
-        self.selections.misses.load(Ordering::Relaxed)
-    }
-
-    /// DL-clustering lookups served from the cache.
-    pub fn embedding_hits(&self) -> u64 {
-        self.embeddings.hits.load(Ordering::Relaxed)
-    }
-
-    /// DL-clustering lookups that had to train.
-    pub fn embedding_misses(&self) -> u64 {
-        self.embeddings.misses.load(Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -246,7 +143,7 @@ pub struct RunContext<'a> {
     pub config: SystemConfig,
     /// The experiment parameters.
     pub exp: &'a Experiment,
-    /// The artifact memo (shared across runs).
+    /// The profile memo (shared across runs).
     pub cache: &'a StageCache,
     /// Profile data ([`ProfileStage`], or pre-seeded by the caller).
     pub profile: Option<ProfileHandle<'a>>,
@@ -260,9 +157,6 @@ pub struct RunContext<'a> {
     pub sys: Option<SdamSystem>,
     /// The physical-address evaluation trace ([`AllocStage`]).
     pub pa_trace: Option<Trace>,
-    /// The address-mapping engine the machine ran with
-    /// ([`ExecuteStage`]).
-    pub engine: Option<MappingEngine>,
     /// The machine-model execution report ([`ExecuteStage`]).
     pub report: Option<ExecutionReport>,
     /// The assembled result ([`ReportStage`]).
@@ -289,7 +183,6 @@ impl<'a> RunContext<'a> {
             learning_time: None,
             sys: None,
             pa_trace: None,
-            engine: None,
             report: None,
             result: None,
             phases: PhaseTimes::default(),
@@ -339,9 +232,8 @@ impl Stage for ProfileStage {
     }
 }
 
-/// Turns the profile into a mapping plan for the configuration
-/// (through the cache); configurations that skip profiling select from
-/// the empty profile.
+/// Turns the profile into a mapping plan for the configuration;
+/// configurations that skip profiling select from the empty profile.
 pub struct SelectStage;
 
 impl Stage for SelectStage {
@@ -353,15 +245,9 @@ impl Stage for SelectStage {
         let t0 = Instant::now();
         let outcome = match &ctx.profile {
             Some(data) if ctx.config.needs_profiling() => {
-                let pkey = profile_key(ctx.workload, ctx.exp);
-                let key = selection_key(&pkey, ctx.config, ctx.exp);
-                let out = ctx.cache.selection_or_try(&key, || {
-                    profiling::try_select_mappings_cached(
-                        ctx.config, data, ctx.exp, ctx.cache, &pkey,
-                    )
-                })?;
+                let out = profiling::try_select_mappings(ctx.config, data, ctx.exp)?;
                 ctx.learning_time = Some(out.learning_time);
-                (*out).clone()
+                out
             }
             _ => {
                 let empty = profiling::empty_profile(ctx.exp);
@@ -426,7 +312,6 @@ impl Stage for ExecuteStage {
         let t0 = Instant::now();
         let report = machine.run(pa_trace, &engine);
         ctx.phases.execute = t0.elapsed();
-        ctx.engine = Some(engine);
         ctx.report = Some(report);
         Ok(())
     }
@@ -504,9 +389,6 @@ mod tests {
             profile_key(&DataCopy::new(vec![1]), &exp2),
             "different profiling seeds must not share a profile"
         );
-        let s1 = selection_key(&a, SystemConfig::SdmBsm, &exp);
-        let s2 = selection_key(&a, SystemConfig::SdmBsmMl { clusters: 4 }, &exp);
-        assert_ne!(s1, s2, "different configs must not share a selection");
     }
 
     #[test]
@@ -527,45 +409,6 @@ mod tests {
             Arc::ptr_eq(&first, &second),
             "hit returns the same artifact"
         );
-    }
-
-    #[test]
-    fn embedding_key_narrower_than_selection_key() {
-        let exp = Experiment::quick();
-        let pkey = profile_key(&DataCopy::new(vec![1]), &exp);
-        let e4 = embedding_key(&pkey, 4, &exp);
-        let e2 = embedding_key(&pkey, 2, &exp);
-        assert_ne!(e4, e2, "different k must not share a trained model");
-        let mut exp2 = Experiment::quick();
-        exp2.training.seed += 1;
-        assert_ne!(
-            e4,
-            embedding_key(&pkey, 4, &exp2),
-            "different training seeds must not share a trained model"
-        );
-    }
-
-    #[test]
-    fn dl_selection_trains_once_per_profile_and_k() {
-        let cache = StageCache::new();
-        let exp = Experiment::quick();
-        let w = DataCopy::new(vec![1, 16]);
-        let data = profiling::try_profile_on_baseline(&w, &exp).unwrap();
-        let pkey = profile_key(&w, &exp);
-        let cfg = SystemConfig::SdmBsmDl { clusters: 2 };
-        let a = profiling::try_select_mappings_cached(cfg, &data, &exp, &cache, &pkey).unwrap();
-        assert_eq!(cache.embedding_misses(), 1);
-        assert_eq!(cache.embedding_hits(), 0);
-        let b = profiling::try_select_mappings_cached(cfg, &data, &exp, &cache, &pkey).unwrap();
-        assert_eq!(cache.embedding_misses(), 1, "second select retrained");
-        assert_eq!(cache.embedding_hits(), 1);
-        match (&a.selection, &b.selection) {
-            (
-                profiling::Selection::Sdam { assignment: x, .. },
-                profiling::Selection::Sdam { assignment: y, .. },
-            ) => assert_eq!(x, y, "cache hit changed the plan"),
-            _ => panic!("DL config must produce an SDAM plan"),
-        }
     }
 
     #[test]
