@@ -141,7 +141,6 @@ impl std::error::Error for CmtError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cmt {
-    phys_bits: u32,
     chunk_bits: u32,
     /// First-level table: mapping index per chunk.
     chunk_index: Vec<u8>,
@@ -273,7 +272,6 @@ impl Cmt {
         let mut in_free = vec![true; MAX_MAPPINGS];
         in_free[0] = false;
         Ok(Cmt {
-            phys_bits,
             chunk_bits,
             chunk_index: vec![0; chunks],
             configs,
@@ -312,12 +310,6 @@ impl Cmt {
     #[inline]
     pub fn chunk_bits(&self) -> u32 {
         self.chunk_bits
-    }
-
-    /// Physical address space covered, in bytes.
-    #[inline]
-    pub fn covered_bytes(&self) -> u64 {
-        1u64 << self.phys_bits
     }
 
     /// Registers (or replaces) the crossbar configuration for a mapping

@@ -57,9 +57,7 @@ impl std::fmt::Display for ThreadId {
 ///
 /// Workload generators attribute the variable at generation time (they
 /// know which data structure they are touching) — the role the gcc
-/// PC→variable table plays on the paper's platform. The
-/// [`crate::AllocationRegistry`] path exists to demonstrate attribution
-/// when only addresses are available.
+/// PC→variable table plays on the paper's platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MemAccess {
     /// Byte address of the access.

@@ -184,99 +184,6 @@ impl RandomGen {
     }
 }
 
-/// A two-state Markov stride generator: alternates between a *run*
-/// state (constant stride) and a *jump* state (random far jump), with
-/// configurable persistence. Models bursty pointer-plus-scan behaviour
-/// (B-tree range scans, log readers) that neither a pure stride nor a
-/// pure random generator captures.
-#[derive(Debug, Clone)]
-pub struct MarkovGen {
-    base: u64,
-    len_bytes: u64,
-    stride_bytes: u64,
-    run_continue_prob: f64,
-    count: u64,
-    variable: VariableId,
-    thread: ThreadId,
-    seed: u64,
-}
-
-impl MarkovGen {
-    /// A generator over `[base, base + len_bytes)`: runs of
-    /// `stride_bytes` steps that continue with probability
-    /// `run_continue_prob`, otherwise jump uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len_bytes < 64`, the stride is zero, or the
-    /// probability is outside `[0, 1)`.
-    pub fn new(
-        base: u64,
-        len_bytes: u64,
-        stride_bytes: u64,
-        run_continue_prob: f64,
-        count: u64,
-        seed: u64,
-    ) -> Self {
-        assert!(len_bytes >= 64, "region must hold at least one line");
-        assert!(stride_bytes > 0, "stride must be non-zero");
-        assert!(
-            (0.0..1.0).contains(&run_continue_prob),
-            "probability must be in [0, 1)"
-        );
-        MarkovGen {
-            base,
-            len_bytes,
-            stride_bytes,
-            run_continue_prob,
-            count,
-            variable: VariableId(0),
-            thread: ThreadId(0),
-            seed,
-        }
-    }
-
-    /// Sets the variable accesses are attributed to.
-    pub fn variable(mut self, v: VariableId) -> Self {
-        self.variable = v;
-        self
-    }
-
-    /// Sets the issuing thread.
-    pub fn thread(mut self, t: ThreadId) -> Self {
-        self.thread = t;
-        self
-    }
-
-    /// Appends the stream to `trace`.
-    pub fn emit(&self, trace: &mut Trace) {
-        trace.reserve(self.count as usize);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut off = 0u64;
-        for _ in 0..self.count {
-            trace.push(MemAccess {
-                addr: self.base + off,
-                pc: 0x3000,
-                thread: self.thread,
-                variable: self.variable,
-                is_write: false,
-            });
-            if rng.gen_bool(self.run_continue_prob) {
-                off = (off + self.stride_bytes) % self.len_bytes;
-            } else {
-                off = rng.gen_range(0..self.len_bytes / 64) * 64;
-            }
-        }
-    }
-
-    /// Convenience: emits into a fresh trace.
-    pub fn into_trace(self) -> Trace {
-        let mut t = Trace::with_capacity(self.count as usize);
-        self.emit(&mut t);
-        t
-    }
-}
-
 /// Round-robin interleaving of several streams — models concurrent
 /// threads (the paper's four-thread data-copy experiment, Fig. 11).
 ///
@@ -344,25 +251,6 @@ pub fn interleave_bursts(
     out
 }
 
-/// Random interleaving with a seeded RNG — models unsynchronized
-/// threads whose relative progress jitters.
-pub fn interleave_random(streams: Vec<Trace>, seed: u64) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let total: usize = streams.iter().map(Trace::len).sum();
-    let mut iters: Vec<_> = streams.into_iter().map(Trace::into_iter).collect();
-    let mut out = Trace::with_capacity(total);
-    while !iters.is_empty() {
-        let i = rng.gen_range(0..iters.len());
-        match iters[i].next() {
-            Some(a) => out.push(a),
-            None => {
-                iters.swap_remove(i);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,39 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn markov_mixes_runs_and_jumps() {
-        let t = MarkovGen::new(0, 1 << 20, 64, 0.9, 5000, 11).into_trace();
-        assert_eq!(t.len(), 5000);
-        let mut runs = 0usize;
-        let mut jumps = 0usize;
-        let addrs: Vec<u64> = t.addrs().collect();
-        for w in addrs.windows(2) {
-            if w[1] == (w[0] + 64) % (1 << 20) {
-                runs += 1;
-            } else {
-                jumps += 1;
-            }
-        }
-        // ~90% run continuation.
-        let frac = runs as f64 / (runs + jumps) as f64;
-        assert!((0.85..0.95).contains(&frac), "run fraction {frac}");
-        assert!(t.addrs().all(|a| a < 1 << 20));
-    }
-
-    #[test]
-    fn markov_is_deterministic() {
-        let a = MarkovGen::new(64, 4096, 128, 0.5, 200, 3).into_trace();
-        let b = MarkovGen::new(64, 4096, 128, 0.5, 200, 3).into_trace();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability must be in [0, 1)")]
-    fn markov_validates_probability() {
-        let _ = MarkovGen::new(0, 4096, 64, 1.0, 10, 1);
-    }
-
-    #[test]
     fn round_robin_alternates() {
         let s0 = StrideGen::new(0, 64, 3)
             .variable(VariableId(0))
@@ -450,22 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn random_interleave_preserves_per_stream_order() {
-        let s0 = StrideGen::new(0, 64, 50)
-            .variable(VariableId(0))
-            .into_trace();
-        let s1 = StrideGen::new(1 << 20, 64, 50)
-            .variable(VariableId(1))
-            .into_trace();
-        let t = interleave_random(vec![s0, s1], 7);
-        assert_eq!(t.len(), 100);
-        let v0: Vec<u64> = t.addrs_of(VariableId(0)).collect();
-        assert!(v0.windows(2).all(|w| w[1] > w[0]), "stream order preserved");
-    }
-
-    #[test]
     fn interleave_empty_is_empty() {
         assert!(interleave_round_robin(vec![]).is_empty());
-        assert!(interleave_random(vec![], 1).is_empty());
     }
 }

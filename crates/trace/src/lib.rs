@@ -4,14 +4,14 @@
 //! physical-address traces: gcc emits a PC→variable table, a profiler
 //! collects `(PC, physical address)` pairs for every external memory
 //! access, and two-pass call-stack matching attributes heap accesses to
-//! their allocation sites. This crate reproduces that pipeline as a
-//! library:
+//! their allocation sites. This crate reproduces the trace side of that
+//! pipeline as a library (the two-pass attribution itself lives in
+//! `sdam::profiling`, which segregates each major variable onto its own
+//! chunk group):
 //!
 //! * [`MemAccess`] / [`Trace`] — the access-record schema,
 //! * [`gen`] — seeded synthetic generators (strided, random, mixed,
 //!   interleaved multi-thread streams),
-//! * [`AllocationRegistry`] — the call-stack-matching simulation: an
-//!   interval map from address ranges to allocation sites,
 //! * [`profile`] — attribution of a trace to variables, identification
 //!   of *major variables* (the few variables covering 80 % of
 //!   references, paper Observation 3), and the Table-1 statistics,
@@ -39,7 +39,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod access;
-pub mod alloc_registry;
 pub mod gen;
 pub mod io;
 pub mod profile;
@@ -47,5 +46,4 @@ pub mod stats;
 pub mod trace;
 
 pub use access::{MemAccess, ThreadId, VariableId};
-pub use alloc_registry::{AllocationRegistry, AllocationSite, CallStack};
 pub use trace::Trace;
