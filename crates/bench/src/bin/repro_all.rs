@@ -176,3 +176,28 @@ fn run_parallel(jobs: usize, args: &[String]) {
         std::process::exit(1);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::BINARIES;
+
+    #[test]
+    fn binaries_lists_every_figure_binary() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .expect("src/bin is readable")
+            .filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                name.strip_suffix(".rs").map(str::to_string)
+            })
+            .filter(|stem| stem != "repro_all")
+            .collect();
+        on_disk.sort();
+        let mut listed: Vec<String> = BINARIES.iter().map(|b| b.to_string()).collect();
+        listed.sort();
+        assert_eq!(
+            listed, on_disk,
+            "BINARIES must list every src/bin binary once"
+        );
+    }
+}

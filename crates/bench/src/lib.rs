@@ -5,15 +5,11 @@
 //! prints the same rows/series the paper reports, with the paper's
 //! number next to ours where the paper states one.
 //!
-//! Run them all with:
+//! Run them all, in canonical order, with `repro_all`:
 //!
 //! ```text
-//! for b in fig01_clp_vs_rlp fig02_conflict_demo fig03_stride_throughput \
-//!          fig04_single_vs_multi table1_variable_stats table2_hyperparams \
-//!          table3_area table4_loc fig11_mixed_stride fig12_cpu_speedup \
-//!          fig13_profiling_time fig14_freq_scaling fig15_accelerator; do
-//!   cargo run --release -p sdam-bench --bin $b
-//! done
+//! cargo build --release -p sdam-bench --bins
+//! ./target/release/repro_all tiny -j 2
 //! ```
 //!
 //! Most binaries accept a scale argument (`tiny` | `small` | `large`,
