@@ -3,7 +3,7 @@
 //! Fig. 13 cost is made of).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sdam_ml::autoencoder::{LstmAutoencoder, SeqSample};
+use sdam_ml::autoencoder::{LstmAutoencoder, MiniBatchItem, SeqSample};
 use sdam_ml::{kmeans, KMeansConfig, TrainingConfig};
 
 fn bfrv_points(n: usize) -> Vec<Vec<f64>> {
@@ -54,8 +54,13 @@ fn bench_lstm_step(c: &mut Criterion) {
             .map(|i| (0..33).map(|b| ((i >> (b % 4)) & 1) as f64).collect())
             .collect(),
     };
+    let batch = [MiniBatchItem {
+        sample: &sample,
+        weight: 1.0,
+        target: None,
+    }];
     c.bench_function("lstm_autoencoder_train_step", |b| {
-        b.iter(|| black_box(ae.train_step(&sample, None, cfg.learning_rate)))
+        b.iter(|| black_box(ae.train_minibatch(&batch, cfg.learning_rate)))
     });
 }
 

@@ -91,12 +91,13 @@ impl std::fmt::Display for SystemConfig {
 /// How much host parallelism the evaluation pipeline may use.
 ///
 /// Parallel execution is *deterministic*: every tier (per-config runs
-/// in [`crate::pipeline::try_compare`], per-workload profiling in
-/// [`crate::pipeline::try_run_corun`], and DL minibatch training)
-/// produces reports bit-identical to [`Parallelism::Serial`]. The knob
-/// only trades wall-clock for host threads. Executing one trace on the
+/// in [`crate::pipeline::try_compare`], and per-workload profiling and
+/// trace generation in [`crate::pipeline::try_run_corun`]) produces
+/// reports bit-identical to [`Parallelism::Serial`]. The knob only
+/// trades wall-clock for host threads. Executing one trace on the
 /// machine model is always serial: its per-request channel work is too
-/// fine-grained to hand off to other threads.
+/// fine-grained to hand off to other threads, and mapping selection
+/// (K-Means, DL training) runs on the caller's thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Single-threaded everywhere (the reference behaviour).

@@ -2,7 +2,8 @@
 //!
 //! Each layer keeps its own error — [`ConfigError`] for shapes,
 //! [`MemError`] for the allocation stack, [`CmtError`] for the mapping
-//! hardware, [`TraceIoError`] for trace files — and the pipeline's
+//! hardware, [`TraceIoError`] for trace files, [`KMeansError`] for
+//! clustering — and the pipeline's
 //! entry points (`try_run`, `try_compare`, `try_run_corun`) fold them
 //! all into [`SdamError`], so a caller embedding the evaluation
 //! pipeline handles one type. The figure binaries, which want fail-fast
@@ -10,6 +11,7 @@
 
 use sdam_mapping::CmtError;
 use sdam_mem::MemError;
+use sdam_ml::KMeansError;
 use sdam_sys::ConfigError;
 use sdam_trace::io::TraceIoError;
 
@@ -26,6 +28,9 @@ pub enum SdamError {
     Cmt(CmtError),
     /// A failure reading or writing a trace file.
     TraceIo(TraceIoError),
+    /// Mapping selection could not cluster its points (a non-finite
+    /// flip rate or embedding).
+    Clustering(KMeansError),
     /// Profiling found no major variables, but the configuration needs
     /// a per-variable profile to select mappings from.
     EmptyProfile,
@@ -40,6 +45,7 @@ impl std::fmt::Display for SdamError {
             SdamError::Mem(e) => write!(f, "{e}"),
             SdamError::Cmt(e) => write!(f, "{e}"),
             SdamError::TraceIo(e) => write!(f, "{e}"),
+            SdamError::Clustering(e) => write!(f, "mapping selection: {e}"),
             SdamError::EmptyProfile => {
                 write!(
                     f,
@@ -58,6 +64,7 @@ impl std::error::Error for SdamError {
             SdamError::Mem(e) => Some(e),
             SdamError::Cmt(e) => Some(e),
             SdamError::TraceIo(e) => Some(e),
+            SdamError::Clustering(e) => Some(e),
             SdamError::EmptyProfile | SdamError::NoWorkloads => None,
         }
     }
@@ -87,6 +94,12 @@ impl From<TraceIoError> for SdamError {
     }
 }
 
+impl From<KMeansError> for SdamError {
+    fn from(e: KMeansError) -> Self {
+        SdamError::Clustering(e)
+    }
+}
+
 impl From<sdam_ml::TrainingError> for SdamError {
     fn from(e: sdam_ml::TrainingError) -> Self {
         SdamError::Config(ConfigError::Training { what: e.what })
@@ -110,6 +123,9 @@ mod tests {
         .into();
         assert!(matches!(e, SdamError::Config(ConfigError::Training { .. })));
         assert!(SdamError::EmptyProfile.to_string().contains("major"));
+        let e: SdamError = KMeansError::NonFinite { point: 3 }.into();
+        assert!(matches!(e, SdamError::Clustering(_)));
+        assert!(e.to_string().contains("point 3"), "{e}");
         use std::error::Error;
         assert!(SdamError::Mem(MemError::MappingIdsExhausted)
             .source()

@@ -60,6 +60,7 @@
 pub mod config;
 pub mod error;
 pub mod metrics;
+mod par;
 pub mod pipeline;
 pub mod probing;
 pub mod profiling;

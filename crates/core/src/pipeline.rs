@@ -10,13 +10,13 @@
 
 use std::time::Instant;
 
-use sdam_ml::par::par_map_indexed;
 use sdam_sys::Machine;
 use sdam_trace::VariableId;
 use sdam_workloads::Workload;
 
 use crate::config::{Experiment, SystemConfig};
 use crate::error::SdamError;
+use crate::par::par_map_indexed;
 use crate::profiling::{self, ProfileData};
 use crate::report::{Comparison, PhaseTimes, RunResult};
 use crate::stage::{
@@ -153,35 +153,38 @@ pub fn try_run_corun(
 
     let mut phases = PhaseTimes::default();
 
-    // Profile each workload independently (per-process profiling, as the
-    // paper's offline flow does), then merge the profiles: variables are
-    // renumbered per workload so ids never collide. The per-workload
-    // profiling runs are independent, so they fan out across the
-    // experiment's thread budget (merge order stays the input order).
-    let t0 = Instant::now();
-    let profiles = par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |_, w| {
-        profiling::try_profile_on_baseline(w, exp)
-    });
-    let profiles: Vec<ProfileData> = profiles
-        .into_iter()
-        .collect::<Result<Vec<_>, SdamError>>()?;
-    phases.profile = t0.elapsed();
-
     // Renumber variables: workload i's variable v becomes
     // v + i * 100_000 (traces never have that many variables).
     const STRIDE: u32 = 100_000;
+
+    // Profile each workload independently (per-process profiling, as the
+    // paper's offline flow does), then merge the profiles with the
+    // variables renumbered. The per-workload profiling runs are
+    // independent, so they fan out across the experiment's thread budget
+    // (merge order stays the input order). A configuration that ignores
+    // the profile selects from the empty one, as a single run does.
+    let t0 = Instant::now();
     let mut merged = profiling::empty_profile(exp);
-    let mut agg_members: Vec<&sdam_mapping::BitFlipRateVector> = Vec::new();
-    for (i, p) in profiles.iter().enumerate() {
-        for &v in &p.major {
-            let nv = VariableId(v.0 + i as u32 * STRIDE);
-            merged.major.push(nv);
-            merged.bfrvs.insert(nv, p.bfrvs[&v].clone());
-            merged.pa_streams.insert(nv, p.pa_streams[&v].clone());
+    if config.needs_profiling() {
+        let profiles = par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |_, w| {
+            profiling::try_profile_on_baseline(w, exp)
+        });
+        let profiles: Vec<ProfileData> = profiles
+            .into_iter()
+            .collect::<Result<Vec<_>, SdamError>>()?;
+        let mut agg_members: Vec<&sdam_mapping::BitFlipRateVector> = Vec::new();
+        for (i, p) in profiles.iter().enumerate() {
+            for &v in &p.major {
+                let nv = VariableId(v.0 + i as u32 * STRIDE);
+                merged.major.push(nv);
+                merged.bfrvs.insert(nv, p.bfrvs[&v].clone());
+                merged.pa_streams.insert(nv, p.pa_streams[&v].clone());
+            }
+            agg_members.push(&p.aggregate);
         }
-        agg_members.push(&p.aggregate);
+        merged.aggregate = sdam_mapping::BitFlipRateVector::mean(agg_members);
     }
-    merged.aggregate = sdam_mapping::BitFlipRateVector::mean(agg_members);
+    phases.profile = t0.elapsed();
 
     let t0 = Instant::now();
     let out = profiling::try_select_mappings(config, &merged, exp)?;
@@ -238,7 +241,7 @@ pub fn try_run_corun(
     Ok(RunResult {
         config,
         report,
-        learning_time: Some(out.learning_time),
+        learning_time: config.needs_profiling().then_some(out.learning_time),
         phases,
         metrics,
     })
@@ -379,6 +382,32 @@ mod tests {
             "per-variable ({s_per_var:.2}) must beat the global mix ({s_global:.2})"
         );
         assert!(s_per_var > 1.05, "co-run should improve: {s_per_var:.2}");
+    }
+
+    #[test]
+    fn corun_without_profiling_keeps_its_reports() {
+        // BS+DM and BS+HM select from the empty profile without
+        // profiling the tenants. The pinned cycles and makespans are
+        // what these co-runs reported when every tenant was profiled
+        // first: the profile never reached their selection.
+        let streamer = DataCopy::with_threads(vec![1], 1);
+        let strider = DataCopy::with_threads(vec![32], 1);
+        let exp = Experiment::quick();
+        for (config, cycles, makespan) in [
+            (SystemConfig::BsDm, 75_577, 75_583),
+            (SystemConfig::BsHm, 65_376, 65_399),
+        ] {
+            let r = try_run_corun(
+                &[&streamer as &dyn sdam_workloads::Workload, &strider],
+                config,
+                &exp,
+            )
+            .unwrap();
+            assert_eq!(r.report.cycles, cycles, "{config} cycles");
+            assert_eq!(r.report.memory.makespan, makespan, "{config} makespan");
+            assert_eq!(r.report.memory_requests, 40_000, "{config} requests");
+            assert!(r.learning_time.is_none(), "{config} learned nothing");
+        }
     }
 
     #[test]

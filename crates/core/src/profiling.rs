@@ -250,7 +250,8 @@ pub struct SelectionOutcome {
 /// [`SdamError::Config`] for an invalid configuration (a clustered one
 /// with zero clusters); [`SdamError::EmptyProfile`] when a
 /// profiling-dependent configuration is given a profile with no major
-/// variables.
+/// variables; [`SdamError::Clustering`] when ML or DL selection meets a
+/// non-finite flip rate or embedding.
 pub fn try_select_mappings(
     config: SystemConfig,
     data: &ProfileData,
@@ -306,7 +307,7 @@ pub fn try_select_mappings(
                     seed: exp.training.seed,
                     ..Default::default()
                 },
-            );
+            )?;
             cluster_selection(data, &clustering.assignments, exp)
         }
         SystemConfig::SdmBsmDl { clusters } => {
@@ -323,8 +324,7 @@ pub fn try_select_mappings(
                 exp.geometry.addr_bits(),
                 clusters,
                 &exp.training,
-                exp.parallelism.threads(),
-            );
+            )?;
             cluster_selection(data, &clustering.assignments, exp)
         }
     };

@@ -80,10 +80,11 @@ impl TrainingConfig {
     /// exercising every code path.
     ///
     /// The dimensions and the patience rule were tuned together on the
-    /// bench workloads: this is the smallest preset whose fast
-    /// (deduplicated, early-stopped) training loop still selects the
-    /// same cluster partition as the reference loop. See
-    /// BENCH_ml.json for the measured selection latency.
+    /// bench workloads: this is the smallest preset whose deduplicated,
+    /// early-stopped training loop still selected the same cluster
+    /// partition as the paper's fixed-step schedule (the partition
+    /// `tests/dl_golden.rs` pins). See BENCH_ml.json for the measured
+    /// selection latency.
     pub fn laptop() -> Self {
         TrainingConfig {
             hidden_dim: 12,

@@ -5,27 +5,18 @@
 //! runs on the embeddings; training continues with the joint loss; the
 //! final clusters assign one address mapping per cluster.
 //!
-//! Two training loops implement the four phases:
-//!
-//! * [`cluster_variables_dl`] — the production path.
-//!   Duplicate windows are collapsed to one weighted sample each, both
-//!   training phases run weighted mini-batches through the batched
-//!   LSTM kernels, a deterministic patience rule stops each phase once
-//!   the joint loss plateaus, and per-variable embeddings are computed
-//!   batched (and reused verbatim for the final clustering when the
-//!   joint phase executed no optimizer step).
-//! * [`cluster_variables_dl_reference`] — the original per-step loop
-//!   (uniform window sampling, fixed step schedule, per-sample
-//!   kernels), preserved as the quality oracle: the bench suite
-//!   asserts both paths select the same cluster partition.
+//! [`cluster_variables_dl`] runs the four phases as one loop on the
+//! per-step LSTM kernels. Duplicate windows are collapsed to one
+//! weighted sample each, both training phases walk weighted
+//! mini-batches of four round-robin, a deterministic patience rule
+//! stops each phase once the joint loss plateaus, and the phase-2
+//! embeddings are reused verbatim for the final clustering when the
+//! joint phase executed no optimizer step.
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::autoencoder::{LstmAutoencoder, MiniBatchItem, SeqSample};
-use crate::kmeans::{kmeans, Clustering, KMeansConfig};
+use crate::kmeans::{kmeans, Clustering, KMeansConfig, KMeansError};
 use crate::TrainingConfig;
 
 /// XOR deltas between consecutive addresses (the paper's Δ).
@@ -141,15 +132,6 @@ fn windows_for(
     out
 }
 
-/// The shared setup of both training loops: vocabulary, per-variable
-/// windows, and the fixed BFRV feature block.
-struct DlProblem {
-    bits: usize,
-    var_windows: Vec<Vec<SeqSample>>,
-    bfrv_features: Vec<Vec<f64>>,
-    delta_vocab: usize,
-}
-
 /// Deterministic early stopping: stop once the loss has gone
 /// `patience` consecutive updates without beating its best value by at
 /// least `min_delta`. `patience == 0` disables the rule.
@@ -183,55 +165,6 @@ impl EarlyStop {
             self.bad += 1;
         }
         self.bad >= self.patience
-    }
-}
-
-fn build_problem(traces: &[Vec<u64>], addr_bits: u32, config: &TrainingConfig) -> DlProblem {
-    assert!(!traces.is_empty(), "need at least one variable");
-    assert!((1..=64).contains(&addr_bits), "addr_bits must be 1..=64");
-    config.validate();
-    let bits = addr_bits as usize;
-
-    let delta_streams: Vec<Vec<u64>> = traces.iter().map(|t| deltas(t)).collect();
-    let vocab = DeltaVocab::build(
-        delta_streams.iter().map(|v| v.as_slice()),
-        config.delta_vocab_cap,
-    );
-
-    // Windows per variable (bounded so no variable dominates training).
-    let max_windows = 8;
-    let var_windows: Vec<Vec<SeqSample>> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, t)| windows_for(t, i, &vocab, bits, config.seq_len, max_windows))
-        .collect();
-
-    // Per-variable bit-flip-rate features, appended to the learned
-    // embedding before clustering. The paper clusters on the embedding
-    // alone; we found that on workloads whose BFRVs are already clean
-    // the hybrid representation lets the DL path never fall below the
-    // plain-K-Means path while keeping the embedding's tie-breaking
-    // power on messy traces.
-    let bfrv_features: Vec<Vec<f64>> = traces
-        .iter()
-        .map(|t| {
-            let mut flips = vec![0.0f64; bits];
-            for w in t.windows(2) {
-                let x = w[0] ^ w[1];
-                for (b, f) in flips.iter_mut().enumerate() {
-                    *f += ((x >> b) & 1) as f64;
-                }
-            }
-            let n = t.len().saturating_sub(1).max(1) as f64;
-            flips.iter().map(|f| f / n).collect()
-        })
-        .collect();
-
-    DlProblem {
-        bits,
-        var_windows,
-        bfrv_features,
-        delta_vocab: vocab.len().max(2),
     }
 }
 
@@ -271,41 +204,78 @@ fn dedup_windows(ws: &[SeqSample]) -> Vec<(SeqSample, f64)> {
 /// Phases, following the paper: (1) train the autoencoder on
 /// reconstruction only; (2) K-Means on the embeddings; (3) continue
 /// training with the joint loss; (4) final K-Means. Each training phase
-/// runs weighted mini-batches of deduplicated windows through the
-/// batched kernels and stops early once the joint loss plateaus (see
-/// [`TrainingConfig::patience`]); `config.steps` stays the hard cap.
+/// runs weighted mini-batches of deduplicated windows and stops early
+/// once the joint loss plateaus (see [`TrainingConfig::patience`]);
+/// `config.steps` stays the hard cap.
 ///
 /// Variables with fewer than three accesses produce no windows and are
 /// assigned to cluster 0.
 ///
-/// `threads` is the worker count for the mini-batch fan-out (1 runs
-/// serially). Results are bit-identical for every `threads` value
-/// (gradients reduce in fixed input order).
+/// # Errors
+///
+/// [`KMeansError::NoPoints`] if `traces` is empty,
+/// [`KMeansError::ZeroClusters`] if `k` is zero, and any other error of
+/// the two [`kmeans`] runs (a non-finite embedding).
 ///
 /// # Panics
 ///
-/// Panics if `traces` is empty, `k` is zero, or `addr_bits` is not in
-/// `1..=64`.
+/// Panics if `addr_bits` is not in `1..=64` or `config` is invalid.
 pub fn cluster_variables_dl(
     traces: &[Vec<u64>],
     addr_bits: u32,
     k: usize,
     config: &TrainingConfig,
-    threads: usize,
-) -> DlClustering {
-    assert!(k > 0, "k must be positive");
-    let problem = build_problem(traces, addr_bits, config);
+) -> Result<DlClustering, KMeansError> {
+    if traces.is_empty() {
+        return Err(KMeansError::NoPoints);
+    }
+    if k == 0 {
+        return Err(KMeansError::ZeroClusters);
+    }
+    assert!((1..=64).contains(&addr_bits), "addr_bits must be 1..=64");
+    config.validate();
+    let bits = addr_bits as usize;
 
-    // Deduplicate windows per variable: `uniq[i]` carries `weight[i]`
-    // duplicates and belongs to variable `owner[i]`.
+    let delta_streams: Vec<Vec<u64>> = traces.iter().map(|t| deltas(t)).collect();
+    let vocab = DeltaVocab::build(
+        delta_streams.iter().map(|v| v.as_slice()),
+        config.delta_vocab_cap,
+    );
+
+    // Per-variable bit-flip-rate features, appended to the learned
+    // embedding before clustering. The paper clusters on the embedding
+    // alone; we found that on workloads whose BFRVs are already clean
+    // the hybrid representation lets the DL path never fall below the
+    // plain-K-Means path while keeping the embedding's tie-breaking
+    // power on messy traces.
+    let bfrv_features: Vec<Vec<f64>> = traces
+        .iter()
+        .map(|t| {
+            let mut flips = vec![0.0f64; bits];
+            for w in t.windows(2) {
+                let x = w[0] ^ w[1];
+                for (b, f) in flips.iter_mut().enumerate() {
+                    *f += ((x >> b) & 1) as f64;
+                }
+            }
+            let n = t.len().saturating_sub(1).max(1) as f64;
+            flips.iter().map(|f| f / n).collect()
+        })
+        .collect();
+
+    // Windows per variable (at most 8, so no variable dominates
+    // training), deduplicated: `uniq[i]` carries `weight[i]` duplicates
+    // and belongs to variable `owner[i]`.
+    let max_windows = 8;
     let mut uniq: Vec<SeqSample> = Vec::new();
     let mut weight: Vec<f64> = Vec::new();
     let mut owner: Vec<usize> = Vec::new();
     // Window ranges per variable, for the per-variable embedding mean.
     let mut var_ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    for (vid, ws) in problem.var_windows.iter().enumerate() {
+    for (vid, t) in traces.iter().enumerate() {
+        let ws = windows_for(t, vid, &vocab, bits, config.seq_len, max_windows);
         let start = uniq.len();
-        for (w, mult) in dedup_windows(ws) {
+        for (w, mult) in dedup_windows(&ws) {
             uniq.push(w);
             weight.push(mult);
             owner.push(vid);
@@ -313,21 +283,19 @@ pub fn cluster_variables_dl(
         var_ranges.push(start..uniq.len());
     }
 
-    let mut ae = LstmAutoencoder::new(problem.delta_vocab, traces.len(), problem.bits, config);
+    let mut ae = LstmAutoencoder::new(vocab.len().max(2), traces.len(), bits, config);
 
     let embed_vars = |ae: &LstmAutoencoder| -> Vec<Vec<f64>> {
-        let refs: Vec<&SeqSample> = uniq.iter().collect();
-        let zs = ae.embed_batch(&refs, threads);
         var_ranges
             .iter()
-            .zip(&problem.bfrv_features)
+            .zip(&bfrv_features)
             .map(|(range, bfrv)| {
                 let mut acc = vec![0.0; ae.embedding_dim()];
                 if !range.is_empty() {
                     let mut wsum = 0.0;
                     for i in range.clone() {
                         wsum += weight[i];
-                        for (a, v) in acc.iter_mut().zip(&zs[i]) {
+                        for (a, v) in acc.iter_mut().zip(ae.embed(&uniq[i])) {
                             *a += weight[i] * v;
                         }
                     }
@@ -374,7 +342,7 @@ pub fn cluster_variables_dl(
                     target: None,
                 })
                 .collect();
-            let l = ae.train_minibatch(&items, config.learning_rate, threads);
+            let l = ae.train_minibatch(&items, config.learning_rate);
             last_loss = l.reconstruct;
             if steps_done.is_multiple_of(32) {
                 loss_curve.push(last_loss);
@@ -386,7 +354,7 @@ pub fn cluster_variables_dl(
         }
         // Phase 2: initial clustering on embeddings.
         let embeddings = embed_vars(&ae);
-        let clustering = kmeans(&embeddings, &kcfg);
+        let clustering = kmeans(&embeddings, &kcfg)?;
         phase2_embeddings = Some(embeddings);
         // Phase 3: joint training against assigned centroids. Pull the
         // embedding toward the embedding-part of the centroid (the
@@ -404,7 +372,7 @@ pub fn cluster_variables_dl(
                     target: Some(&clustering.centroids[clustering.assignments[owner[i]]][..dim]),
                 })
                 .collect();
-            let l = ae.train_minibatch(&items, config.learning_rate, threads);
+            let l = ae.train_minibatch(&items, config.learning_rate);
             last_loss = l.reconstruct;
             if steps_done.is_multiple_of(32) {
                 loss_curve.push(last_loss);
@@ -426,127 +394,15 @@ pub fn cluster_variables_dl(
         Some(e) => e,
         None => embed_vars(&ae),
     };
-    let clustering = kmeans(&embeddings, &kcfg);
-    DlClustering {
+    let clustering = kmeans(&embeddings, &kcfg)?;
+    Ok(DlClustering {
         assignments: clustering.assignments.clone(),
         embeddings,
         clustering,
         final_reconstruction_loss: last_loss,
         train_steps: steps_done,
         loss_curve,
-    }
-}
-
-/// The original per-step training loop, preserved as the reference
-/// oracle for the batched path: uniform window sampling from a seeded
-/// RNG, the full fixed `config.steps` schedule (no early stopping, no
-/// deduplication), per-sample forward/backward kernels, and per-window
-/// encoding in `embed_vars`. Slower by orders of magnitude on
-/// stride-dominated traces; use [`cluster_variables_dl`] outside of
-/// equivalence tests and benches.
-///
-/// # Panics
-///
-/// As [`cluster_variables_dl`].
-pub fn cluster_variables_dl_reference(
-    traces: &[Vec<u64>],
-    addr_bits: u32,
-    k: usize,
-    config: &TrainingConfig,
-) -> DlClustering {
-    assert!(k > 0, "k must be positive");
-    let problem = build_problem(traces, addr_bits, config);
-    let var_windows = &problem.var_windows;
-    let all: Vec<&SeqSample> = var_windows.iter().flatten().collect();
-
-    let mut ae = LstmAutoencoder::new(problem.delta_vocab, traces.len(), problem.bits, config);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xd1);
-
-    let embed_vars = |ae: &LstmAutoencoder| -> Vec<Vec<f64>> {
-        var_windows
-            .iter()
-            .zip(&problem.bfrv_features)
-            .map(|(ws, bfrv)| {
-                let mut acc = vec![0.0; ae.embedding_dim()];
-                if !ws.is_empty() {
-                    for w in ws {
-                        for (a, v) in acc.iter_mut().zip(ae.embed(w)) {
-                            *a += v;
-                        }
-                    }
-                    for a in &mut acc {
-                        *a /= ws.len() as f64;
-                    }
-                }
-                // Hybrid representation: embedding ⊕ BFRV.
-                acc.extend(bfrv.iter().map(|r| r * 2.0));
-                acc
-            })
-            .collect()
-    };
-
-    let kcfg = KMeansConfig {
-        k,
-        seed: config.seed,
-        ..KMeansConfig::default()
-    };
-
-    let mut steps_done = 0usize;
-    let mut last_loss = 0.0;
-    let mut loss_curve = Vec::new();
-
-    if !all.is_empty() {
-        // Phase 1: reconstruction pre-training in mini-batches of 4 —
-        // smoother gradients across heterogeneous variable windows.
-        let phase1 = config.steps / 2;
-        const BATCH: usize = 4;
-        for _ in 0..phase1 {
-            let batch: Vec<&SeqSample> = (0..BATCH.min(all.len()))
-                .map(|_| all[rng.gen_range(0..all.len())])
-                .collect();
-            last_loss = ae.train_batch(&batch, config.learning_rate).reconstruct;
-            if steps_done.is_multiple_of(32) {
-                loss_curve.push(last_loss);
-            }
-            steps_done += 1;
-        }
-        // Phase 2: initial clustering on embeddings.
-        let clustering = kmeans(&embed_vars(&ae), &kcfg);
-        // Phase 3: joint training against assigned centroids.
-        let mut window_owner = Vec::new();
-        for (vid, ws) in var_windows.iter().enumerate() {
-            for _ in ws {
-                window_owner.push(vid);
-            }
-        }
-        for _ in phase1..config.steps {
-            let idx = rng.gen_range(0..all.len());
-            let vid = window_owner[idx];
-            // Pull the embedding toward the embedding-part of the
-            // centroid (the BFRV features are fixed, not trainable).
-            let mu: Vec<f64> =
-                clustering.centroids[clustering.assignments[vid]][..ae.embedding_dim()].to_vec();
-            last_loss = ae
-                .train_step(all[idx], Some(&mu), config.learning_rate)
-                .reconstruct;
-            if steps_done.is_multiple_of(32) {
-                loss_curve.push(last_loss);
-            }
-            steps_done += 1;
-        }
-    }
-
-    // Phase 4: final clustering.
-    let embeddings = embed_vars(&ae);
-    let clustering = kmeans(&embeddings, &kcfg);
-    DlClustering {
-        assignments: clustering.assignments.clone(),
-        embeddings,
-        clustering,
-        final_reconstruction_loss: last_loss,
-        train_steps: steps_done,
-        loss_curve,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -611,7 +467,7 @@ mod tests {
             steps: 200,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
+        let r = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
         assert_eq!(r.assignments.len(), 4);
         assert_eq!(r.assignments[0], r.assignments[1], "stride-1 pair split");
         assert_eq!(r.assignments[2], r.assignments[3], "stride-16 pair split");
@@ -661,46 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_serial_bit_identical() {
-        let traces = vec![
-            stride_trace(1, 150),
-            stride_trace(8, 150),
-            (0..60u64).map(|i| i * i * 64).collect(),
-        ];
-        let cfg = TrainingConfig {
-            steps: 60,
-            ..TrainingConfig::laptop()
-        };
-        let serial = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
-        for threads in [2, 4] {
-            let par = cluster_variables_dl(&traces, 33, 2, &cfg, threads);
-            assert_eq!(serial.assignments, par.assignments, "threads={threads}");
-            assert_eq!(serial.embeddings, par.embeddings, "threads={threads}");
-            assert_eq!(serial.loss_curve, par.loss_curve, "threads={threads}");
-            assert_eq!(serial.train_steps, par.train_steps, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn reference_path_separates_strides() {
-        let traces = vec![
-            stride_trace(1, 200),
-            stride_trace(1, 200),
-            stride_trace(16, 200),
-            stride_trace(16, 200),
-        ];
-        let cfg = TrainingConfig {
-            steps: 200,
-            ..TrainingConfig::laptop()
-        };
-        let r = cluster_variables_dl_reference(&traces, 33, 2, &cfg);
-        assert_eq!(r.assignments[0], r.assignments[1], "stride-1 pair split");
-        assert_eq!(r.assignments[2], r.assignments[3], "stride-16 pair split");
-        assert_ne!(r.assignments[0], r.assignments[2], "strides merged");
-        assert_eq!(r.train_steps, 200, "reference must run the full schedule");
-    }
-
-    #[test]
     fn loss_curve_trends_downward() {
         let traces = vec![stride_trace(1, 300), stride_trace(16, 300)];
         // patience: 0 — this test needs the full fixed schedule so the
@@ -710,7 +526,7 @@ mod tests {
             patience: 0,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
+        let r = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
         assert!(r.loss_curve.len() >= 10);
         let head: f64 = r.loss_curve[..3].iter().sum::<f64>() / 3.0;
         let tail: f64 = r.loss_curve[r.loss_curve.len() - 3..].iter().sum::<f64>() / 3.0;
@@ -727,7 +543,7 @@ mod tests {
             steps: 10,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
+        let r = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
         assert_eq!(r.assignments.len(), 2);
     }
 
@@ -738,15 +554,18 @@ mod tests {
             steps: 50,
             ..TrainingConfig::laptop()
         };
-        let a = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
-        let b = cluster_variables_dl(&traces, 33, 2, &cfg, 1);
+        let a = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
+        let b = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.embeddings, b.embeddings);
     }
 
     #[test]
-    #[should_panic(expected = "at least one variable")]
-    fn empty_input_panics() {
-        let _ = cluster_variables_dl(&[], 33, 2, &TrainingConfig::laptop(), 1);
+    fn degenerate_inputs_are_typed_errors() {
+        let cfg = TrainingConfig::laptop();
+        let r = cluster_variables_dl(&[], 33, 2, &cfg);
+        assert_eq!(r.err(), Some(KMeansError::NoPoints));
+        let r = cluster_variables_dl(&[stride_trace(1, 20)], 33, 0, &cfg);
+        assert_eq!(r.err(), Some(KMeansError::ZeroClusters));
     }
 }

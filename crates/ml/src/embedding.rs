@@ -76,16 +76,6 @@ impl Embedding {
         }
     }
 
-    /// Accumulates a dense `vocab × dim` gradient matrix (the reduced
-    /// form produced by batched backward passes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape differs from the table.
-    pub fn accumulate_dense(&mut self, g: &Mat) {
-        self.grad.add_mat(g);
-    }
-
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.grad.zero();

@@ -58,23 +58,82 @@ impl Clustering {
     }
 }
 
+/// Why [`kmeans`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KMeansError {
+    /// There were no points to cluster.
+    NoPoints,
+    /// `k` was zero.
+    ZeroClusters,
+    /// A point's dimension differs from the first point's.
+    RaggedDimensions {
+        /// Index of the offending point.
+        point: usize,
+        /// Its dimension.
+        dim: usize,
+        /// The first point's dimension.
+        expected: usize,
+    },
+    /// A point has a NaN or infinite coordinate.
+    NonFinite {
+        /// Index of the offending point.
+        point: usize,
+    },
+}
+
+impl std::fmt::Display for KMeansError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KMeansError::NoPoints => write!(f, "cannot cluster zero points"),
+            KMeansError::ZeroClusters => write!(f, "k must be positive"),
+            KMeansError::RaggedDimensions {
+                point,
+                dim,
+                expected,
+            } => write!(
+                f,
+                "point {point} has dimension {dim}, but point 0 has {expected}"
+            ),
+            KMeansError::NonFinite { point } => {
+                write!(f, "point {point} has a non-finite coordinate")
+            }
+        }
+    }
+}
+
+impl std::error::Error for KMeansError {}
+
 /// Runs K-Means on `points`.
 ///
 /// When `points.len() <= k`, every point gets its own cluster (loss 0) —
 /// the "each major variable can have its own address mapping" regime
 /// of the paper's 32-cluster configuration.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `points` is empty, `k` is zero, or dimensions differ.
-pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Clustering {
-    assert!(!points.is_empty(), "cannot cluster zero points");
-    assert!(config.k > 0, "k must be positive");
-    let dim = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == dim),
-        "points must share a dimension"
-    );
+/// [`KMeansError`] if `points` is empty, `k` is zero, the points differ
+/// in dimension, or a coordinate is NaN or infinite (the error names
+/// the first such point).
+pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Result<Clustering, KMeansError> {
+    let Some(first) = points.first() else {
+        return Err(KMeansError::NoPoints);
+    };
+    if config.k == 0 {
+        return Err(KMeansError::ZeroClusters);
+    }
+    let expected = first.len();
+    for (point, p) in points.iter().enumerate() {
+        if p.len() != expected {
+            return Err(KMeansError::RaggedDimensions {
+                point,
+                dim: p.len(),
+                expected,
+            });
+        }
+        if !p.iter().all(|v| v.is_finite()) {
+            return Err(KMeansError::NonFinite { point });
+        }
+    }
     let k = config.k.min(points.len());
 
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -101,12 +160,12 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Clustering {
         loss = new_loss;
     }
 
-    Clustering {
+    Ok(Clustering {
         assignments,
         centroids,
         loss,
         iterations,
-    }
+    })
 }
 
 /// The mean silhouette coefficient of a clustering in `[-1, 1]`:
@@ -182,8 +241,6 @@ fn update_centroids(points: &[Vec<f64>], assignments: &[usize], centroids: &mut 
         if counts[c] == 0 {
             // At most k-1 clusters can be empty (every point is
             // assigned somewhere), so an unused point always exists.
-            // `total_cmp` keeps the order total when a caller's point
-            // has a NaN coordinate (its distances are NaN).
             let Some(far) = (0..points.len())
                 .filter(|i| !reseeded.contains(i))
                 .max_by(|&a, &b| {
@@ -272,7 +329,8 @@ mod tests {
                 k: 3,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // Each blob maps to exactly one cluster.
         for blob in 0..3 {
             let first = r.assignments[blob * 20];
@@ -299,7 +357,8 @@ mod tests {
                     tolerance: 0.0,
                     seed: 1,
                 },
-            );
+            )
+            .unwrap();
             assert!(r.loss <= prev + 1e-9, "loss grew at {iters} iters");
             prev = r.loss;
         }
@@ -314,7 +373,8 @@ mod tests {
                 k: 10,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(r.loss < 1e-12);
         let distinct: std::collections::HashSet<usize> = r.assignments.iter().copied().collect();
         assert_eq!(distinct.len(), 5);
@@ -328,7 +388,7 @@ mod tests {
             seed: 99,
             ..Default::default()
         };
-        assert_eq!(kmeans(&pts, &cfg), kmeans(&pts, &cfg));
+        assert_eq!(kmeans(&pts, &cfg).unwrap(), kmeans(&pts, &cfg).unwrap());
     }
 
     #[test]
@@ -340,7 +400,8 @@ mod tests {
                 k: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let c_of_far = r.assignments[2];
         assert_eq!(r.members(c_of_far), vec![2]);
     }
@@ -354,7 +415,8 @@ mod tests {
                 k: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let s_good = silhouette(&pts, &good.assignments).unwrap();
         // A deliberately bad split: alternate assignment.
         let bad: Vec<usize> = (0..pts.len()).map(|i| i % 2).collect();
@@ -398,38 +460,57 @@ mod tests {
                 k: 3,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(r.loss < 1e-12);
         assert_eq!(r.assignments.len(), 8);
     }
 
     #[test]
-    fn nan_point_does_not_panic_the_reseed() {
-        // A NaN coordinate makes every distance to it NaN, so an
-        // empty-cluster reseed must order distances totally.
+    fn nan_point_is_a_typed_error() {
+        // Unchecked, a NaN point is never nearest to any centroid: the
+        // loss reads `inf`, the run takes all `max_iters` and a
+        // centroid turns NaN.
         let pts = vec![
             vec![f64::NAN, 0.0],
             vec![1.0, 0.0],
             vec![2.0, 0.0],
             vec![3.0, 0.0],
         ];
-        for seed in 0..7 {
-            let r = kmeans(
-                &pts,
-                &KMeansConfig {
-                    k: 3,
-                    seed,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(r.assignments.len(), pts.len());
-            assert!(r.assignments.iter().all(|&a| a < 3));
+        for seed in 0..3 {
+            let cfg = KMeansConfig {
+                k: 3,
+                seed,
+                ..Default::default()
+            };
+            assert_eq!(kmeans(&pts, &cfg), Err(KMeansError::NonFinite { point: 0 }));
         }
+        let mut inf = pts.clone();
+        inf[0][0] = 0.0;
+        inf[2][1] = f64::INFINITY;
+        let err = kmeans(&inf, &KMeansConfig::default()).unwrap_err();
+        assert_eq!(err, KMeansError::NonFinite { point: 2 });
+        assert!(err.to_string().contains("point 2"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "zero points")]
-    fn empty_input_panics() {
-        let _ = kmeans(&[], &KMeansConfig::default());
+    fn degenerate_inputs_are_typed_errors() {
+        let cfg = KMeansConfig::default();
+        assert_eq!(kmeans(&[], &cfg), Err(KMeansError::NoPoints));
+        let pts = vec![vec![0.0, 1.0], vec![2.0, 3.0]];
+        let zero_k = KMeansConfig {
+            k: 0,
+            ..cfg.clone()
+        };
+        assert_eq!(kmeans(&pts, &zero_k), Err(KMeansError::ZeroClusters));
+        let ragged = vec![vec![0.0, 1.0], vec![2.0, 3.0], vec![4.0]];
+        assert_eq!(
+            kmeans(&ragged, &cfg),
+            Err(KMeansError::RaggedDimensions {
+                point: 2,
+                dim: 1,
+                expected: 2
+            })
+        );
     }
 }

@@ -26,9 +26,10 @@
 //!     vec![0.0, 0.1], vec![0.1, 0.0], vec![0.05, 0.05],
 //!     vec![1.0, 0.9], vec![0.9, 1.0], vec![0.95, 0.95],
 //! ];
-//! let result = kmeans(&points, &KMeansConfig { k: 2, ..Default::default() });
+//! let result = kmeans(&points, &KMeansConfig { k: 2, ..Default::default() })?;
 //! assert_eq!(result.assignments[0], result.assignments[1]);
 //! assert_ne!(result.assignments[0], result.assignments[3]);
+//! # Ok::<(), sdam_ml::KMeansError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,7 +44,6 @@ pub mod kmeans;
 pub mod linalg;
 pub mod lstm;
 pub mod optim;
-pub mod par;
 
 pub use config::{TrainingConfig, TrainingError};
-pub use kmeans::{kmeans, silhouette, Clustering, KMeansConfig};
+pub use kmeans::{kmeans, silhouette, Clustering, KMeansConfig, KMeansError};

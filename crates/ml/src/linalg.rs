@@ -1,20 +1,10 @@
 //! Minimal dense linear algebra for the LSTM autoencoder.
 //!
-//! Everything is `f64`. Two tiers of primitives coexist:
-//!
-//! * the original matrix–vector products ([`Mat::matvec`],
-//!   [`Mat::matvec_t`], [`Mat::add_outer`]) — batch size 1, one
-//!   sequence step at a time. These stay as the auditable *reference
-//!   oracle* for the batched path (proptest equivalence in
-//!   `tests/prop_ml.rs`);
-//! * blocked matrix–matrix products ([`Mat::matmul`],
-//!   [`Mat::matmul_tn`], [`Mat::matmul_nt`]) used by the batched LSTM
-//!   kernels, which process all timesteps of a minibatch per call.
-//!
-//! The matmul kernels fix their accumulation order (`k` ascending per
-//! output element) so results are deterministic across runs and
-//! platforms; column tiling only re-orders *independent* outputs, never
-//! the summation within one element.
+//! Everything is `f64` and batch size 1: the matrix–vector product
+//! [`Mat::matvec`], its transpose [`Mat::matvec_t`] (the backward pass)
+//! and the outer-product accumulation [`Mat::add_outer`] (the weight
+//! gradient) are all the LSTM kernels need, one sequence step at a
+//! time.
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,201 +133,6 @@ impl Mat {
     pub fn zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
-
-    /// Scales every element by `s`.
-    pub fn scale(&mut self, s: f64) {
-        self.data.iter_mut().for_each(|v| *v *= s);
-    }
-
-    /// Element-wise accumulation: `self += other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_mat(&mut self, other: &Mat) {
-        assert_eq!(self.rows, other.rows, "add_mat rows mismatch");
-        assert_eq!(self.cols, other.cols, "add_mat cols mismatch");
-        add_assign(&mut self.data, &other.data);
-    }
-
-    /// `C = self · B` — blocked matrix–matrix product.
-    ///
-    /// Loop order is `i`–`k`–`j` inside a tile of output columns: per
-    /// output element the `k` accumulation runs strictly ascending, so
-    /// column `j` of the result is bit-identical to
-    /// `self.matvec(B[:, j])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != b.rows`.
-    pub fn matmul(&self, b: &Mat) -> Mat {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        let (m, kk, n) = (self.rows, self.cols, b.cols);
-        let mut c = Mat::zeros(m, n);
-        // Tile output columns so a B panel stays cache-resident while
-        // every row of A streams over it.
-        const TILE: usize = 64;
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + TILE).min(n);
-            for i in 0..m {
-                let a_row = &self.data[i * kk..(i + 1) * kk];
-                let c_row = &mut c.data[i * n..(i + 1) * n];
-                for (k, &a) in a_row.iter().enumerate() {
-                    let b_row = &b.data[k * n..(k + 1) * n];
-                    for j in j0..j1 {
-                        c_row[j] += a * b_row[j];
-                    }
-                }
-            }
-            j0 = j1;
-        }
-        c
-    }
-
-    /// `C = selfᵀ · B` (the input-gradient counterpart of
-    /// [`Mat::matmul`]; `self` is `k×m`, `b` is `k×n`, result `m×n`).
-    ///
-    /// Accumulates over `k` in ascending order, matching
-    /// [`Mat::matvec_t`] column by column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != b.rows`.
-    pub fn matmul_tn(&self, b: &Mat) -> Mat {
-        assert_eq!(self.rows, b.rows, "matmul_tn dimension mismatch");
-        let (kk, m, n) = (self.rows, self.cols, b.cols);
-        let mut c = Mat::zeros(m, n);
-        for k in 0..kk {
-            let a_row = &self.data[k * m..(k + 1) * m];
-            let b_row = &b.data[k * n..(k + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                let c_row = &mut c.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    c_row[j] += a * b_row[j];
-                }
-            }
-        }
-        c
-    }
-
-    /// `C = self · Bᵀ` (the weight-gradient counterpart of
-    /// [`Mat::matmul`]; `self` is `m×k`, `b` is `n×k`, result `m×n`).
-    ///
-    /// Each output element is a dot product of two contiguous rows with
-    /// `k` ascending — the batched form of [`Mat::add_outer`] summed
-    /// over columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != b.cols`.
-    pub fn matmul_nt(&self, b: &Mat) -> Mat {
-        assert_eq!(self.cols, b.cols, "matmul_nt dimension mismatch");
-        let (m, kk, n) = (self.rows, self.cols, b.rows);
-        let mut c = Mat::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * kk..(i + 1) * kk];
-            let c_row = &mut c.data[i * n..(i + 1) * n];
-            for (j, cv) in c_row.iter_mut().enumerate() {
-                let b_row = &b.data[j * kk..(j + 1) * kk];
-                *cv = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
-            }
-        }
-        c
-    }
-
-    /// Copies columns `[lo, hi)` into a new `rows × (hi-lo)` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or out of bounds.
-    pub fn col_block(&self, lo: usize, hi: usize) -> Mat {
-        assert!(lo < hi && hi <= self.cols, "column range out of bounds");
-        let w = hi - lo;
-        let mut out = Mat::zeros(self.rows, w);
-        for r in 0..self.rows {
-            out.data[r * w..(r + 1) * w]
-                .copy_from_slice(&self.data[r * self.cols + lo..r * self.cols + hi]);
-        }
-        out
-    }
-
-    /// Writes `src` into columns `[lo, lo + src.cols)` of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row mismatch or out-of-bounds columns.
-    pub fn set_col_block(&mut self, lo: usize, src: &Mat) {
-        assert_eq!(self.rows, src.rows, "set_col_block rows mismatch");
-        assert!(lo + src.cols <= self.cols, "column range out of bounds");
-        for r in 0..self.rows {
-            self.data[r * self.cols + lo..r * self.cols + lo + src.cols]
-                .copy_from_slice(&src.data[r * src.cols..(r + 1) * src.cols]);
-        }
-    }
-
-    /// Adds `src` into columns `[lo, lo + src.cols)` of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row mismatch or out-of-bounds columns.
-    pub fn add_col_block(&mut self, lo: usize, src: &Mat) {
-        assert_eq!(self.rows, src.rows, "add_col_block rows mismatch");
-        assert!(lo + src.cols <= self.cols, "column range out of bounds");
-        for r in 0..self.rows {
-            let dst = &mut self.data[r * self.cols + lo..r * self.cols + lo + src.cols];
-            add_assign(dst, &src.data[r * src.cols..(r + 1) * src.cols]);
-        }
-    }
-
-    /// Adds `v[r]` to every element of row `r` (bias broadcast over
-    /// columns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != rows`.
-    pub fn add_row_broadcast(&mut self, v: &[f64]) {
-        assert_eq!(v.len(), self.rows, "broadcast length mismatch");
-        for (row, &b) in self.data.chunks_exact_mut(self.cols).zip(v) {
-            for x in row {
-                *x += b;
-            }
-        }
-    }
-
-    /// Per-row sums, accumulated left to right (the bias gradient of a
-    /// column-batched layer).
-    pub fn row_sums(&self) -> Vec<f64> {
-        self.data
-            .chunks_exact(self.cols)
-            .map(|row| row.iter().sum())
-            .collect()
-    }
-
-    /// Copies column `j` into a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    pub fn col_to_vec(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column out of bounds");
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + j])
-            .collect()
-    }
-
-    /// Writes vector `v` into column `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on bounds or length mismatch.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) {
-        assert!(j < self.cols, "column out of bounds");
-        assert_eq!(v.len(), self.rows, "column length mismatch");
-        for (r, &x) in v.iter().enumerate() {
-            self.data[r * self.cols + j] = x;
-        }
-    }
 }
 
 /// The logistic sigmoid.
@@ -430,108 +225,5 @@ mod tests {
     fn matvec_checks_dims() {
         let a = Mat::zeros(2, 2);
         let _ = a.matvec(&[1.0]);
-    }
-
-    fn seeded(rows: usize, cols: usize, seed: u64) -> Mat {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        Mat::from_vec(
-            rows,
-            cols,
-            (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-        )
-    }
-
-    #[test]
-    fn matmul_columns_bit_identical_to_matvec() {
-        // The batched kernel's contract: column j of A·B equals the
-        // per-column oracle A·b_j exactly, including past the 64-column
-        // tile boundary.
-        let a = seeded(7, 13, 21);
-        let b = seeded(13, 130, 22);
-        let c = a.matmul(&b);
-        for j in 0..b.cols() {
-            let oracle = a.matvec(&b.col_to_vec(j));
-            assert_eq!(c.col_to_vec(j), oracle, "column {j} diverged");
-        }
-    }
-
-    #[test]
-    fn matmul_tn_columns_bit_identical_to_matvec_t() {
-        let a = seeded(9, 5, 23); // k×m
-        let b = seeded(9, 11, 24); // k×n
-        let c = a.matmul_tn(&b);
-        for j in 0..b.cols() {
-            let oracle = a.matvec_t(&b.col_to_vec(j));
-            assert_eq!(c.col_to_vec(j), oracle, "column {j} diverged");
-        }
-    }
-
-    #[test]
-    fn matmul_nt_matches_summed_outer_products() {
-        // A·Bᵀ == Σ_k outer(A[:,k], B[:,k]) — the batched weight
-        // gradient vs the per-step accumulation oracle.
-        let a = seeded(4, 6, 25);
-        let b = seeded(3, 6, 26);
-        let c = a.matmul_nt(&b);
-        let mut oracle = Mat::zeros(4, 3);
-        for k in 0..6 {
-            oracle.add_outer(&a.col_to_vec(k), &b.col_to_vec(k));
-        }
-        for r in 0..4 {
-            for cix in 0..3 {
-                assert!(
-                    (c.get(r, cix) - oracle.get(r, cix)).abs() < 1e-12,
-                    "({r},{cix}): {} vs {}",
-                    c.get(r, cix),
-                    oracle.get(r, cix)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn column_block_round_trips() {
-        let a = seeded(5, 8, 27);
-        let blk = a.col_block(2, 6);
-        assert_eq!(blk.rows(), 5);
-        assert_eq!(blk.cols(), 4);
-        let mut b = Mat::zeros(5, 8);
-        b.set_col_block(2, &blk);
-        for r in 0..5 {
-            for c in 2..6 {
-                assert_eq!(b.get(r, c), a.get(r, c));
-            }
-        }
-        let mut c2 = b.clone();
-        c2.add_col_block(2, &blk);
-        assert_eq!(c2.get(0, 2), 2.0 * a.get(0, 2));
-    }
-
-    #[test]
-    fn broadcast_row_sums_and_scale() {
-        let mut a = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        a.add_row_broadcast(&[10.0, 20.0]);
-        assert_eq!(a.data(), &[11.0, 12.0, 13.0, 24.0, 25.0, 26.0]);
-        assert_eq!(a.row_sums(), vec![36.0, 75.0]);
-        a.scale(0.5);
-        assert_eq!(a.get(0, 0), 5.5);
-        let mut b = Mat::zeros(2, 3);
-        b.add_mat(&a);
-        assert_eq!(b.data(), a.data());
-    }
-
-    #[test]
-    fn set_col_and_col_to_vec_round_trip() {
-        let mut a = Mat::zeros(3, 2);
-        a.set_col(1, &[7.0, 8.0, 9.0]);
-        assert_eq!(a.col_to_vec(1), vec![7.0, 8.0, 9.0]);
-        assert_eq!(a.col_to_vec(0), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul dimension mismatch")]
-    fn matmul_checks_dims() {
-        let _ = Mat::zeros(2, 3).matmul(&Mat::zeros(2, 2));
     }
 }

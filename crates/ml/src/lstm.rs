@@ -1,22 +1,13 @@
 //! A from-scratch LSTM with manual backpropagation through time.
 //!
 //! Gate order in the packed weight matrix is `[i, f, o, g]` (input,
-//! forget, output, candidate). Two execution tiers share the same
-//! parameters:
-//!
-//! * the original per-step path ([`LstmLayer::forward_step`],
-//!   [`LstmLayer::backward_step`], [`Lstm::forward`],
-//!   [`Lstm::backward`]) — batch size 1, auditable, kept as the
-//!   reference oracle;
-//! * the batched path ([`Lstm::forward_batch`],
-//!   [`Lstm::backward_batch`]) — layer-major over a whole minibatch.
-//!   Sequences are packed column-wise into `dim × (T·B)` matrices
-//!   (column `t·B + s` is step `t` of sample `s`), the input
-//!   projection `W_x·X` is hoisted out of the time loop as one matmul,
-//!   and the weight gradients collapse into two matmuls per layer
-//!   (`dPre·Xᵀ`, `dPre·H_prevᵀ`). Gradients land in caller-owned
-//!   [`LayerGrads`] buffers so a minibatch can be fanned out over
-//!   threads and reduced in a fixed order.
+//! forget, output, candidate). Everything runs one sequence step at a
+//! time: [`LstmLayer::forward_step`] and [`LstmLayer::backward_step`]
+//! are the kernels, and [`Lstm::forward`] and [`Lstm::backward`] drive
+//! them over a stack of layers and a whole sequence. Gradients
+//! accumulate in the layers until [`Lstm::zero_grad`], so a caller
+//! builds a minibatch by running several samples before one
+//! [`Lstm::step`].
 
 use rand::Rng;
 
@@ -48,44 +39,6 @@ pub struct StepCache {
     g: Vec<f64>,
     c_prev: Vec<f64>,
     c: Vec<f64>,
-}
-
-/// Caller-owned gradient buffer of one layer: the packed weight
-/// gradient (`4h × (in+h)`) and the bias gradient. Batched backward
-/// passes accumulate here instead of into the layer, so per-work-item
-/// gradients can be reduced in a fixed order regardless of scheduling.
-#[derive(Debug, Clone)]
-pub struct LayerGrads {
-    /// Packed gate-weight gradient, same layout as the layer's weights.
-    pub dw: Mat,
-    /// Packed gate-bias gradient.
-    pub db: Vec<f64>,
-}
-
-/// How a batched layer received its input: one column per step and
-/// sample, or one column per sample broadcast across steps.
-#[derive(Debug, Clone)]
-enum SeqInput {
-    Flat(Mat),
-    Const(Mat),
-}
-
-/// Cached activations of one layer's batched sequence pass.
-///
-/// All matrices are `hidden × (steps·batch)` with column `t·batch + s`
-/// holding step `t` of sample `s`.
-#[derive(Debug, Clone)]
-pub struct LayerSeqCache {
-    x: SeqInput,
-    hprev_flat: Mat,
-    i_flat: Mat,
-    f_flat: Mat,
-    o_flat: Mat,
-    g_flat: Mat,
-    c_flat: Mat,
-    cprev_flat: Mat,
-    steps: usize,
-    batch: usize,
 }
 
 impl LstmLayer {
@@ -198,236 +151,6 @@ impl LstmLayer {
         (dx, dh_prev, dc_prev)
     }
 
-    /// Runs the whole batched sequence through this layer.
-    ///
-    /// `x_flat` packs the per-step inputs column-wise as
-    /// `input_dim × (steps·batch)`; the returned hidden states use the
-    /// same layout. The input projection `W_x·X` is computed as a
-    /// single matmul before the time loop; only the recurrent product
-    /// `W_h·H_{t-1}` remains per-step.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches or zero `steps`/`batch`.
-    pub fn forward_seq(&self, x_flat: &Mat, steps: usize, batch: usize) -> (Mat, LayerSeqCache) {
-        assert_eq!(x_flat.rows(), self.input_dim, "input dimension mismatch");
-        assert_eq!(x_flat.cols(), steps * batch, "flat layout mismatch");
-        let (w_x, w_h) = self.split_weights();
-        let p_flat = w_x.matmul(x_flat);
-        let (h_flat, cache) = self.forward_seq_inner(
-            &w_h,
-            &p_flat,
-            None,
-            steps,
-            batch,
-            SeqInput::Flat(x_flat.clone()),
-        );
-        (h_flat, cache)
-    }
-
-    /// Like [`LstmLayer::forward_seq`] but for an input that is
-    /// *constant across timesteps* (the decoder conditioning on `z`):
-    /// `x0` is `input_dim × batch` and its projection is computed once
-    /// instead of per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches or zero `steps`/`batch`.
-    pub fn forward_seq_const(&self, x0: &Mat, steps: usize) -> (Mat, LayerSeqCache) {
-        assert_eq!(x0.rows(), self.input_dim, "input dimension mismatch");
-        let batch = x0.cols();
-        let (w_x, w_h) = self.split_weights();
-        let p0 = w_x.matmul(x0);
-        let (h_flat, cache) = self.forward_seq_inner(
-            &w_h,
-            &p0,
-            Some(&p0),
-            steps,
-            batch,
-            SeqInput::Const(x0.clone()),
-        );
-        (h_flat, cache)
-    }
-
-    fn split_weights(&self) -> (Mat, Mat) {
-        (
-            self.w.col_block(0, self.input_dim),
-            self.w
-                .col_block(self.input_dim, self.input_dim + self.hidden_dim),
-        )
-    }
-
-    /// Shared forward body: `p` is either the full projected input
-    /// (`4h × T·B`, `p_const == None`) or ignored in favor of the
-    /// per-step constant projection `p_const` (`4h × B`).
-    fn forward_seq_inner(
-        &self,
-        w_h: &Mat,
-        p: &Mat,
-        p_const: Option<&Mat>,
-        steps: usize,
-        batch: usize,
-        x: SeqInput,
-    ) -> (Mat, LayerSeqCache) {
-        assert!(steps > 0 && batch > 0, "empty batched sequence");
-        let h_d = self.hidden_dim;
-        let tb = steps * batch;
-        let mut h_flat = Mat::zeros(h_d, tb);
-        let mut cache = LayerSeqCache {
-            x,
-            hprev_flat: Mat::zeros(h_d, tb),
-            i_flat: Mat::zeros(h_d, tb),
-            f_flat: Mat::zeros(h_d, tb),
-            o_flat: Mat::zeros(h_d, tb),
-            g_flat: Mat::zeros(h_d, tb),
-            c_flat: Mat::zeros(h_d, tb),
-            cprev_flat: Mat::zeros(h_d, tb),
-            steps,
-            batch,
-        };
-        let mut h_prev = Mat::zeros(h_d, batch);
-        let mut c_prev = Mat::zeros(h_d, batch);
-        for t in 0..steps {
-            let mut pre = match p_const {
-                Some(p0) => p0.clone(),
-                None => p.col_block(t * batch, (t + 1) * batch),
-            };
-            pre.add_mat(&w_h.matmul(&h_prev));
-            pre.add_row_broadcast(&self.b);
-            let mut h_t = Mat::zeros(h_d, batch);
-            let mut c_t = Mat::zeros(h_d, batch);
-            for j in 0..h_d {
-                for s in 0..batch {
-                    let i = sigmoid(pre.get(j, s));
-                    let f = sigmoid(pre.get(h_d + j, s));
-                    let o = sigmoid(pre.get(2 * h_d + j, s));
-                    let g = pre.get(3 * h_d + j, s).tanh();
-                    let cp = c_prev.get(j, s);
-                    let c = f * cp + i * g;
-                    *cache.i_flat.get_mut(j, t * batch + s) = i;
-                    *cache.f_flat.get_mut(j, t * batch + s) = f;
-                    *cache.o_flat.get_mut(j, t * batch + s) = o;
-                    *cache.g_flat.get_mut(j, t * batch + s) = g;
-                    *cache.cprev_flat.get_mut(j, t * batch + s) = cp;
-                    *cache.c_flat.get_mut(j, t * batch + s) = c;
-                    *c_t.get_mut(j, s) = c;
-                    *h_t.get_mut(j, s) = o * c.tanh();
-                }
-            }
-            cache.hprev_flat.set_col_block(t * batch, &h_prev);
-            h_flat.set_col_block(t * batch, &h_t);
-            h_prev = h_t;
-            c_prev = c_t;
-        }
-        (h_flat, cache)
-    }
-
-    /// Backward pass of a batched sequence. `d_h_flat` carries the
-    /// gradient flowing into every hidden state (`h × T·B`), `d_last_c`
-    /// optionally injects gradient into the final cell state
-    /// (`h × batch`). Weight and bias gradients are *accumulated* into
-    /// `grads`; the return value is the input gradient — `in × T·B`
-    /// for a [`LstmLayer::forward_seq`] cache, `in × batch` (summed
-    /// over steps) for a [`LstmLayer::forward_seq_const`] cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn backward_seq(
-        &self,
-        cache: &LayerSeqCache,
-        d_h_flat: &Mat,
-        d_last_c: Option<&Mat>,
-        grads: &mut LayerGrads,
-    ) -> Mat {
-        let (steps, batch) = (cache.steps, cache.batch);
-        let h_d = self.hidden_dim;
-        assert_eq!(d_h_flat.rows(), h_d, "gradient rows mismatch");
-        assert_eq!(d_h_flat.cols(), steps * batch, "gradient layout mismatch");
-        assert_eq!(grads.dw.rows(), self.w.rows(), "grad buffer mismatch");
-        assert_eq!(grads.dw.cols(), self.w.cols(), "grad buffer mismatch");
-        let (w_x, w_h) = self.split_weights();
-        let mut dpre_flat = Mat::zeros(4 * h_d, steps * batch);
-        let mut dh_next = Mat::zeros(h_d, batch);
-        let mut dc_next = match d_last_c {
-            Some(dc) => {
-                assert_eq!(dc.rows(), h_d, "d_last_c rows mismatch");
-                assert_eq!(dc.cols(), batch, "d_last_c cols mismatch");
-                dc.clone()
-            }
-            None => Mat::zeros(h_d, batch),
-        };
-        for t in (0..steps).rev() {
-            let mut dpre_t = Mat::zeros(4 * h_d, batch);
-            let mut dc_prev = Mat::zeros(h_d, batch);
-            for j in 0..h_d {
-                for s in 0..batch {
-                    let col = t * batch + s;
-                    let dh = d_h_flat.get(j, col) + dh_next.get(j, s);
-                    let i = cache.i_flat.get(j, col);
-                    let f = cache.f_flat.get(j, col);
-                    let o = cache.o_flat.get(j, col);
-                    let g = cache.g_flat.get(j, col);
-                    let c = cache.c_flat.get(j, col);
-                    let cp = cache.cprev_flat.get(j, col);
-                    let tanh_c = c.tanh();
-                    let do_ = dh * tanh_c;
-                    let dc = dc_next.get(j, s) + dh * o * (1.0 - tanh_c * tanh_c);
-                    let di = dc * g;
-                    let df = dc * cp;
-                    let dg = dc * i;
-                    *dpre_t.get_mut(j, s) = di * i * (1.0 - i);
-                    *dpre_t.get_mut(h_d + j, s) = df * f * (1.0 - f);
-                    *dpre_t.get_mut(2 * h_d + j, s) = do_ * o * (1.0 - o);
-                    *dpre_t.get_mut(3 * h_d + j, s) = dg * (1.0 - g * g);
-                    *dc_prev.get_mut(j, s) = dc * f;
-                }
-            }
-            dpre_flat.set_col_block(t * batch, &dpre_t);
-            dh_next = w_h.matmul_tn(&dpre_t);
-            dc_next = dc_prev;
-        }
-        add_assign(&mut grads.db, &dpre_flat.row_sums());
-        grads
-            .dw
-            .add_col_block(self.input_dim, &dpre_flat.matmul_nt(&cache.hprev_flat));
-        match &cache.x {
-            SeqInput::Flat(x_flat) => {
-                grads.dw.add_col_block(0, &dpre_flat.matmul_nt(x_flat));
-                w_x.matmul_tn(&dpre_flat)
-            }
-            SeqInput::Const(x0) => {
-                // Constant input: both the weight and the input gradient
-                // collapse over timesteps first.
-                let mut dpre_sum = Mat::zeros(4 * h_d, batch);
-                for t in 0..steps {
-                    dpre_sum.add_mat(&dpre_flat.col_block(t * batch, (t + 1) * batch));
-                }
-                grads.dw.add_col_block(0, &dpre_sum.matmul_nt(x0));
-                w_x.matmul_tn(&dpre_sum)
-            }
-        }
-    }
-
-    /// A zeroed gradient buffer shaped for this layer.
-    pub fn new_grads(&self) -> LayerGrads {
-        LayerGrads {
-            dw: Mat::zeros(self.w.rows(), self.w.cols()),
-            db: vec![0.0; self.b.len()],
-        }
-    }
-
-    /// Folds an external gradient buffer into the layer's accumulated
-    /// gradients (same shape as produced by [`LstmLayer::new_grads`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate_grads(&mut self, g: &LayerGrads) {
-        self.dw.add_mat(&g.dw);
-        add_assign(&mut self.db, &g.db);
-    }
-
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.dw.zero();
@@ -466,28 +189,6 @@ pub struct Lstm {
 #[derive(Debug, Clone, Default)]
 pub struct SeqCache {
     steps: Vec<Vec<StepCache>>,
-}
-
-/// Caches of a batched sequence forward pass (per layer).
-#[derive(Debug, Clone)]
-pub struct SeqBatchCache {
-    layers: Vec<LayerSeqCache>,
-    steps: usize,
-    batch: usize,
-}
-
-impl SeqBatchCache {
-    /// Steps per sequence in the cached pass.
-    #[inline]
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    /// Samples per minibatch in the cached pass.
-    #[inline]
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
 }
 
 impl Lstm {
@@ -586,102 +287,6 @@ impl Lstm {
             d_inputs[t] = d_from_above;
         }
         d_inputs
-    }
-
-    /// Batched forward over a packed minibatch: `x_flat` is
-    /// `input_dim × (steps·batch)` (column `t·batch + s` is step `t` of
-    /// sample `s`). Runs layer-major — each layer completes the whole
-    /// sequence before the next starts — and returns the top layer's
-    /// packed hidden states plus the cache for
-    /// [`Lstm::backward_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn forward_batch(&self, x_flat: &Mat, steps: usize, batch: usize) -> (Mat, SeqBatchCache) {
-        let mut cache = SeqBatchCache {
-            layers: Vec::with_capacity(self.layers.len()),
-            steps,
-            batch,
-        };
-        let mut cur = x_flat.clone();
-        for layer in &self.layers {
-            let (h_flat, lc) = layer.forward_seq(&cur, steps, batch);
-            cache.layers.push(lc);
-            cur = h_flat;
-        }
-        (cur, cache)
-    }
-
-    /// Batched forward where the *first* layer's input is constant
-    /// across timesteps (`x0` is `input_dim × batch`) — the decoder
-    /// conditioning pattern. Higher layers run in flat mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn forward_batch_const(&self, x0: &Mat, steps: usize) -> (Mat, SeqBatchCache) {
-        let batch = x0.cols();
-        let mut cache = SeqBatchCache {
-            layers: Vec::with_capacity(self.layers.len()),
-            steps,
-            batch,
-        };
-        let (mut cur, lc) = self.layers[0].forward_seq_const(x0, steps);
-        cache.layers.push(lc);
-        for layer in &self.layers[1..] {
-            let (h_flat, lc) = layer.forward_seq(&cur, steps, batch);
-            cache.layers.push(lc);
-            cur = h_flat;
-        }
-        (cur, cache)
-    }
-
-    /// Batched backward through the stack. `d_top_flat` is the loss
-    /// gradient on the top layer's packed hidden states; `d_last_c`
-    /// optionally injects gradient into the top layer's final cell
-    /// state (`hidden × batch`). Per-layer gradients accumulate into
-    /// `grads` (one buffer per layer, see [`Lstm::new_grad_buffers`]).
-    /// Returns the gradient w.r.t. the first layer's input — flat for a
-    /// [`Lstm::forward_batch`] cache, per-sample (`in × batch`) for a
-    /// [`Lstm::forward_batch_const`] cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` does not match the layer count.
-    pub fn backward_batch(
-        &self,
-        cache: &SeqBatchCache,
-        d_top_flat: &Mat,
-        d_last_c: Option<&Mat>,
-        grads: &mut [LayerGrads],
-    ) -> Mat {
-        assert_eq!(grads.len(), self.layers.len(), "one grad buffer per layer");
-        let nl = self.layers.len();
-        let mut d = d_top_flat.clone();
-        for l in (0..nl).rev() {
-            let dc = if l == nl - 1 { d_last_c } else { None };
-            d = self.layers[l].backward_seq(&cache.layers[l], &d, dc, &mut grads[l]);
-        }
-        d
-    }
-
-    /// Zeroed per-layer gradient buffers for [`Lstm::backward_batch`].
-    pub fn new_grad_buffers(&self) -> Vec<LayerGrads> {
-        self.layers.iter().map(LstmLayer::new_grads).collect()
-    }
-
-    /// Folds external per-layer gradient buffers into the stack's
-    /// accumulated gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a layer-count mismatch.
-    pub fn accumulate_grads(&mut self, grads: &[LayerGrads]) {
-        assert_eq!(grads.len(), self.layers.len(), "one grad buffer per layer");
-        for (l, g) in self.layers.iter_mut().zip(grads) {
-            l.accumulate_grads(g);
-        }
     }
 
     /// Clears gradients in all layers.
@@ -789,161 +394,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Packs per-sample sequences (all the same length) into the flat
-    /// `dim × (T·B)` layout of the batched path.
-    fn pack(seqs: &[Vec<Vec<f64>>]) -> Mat {
-        let steps = seqs[0].len();
-        let dim = seqs[0][0].len();
-        let batch = seqs.len();
-        let mut m = Mat::zeros(dim, steps * batch);
-        for (s, seq) in seqs.iter().enumerate() {
-            for (t, x) in seq.iter().enumerate() {
-                m.set_col(t * batch + s, x);
-            }
-        }
-        m
-    }
-
-    fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
-        assert_eq!(a.len(), b.len(), "{what}: length");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!(
-                (x - y).abs() <= tol * (1.0 + y.abs()),
-                "{what}[{i}]: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_forward_matches_per_step_oracle() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let lstm = Lstm::new(3, 5, 2, &mut rng);
-        let seqs: Vec<Vec<Vec<f64>>> = (0..4)
-            .map(|s| {
-                (0..6)
-                    .map(|t| (0..3).map(|d| ((s + t + d) as f64).sin()).collect())
-                    .collect()
-            })
-            .collect();
-        let x_flat = pack(&seqs);
-        let (h_flat, _) = lstm.forward_batch(&x_flat, 6, 4);
-        for (s, seq) in seqs.iter().enumerate() {
-            let (top, _) = lstm.forward(seq);
-            for (t, h) in top.iter().enumerate() {
-                assert_close(&h_flat.col_to_vec(t * 4 + s), h, 1e-12, "h");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_backward_matches_per_step_oracle() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let steps = 5;
-        let batch = 3;
-        let seqs: Vec<Vec<Vec<f64>>> = (0..batch)
-            .map(|s| {
-                (0..steps)
-                    .map(|t| {
-                        (0..2)
-                            .map(|d| ((s * 7 + t * 3 + d) as f64 * 0.37).cos())
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        // Oracle: per-sample forward/backward, gradients summed over
-        // the batch by the layer's own accumulation.
-        let mut oracle = Lstm::new(2, 4, 2, &mut rng);
-        let batched = oracle.clone();
-        oracle.zero_grad();
-        let mut d_inputs_oracle = Vec::new();
-        for seq in &seqs {
-            let (top, cache) = oracle.forward(seq);
-            let d_top: Vec<Vec<f64>> = top
-                .iter()
-                .map(|h| h.iter().map(|v| v * 0.5).collect())
-                .collect();
-            d_inputs_oracle.push(oracle.backward(&cache, &d_top, None));
-        }
-        // Batched: one pass over the packed minibatch with the same
-        // loss gradient (0.5·h on every hidden state).
-        let x_flat = pack(&seqs);
-        let (h_flat, cache) = batched.forward_batch(&x_flat, steps, batch);
-        let mut d_top_flat = h_flat.clone();
-        d_top_flat.scale(0.5);
-        let mut grads = batched.new_grad_buffers();
-        let dx_flat = batched.backward_batch(&cache, &d_top_flat, None, &mut grads);
-        // Input gradients agree per sample and step.
-        for (s, d_seq) in d_inputs_oracle.iter().enumerate() {
-            for (t, d) in d_seq.iter().enumerate() {
-                assert_close(&dx_flat.col_to_vec(t * batch + s), d, 1e-9, "dx");
-            }
-        }
-        // Weight/bias gradients agree per layer.
-        for (l, g) in grads.iter().enumerate() {
-            let (dw_o, db_o) = oracle.layers_mut()[l].grads();
-            assert_close(g.dw.data(), dw_o.data(), 1e-9, "dw");
-            assert_close(&g.db, db_o, 1e-9, "db");
-        }
-    }
-
-    #[test]
-    fn batched_const_input_matches_repeated_input() {
-        // forward_batch_const must agree with forward_batch fed the
-        // same vector at every step, and its backward must return the
-        // step-summed input gradient.
-        let mut rng = StdRng::seed_from_u64(12);
-        let lstm = Lstm::new(4, 3, 2, &mut rng);
-        let steps = 4;
-        let batch = 2;
-        let x0 = {
-            let mut m = Mat::zeros(4, batch);
-            m.set_col(0, &[0.3, -0.2, 0.8, 0.1]);
-            m.set_col(1, &[-0.6, 0.4, 0.0, 0.9]);
-            m
-        };
-        let mut x_flat = Mat::zeros(4, steps * batch);
-        for t in 0..steps {
-            x_flat.set_col_block(t * batch, &x0);
-        }
-        let (h_const, cache_const) = lstm.forward_batch_const(&x0, steps);
-        let (h_flat, cache_flat) = lstm.forward_batch(&x_flat, steps, batch);
-        assert_close(h_const.data(), h_flat.data(), 1e-12, "h_const");
-
-        let d_top = h_flat.clone();
-        let mut g_const = lstm.new_grad_buffers();
-        let mut g_flat = lstm.new_grad_buffers();
-        let dx0 = lstm.backward_batch(&cache_const, &d_top, None, &mut g_const);
-        let dx_flat = lstm.backward_batch(&cache_flat, &d_top, None, &mut g_flat);
-        for l in 0..lstm.num_layers() {
-            assert_close(g_const[l].dw.data(), g_flat[l].dw.data(), 1e-9, "dw");
-            assert_close(&g_const[l].db, &g_flat[l].db, 1e-9, "db");
-        }
-        // dx0 equals the flat input gradient summed over steps.
-        for s in 0..batch {
-            let mut want = vec![0.0; 4];
-            for t in 0..steps {
-                add_assign(&mut want, &dx_flat.col_to_vec(t * batch + s));
-            }
-            assert_close(&dx0.col_to_vec(s), &want, 1e-9, "dx0");
-        }
-    }
-
-    #[test]
-    fn external_grads_fold_into_layer_accumulators() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut lstm = Lstm::new(2, 3, 1, &mut rng);
-        let mut bufs = lstm.new_grad_buffers();
-        *bufs[0].dw.get_mut(0, 0) = 2.5;
-        bufs[0].db[1] = -1.0;
-        lstm.zero_grad();
-        lstm.accumulate_grads(&bufs);
-        lstm.accumulate_grads(&bufs);
-        let (dw, db) = lstm.layers_mut()[0].grads();
-        assert_eq!(dw.get(0, 0), 5.0);
-        assert_eq!(db[1], -2.0);
     }
 
     #[test]

@@ -23,11 +23,10 @@ fn serial_exp() -> Experiment {
 
 #[test]
 fn compare_is_identical_serial_and_parallel() {
-    // The DL configuration is the strongest case: under Threads(4) the
-    // autoencoder's mini-batch forward/backward fans out across
-    // workers, and the reduced gradients (fixed input order) must leave
-    // the selection — and hence the whole report — bit-identical to the
-    // serial run.
+    // Under Threads(4) the configurations fan out across workers, each
+    // selecting its mappings (the DL configuration trains its
+    // autoencoder) on its own thread; results come back in lineup
+    // order and every report must be bit-identical to the serial run.
     let w = DataCopy::new(vec![1, 32]);
     let configs = [
         SystemConfig::BsBsm,

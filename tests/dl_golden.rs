@@ -1,7 +1,7 @@
 //! Golden fixture for the DL-assisted clustering: the seeded bench
 //! workload must keep producing the exact cluster assignments pinned
-//! here, through the fast (deduplicated, batched, early-stopped) loop,
-//! the preserved per-step reference loop, and every thread count.
+//! here through the training loop (deduplicated windows, weighted
+//! round-robin mini-batches, early stopping).
 //!
 //! The pipeline's selection quality rides on these assignments — a
 //! drift here means the learned mapping selection changed, which must
@@ -10,7 +10,7 @@
 //! checking the partition still separates the stride classes.
 
 use sdam::{profiling, Experiment};
-use sdam_ml::dlkmeans::{cluster_variables_dl, cluster_variables_dl_reference};
+use sdam_ml::dlkmeans::cluster_variables_dl;
 use sdam_workloads::datacopy::DataCopy;
 
 /// The pinned assignments for datacopy strides [1, 16] at tiny scale,
@@ -34,27 +34,9 @@ fn bench_traces() -> (Vec<Vec<u64>>, Experiment) {
 fn seeded_dl_assignments_match_golden() {
     let (traces, exp) = bench_traces();
     let bits = exp.geometry.addr_bits();
-    let fast = cluster_variables_dl(&traces, bits, 4, &exp.training, 1);
+    let r = cluster_variables_dl(&traces, bits, 4, &exp.training).unwrap();
     assert_eq!(
-        fast.assignments, GOLDEN,
-        "fast DL path drifted from the pinned assignments"
+        r.assignments, GOLDEN,
+        "DL selection drifted from the pinned assignments"
     );
-    let reference = cluster_variables_dl_reference(&traces, bits, 4, &exp.training);
-    assert_eq!(
-        reference.assignments, GOLDEN,
-        "reference DL path drifted from the pinned assignments"
-    );
-}
-
-#[test]
-fn threaded_dl_assignments_match_golden() {
-    let (traces, exp) = bench_traces();
-    let bits = exp.geometry.addr_bits();
-    for threads in [2usize, 4] {
-        let r = cluster_variables_dl(&traces, bits, 4, &exp.training, threads);
-        assert_eq!(
-            r.assignments, GOLDEN,
-            "threaded ({threads}) DL path drifted from the pinned assignments"
-        );
-    }
 }

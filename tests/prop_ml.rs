@@ -1,7 +1,6 @@
 //! Property-based tests for the learning layer: K-Means invariants,
-//! batched-kernel ≡ per-sample-oracle equivalences for the DL training
-//! path, and the SDAM system's allocation invariant under random
-//! programs.
+//! the mini-batch weighting of the DL training step, and the SDAM
+//! system's allocation invariant under random programs.
 
 use proptest::prelude::*;
 use sdam::{ProcessId, SdamSystem};
@@ -9,7 +8,6 @@ use sdam_hbm::Geometry;
 use sdam_mem::VirtAddr;
 use sdam_ml::autoencoder::{LstmAutoencoder, MiniBatchItem, SeqSample};
 use sdam_ml::kmeans::{kmeans, KMeansConfig};
-use sdam_ml::linalg::Mat;
 use sdam_ml::TrainingConfig;
 
 /// The primordial process every system starts with.
@@ -61,22 +59,12 @@ fn seq_sample() -> impl Strategy<Value = SeqSample> {
     })
 }
 
-/// A `rows × cols` matrix with entries in (-2, 2) drawn from `rng`.
-fn rand_mat(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> Mat {
-    use rand::Rng as _;
-    Mat::from_vec(
-        rows,
-        cols,
-        (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect(),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn kmeans_assignments_in_range_and_total(pts in points(4, 40), k in 1usize..6) {
-        let r = kmeans(&pts, &KMeansConfig { k, ..Default::default() });
+        let r = kmeans(&pts, &KMeansConfig { k, ..Default::default() }).unwrap();
         prop_assert_eq!(r.assignments.len(), pts.len());
         let k_eff = k.min(pts.len());
         prop_assert!(r.assignments.iter().all(|&a| a < k_eff));
@@ -87,8 +75,8 @@ proptest! {
     #[test]
     fn kmeans_loss_no_worse_than_one_cluster_mean(pts in points(3, 30)) {
         // k >= 2 can never be worse than the single-centroid solution.
-        let one = kmeans(&pts, &KMeansConfig { k: 1, ..Default::default() });
-        let two = kmeans(&pts, &KMeansConfig { k: 2, ..Default::default() });
+        let one = kmeans(&pts, &KMeansConfig { k: 1, ..Default::default() }).unwrap();
+        let two = kmeans(&pts, &KMeansConfig { k: 2, ..Default::default() }).unwrap();
         prop_assert!(two.loss <= one.loss + 1e-9, "{} > {}", two.loss, one.loss);
     }
 
@@ -99,10 +87,10 @@ proptest! {
         // to the seeded init over point *indices* — so compare against a
         // tolerance using best-of restarts instead of exact equality).
         let cfg = KMeansConfig { k: 2, ..Default::default() };
-        let fwd = kmeans(&pts, &cfg);
+        let fwd = kmeans(&pts, &cfg).unwrap();
         let mut rev = pts.clone();
         rev.reverse();
-        let bwd = kmeans(&rev, &cfg);
+        let bwd = kmeans(&rev, &cfg).unwrap();
         // Same multiset of points: losses agree within a factor that
         // tolerates different local minima from the different inits.
         let lo = fwd.loss.min(bwd.loss);
@@ -111,104 +99,27 @@ proptest! {
     }
 
     #[test]
-    fn matmul_columns_bit_identical_to_matvec(
-        m in 1usize..6, k in 1usize..6, n in 1usize..70, seed in 0u64..1024,
-    ) {
-        // The batched product must be column-for-column *bit-identical*
-        // to the matvec oracle: the DL fast path's determinism proof
-        // rests on this. n ranges past the matmul tile width so tile
-        // boundaries are exercised.
-        let mut rng = rand::SeedableRng::seed_from_u64(seed);
-        let a = rand_mat(m, k, &mut rng);
-        let b = rand_mat(k, n, &mut rng);
-        let c = a.matmul(&b);
-        for j in 0..n {
-            prop_assert_eq!(c.col_to_vec(j), a.matvec(&b.col_to_vec(j)), "column {} diverged", j);
-        }
-    }
-
-    #[test]
-    fn matmul_tn_columns_bit_identical_to_matvec_t(
-        m in 1usize..6, k in 1usize..6, n in 1usize..20, seed in 0u64..1024,
-    ) {
-        let mut rng = rand::SeedableRng::seed_from_u64(seed);
-        let a = rand_mat(k, m, &mut rng);
-        let b = rand_mat(k, n, &mut rng);
-        let c = a.matmul_tn(&b);
-        for j in 0..n {
-            prop_assert_eq!(c.col_to_vec(j), a.matvec_t(&b.col_to_vec(j)), "column {} diverged", j);
-        }
-    }
-
-    #[test]
-    fn embed_batch_matches_per_sample_embed(
-        samples in proptest::collection::vec(seq_sample(), 1..8),
-        seed in 0u64..32,
-    ) {
-        // The batched encoder and the per-sample oracle differ only in
-        // fp association (split vs concatenated weight matvec), so they
-        // agree to tight tolerance on every sample.
-        let ae = LstmAutoencoder::new(DELTA_VOCAB, VID_VOCAB, BITS, &tiny_cfg(seed));
-        let refs: Vec<&SeqSample> = samples.iter().collect();
-        let batched = ae.embed_batch(&refs, 1);
-        for (s, z) in samples.iter().zip(&batched) {
-            let oracle = ae.embed(s);
-            prop_assert_eq!(z.len(), oracle.len());
-            for (a, b) in z.iter().zip(&oracle) {
-                prop_assert!((a - b).abs() < 1e-9, "batched {} vs oracle {}", a, b);
-            }
-        }
-    }
-
-    #[test]
     fn minibatch_of_one_matches_train_step(
         sample in seq_sample(),
+        weight in 0.01f64..100.0,
         seed in 0u64..32,
     ) {
-        // A weighted mini-batch of one sample is the same optimizer
-        // step as the scalar path up to fp reassociation (the batched
-        // kernels split the gate weights that the scalar path applies
-        // as one concatenated matvec) — so tight tolerance, not
-        // bit-equality. Bit-exactness across *thread counts* is the
-        // separate property below.
+        // A single-sample training step is a one-item mini-batch, and
+        // its weight normalizes to exactly 1: any positive weight gives
+        // the same loss and the same parameters, bit for bit.
         let cfg = tiny_cfg(seed);
-        let mut a = LstmAutoencoder::new(DELTA_VOCAB, VID_VOCAB, BITS, &cfg);
-        let mut b = a.clone();
-        let la = a.train_step(&sample, None, cfg.learning_rate);
-        let lb = b.train_minibatch(
+        let mut unit = LstmAutoencoder::new(DELTA_VOCAB, VID_VOCAB, BITS, &cfg);
+        let mut weighted = unit.clone();
+        let lu = unit.train_minibatch(
             &[MiniBatchItem { sample: &sample, weight: 1.0, target: None }],
             cfg.learning_rate,
-            1,
         );
-        prop_assert!((la.reconstruct - lb.reconstruct).abs() < 1e-9);
-        prop_assert!((la.cluster - lb.cluster).abs() < 1e-9);
-        for (x, y) in a.embed(&sample).iter().zip(b.embed(&sample)) {
-            prop_assert!((x - y).abs() < 1e-9, "parameters diverged: {} vs {}", x, y);
-        }
-    }
-
-    #[test]
-    fn minibatch_bit_identical_across_thread_counts(
-        samples in proptest::collection::vec(seq_sample(), 2..9),
-        seed in 0u64..32,
-    ) {
-        // Gradients reduce in input order regardless of which worker
-        // computed them, so the fan-out must be invisible bit-for-bit.
-        let cfg = tiny_cfg(seed);
-        let items: Vec<MiniBatchItem<'_>> = samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| MiniBatchItem { sample: s, weight: 1.0 + i as f64, target: None })
-            .collect();
-        let mut serial = LstmAutoencoder::new(DELTA_VOCAB, VID_VOCAB, BITS, &cfg);
-        let mut threaded = serial.clone();
-        let ls = serial.train_minibatch(&items, cfg.learning_rate, 1);
-        let lt = threaded.train_minibatch(&items, cfg.learning_rate, 3);
-        prop_assert_eq!(ls.reconstruct, lt.reconstruct);
-        prop_assert_eq!(ls.cluster, lt.cluster);
-        for s in &samples {
-            prop_assert_eq!(serial.embed(s), threaded.embed(s));
-        }
+        let lw = weighted.train_minibatch(
+            &[MiniBatchItem { sample: &sample, weight, target: None }],
+            cfg.learning_rate,
+        );
+        prop_assert_eq!(lu, lw);
+        prop_assert_eq!(unit.embed(&sample), weighted.embed(&sample));
     }
 
     #[test]
