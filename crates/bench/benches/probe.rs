@@ -40,7 +40,7 @@ fn record_probe() {
         let start = Instant::now();
         let mut report = None;
         for _ in 0..runs {
-            report = Some(entry.run(1).expect("seeded recovery must succeed"));
+            report = Some(entry.run().expect("seeded recovery must succeed"));
         }
         let secs = start.elapsed().as_secs_f64() / runs as f64;
         let report = report.expect("runs >= 1");
@@ -107,10 +107,10 @@ fn bench_probe(c: &mut Criterion) {
     let mut g = c.benchmark_group("probe");
     g.sample_size(10);
     g.bench_function("recover_bank_fold", |b| {
-        b.iter(|| black_box(fold.run(1).unwrap()))
+        b.iter(|| black_box(fold.run().unwrap()))
     });
     g.bench_function("recover_amu_window", |b| {
-        b.iter(|| black_box(window.run(1).unwrap()))
+        b.iter(|| black_box(window.run().unwrap()))
     });
     g.finish();
 }

@@ -43,7 +43,7 @@ fn main() {
         &[SystemConfig::BsHm, SystemConfig::SdmBsm],
         &exp,
     ));
-    for (config, speedup) in cmp.speedups() {
+    for (config, speedup) in cmp.speedups().expect("try_compare runs BS+DM") {
         println!("  {config:<10} {}x", f2(speedup));
     }
     println!(

@@ -90,14 +90,14 @@ impl std::fmt::Display for SystemConfig {
 
 /// How much host parallelism the evaluation pipeline may use.
 ///
-/// Parallel execution is *deterministic*: every tier (per-config runs
-/// in [`crate::pipeline::try_compare`], and per-workload profiling and
-/// trace generation in [`crate::pipeline::try_run_corun`]) produces
-/// reports bit-identical to [`Parallelism::Serial`]. The knob only
-/// trades wall-clock for host threads. Executing one trace on the
-/// machine model is always serial: its per-request channel work is too
-/// fine-grained to hand off to other threads, and mapping selection
-/// (K-Means, DL training) runs on the caller's thread.
+/// It reaches one place: the per-configuration runs of
+/// [`crate::pipeline::try_compare`], which produce reports
+/// bit-identical to [`Parallelism::Serial`]. The knob only trades
+/// wall-clock for host threads. Everything else is serial: executing
+/// one trace on the machine model (its per-request channel work is too
+/// fine-grained to hand off), mapping selection (K-Means, DL training),
+/// and the tenants of [`crate::pipeline::try_run_corun`] (a second
+/// thread ran them at 0.92x on a 2-CPU host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Single-threaded everywhere (the reference behaviour).

@@ -1,8 +1,7 @@
 //! Deterministic fan-out over independent work items.
 //!
-//! The pipeline's outer loops (per-configuration runs in `try_compare`,
-//! per-workload profiling and trace generation in `try_run_corun`) are
-//! embarrassingly parallel: each item is a pure function of its inputs.
+//! `try_compare`'s per-configuration runs are its one caller: each run
+//! is a pure function of its inputs and the shared profile.
 //! [`par_map_indexed`] runs them on scoped threads and returns results
 //! in *input order*, so callers that reduce the results left-to-right
 //! are bit-identical to a serial `map` regardless of scheduling.

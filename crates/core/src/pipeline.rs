@@ -158,20 +158,16 @@ pub fn try_run_corun(
     const STRIDE: u32 = 100_000;
 
     // Profile each workload independently (per-process profiling, as the
-    // paper's offline flow does), then merge the profiles with the
-    // variables renumbered. The per-workload profiling runs are
-    // independent, so they fan out across the experiment's thread budget
-    // (merge order stays the input order). A configuration that ignores
-    // the profile selects from the empty one, as a single run does.
+    // paper's offline flow does), then merge the profiles in input order
+    // with the variables renumbered. A configuration that ignores the
+    // profile selects from the empty one, as a single run does.
     let t0 = Instant::now();
     let mut merged = profiling::empty_profile(exp);
     if config.needs_profiling() {
-        let profiles = par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |_, w| {
-            profiling::try_profile_on_baseline(w, exp)
-        });
-        let profiles: Vec<ProfileData> = profiles
-            .into_iter()
-            .collect::<Result<Vec<_>, SdamError>>()?;
+        let profiles: Vec<ProfileData> = workloads
+            .iter()
+            .map(|&w| profiling::try_profile_on_baseline(w, exp))
+            .collect::<Result<_, SdamError>>()?;
         let mut agg_members: Vec<&sdam_mapping::BitFlipRateVector> = Vec::new();
         for (i, p) in profiles.iter().enumerate() {
             for &v in &p.major {
@@ -191,12 +187,12 @@ pub fn try_run_corun(
     phases.select = t0.elapsed();
 
     // Materialize all workloads into ONE system; each runs in its own
-    // process, its trace renumbered and pinned to its core set. Trace
-    // generation is per-workload independent and fans out; allocation
-    // into the shared system below stays serial (one physical memory).
+    // process, its trace renumbered and pinned to its core set.
     let t0 = Instant::now();
-    let eval: Vec<sdam_trace::Trace> =
-        par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |i, w| {
+    let eval: Vec<sdam_trace::Trace> = workloads
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
             w.generate(exp.scale)
                 .iter()
                 .map(|a| sdam_trace::MemAccess {
@@ -208,7 +204,8 @@ pub fn try_run_corun(
                     ..*a
                 })
                 .collect()
-        });
+        })
+        .collect();
 
     let mut sys = SdamSystem::try_new(exp.geometry, exp.chunk_bits)?;
     let var_mapping = out.selection.install(&mut sys)?;

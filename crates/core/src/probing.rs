@@ -22,7 +22,7 @@ use sdam_hbm::{Geometry, Timing};
 use sdam_mapping::descriptor::MappingDescriptor;
 use sdam_mapping::{BitPermutation, Cmt, HashMapping, MappingId, PhysAddr};
 use sdam_mem::VirtAddr;
-use sdam_probe::{Agent, FunctionReport, RecoveryError, RecoveryReport, TargetFactory};
+use sdam_probe::{Agent, FunctionReport, RecoveryError, RecoveryReport};
 use sdam_sys::{EngineTarget, MappingEngine};
 
 use crate::system::{ProcessId, SdamSystem};
@@ -126,19 +126,21 @@ impl SdamProbeRegion {
         self.probe_bits
     }
 
-    /// A factory producing fresh black-box targets over this region:
-    /// each target routes probes through a clone of the live CMT (the
-    /// `Chunked` engine) into a fresh device.
-    pub fn factory(&self) -> impl TargetFactory + '_ {
-        move || {
-            EngineTarget::new(
-                MappingEngine::Chunked(self.cmt.clone()),
-                self.geom,
-                self.timing,
-                self.base_pa,
-                self.probe_bits,
-            )
-        }
+    /// A black-box target over this region: it routes probes through a
+    /// clone of the live CMT (the `Chunked` engine) into a fresh device.
+    ///
+    /// # Errors
+    ///
+    /// [`ProbingError::Setup`] if the target rejects the window.
+    pub fn target(&self) -> Result<EngineTarget, ProbingError> {
+        EngineTarget::new(
+            MappingEngine::Chunked(self.cmt.clone()),
+            self.geom,
+            self.timing,
+            self.base_pa,
+            self.probe_bits,
+        )
+        .map_err(|e| ProbingError::Setup(format!("probe target: {e}")))
     }
 
     /// Ground truth for the region's AMU window, re-derived bit by bit
@@ -266,8 +268,8 @@ impl SuiteEntry {
         }
     }
 
-    /// Runs the black-box recovery for this entry with `threads`
-    /// workers, then grades it against ground truth.
+    /// Runs the black-box recovery for this entry on one target, then
+    /// grades it against ground truth.
     ///
     /// The agent works purely from [`sdam_probe::ProbeTarget::access`]
     /// latencies; the ground-truth comparison happens here, after the
@@ -276,17 +278,18 @@ impl SuiteEntry {
     /// # Errors
     ///
     /// [`ProbingError`] on setup failure or unrecoverable functions.
-    pub fn run(&self, threads: usize) -> Result<RecoveryReport, ProbingError> {
-        let agent = Agent::new(self.geom).with_threads(threads);
-        match &self.truth {
+    pub fn run(&self) -> Result<RecoveryReport, ProbingError> {
+        let agent = Agent::new(self.geom);
+        let geom = self.geom;
+        let device_target = |engine| {
+            EngineTarget::new(engine, geom, self.timing, 0, geom.addr_bits())
+                .map_err(|e| ProbingError::Setup(format!("probe target: {e}")))
+        };
+        let (calibration, function) = match &self.truth {
             SuiteTruth::Fold => {
-                let (geom, timing) = (self.geom, self.timing);
-                let factory = move || {
-                    EngineTarget::new(MappingEngine::identity(), geom, timing, 0, geom.addr_bits())
-                };
-                let calibration = agent.calibrate_target(&factory);
-                let rec = agent.recover_bank_fold(&factory)?;
-                let bank_bits = self.geom.bank_bits();
+                let rec =
+                    agent.recover_bank_fold(&mut device_target(MappingEngine::identity())?)?;
+                let bank_bits = geom.bank_bits();
                 let exact = !rec.classes.is_empty()
                     && rec
                         .classes
@@ -298,34 +301,20 @@ impl SuiteEntry {
                         .iter()
                         .map(|c| c.map_or_else(|| "-".to_string(), |k| k.to_string())),
                 );
-                Ok(RecoveryReport {
-                    target: self.name.to_string(),
-                    calibration,
-                    functions: vec![FunctionReport {
-                        function: "bank-fold".to_string(),
-                        recovered,
-                        bits: rec.classes.len() as u32,
-                        probes: rec.probes,
-                        confidence: rec.confidence,
-                        exact: Some(exact),
-                    }],
-                })
+                let function = FunctionReport {
+                    function: "bank-fold".to_string(),
+                    recovered,
+                    bits: rec.classes.len() as u32,
+                    probes: rec.probes,
+                    confidence: rec.confidence,
+                    exact: Some(exact),
+                };
+                (rec.calibration, function)
             }
             SuiteTruth::Hash(hm) => {
-                let (geom, timing) = (self.geom, self.timing);
-                let hm_box = hm.clone();
-                let factory = move || {
-                    EngineTarget::new(
-                        MappingEngine::Global(Box::new(hm_box.clone())),
-                        geom,
-                        timing,
-                        0,
-                        geom.addr_bits(),
-                    )
-                };
-                let calibration = agent.calibrate_target(&factory);
-                let rec = agent.recover_channel_hash(&factory)?;
-                let truth = hm.timing_canonical(self.geom);
+                let mut target = device_target(MappingEngine::Global(Box::new(hm.clone())))?;
+                let rec = agent.recover_channel_hash(&mut target)?;
+                let truth = hm.timing_canonical(geom);
                 let exact = rec.channel_lo == truth.channel_lo()
                     && rec.sources.as_slice() == truth.sources();
                 let recovered = fmt_list(
@@ -333,28 +322,23 @@ impl SuiteEntry {
                         .iter()
                         .map(|set| fmt_list(set.iter().map(|b| b.to_string()))),
                 );
-                let ch_hi = self.geom.line_bits() + self.geom.channel_bits();
-                Ok(RecoveryReport {
-                    target: self.name.to_string(),
-                    calibration,
-                    functions: vec![FunctionReport {
-                        function: "channel-hash".to_string(),
-                        recovered,
-                        bits: (self.geom.addr_bits() - ch_hi) * self.geom.channel_bits(),
-                        probes: rec.probes,
-                        confidence: rec.confidence,
-                        exact: Some(exact),
-                    }],
-                })
+                let ch_hi = geom.line_bits() + geom.channel_bits();
+                let function = FunctionReport {
+                    function: "channel-hash".to_string(),
+                    recovered,
+                    bits: (geom.addr_bits() - ch_hi) * geom.channel_bits(),
+                    probes: rec.probes,
+                    confidence: rec.confidence,
+                    exact: Some(exact),
+                };
+                (rec.calibration, function)
             }
             SuiteTruth::Window(perm) => {
-                let region = sdam_probe_region(perm, self.geom, self.timing, self.chunk_bits)?;
-                let factory = region.factory();
-                let calibration = agent.calibrate_target(&factory);
-                let lo = self.geom.line_bits();
+                let region = sdam_probe_region(perm, geom, self.timing, self.chunk_bits)?;
+                let lo = geom.line_bits();
                 let len = self.chunk_bits - lo;
-                let rec = agent.recover_permutation(&factory, lo, len)?;
-                let truth = region.window_truth()?.timing_canonical(self.geom);
+                let rec = agent.recover_permutation(&mut region.target()?, lo, len)?;
+                let truth = region.window_truth()?.timing_canonical(geom);
                 // Invert round-trip over every window bit: the recovered
                 // permutation must be a bijection whose inverse undoes it
                 // (the `BitPermutation::invert` leg of the verification).
@@ -370,20 +354,22 @@ impl SuiteEntry {
                     rec.perm.lo(),
                     fmt_list(rec.perm.table().iter().map(|s| s.to_string()))
                 );
-                Ok(RecoveryReport {
-                    target: self.name.to_string(),
-                    calibration,
-                    functions: vec![FunctionReport {
-                        function: "amu-permutation".to_string(),
-                        recovered,
-                        bits: len,
-                        probes: rec.probes,
-                        confidence: rec.confidence,
-                        exact: Some(exact),
-                    }],
-                })
+                let function = FunctionReport {
+                    function: "amu-permutation".to_string(),
+                    recovered,
+                    bits: len,
+                    probes: rec.probes,
+                    confidence: rec.confidence,
+                    exact: Some(exact),
+                };
+                (rec.calibration, function)
             }
-        }
+        };
+        Ok(RecoveryReport {
+            target: self.name.to_string(),
+            calibration,
+            functions: vec![function],
+        })
     }
 }
 
@@ -469,13 +455,13 @@ pub fn seeded_suite() -> Result<Vec<SuiteEntry>, ProbingError> {
     ])
 }
 
-/// Runs every [`seeded_suite`] entry with `threads` workers.
+/// Runs every [`seeded_suite`] entry.
 ///
 /// # Errors
 ///
 /// The first [`ProbingError`] any entry produces.
-pub fn run_seeded_suite(threads: usize) -> Result<Vec<RecoveryReport>, ProbingError> {
-    seeded_suite()?.iter().map(|e| e.run(threads)).collect()
+pub fn run_seeded_suite() -> Result<Vec<RecoveryReport>, ProbingError> {
+    seeded_suite()?.iter().map(SuiteEntry::run).collect()
 }
 
 #[cfg(test)]
@@ -516,7 +502,7 @@ mod tests {
     fn fold_entry_recovers_exactly() {
         let suite = seeded_suite().unwrap();
         let entry = suite.iter().find(|e| e.name == "dm-identity").unwrap();
-        let report = entry.run(1).unwrap();
+        let report = entry.run().unwrap();
         assert!(report.all_exact(), "report: {}", report.to_json());
         assert!(report.total_probes() <= entry.probe_ceiling());
     }
@@ -525,7 +511,7 @@ mod tests {
     fn window_entry_recovers_exactly() {
         let suite = seeded_suite().unwrap();
         let entry = suite.iter().find(|e| e.name == "sdam-reverse").unwrap();
-        let report = entry.run(1).unwrap();
+        let report = entry.run().unwrap();
         assert!(report.all_exact(), "report: {}", report.to_json());
         assert!(report.total_probes() <= entry.probe_ceiling());
     }

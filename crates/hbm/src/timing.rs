@@ -2,8 +2,10 @@
 //!
 //! We model the handful of constraints that dominate channel-level
 //! behaviour: row activation (tRCD), precharge (tRP), CAS latency (CL),
-//! data-burst occupancy of the channel bus (tBURST), and the minimum
-//! row-open time (tRAS). Finer constraints (tFAW, tRRD, refresh) are
+//! data-burst occupancy of the channel bus (tBURST), the minimum
+//! row-open time (tRAS), the write-to-read bus turnaround (tWTR), and
+//! per-channel refresh (tREFI/tRFC, off in the default presets; see
+//! [`Timing::hbm2_with_refresh`]). Finer constraints (tFAW, tRRD) are
 //! deliberately omitted — they perturb absolute latency but not the
 //! channel-contention structure the SDAM paper studies (see DESIGN.md §2).
 

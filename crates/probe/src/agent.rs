@@ -13,7 +13,7 @@ use sdam_mapping::{timing_classes, BitPermutation};
 
 use crate::calibrate::{Calibrator, LatencyClass};
 use crate::gf2::{Gf2Solution, Gf2System};
-use crate::target::{ProbeTarget, TargetFactory};
+use crate::target::ProbeTarget;
 
 /// Why a recovery could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,6 +87,8 @@ pub struct PermRecovery {
     /// Fraction of held-out validation probes whose latency class
     /// matched the recovered model's prediction.
     pub confidence: f64,
+    /// The latency thresholds trained on the target.
+    pub calibration: Calibrator,
 }
 
 /// A recovered XOR channel-hash.
@@ -102,6 +104,8 @@ pub struct HashRecovery {
     /// Fraction of held-out validation probes whose latency class
     /// matched the recovered model's prediction.
     pub confidence: f64,
+    /// The latency thresholds trained on the target.
+    pub calibration: Calibrator,
 }
 
 /// The controller's recovered row→bank fold structure.
@@ -114,31 +118,42 @@ pub struct FoldRecovery {
     pub probes: u64,
     /// Fraction of row bits that received a unique class.
     pub confidence: f64,
+    /// The latency thresholds trained on the target.
+    pub calibration: Calibrator,
 }
 
-/// The recovery agent: geometry knowledge, a thread budget, and a
-/// validation sample count.
+/// The recovery agent: geometry knowledge and a validation sample
+/// count.
 #[derive(Debug, Clone, Copy)]
 pub struct Agent {
     geom: Geometry,
-    threads: usize,
     validation: u32,
 }
 
-/// One probe-pair experiment session on a target: settle, prime,
-/// measure. Counts every access.
+/// One recovery's experiments on a target: calibration, then probe
+/// pairs. Counts every access.
 struct Session<'a> {
     target: &'a mut dyn ProbeTarget,
     cal: Calibrator,
     probes: u64,
 }
 
-impl Session<'_> {
+impl<'a> Session<'a> {
+    /// Trains the calibrator on `target`; the training accesses open
+    /// the probe count.
+    fn open(target: &'a mut dyn ProbeTarget) -> Session<'a> {
+        let cal = Calibrator::train(target);
+        Session {
+            target,
+            cal,
+            probes: Calibrator::TRAIN_PROBES,
+        }
+    }
+
     /// `settle(); access(base); access(base ^ delta)` — classifies the
     /// second latency. The settle guarantees the first access is a
     /// closed-bank prime and the pair is independent of all earlier
-    /// probes, which is what makes experiments order- and
-    /// partition-independent.
+    /// probes, so one target serves every experiment of a recovery.
     fn pair(&mut self, base: u64, delta: u64) -> LatencyClass {
         self.target.settle();
         let _ = self.target.access(base);
@@ -149,8 +164,7 @@ impl Session<'_> {
 }
 
 /// A deterministic splitmix-style stream for validation sampling: the
-/// `i`-th sample is a pure function of the index, so serial and
-/// partitioned runs draw identical probes.
+/// `i`-th sample is a pure function of the index and the salt.
 fn sample64(index: u64, salt: u64) -> u64 {
     let mut z = index
         .wrapping_add(salt)
@@ -194,24 +208,13 @@ fn class_of_ha_delta(geom: Geometry, d: u64) -> Option<LatencyClass> {
 }
 
 impl Agent {
-    /// An agent for a device with the given (public) geometry. Serial,
-    /// with the default validation budget.
+    /// An agent for a device with the given (public) geometry, with the
+    /// default validation budget.
     pub fn new(geom: Geometry) -> Agent {
         Agent {
             geom,
-            threads: 1,
             validation: 64,
         }
-    }
-
-    /// Uses `n` worker threads for the embarrassingly-parallel probe
-    /// stages. Results are bit-identical to the serial agent: the unit
-    /// of parallelism is one self-contained experiment sequence, each
-    /// opening with a settle, run on a per-worker target from the
-    /// factory.
-    pub fn with_threads(mut self, n: usize) -> Agent {
-        self.threads = n.max(1);
-        self
     }
 
     /// Sets the number of held-out validation probes per recovery
@@ -227,110 +230,35 @@ impl Agent {
         self.geom
     }
 
-    /// Runs `n` independent experiment tasks over the factory's
-    /// targets, returning per-task outputs in task order plus the total
-    /// probe count. Serial and partitioned execution are bit-identical
-    /// because each task begins with a settle and latencies are
-    /// invariant under time translation.
-    fn run_tasks<Out: Send>(
-        &self,
-        factory: &dyn TargetFactory,
-        cal: Calibrator,
-        n: usize,
-        task: impl Fn(&mut Session<'_>, usize) -> Out + Sync,
-    ) -> (Vec<Out>, u64) {
-        if self.threads <= 1 || n <= 1 {
-            let mut target = factory.build();
-            let mut session = Session {
-                target: &mut *target,
-                cal,
-                probes: 0,
-            };
-            let out = (0..n).map(|i| task(&mut session, i)).collect();
-            return (out, session.probes);
-        }
-        let chunk = n.div_ceil(self.threads);
-        let mut out = Vec::with_capacity(n);
-        let mut probes = 0u64;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .filter_map(|w| {
-                    let lo = w * chunk;
-                    if lo >= n {
-                        return None;
-                    }
-                    let hi = (lo + chunk).min(n);
-                    let task = &task;
-                    Some(scope.spawn(move || {
-                        let mut target = factory.build();
-                        let mut session = Session {
-                            target: &mut *target,
-                            cal,
-                            probes: 0,
-                        };
-                        let out: Vec<Out> = (lo..hi).map(|i| task(&mut session, i)).collect();
-                        (out, session.probes)
-                    }))
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok((part, p)) => {
-                        out.extend(part);
-                        probes += p;
-                    }
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-        (out, probes)
-    }
-
-    /// Trains a calibrator on one fresh target from the factory — the
-    /// descriptive header of a [`crate::RecoveryReport`]. On a
-    /// deterministic target this is identical to the calibration every
-    /// `recover_*` call performs internally.
-    pub fn calibrate_target(&self, factory: &dyn TargetFactory) -> Calibrator {
-        self.calibrate(factory).0
-    }
-
-    /// Builds one target and trains the calibrator on it.
-    fn calibrate(&self, factory: &dyn TargetFactory) -> (Calibrator, u32, u64) {
-        let mut target = factory.build();
-        let cal = Calibrator::train(&mut *target);
-        (cal, target.probe_bits(), Calibrator::TRAIN_PROBES)
-    }
-
     /// Measures agreement between the recovered model (`ha_of_delta`
     /// maps a probe delta to its predicted hardware-address delta) and
     /// the target, over deterministic held-out samples.
     fn validate(
         &self,
-        factory: &dyn TargetFactory,
-        cal: Calibrator,
+        session: &mut Session<'_>,
         probe_hi: u32,
-        ha_of_delta: impl Fn(u64) -> u64 + Sync,
-    ) -> (f64, u64) {
+        ha_of_delta: impl Fn(u64) -> u64,
+    ) -> f64 {
         if self.validation == 0 {
-            return (1.0, 0);
+            return 1.0;
         }
         let geom = self.geom;
         let lo = geom.line_bits();
         let delta_mask = (1u64 << probe_hi) - (1u64 << lo);
-        let (matches, probes) =
-            self.run_tasks(factory, cal, self.validation as usize, |session, i| {
-                let mut delta = sample64(i as u64, 0xd3) & delta_mask;
+        let ok = (0..u64::from(self.validation))
+            .filter(|&i| {
+                let mut delta = sample64(i, 0xd3) & delta_mask;
                 if delta == 0 {
                     delta = 1 << lo;
                 }
-                let base = sample64(i as u64, 0xb5) & delta_mask;
+                let base = sample64(i, 0xb5) & delta_mask;
                 match class_of_ha_delta(geom, ha_of_delta(delta)) {
                     Some(expect) => session.pair(base, delta) == expect,
                     None => true,
                 }
-            });
-        let ok = matches.iter().filter(|&&m| m).count();
-        (ok as f64 / self.validation as f64, probes)
+            })
+            .count();
+        ok as f64 / self.validation as f64
     }
 
     /// Recovers the controller's row→bank fold structure from a target
@@ -342,10 +270,11 @@ impl Agent {
     /// closed latencies merge.
     pub fn recover_bank_fold(
         &self,
-        factory: &dyn TargetFactory,
+        target: &mut dyn ProbeTarget,
     ) -> Result<FoldRecovery, RecoveryError> {
         let geom = self.geom;
-        let (cal, probe_bits, cal_probes) = self.calibrate(factory);
+        let probe_bits = target.probe_bits();
+        let mut session = Session::open(target);
         if probe_bits < geom.addr_bits() {
             return Err(RecoveryError::WindowOutOfRange {
                 lo: 0,
@@ -357,23 +286,26 @@ impl Agent {
         let row_lo = bank_lo + geom.bank_bits();
         let bank_bits = geom.bank_bits();
         let row_bits = geom.row_bits();
-        let (classes, probes) = self.run_tasks(factory, cal, row_bits as usize, |session, j| {
-            let hits: Vec<u32> = (0..bank_bits)
-                .filter(|&k| {
-                    let delta = (1u64 << (row_lo + j as u32)) | (1u64 << (bank_lo + k));
-                    session.pair(0, delta) == LatencyClass::Conflict
-                })
-                .collect();
-            match hits.as_slice() {
-                [k] => Some(*k),
-                _ => None,
-            }
-        });
+        let classes: Vec<Option<u32>> = (0..row_bits)
+            .map(|j| {
+                let hits: Vec<u32> = (0..bank_bits)
+                    .filter(|&k| {
+                        let delta = (1u64 << (row_lo + j)) | (1u64 << (bank_lo + k));
+                        session.pair(0, delta) == LatencyClass::Conflict
+                    })
+                    .collect();
+                match hits.as_slice() {
+                    [k] => Some(*k),
+                    _ => None,
+                }
+            })
+            .collect();
         let classified = classes.iter().filter(|c| c.is_some()).count();
         Ok(FoldRecovery {
             confidence: classified as f64 / row_bits.max(1) as f64,
             classes,
-            probes: cal_probes + probes,
+            probes: session.probes,
+            calibration: session.cal,
         })
     }
 
@@ -390,11 +322,12 @@ impl Agent {
     /// the canonical source sets.
     pub fn recover_channel_hash(
         &self,
-        factory: &dyn TargetFactory,
+        target: &mut dyn ProbeTarget,
     ) -> Result<HashRecovery, RecoveryError> {
         let geom = self.geom;
-        let (cal, probe_bits, cal_probes) = self.calibrate(factory);
-        if !cal.separable() {
+        let probe_bits = target.probe_bits();
+        let mut session = Session::open(target);
+        if !session.cal.separable() {
             return Err(RecoveryError::NotSeparable);
         }
         if probe_bits < geom.addr_bits() {
@@ -415,11 +348,9 @@ impl Agent {
         // Candidates: every bit above the channel field except the bank
         // field (bank columns carry the gauge freedom and their
         // compensated deltas would duplicate the row equations).
-        let candidates: Vec<u32> = (ch_hi..width)
-            .filter(|&b| !(bank_lo..row_lo).contains(&b))
-            .collect();
-        let (scans, probes) = self.run_tasks(factory, cal, candidates.len(), |session, idx| {
-            let b = candidates[idx];
+        let candidates = (ch_hi..width).filter(|&b| !(bank_lo..row_lo).contains(&b));
+        let mut system = Gf2System::new(width - ch_hi);
+        for b in candidates {
             let (t, expect) = if b < bank_lo {
                 (1u64 << b, LatencyClass::Hit)
             } else {
@@ -435,16 +366,10 @@ impl Agent {
                     (cls != LatencyClass::Miss).then_some((c, cls))
                 })
                 .collect();
-            match found.as_slice() {
-                [(c, cls)] if *cls == expect => Ok(*c),
-                _ => Err(RecoveryError::AmbiguousProbe { bit: b }),
-            }
-        });
-
-        let mut system = Gf2System::new(width - ch_hi);
-        for (idx, scan) in scans.into_iter().enumerate() {
-            let b = candidates[idx];
-            let value = scan?;
+            let value = match found.as_slice() {
+                [(c, cls)] if *cls == expect => *c,
+                _ => return Err(RecoveryError::AmbiguousProbe { bit: b }),
+            };
             let mut mask = 1u64 << (b - ch_hi);
             if b >= row_lo {
                 mask |= 1u64 << (bank_lo + (b - row_lo) % bank_bits - ch_hi);
@@ -470,10 +395,9 @@ impl Agent {
             })
             .collect();
 
-        let src = sources.clone();
-        let (confidence, vprobes) = self.validate(factory, cal, width, move |delta| {
+        let confidence = self.validate(&mut session, width, |delta| {
             let mut h = 0u64;
-            for (i, set) in src.iter().enumerate() {
+            for (i, set) in sources.iter().enumerate() {
                 let parity = set.iter().fold(0u64, |p, &b| p ^ ((delta >> b) & 1));
                 h ^= parity << i;
             }
@@ -482,8 +406,9 @@ impl Agent {
         Ok(HashRecovery {
             sources,
             channel_lo: ch_lo,
-            probes: cal_probes + probes + vprobes,
+            probes: session.probes,
             confidence,
+            calibration: session.cal,
         })
     }
 
@@ -504,13 +429,14 @@ impl Agent {
     /// emitted.
     pub fn recover_permutation(
         &self,
-        factory: &dyn TargetFactory,
+        target: &mut dyn ProbeTarget,
         lo: u32,
         len: u32,
     ) -> Result<PermRecovery, RecoveryError> {
         let geom = self.geom;
-        let (cal, probe_bits, cal_probes) = self.calibrate(factory);
-        if !cal.separable() {
+        let probe_bits = target.probe_bits();
+        let mut session = Session::open(target);
+        if !session.cal.separable() {
             return Err(RecoveryError::NotSeparable);
         }
         if lo < geom.line_bits() || lo + len > geom.addr_bits() || lo + len > probe_bits {
@@ -551,25 +477,24 @@ impl Agent {
             Channel,
             Fold(u32),
         }
-        let (landings, probes) = self.run_tasks(factory, cal, len as usize, |session, i| {
-            let flip = 1u64 << (lo + i as u32);
-            if session.pair(0, flip) == LatencyClass::Hit {
-                return Ok(Landing::Column);
-            }
-            let folds: Vec<u32> = (0..bank_bits)
-                .filter(|&k| session.pair(0, flip ^ anchors[k as usize]) == LatencyClass::Conflict)
-                .collect();
-            match folds.as_slice() {
-                [] => Ok(Landing::Channel),
-                [k] => Ok(Landing::Fold(*k)),
-                _ => Err(RecoveryError::AmbiguousProbe { bit: lo + i as u32 }),
-            }
-        });
-
-        let mut resolved = Vec::with_capacity(len as usize);
-        for l in landings {
-            resolved.push(l?);
-        }
+        let resolved: Vec<Landing> = (lo..lo + len)
+            .map(|bit| {
+                let flip = 1u64 << bit;
+                if session.pair(0, flip) == LatencyClass::Hit {
+                    return Ok(Landing::Column);
+                }
+                let folds: Vec<u32> = (0..bank_bits)
+                    .filter(|&k| {
+                        session.pair(0, flip ^ anchors[k as usize]) == LatencyClass::Conflict
+                    })
+                    .collect();
+                match folds.as_slice() {
+                    [] => Ok(Landing::Channel),
+                    [k] => Ok(Landing::Fold(*k)),
+                    _ => Err(RecoveryError::AmbiguousProbe { bit }),
+                }
+            })
+            .collect::<Result<_, _>>()?;
 
         // Assemble the canonical table: within each timing class,
         // ascending sources onto ascending destinations.
@@ -600,13 +525,12 @@ impl Agent {
         let perm = BitPermutation::new(lo, table)
             .map_err(|e| RecoveryError::Inconsistent(e.to_string()))?;
 
-        let model = perm.clone();
-        let (confidence, vprobes) =
-            self.validate(factory, cal, probe_hi, move |delta| model.apply(delta));
+        let confidence = self.validate(&mut session, probe_hi, |delta| perm.apply(delta));
         Ok(PermRecovery {
             perm,
-            probes: cal_probes + probes + vprobes,
+            probes: session.probes,
             confidence,
+            calibration: session.cal,
         })
     }
 }
@@ -621,14 +545,14 @@ mod tests {
     /// classes — the minimal oracle for the agent's algebra. The real
     /// FR-FCFS-backed target lives in `sdam-sys` and is exercised by
     /// the integration suite.
-    struct Model<F: Fn(u64) -> u64 + Send> {
+    struct Model<F: Fn(u64) -> u64> {
         geom: Geometry,
         map: F,
         probe_bits: u32,
         open: std::collections::HashMap<(u64, u64), u64>,
     }
 
-    impl<F: Fn(u64) -> u64 + Send> ProbeTarget for Model<F> {
+    impl<F: Fn(u64) -> u64> ProbeTarget for Model<F> {
         fn probe_bits(&self) -> u32 {
             self.probe_bits
         }
@@ -648,14 +572,10 @@ mod tests {
         }
     }
 
-    fn model_factory<F: Fn(u64) -> u64 + Send + Clone + Sync + 'static>(
-        geom: Geometry,
-        probe_bits: u32,
-        map: F,
-    ) -> impl TargetFactory {
-        move || Model {
+    fn model<F: Fn(u64) -> u64>(geom: Geometry, probe_bits: u32, map: F) -> Model<F> {
+        Model {
             geom,
-            map: map.clone(),
+            map,
             probe_bits,
             open: Default::default(),
         }
@@ -665,8 +585,9 @@ mod tests {
     fn recovers_identity_fold() {
         let geom = Geometry::hbm2_8gb();
         let agent = Agent::new(geom);
-        let f = model_factory(geom, geom.addr_bits(), |a| a);
-        let fold = agent.recover_bank_fold(&f).unwrap();
+        let fold = agent
+            .recover_bank_fold(&mut model(geom, geom.addr_bits(), |a| a))
+            .unwrap();
         assert_eq!(fold.confidence, 1.0);
         for (j, class) in fold.classes.iter().enumerate() {
             assert_eq!(*class, Some(j as u32 % geom.bank_bits()), "row bit {j}");
@@ -678,11 +599,10 @@ mod tests {
         let geom = Geometry::hbm2_8gb();
         let truth = HashMapping::for_geometry(geom);
         let agent = Agent::new(geom);
-        let t = truth.clone();
-        let f = model_factory(geom, geom.addr_bits(), move |a| {
-            t.map(sdam_mapping::PhysAddr(a)).raw()
+        let mut target = model(geom, geom.addr_bits(), |a| {
+            truth.map(sdam_mapping::PhysAddr(a)).raw()
         });
-        let got = agent.recover_channel_hash(&f).unwrap();
+        let got = agent.recover_channel_hash(&mut target).unwrap();
         assert_eq!(got.sources, truth.timing_canonical(geom).sources());
         assert_eq!(got.confidence, 1.0);
     }
@@ -695,9 +615,8 @@ mod tests {
         table.reverse();
         let truth = BitPermutation::new(6, table).unwrap();
         let agent = Agent::new(geom);
-        let t = truth.clone();
-        let f = model_factory(geom, 25, move |a| t.apply(a));
-        let got = agent.recover_permutation(&f, 6, 15).unwrap();
+        let mut target = model(geom, 25, |a| truth.apply(a));
+        let got = agent.recover_permutation(&mut target, 6, 15).unwrap();
         assert_eq!(got.perm, truth.timing_canonical(geom));
         assert_eq!(got.confidence, 1.0);
         // The canonical forward model reproduces every probe the truth
@@ -706,28 +625,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_recovery_is_bit_identical() {
-        let geom = Geometry::hbm2_8gb();
-        let mut table: Vec<u32> = (0..15).collect();
-        table.rotate_left(7);
-        let truth = BitPermutation::new(6, table).unwrap();
-        let t = truth.clone();
-        let f = model_factory(geom, 25, move |a| t.apply(a));
-        let serial = Agent::new(geom).recover_permutation(&f, 6, 15).unwrap();
-        for threads in [2usize, 8] {
-            let par = Agent::new(geom)
-                .with_threads(threads)
-                .recover_permutation(&f, 6, 15)
-                .unwrap();
-            assert_eq!(serial, par, "{threads} threads diverged");
-        }
-    }
-
-    #[test]
     fn window_outside_probe_space_is_an_error() {
         let geom = Geometry::hbm2_8gb();
-        let f = model_factory(geom, 12, |a| a);
-        let err = Agent::new(geom).recover_permutation(&f, 6, 15).unwrap_err();
+        let err = Agent::new(geom)
+            .recover_permutation(&mut model(geom, 12, |a| a), 6, 15)
+            .unwrap_err();
         assert!(matches!(err, RecoveryError::WindowOutOfRange { .. }));
     }
 }

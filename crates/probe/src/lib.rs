@@ -77,9 +77,8 @@
 //!
 //! let geom = Geometry::hbm2_8gb();
 //! let agent = Agent::new(geom);
-//! let fold = agent
-//!     .recover_bank_fold(&|| Toy { geom, open: Default::default() })
-//!     .unwrap();
+//! let mut target = Toy { geom, open: Default::default() };
+//! let fold = agent.recover_bank_fold(&mut target).unwrap();
 //! // Every row bit folds onto row-index mod bank_bits.
 //! for (j, class) in fold.classes.iter().enumerate() {
 //!     assert_eq!(*class, Some(j as u32 % geom.bank_bits()));
@@ -100,4 +99,4 @@ pub use agent::{Agent, FoldRecovery, HashRecovery, PermRecovery, RecoveryError};
 pub use calibrate::{Calibrator, LatencyClass};
 pub use gf2::{Gf2Solution, Gf2System};
 pub use report::{FunctionReport, RecoveryReport};
-pub use target::{ProbeTarget, TargetFactory};
+pub use target::ProbeTarget;

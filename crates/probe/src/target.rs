@@ -15,7 +15,12 @@ use sdam_hbm::Cycle;
 /// scheduling path (for the simulator: VA→PA→CMT/AMU→controller bank
 /// hash→FR-FCFS) and return the request's completion latency in device
 /// cycles.
-pub trait ProbeTarget: Send {
+///
+/// Each recovery runs calibration, its probe pairs and validation on
+/// one target, in that order. Every pair opens with
+/// [`ProbeTarget::settle`], so no experiment's latency depends on an
+/// earlier one.
+pub trait ProbeTarget {
     /// Number of low virtual-address bits the agent may vary. Offsets
     /// are masked to this width; everything above is fixed by the
     /// target (its probe region placement).
@@ -29,26 +34,4 @@ pub trait ProbeTarget: Send {
     /// Issues one read at virtual offset `va` (line-aligned by
     /// convention) and returns its latency in cycles.
     fn access(&mut self, va: u64) -> Cycle;
-}
-
-/// Builds fresh, identically-configured probe targets.
-///
-/// The deterministic parallel executor gives every worker thread its
-/// own target, so a factory must produce targets whose per-experiment
-/// timing is identical across instances (each experiment starts with
-/// [`ProbeTarget::settle`], so absolute time never leaks into a
-/// latency).
-pub trait TargetFactory: Sync {
-    /// Builds one fresh target.
-    fn build(&self) -> Box<dyn ProbeTarget>;
-}
-
-impl<F, T> TargetFactory for F
-where
-    F: Fn() -> T + Sync,
-    T: ProbeTarget + 'static,
-{
-    fn build(&self) -> Box<dyn ProbeTarget> {
-        Box::new(self())
-    }
 }

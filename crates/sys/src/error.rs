@@ -6,7 +6,8 @@
 //! [`ConfigError`] instead; the figure binaries, which want fail-fast
 //! behaviour, exit on the error themselves.
 //!
-//! Ownership: `sdam-sys` owns the machine- and cache-shape variants;
+//! Ownership: `sdam-sys` owns the machine-, cache- and probe-window
+//! variants;
 //! the chunk/system/training variants are filled in by `sdam` (core)
 //! and `sdam-ml`, which re-use this type so one error covers the whole
 //! experiment description.
@@ -43,6 +44,12 @@ pub enum ConfigError {
         /// Which constraint failed.
         what: &'static str,
     },
+    /// An invalid probe window (misaligned base, or wider than the
+    /// device).
+    Probe {
+        /// Which constraint failed.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -60,6 +67,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Cache { what } => write!(f, "invalid cache config: {what}"),
             ConfigError::System { what } => write!(f, "invalid system config: {what}"),
             ConfigError::Training { what } => write!(f, "invalid training config: {what}"),
+            ConfigError::Probe { what } => write!(f, "invalid probe window: {what}"),
         }
     }
 }

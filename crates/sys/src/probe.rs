@@ -14,6 +14,7 @@ use sdam_mapping::PhysAddr;
 use sdam_probe::ProbeTarget;
 
 use crate::path::{MappingEngine, TranslationCache};
+use crate::ConfigError;
 
 /// A black-box probe window onto a [`MappingEngine`] + [`Hbm`] pair.
 ///
@@ -42,9 +43,10 @@ pub struct EngineTarget {
 impl EngineTarget {
     /// Builds a probe target over `engine` with a fresh device.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `base_pa` is not aligned to the probe region (the
+    /// [`ConfigError::Probe`] if `probe_bits` is wider than the device
+    /// address, or `base_pa` is not aligned to the probe region (the
     /// region must be `base_pa | offset`-addressable for XOR probing).
     pub fn new(
         engine: MappingEngine,
@@ -52,15 +54,19 @@ impl EngineTarget {
         timing: Timing,
         base_pa: u64,
         probe_bits: u32,
-    ) -> EngineTarget {
-        let mask = (1u64 << probe_bits) - 1;
-        assert_eq!(
-            base_pa & mask,
-            0,
-            "probe base {base_pa:#x} not aligned to 2^{probe_bits}"
-        );
+    ) -> Result<EngineTarget, ConfigError> {
+        if probe_bits > geom.addr_bits() {
+            return Err(ConfigError::Probe {
+                what: "probe_bits wider than the device address",
+            });
+        }
+        if base_pa & ((1u64 << probe_bits) - 1) != 0 {
+            return Err(ConfigError::Probe {
+                what: "base_pa not aligned to the probe window",
+            });
+        }
         let lookup = engine.lookup_cycles(&timing);
-        EngineTarget {
+        Ok(EngineTarget {
             engine,
             cache: TranslationCache::default(),
             hbm: Hbm::new(geom, timing),
@@ -70,7 +76,7 @@ impl EngineTarget {
             cursor: 0,
             probes: 0,
             settles: 0,
-        }
+        })
     }
 
     /// Accesses issued so far.
@@ -135,7 +141,7 @@ mod tests {
 
     fn target(timing: Timing) -> EngineTarget {
         let geom = Geometry::hbm2_8gb();
-        EngineTarget::new(MappingEngine::identity(), geom, timing, 0, geom.addr_bits())
+        EngineTarget::new(MappingEngine::identity(), geom, timing, 0, geom.addr_bits()).unwrap()
     }
 
     #[test]
@@ -192,7 +198,8 @@ mod tests {
             timing,
             0,
             geom.addr_bits(),
-        );
+        )
+        .unwrap();
         t.settle();
         assert_eq!(t.access(0), timing.closed_latency() + lookup);
         assert_eq!(t.access(0), timing.hit_latency() + lookup);
@@ -203,6 +210,37 @@ mod tests {
             cal.classify(timing.conflict_latency() + lookup),
             LatencyClass::Conflict
         );
+    }
+
+    #[test]
+    fn misaligned_base_is_a_config_error() {
+        let geom = Geometry::hbm2_8gb();
+        let err = EngineTarget::new(MappingEngine::identity(), geom, Timing::hbm2(), 1 << 20, 21)
+            .unwrap_err();
+        assert!(matches!(err, ConfigError::Probe { .. }), "{err}");
+        // The same base is fine for a window it is aligned to.
+        assert!(
+            EngineTarget::new(MappingEngine::identity(), geom, Timing::hbm2(), 1 << 20, 20).is_ok()
+        );
+    }
+
+    #[test]
+    fn probe_window_wider_than_the_device_is_a_config_error() {
+        let geom = Geometry::hbm2_8gb();
+        for probe_bits in [geom.addr_bits() + 1, 64, u32::MAX] {
+            let err = EngineTarget::new(
+                MappingEngine::identity(),
+                geom,
+                Timing::hbm2(),
+                0,
+                probe_bits,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Probe { .. }),
+                "{probe_bits}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -237,7 +275,8 @@ mod tests {
             Timing::hbm2(),
             0,
             geom.addr_bits(),
-        );
+        )
+        .unwrap();
         t.settle();
         let _ = t.access(0);
         // Different channel: a closed access, not a conflict.

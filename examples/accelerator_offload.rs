@@ -28,7 +28,7 @@ fn main() -> Result<(), SdamError> {
             exp.scale = Scale::small();
             exp.machine = machine;
             let cmp = pipeline::try_compare(w, &[config], &exp)?;
-            let base = cmp.baseline_cycles();
+            let base = cmp.baseline_cycles().expect("the pipeline runs BS+DM");
             let speedup = cmp.speedup_of(config).expect("config ran");
             println!("  {name:<20} baseline {base:>9} cycles, SDAM speedup {speedup:.2}x");
         }

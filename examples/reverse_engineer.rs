@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "target", "function", "probes", "ceiling", "confidence", "exact"
     );
     for entry in &suite {
-        let report = entry.run(1)?;
+        let report = entry.run()?;
         for f in &report.functions {
             println!(
                 "{:<14} {:>16} {:>7} {:>8} {:>11.4} {:>6}  {}",

@@ -1,6 +1,7 @@
-//! Tier-1 guarantee of the parallel execution layer: every parallel
-//! tier produces reports *bit-identical* to the serial reference —
-//! cycles, per-core stats, and the full per-channel memory statistics.
+//! Tier-1 guarantee of the parallel execution layer: the one threaded
+//! tier, `try_compare`'s configuration fan-out, produces reports
+//! *bit-identical* to the serial reference — cycles, per-core stats,
+//! and the full per-channel memory statistics.
 //! The machine drivers themselves are single-threaded; their cases here
 //! pin them to the per-request oracle and to reproducibility.
 
@@ -86,18 +87,6 @@ fn metrics_snapshot_identical_serial_and_threaded() {
             );
         }
     }
-}
-
-#[test]
-fn corun_is_identical_serial_and_parallel() {
-    let a = DataCopy::with_threads(vec![1], 1);
-    let b = DataCopy::with_threads(vec![32], 1);
-    let workloads: [&dyn Workload; 2] = [&a, &b];
-    let serial = pipeline::try_run_corun(&workloads, SystemConfig::SdmBsm, &serial_exp()).unwrap();
-    let mut exp = serial_exp();
-    exp.parallelism = Parallelism::Threads(4);
-    let parallel = pipeline::try_run_corun(&workloads, SystemConfig::SdmBsm, &exp).unwrap();
-    assert_eq!(serial.report, parallel.report);
 }
 
 #[test]
@@ -300,31 +289,6 @@ fn adaptive_observe_only_is_bit_identical_to_plain_run() {
                 ..observed
             }
         );
-    }
-}
-
-#[test]
-fn probe_recovery_identical_serial_and_threaded() {
-    // The reverse-engineering agent's parallel executor calibrates once
-    // up front and hands each worker a self-contained experiment, so a
-    // probe session — recovered functions, probe counts, confidence,
-    // the full JSON report — must be bit-identical between the serial
-    // agent and any thread count.
-    let suite = sdam::probing::seeded_suite().expect("suite definition must compile");
-    for name in ["dm-identity", "hm-default", "sdam-reverse"] {
-        let entry = suite
-            .iter()
-            .find(|e| e.name == name)
-            .expect("seeded suite entry");
-        let serial = entry.run(1).expect("serial recovery");
-        for threads in [2usize, 8] {
-            let par = entry.run(threads).expect("parallel recovery");
-            assert_eq!(
-                serial, par,
-                "{name}: probe session diverged at {threads} threads"
-            );
-            assert_eq!(serial.to_json(), par.to_json());
-        }
     }
 }
 

@@ -32,6 +32,7 @@ fn presets() -> Vec<(&'static str, Timing)> {
 
 fn target(geom: Geometry, timing: Timing) -> EngineTarget {
     EngineTarget::new(MappingEngine::identity(), geom, timing, 0, geom.addr_bits())
+        .expect("a full-width window at base 0 is valid")
 }
 
 #[test]
@@ -130,15 +131,14 @@ fn merged_rcd_part_is_not_separable_but_fold_recovery_survives() {
     let cal = Calibrator::train(&mut tgt);
     assert!(!cal.separable());
 
-    let factory = move || target(geom, timing);
     let err = Agent::new(geom)
-        .recover_permutation(&factory, geom.line_bits(), 9)
+        .recover_permutation(&mut tgt, geom.line_bits(), 9)
         .unwrap_err();
     assert_eq!(err, RecoveryError::NotSeparable);
 
     // The conflict boundary does not involve t_rcd, so the bank-fold
     // function is still recoverable on the merged part.
-    let rec = Agent::new(geom).recover_bank_fold(&factory).unwrap();
+    let rec = Agent::new(geom).recover_bank_fold(&mut tgt).unwrap();
     let bank_bits = geom.bank_bits();
     assert!(rec
         .classes

@@ -12,7 +12,9 @@
 //! SDAM_BLESS=1 cargo test --test probe_suite
 //! ```
 
-use sdam::probing::{run_seeded_suite, seeded_suite};
+use sdam::probing::{run_seeded_suite, sdam_probe_region, seeded_suite, SuiteTruth};
+use sdam_probe::Agent;
+use sdam_sys::{EngineTarget, MappingEngine};
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/probe_recovery.json")
@@ -20,7 +22,7 @@ fn fixture_path() -> std::path::PathBuf {
 
 /// One JSON report per line, in suite order — line diffs stay per-target.
 fn snapshot() -> String {
-    let reports = run_seeded_suite(1).expect("seeded suite must be recoverable");
+    let reports = run_seeded_suite().expect("seeded suite must be recoverable");
     let mut out = String::new();
     for r in &reports {
         out.push_str(&r.to_json());
@@ -47,7 +49,7 @@ fn every_seeded_mapping_is_recovered_exactly_within_the_ceiling() {
     let suite = seeded_suite().expect("suite definition must compile");
     for entry in &suite {
         let report = entry
-            .run(1)
+            .run()
             .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         assert!(
             report.all_exact(),
@@ -71,6 +73,53 @@ fn every_seeded_mapping_is_recovered_exactly_within_the_ceiling() {
                 f.confidence
             );
         }
+    }
+}
+
+#[test]
+fn agent_probe_counts_match_the_targets_own_count() {
+    // The fixture pins the probe counts the agent reports about itself,
+    // so a re-bless would hide a miscount. The target counts every
+    // access it serves on its own; the two must agree on every entry.
+    for entry in seeded_suite().expect("suite definition must compile") {
+        let (geom, timing) = (entry.geom, entry.timing);
+        let agent = Agent::new(geom);
+        let device = |engine| {
+            EngineTarget::new(engine, geom, timing, 0, geom.addr_bits())
+                .expect("a full-width window at base 0 is valid")
+        };
+        let (reported, target) = match &entry.truth {
+            SuiteTruth::Fold => {
+                let mut target = device(MappingEngine::identity());
+                (
+                    agent.recover_bank_fold(&mut target).map(|r| r.probes),
+                    target,
+                )
+            }
+            SuiteTruth::Hash(hm) => {
+                let mut target = device(MappingEngine::Global(Box::new(hm.clone())));
+                (
+                    agent.recover_channel_hash(&mut target).map(|r| r.probes),
+                    target,
+                )
+            }
+            SuiteTruth::Window(perm) => {
+                let region =
+                    sdam_probe_region(perm, geom, timing, entry.chunk_bits).expect("probe region");
+                let mut target = region.target().expect("probe target");
+                let (lo, len) = (geom.line_bits(), entry.chunk_bits - geom.line_bits());
+                let rec = agent.recover_permutation(&mut target, lo, len);
+                (rec.map(|r| r.probes), target)
+            }
+        };
+        let reported = reported.unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+        assert_eq!(
+            reported,
+            target.probes(),
+            "{}: agent reported {reported} probes, the target served {}",
+            entry.name,
+            target.probes()
+        );
     }
 }
 

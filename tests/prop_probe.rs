@@ -3,12 +3,11 @@
 //! ground truth (in the timing-canonical gauge) from timing alone.
 //!
 //! **No escape hatch:** the agent receives only a
-//! `&dyn TargetFactory`, each target a `Box<dyn ProbeTarget>` whose
-//! entire surface is `probe_bits()` / `settle()` / `access(va)`. There
-//! is no downcast and no ground-truth method on the trait, so the type
-//! system guarantees the agent recovers mappings from latencies alone;
-//! the privileged comparison against the hidden mapping happens only
-//! here, after recovery.
+//! `&mut dyn ProbeTarget`, whose entire surface is `probe_bits()` /
+//! `settle()` / `access(va)`. There is no downcast and no ground-truth
+//! method on the trait, so the type system guarantees the agent
+//! recovers mappings from latencies alone; the privileged comparison
+//! against the hidden mapping happens only here, after recovery.
 
 use proptest::prelude::*;
 use sdam_hbm::{Geometry, Timing};
@@ -66,17 +65,15 @@ proptest! {
         let geom = geometries()[geom_idx];
         let sources = random_sources(geom, &[m0, m1, m2, m3, m4]);
         let hm = HashMapping::with_sources(geom.line_bits(), geom.channel_bits(), sources);
-        let hidden = hm.clone();
-        let factory = move || {
-            EngineTarget::new(
-                MappingEngine::Global(Box::new(hidden.clone())),
-                geom,
-                Timing::hbm2(),
-                0,
-                geom.addr_bits(),
-            )
-        };
-        let rec = Agent::new(geom).recover_channel_hash(&factory).unwrap();
+        let mut target = EngineTarget::new(
+            MappingEngine::Global(Box::new(hm.clone())),
+            geom,
+            Timing::hbm2(),
+            0,
+            geom.addr_bits(),
+        )
+        .unwrap();
+        let rec = Agent::new(geom).recover_channel_hash(&mut target).unwrap();
         let truth = hm.timing_canonical(geom);
         prop_assert_eq!(rec.channel_lo, truth.channel_lo());
         prop_assert_eq!(rec.sources.as_slice(), truth.sources());
@@ -93,18 +90,16 @@ proptest! {
         // A 9-bit window fits every geometry here and leaves enough
         // identity row bits above it for one anchor per fold class.
         let perm = BitPermutation::new(lo, table).unwrap();
-        let hidden = BitShuffleMapping::new(perm.clone());
-        let factory = move || {
-            EngineTarget::new(
-                MappingEngine::Global(Box::new(hidden.clone())),
-                geom,
-                Timing::hbm2(),
-                0,
-                geom.addr_bits(),
-            )
-        };
+        let mut target = EngineTarget::new(
+            MappingEngine::Global(Box::new(BitShuffleMapping::new(perm.clone()))),
+            geom,
+            Timing::hbm2(),
+            0,
+            geom.addr_bits(),
+        )
+        .unwrap();
         let rec = Agent::new(geom)
-            .recover_permutation(&factory, lo, perm.len() as u32)
+            .recover_permutation(&mut target, lo, perm.len() as u32)
             .unwrap();
         let truth = perm.timing_canonical(geom);
         prop_assert_eq!(&rec.perm, &truth);
