@@ -1,15 +1,16 @@
-//! Before/after benchmark for the SoA request-arena core: the
-//! arena-backed FR-FCFS drain (`ChannelSim::drain` through
-//! `Hbm::run_open_loop_windowed`) against the preserved per-request
-//! `BTreeMap` scheduler (`ChannelSim::drain_reference`) on the 32 K
-//! mixed-address open-loop workload.
+//! Before/after benchmark for the open-loop core: the block-drained
+//! FR-FCFS path (`Hbm::run_open_loop_windowed`) against the one-shot
+//! `ChannelSim::drain_reference` oracle on the 32 K mixed-address
+//! open-loop workload, plus two 1 M-request runs (uniform, and stride 32
+//! on one channel) where an unbounded drain's cost per request grew
+//! with the queue.
 //!
-//! Running this bench also records both medians into `BENCH_core.json`
+//! Running this bench also records the medians into `BENCH_core.json`
 //! at the workspace root and enforces the two acceptance guards:
 //!
-//! * the arena path must produce **bit-identical statistics** (makespan,
+//! * the fast path must produce **bit-identical statistics** (makespan,
 //!   per-channel row outcomes, everything in [`SimStats`]) to the
-//!   reference scheduler, and
+//!   oracle on the 32 K run, which crosses a drain-block boundary, and
 //! * its median latency for the 32 K run must stay under the 2 ms CI
 //!   ceiling.
 //!
@@ -30,6 +31,13 @@ const CEILING_MS: f64 = 2.0;
 /// live `reference_ms` below re-measures the retained algorithmic
 /// oracle instead.
 const SEED_BASELINE_MS: f64 = 5.76;
+/// Requests in each of the two long runs.
+const LONG_REQUESTS: u64 = 1 << 20;
+/// ns per request of the two long runs (uniform, one channel) before
+/// open-loop runs were block-drained, when every channel threaded its
+/// whole queue through one drain. Min over 15 alternating invocations of
+/// this bench on a 2-CPU host; that drain is gone, so these are frozen.
+const UNBOUNDED_NS: [f64; 2] = [54.6, 92.6];
 
 /// The bench workload: 32 K line addresses uniformly mixed over the
 /// device's full 33-bit space — row hits, misses, and conflicts on
@@ -40,7 +48,20 @@ fn bench_addrs(geom: Geometry) -> Vec<DecodedAddr> {
         .collect()
 }
 
-/// One full open-loop run through the arena fast path.
+/// The two long runs: `LONG_REQUESTS` lines uniformly mixed over the
+/// device, and a stride of 32 lines, which under the identity mapping
+/// puts every request on channel 0.
+fn long_addrs(geom: Geometry) -> [Vec<DecodedAddr>; 2] {
+    let decode = |a: u64| geom.decode(HardwareAddr(a));
+    [
+        (0..LONG_REQUESTS)
+            .map(|i| decode(sdam_bench::mix(i) & ((1 << 33) - 1)))
+            .collect(),
+        (0..LONG_REQUESTS).map(|i| decode(i * 32 * 64)).collect(),
+    ]
+}
+
+/// One full open-loop run through the fast path.
 fn fast_run(geom: Geometry, addrs: &[DecodedAddr]) -> SimStats {
     let mut hbm = Hbm::new(geom, Timing::hbm2());
     hbm.run_open_loop_windowed(addrs.iter().copied(), WINDOW)
@@ -113,6 +134,14 @@ fn record_core_times() {
         after_ms < CEILING_MS,
         "core open-loop median {after_ms:.3} ms breached the {CEILING_MS} ms ceiling"
     );
+    let long_ns = long_addrs(geom).map(|long| {
+        black_box(fast_run(geom, &long));
+        sdam_bench::median_ms(runs, || fast_run(geom, &long)) * 1e6 / LONG_REQUESTS as f64
+    });
+    println!(
+        "core: 32 K run {after_ms:.3} ms; 1 M runs {:.1} ns/request uniform, {:.1} one channel",
+        long_ns[0], long_ns[1]
+    );
 
     let json = format!(
         "{{\n  \"name\": \"core-open-loop-throughput\",\n  \
@@ -125,13 +154,20 @@ fn record_core_times() {
          \"reference_oracle_ms\": {reference_ms:.3},\n  \
          \"speedup_vs_oracle\": {:.1},\n  \
          \"requests_per_sec_after\": {:.0},\n  \
+         \"long_runs\": {{\"requests\": {LONG_REQUESTS}, \"window\": {WINDOW}, \"unit\": \"ns_per_request\", \
+         \"uniform\": {{\"unbounded_ns\": {}, \"after_ns\": {:.1}}}, \
+         \"stride32_one_channel\": {{\"unbounded_ns\": {}, \"after_ns\": {:.1}}}}},\n  \
          \"runs\": {runs},\n  \
          \"bit_identical\": true,\n  \
          \"ceiling_ms\": {CEILING_MS},\n  \
-         \"note\": \"'before_seed_ms' is the same 32 K open-loop run measured on the seed commit before the arena rewrite (per-request structs, BTreeMap-of-queues drain with O(n) removes, per-drain allocations); that code is gone, so the figure is frozen. 'reference_oracle_ms' is re-measured live each run: the retained drain_reference scheduler (definitional windowed scan with tombstones) driven over the same bank hash and channel fan-out — it already sits on the arena's column storage, so it understates the seed gap. 'after_ms' is the SoA request-arena drain (column-major request storage, intrusive per-bank index lists, generation-stamped row table, one shared DrainScratch) behind Hbm::run_open_loop_windowed. Both guards (SimStats bit-equality against the oracle, the {CEILING_MS} ms median ceiling) are asserted by this bench.\"\n}}\n",
+         \"note\": \"'before_seed_ms' is the same 32 K open-loop run measured on the seed commit before the arena rewrite (per-request structs, BTreeMap-of-queues drain with O(n) removes, per-drain allocations); that code is gone, so the figure is frozen. 'reference_oracle_ms' is re-measured live each run: the retained drain_reference scheduler (definitional windowed scan with tombstones) driven over the same bank hash and channel fan-out — it already sits on the arena's column storage, so it understates the seed gap. 'after_ms' is the SoA request-arena drain (column-major request storage, intrusive per-bank index lists, generation-stamped row table, one shared DrainScratch) behind Hbm::run_open_loop_windowed, which drains in 16 Ki-request blocks, so this run crosses a block boundary. 'long_runs' are two 1 M-request runs at the same window: uniformly mixed lines, and a 32-line stride that the identity mapping puts on one channel. Their 'unbounded_ns' is frozen: the same runs when each channel drained its whole queue at once, min over 15 alternating invocations on a 2-CPU host. Their 'after_ns' is this run's median. Both guards (SimStats bit-equality against the oracle, the {CEILING_MS} ms median ceiling) are asserted by this bench.\"\n}}\n",
         SEED_BASELINE_MS / after_ms,
         reference_ms / after_ms,
         REQUESTS as f64 / (after_ms / 1e3),
+        UNBOUNDED_NS[0],
+        long_ns[0],
+        UNBOUNDED_NS[1],
+        long_ns[1],
     );
     sdam_bench::write_bench_json("BENCH_core.json", &json);
 }

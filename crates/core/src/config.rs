@@ -77,13 +77,14 @@ impl SystemConfig {
 
 impl std::fmt::Display for SystemConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // `pad`, not `write!`, so width and fill specifiers align tables.
         match self {
-            SystemConfig::BsDm => write!(f, "BS+DM"),
-            SystemConfig::BsBsm => write!(f, "BS+BSM"),
-            SystemConfig::BsHm => write!(f, "BS+HM"),
-            SystemConfig::SdmBsm => write!(f, "SDM+BSM"),
-            SystemConfig::SdmBsmMl { clusters } => write!(f, "SDM+BSM+ML({clusters})"),
-            SystemConfig::SdmBsmDl { clusters } => write!(f, "SDM+BSM+DL({clusters})"),
+            SystemConfig::BsDm => f.pad("BS+DM"),
+            SystemConfig::BsBsm => f.pad("BS+BSM"),
+            SystemConfig::BsHm => f.pad("BS+HM"),
+            SystemConfig::SdmBsm => f.pad("SDM+BSM"),
+            SystemConfig::SdmBsmMl { clusters } => f.pad(&format!("SDM+BSM+ML({clusters})")),
+            SystemConfig::SdmBsmDl { clusters } => f.pad(&format!("SDM+BSM+DL({clusters})")),
         }
     }
 }
@@ -213,6 +214,19 @@ mod tests {
             l[7].to_string(),
             "SDM+BSM+DL(32)",
             "display names follow the paper"
+        );
+    }
+
+    #[test]
+    fn display_honours_width() {
+        assert_eq!(format!("{:<10}|", SystemConfig::BsDm), "BS+DM     |");
+        assert_eq!(
+            format!("{:<16}|", SystemConfig::SdmBsmMl { clusters: 32 }),
+            "SDM+BSM+ML(32)  |"
+        );
+        assert_eq!(
+            format!("{}", SystemConfig::SdmBsmMl { clusters: 32 }),
+            "SDM+BSM+ML(32)"
         );
     }
 

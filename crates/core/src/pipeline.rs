@@ -16,7 +16,7 @@ use sdam_workloads::Workload;
 
 use crate::config::{Experiment, SystemConfig};
 use crate::error::SdamError;
-use crate::par::par_map_indexed;
+use crate::par::par_map;
 use crate::profiling::{self, ProfileData};
 use crate::report::{Comparison, PhaseTimes, RunResult};
 use crate::stage::{
@@ -111,7 +111,7 @@ pub fn try_compare(
             profiling::try_profile_on_baseline(workload, exp)
         })?;
     }
-    let results = par_map_indexed(exp.parallelism.threads(), lineup, |_, c| {
+    let results = par_map(exp.parallelism.threads(), lineup, |c| {
         run_staged(workload, c, exp, None, &cache)
     });
     let results: Result<Vec<RunResult>, SdamError> = results.into_iter().collect();

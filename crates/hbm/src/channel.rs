@@ -194,7 +194,7 @@ impl ChannelSim {
     /// admits only already-pushed requests to its reorder window, so
     /// interleaving pushes with partial drains is **bit-identical** to
     /// pushing everything and draining once. This is the streaming
-    /// contract [`crate::Hbm::run_open_loop_streaming`] builds on:
+    /// contract [`crate::Hbm::run_open_loop_windowed`] builds on:
     /// bounded memory without changing a single pick.
     ///
     /// # Panics

@@ -16,7 +16,9 @@
 //!   ([`channel::ChannelSim`]),
 //! * the top-level [`Hbm`] device that services streams of decoded
 //!   hardware addresses and reports [`SimStats`] (throughput, makespan,
-//!   row-hit rate, per-channel load, CLP utilization).
+//!   row-hit rate, per-channel load, CLP utilization). Open-loop runs
+//!   drain in fixed blocks, so a stream of any length, even one read
+//!   off disk, runs in bounded memory.
 //!
 //! The simulator reproduces the *contention structure* that every figure
 //! in the paper depends on: requests to distinct channels proceed fully in

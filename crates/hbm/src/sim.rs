@@ -10,6 +10,12 @@ use crate::{Cycle, DecodedAddr, Geometry, Timing};
 /// memory-controller IP.
 pub const DEFAULT_REORDER_WINDOW: usize = 16;
 
+/// Requests an open-loop run pushes between partial drains. A drain
+/// threads its whole queue through the row table and link column, so
+/// the cost per request grows with the queue once those outgrow the
+/// cache; blocks of this size keep them cache-resident.
+const DRAIN_BLOCK: usize = 16 * 1024;
+
 /// The permutation-based bank interleave of Zhang, Zhu & Zhang
 /// (MICRO-33): the effective bank is the stated bank XOR an XOR-fold of
 /// every `bank_bits`-wide slice of the row index, so streams differing
@@ -238,7 +244,21 @@ impl Hbm {
     }
 
     /// Like [`Hbm::run_open_loop`] but with an explicit reorder window.
-    /// This is [`Hbm::run_open_loop_streaming`] with one unbounded block.
+    ///
+    /// Requests are pushed in blocks of 16 Ki, and between blocks every
+    /// channel is partially drained down to its youngest `window - 1`
+    /// requests. At most one block plus `channels * (window - 1)`
+    /// requests are held at once, so the source can be a streaming
+    /// iterator over a trace far larger than RAM (e.g. a `sdam-trace`
+    /// `TraceReader` over a file), and each drain's row table stays
+    /// small enough to stay in cache however long the stream is.
+    ///
+    /// The result is **bit-identical** to pushing the whole stream and
+    /// draining once: while at least `window` requests are unserved on
+    /// a channel, each FR-FCFS pick admits only already-pushed requests
+    /// to its reorder window (see
+    /// [`crate::channel::ChannelSim::drain_partial`]), so the blocks
+    /// change no pick, no statistic, and no makespan.
     ///
     /// # Panics
     ///
@@ -247,44 +267,16 @@ impl Hbm {
     where
         I: IntoIterator<Item = DecodedAddr>,
     {
-        self.run_open_loop_streaming(addrs, window, usize::MAX)
-    }
-
-    /// Like [`Hbm::run_open_loop_windowed`], but with **bounded resident
-    /// memory**: requests are pushed in blocks of `block`, and between
-    /// blocks every channel is partially drained down to its youngest
-    /// `window - 1` requests. The source can therefore be a streaming
-    /// iterator over a trace far larger than RAM (e.g. a
-    /// `sdam-trace` `TraceReader` over a file) — at any instant at most
-    /// `block + channels * (window - 1)` requests are held, plus the
-    /// per-channel arena capacities (bounded by the largest block).
-    ///
-    /// The result is **bit-identical** to the one-shot drain: while at
-    /// least `window` requests are unserved on a channel, each FR-FCFS
-    /// pick admits only already-pushed requests to its reorder window
-    /// (see [`crate::channel::ChannelSim::drain_partial`]), so chopping
-    /// the stream into blocks changes no pick, no statistic, and no
-    /// makespan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` or `block` is zero, or an address is out of
-    /// range.
-    pub fn run_open_loop_streaming<I>(&mut self, addrs: I, window: usize, block: usize) -> SimStats
-    where
-        I: IntoIterator<Item = DecodedAddr>,
-    {
         assert!(window > 0, "reorder window must be >= 1");
-        assert!(block > 0, "stream block must be >= 1");
         let addrs = addrs.into_iter();
-        self.reserve_per_channel(addrs.size_hint().0.min(block));
+        self.reserve_per_channel(addrs.size_hint().0.min(DRAIN_BLOCK));
         let mut in_block = 0usize;
         for a in addrs {
             let a = self.effective_addr(a);
             self.channels[a.channel as usize].push(a, false, 0);
             self.requests += 1;
             in_block += 1;
-            if in_block == block {
+            if in_block == DRAIN_BLOCK {
                 in_block = 0;
                 self.drain_channels(window, true);
             }
@@ -461,28 +453,86 @@ mod tests {
         }
     }
 
+    /// The one-shot oracle for [`Hbm::run_open_loop_windowed`]: every
+    /// request, bank-hashed by `hbm`, is pushed into its channel, and
+    /// each channel is drained once by `drain_reference`.
+    fn one_shot_oracle(hbm: &Hbm, stream: &[DecodedAddr], window: usize) -> SimStats {
+        let geom = hbm.geometry();
+        let timing = hbm.timing();
+        let mut channels: Vec<ChannelSim> = (0..geom.num_channels())
+            .map(|_| ChannelSim::new(geom.banks_per_channel()))
+            .collect();
+        for &a in stream {
+            let a = hbm.effective_addr(a);
+            channels[a.channel as usize].push(a, false, 0);
+        }
+        let makespan = channels
+            .iter_mut()
+            .map(|c| c.drain_reference(window, &timing))
+            .max()
+            .unwrap_or(0);
+        SimStats {
+            requests: stream.len() as u64,
+            makespan,
+            per_channel: channels.iter().map(|c| c.stats()).collect(),
+            timing,
+        }
+    }
+
     #[test]
-    fn streaming_open_loop_identical_to_one_shot() {
-        // The bounded-memory contract, at device level: any block size
-        // (including pathological ones) reproduces the one-shot open
-        // loop bit for bit — makespan, per-channel stats, everything.
+    fn blocked_run_matches_one_shot_oracle() {
+        // Streams of 2.5+ blocks: a uniform one over the whole device,
+        // and stride 32 under the identity mapping, which puts every
+        // request on one channel. Windows include one larger than a
+        // block, so no partial drain serves anything until the second.
         let geom = Geometry::hbm2_8gb();
-        for stride in [1u64, 3, 16] {
-            let stream = stride_stream(geom, stride, 10_000);
-            for window in [1usize, 4, 16] {
-                let mut oneshot = device();
-                let expected = oneshot.run_open_loop_windowed(stream.iter().copied(), window);
-                for block in [1usize, 7, 512, 10_000, 50_000] {
-                    let mut streamed = device();
-                    let got =
-                        streamed.run_open_loop_streaming(stream.iter().copied(), window, block);
-                    assert_eq!(
-                        expected, got,
-                        "stride {stride} window {window} block {block} diverged"
-                    );
-                }
+        let n = 5 * DRAIN_BLOCK / 2 + 123;
+        let mut x = 0x5eed_u64;
+        let uniform: Vec<DecodedAddr> = (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+                geom.decode(HardwareAddr(
+                    (x >> 20) % (geom.capacity_bytes() / LINE_BYTES) * LINE_BYTES,
+                ))
+            })
+            .collect();
+        let one_channel = stride_stream(geom, 32, n as u64);
+        for (name, stream) in [("uniform", &uniform), ("stride 32", &one_channel)] {
+            for window in [1usize, 16, 64, DRAIN_BLOCK + 1000] {
+                let got = device().run_open_loop_windowed(stream.iter().copied(), window);
+                assert_eq!(
+                    got,
+                    one_shot_oracle(&device(), stream, window),
+                    "{name} stream, window {window}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn row_hit_just_past_a_block_boundary_is_picked() {
+        // One bank, every row distinct, so FR-FCFS serves the first
+        // block in order. Request `DRAIN_BLOCK` reopens the row of
+        // request `DRAIN_BLOCK - window`: the one-shot drain picks it as
+        // a hit right after serving that request, which only a partial
+        // drain that keeps exactly `window - 1` requests reproduces.
+        let window = 16usize;
+        let at = |row: u64| DecodedAddr {
+            row,
+            bank: 0,
+            channel: 0,
+            col: 0,
+        };
+        let mut stream: Vec<DecodedAddr> = (0..DRAIN_BLOCK as u64).map(|i| at(i + 1)).collect();
+        stream.push(at((DRAIN_BLOCK - window) as u64 + 1));
+        stream.extend((0..4u64).map(|i| at(DRAIN_BLOCK as u64 + 10 + i)));
+        let mut hbm = device().without_bank_hash();
+        let got = hbm.run_open_loop_windowed(stream.iter().copied(), window);
+        assert_eq!(got.per_channel[0].row_hits, 1);
+        assert_eq!(
+            got,
+            one_shot_oracle(&device().without_bank_hash(), &stream, window)
+        );
     }
 
     #[test]

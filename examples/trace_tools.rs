@@ -115,10 +115,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reader = TraceReader::new(std::io::BufReader::new(std::fs::File::open(&big_path)?))?;
     assert_eq!(reader.expected_records(), records);
     let mut hbm = Hbm::new(geom, Timing::hbm2());
-    let stats = hbm.run_open_loop_streaming(
+    let stats = hbm.run_open_loop_windowed(
         reader.map(|r| geom.decode(sdam_hbm::HardwareAddr(r.expect("trace corrupt").addr))),
         16,
-        8192,
     );
     println!(
         "replayed off disk: {} requests, {:.1} GB/s, row-hit rate {:.0}%",

@@ -295,8 +295,9 @@ fn adaptive_observe_only_is_bit_identical_to_plain_run() {
 #[test]
 fn streamed_trace_replay_identical_to_in_memory_run() {
     // A trace serialized to the binary format and replayed off the
-    // stream through the bounded-memory driver must reproduce the
-    // in-memory windowed run bit-for-bit.
+    // stream must reproduce the in-memory windowed run bit-for-bit. The
+    // trace spans two drain blocks, and a reader's size hint is 0, so
+    // the two runs also reserve their queues differently.
     use sdam_hbm::{HardwareAddr, Hbm, Timing};
     use sdam_trace::io::{write_trace, TraceReader};
     use sdam_trace::{MemAccess, Trace};
@@ -320,17 +321,11 @@ fn streamed_trace_replay_identical_to_in_memory_run() {
     let mut hbm = Hbm::new(geom, Timing::hbm2());
     let serial = hbm.run_open_loop_windowed(trace.iter().map(|a| decode(a.addr)), window);
 
-    for block in [257usize, 4096] {
-        let reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut hbm = Hbm::new(geom, Timing::hbm2());
-        let streamed = hbm.run_open_loop_streaming(
-            reader.map(|r| decode(r.expect("trace corrupt").addr)),
-            window,
-            block,
-        );
-        assert_eq!(
-            serial, streamed,
-            "streamed replay diverged at block {block}"
-        );
-    }
+    let reader = TraceReader::new(buf.as_slice()).unwrap();
+    let mut hbm = Hbm::new(geom, Timing::hbm2());
+    let streamed = hbm.run_open_loop_windowed(
+        reader.map(|r| decode(r.expect("trace corrupt").addr)),
+        window,
+    );
+    assert_eq!(serial, streamed, "streamed replay diverged");
 }

@@ -3,8 +3,34 @@
 
 use proptest::prelude::*;
 use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{DrainScratch, Geometry, HardwareAddr, Hbm, Timing};
+use sdam_hbm::{DecodedAddr, DrainScratch, Geometry, HardwareAddr, Hbm, SimStats, Timing};
 use sdam_sys::cache::{Cache, CacheConfig, CacheOutcome};
+
+/// The one-shot oracle for `Hbm::run_open_loop_windowed`: every
+/// request, bank-hashed by `hbm`, is pushed into its channel, and each
+/// channel is drained once by `drain_reference`.
+fn one_shot_oracle(hbm: &Hbm, stream: &[DecodedAddr], window: usize) -> SimStats {
+    let geom = hbm.geometry();
+    let timing = hbm.timing();
+    let mut channels: Vec<ChannelSim> = (0..geom.num_channels())
+        .map(|_| ChannelSim::new(geom.banks_per_channel()))
+        .collect();
+    for &a in stream {
+        let a = hbm.effective_addr(a);
+        channels[a.channel as usize].push(a, false, 0);
+    }
+    let makespan = channels
+        .iter_mut()
+        .map(|c| c.drain_reference(window, &timing))
+        .max()
+        .unwrap_or(0);
+    SimStats {
+        requests: stream.len() as u64,
+        makespan,
+        per_channel: channels.iter().map(|c| c.stats()).collect(),
+        timing,
+    }
+}
 
 fn line_addrs(n: usize) -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec((0u64..(1 << 27)).prop_map(|l| l * 64), 1..n)
@@ -128,16 +154,28 @@ proptest! {
     }
 
     #[test]
-    fn streaming_run_matches_one_shot(addrs in line_addrs(300), window in 1usize..32, block in 1usize..600) {
-        // Feeding the device in bounded blocks off an iterator must give
-        // the same stats as handing it the whole trace at once.
+    fn streaming_run_matches_one_shot(
+        seed in any::<u64>(),
+        len in 1usize..50_000,
+        stride in 1u64..64,
+        window in 1usize..80,
+    ) {
+        // The block-drained open loop must give the same stats as the
+        // one-shot oracle on streams up to three drain blocks long: a
+        // strided run (row hits, few channels) with every third request
+        // a random line.
         let geom = Geometry::hbm2_8gb();
-        let decoded: Vec<_> = addrs.iter().map(|&a| geom.decode(HardwareAddr(a))).collect();
-        let mut one_shot = Hbm::new(geom, Timing::hbm2());
-        let mut streamed = Hbm::new(geom, Timing::hbm2());
-        let a = one_shot.run_open_loop_windowed(decoded.iter().copied(), window);
-        let b = streamed.run_open_loop_streaming(decoded.iter().copied(), window, block);
-        prop_assert_eq!(a, b);
+        let mut x = seed;
+        let decoded: Vec<DecodedAddr> = (0..len as u64)
+            .map(|i| {
+                x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+                let line = if i % 3 == 0 { x >> 37 } else { i * stride };
+                geom.decode(HardwareAddr(line % (1 << 27) * 64))
+            })
+            .collect();
+        let mut hbm = Hbm::new(geom, Timing::hbm2());
+        let got = hbm.run_open_loop_windowed(decoded.iter().copied(), window);
+        prop_assert_eq!(got, one_shot_oracle(&hbm, &decoded, window));
     }
 
     #[test]
