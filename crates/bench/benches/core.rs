@@ -11,8 +11,9 @@
 //! * the fast path must produce **bit-identical statistics** (makespan,
 //!   per-channel row outcomes, everything in [`SimStats`]) to the
 //!   oracle on the 32 K run, which crosses a drain-block boundary, and
-//! * its median latency for the 32 K run must stay under the 2 ms CI
-//!   ceiling.
+//! * its median for the 32 K run must stay under `CEILING_RATIO` of
+//!   the oracle's median, both measured in this process, so host load
+//!   moves the ceiling with the figure it bounds.
 //!
 //! Either violation panics, so the CI "Bench smoke" step fails loudly.
 
@@ -22,8 +23,13 @@ use sdam_hbm::{DecodedAddr, Geometry, HardwareAddr, Hbm, SimStats, Timing};
 
 const WINDOW: usize = 16;
 const REQUESTS: u64 = 32_768;
-/// Hard ceiling on the arena path's median latency, in milliseconds.
-const CEILING_MS: f64 = 2.0;
+/// Ceiling on the fast path's 32 K median as a share of the live
+/// `drain_reference` median, which read 0.43–0.53 on a shared 2-CPU
+/// host while the absolute median ranged 0.94–2.20 ms: a fast path
+/// slowed by half again breaches it.
+const CEILING_RATIO: f64 = 0.7;
+/// Interleaved fast/oracle timing pairs behind the two 32 K medians.
+const GUARD_PAIRS: usize = 11;
 /// The same 32 K run measured on the seed commit on this class of host,
 /// before the arena rewrite (per-request structs, `BTreeMap`-of-queues
 /// drain with O(n) removes, per-drain allocations). That code is gone,
@@ -128,11 +134,20 @@ fn record_core_times() {
         black_box(fast_run(geom, &addrs));
         black_box(reference_run(geom, &addrs));
     }
-    let after_ms = sdam_bench::median_ms(runs, || fast_run(geom, &addrs));
-    let reference_ms = sdam_bench::median_ms(runs.min(3), || reference_run(geom, &addrs));
+    // Interleaved pairs, as many whatever SDAM_BENCH_SAMPLES says, so
+    // both medians see the same host phases even in a smoke run.
+    let (mut fast_ms, mut oracle_ms) = (Vec::new(), Vec::new());
+    for _ in 0..GUARD_PAIRS {
+        fast_ms.push(sdam_bench::median_ms(1, || fast_run(geom, &addrs)));
+        oracle_ms.push(sdam_bench::median_ms(1, || reference_run(geom, &addrs)));
+    }
+    let after_ms = sdam_bench::median(&mut fast_ms);
+    let reference_ms = sdam_bench::median(&mut oracle_ms);
+    let ceiling_ms = reference_ms * CEILING_RATIO;
     assert!(
-        after_ms < CEILING_MS,
-        "core open-loop median {after_ms:.3} ms breached the {CEILING_MS} ms ceiling"
+        after_ms < ceiling_ms,
+        "core open-loop median {after_ms:.3} ms breached its ceiling of {ceiling_ms:.3} ms \
+         ({CEILING_RATIO} x the oracle's {reference_ms:.3} ms)"
     );
     let long_ns = long_addrs(geom).map(|long| {
         black_box(fast_run(geom, &long));
@@ -156,11 +171,12 @@ fn record_core_times() {
          \"requests_per_sec_after\": {:.0},\n  \
          \"long_runs\": {{\"requests\": {LONG_REQUESTS}, \"window\": {WINDOW}, \"unit\": \"ns_per_request\", \
          \"uniform\": {{\"unbounded_ns\": {}, \"after_ns\": {:.1}}}, \
-         \"stride32_one_channel\": {{\"unbounded_ns\": {}, \"after_ns\": {:.1}}}}},\n  \
-         \"runs\": {runs},\n  \
+         \"stride32_one_channel\": {{\"unbounded_ns\": {}, \"after_ns\": {:.1}}}, \"runs\": {runs}}},\n  \
+         \"runs\": {GUARD_PAIRS},\n  \
          \"bit_identical\": true,\n  \
-         \"ceiling_ms\": {CEILING_MS},\n  \
-         \"note\": \"'before_seed_ms' is the same 32 K open-loop run measured on the seed commit before the arena rewrite (per-request structs, BTreeMap-of-queues drain with O(n) removes, per-drain allocations); that code is gone, so the figure is frozen. 'reference_oracle_ms' is re-measured live each run: the retained drain_reference scheduler (definitional windowed scan with tombstones) driven over the same bank hash and channel fan-out — it already sits on the arena's column storage, so it understates the seed gap. 'after_ms' is the SoA request-arena drain (column-major request storage, intrusive per-bank index lists, generation-stamped row table, one shared DrainScratch) behind Hbm::run_open_loop_windowed, which drains in 16 Ki-request blocks, so this run crosses a block boundary. 'long_runs' are two 1 M-request runs at the same window: uniformly mixed lines, and a 32-line stride that the identity mapping puts on one channel. Their 'unbounded_ns' is frozen: the same runs when each channel drained its whole queue at once, min over 15 alternating invocations on a 2-CPU host. Their 'after_ns' is this run's median. Both guards (SimStats bit-equality against the oracle, the {CEILING_MS} ms median ceiling) are asserted by this bench.\"\n}}\n",
+         \"ceiling_ratio\": {CEILING_RATIO},\n  \
+         \"ceiling_ms\": {ceiling_ms:.3},\n  \
+         \"note\": \"'before_seed_ms' is the same 32 K open-loop run measured on the seed commit before the arena rewrite (per-request structs, BTreeMap-of-queues drain with O(n) removes, per-drain allocations); that code is gone, so the figure is frozen. 'after_ms' and 'reference_oracle_ms' are medians of 'runs' interleaved pairs. 'reference_oracle_ms' is re-measured live each run: the retained drain_reference scheduler (definitional windowed scan with tombstones) driven over the same bank hash and channel fan-out — it already sits on the arena's column storage, so it understates the seed gap. 'after_ms' is the SoA request-arena drain (column-major request storage, intrusive per-bank index lists, generation-stamped row table, one shared DrainScratch) behind Hbm::run_open_loop_windowed, which drains in 16 Ki-request blocks, so this run crosses a block boundary. 'long_runs' are two 1 M-request runs at the same window: uniformly mixed lines, and a 32-line stride that the identity mapping puts on one channel. Their 'unbounded_ns' is frozen: the same runs when each channel drained its whole queue at once, min over 15 alternating invocations on a 2-CPU host. Their 'after_ns' is this run's median. Both guards are asserted by this bench: SimStats bit-equality against the oracle, and 'after_ms' under 'ceiling_ms', which is 'ceiling_ratio' times this run's 'reference_oracle_ms', so the ceiling moves with host load instead of sitting at a fixed time within its noise.\"\n}}\n",
         SEED_BASELINE_MS / after_ms,
         reference_ms / after_ms,
         REQUESTS as f64 / (after_ms / 1e3),

@@ -68,20 +68,45 @@ pub fn try_materialize_in(
     pid: crate::ProcessId,
     var_mapping: &BTreeMap<VariableId, MappingId>,
 ) -> Result<Trace, sdam_mem::MemError> {
-    let spans = variable_spans(trace);
-    let mut bases: BTreeMap<VariableId, u64> = BTreeMap::new();
-    for (&v, &(_, len)) in &spans {
-        let id = var_mapping.get(&v).copied();
-        let va = sys.malloc_in(pid, len, id)?;
-        bases.insert(v, va.raw());
+    // One slot per variable, ascending by id: the trace-to-VA offset and
+    // the last page touched, as (vpn, frame). Nothing unmaps during the
+    // call, so a memoised frame stays valid and `touch_in` runs only
+    // when a variable moves to another page.
+    struct Slot {
+        variable: VariableId,
+        offset: u64,
+        last: Option<(u64, u64)>,
     }
+    let mut slots = Vec::new();
+    for (v, (lo, len)) in variable_spans(trace) {
+        let va = sys.malloc_in(pid, len, var_mapping.get(&v).copied())?;
+        slots.push(Slot {
+            variable: v,
+            offset: va.raw().wrapping_sub(lo),
+            last: None,
+        });
+    }
+    let page_bits = sys.page_bytes().trailing_zeros();
+    let offset_mask = sys.page_bytes() - 1;
     let mut out = Trace::with_capacity(trace.len());
     for a in trace.iter() {
-        let (lo, _) = spans[&a.variable];
-        let va = bases[&a.variable] + (a.addr - lo);
-        let pa = sys.touch_in(pid, sdam_mem::VirtAddr(va))?;
+        // `variable_spans` gave every variable of the trace a slot.
+        let Ok(i) = slots.binary_search_by_key(&a.variable, |s| s.variable) else {
+            return Err(sdam_mem::MemError::BadAddress(sdam_mem::VirtAddr(a.addr)));
+        };
+        let slot = &mut slots[i];
+        let va = a.addr.wrapping_add(slot.offset);
+        let vpn = va >> page_bits;
+        let frame = match slot.last {
+            Some((last_vpn, frame)) if last_vpn == vpn => frame,
+            _ => {
+                let frame = sys.touch_in(pid, sdam_mem::VirtAddr(va))?.raw() & !offset_mask;
+                slot.last = Some((vpn, frame));
+                frame
+            }
+        };
         out.push(sdam_trace::MemAccess {
-            addr: pa.raw(),
+            addr: frame | (va & offset_mask),
             ..*a
         });
     }
@@ -374,6 +399,87 @@ mod tests {
 
     fn exp() -> Experiment {
         Experiment::quick()
+    }
+
+    /// `try_materialize_in` without its memo: a `touch_in` for every
+    /// access.
+    fn materialize_by_touch(
+        trace: &Trace,
+        sys: &mut SdamSystem,
+        var_mapping: &BTreeMap<VariableId, MappingId>,
+    ) -> Trace {
+        let pid = crate::ProcessId(0);
+        let spans = variable_spans(trace);
+        let mut bases = BTreeMap::new();
+        for (&v, &(_, len)) in &spans {
+            let va = sys.malloc_in(pid, len, var_mapping.get(&v).copied());
+            bases.insert(v, va.unwrap().raw());
+        }
+        let mut out = Trace::with_capacity(trace.len());
+        for a in trace.iter() {
+            let va = bases[&a.variable] + (a.addr - spans[&a.variable].0);
+            let pa = sys.touch_in(pid, sdam_mem::VirtAddr(va)).unwrap();
+            out.push(sdam_trace::MemAccess {
+                addr: pa.raw(),
+                ..*a
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn memoised_materialize_matches_touch_per_access() {
+        use sdam_trace::gen::{RandomGen, StrideGen};
+        use sdam_trace::MemAccess;
+        let mut strided = Trace::new();
+        StrideGen::new(1 << 20, 64, 4096).emit(&mut strided);
+        StrideGen::new(1 << 30, 4096 + 72, 300)
+            .variable(VariableId(1))
+            .emit(&mut strided);
+        let mut random = Trace::new();
+        RandomGen::new(1 << 24, 1 << 18, 4000, 3).emit(&mut random);
+        RandomGen::new(1 << 28, 1 << 14, 2000, 4)
+            .variable(VariableId(1))
+            .emit(&mut random);
+        // Three variables in turn; variable 0 keeps returning to its
+        // first page after visiting another, and addresses carry byte
+        // offsets within their lines.
+        let mut interleaved = Trace::new();
+        let mut x = 12345u64;
+        for i in 0..3000u64 {
+            let page = if i % 3 == 0 { 0 } else { (i / 3) % 16 };
+            interleaved.push(MemAccess::read(
+                page * 4096 + (i % 64) * 64 + i % 8,
+                VariableId(0),
+            ));
+            interleaved.push(MemAccess::read((1 << 32) + i * 192, VariableId(1)));
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            interleaved.push(MemAccess::read((1 << 33) + (x >> 44), VariableId(2)));
+        }
+        let chunk_bits = 14;
+        let system = || {
+            let mut sys = SdamSystem::try_new(exp().geometry, chunk_bits).unwrap();
+            let perm = BitPermutation::identity(6, (chunk_bits - 6) as usize);
+            let id = sys.try_add_mapping(&perm).unwrap();
+            (sys, BTreeMap::from([(VariableId(1), id)]))
+        };
+        for trace in [strided, random, interleaved] {
+            let (mut fast, var_mapping) = system();
+            let (mut slow, _) = system();
+            let got = try_materialize_in(&trace, &mut fast, crate::ProcessId(0), &var_mapping);
+            let want = materialize_by_touch(&trace, &mut slow, &var_mapping);
+            assert_eq!(got.unwrap(), want);
+            assert_eq!(fast.page_faults(), slow.page_faults());
+            let chunks = |sys: &SdamSystem| {
+                let cmt = sys.cmt();
+                (0..cmt.num_chunks())
+                    .map(|c| cmt.chunk_mapping(c))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(chunks(&fast), chunks(&slow));
+        }
     }
 
     #[test]

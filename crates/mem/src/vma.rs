@@ -7,7 +7,8 @@
 //! and pulls a frame from the right chunk group of the
 //! [`ChunkAllocator`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use sdam_mapping::{MappingId, PhysAddr};
 
@@ -16,6 +17,33 @@ use crate::{MemError, VirtAddr};
 
 /// Base of the mmap region (an arbitrary high canonical address).
 const MMAP_BASE: u64 = 1 << 40;
+
+/// Multiplicative (Fibonacci) hasher for the page table's vpn keys.
+/// The table picks buckets by the hash's low bits, and a product's low
+/// bits see only the key's low bits, so `finish` rotates the well-mixed
+/// high half down: vpns a power of two apart (a large strided walk)
+/// would otherwise share one bucket chain.
+#[derive(Debug, Default, Clone, Copy)]
+struct VpnHasher(u64);
+
+impl Hasher for VpnHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// One virtual memory area: a contiguous, page-aligned range with an
 /// address-mapping id (the paper's extended `vm_area_struct`).
@@ -69,8 +97,10 @@ pub struct AddressSpace {
     page_bits: u32,
     /// start → area.
     vmas: BTreeMap<u64, VmArea>,
-    /// vpn → frame base address.
-    page_table: BTreeMap<u64, PhysAddr>,
+    /// vpn → frame base address. Hashed: a lookup costs the same at
+    /// any table size, and nothing needs the vpns in order except an
+    /// unmap, which sorts the few it frees.
+    page_table: HashMap<u64, PhysAddr, BuildHasherDefault<VpnHasher>>,
     next_mmap: u64,
     page_faults: u64,
     pending_events: Vec<ChunkEvent>,
@@ -167,6 +197,13 @@ impl AddressSpace {
     /// the physical allocator. Chunk-release events are queued for the
     /// CMT (see [`AddressSpace::drain_events`]).
     ///
+    /// The cost is bounded by the resident page count, never by the
+    /// area's length: a sparse area's pages are found by filtering the
+    /// page table, a dense one's by probing its vpns. Either way they
+    /// are freed in ascending vpn order: a chunk is released when its
+    /// last page goes, so the order of the release events, and of the
+    /// CMT writes that follow them, depends on it.
+    ///
     /// # Errors
     ///
     /// [`MemError::BadAddress`] if no area starts at `start`.
@@ -177,7 +214,28 @@ impl AddressSpace {
             .ok_or(MemError::BadAddress(start))?;
         let first_vpn = area.start.vpn(self.page_bits);
         let pages = area.len >> self.page_bits;
-        for vpn in first_vpn..first_vpn + pages {
+        let vpns = first_vpn..first_vpn + pages;
+        if pages <= self.page_table.len() as u64 {
+            self.free_pages(vpns, phys)
+        } else {
+            let mut resident: Vec<u64> = self
+                .page_table
+                .keys()
+                .copied()
+                .filter(|vpn| vpns.contains(vpn))
+                .collect();
+            resident.sort_unstable();
+            self.free_pages(resident, phys)
+        }
+    }
+
+    /// Frees the resident pages among `vpns`, in the order given.
+    fn free_pages(
+        &mut self,
+        vpns: impl IntoIterator<Item = u64>,
+        phys: &mut ChunkAllocator,
+    ) -> Result<(), MemError> {
+        for vpn in vpns {
             if let Some(pa) = self.page_table.remove(&vpn) {
                 if let Some(ev) = phys.free_block(pa)? {
                     self.pending_events.push(ev);
@@ -197,9 +255,12 @@ impl AddressSpace {
     /// Propagates allocator errors; the page table is consistent up to
     /// the failing frame (each page is freed at most once).
     pub fn clear(&mut self, phys: &mut ChunkAllocator) -> Result<(), MemError> {
-        while let Some((&start, _)) = self.vmas.iter().next() {
-            self.munmap(VirtAddr(start), phys)?;
-        }
+        // Areas are disjoint, so ascending vpn order over every resident
+        // page is the order area-by-area `munmap` frees them in.
+        let mut resident: Vec<u64> = self.page_table.keys().copied().collect();
+        resident.sort_unstable();
+        self.free_pages(resident, phys)?;
+        self.vmas.clear();
         Ok(())
     }
 
@@ -402,6 +463,37 @@ mod tests {
             a.mmap(0, MappingId(1)),
             Err(MemError::InvalidSize { size: 0 })
         ));
+    }
+
+    #[test]
+    fn sparse_unmap_releases_in_ascending_vpn_order() {
+        // Two-page chunks, each shared by one page of the 1 GiB area and
+        // one filler page. Once the fillers are gone, every page the
+        // area frees empties its own chunk, so the release events spell
+        // out the free order.
+        let mut a = AddressSpace::new(12);
+        let mut p = ChunkAllocator::new(26, 13, 12);
+        let start = 1u64 << 32;
+        a.mmap_fixed(VirtAddr(start), 1 << 30, MappingId(1))
+            .unwrap();
+        let filler = a.mmap(3 * 4096, MappingId(1)).unwrap();
+        let mut chunk_of = BTreeMap::new();
+        for (i, page) in [200_000u64, 7, 131_071].into_iter().enumerate() {
+            let pa = a.access(VirtAddr(start + (page << 12)), &mut p).unwrap();
+            chunk_of.insert(page, pa.chunk_number(13));
+            a.access(VirtAddr(filler.0 + i as u64 * 4096), &mut p)
+                .unwrap();
+        }
+        a.munmap(filler, &mut p).unwrap();
+        a.drain_events();
+        a.munmap(VirtAddr(start), &mut p).unwrap();
+        let ascending: Vec<ChunkEvent> = chunk_of
+            .values()
+            .map(|&chunk| ChunkEvent::Released { chunk })
+            .collect();
+        assert_eq!(a.drain_events(), ascending);
+        assert_eq!(a.resident_pages(), 0);
+        assert_eq!(p.allocated_pages(), 0);
     }
 
     #[test]

@@ -36,18 +36,23 @@ pub struct WorkloadVariableSummary {
 /// Returns per-variable statistics sorted by descending reference count
 /// (ties toward lower variable ids).
 pub fn variable_stats(trace: &Trace) -> Vec<VariableStats> {
-    let refs = trace.refs_per_variable();
     let foot = trace.footprint_per_variable();
-    let mut stats: Vec<VariableStats> = refs
+    ranked_refs(trace)
         .into_iter()
         .map(|(variable, refs)| VariableStats {
             variable,
             refs,
             footprint_bytes: foot.get(&variable).copied().unwrap_or(0),
         })
-        .collect();
-    stats.sort_by(|a, b| b.refs.cmp(&a.refs).then(a.variable.cmp(&b.variable)));
-    stats
+        .collect()
+}
+
+/// `(variable, refs)` by descending reference count, ties toward lower
+/// variable ids: the order of [`variable_stats`].
+fn ranked_refs(trace: &Trace) -> Vec<(VariableId, u64)> {
+    let mut ranked: Vec<(VariableId, u64)> = trace.refs_per_variable().into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked
 }
 
 /// The major variables of a trace: the smallest prefix of variables (by
@@ -62,8 +67,8 @@ pub fn major_variables(trace: &Trace, coverage: f64) -> Vec<VariableId> {
         coverage > 0.0 && coverage <= 1.0,
         "coverage must be in (0, 1]"
     );
-    let stats = variable_stats(trace);
-    let total: u64 = stats.iter().map(|s| s.refs).sum();
+    let ranked = ranked_refs(trace);
+    let total: u64 = ranked.iter().map(|&(_, refs)| refs).sum();
     if total == 0 {
         return Vec::new();
     }
@@ -72,19 +77,19 @@ pub fn major_variables(trace: &Trace, coverage: f64) -> Vec<VariableId> {
     let mut out = Vec::new();
     let mut done = false;
     let mut last_refs = 0u64;
-    for s in stats {
+    for (variable, refs) in ranked {
         if done {
             // Never split a tie at the threshold: variables referenced
             // about as often as the last included one stay major (a
             // uniform-weight program would otherwise drop an arbitrary
             // straggler whose unoptimized traffic dominates).
-            if (s.refs as f64) < 0.9 * last_refs as f64 {
+            if (refs as f64) < 0.9 * last_refs as f64 {
                 break;
             }
         }
-        out.push(s.variable);
-        acc += s.refs;
-        last_refs = s.refs;
+        out.push(variable);
+        acc += refs;
+        last_refs = refs;
         if acc >= target {
             done = true;
         }

@@ -97,14 +97,18 @@ impl Trace {
     /// bytes. This is the "variable size" statistic of the paper's
     /// Table 1, measured rather than declared.
     pub fn footprint_per_variable(&self) -> BTreeMap<VariableId, u64> {
-        let mut lines: BTreeMap<VariableId, std::collections::BTreeSet<u64>> = BTreeMap::new();
-        for a in &self.accesses {
-            lines.entry(a.variable).or_default().insert(a.line_addr());
+        let mut lines: Vec<(VariableId, u64)> = self
+            .accesses
+            .iter()
+            .map(|a| (a.variable, a.line_addr()))
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let mut m = BTreeMap::new();
+        for (v, _) in lines {
+            *m.entry(v).or_insert(0u64) += 64;
         }
-        lines
-            .into_iter()
-            .map(|(v, s)| (v, s.len() as u64 * 64))
-            .collect()
+        m
     }
 
     /// Splits the trace into per-variable sub-traces, preserving order.

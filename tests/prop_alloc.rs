@@ -2,11 +2,15 @@
 //! sequences must never hand out overlapping memory, must conserve
 //! pages, and must respect SDAM's one-mapping-per-chunk invariant.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use sdam_mapping::MappingId;
+use sdam_mapping::{MappingId, PhysAddr};
 use sdam_mem::buddy::BuddyAllocator;
 use sdam_mem::heap::MultiHeapMalloc;
-use sdam_mem::phys::{ChunkAllocator, ChunkAllocatorReference};
+use sdam_mem::phys::{ChunkAllocator, ChunkAllocatorReference, ChunkEvent};
+use sdam_mem::vma::{AddressSpace, VmArea};
+use sdam_mem::{MemError, VirtAddr};
 
 /// An alloc/free script: positive = alloc of that order/size bucket,
 /// negative-ish handled by the interpreting loop freeing oldest.
@@ -50,6 +54,166 @@ fn churn_ops() -> impl Strategy<Value = Vec<ChurnOp>> {
         ],
         1..200,
     )
+}
+
+/// One step of the page-table equivalence script. Picks are reduced
+/// modulo the live areas (one past the end names a bad address).
+#[derive(Debug, Clone)]
+enum PageOp {
+    Mmap {
+        pages: u64,
+        mapping: u8,
+    },
+    MmapFixed {
+        slot: u64,
+        pages: u64,
+        mapping: u8,
+        sensitive: bool,
+    },
+    Touch {
+        pick: usize,
+        first: u64,
+        count: u64,
+        stride: u64,
+    },
+    Munmap {
+        pick: usize,
+    },
+    Clear,
+}
+
+fn page_ops() -> impl Strategy<Value = Vec<PageOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (1u64..16, 0u8..4).prop_map(|(pages, mapping)| PageOp::Mmap { pages, mapping }),
+            (256u64..4096, 0u8..4).prop_map(|(pages, mapping)| PageOp::Mmap { pages, mapping }),
+            (0u64..16, 1u64..2048, 0u8..4, 0u8..8).prop_map(|(slot, pages, mapping, s)| {
+                PageOp::MmapFixed {
+                    slot,
+                    pages,
+                    mapping,
+                    sensitive: s == 0,
+                }
+            }),
+            (0usize..64, 0u64..4096, 1u64..48, 0u64..64).prop_map(
+                |(pick, first, count, stride)| PageOp::Touch {
+                    pick,
+                    first,
+                    count,
+                    stride
+                }
+            ),
+            (0usize..64, 0u64..4096, 1u64..48, 0u64..64).prop_map(
+                |(pick, first, count, stride)| PageOp::Touch {
+                    pick,
+                    first,
+                    count,
+                    stride
+                }
+            ),
+            (0usize..64, 0u64..4096, 1u64..48, 0u64..64).prop_map(
+                |(pick, first, count, stride)| PageOp::Touch {
+                    pick,
+                    first,
+                    count,
+                    stride
+                }
+            ),
+            (0usize..64).prop_map(|pick| PageOp::Munmap { pick }),
+            (0usize..64).prop_map(|pick| PageOp::Munmap { pick }),
+            Just(PageOp::Clear),
+        ],
+        1..300,
+    )
+}
+
+/// The page table as an ordered `BTreeMap`, with an unmap that probes
+/// every vpn of the area in ascending order: the model the hashed table
+/// of [`AddressSpace`] must match event for event.
+#[derive(Default)]
+struct ModelSpace {
+    vmas: BTreeMap<u64, VmArea>,
+    page_table: BTreeMap<u64, PhysAddr>,
+    next_mmap: u64,
+    faults: u64,
+    events: Vec<ChunkEvent>,
+}
+
+impl ModelSpace {
+    const PAGE: u64 = 4096;
+
+    fn new() -> Self {
+        ModelSpace {
+            next_mmap: 1 << 40,
+            ..ModelSpace::default()
+        }
+    }
+
+    fn mmap(&mut self, len: u64, mapping: MappingId) -> Result<VirtAddr, MemError> {
+        let len = len.div_ceil(Self::PAGE) * Self::PAGE;
+        let start = self.next_mmap;
+        self.next_mmap = start + len + Self::PAGE;
+        self.insert(VmArea {
+            start: VirtAddr(start),
+            len,
+            mapping,
+            sensitive: false,
+        })?;
+        Ok(VirtAddr(start))
+    }
+
+    fn insert(&mut self, area: VmArea) -> Result<(), MemError> {
+        let overlaps = self
+            .vmas
+            .values()
+            .any(|v| v.start.0 < area.end() && area.start.0 < v.end());
+        if overlaps {
+            return Err(MemError::VirtualRangeUnavailable { at: area.start });
+        }
+        self.vmas.insert(area.start.0, area);
+        Ok(())
+    }
+
+    fn access(&mut self, va: VirtAddr, phys: &mut ChunkAllocator) -> Result<PhysAddr, MemError> {
+        let (vpn, off) = (va.0 / Self::PAGE, va.0 % Self::PAGE);
+        if let Some(pa) = self.page_table.get(&vpn) {
+            return Ok(PhysAddr(pa.raw() | off));
+        }
+        let area = *self
+            .vmas
+            .values()
+            .find(|v| v.contains(va))
+            .ok_or(MemError::BadAddress(va))?;
+        self.faults += 1;
+        let alloc = if area.sensitive {
+            phys.alloc_block_sensitive(area.mapping, 0)?
+        } else {
+            phys.alloc_page(area.mapping)?
+        };
+        self.events.extend(alloc.event);
+        self.page_table.insert(vpn, alloc.pa);
+        Ok(PhysAddr(alloc.pa.raw() | off))
+    }
+
+    fn munmap(&mut self, start: VirtAddr, phys: &mut ChunkAllocator) -> Result<(), MemError> {
+        let area = self
+            .vmas
+            .remove(&start.0)
+            .ok_or(MemError::BadAddress(start))?;
+        for vpn in area.start.0 / Self::PAGE..area.end() / Self::PAGE {
+            if let Some(pa) = self.page_table.remove(&vpn) {
+                self.events.extend(phys.free_block(pa)?);
+            }
+        }
+        Ok(())
+    }
+
+    fn clear(&mut self, phys: &mut ChunkAllocator) -> Result<(), MemError> {
+        while let Some(&start) = self.vmas.keys().next() {
+            self.munmap(VirtAddr(start), phys)?;
+        }
+        Ok(())
+    }
 }
 
 proptest! {
@@ -228,5 +392,76 @@ proptest! {
         }
         let bound = mappings as u64 * (a.pages_per_chunk() - 1);
         prop_assert!(a.internal_fragmentation_pages() <= bound);
+    }
+
+    #[test]
+    fn hashed_page_table_matches_btree_model(script in page_ops()) {
+        // Eight-page chunks, so faults and unmaps claim and release
+        // chunks often and the event order is exercised.
+        let mut aspace = AddressSpace::new(12);
+        let mut phys = ChunkAllocator::new(26, 15, 12);
+        let mut model = ModelSpace::new();
+        let mut model_phys = ChunkAllocator::new(26, 15, 12);
+        for op in script {
+            let live: Vec<VmArea> = model.vmas.values().copied().collect();
+            match op {
+                PageOp::Mmap { pages, mapping } => {
+                    let len = pages * 4096 - 100;
+                    prop_assert_eq!(
+                        aspace.mmap(len, MappingId(mapping)),
+                        model.mmap(len, MappingId(mapping))
+                    );
+                }
+                PageOp::MmapFixed { slot, pages, mapping, sensitive } => {
+                    let start = VirtAddr((1 << 30) + (slot << 22));
+                    let area = VmArea { start, len: pages * 4096, mapping: MappingId(mapping), sensitive };
+                    prop_assert_eq!(
+                        aspace.mmap_fixed_with(start, area.len, area.mapping, sensitive),
+                        model.insert(area)
+                    );
+                }
+                PageOp::Touch { pick, first, count, stride } => {
+                    let Some(area) = live.get(pick % live.len().max(1)) else { continue };
+                    // One page past the end is a bad address (or the
+                    // next area, which both sides must agree on).
+                    let pages = area.len / 4096 + 1;
+                    for k in 0..count {
+                        let page = (first + k * stride) % pages;
+                        let va = VirtAddr(area.start.0 + page * 4096 + (k * 448) % 4096);
+                        let got = aspace.access(va, &mut phys);
+                        prop_assert_eq!(got.clone(), model.access(va, &mut model_phys));
+                        if let Ok(pa) = got {
+                            prop_assert_eq!(aspace.translate(va), Some(pa));
+                        }
+                    }
+                }
+                PageOp::Munmap { pick } => {
+                    let start = live
+                        .get(pick % (live.len() + 1))
+                        .map_or(VirtAddr((1 << 40) + 4096), |a| a.start);
+                    prop_assert_eq!(
+                        aspace.munmap(start, &mut phys),
+                        model.munmap(start, &mut model_phys)
+                    );
+                }
+                PageOp::Clear => {
+                    prop_assert_eq!(aspace.clear(&mut phys), model.clear(&mut model_phys));
+                }
+            }
+            prop_assert_eq!(aspace.drain_events(), std::mem::take(&mut model.events));
+            prop_assert_eq!(aspace.page_fault_count(), model.faults);
+            prop_assert_eq!(aspace.resident_pages(), model.page_table.len() as u64);
+            prop_assert!(aspace.areas().eq(model.vmas.values()));
+        }
+        // Both allocators hand out the same frames afterwards.
+        for m in 0..4u8 {
+            for _ in 0..16 {
+                prop_assert_eq!(
+                    phys.alloc_page(MappingId(m)),
+                    model_phys.alloc_page(MappingId(m))
+                );
+            }
+        }
+        prop_assert_eq!(phys.report(), model_phys.report());
     }
 }
