@@ -6,12 +6,22 @@
 //! speedup table recorded in `BENCH_hotpath.json`. The whole-device
 //! 32 K open loop these pieces add up to is timed by the `core` bench
 //! (`core/run_open_loop_32k`).
+//!
+//! Two per-access kernels of the `Machine::run` miss path have no
+//! oracle left in the tree: the L1 probe (`cache_access_64k`) and the
+//! BS+HM fold (`hm_map_block_64k`). Their "before" rows in
+//! `BENCH_hotpath.json` come from the previous release, built and run
+//! on the same host.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sdam_bench::mix;
 use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{DecodedAddr, DrainScratch, Timing};
-use sdam_mapping::{BitFlipRateVector, BitPermutation, Cmt, CmtLookupCache, MappingId, PhysAddr};
+use sdam_hbm::{DecodedAddr, DrainScratch, Geometry, Timing};
+use sdam_mapping::{
+    AddressMapping, BitFlipRateVector, BitPermutation, Cmt, CmtLookupCache, HashMapping, MappingId,
+    PhysAddr,
+};
+use sdam_sys::cache::{Cache, CacheConfig};
 
 fn bench_translate(c: &mut Criterion) {
     // A 21-bit window (the widest the CMT accepts) exercises all three
@@ -120,5 +130,51 @@ fn bench_drain(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_translate, bench_bfrv, bench_drain);
+fn bench_miss_path(c: &mut Criterion) {
+    // A mixed stream on the paper's L1: runs of sequential lines (hits
+    // after the first touch), revisits of a 48 KiB hot set, and random
+    // lines over 64 MiB (misses that evict), so hits land at every
+    // recency depth.
+    let stream: Vec<u64> = (0..65_536u64)
+        .map(|i| {
+            let r = mix(i);
+            match r % 4 {
+                0 | 1 => (i / 4) * 16,
+                2 => (r >> 8) % (48 << 10),
+                _ => (r >> 8) % (64 << 20),
+            }
+        })
+        .collect();
+    let mut cache = Cache::new(CacheConfig::boom_l1());
+    c.bench_function("cache_access_64k", |b| {
+        b.iter(|| {
+            cache.reset();
+            for &a in &stream {
+                black_box(cache.access(a));
+            }
+        })
+    });
+
+    let geom = Geometry::hbm2_8gb();
+    let hm = HashMapping::for_geometry(geom);
+    let pas: Vec<u64> = (0..65_536u64)
+        .map(|i| mix(i) & (geom.capacity_bytes() - 1))
+        .collect();
+    let mut block = pas.clone();
+    c.bench_function("hm_map_block_64k", |b| {
+        b.iter(|| {
+            block.copy_from_slice(&pas);
+            hm.map_block(&mut block);
+            black_box(&block);
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_translate,
+    bench_bfrv,
+    bench_drain,
+    bench_miss_path
+);
 criterion_main!(benches);

@@ -44,6 +44,9 @@ pub struct HashMapping {
     /// For each channel bit (window-relative), the absolute source bits
     /// XORed into it.
     sources: Vec<Vec<u32>>,
+    /// `sources` as one address mask per channel bit: the parity of
+    /// `addr & masks[i]` is the bit XORed into channel bit `i`.
+    masks: Vec<u64>,
     channel_lo: u32,
     channel_bits: u32,
 }
@@ -71,8 +74,20 @@ impl HashMapping {
                 v
             })
             .collect();
+        HashMapping::from_sources(channel_lo, channel_bits, sources)
+    }
+
+    /// The one constructor every path goes through: derives the parity
+    /// masks from `sources`. A bit listed twice cancels, as it does in
+    /// an XOR walk over the list.
+    fn from_sources(channel_lo: u32, channel_bits: u32, sources: Vec<Vec<u32>>) -> Self {
+        let masks = sources
+            .iter()
+            .map(|set| set.iter().fold(0u64, |m, &b| m ^ (1 << b)))
+            .collect();
         HashMapping {
             sources,
+            masks,
             channel_lo,
             channel_bits,
         }
@@ -83,14 +98,19 @@ impl HashMapping {
     ///
     /// # Panics
     ///
-    /// Panics if `sources.len() != channel_bits as usize`, or if any
-    /// source bit lies inside the channel field itself (which would break
-    /// invertibility).
+    /// Panics if `sources.len() != channel_bits as usize`, if the
+    /// channel field reaches past bit 63, or if any source bit lies
+    /// inside the channel field itself (which would break invertibility)
+    /// or at bit 64 or above (outside every address).
     pub fn with_sources(channel_lo: u32, channel_bits: u32, sources: Vec<Vec<u32>>) -> Self {
         assert_eq!(
             sources.len(),
             channel_bits as usize,
             "one source set per channel bit"
+        );
+        assert!(
+            u64::from(channel_lo) + u64::from(channel_bits) <= 64,
+            "channel field {channel_lo}+{channel_bits} lies outside the address"
         );
         for set in &sources {
             for &b in set {
@@ -98,13 +118,10 @@ impl HashMapping {
                     b < channel_lo || b >= channel_lo + channel_bits,
                     "source bit {b} lies inside the channel field"
                 );
+                assert!(b < 64, "source bit {b} lies outside the address");
             }
         }
-        HashMapping {
-            sources,
-            channel_lo,
-            channel_bits,
-        }
+        HashMapping::from_sources(channel_lo, channel_bits, sources)
     }
 
     /// The source sets: for each window-relative channel bit, the
@@ -179,20 +196,13 @@ impl HashMapping {
         for set in &mut sources {
             set.sort_unstable();
         }
-        HashMapping {
-            sources,
-            channel_lo: self.channel_lo,
-            channel_bits: self.channel_bits,
-        }
+        HashMapping::from_sources(self.channel_lo, self.channel_bits, sources)
     }
 
     fn fold(&self, addr: u64) -> u64 {
         let mut out = addr;
-        for (i, set) in self.sources.iter().enumerate() {
-            let mut parity = 0u64;
-            for &b in set {
-                parity ^= (addr >> b) & 1;
-            }
+        for (i, &mask) in self.masks.iter().enumerate() {
+            let parity = u64::from((addr & mask).count_ones() & 1);
             out ^= parity << (self.channel_lo + i as u32);
         }
         out
@@ -236,11 +246,11 @@ pub fn optimize_hash(geom: Geometry, max_stride_lines: u64) -> HashMapping {
     };
 
     let mut sources = HashMapping::for_geometry(geom).sources.clone();
-    let mut best = coverage(&HashMapping {
-        sources: sources.clone(),
+    let mut best = coverage(&HashMapping::from_sources(
         channel_lo,
         channel_bits,
-    });
+        sources.clone(),
+    ));
     for ch_bit in 0..channel_bits as usize {
         for cand in (channel_lo + channel_bits)..width {
             let mut trial = sources.clone();
@@ -249,11 +259,7 @@ pub fn optimize_hash(geom: Geometry, max_stride_lines: u64) -> HashMapping {
             } else {
                 trial[ch_bit].push(cand);
             }
-            let hm = HashMapping {
-                sources: trial.clone(),
-                channel_lo,
-                channel_bits,
-            };
+            let hm = HashMapping::from_sources(channel_lo, channel_bits, trial.clone());
             let c = coverage(&hm);
             if c > best {
                 best = c;
@@ -261,11 +267,7 @@ pub fn optimize_hash(geom: Geometry, max_stride_lines: u64) -> HashMapping {
             }
         }
     }
-    HashMapping {
-        sources,
-        channel_lo,
-        channel_bits,
-    }
+    HashMapping::from_sources(channel_lo, channel_bits, sources)
 }
 
 impl AddressMapping for HashMapping {
@@ -336,6 +338,18 @@ mod tests {
     #[should_panic(expected = "inside the channel field")]
     fn sources_inside_channel_field_rejected() {
         let _ = HashMapping::with_sources(6, 5, vec![vec![7], vec![], vec![], vec![], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the address")]
+    fn source_bit_beyond_the_address_rejected() {
+        let _ = HashMapping::with_sources(6, 5, vec![vec![64], vec![], vec![], vec![], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the address")]
+    fn channel_field_beyond_the_address_rejected() {
+        let _ = HashMapping::with_sources(62, 3, vec![vec![]; 3]);
     }
 
     #[test]

@@ -59,7 +59,9 @@ impl CacheConfig {
     }
 
     /// Validates the shape: non-zero parameters, a power-of-two line
-    /// size, and a capacity that divides evenly into sets.
+    /// size of at least 2 bytes (so a tag never reaches `u64::MAX`,
+    /// the unused-way sentinel), and a capacity that divides evenly
+    /// into a power-of-two number of sets.
     ///
     /// # Errors
     ///
@@ -74,6 +76,9 @@ impl CacheConfig {
         }
         if !self.line_bytes.is_power_of_two() {
             return bad("line size must be a power of two");
+        }
+        if self.line_bytes < 2 {
+            return bad("line size must be at least 2 bytes");
         }
         if self.hit_latency == 0 {
             return bad("hit latency must be non-zero");
@@ -113,11 +118,23 @@ pub enum CacheOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per set: tags in LRU order (front = most recent).
-    sets: Vec<Vec<u64>>,
+    /// `sets × ways` tags, one row of `ways` per set, each row in
+    /// recency order (front = most recent). Unused ways hold [`EMPTY`]
+    /// and always sit behind the used ones.
+    tags: Vec<u64>,
+    line_shift: u32,
+    set_mask: u64,
+    /// `line_shift` plus the set-index width: `addr >> tag_shift` is
+    /// the tag.
+    tag_shift: u32,
     hits: u64,
     misses: u64,
 }
+
+/// The tag of an unused way. A tag is `addr >> tag_shift` with
+/// `tag_shift >= 1` (lines are at least 2 bytes), so it is below
+/// `2^63` and never equals this.
+const EMPTY: u64 = u64::MAX;
 
 impl Cache {
     /// Builds a cache.
@@ -128,8 +145,13 @@ impl Cache {
     /// [`CacheConfig::try_validate`]).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
+        let sets = config.num_sets();
+        let line_shift = config.line_bytes.trailing_zeros();
         Cache {
-            sets: vec![Vec::with_capacity(config.ways); config.num_sets()],
+            tags: vec![EMPTY; sets * config.ways],
+            line_shift,
+            set_mask: sets as u64 - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
             config,
             hits: 0,
             misses: 0,
@@ -143,23 +165,24 @@ impl Cache {
 
     /// Performs an access, updating LRU state and filling on miss.
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
-        let line = addr / self.config.line_bytes;
-        let set_idx = (line as usize) & (self.sets.len() - 1);
-        let tag = line / self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            let t = set.remove(pos);
-            set.insert(0, t);
-            self.hits += 1;
-            CacheOutcome::Hit
-        } else {
-            if set.len() == self.config.ways {
-                set.pop();
+        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
+        let tag = addr >> self.tag_shift;
+        let ways = self.config.ways;
+        let row = &mut self.tags[set * ways..(set + 1) * ways];
+        // Move to front in one pass: each way takes its predecessor's
+        // tag. A hit stops where the tag was; a miss runs off the end
+        // and drops the LRU way (or an unused one).
+        let mut carry = tag;
+        for way in row {
+            let cur = std::mem::replace(way, carry);
+            if cur == tag {
+                self.hits += 1;
+                return CacheOutcome::Hit;
             }
-            set.insert(0, tag);
-            self.misses += 1;
-            CacheOutcome::Miss
+            carry = cur;
         }
+        self.misses += 1;
+        CacheOutcome::Miss
     }
 
     /// Hits so far.
@@ -172,17 +195,9 @@ impl Cache {
         self.misses
     }
 
-    /// Miss rate, or `None` before any access.
-    pub fn miss_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.misses as f64 / total as f64)
-    }
-
     /// Clears contents and counters.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.tags.fill(EMPTY);
         self.hits = 0;
         self.misses = 0;
     }
@@ -208,7 +223,7 @@ mod tests {
         assert_eq!(c.access(0), CacheOutcome::Miss);
         assert_eq!(c.access(63), CacheOutcome::Hit);
         assert_eq!(c.access(64), CacheOutcome::Miss);
-        assert_eq!(c.miss_rate(), Some(2.0 / 3.0));
+        assert_eq!((c.hits(), c.misses()), (1, 2));
     }
 
     #[test]
@@ -254,8 +269,26 @@ mod tests {
         let mut c = tiny();
         c.access(0);
         c.reset();
-        assert_eq!(c.miss_rate(), None);
+        assert_eq!((c.hits(), c.misses()), (0, 0));
         assert_eq!(c.access(0), CacheOutcome::Miss);
+    }
+
+    #[test]
+    fn one_byte_lines_rejected() {
+        // With one set, a 1-byte line would make `addr >> 0` a tag, and
+        // the tag `u64::MAX` would match an unused way.
+        let cfg = CacheConfig {
+            capacity_bytes: 4,
+            ways: 4,
+            line_bytes: 1,
+            hit_latency: 1,
+        };
+        assert_eq!(
+            cfg.try_validate(),
+            Err(ConfigError::Cache {
+                what: "line size must be at least 2 bytes"
+            })
+        );
     }
 
     #[test]

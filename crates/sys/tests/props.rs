@@ -13,26 +13,50 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn cache_matches_a_reference_lru(lines in proptest::collection::vec(0u64..64, 1..300)) {
-        // 4 sets x 4 ways; reference model per set.
+    fn cache_matches_a_reference_lru(
+        (ways, set_bits, line_bits) in (1usize..=16, 0u32..=8, 5u32..=7),
+        stream in proptest::collection::vec((0u64..1 << 20, 0u64..128, 0usize..3), 1..600),
+        reset_at in 0usize..600,
+    ) {
+        // A random shape: any associativity, power-of-two sets and
+        // lines. Lines are drawn from twice the capacity, so both hits
+        // and evictions happen, in three regions: the bottom of the
+        // address space, the middle, and the top, where a tag reaches
+        // its widest.
+        let (sets, line) = (1u64 << set_bits, 1u64 << line_bits);
         let cfg = CacheConfig {
-            capacity_bytes: 4 * 4 * 64,
-            ways: 4,
-            line_bytes: 64,
+            capacity_bytes: sets * ways as u64 * line,
+            ways,
+            line_bytes: line,
             hit_latency: 1,
         };
+        let lines = 2 * sets * ways as u64;
+        let bases = [0, 1u64 << 40, u64::MAX - (lines * line - 1)];
         let mut cache = Cache::new(cfg);
-        let mut model: Vec<Vec<u64>> = vec![Vec::new(); 4];
-        for &line in &lines {
-            let addr = line * 64;
-            let set = (line as usize) % 4;
-            let expect_hit = model[set].contains(&line);
+        // The reference: per set, line numbers most recent first.
+        let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for (i, &(pick, offset, region)) in stream.iter().enumerate() {
+            if i == reset_at {
+                cache.reset();
+                model.iter_mut().for_each(Vec::clear);
+                (hits, misses) = (0, 0);
+            }
+            let addr = bases[region] + (pick % lines) * line + offset % line;
+            let line_no = addr >> line_bits;
+            let set = &mut model[(line_no % sets) as usize];
+            let expect_hit = set.contains(&line_no);
             let got = cache.access(addr);
-            prop_assert_eq!(got == CacheOutcome::Hit, expect_hit, "line {}", line);
-            // Update the reference LRU.
-            model[set].retain(|&l| l != line);
-            model[set].insert(0, line);
-            model[set].truncate(4);
+            prop_assert_eq!(got == CacheOutcome::Hit, expect_hit, "access {} addr {:#x}", i, addr);
+            if expect_hit {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+            set.retain(|&l| l != line_no);
+            set.insert(0, line_no);
+            set.truncate(ways);
+            prop_assert_eq!((cache.hits(), cache.misses()), (hits, misses));
         }
     }
 

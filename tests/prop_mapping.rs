@@ -64,6 +64,40 @@ proptest! {
     }
 
     #[test]
+    fn hash_mapping_equals_a_per_bit_parity_walk(
+        (channel_lo, channel_bits) in (0u32..=40, 1u32..=6),
+        raw_sources in proptest::collection::vec(proptest::collection::vec(0u32..58, 0..10), 6),
+        addrs in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        // Any bit outside the channel field, repeats included (a bit
+        // listed twice cancels), up to bit 63.
+        let sources: Vec<Vec<u32>> = raw_sources[..channel_bits as usize]
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .map(|&b| if b < channel_lo { b } else { b + channel_bits })
+                    .collect()
+            })
+            .collect();
+        let hm = HashMapping::with_sources(channel_lo, channel_bits, sources.clone());
+        let mut block = addrs.clone();
+        hm.map_block(&mut block);
+        for (&a, &mapped) in addrs.iter().zip(&block) {
+            let mut want = a;
+            for (i, set) in sources.iter().enumerate() {
+                let mut parity = 0;
+                for &b in set {
+                    parity ^= (a >> b) & 1;
+                }
+                want ^= parity << (channel_lo + i as u32);
+            }
+            prop_assert_eq!(hm.map(PhysAddr(a)).raw(), want, "addr {:#x}", a);
+            prop_assert_eq!(mapped, want);
+            prop_assert_eq!(hm.unmap(HardwareAddr(want)), PhysAddr(a));
+        }
+    }
+
+    #[test]
     fn cmt_never_leaks_across_chunks(
         table in perm_table(15),
         chunk in 0u64..4096,
