@@ -1,6 +1,7 @@
 //! Before/after benchmark for the open-loop core: the block-drained
 //! FR-FCFS path (`Hbm::run_open_loop_windowed`) against the one-shot
-//! `ChannelSim::drain_reference` oracle on the 32 K mixed-address
+//! `open_loop_reference` oracle (`ChannelSim::drain_reference` per
+//! channel) on the 32 K mixed-address
 //! open-loop workload, plus two 1 M-request runs (uniform, and stride 32
 //! on one channel) where an unbounded drain's cost per request grew
 //! with the queue.
@@ -18,8 +19,7 @@
 //! Either violation panics, so the CI "Bench smoke" step fails loudly.
 
 use criterion::{black_box, criterion_group, Criterion};
-use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{DecodedAddr, Geometry, HardwareAddr, Hbm, SimStats, Timing};
+use sdam_hbm::{open_loop_reference, DecodedAddr, Geometry, HardwareAddr, Hbm, SimStats, Timing};
 
 const WINDOW: usize = 16;
 const REQUESTS: u64 = 32_768;
@@ -73,31 +73,10 @@ fn fast_run(geom: Geometry, addrs: &[DecodedAddr]) -> SimStats {
     hbm.run_open_loop_windowed(addrs.iter().copied(), WINDOW)
 }
 
-/// The pre-arena driver, reconstructed verbatim: the same bank hash and
-/// per-channel push, but every channel drained by the retained
-/// `drain_reference` oracle (the old `BTreeMap`-of-queues scheduler).
+/// One full open-loop run through the one-shot oracle, on a fresh
+/// device as `fast_run` builds one.
 fn reference_run(geom: Geometry, addrs: &[DecodedAddr]) -> SimStats {
-    let timing = Timing::hbm2();
-    let probe = Hbm::new(geom, timing);
-    let mut channels: Vec<ChannelSim> = (0..geom.num_channels())
-        .map(|_| ChannelSim::new(geom.banks_per_channel()))
-        .collect();
-    let mut requests = 0u64;
-    let mut makespan = 0u64;
-    for &a in addrs {
-        let a = probe.effective_addr(a);
-        channels[a.channel as usize].push(a, false, 0);
-        requests += 1;
-    }
-    for ch in &mut channels {
-        makespan = makespan.max(ch.drain_reference(WINDOW, &timing));
-    }
-    SimStats {
-        requests,
-        makespan,
-        per_channel: channels.iter().map(|c| c.stats()).collect(),
-        timing,
-    }
+    open_loop_reference(&Hbm::new(geom, Timing::hbm2()), addrs, WINDOW)
 }
 
 fn bench_core(c: &mut Criterion) {

@@ -43,15 +43,6 @@ impl SystemConfig {
         ]
     }
 
-    /// True for the configurations that use the SDAM hardware (CMT +
-    /// per-chunk AMU configurations).
-    pub fn is_sdam(&self) -> bool {
-        matches!(
-            self,
-            SystemConfig::SdmBsm | SystemConfig::SdmBsmMl { .. } | SystemConfig::SdmBsmDl { .. }
-        )
-    }
-
     /// True for configurations that need a profiling run.
     pub fn needs_profiling(&self) -> bool {
         !matches!(self, SystemConfig::BsDm | SystemConfig::BsHm)
@@ -232,10 +223,8 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(!SystemConfig::BsDm.is_sdam());
         assert!(!SystemConfig::BsHm.needs_profiling());
         assert!(SystemConfig::BsBsm.needs_profiling());
-        assert!(SystemConfig::SdmBsmMl { clusters: 4 }.is_sdam());
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn export_adapt(report: &ExecutionReport, reg: &mut Registry) {
 /// Folds host wall-clock per phase into the registry's volatile
 /// section (excluded from [`Registry::stable_json`] — wall-clock can
 /// never be deterministic).
-pub fn export_phases(phases: &PhaseTimes, reg: &mut Registry) {
+pub(crate) fn export_phases(phases: &PhaseTimes, reg: &mut Registry) {
     if !OBS_ENABLED {
         return;
     }
@@ -123,7 +123,7 @@ pub fn export_phases(phases: &PhaseTimes, reg: &mut Registry) {
 /// fan-out because [`crate::pipeline::try_compare`] warms the profile
 /// serially into its own cache before fanning out, so the miss count
 /// does not depend on thread interleaving.
-pub fn merge_sweep_metrics(results: &[RunResult], cache: &StageCache) -> Registry {
+pub(crate) fn merge_sweep_metrics(results: &[RunResult], cache: &StageCache) -> Registry {
     let mut reg = Registry::new();
     if !OBS_ENABLED {
         return reg;

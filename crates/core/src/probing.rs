@@ -146,7 +146,7 @@ impl SdamProbeRegion {
     /// Ground truth for the region's AMU window, re-derived bit by bit
     /// through the privileged [`Cmt::translate_under`] — the API the
     /// agent never calls. Raw (not canonicalised).
-    pub fn window_truth(&self) -> Result<BitPermutation, ProbingError> {
+    pub(crate) fn window_truth(&self) -> Result<BitPermutation, ProbingError> {
         let lo = self.geom.line_bits();
         let len = self.chunk_bits - lo;
         let translate = |pa: u64| -> Result<u64, ProbingError> {

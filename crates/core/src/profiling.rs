@@ -36,14 +36,6 @@ pub struct ProfileData {
     pub pa_streams: BTreeMap<VariableId, Vec<u64>>,
 }
 
-/// Byte span of each variable in a trace: `(min_addr, len)`.
-pub fn variable_spans(trace: &Trace) -> BTreeMap<VariableId, (u64, u64)> {
-    let (ids, spans, _) = span_column(trace);
-    ids.into_iter()
-        .map(|(v, i)| (v, (spans[i].lo, spans[i].hi - spans[i].lo)))
-        .collect()
-}
-
 /// One variable's byte bounds in a trace: `[lo, hi)`.
 struct Span {
     lo: u64,
@@ -436,6 +428,15 @@ mod tests {
 
     fn exp() -> Experiment {
         Experiment::quick()
+    }
+
+    /// Byte span of each variable in a trace, `(min_addr, len)`, read
+    /// off `span_column`.
+    fn variable_spans(trace: &Trace) -> BTreeMap<VariableId, (u64, u64)> {
+        let (ids, spans, _) = span_column(trace);
+        ids.into_iter()
+            .map(|(v, i)| (v, (spans[i].lo, spans[i].hi - spans[i].lo)))
+            .collect()
     }
 
     /// Each variable's `(min_addr, len)`, folded per access into a map:

@@ -46,7 +46,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The content key under which a workload's profile is cached: the
 /// workload identity plus everything profiling is a deterministic
 /// function of (training seed + scale, geometry, chunk size).
-pub fn profile_key(workload: &dyn Workload, exp: &Experiment) -> String {
+pub(crate) fn profile_key(workload: &dyn Workload, exp: &Experiment) -> String {
     format!(
         "{}|{:?}|{:?}|chunk={}",
         workload.fingerprint(),
@@ -83,7 +83,11 @@ impl StageCache {
     /// # Errors
     ///
     /// Propagates `compute`'s error; nothing is cached on failure.
-    pub fn profile_or_try<F>(&self, key: &str, compute: F) -> Result<Arc<ProfileData>, SdamError>
+    pub(crate) fn profile_or_try<F>(
+        &self,
+        key: &str,
+        compute: F,
+    ) -> Result<Arc<ProfileData>, SdamError>
     where
         F: FnOnce() -> Result<ProfileData, SdamError>,
     {

@@ -129,7 +129,7 @@ impl RequestArena {
 
     /// Write-flag column.
     #[inline]
-    pub fn is_writes(&self) -> &[bool] {
+    pub(crate) fn is_writes(&self) -> &[bool] {
         &self.is_write
     }
 
@@ -163,7 +163,7 @@ impl RequestArena {
     /// # Panics
     ///
     /// Panics if `count` exceeds the arena length.
-    pub fn discard_prefix(&mut self, count: usize) {
+    pub(crate) fn discard_prefix(&mut self, count: usize) {
         self.row.drain(..count);
         self.bank.drain(..count);
         self.col.drain(..count);
@@ -178,7 +178,7 @@ impl RequestArena {
     /// # Panics
     ///
     /// Panics if `served` is shorter than the arena.
-    pub fn compact_unserved(&mut self, served: &[bool]) -> usize {
+    pub(crate) fn compact_unserved(&mut self, served: &[bool]) -> usize {
         let n = self.len();
         assert!(served.len() >= n, "tombstone column shorter than arena");
         let mut w = 0usize;
@@ -246,7 +246,7 @@ impl RowTable {
     /// Grows the table to hold `n` distinct keys at load factor <= 1/2
     /// and starts a new generation. Allocation happens only when `n`
     /// outgrows every previous drain.
-    pub fn begin(&mut self, n: usize) {
+    pub(crate) fn begin(&mut self, n: usize) {
         let want = (n.max(1) * 2).next_power_of_two().max(64);
         if want > self.slots.len() {
             self.slots = vec![RowSlot::default(); want];
@@ -293,7 +293,7 @@ impl RowTable {
     /// The head of the `(bank, row)` list in the current generation, or
     /// [`NIL`] if no request addresses that key.
     #[inline]
-    pub fn find_head(&self, bank: u32, row: u64) -> u32 {
+    pub(crate) fn find_head(&self, bank: u32, row: u64) -> u32 {
         let mask = self.slots.len() - 1;
         let mut idx = (Self::hash(bank, row) >> self.shift) as usize;
         loop {
@@ -329,7 +329,7 @@ pub struct DrainScratch {
 impl DrainScratch {
     /// Resets the scratch for a drain over `n` requests and `banks`
     /// banks. Reuses every allocation that is already large enough.
-    pub fn begin(&mut self, n: usize, banks: usize) {
+    pub(crate) fn begin(&mut self, n: usize, banks: usize) {
         self.link.clear();
         self.link.resize(n, NIL);
         self.served.clear();

@@ -3,7 +3,7 @@
 //! Each channel owns its banks and its data bus. There is one entry
 //! point per operation:
 //!
-//! * [`ChannelSim::service_in_order`] serves one request in arrival
+//! * `ChannelSim::service_in_order` serves one request in arrival
 //!   order and returns its completion cycle and row-buffer outcome. The
 //!   closed-loop system model (`sdam-sys`) uses it, because a core can
 //!   only learn a miss's completion time when it issues it.
@@ -12,7 +12,7 @@
 //!   reorder window: among the oldest `window` pending requests, row
 //!   hits are preferred, otherwise the oldest is served. This is what
 //!   real memory controllers (and the paper's Xilinx HBM controller)
-//!   approximate. [`ChannelSim::drain_partial`] stops at the youngest
+//!   approximate. `ChannelSim::drain_partial` stops at the youngest
 //!   `window - 1` requests, so a stream can be drained in blocks.
 //!
 //! Every request, queued or not, is served by the same private service
@@ -72,7 +72,7 @@ impl ChannelSim {
     /// # Panics
     ///
     /// Panics if `addr.bank` is out of range for this channel.
-    pub fn service_in_order(
+    pub(crate) fn service_in_order(
         &mut self,
         addr: DecodedAddr,
         is_write: bool,
@@ -139,20 +139,20 @@ impl ChannelSim {
 
     /// Queues a request for batch (FR-FCFS) service. Writes drained
     /// later pay the same turnaround rules as
-    /// [`ChannelSim::service_in_order`].
+    /// `ChannelSim::service_in_order`.
     #[inline]
     pub fn push(&mut self, addr: DecodedAddr, is_write: bool, arrival: Cycle) {
         self.pending.push(addr, is_write, arrival);
     }
 
     /// Number of requests awaiting service.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
     /// Reserves queue room for `additional` more pushes (a pure
     /// performance hint — the queue grows on demand regardless).
-    pub fn reserve_pending(&mut self, additional: usize) {
+    pub(crate) fn reserve_pending(&mut self, additional: usize) {
         self.pending.reserve(additional);
     }
 
@@ -200,7 +200,7 @@ impl ChannelSim {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn drain_partial(
+    pub(crate) fn drain_partial(
         &mut self,
         window: usize,
         timing: &Timing,
@@ -398,18 +398,6 @@ impl ChannelSim {
         self.stats
     }
 
-    /// Requests served per bank (index = bank id). Derived lazily from
-    /// bank states is impossible (they hold no counters), so the
-    /// channel tracks it.
-    pub fn bank_requests(&self) -> &[u64] {
-        &self.bank_requests
-    }
-
-    /// Cycle at which the data bus next becomes free.
-    pub fn bus_free(&self) -> Cycle {
-        self.bus_free
-    }
-
     /// Declares the channel idle through cycle `now`: every row is
     /// precharged (auto-precharge on idle), the write-to-read turnaround
     /// state is cleared, and — crucially for single-access probing — the
@@ -420,7 +408,7 @@ impl ChannelSim {
     /// gap can land just past a `k * tREFI` boundary and absorb up to
     /// `tRFC` of refresh recovery, polluting its latency class by an
     /// amount that depends on the arrival's position modulo `tREFI`
-    /// (the off-by-tREFI effect). [`ChannelSim::service_in_order`]
+    /// (the off-by-tREFI effect). `ChannelSim::service_in_order`
     /// deliberately models that — batch runs must pay refresh — so this
     /// is a separate, opt-in helper for callers that need clean
     /// single-access latencies between settling periods.
@@ -551,7 +539,7 @@ mod tests {
         ch.reset();
         assert_eq!(ch.stats(), ChannelStats::default());
         assert_eq!(ch.pending_len(), 0);
-        assert_eq!(ch.bus_free(), 0);
+        assert_eq!(ch.bus_free, 0);
     }
 
     #[test]
@@ -594,9 +582,9 @@ mod tests {
         for i in 0..12u64 {
             ch.service_in_order(addr(0, i % 3, 0), false, 0, &tm);
         }
-        assert_eq!(ch.bank_requests(), &[4, 4, 4, 0]);
+        assert_eq!(ch.bank_requests, &[4, 4, 4, 0]);
         ch.reset();
-        assert_eq!(ch.bank_requests(), &[0, 0, 0, 0]);
+        assert_eq!(ch.bank_requests, &[0, 0, 0, 0]);
     }
 
     #[test]
@@ -720,7 +708,7 @@ mod tests {
                             "makespan diverged: {banks} banks window {window} seed {seed}"
                         );
                         assert_eq!(fast.stats(), slow.stats());
-                        assert_eq!(fast.bank_requests(), slow.bank_requests());
+                        assert_eq!(fast.bank_requests, slow.bank_requests);
                     }
                 }
             }
@@ -808,7 +796,7 @@ mod tests {
                     "window {window} block {block}: makespan diverged"
                 );
                 assert_eq!(streamed.stats(), oneshot.stats());
-                assert_eq!(streamed.bank_requests(), oneshot.bank_requests());
+                assert_eq!(streamed.bank_requests, oneshot.bank_requests);
             }
         }
     }
@@ -849,7 +837,7 @@ mod tests {
         ch.quiesce(now, &tm);
         // Stats survive the quiesce (it is not a reset).
         assert_eq!(ch.stats(), before);
-        assert_eq!(ch.bank_requests(), &[1, 1, 0, 0]);
+        assert_eq!(ch.bank_requests, &[1, 1, 0, 0]);
         // First access after quiesce is a pure closed-bank access — no
         // stale open row (would be a conflict), no write turnaround.
         let done = ch.service_in_order(addr(0, 0, 0), false, now, &tm).0;

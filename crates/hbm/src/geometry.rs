@@ -268,7 +268,7 @@ impl Geometry {
 
     /// Number of rows per bank.
     #[inline]
-    pub fn rows_per_bank(&self) -> u64 {
+    pub(crate) fn rows_per_bank(&self) -> u64 {
         1u64 << self.row_bits
     }
 

@@ -59,7 +59,7 @@ pub mod timing;
 pub use arena::{DrainScratch, RequestArena};
 pub use bank::RowOutcome;
 pub use geometry::{DecodedAddr, Geometry, HardwareAddr};
-pub use sim::{bank_hashed, bank_hashed_reference, Hbm};
+pub use sim::{bank_hashed, bank_hashed_reference, open_loop_reference, Hbm};
 pub use stats::{ChannelStats, SimStats};
 pub use timing::Timing;
 

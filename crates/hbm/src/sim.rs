@@ -59,6 +59,33 @@ pub fn bank_hashed_reference(geometry: Geometry, mut addr: DecodedAddr) -> Decod
     addr
 }
 
+/// The one-shot oracle for [`Hbm::run_open_loop_windowed`]: every
+/// request of `stream`, bank-hashed as `hbm` hashes it, is pushed into
+/// its channel, and each channel is drained once by
+/// [`ChannelSim::drain_reference`]. `hbm` itself is left untouched.
+pub fn open_loop_reference(hbm: &Hbm, stream: &[DecodedAddr], window: usize) -> SimStats {
+    let geom = hbm.geometry();
+    let timing = hbm.timing();
+    let mut channels: Vec<ChannelSim> = (0..geom.num_channels())
+        .map(|_| ChannelSim::new(geom.banks_per_channel()))
+        .collect();
+    for &a in stream {
+        let a = hbm.effective_addr(a);
+        channels[a.channel as usize].push(a, false, 0);
+    }
+    let makespan = channels
+        .iter_mut()
+        .map(|c| c.drain_reference(window, &timing))
+        .max()
+        .unwrap_or(0);
+    SimStats {
+        requests: stream.len() as u64,
+        makespan,
+        per_channel: channels.iter().map(|c| c.stats()).collect(),
+        timing,
+    }
+}
+
 /// An HBM (or DDR) device simulator.
 ///
 /// Channels are fully independent — the defining property of
@@ -257,7 +284,7 @@ impl Hbm {
     /// draining once: while at least `window` requests are unserved on
     /// a channel, each FR-FCFS pick admits only already-pushed requests
     /// to its reorder window (see
-    /// [`crate::channel::ChannelSim::drain_partial`]), so the blocks
+    /// `ChannelSim::drain_partial`), so the blocks
     /// change no pick, no statistic, and no makespan.
     ///
     /// # Panics
@@ -456,29 +483,6 @@ mod tests {
     /// The one-shot oracle for [`Hbm::run_open_loop_windowed`]: every
     /// request, bank-hashed by `hbm`, is pushed into its channel, and
     /// each channel is drained once by `drain_reference`.
-    fn one_shot_oracle(hbm: &Hbm, stream: &[DecodedAddr], window: usize) -> SimStats {
-        let geom = hbm.geometry();
-        let timing = hbm.timing();
-        let mut channels: Vec<ChannelSim> = (0..geom.num_channels())
-            .map(|_| ChannelSim::new(geom.banks_per_channel()))
-            .collect();
-        for &a in stream {
-            let a = hbm.effective_addr(a);
-            channels[a.channel as usize].push(a, false, 0);
-        }
-        let makespan = channels
-            .iter_mut()
-            .map(|c| c.drain_reference(window, &timing))
-            .max()
-            .unwrap_or(0);
-        SimStats {
-            requests: stream.len() as u64,
-            makespan,
-            per_channel: channels.iter().map(|c| c.stats()).collect(),
-            timing,
-        }
-    }
-
     #[test]
     fn blocked_run_matches_one_shot_oracle() {
         // Streams of 2.5+ blocks: a uniform one over the whole device,
@@ -502,7 +506,7 @@ mod tests {
                 let got = device().run_open_loop_windowed(stream.iter().copied(), window);
                 assert_eq!(
                     got,
-                    one_shot_oracle(&device(), stream, window),
+                    open_loop_reference(&device(), stream, window),
                     "{name} stream, window {window}"
                 );
             }
@@ -531,7 +535,7 @@ mod tests {
         assert_eq!(got.per_channel[0].row_hits, 1);
         assert_eq!(
             got,
-            one_shot_oracle(&device().without_bank_hash(), &stream, window)
+            open_loop_reference(&device().without_bank_hash(), &stream, window)
         );
     }
 

@@ -144,13 +144,13 @@ impl Timing {
     }
 
     /// Peak per-channel bandwidth in bytes per second.
-    pub fn channel_peak_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn channel_peak_bytes_per_sec(&self) -> f64 {
         (crate::LINE_BYTES as f64 / self.t_burst as f64) * self.clock_ghz * 1e9
     }
 
     /// Converts a cycle count to seconds.
     #[inline]
-    pub fn cycles_to_secs(&self, cycles: Cycle) -> f64 {
+    pub(crate) fn cycles_to_secs(&self, cycles: Cycle) -> f64 {
         cycles as f64 / (self.clock_ghz * 1e9)
     }
 }

@@ -91,17 +91,6 @@ pub struct Amu {
 }
 
 impl Amu {
-    /// Creates an AMU from a crossbar configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PermError`] if the configuration is invalid.
-    pub fn from_config(cfg: AmuConfig, lo: u32) -> Result<Self, PermError> {
-        Ok(Amu {
-            perm: cfg.unpack(lo)?,
-        })
-    }
-
     /// Creates an AMU directly from a permutation.
     pub fn new(perm: BitPermutation) -> Self {
         Amu { perm }
@@ -115,13 +104,8 @@ impl Amu {
 
     /// [`Amu::apply`] in place over a block of addresses.
     #[inline]
-    pub fn apply_block(&self, addrs: &mut [u64]) {
+    pub(crate) fn apply_block(&self, addrs: &mut [u64]) {
         self.perm.apply_block(addrs);
-    }
-
-    /// The number of crossbar switches, `n²` (paper §5.2).
-    pub fn switch_count(&self) -> usize {
-        self.perm.len() * self.perm.len()
     }
 
     /// The configured permutation.
@@ -152,18 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn amu_applies_and_counts_switches() {
+    fn amu_applies_its_permutation() {
         let perm = BitPermutation::new(6, vec![1, 0, 2]).unwrap();
-        let amu = Amu::new(perm.clone());
-        assert_eq!(amu.switch_count(), 9);
+        let amu = Amu::new(perm);
         assert_eq!(amu.apply(1 << 6), 1 << 7);
         assert_eq!(amu.apply(1 << 7), 1 << 6);
-        assert_eq!(
-            Amu::from_config(AmuConfig::pack(&perm), 6)
-                .unwrap()
-                .apply(1 << 6),
-            1 << 7
-        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub struct AreaReport {
 /// registers per replica (registers are cheap; we charge one LUT per 4
 /// config bits for routing). The paper replicates the AMU 8× to sustain
 /// peak HBM bandwidth on the slow FPGA fabric.
-pub fn amu_cost(offset_bits: u32, replicas: u32) -> ResourceEstimate {
+pub(crate) fn amu_cost(offset_bits: u32, replicas: u32) -> ResourceEstimate {
     let n = offset_bits as u64;
     let switches = n * n;
     let config_luts = n * n.next_power_of_two().trailing_zeros() as u64 / 4;
@@ -83,7 +83,7 @@ pub fn amu_cost(offset_bits: u32, replicas: u32) -> ResourceEstimate {
 
 /// Estimates the CMT cost: its two-level storage as SRAM bits, plus a
 /// small indexing datapath in logic.
-pub fn cmt_cost(cmt: &Cmt) -> ResourceEstimate {
+pub(crate) fn cmt_cost(cmt: &Cmt) -> ResourceEstimate {
     let bits = cmt.storage_bits_two_level();
     // Index/compare datapath: a few hundred LUTs a side, modeled as
     // 40 LUTs per address bit of chunk index.

@@ -218,15 +218,6 @@ impl CmtLookupCache {
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Memo hit rate in `[0, 1]`; `None` before the first lookup.
-    pub fn hit_rate(&self) -> Option<f64> {
-        if self.hits + self.misses == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / (self.hits + self.misses) as f64)
-        }
-    }
 }
 
 impl Cmt {
@@ -408,12 +399,6 @@ impl Cmt {
         }
         self.epoch += 1;
         Ok(())
-    }
-
-    /// Chunks currently assigned to a mapping. The conservation
-    /// identity `sum over ids == num_chunks()` holds at all times.
-    pub fn assigned_chunks(&self, id: MappingId) -> u64 {
-        self.assigned[id.index()]
     }
 
     /// Assigns a chunk to a registered mapping. Models the kernel's
@@ -598,6 +583,14 @@ impl Cmt {
 mod tests {
     use super::*;
 
+    impl Cmt {
+        /// Chunks currently assigned to a mapping. The conservation
+        /// identity `sum over ids == num_chunks()` holds at all times.
+        fn assigned_chunks(&self, id: MappingId) -> u64 {
+            self.assigned[id.index()]
+        }
+    }
+
     fn swap_perm(a: usize, b: usize, n: usize) -> BitPermutation {
         let mut table: Vec<u32> = (0..n as u32).collect();
         table.swap(a, b);
@@ -740,7 +733,7 @@ mod tests {
         cmt.register(MappingId(1), &swap_perm(2, 9, 15));
         cmt.assign_chunk(0, MappingId(1)).unwrap();
         let mut cache = CmtLookupCache::default();
-        assert_eq!(cache.hit_rate(), None);
+        assert_eq!(cache.lookups(), 0);
         // Chunk-local run: 1 cold miss + 9 hits.
         for i in 0..10u64 {
             cmt.translate_cached(PhysAddr(i << 6), &mut cache);
@@ -757,7 +750,6 @@ mod tests {
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.lookups(), cache.hits() + cache.misses());
         assert_eq!(cache.lookups(), 13);
-        assert_eq!(cache.hit_rate(), Some(10.0 / 13.0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! Instead of hand-assembling a permutation table, a programmer states
 //! *which physical-address bits should select the channel* (and
-//! optionally column/bank); the descriptor compiles that intent into a
+//! optionally the bank); the descriptor compiles that intent into a
 //! validated [`BitPermutation`] for the AMU, placing all unmentioned
 //! bits in priority order.
 //!
@@ -94,7 +94,6 @@ impl std::error::Error for DescriptorError {}
 pub struct MappingDescriptor {
     geom: Geometry,
     channel: Vec<u32>,
-    column: Vec<u32>,
     bank: Vec<u32>,
 }
 
@@ -104,7 +103,6 @@ impl MappingDescriptor {
         MappingDescriptor {
             geom,
             channel: Vec::new(),
-            column: Vec::new(),
             bank: Vec::new(),
         }
     }
@@ -113,12 +111,6 @@ impl MappingDescriptor {
     /// drive the channel selector.
     pub fn channel_bits<I: IntoIterator<Item = u32>>(mut self, bits: I) -> Self {
         self.channel = bits.into_iter().collect();
-        self
-    }
-
-    /// Names the bits that should drive the column (row-buffer) index.
-    pub fn column_bits<I: IntoIterator<Item = u32>>(mut self, bits: I) -> Self {
-        self.column = bits.into_iter().collect();
         self
     }
 
@@ -157,9 +149,8 @@ impl MappingDescriptor {
         let n = (window_hi - lo) as usize;
 
         // Validate the requested bits.
-        let fields: [(&'static str, &[u32], u32); 3] = [
+        let fields: [(&'static str, &[u32], u32); 2] = [
             ("channel", &self.channel, self.geom.channel_bits()),
-            ("column", &self.column, self.geom.col_bits()),
             ("bank", &self.bank, self.geom.bank_bits()),
         ];
         let mut used = vec![false; n];
@@ -188,17 +179,14 @@ impl MappingDescriptor {
         }
 
         // Destination positions per field (window-relative), LSB-first:
-        // channel, column, bank, then row fills the rest.
+        // channel, then bank above the column bits; column and row take
+        // the rest.
         let ch_hi = lo + self.geom.channel_bits();
         let col_hi = ch_hi + self.geom.col_bits();
         let bank_hi = col_hi + self.geom.bank_bits();
         let field_dests =
             |a: u32, b: u32| -> Vec<u32> { (a..b.min(window_hi)).map(|d| d - lo).collect() };
-        let dests = [
-            field_dests(lo, ch_hi),
-            field_dests(ch_hi, col_hi),
-            field_dests(col_hi, bank_hi),
-        ];
+        let dests = [field_dests(lo, ch_hi), field_dests(col_hi, bank_hi)];
 
         let mut table = vec![u32::MAX; n];
         let mut taken_dest = vec![false; n];
@@ -257,7 +245,7 @@ mod tests {
     fn unspecified_bits_stay_near_identity() {
         // Asking for nothing compiles to the identity.
         let perm = MappingDescriptor::new(geom()).compile().unwrap();
-        assert!(perm.is_identity());
+        assert_eq!(perm, BitPermutation::identity(6, 27));
     }
 
     #[test]
@@ -274,16 +262,13 @@ mod tests {
     }
 
     #[test]
-    fn column_and_bank_requests() {
+    fn bank_request() {
         let perm = MappingDescriptor::new(geom())
             .channel_bits([14, 15, 16, 17, 18])
-            .column_bits([19, 20])
             .bank_bits([21, 22])
             .compile()
             .unwrap();
         let m = BitShuffleMapping::new(perm);
-        let d = geom().decode(m.map(PhysAddr(1 << 19)));
-        assert_eq!(d.col, 1);
         let d = geom().decode(m.map(PhysAddr(1 << 21)));
         assert_eq!(d.bank, 1);
         // Round-trips.
@@ -311,12 +296,12 @@ mod tests {
         );
         assert_eq!(
             MappingDescriptor::new(geom())
-                .column_bits([10, 11, 12])
+                .channel_bits([10, 11, 12, 13, 14, 15])
                 .compile(),
             Err(DescriptorError::TooManyBits {
-                field: "column",
-                width: 2,
-                given: 3
+                field: "channel",
+                width: 5,
+                given: 6
             })
         );
     }

@@ -185,11 +185,6 @@ impl BitPermutation {
         &self.table
     }
 
-    /// True if this is the identity routing.
-    pub fn is_identity(&self) -> bool {
-        self.table.iter().enumerate().all(|(i, &s)| i as u32 == s)
-    }
-
     /// Applies the permutation to an address.
     ///
     /// This is the table-driven fast path: the window is split into
@@ -212,7 +207,7 @@ impl BitPermutation {
     /// Bit-identical to calling [`BitPermutation::apply`] on each
     /// element; the window mask is hoisted out of the loop so the
     /// per-address work is the byte-scatter alone.
-    pub fn apply_block(&self, addrs: &mut [u64]) {
+    pub(crate) fn apply_block(&self, addrs: &mut [u64]) {
         let n = self.table.len() as u32;
         let mask = ((1u64 << n) - 1) << self.lo;
         for a in addrs {
@@ -463,7 +458,6 @@ mod tests {
     #[test]
     fn identity_leaves_addresses_unchanged() {
         let p = BitPermutation::identity(6, 15);
-        assert!(p.is_identity());
         for a in [0u64, 0x3f, 0xdead_beef, u64::MAX >> 8] {
             assert_eq!(p.apply(a), a);
         }

@@ -108,7 +108,7 @@ impl BitSet {
     }
 
     /// The smallest member `>= from`, if any.
-    pub fn next_set(&self, from: u64) -> Option<u64> {
+    pub(crate) fn next_set(&self, from: u64) -> Option<u64> {
         if self.len == 0 || from >= self.capacity {
             return None;
         }
@@ -146,13 +146,13 @@ impl BitSet {
     /// the raw column for callers that need word-parallel scans such as
     /// neighbor masking or contiguous-run measurement.
     #[inline]
-    pub fn leaf_words(&self) -> &[u64] {
+    pub(crate) fn leaf_words(&self) -> &[u64] {
         &self.levels[0]
     }
 
     /// The length of the longest run of consecutive members, by direct
     /// word scan (report path, not the warm path).
-    pub fn max_contiguous_run(&self) -> u64 {
+    pub(crate) fn max_contiguous_run(&self) -> u64 {
         let mut best = 0u64;
         let mut run = 0u64;
         let mut remaining = self.capacity;

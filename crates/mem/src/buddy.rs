@@ -65,7 +65,7 @@ impl BuddyAllocator {
 
     /// Total pages managed.
     #[inline]
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         1u64 << self.max_order
     }
 
@@ -75,23 +75,11 @@ impl BuddyAllocator {
         self.allocated_pages
     }
 
-    /// Pages currently free.
-    #[inline]
-    pub fn free_pages(&self) -> u64 {
-        self.total_pages() - self.allocated_pages
-    }
-
     /// True when nothing is allocated — the condition under which the
     /// kernel returns the chunk to the global free list.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.allocated_pages == 0
-    }
-
-    /// True when every page is allocated.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.allocated_pages == self.total_pages()
     }
 
     /// Allocates a block of `2^order` pages, returning its page offset.
@@ -157,7 +145,7 @@ impl BuddyAllocator {
     }
 
     /// The largest order currently allocatable.
-    pub fn largest_free_order(&self) -> Option<u32> {
+    pub(crate) fn largest_free_order(&self) -> Option<u32> {
         (0..=self.max_order)
             .rev()
             .find(|&o| !self.free_lists[o as usize].is_empty())
@@ -194,7 +182,7 @@ impl BuddyAllocatorReference {
 
     /// Total pages managed.
     #[inline]
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         1u64 << self.max_order
     }
 
@@ -206,7 +194,7 @@ impl BuddyAllocatorReference {
 
     /// Pages currently free.
     #[inline]
-    pub fn free_pages(&self) -> u64 {
+    pub(crate) fn free_pages(&self) -> u64 {
         self.total_pages() - self.allocated_pages
     }
 
@@ -214,12 +202,6 @@ impl BuddyAllocatorReference {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.allocated_pages == 0
-    }
-
-    /// True when every page is allocated.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.allocated_pages == self.total_pages()
     }
 
     /// Allocates a block of `2^order` pages, returning its page offset.
@@ -278,24 +260,26 @@ impl BuddyAllocatorReference {
         }
         self.free_lists[order as usize].insert(offset);
     }
-
-    /// The largest order currently allocatable.
-    pub fn largest_free_order(&self) -> Option<u32> {
-        (0..=self.max_order)
-            .rev()
-            .find(|&o| !self.free_lists[o as usize].is_empty())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl BuddyAllocatorReference {
+        /// The largest order currently allocatable.
+        fn largest_free_order(&self) -> Option<u32> {
+            (0..=self.max_order)
+                .rev()
+                .find(|&o| !self.free_lists[o as usize].is_empty())
+        }
+    }
+
     #[test]
     fn alloc_whole_region() {
         let mut b = BuddyAllocator::new(3);
         assert_eq!(b.alloc(3), Some(0));
-        assert!(b.is_full());
+        assert_eq!(b.allocated_pages(), 8);
         assert_eq!(b.alloc(0), None);
         b.free(0, 3);
         assert!(b.is_empty());
@@ -309,7 +293,7 @@ mod tests {
             let p = b.alloc(0).unwrap();
             assert!(seen.insert(p), "page {p} handed out twice");
         }
-        assert!(b.is_full());
+        assert_eq!(b.allocated_pages(), 16);
     }
 
     #[test]
@@ -330,7 +314,7 @@ mod tests {
         let _p2 = b.alloc(0).unwrap();
         b.free(p0, 0);
         b.free(p1, 0); // p0+p1 coalesce into an order-1 block
-        assert_eq!(b.free_pages(), 3);
+        assert_eq!(b.allocated_pages(), 1);
         assert_eq!(b.alloc(2), None, "3 free pages but no order-2 block");
         assert!(b.alloc(1).is_some());
     }

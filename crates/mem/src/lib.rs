@@ -74,7 +74,7 @@ impl VirtAddr {
 
     /// The offset within the page.
     #[inline]
-    pub fn page_offset(self, page_bits: u32) -> u64 {
+    pub(crate) fn page_offset(self, page_bits: u32) -> u64 {
         self.0 & ((1u64 << page_bits) - 1)
     }
 }

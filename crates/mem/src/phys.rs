@@ -233,12 +233,6 @@ impl ChunkAllocator {
         }
     }
 
-    /// The paper's configuration: 8 GB HBM, 2 MB chunks, 4 KB pages
-    /// (4096 chunks, 512 pages each).
-    pub fn paper_8gb() -> Self {
-        ChunkAllocator::new(33, 21, 12)
-    }
-
     /// Chunk size in bytes.
     #[inline]
     pub fn chunk_bytes(&self) -> u64 {
@@ -544,11 +538,6 @@ impl ChunkAllocator {
         self.free.len()
     }
 
-    /// Chunks assigned to a mapping's group.
-    pub fn group_size(&self, mapping: MappingId) -> u64 {
-        self.group_sizes[mapping.0 as usize]
-    }
-
     /// Internal fragmentation: free pages stranded inside in-use chunks
     /// (they cannot serve other mappings). The paper bounds this by the
     /// number of access patterns, not the number of chunks (§4).
@@ -694,11 +683,6 @@ impl ChunkAllocatorReference {
             chunks_claimed: 0,
             chunks_released: 0,
         }
-    }
-
-    /// The paper's configuration: 8 GB HBM, 2 MB chunks, 4 KB pages.
-    pub fn paper_8gb() -> Self {
-        ChunkAllocatorReference::new(33, 21, 12)
     }
 
     /// Pages per chunk.
@@ -915,11 +899,6 @@ impl ChunkAllocatorReference {
         self.free_chunks.len() as u64
     }
 
-    /// Chunks assigned to a mapping's group.
-    pub fn group_size(&self, mapping: MappingId) -> u64 {
-        self.groups.get(&mapping).map_or(0, |g| g.len() as u64)
-    }
-
     /// Internal fragmentation: free pages stranded inside in-use chunks.
     pub fn internal_fragmentation_pages(&self) -> u64 {
         self.chunks.values().map(|s| s.buddy.free_pages()).sum()
@@ -1007,6 +986,13 @@ impl ChunkAllocatorReference {
 mod tests {
     use super::*;
 
+    impl ChunkAllocator {
+        /// Chunks assigned to a mapping's group.
+        fn group_size(&self, mapping: MappingId) -> u64 {
+            self.group_sizes[mapping.0 as usize]
+        }
+    }
+
     fn small() -> ChunkAllocator {
         // 16 MB, 2 MB chunks (8 chunks), 4 KB pages (512 per chunk).
         ChunkAllocator::new(24, 21, 12)
@@ -1014,7 +1000,7 @@ mod tests {
 
     #[test]
     fn paper_configuration_counts() {
-        let a = ChunkAllocator::paper_8gb();
+        let a = ChunkAllocator::new(33, 21, 12);
         assert_eq!(a.free_chunk_count(), 4096);
         assert_eq!(a.pages_per_chunk(), 512);
         assert_eq!(a.chunk_bytes(), 2 << 20);

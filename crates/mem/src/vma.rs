@@ -301,7 +301,7 @@ impl AddressSpace {
     }
 
     /// The VMA containing `va`, if any.
-    pub fn area_containing(&self, va: VirtAddr) -> Option<VmArea> {
+    pub(crate) fn area_containing(&self, va: VirtAddr) -> Option<VmArea> {
         let (_, area) = self.vmas.range(..=va.0).next_back()?;
         area.contains(va).then_some(*area)
     }

@@ -74,7 +74,7 @@ impl DeltaVocab {
     }
 
     /// Looks a delta up (0 for out-of-vocabulary).
-    pub fn id_of(&self, delta: u64) -> usize {
+    pub(crate) fn id_of(&self, delta: u64) -> usize {
         self.map.get(&delta).copied().unwrap_or(0)
     }
 

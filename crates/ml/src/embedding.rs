@@ -34,7 +34,7 @@ impl Embedding {
 
     /// Vocabulary size.
     #[inline]
-    pub fn vocab(&self) -> usize {
+    pub(crate) fn vocab(&self) -> usize {
         self.table.rows()
     }
 
@@ -77,7 +77,7 @@ impl Embedding {
     }
 
     /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.zero();
     }
 

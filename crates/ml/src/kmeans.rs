@@ -168,57 +168,6 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Result<Clustering, 
     })
 }
 
-/// The mean silhouette coefficient of a clustering in `[-1, 1]`:
-/// per point, `(b - a) / max(a, b)` where `a` is the mean distance to
-/// the point's own cluster and `b` the mean distance to the nearest
-/// other cluster. Values near 1 mean tight, well-separated clusters;
-/// near 0, overlapping ones.
-///
-/// Returns `None` when every point sits alone or only one cluster is
-/// non-empty (silhouette is undefined there).
-///
-/// # Panics
-///
-/// Panics if `assignments.len() != points.len()`.
-pub fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> Option<f64> {
-    assert_eq!(points.len(), assignments.len(), "length mismatch");
-    let k = assignments.iter().copied().max()? + 1;
-    let clusters: Vec<Vec<usize>> = (0..k)
-        .map(|c| (0..points.len()).filter(|&i| assignments[i] == c).collect())
-        .collect();
-    if clusters.iter().filter(|c| !c.is_empty()).count() < 2 {
-        return None;
-    }
-    let mut total = 0.0;
-    let mut counted = 0usize;
-    for i in 0..points.len() {
-        let own = &clusters[assignments[i]];
-        if own.len() < 2 {
-            continue; // silhouette of a singleton is defined as 0; skip
-        }
-        let mean_to = |members: &[usize]| -> f64 {
-            let sum: f64 = members
-                .iter()
-                .filter(|&&j| j != i)
-                .map(|&j| sq_dist(&points[i], &points[j]).sqrt())
-                .sum();
-            sum / members.iter().filter(|&&j| j != i).count().max(1) as f64
-        };
-        let a = mean_to(own);
-        let b = clusters
-            .iter()
-            .enumerate()
-            .filter(|(c, m)| *c != assignments[i] && !m.is_empty())
-            .map(|(_, m)| mean_to(m))
-            .fold(f64::INFINITY, f64::min);
-        if b.is_finite() {
-            total += (b - a) / a.max(b).max(f64::EPSILON);
-            counted += 1;
-        }
-    }
-    (counted > 0).then(|| total / counted as f64)
-}
-
 /// One Lloyd update step: each non-empty cluster's centroid moves to
 /// the mean of its members; each *empty* cluster is re-seeded on the
 /// farthest point from its current centroid, with points already used
@@ -404,33 +353,6 @@ mod tests {
         .unwrap();
         let c_of_far = r.assignments[2];
         assert_eq!(r.members(c_of_far), vec![2]);
-    }
-
-    #[test]
-    fn silhouette_ranks_good_clusterings_higher() {
-        let pts = blobs(&[(0.0, 0.0), (10.0, 10.0)], 15, 0.5, 5);
-        let good = kmeans(
-            &pts,
-            &KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let s_good = silhouette(&pts, &good.assignments).unwrap();
-        // A deliberately bad split: alternate assignment.
-        let bad: Vec<usize> = (0..pts.len()).map(|i| i % 2).collect();
-        let s_bad = silhouette(&pts, &bad).unwrap();
-        assert!(s_good > 0.7, "tight blobs should score high: {s_good}");
-        assert!(s_good > s_bad + 0.3, "{s_good} vs {s_bad}");
-    }
-
-    #[test]
-    fn silhouette_undefined_for_single_cluster() {
-        let pts = blobs(&[(0.0, 0.0)], 10, 1.0, 2);
-        let one = vec![0usize; 10];
-        assert_eq!(silhouette(&pts, &one), None);
-        assert_eq!(silhouette(&[], &[]), None);
     }
 
     #[test]

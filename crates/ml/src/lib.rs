@@ -46,4 +46,4 @@ pub mod lstm;
 pub mod optim;
 
 pub use config::{TrainingConfig, TrainingError};
-pub use kmeans::{kmeans, silhouette, Clustering, KMeansConfig, KMeansError};
+pub use kmeans::{kmeans, Clustering, KMeansConfig, KMeansError};

@@ -1,8 +1,8 @@
 //! Minimal dense linear algebra for the LSTM autoencoder.
 //!
 //! Everything is `f64` and batch size 1: the matrix–vector product
-//! [`Mat::matvec`], its transpose [`Mat::matvec_t`] (the backward pass)
-//! and the outer-product accumulation [`Mat::add_outer`] (the weight
+//! `Mat::matvec`, its transpose `Mat::matvec_t` (the backward pass)
+//! and the outer-product accumulation `Mat::add_outer` (the weight
 //! gradient) are all the LSTM kernels need, one sequence step at a
 //! time.
 
@@ -29,18 +29,8 @@ impl Mat {
         }
     }
 
-    /// A matrix from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Mat { rows, cols, data }
-    }
-
     /// Xavier/Glorot-uniform initialization with the given RNG.
-    pub fn xavier<R: rand::Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
+    pub(crate) fn xavier<R: rand::Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
         let bound = (6.0 / (rows + cols) as f64).sqrt();
         let data = (0..rows * cols)
             .map(|_| rng.gen_range(-bound..bound))
@@ -80,7 +70,7 @@ impl Mat {
 
     /// The flat row-major buffer, mutably (for optimizers).
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -89,7 +79,7 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         self.data
             .chunks_exact(self.cols)
@@ -97,12 +87,12 @@ impl Mat {
             .collect()
     }
 
-    /// `x = Aᵀ·y` (the backward pass of [`Mat::matvec`]).
+    /// `x = Aᵀ·y` (the backward pass of `Mat::matvec`).
     ///
     /// # Panics
     ///
     /// Panics if `y.len() != rows`.
-    pub fn matvec_t(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec_t(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.rows, "matvec_t dimension mismatch");
         let mut x = vec![0.0; self.cols];
         for (row, &yv) in self.data.chunks_exact(self.cols).zip(y) {
@@ -119,7 +109,7 @@ impl Mat {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn add_outer(&mut self, dy: &[f64], x: &[f64]) {
+    pub(crate) fn add_outer(&mut self, dy: &[f64], x: &[f64]) {
         assert_eq!(dy.len(), self.rows, "outer rows mismatch");
         assert_eq!(x.len(), self.cols, "outer cols mismatch");
         for (row, &dyv) in self.data.chunks_exact_mut(self.cols).zip(dy) {
@@ -137,7 +127,7 @@ impl Mat {
 
 /// The logistic sigmoid.
 #[inline]
-pub fn sigmoid(x: f64) -> f64 {
+pub(crate) fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
@@ -146,7 +136,7 @@ pub fn sigmoid(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics on length mismatch.
-pub fn add_assign(a: &mut [f64], b: &[f64]) {
+pub(crate) fn add_assign(a: &mut [f64], b: &[f64]) {
     assert_eq!(a.len(), b.len(), "length mismatch");
     for (x, y) in a.iter_mut().zip(b) {
         *x += y;
@@ -158,7 +148,7 @@ pub fn add_assign(a: &mut [f64], b: &[f64]) {
 /// # Panics
 ///
 /// Panics on length mismatch.
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
@@ -169,7 +159,11 @@ mod tests {
 
     #[test]
     fn matvec_and_transpose_agree() {
-        let a = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let a = Mat {
+            rows: 2,
+            cols: 3,
+            data: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        };
         assert_eq!(a.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
         assert_eq!(a.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
     }
@@ -188,7 +182,11 @@ mod tests {
     #[test]
     fn matvec_transpose_identity_property() {
         // <A x, y> == <x, A^T y> for random-ish values.
-        let a = Mat::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.25, -0.75, 1.5]);
+        let a = Mat {
+            rows: 3,
+            cols: 2,
+            data: vec![0.5, -1.0, 2.0, 0.25, -0.75, 1.5],
+        };
         let x = [1.0, -2.0];
         let y = [0.5, 1.0, -1.0];
         let ax = a.matvec(&x);

@@ -2,10 +2,10 @@
 //!
 //! Gate order in the packed weight matrix is `[i, f, o, g]` (input,
 //! forget, output, candidate). Everything runs one sequence step at a
-//! time: [`LstmLayer::forward_step`] and [`LstmLayer::backward_step`]
-//! are the kernels, and [`Lstm::forward`] and [`Lstm::backward`] drive
+//! time: `LstmLayer::forward_step` and `LstmLayer::backward_step`
+//! are the kernels, and [`Lstm::forward`] and `Lstm::backward` drive
 //! them over a stack of layers and a whole sequence. Gradients
-//! accumulate in the layers until [`Lstm::zero_grad`], so a caller
+//! accumulate in the layers until `Lstm::zero_grad`, so a caller
 //! builds a minibatch by running several samples before one
 //! [`Lstm::step`].
 
@@ -63,12 +63,6 @@ impl LstmLayer {
         }
     }
 
-    /// Input dimension.
-    #[inline]
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Hidden dimension.
     #[inline]
     pub fn hidden_dim(&self) -> usize {
@@ -80,7 +74,7 @@ impl LstmLayer {
     /// # Panics
     ///
     /// Panics on dimension mismatches.
-    pub fn forward_step(
+    pub(crate) fn forward_step(
         &self,
         x: &[f64],
         h_prev: &[f64],
@@ -115,7 +109,7 @@ impl LstmLayer {
     /// One backward step: given `dh` and `dc` flowing into this step's
     /// outputs, accumulates weight gradients and returns
     /// `(dx, dh_prev, dc_prev)`.
-    pub fn backward_step(
+    pub(crate) fn backward_step(
         &mut self,
         cache: &StepCache,
         dh: &[f64],
@@ -152,7 +146,7 @@ impl LstmLayer {
     }
 
     /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.dw.zero();
         self.db.iter_mut().for_each(|v| *v = 0.0);
     }
@@ -161,21 +155,6 @@ impl LstmLayer {
     pub fn step(&mut self, lr: f64) {
         self.adam_w.step(self.w.data_mut(), self.dw.data(), lr);
         self.adam_b.step(&mut self.b, &self.db, lr);
-    }
-
-    /// Raw parameter access for gradient checking: `(w, b)`.
-    pub fn params(&self) -> (&Mat, &[f64]) {
-        (&self.w, &self.b)
-    }
-
-    /// Mutable parameter access for gradient checking.
-    pub fn params_mut(&mut self) -> (&mut Mat, &mut Vec<f64>) {
-        (&mut self.w, &mut self.b)
-    }
-
-    /// Raw gradient access for gradient checking: `(dw, db)`.
-    pub fn grads(&self) -> (&Mat, &[f64]) {
-        (&self.dw, &self.db)
     }
 }
 
@@ -208,21 +187,10 @@ impl Lstm {
         Lstm { layers: v }
     }
 
-    /// Number of layers.
-    #[inline]
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Hidden dimension.
     #[inline]
     pub fn hidden_dim(&self) -> usize {
         self.layers[0].hidden_dim()
-    }
-
-    /// The layers (for gradient checking).
-    pub fn layers_mut(&mut self) -> &mut [LstmLayer] {
-        &mut self.layers
     }
 
     /// Runs the stack over `inputs`, returning the top-layer hidden
@@ -256,7 +224,7 @@ impl Lstm {
     /// the top-layer hidden state at step `t`; `d_last_c` optionally
     /// injects gradient into the final cell state of the top layer.
     /// Returns the gradient w.r.t. each input vector.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         cache: &SeqCache,
         d_top: &[Vec<f64>],
@@ -290,7 +258,7 @@ impl Lstm {
     }
 
     /// Clears gradients in all layers.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         for l in &mut self.layers {
             l.zero_grad();
         }
@@ -351,17 +319,17 @@ mod tests {
         lstm.zero_grad();
         lstm.backward(&cache, &d_top, None);
         let eps = 1e-5;
-        for l in 0..lstm.num_layers() {
-            let (w, _) = lstm.layers_mut()[l].params();
+        for l in 0..lstm.layers.len() {
+            let w = &lstm.layers[l].w;
             let probe = [(0, 0), (1, 2), (w.rows() - 1, w.cols() - 1)];
             for &(r, c) in &probe {
-                let analytic = lstm.layers_mut()[l].grads().0.get(r, c);
-                let orig = lstm.layers_mut()[l].params().0.get(r, c);
-                *lstm.layers_mut()[l].params_mut().0.get_mut(r, c) = orig + eps;
+                let analytic = lstm.layers[l].dw.get(r, c);
+                let orig = lstm.layers[l].w.get(r, c);
+                *lstm.layers[l].w.get_mut(r, c) = orig + eps;
                 let plus = loss_of(&lstm, &inputs);
-                *lstm.layers_mut()[l].params_mut().0.get_mut(r, c) = orig - eps;
+                *lstm.layers[l].w.get_mut(r, c) = orig - eps;
                 let minus = loss_of(&lstm, &inputs);
-                *lstm.layers_mut()[l].params_mut().0.get_mut(r, c) = orig;
+                *lstm.layers[l].w.get_mut(r, c) = orig;
                 let numeric = (plus - minus) / (2.0 * eps);
                 assert!(
                     (analytic - numeric).abs() < 1e-6 * (1.0 + numeric.abs()),

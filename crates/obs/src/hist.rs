@@ -36,7 +36,7 @@ impl Log2Histogram {
     }
 
     /// The bucket index a value falls into.
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -46,7 +46,7 @@ impl Log2Histogram {
 
     /// The half-open value range `[lo, hi)` covered by `bucket`
     /// (`hi == u64::MAX` stands in for `2^64` in the last bucket).
-    pub fn bucket_range(bucket: usize) -> (u64, u64) {
+    pub(crate) fn bucket_range(bucket: usize) -> (u64, u64) {
         match bucket {
             0 => (0, 1),
             64 => (1 << 63, u64::MAX),
@@ -80,13 +80,8 @@ impl Log2Histogram {
         }
     }
 
-    /// Count in one bucket.
-    pub fn bucket_count(&self, bucket: usize) -> u64 {
-        self.buckets[bucket]
-    }
-
     /// Non-empty buckets as `(bucket_index, count)` in index order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -151,7 +146,7 @@ impl CountHistogram {
     }
 
     /// Records `n` observations of `key`.
-    pub fn record_n(&mut self, key: i64, n: u64) {
+    pub(crate) fn record_n(&mut self, key: i64, n: u64) {
         if n > 0 {
             *self.counts.entry(key).or_insert(0) += n;
             self.total += n;
@@ -231,13 +226,13 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 1006);
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(3), 1); // 5 in [4, 8)
+        assert_eq!(h.buckets[0], 1);
+        assert_eq!(h.buckets[3], 1); // 5 in [4, 8)
         let mut other = Log2Histogram::new();
         other.record(5);
         h.merge(&other);
         assert_eq!(h.count(), 5);
-        assert_eq!(h.bucket_count(3), 2);
+        assert_eq!(h.buckets[3], 2);
         assert_eq!(h.nonzero_buckets().count(), 4);
         assert_eq!(h.mean(), Some(1011.0 / 5.0));
         assert_eq!(Log2Histogram::new().mean(), None);

@@ -77,41 +77,41 @@ impl Writer {
     }
 
     /// Opens an object, optionally as the value of `key`.
-    pub fn open_object(&mut self, key: Option<&str>) {
+    pub(crate) fn open_object(&mut self, key: Option<&str>) {
         self.open(key, '{');
     }
 
     /// Closes the innermost object.
-    pub fn close_object(&mut self) {
+    pub(crate) fn close_object(&mut self) {
         self.close('}');
     }
 
     /// Opens an array, optionally as the value of `key`.
-    pub fn open_array(&mut self, key: Option<&str>) {
+    pub(crate) fn open_array(&mut self, key: Option<&str>) {
         self.open(key, '[');
     }
 
     /// Closes the innermost array.
-    pub fn close_array(&mut self) {
+    pub(crate) fn close_array(&mut self) {
         self.close(']');
     }
 
     /// Writes `"key": value`.
-    pub fn field_u64(&mut self, key: &str, value: u64) {
+    pub(crate) fn field_u64(&mut self, key: &str, value: u64) {
         self.pre_item();
         self.buf
             .push_str(&format!("\"{}\": {}", escape(key), value));
     }
 
     /// Writes `"key": "value"`.
-    pub fn field_str(&mut self, key: &str, value: &str) {
+    pub(crate) fn field_str(&mut self, key: &str, value: &str) {
         self.pre_item();
         self.buf
             .push_str(&format!("\"{}\": \"{}\"", escape(key), escape(value)));
     }
 
     /// Writes a bare `[a, b]` pair as an array element.
-    pub fn pair_u64(&mut self, a: u64, b: u64) {
+    pub(crate) fn pair_u64(&mut self, a: u64, b: u64) {
         self.pre_item();
         self.buf.push_str(&format!("[{a}, {b}]"));
     }

@@ -122,12 +122,13 @@ pub struct FoldRecovery {
     pub calibration: Calibrator,
 }
 
-/// The recovery agent: geometry knowledge and a validation sample
-/// count.
+/// Held-out validation probes per recovery.
+const VALIDATION_SAMPLES: u64 = 64;
+
+/// The recovery agent: geometry knowledge of the device it probes.
 #[derive(Debug, Clone, Copy)]
 pub struct Agent {
     geom: Geometry,
-    validation: u32,
 }
 
 /// One recovery's experiments on a target: calibration, then probe
@@ -208,21 +209,9 @@ fn class_of_ha_delta(geom: Geometry, d: u64) -> Option<LatencyClass> {
 }
 
 impl Agent {
-    /// An agent for a device with the given (public) geometry, with the
-    /// default validation budget.
+    /// An agent for a device with the given (public) geometry.
     pub fn new(geom: Geometry) -> Agent {
-        Agent {
-            geom,
-            validation: 64,
-        }
-    }
-
-    /// Sets the number of held-out validation probes per recovery
-    /// (`0` disables validation; confidence is then reported as 1.0
-    /// from the recovery equations alone).
-    pub fn with_validation(mut self, samples: u32) -> Agent {
-        self.validation = samples;
-        self
+        Agent { geom }
     }
 
     /// The device geometry this agent assumes.
@@ -239,13 +228,10 @@ impl Agent {
         probe_hi: u32,
         ha_of_delta: impl Fn(u64) -> u64,
     ) -> f64 {
-        if self.validation == 0 {
-            return 1.0;
-        }
         let geom = self.geom;
         let lo = geom.line_bits();
         let delta_mask = (1u64 << probe_hi) - (1u64 << lo);
-        let ok = (0..u64::from(self.validation))
+        let ok = (0..VALIDATION_SAMPLES)
             .filter(|&i| {
                 let mut delta = sample64(i, 0xd3) & delta_mask;
                 if delta == 0 {
@@ -258,7 +244,7 @@ impl Agent {
                 }
             })
             .count();
-        ok as f64 / self.validation as f64
+        ok as f64 / VALIDATION_SAMPLES as f64
     }
 
     /// Recovers the controller's row→bank fold structure from a target

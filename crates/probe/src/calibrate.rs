@@ -93,7 +93,7 @@ impl Calibrator {
     }
 
     /// The lowest latency classified as a conflict.
-    pub fn conflict_floor(&self) -> Cycle {
+    pub(crate) fn conflict_floor(&self) -> Cycle {
         self.conflict_floor
     }
 }

@@ -50,7 +50,7 @@ impl Gf2System {
     /// # Panics
     ///
     /// Panics if `mask` references an unknown outside the system.
-    pub fn equation(&mut self, mask: u64, rhs: u64) {
+    pub(crate) fn equation(&mut self, mask: u64, rhs: u64) {
         if self.unknowns < 64 {
             assert_eq!(
                 mask >> self.unknowns,
@@ -63,14 +63,9 @@ impl Gf2System {
         self.rows.push((mask, rhs));
     }
 
-    /// Number of equations added so far.
-    pub fn equations(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Gauss-Jordan elimination: reduce to row echelon form, then
     /// back-substitute.
-    pub fn solve(&self) -> Gf2Solution {
+    pub(crate) fn solve(&self) -> Gf2Solution {
         let mut rows = self.rows.clone();
         let mut pivot_of: Vec<Option<usize>> = vec![None; self.unknowns as usize];
         let mut next = 0usize;

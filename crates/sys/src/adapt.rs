@@ -210,7 +210,7 @@ impl RemapController {
     /// request against its chunk and keeps the first `sample_lines`
     /// physical addresses for candidate scoring. The driver calls this
     /// in trace order, before translation.
-    pub fn note_access(&mut self, pa: u64) {
+    pub(crate) fn note_access(&mut self, pa: u64) {
         let w = self.window.entry(pa >> self.chunk_bits).or_default();
         w.requests += 1;
         if w.samples.len() < self.cfg.sample_lines {
@@ -220,7 +220,7 @@ impl RemapController {
 
     /// Records the row-buffer outcome of a serviced workload request;
     /// the driver calls this inline in replay order.
-    pub fn note_outcome(&mut self, chunk: u64, channel: u64, outcome: RowOutcome) {
+    pub(crate) fn note_outcome(&mut self, chunk: u64, channel: u64, outcome: RowOutcome) {
         let w = self.window.entry(chunk).or_default();
         w.channel_mask |= 1u64 << channel.min(63);
         if outcome == RowOutcome::Conflict {
@@ -232,7 +232,7 @@ impl RemapController {
     /// when a window boundary has been crossed and
     /// [`RemapController::end_window`] should run. Boundaries land on
     /// driver block edges, so they depend only on the trace length.
-    pub fn block_done(&mut self, block_len: usize) -> bool {
+    pub(crate) fn block_done(&mut self, block_len: usize) -> bool {
         self.accesses_seen += block_len as u64;
         if self.accesses_seen < self.next_window_at {
             return false;
@@ -248,7 +248,7 @@ impl RemapController {
     /// the migrations to perform (possibly none). Reads the CMT only —
     /// the driver applies the plans (injects traffic, then
     /// `assign_chunk`).
-    pub fn end_window(&mut self, cmt: &Cmt) -> Vec<MigrationPlan> {
+    pub(crate) fn end_window(&mut self, cmt: &Cmt) -> Vec<MigrationPlan> {
         self.report.windows += 1;
 
         // Cooldowns tick down first; a chunk whose cooldown expires this
@@ -340,14 +340,14 @@ impl RemapController {
 
     /// Records one executed migration (requests injected and bytes
     /// moved).
-    pub fn note_migration(&mut self, requests: u64, bytes: u64) {
+    pub(crate) fn note_migration(&mut self, requests: u64, bytes: u64) {
         self.report.migrations += 1;
         self.report.migration_requests += requests;
         self.report.migrated_bytes += bytes;
     }
 
     /// Records the row-buffer outcome of one injected migration request.
-    pub fn note_migration_outcome(&mut self, outcome: RowOutcome) {
+    pub(crate) fn note_migration_outcome(&mut self, outcome: RowOutcome) {
         match outcome {
             RowOutcome::Hit => self.report.migration_row_hits += 1,
             RowOutcome::Miss => self.report.migration_row_misses += 1,
@@ -357,14 +357,14 @@ impl RemapController {
 
     /// Records the cycles every core stalled behind a migrating
     /// boundary.
-    pub fn note_migration_stall(&mut self, cycles: u64) {
+    pub(crate) fn note_migration_stall(&mut self, cycles: u64) {
         self.report.migration_clocks += cycles;
     }
 
     /// Finishes the run: folds the trailing partial window (its
     /// counters still belong in the cumulative attribution — no policy
     /// runs on it) and returns the report.
-    pub fn into_report(mut self) -> AdaptReport {
+    pub(crate) fn into_report(mut self) -> AdaptReport {
         self.fold_window();
         self.report
     }

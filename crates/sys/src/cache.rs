@@ -32,7 +32,7 @@ impl CacheConfig {
     /// A small accelerator buffer: 8 KB, 4-way. The paper notes
     /// accelerators "have smaller caches, leading to higher cache miss
     /// rate".
-    pub fn accelerator_buffer() -> Self {
+    pub(crate) fn accelerator_buffer() -> Self {
         CacheConfig {
             capacity_bytes: 8 << 10,
             ways: 4,
@@ -42,7 +42,7 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the shape.
-    pub fn num_sets(&self) -> usize {
+    pub(crate) fn num_sets(&self) -> usize {
         (self.capacity_bytes / (self.line_bytes * self.ways as u64)) as usize
     }
 

@@ -108,7 +108,7 @@ impl MappingEngine {
     /// a chunk holds 32 K lines). Same result as [`MappingEngine::decode`]
     /// for every input.
     #[inline]
-    pub fn decode_cached(
+    pub(crate) fn decode_cached(
         &self,
         pa: PhysAddr,
         geom: Geometry,
@@ -120,13 +120,13 @@ impl MappingEngine {
         }
     }
 
-    /// Block twin of [`MappingEngine::decode_cached`]: translates a
+    /// Block twin of `MappingEngine::decode_cached`: translates a
     /// block of raw physical addresses in place and appends the decoded
     /// hardware addresses to `out`.
     ///
     /// The engine dispatch and mapping setup are hoisted to one match
     /// per block; results and translation counters are bit-identical to
-    /// calling [`MappingEngine::decode_cached`] on each element in
+    /// calling `MappingEngine::decode_cached` on each element in
     /// order (the `pas` slice must be one stream's addresses in stream
     /// order, since the memo in `cache` is order-sensitive).
     pub fn decode_block(
@@ -152,7 +152,7 @@ impl MappingEngine {
     /// would inflate the lookup to ~20 % of an access; we charge the
     /// paper's *ratio* of the modeled closed-bank latency instead, which
     /// keeps "negligible" meaning negligible.
-    pub fn lookup_cycles(&self, timing: &sdam_hbm::Timing) -> u64 {
+    pub(crate) fn lookup_cycles(&self, timing: &sdam_hbm::Timing) -> u64 {
         match self {
             MappingEngine::Global(_) => 0,
             MappingEngine::Chunked(_) => {
@@ -173,14 +173,14 @@ impl MappingEngine {
     /// The chunk-mapping table, if this engine runs the chunked path.
     /// Adaptive remapping is only meaningful on the chunked path — a
     /// global mapping has no per-chunk assignment to flip.
-    pub fn as_chunked(&self) -> Option<&Cmt> {
+    pub(crate) fn as_chunked(&self) -> Option<&Cmt> {
         match self {
             MappingEngine::Global(_) => None,
             MappingEngine::Chunked(cmt) => Some(cmt),
         }
     }
 
-    /// Mutable twin of [`MappingEngine::as_chunked`], e.g. to
+    /// Mutable twin of `MappingEngine::as_chunked`, e.g. to
     /// `assign_chunk` before a run.
     pub fn as_chunked_mut(&mut self) -> Option<&mut Cmt> {
         match self {

@@ -95,7 +95,7 @@ impl MemAccess {
 
     /// The address of the 64 B line containing this access.
     #[inline]
-    pub fn line_addr(&self) -> u64 {
+    pub(crate) fn line_addr(&self) -> u64 {
         self.addr & !63
     }
 }

@@ -226,34 +226,6 @@ impl<R: Read> TraceReader<R> {
         self.expected
     }
 
-    /// Complete records decoded so far.
-    pub fn records_read(&self) -> u64 {
-        self.read
-    }
-
-    /// Pulls up to `max` records into `out`, returning how many were
-    /// appended. Returns `Ok(0)` at end-of-trace; errors are the same
-    /// as the iterator's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`TraceIoError`] the underlying iterator
-    /// yields (truncation or I/O).
-    pub fn read_block(&mut self, out: &mut Trace, max: usize) -> Result<usize, TraceIoError> {
-        let mut n = 0;
-        while n < max {
-            match self.next() {
-                Some(Ok(a)) => {
-                    out.push(a);
-                    n += 1;
-                }
-                Some(Err(e)) => return Err(e),
-                None => break,
-            }
-        }
-        Ok(n)
-    }
-
     /// Slides any partial record to the buffer front and fills the rest
     /// from the reader until the buffer is full or the stream ends.
     fn refill(&mut self) -> io::Result<()> {
@@ -369,11 +341,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.written
-    }
-
     /// Flushes buffered records and returns the sink.
     ///
     /// # Errors
@@ -441,11 +408,6 @@ impl<W: Write + Seek> StreamingTraceWriter<W> {
             self.buf.clear();
         }
         Ok(())
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.written
     }
 
     /// Flushes buffered records, backpatches the true record count into
@@ -656,21 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn read_block_pulls_bounded_chunks() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut out = Trace::new();
-        assert_eq!(reader.read_block(&mut out, 64).unwrap(), 64);
-        assert_eq!(reader.records_read(), 64);
-        assert_eq!(reader.read_block(&mut out, 64).unwrap(), 64);
-        assert_eq!(reader.read_block(&mut out, 64).unwrap(), 22);
-        assert_eq!(reader.read_block(&mut out, 64).unwrap(), 0);
-        assert_eq!(out, t);
-    }
-
-    #[test]
     fn trace_writer_spans_multiple_blocks() {
         // More records than one block buffer holds, to exercise the
         // flush-and-refill path on both ends.
@@ -717,7 +664,7 @@ mod tests {
         for a in t.iter() {
             writer.push(a).unwrap();
         }
-        assert_eq!(writer.records_written(), t.len() as u64);
+        assert_eq!(writer.written, t.len() as u64);
         let buf = writer.finish().unwrap().into_inner();
         let mut direct = Vec::new();
         write_trace(&t, &mut direct).unwrap();

@@ -35,7 +35,7 @@ pub struct WorkloadVariableSummary {
 
 /// Returns per-variable statistics sorted by descending reference count
 /// (ties toward lower variable ids).
-pub fn variable_stats(trace: &Trace) -> Vec<VariableStats> {
+pub(crate) fn variable_stats(trace: &Trace) -> Vec<VariableStats> {
     let foot = trace.footprint_per_variable();
     ranked_refs(trace)
         .into_iter()

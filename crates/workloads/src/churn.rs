@@ -120,17 +120,6 @@ impl Default for ChurnConfig {
     }
 }
 
-impl ChurnConfig {
-    /// The default config at a given steady-state population — the
-    /// knob the scaling curve turns.
-    pub fn with_tenants(tenants: usize) -> Self {
-        ChurnConfig {
-            tenants,
-            ..ChurnConfig::default()
-        }
-    }
-}
-
 /// A generated tenant-lifecycle script plus the config that made it.
 #[derive(Debug, Clone)]
 pub struct ChurnScript {
@@ -289,7 +278,10 @@ mod tests {
 
     #[test]
     fn population_holds_and_drains() {
-        let script = generate(ChurnConfig::with_tenants(32));
+        let script = generate(ChurnConfig {
+            tenants: 32,
+            ..ChurnConfig::default()
+        });
         let mut live = std::collections::HashSet::new();
         let mut peak = 0usize;
         for op in &script.ops {

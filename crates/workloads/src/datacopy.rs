@@ -52,7 +52,7 @@ impl DataCopy {
     }
 
     /// The stride assigned to a thread.
-    pub fn stride_of_thread(&self, t: usize) -> u64 {
+    pub(crate) fn stride_of_thread(&self, t: usize) -> u64 {
         self.strides_lines[t % self.strides_lines.len()]
     }
 }

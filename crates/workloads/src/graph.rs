@@ -32,12 +32,12 @@ pub struct Csr {
 
 impl Csr {
     /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// Number of directed edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.targets.len()
     }
 
@@ -53,7 +53,7 @@ impl Csr {
 /// # Panics
 ///
 /// Panics if `n` is not a power of two or is less than 2.
-pub fn rmat(n: usize, edge_factor: usize, seed: u64) -> Csr {
+pub(crate) fn rmat(n: usize, edge_factor: usize, seed: u64) -> Csr {
     assert!(
         n.is_power_of_two() && n >= 2,
         "R-MAT needs a power-of-two vertex count"

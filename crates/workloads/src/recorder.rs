@@ -29,7 +29,7 @@ impl Region {
     ///
     /// Panics (debug) if the element lies outside the region.
     #[inline]
-    pub fn addr_of(&self, i: usize) -> u64 {
+    pub(crate) fn addr_of(&self, i: usize) -> u64 {
         let off = i as u64 * self.elem_bytes;
         debug_assert!(off + self.elem_bytes <= self.len, "element out of region");
         self.base + off
@@ -87,11 +87,6 @@ impl Recorder {
             capacity_hint: accesses,
             ..Recorder::new()
         }
-    }
-
-    /// Sets the thread attributed to subsequent accesses.
-    pub fn set_thread(&mut self, t: ThreadId) {
-        self.thread = t;
     }
 
     /// Allocates a region of `count` elements of `elem_bytes` each,
@@ -173,7 +168,7 @@ impl Recorder {
     /// Forks an empty child recorder for one parallel lane. The child
     /// shares no allocation state — allocate regions on the parent
     /// first, then hand them to the lanes.
-    pub fn fork(&self, thread: ThreadId) -> Recorder {
+    pub(crate) fn fork(&self, thread: ThreadId) -> Recorder {
         Recorder {
             trace: Trace::new(),
             next_base: self.next_base,
@@ -261,7 +256,7 @@ mod tests {
     fn thread_attribution() {
         let mut r = Recorder::new();
         let a = r.alloc(4, 64);
-        r.set_thread(ThreadId(3));
+        r.thread = ThreadId(3);
         r.read(a, 0);
         let t = r.into_trace();
         assert_eq!(t.accesses()[0].thread, ThreadId(3));

@@ -105,7 +105,7 @@ impl Surrogate {
     /// from the reported minimum whose mean equals the reported average,
     /// scaled down so the whole run stays laptop-sized (`1 paper-MB ≙
     /// 4 KB`, floor one page).
-    pub fn major_footprints(&self) -> Vec<u64> {
+    pub(crate) fn major_footprints(&self) -> Vec<u64> {
         let m = self.spec.num_major;
         let avg = self.spec.avg_major_mb.max(self.spec.min_major_mb);
         let min = self.spec.min_major_mb;

@@ -3,34 +3,10 @@
 
 use proptest::prelude::*;
 use sdam_hbm::channel::ChannelSim;
-use sdam_hbm::{DecodedAddr, DrainScratch, Geometry, HardwareAddr, Hbm, SimStats, Timing};
+use sdam_hbm::{
+    open_loop_reference, DecodedAddr, DrainScratch, Geometry, HardwareAddr, Hbm, Timing,
+};
 use sdam_sys::cache::{Cache, CacheConfig, CacheOutcome};
-
-/// The one-shot oracle for `Hbm::run_open_loop_windowed`: every
-/// request, bank-hashed by `hbm`, is pushed into its channel, and each
-/// channel is drained once by `drain_reference`.
-fn one_shot_oracle(hbm: &Hbm, stream: &[DecodedAddr], window: usize) -> SimStats {
-    let geom = hbm.geometry();
-    let timing = hbm.timing();
-    let mut channels: Vec<ChannelSim> = (0..geom.num_channels())
-        .map(|_| ChannelSim::new(geom.banks_per_channel()))
-        .collect();
-    for &a in stream {
-        let a = hbm.effective_addr(a);
-        channels[a.channel as usize].push(a, false, 0);
-    }
-    let makespan = channels
-        .iter_mut()
-        .map(|c| c.drain_reference(window, &timing))
-        .max()
-        .unwrap_or(0);
-    SimStats {
-        requests: stream.len() as u64,
-        makespan,
-        per_channel: channels.iter().map(|c| c.stats()).collect(),
-        timing,
-    }
-}
 
 fn line_addrs(n: usize) -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec((0u64..(1 << 27)).prop_map(|l| l * 64), 1..n)
@@ -175,7 +151,7 @@ proptest! {
             .collect();
         let mut hbm = Hbm::new(geom, Timing::hbm2());
         let got = hbm.run_open_loop_windowed(decoded.iter().copied(), window);
-        prop_assert_eq!(got, one_shot_oracle(&hbm, &decoded, window));
+        prop_assert_eq!(got, open_loop_reference(&hbm, &decoded, window));
     }
 
     #[test]
