@@ -127,6 +127,54 @@ fn page_ops() -> impl Strategy<Value = Vec<PageOp>> {
     )
 }
 
+/// An address for a heap lookup or free, resolved against the model
+/// when the step runs: a live allocation start, an already-freed start,
+/// a byte inside a live allocation, or an arbitrary address near the
+/// heaps. Picks are reduced modulo the list they index.
+#[derive(Debug, Clone)]
+enum HeapAddr {
+    Live(usize),
+    Freed(usize),
+    Interior(usize, u64),
+    Unknown(u64),
+}
+
+/// One step of the multi-heap equivalence script.
+#[derive(Debug, Clone)]
+enum HeapOp {
+    Malloc { mapping: u8, size: u64 },
+    Free(HeapAddr),
+    SizeOf(HeapAddr),
+    MappingOf(HeapAddr),
+}
+
+fn heap_addr() -> impl Strategy<Value = HeapAddr> {
+    prop_oneof![
+        (0usize..1024).prop_map(HeapAddr::Live),
+        (0usize..1024).prop_map(HeapAddr::Freed),
+        (0usize..1024, 1u64..(1 << 20)).prop_map(|(pick, off)| HeapAddr::Interior(pick, off)),
+        (0u64..(1 << 22)).prop_map(HeapAddr::Unknown),
+    ]
+}
+
+fn heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {
+    // 64 KiB heaps: the mid sizes fill a heap within a few calls and
+    // the large ones need a heap of their own, so growth is frequent.
+    proptest::collection::vec(
+        prop_oneof![
+            (0u8..4, 1u64..4096).prop_map(|(mapping, size)| HeapOp::Malloc { mapping, size }),
+            (0u8..4, 1u64..40_000).prop_map(|(mapping, size)| HeapOp::Malloc { mapping, size }),
+            (0u8..4, 60_000u64..200_000)
+                .prop_map(|(mapping, size)| HeapOp::Malloc { mapping, size }),
+            heap_addr().prop_map(HeapOp::Free),
+            heap_addr().prop_map(HeapOp::Free),
+            heap_addr().prop_map(HeapOp::SizeOf),
+            heap_addr().prop_map(HeapOp::MappingOf),
+        ],
+        1..200,
+    )
+}
+
 /// The page table as an ordered `BTreeMap`, with an unmap that probes
 /// every vpn of the area in ascending order: the model the hashed table
 /// of [`AddressSpace`] must match event for event.
@@ -463,5 +511,92 @@ proptest! {
             }
         }
         prop_assert_eq!(phys.report(), model_phys.report());
+    }
+
+    #[test]
+    fn multi_heap_matches_btree_model(script in heap_ops()) {
+        // The model: live allocations as `start -> (rounded size,
+        // mapping)`, plus every block ever handed out (heaps are never
+        // retired here, so an address keeps its heap's mapping after a
+        // free).
+        let mut m = MultiHeapMalloc::with_heap_bytes(12, 16 * 4096);
+        let mut live: BTreeMap<u64, (u64, MappingId)> = BTreeMap::new();
+        let mut freed: Vec<u64> = Vec::new();
+        let mut ever: Vec<(u64, u64, MappingId)> = Vec::new();
+        let (mut allocs, mut frees) = (0u64, 0u64);
+        for op in script {
+            let resolve = |a: &HeapAddr| -> VirtAddr {
+                let nth = |pick: usize| live.iter().nth(pick % live.len().max(1));
+                match *a {
+                    HeapAddr::Live(pick) => VirtAddr(nth(pick).map_or(1 << 44, |(&s, _)| s)),
+                    HeapAddr::Freed(pick) => {
+                        VirtAddr(freed.get(pick % freed.len().max(1)).copied().unwrap_or(1 << 44))
+                    }
+                    HeapAddr::Interior(pick, off) => VirtAddr(
+                        nth(pick).map_or((1 << 44) + off, |(&s, &(len, _))| s + 1 + off % (len - 1)),
+                    ),
+                    HeapAddr::Unknown(raw) => VirtAddr((1 << 44) - (1 << 12) + raw),
+                }
+            };
+            match op {
+                HeapOp::Malloc { mapping, size } => {
+                    let id = MappingId(mapping);
+                    let va = m.malloc(size, Some(id)).unwrap();
+                    allocs += 1;
+                    let len = size.div_ceil(16) * 16;
+                    for (&s, &(l, _)) in &live {
+                        prop_assert!(va.0 + len <= s || s + l <= va.0, "{} overlaps {:#x}", va, s);
+                    }
+                    prop_assert_eq!(m.size_of(va), Some(len));
+                    prop_assert_eq!(m.mapping_of(va), Some(id));
+                    live.insert(va.0, (len, id));
+                    freed.retain(|&f| f != va.0);
+                    ever.push((va.0, len, id));
+                }
+                HeapOp::Free(a) => {
+                    let va = resolve(&a);
+                    let got = m.free(va);
+                    if live.remove(&va.0).is_some() {
+                        prop_assert_eq!(got, Ok(()));
+                        frees += 1;
+                        freed.push(va.0);
+                    } else {
+                        // A bad free changes nothing: every live block
+                        // still resolves, with its size and mapping.
+                        prop_assert_eq!(got, Err(MemError::BadFree(va)));
+                        for (&s, &(l, id)) in &live {
+                            prop_assert_eq!(m.size_of(VirtAddr(s)), Some(l));
+                            prop_assert_eq!(m.mapping_of(VirtAddr(s)), Some(id));
+                        }
+                    }
+                }
+                HeapOp::SizeOf(a) => {
+                    let va = resolve(&a);
+                    prop_assert_eq!(m.size_of(va), live.get(&va.0).map(|&(l, _)| l));
+                }
+                HeapOp::MappingOf(a) => {
+                    let va = resolve(&a);
+                    let owner = ever
+                        .iter()
+                        .find(|&&(s, l, _)| s <= va.0 && va.0 < s + l)
+                        .map(|&(_, _, id)| id);
+                    if let Some(id) = owner {
+                        prop_assert_eq!(m.mapping_of(va), Some(id));
+                    }
+                }
+            }
+            for id in (0..4).map(MappingId) {
+                let bytes: u64 = live.values().filter(|&&(_, o)| o == id).map(|&(l, _)| l).sum();
+                prop_assert_eq!(m.live_bytes(id), bytes);
+            }
+            prop_assert_eq!(m.alloc_calls(), allocs);
+            prop_assert_eq!(m.free_calls(), frees);
+        }
+        for &s in live.keys() {
+            m.free(VirtAddr(s)).unwrap();
+        }
+        for id in (0..4).map(MappingId) {
+            prop_assert_eq!(m.live_bytes(id), 0);
+        }
     }
 }
