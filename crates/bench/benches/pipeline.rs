@@ -10,9 +10,22 @@
 //! broken pipeline instead of skipping the record.
 
 use criterion::{black_box, criterion_group, Criterion};
-use sdam::stage::{run_stages, standard_stages, RunContext, StageCache};
+use sdam::stage::{
+    AllocStage, ExecuteStage, ProfileStage, ReportStage, RunContext, SelectStage, Stage, StageCache,
+};
 use sdam::{pipeline, profiling, Experiment, SystemConfig};
 use sdam_workloads::datacopy::DataCopy;
+
+/// The five pipeline stages in run order, each with its bench label.
+fn stages() -> [(&'static str, &'static dyn Stage); 5] {
+    [
+        ("profile", &ProfileStage),
+        ("select", &SelectStage),
+        ("alloc", &AllocStage),
+        ("execute", &ExecuteStage),
+        ("report", &ReportStage),
+    ]
+}
 
 fn bench_end_to_end(c: &mut Criterion) {
     let exp = Experiment::quick();
@@ -51,22 +64,22 @@ fn bench_stage_breakdown(c: &mut Criterion) {
     let w = DataCopy::new(vec![1, 16]);
     let config = SystemConfig::SdmBsmMl { clusters: 4 };
     let cache = StageCache::new();
-    let stages = standard_stages();
+    let stages = stages();
     {
         // Warm the cache so profile measures the steady state.
         let mut ctx = RunContext::new(&w, config, &exp, &cache);
-        for s in &stages {
+        for (_, s) in &stages {
             s.run(&mut ctx).expect("warm-up run succeeds");
         }
     }
     let mut g = c.benchmark_group("pipeline_stages");
     g.sample_size(10);
-    for (i, stage) in stages.iter().enumerate() {
-        g.bench_function(stage.name(), |b| {
+    for (i, &(name, stage)) in stages.iter().enumerate() {
+        g.bench_function(name, |b| {
             b.iter_batched(
                 || {
                     let mut ctx = RunContext::new(&w, config, &exp, &cache);
-                    for s in &stages[..i] {
+                    for (_, s) in &stages[..i] {
                         s.run(&mut ctx).expect("prefix stages succeed");
                     }
                     ctx
@@ -82,14 +95,14 @@ fn bench_stage_breakdown(c: &mut Criterion) {
     g.finish();
 }
 
-/// Drives the standard stages once per configuration over one shared
+/// Runs the five stages once per configuration over one shared
 /// [`StageCache`] and writes the recorded per-stage
 /// [`sdam::PhaseTimes`] to `BENCH_stages.json` at the workspace root.
 fn record_stage_times() {
     let exp = Experiment::quick();
     let w = DataCopy::new(vec![1, 16]);
     let cache = StageCache::new();
-    let stages = standard_stages();
+    let stages = stages();
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let mut rows = Vec::new();
     for config in [
@@ -101,8 +114,10 @@ fn record_stage_times() {
         SystemConfig::SdmBsmDl { clusters: 4 },
     ] {
         let mut ctx = RunContext::new(&w, config, &exp, &cache);
-        run_stages(&mut ctx, &stages)
-            .unwrap_or_else(|e| panic!("stage-time recording failed for {config}: {e}"));
+        for (_, s) in &stages {
+            s.run(&mut ctx)
+                .unwrap_or_else(|e| panic!("stage-time recording failed for {config}: {e}"));
+        }
         let p = ctx.phases;
         rows.push(format!(
             "    {{ \"config\": \"{config}\", \"profile_ms\": {:.3}, \"select_ms\": {:.3}, \

@@ -20,7 +20,8 @@ use crate::par::par_map;
 use crate::profiling::{self, ProfileData};
 use crate::report::{Comparison, PhaseTimes, RunResult};
 use crate::stage::{
-    profile_key, run_stages, standard_stages, ProfileHandle, RunContext, StageCache,
+    profile_key, AllocStage, ExecuteStage, ProfileHandle, ProfileStage, ReportStage, RunContext,
+    SelectStage, Stage, StageCache,
 };
 use crate::system::SdamSystem;
 
@@ -59,8 +60,8 @@ pub fn try_run_with_profile(
 }
 
 /// The full staged run: seeds a [`RunContext`] (borrowing `data` when
-/// supplied, else profiling through `cache`), drives the standard
-/// stages, and returns the assembled result.
+/// supplied, else profiling through `cache`), runs the five stages in
+/// order, and returns the assembled result.
 fn run_staged(
     workload: &dyn Workload,
     config: SystemConfig,
@@ -73,7 +74,11 @@ fn run_staged(
     if let Some(d) = data {
         ctx.profile = Some(ProfileHandle::Borrowed(d));
     }
-    run_stages(&mut ctx, &standard_stages())?;
+    ProfileStage.run(&mut ctx)?;
+    SelectStage.run(&mut ctx)?;
+    AllocStage.run(&mut ctx)?;
+    ExecuteStage.run(&mut ctx)?;
+    ReportStage.run(&mut ctx)?;
     let Some(result) = ctx.result.take() else {
         panic!("ReportStage did not produce a result");
     };

@@ -1,13 +1,13 @@
 //! The staged evaluation pipeline.
 //!
-//! [`crate::pipeline`]'s entry points used to be monolithic functions;
-//! they are now thin drivers over five composable [`Stage`] objects —
+//! [`crate::pipeline`]'s entry points run five [`Stage`] objects —
 //! [`ProfileStage`] → [`SelectStage`] → [`AllocStage`] →
 //! [`ExecuteStage`] → [`ReportStage`] — that communicate exclusively
-//! through a shared [`RunContext`]. Each stage reads the artifacts its
-//! predecessors deposited (profile, selection, materialized trace, …),
-//! produces its own, and records its wall-clock in
-//! [`PhaseTimes`].
+//! through a shared [`RunContext`]. The chain never changes order, so a
+//! driver simply calls each stage's [`Stage::run`] in turn. Each stage
+//! reads the artifacts its predecessors deposited (profile, selection,
+//! materialized trace, …), produces its own, and records its wall-clock
+//! in [`PhaseTimes`].
 //!
 //! The only memoized artifact is the workload's profile, held in a
 //! [`StageCache`] keyed by *content*: the key folds in the workload's
@@ -200,9 +200,6 @@ impl<'a> RunContext<'a> {
 /// artifacts back into it, and reports failures as [`SdamError`].
 /// Running a stage before its prerequisites is a driver bug and panics.
 pub trait Stage {
-    /// Short name for logs and per-stage benchmarks.
-    fn name(&self) -> &'static str;
-
     /// Runs the stage against the context.
     ///
     /// # Errors
@@ -217,10 +214,6 @@ pub trait Stage {
 pub struct ProfileStage;
 
 impl Stage for ProfileStage {
-    fn name(&self) -> &'static str {
-        "profile"
-    }
-
     fn run(&self, ctx: &mut RunContext<'_>) -> Result<(), SdamError> {
         if !ctx.config.needs_profiling() || ctx.profile.is_some() {
             return Ok(());
@@ -241,10 +234,6 @@ impl Stage for ProfileStage {
 pub struct SelectStage;
 
 impl Stage for SelectStage {
-    fn name(&self) -> &'static str {
-        "select"
-    }
-
     fn run(&self, ctx: &mut RunContext<'_>) -> Result<(), SdamError> {
         let t0 = Instant::now();
         let outcome = match &ctx.profile {
@@ -270,10 +259,6 @@ impl Stage for SelectStage {
 pub struct AllocStage;
 
 impl Stage for AllocStage {
-    fn name(&self) -> &'static str {
-        "alloc"
-    }
-
     fn run(&self, ctx: &mut RunContext<'_>) -> Result<(), SdamError> {
         let Some(outcome) = &ctx.selection else {
             panic!("AllocStage needs SelectStage's selection");
@@ -296,10 +281,6 @@ impl Stage for AllocStage {
 pub struct ExecuteStage;
 
 impl Stage for ExecuteStage {
-    fn name(&self) -> &'static str {
-        "execute"
-    }
-
     fn run(&self, ctx: &mut RunContext<'_>) -> Result<(), SdamError> {
         let Some(outcome) = &ctx.selection else {
             panic!("ExecuteStage needs SelectStage's selection");
@@ -325,10 +306,6 @@ impl Stage for ExecuteStage {
 pub struct ReportStage;
 
 impl Stage for ReportStage {
-    fn name(&self) -> &'static str {
-        "report"
-    }
-
     fn run(&self, ctx: &mut RunContext<'_>) -> Result<(), SdamError> {
         let Some(report) = ctx.report.take() else {
             panic!("ReportStage needs ExecuteStage's report");
@@ -345,40 +322,10 @@ impl Stage for ReportStage {
     }
 }
 
-/// The standard single-workload pipeline, in dependency order.
-pub fn standard_stages() -> Vec<Box<dyn Stage>> {
-    vec![
-        Box::new(ProfileStage),
-        Box::new(SelectStage),
-        Box::new(AllocStage),
-        Box::new(ExecuteStage),
-        Box::new(ReportStage),
-    ]
-}
-
-/// Drives the stages over the context, in order, stopping at the first
-/// failure.
-///
-/// # Errors
-///
-/// The first stage error.
-pub fn run_stages(ctx: &mut RunContext<'_>, stages: &[Box<dyn Stage>]) -> Result<(), SdamError> {
-    for s in stages {
-        s.run(ctx)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdam_workloads::datacopy::DataCopy;
-
-    #[test]
-    fn stages_have_names_in_order() {
-        let names: Vec<&str> = standard_stages().iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["profile", "select", "alloc", "execute", "report"]);
-    }
 
     #[test]
     fn cache_key_distinguishes_workload_parameters() {

@@ -157,20 +157,6 @@ impl RequestArena {
         self.is_write.clear();
     }
 
-    /// Drops the first `count` requests, shifting the rest down in
-    /// order (used by the in-order partial drain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the arena length.
-    pub(crate) fn discard_prefix(&mut self, count: usize) {
-        self.row.drain(..count);
-        self.bank.drain(..count);
-        self.col.drain(..count);
-        self.arrival.drain(..count);
-        self.is_write.drain(..count);
-    }
-
     /// Compacts the arena in place, keeping only requests whose
     /// `served` flag is false and preserving arrival order. Returns the
     /// number of survivors.
@@ -381,17 +367,6 @@ mod tests {
         assert_eq!(a.rows(), &[1, 3, 4]);
         assert_eq!(a.arrivals(), &[1, 3, 4]);
         assert_eq!(a.row.capacity(), cap, "compaction must not reallocate");
-    }
-
-    #[test]
-    fn discard_prefix_shifts_survivors() {
-        let mut a = RequestArena::new();
-        for i in 0..5u64 {
-            a.push(da(i, 0, 0), false, i);
-        }
-        a.discard_prefix(3);
-        assert_eq!(a.rows(), &[3, 4]);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

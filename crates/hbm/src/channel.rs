@@ -39,8 +39,6 @@ pub struct ChannelSim {
     next_refresh: Cycle,
     /// Direction of the last data transfer (true = write).
     last_was_write: bool,
-    /// Requests served per bank.
-    bank_requests: Vec<u64>,
 }
 
 impl ChannelSim {
@@ -58,7 +56,6 @@ impl ChannelSim {
             stats: ChannelStats::default(),
             next_refresh: 0,
             last_was_write: false,
-            bank_requests: vec![0; num_banks],
         }
     }
 
@@ -96,7 +93,6 @@ impl ChannelSim {
         arrival: Cycle,
         timing: &Timing,
     ) -> (Cycle, RowOutcome) {
-        self.bank_requests[bank] += 1;
         let (data_ready, outcome) = self.banks[bank].access(row, arrival, timing);
         let mut start = data_ready.max(self.bus_free);
         // Only the write→read direction pays tWTR (writes are posted;
@@ -231,27 +227,6 @@ impl ChannelSim {
         }
         let serve_n = n - keep;
         let mut last = 0;
-        if window == 1 {
-            // Degenerate in-order service: no reordering possible.
-            for i in 0..serve_n {
-                last = self
-                    .service_core(
-                        arena.banks()[i] as usize,
-                        arena.rows()[i],
-                        arena.is_writes()[i],
-                        arena.arrivals()[i],
-                        timing,
-                    )
-                    .0;
-            }
-            if keep == 0 {
-                arena.clear();
-            } else {
-                arena.discard_prefix(serve_n);
-            }
-            self.pending = arena;
-            return last;
-        }
         scratch.begin(n, self.banks.len());
         // One pass threads every request onto its (bank, row) list in
         // arrival order.
@@ -449,7 +424,6 @@ impl ChannelSim {
         self.stats = ChannelStats::default();
         self.next_refresh = 0;
         self.last_was_write = false;
-        self.bank_requests.iter_mut().for_each(|b| *b = 0);
     }
 
     fn record(&mut self, outcome: RowOutcome, completion: Cycle, timing: &Timing) {
@@ -576,18 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_request_counters() {
-        let tm = t();
-        let mut ch = ChannelSim::new(4);
-        for i in 0..12u64 {
-            ch.service_in_order(addr(0, i % 3, 0), false, 0, &tm);
-        }
-        assert_eq!(ch.bank_requests, &[4, 4, 4, 0]);
-        ch.reset();
-        assert_eq!(ch.bank_requests, &[0, 0, 0, 0]);
-    }
-
-    #[test]
     fn write_read_turnaround_costs_twtr() {
         let tm = t();
         // Same row: pure reads back to back vs alternating directions.
@@ -708,7 +670,6 @@ mod tests {
                             "makespan diverged: {banks} banks window {window} seed {seed}"
                         );
                         assert_eq!(fast.stats(), slow.stats());
-                        assert_eq!(fast.bank_requests, slow.bank_requests);
                     }
                 }
             }
@@ -796,7 +757,6 @@ mod tests {
                     "window {window} block {block}: makespan diverged"
                 );
                 assert_eq!(streamed.stats(), oneshot.stats());
-                assert_eq!(streamed.bank_requests, oneshot.bank_requests);
             }
         }
     }
@@ -837,7 +797,6 @@ mod tests {
         ch.quiesce(now, &tm);
         // Stats survive the quiesce (it is not a reset).
         assert_eq!(ch.stats(), before);
-        assert_eq!(ch.bank_requests, &[1, 1, 0, 0]);
         // First access after quiesce is a pure closed-bank access — no
         // stale open row (would be a conflict), no write turnaround.
         let done = ch.service_in_order(addr(0, 0, 0), false, now, &tm).0;

@@ -16,7 +16,8 @@
 //! live in a node arena threaded by address-order links (coalescing is
 //! two link updates, never a tree walk), the free blocks are a flat
 //! index list scanned for the lowest-address fit, and live allocations
-//! resolve through an open-addressing table instead of a `BTreeMap`.
+//! resolve through a `HashMap` keyed by start address, hashed with the
+//! page table's multiplicative hasher.
 //! The heap-for-address lookup is a binary search over the (monotonic)
 //! region starts, and each heap carries an upper bound on its largest
 //! free block so full heaps are skipped without touching their free
@@ -25,7 +26,7 @@
 
 use sdam_mapping::MappingId;
 
-use crate::{MemError, VirtAddr};
+use crate::{MemError, U64Map, VirtAddr};
 
 /// Default size of a newly created heap (glibc's per-thread heaps are
 /// 64 MB; we default smaller so tests exercise heap growth).
@@ -74,114 +75,6 @@ struct Block {
     free_pos: u32,
 }
 
-/// Open-addressing map from allocation start address to arena node —
-/// the flat replacement for the `allocs: BTreeMap`. Linear probing with
-/// tombstones; capacity doubles at 3/4 occupancy, so lookups stay O(1)
-/// and the table reuses its storage across a heap's whole lifetime.
-#[derive(Debug, Clone)]
-struct AddrMap {
-    /// 0 = empty, 1 = full, 2 = tombstone.
-    state: Vec<u8>,
-    keys: Vec<u64>,
-    vals: Vec<u32>,
-    len: usize,
-    /// Full + tombstone slots (drives the resize threshold).
-    used: usize,
-}
-
-impl AddrMap {
-    fn new() -> Self {
-        AddrMap {
-            state: vec![0; 16],
-            keys: vec![0; 16],
-            vals: vec![0; 16],
-            len: 0,
-            used: 0,
-        }
-    }
-
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & (self.keys.len() - 1)
-    }
-
-    fn insert(&mut self, key: u64, val: u32) {
-        if (self.used + 1) * 4 >= self.keys.len() * 3 {
-            self.grow();
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = self.slot_of(key);
-        loop {
-            match self.state[i] {
-                1 if self.keys[i] == key => {
-                    self.vals[i] = val;
-                    return;
-                }
-                1 => {}
-                _ => {
-                    if self.state[i] == 0 {
-                        self.used += 1;
-                    }
-                    self.state[i] = 1;
-                    self.keys[i] = key;
-                    self.vals[i] = val;
-                    self.len += 1;
-                    return;
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<u32> {
-        let mask = self.keys.len() - 1;
-        let mut i = self.slot_of(key);
-        loop {
-            match self.state[i] {
-                0 => return None,
-                1 if self.keys[i] == key => return Some(self.vals[i]),
-                _ => {}
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn remove(&mut self, key: u64) -> Option<u32> {
-        let mask = self.keys.len() - 1;
-        let mut i = self.slot_of(key);
-        loop {
-            match self.state[i] {
-                0 => return None,
-                1 if self.keys[i] == key => {
-                    self.state[i] = 2;
-                    self.len -= 1;
-                    return Some(self.vals[i]);
-                }
-                _ => {}
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.keys.len() * 2).max(16);
-        let mut next = AddrMap {
-            state: vec![0; new_cap],
-            keys: vec![0; new_cap],
-            vals: vec![0; new_cap],
-            len: 0,
-            used: 0,
-        };
-        for i in 0..self.keys.len() {
-            if self.state[i] == 1 {
-                next.insert(self.keys[i], self.vals[i]);
-            }
-        }
-        *self = next;
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Heap {
     region: HeapRegion,
@@ -193,7 +86,7 @@ struct Heap {
     /// which is exactly first-fit by address.
     free_list: Vec<u32>,
     /// Live allocation start → node.
-    live: AddrMap,
+    live: U64Map<u32>,
     live_bytes: u64,
     /// Upper bound on the largest free block (exact after every alloc
     /// scan; only ever an over-estimate in between, so skipping heaps
@@ -224,7 +117,7 @@ impl Heap {
             nodes: vec![first],
             spare: Vec::new(),
             free_list: vec![0],
-            live: AddrMap::new(),
+            live: U64Map::default(),
             live_bytes: 0,
             max_free_hint: region.len - header,
             retired: false,
@@ -323,7 +216,7 @@ impl Heap {
     }
 
     fn free_block(&mut self, addr: u64) -> bool {
-        let Some(i) = self.live.remove(addr) else {
+        let Some(i) = self.live.remove(&addr) else {
             return false;
         };
         let len = self.nodes[i as usize].len;
@@ -566,7 +459,7 @@ impl MultiHeapMalloc {
     /// The size of the live allocation starting exactly at `va`.
     pub fn size_of(&self, va: VirtAddr) -> Option<u64> {
         let heap = self.heap_index_of(va)?;
-        let node = self.heaps[heap].live.get(va.0)?;
+        let node = *self.heaps[heap].live.get(&va.0)?;
         Some(self.heaps[heap].nodes[node as usize].len)
     }
 

@@ -55,6 +55,41 @@ pub mod vma;
 pub use error::MemError;
 pub use heap::MAX_ALLOC_BYTES;
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` keyed by a page number or an address: the page table's
+/// vpn → frame map and each heap's live allocation table.
+pub(crate) type U64Map<V> = HashMap<u64, V, BuildHasherDefault<MulHasher>>;
+
+/// Multiplicative (Fibonacci) hasher for [`U64Map`] keys. The table
+/// picks buckets by the hash's low bits, and a product's low bits see
+/// only the key's low bits, so `finish` rotates the well-mixed high
+/// half down: keys a power of two apart (a large strided walk, or
+/// 16-byte-aligned allocation starts) would otherwise share one bucket
+/// chain.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// A virtual address in a process address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(pub u64);

@@ -7,43 +7,15 @@
 //! and pulls a frame from the right chunk group of the
 //! [`ChunkAllocator`].
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 
 use sdam_mapping::{MappingId, PhysAddr};
 
 use crate::phys::{ChunkAllocator, ChunkEvent};
-use crate::{MemError, VirtAddr};
+use crate::{MemError, U64Map, VirtAddr};
 
 /// Base of the mmap region (an arbitrary high canonical address).
 const MMAP_BASE: u64 = 1 << 40;
-
-/// Multiplicative (Fibonacci) hasher for the page table's vpn keys.
-/// The table picks buckets by the hash's low bits, and a product's low
-/// bits see only the key's low bits, so `finish` rotates the well-mixed
-/// high half down: vpns a power of two apart (a large strided walk)
-/// would otherwise share one bucket chain.
-#[derive(Debug, Default, Clone, Copy)]
-struct VpnHasher(u64);
-
-impl Hasher for VpnHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(32)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
 
 /// One virtual memory area: a contiguous, page-aligned range with an
 /// address-mapping id (the paper's extended `vm_area_struct`).
@@ -100,7 +72,7 @@ pub struct AddressSpace {
     /// vpn → frame base address. Hashed: a lookup costs the same at
     /// any table size, and nothing needs the vpns in order except an
     /// unmap, which sorts the few it frees.
-    page_table: HashMap<u64, PhysAddr, BuildHasherDefault<VpnHasher>>,
+    page_table: U64Map<PhysAddr>,
     next_mmap: u64,
     page_faults: u64,
     pending_events: Vec<ChunkEvent>,

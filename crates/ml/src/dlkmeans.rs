@@ -198,6 +198,59 @@ fn dedup_windows(ws: &[SeqSample]) -> Vec<(SeqSample, f64)> {
     out
 }
 
+/// What the training phases record together: optimizer steps so far,
+/// the last batch's reconstruction loss, and that loss every 32 steps
+/// (counted across both phases).
+#[derive(Default)]
+struct TrainLog {
+    steps: usize,
+    last_loss: f64,
+    curve: Vec<f64>,
+}
+
+/// Windows per mini-batch. Batches walk the deduplicated windows
+/// round-robin — no sampling RNG; coverage of every distinct window per
+/// cycle.
+const BATCH: usize = 4;
+
+/// One training phase: up to `cap` mini-batches over `uniq`, window `i`
+/// weighted by `weight[i]` and pulled toward `target(i)` (`None` trains
+/// reconstruction only), until the phase's own [`EarlyStop`] fires.
+/// Returns the steps this phase ran.
+fn train_phase<'t>(
+    ae: &mut LstmAutoencoder,
+    uniq: &[SeqSample],
+    weight: &[f64],
+    cap: usize,
+    target: impl Fn(usize) -> Option<&'t [f64]>,
+    config: &TrainingConfig,
+    log: &mut TrainLog,
+) -> usize {
+    let mut stop = EarlyStop::new(config.patience, config.min_delta);
+    for step in 0..cap {
+        let items: Vec<MiniBatchItem<'_>> = (0..BATCH.min(uniq.len()))
+            .map(|j| {
+                let i = (step * BATCH + j) % uniq.len();
+                MiniBatchItem {
+                    sample: &uniq[i],
+                    weight: weight[i],
+                    target: target(i),
+                }
+            })
+            .collect();
+        let l = ae.train_minibatch(&items, config.learning_rate);
+        log.last_loss = l.reconstruct;
+        if log.steps.is_multiple_of(32) {
+            log.curve.push(log.last_loss);
+        }
+        log.steps += 1;
+        if stop.update(l.total(config.lambda)) {
+            return step + 1;
+        }
+    }
+    cap
+}
+
 /// Runs the full DL-assisted K-Means pipeline over per-variable address
 /// traces (`traces[i]` is the ordered address stream of variable `i`).
 ///
@@ -316,42 +369,21 @@ pub fn cluster_variables_dl(
         ..KMeansConfig::default()
     };
 
-    let mut steps_done = 0usize;
-    let mut last_loss = 0.0;
-    let mut loss_curve = Vec::new();
-    // Mini-batches walk the deduplicated windows round-robin — no
-    // sampling RNG; coverage of every distinct window per cycle.
-    const BATCH: usize = 4;
+    let mut log = TrainLog::default();
     let mut phase2_embeddings = None;
 
     if !uniq.is_empty() {
-        let batch_at = |step: usize| -> Vec<usize> {
-            (0..BATCH.min(uniq.len()))
-                .map(|j| (step * BATCH + j) % uniq.len())
-                .collect()
-        };
         // Phase 1: reconstruction pre-training.
         let phase1_cap = config.steps / 2;
-        let mut stop = EarlyStop::new(config.patience, config.min_delta);
-        for step in 0..phase1_cap {
-            let items: Vec<MiniBatchItem<'_>> = batch_at(step)
-                .into_iter()
-                .map(|i| MiniBatchItem {
-                    sample: &uniq[i],
-                    weight: weight[i],
-                    target: None,
-                })
-                .collect();
-            let l = ae.train_minibatch(&items, config.learning_rate);
-            last_loss = l.reconstruct;
-            if steps_done.is_multiple_of(32) {
-                loss_curve.push(last_loss);
-            }
-            steps_done += 1;
-            if stop.update(l.total(config.lambda)) {
-                break;
-            }
-        }
+        train_phase(
+            &mut ae,
+            &uniq,
+            &weight,
+            phase1_cap,
+            |_| None,
+            config,
+            &mut log,
+        );
         // Phase 2: initial clustering on embeddings.
         let embeddings = embed_vars(&ae);
         let clustering = kmeans(&embeddings, &kcfg)?;
@@ -360,29 +392,18 @@ pub fn cluster_variables_dl(
         // embedding toward the embedding-part of the centroid (the
         // BFRV features are fixed, not trainable).
         let dim = ae.embedding_dim();
+        let centroid_of =
+            |i: usize| Some(&clustering.centroids[clustering.assignments[owner[i]]][..dim]);
         let phase3_cap = config.steps.saturating_sub(phase1_cap);
-        let mut stop = EarlyStop::new(config.patience, config.min_delta);
-        let mut phase3_steps = 0usize;
-        for step in 0..phase3_cap {
-            let items: Vec<MiniBatchItem<'_>> = batch_at(step)
-                .into_iter()
-                .map(|i| MiniBatchItem {
-                    sample: &uniq[i],
-                    weight: weight[i],
-                    target: Some(&clustering.centroids[clustering.assignments[owner[i]]][..dim]),
-                })
-                .collect();
-            let l = ae.train_minibatch(&items, config.learning_rate);
-            last_loss = l.reconstruct;
-            if steps_done.is_multiple_of(32) {
-                loss_curve.push(last_loss);
-            }
-            steps_done += 1;
-            phase3_steps += 1;
-            if stop.update(l.total(config.lambda)) {
-                break;
-            }
-        }
+        let phase3_steps = train_phase(
+            &mut ae,
+            &uniq,
+            &weight,
+            phase3_cap,
+            centroid_of,
+            config,
+            &mut log,
+        );
         if phase3_steps > 0 {
             phase2_embeddings = None; // parameters moved; re-encode
         }
@@ -399,9 +420,9 @@ pub fn cluster_variables_dl(
         assignments: clustering.assignments.clone(),
         embeddings,
         clustering,
-        final_reconstruction_loss: last_loss,
-        train_steps: steps_done,
-        loss_curve,
+        final_reconstruction_loss: log.last_loss,
+        train_steps: log.steps,
+        loss_curve: log.curve,
     })
 }
 

@@ -89,24 +89,12 @@ impl MappingEngine {
         MappingEngine::Global(Box::new(IdentityMapping))
     }
 
-    /// Maps a physical address to a hardware address.
-    pub fn map(&self, pa: PhysAddr) -> HardwareAddr {
-        match self {
-            MappingEngine::Global(m) => m.map(pa),
-            MappingEngine::Chunked(cmt) => cmt.translate(pa),
-        }
-    }
-
-    /// Maps and decodes in one step.
-    pub fn decode(&self, pa: PhysAddr, geom: Geometry) -> DecodedAddr {
-        geom.decode(self.map(pa))
-    }
-
-    /// [`MappingEngine::decode`] through a per-stream
-    /// [`TranslationCache`]: the chunked path skips the first-level CMT
-    /// walk when consecutive accesses stay in one chunk (almost always —
-    /// a chunk holds 32 K lines). Same result as [`MappingEngine::decode`]
-    /// for every input.
+    /// Maps a physical address to a hardware address and decodes it,
+    /// through a per-stream [`TranslationCache`]: the chunked path skips
+    /// the first-level CMT walk when consecutive accesses stay in one
+    /// chunk (almost always — a chunk holds 32 K lines). Same result as
+    /// the uncached mapping (`Cmt::translate` on the chunked path) for
+    /// every input.
     #[inline]
     pub(crate) fn decode_cached(
         &self,
@@ -195,37 +183,48 @@ mod tests {
     use super::*;
     use sdam_mapping::{BitPermutation, BitShuffleMapping, MappingId};
 
-    #[test]
-    fn identity_passthrough() {
-        let e = MappingEngine::identity();
-        assert_eq!(e.map(PhysAddr(0x1234)).raw(), 0x1234);
-        assert_eq!(e.name(), "DM");
+    /// `pa` through the engine's cached path, on a fresh cache.
+    fn decode(e: &MappingEngine, pa: u64, geom: Geometry) -> DecodedAddr {
+        e.decode_cached(PhysAddr(pa), geom, &mut TranslationCache::default())
     }
 
-    #[test]
-    fn global_shuffle_applies() {
-        let mut t: Vec<u32> = (0..15).collect();
-        t.swap(0, 1);
-        let m = BitShuffleMapping::new(BitPermutation::new(6, t).unwrap());
-        let e = MappingEngine::Global(Box::new(m));
-        assert_eq!(e.map(PhysAddr(1 << 6)).raw(), 1 << 7);
-        assert_eq!(e.name(), "BSM");
-    }
-
-    #[test]
-    fn chunked_uses_cmt() {
+    /// A CMT whose chunk 0 swaps address bits 6 and 8.
+    fn swapped_chunk_zero() -> Cmt {
         let mut cmt = Cmt::new(33, 21);
         let mut t: Vec<u32> = (0..15).collect();
         t.swap(0, 2);
         cmt.register(MappingId(1), &BitPermutation::new(6, t).unwrap());
         cmt.assign_chunk(0, MappingId(1)).unwrap();
-        let e = MappingEngine::Chunked(cmt);
-        assert_eq!(e.map(PhysAddr(1 << 6)).raw(), 1 << 8);
+        cmt
+    }
+
+    #[test]
+    fn identity_passthrough() {
+        let geom = Geometry::hbm2_8gb();
+        let e = MappingEngine::identity();
+        assert_eq!(decode(&e, 0x1234, geom), geom.decode(HardwareAddr(0x1234)));
+        assert_eq!(e.name(), "DM");
+    }
+
+    #[test]
+    fn global_shuffle_applies() {
+        let geom = Geometry::hbm2_8gb();
+        let mut t: Vec<u32> = (0..15).collect();
+        t.swap(0, 1);
+        let m = BitShuffleMapping::new(BitPermutation::new(6, t).unwrap());
+        let e = MappingEngine::Global(Box::new(m));
+        assert_eq!(decode(&e, 1 << 6, geom), geom.decode(HardwareAddr(1 << 7)));
+        assert_eq!(e.name(), "BSM");
+    }
+
+    #[test]
+    fn chunked_uses_cmt() {
+        let geom = Geometry::hbm2_8gb();
+        let e = MappingEngine::Chunked(swapped_chunk_zero());
+        assert_eq!(decode(&e, 1 << 6, geom), geom.decode(HardwareAddr(1 << 8)));
         // Chunk 1 still identity.
-        assert_eq!(
-            e.map(PhysAddr((1 << 21) | (1 << 6))).raw(),
-            (1 << 21) | (1 << 6)
-        );
+        let pa = (1 << 21) | (1 << 6);
+        assert_eq!(decode(&e, pa, geom), geom.decode(HardwareAddr(pa)));
         assert_eq!(e.name(), "SDAM");
     }
 
@@ -244,28 +243,29 @@ mod tests {
     }
 
     #[test]
-    fn decode_cached_matches_decode() {
+    fn decode_cached_matches_uncached_translation() {
         let geom = Geometry::hbm2_8gb();
-        let mut cmt = Cmt::new(33, 21);
-        let mut t: Vec<u32> = (0..15).collect();
-        t.swap(0, 2);
-        cmt.register(MappingId(1), &BitPermutation::new(6, t).unwrap());
-        cmt.assign_chunk(0, MappingId(1)).unwrap();
-        for e in [MappingEngine::identity(), MappingEngine::Chunked(cmt)] {
+        let cmt = swapped_chunk_zero();
+        let engines: [(MappingEngine, &dyn Fn(PhysAddr) -> HardwareAddr); 2] = [
+            (MappingEngine::identity(), &|pa| IdentityMapping.map(pa)),
+            (MappingEngine::Chunked(cmt.clone()), &|pa| cmt.translate(pa)),
+        ];
+        for (e, uncached) in engines {
             let mut cache = TranslationCache::default();
             // Chunk-local runs with occasional chunk switches.
             for pa in (0..(4u64 << 21)).step_by(0x2_64d) {
                 let pa = PhysAddr(pa);
-                assert_eq!(e.decode_cached(pa, geom, &mut cache), e.decode(pa, geom));
+                assert_eq!(
+                    e.decode_cached(pa, geom, &mut cache),
+                    geom.decode(uncached(pa))
+                );
             }
         }
     }
 
     #[test]
     fn decode_uses_geometry() {
-        let geom = Geometry::hbm2_8gb();
         let e = MappingEngine::identity();
-        let d = e.decode(PhysAddr(64), geom);
-        assert_eq!(d.channel, 1);
+        assert_eq!(decode(&e, 64, Geometry::hbm2_8gb()).channel, 1);
     }
 }

@@ -20,15 +20,15 @@
 //!
 //! * [`read_trace`] / [`write_trace`] — whole-trace convenience wrappers
 //!   that materialize the entire trace in memory, and
-//! * [`TraceReader`] / [`TraceWriter`] / [`StreamingTraceWriter`] —
-//!   streaming codecs that touch a bounded buffer (one block of
-//!   [`BLOCK_RECORDS`] records) regardless of trace size, so traces
-//!   larger than RAM can be produced and replayed record-at-a-time.
+//! * [`TraceReader`] / [`TraceWriter`] — streaming codecs that touch a
+//!   bounded buffer (one block of [`BLOCK_RECORDS`] records) regardless
+//!   of trace size, so traces larger than RAM can be produced and
+//!   replayed record-at-a-time.
 //!
 //! The wrappers are implemented *on top of* the streaming codecs, so
 //! both paths share one encoder/decoder and one set of error semantics.
 
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 
 use crate::{MemAccess, ThreadId, Trace, VariableId};
 
@@ -42,11 +42,10 @@ pub const VERSION: u8 = 1;
 pub const RECORD_BYTES: usize = 24;
 
 /// Records per streaming I/O block (the resident-buffer unit of
-/// [`TraceReader`] and the writers): 4096 records = 96 KiB.
+/// [`TraceReader`] and [`TraceWriter`]): 4096 records = 96 KiB.
 pub const BLOCK_RECORDS: usize = 4096;
 
 const HEADER_BYTES: usize = 24;
-const COUNT_OFFSET: u64 = 16;
 
 /// Errors from reading or writing a trace.
 #[derive(Debug)]
@@ -291,8 +290,7 @@ impl<R: Read> Iterator for TraceReader<R> {
 ///
 /// Records are batched through a [`BLOCK_RECORDS`]-record buffer, so
 /// arbitrarily long traces stream to disk with constant resident
-/// memory. For sinks that support [`Seek`] and an unknown final count,
-/// use [`StreamingTraceWriter`].
+/// memory.
 pub struct TraceWriter<W: Write> {
     w: W,
     declared: u64,
@@ -364,71 +362,6 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// A streaming trace writer for seekable sinks whose record count is
-/// *not* known up front: a placeholder count of 0 is written with the
-/// header, and [`StreamingTraceWriter::finish`] seeks back and patches
-/// the true count in.
-///
-/// If the writer is dropped without `finish`, the file remains a valid
-/// (empty-count) trace header followed by orphan bytes — readers will
-/// simply see zero records, never garbage.
-pub struct StreamingTraceWriter<W: Write + Seek> {
-    w: W,
-    written: u64,
-    buf: Vec<u8>,
-}
-
-impl<W: Write + Seek> StreamingTraceWriter<W> {
-    /// Starts a trace stream with an unknown record count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the placeholder header.
-    pub fn new(mut w: W) -> Result<Self, TraceIoError> {
-        w.write_all(&encode_header(0))?;
-        Ok(StreamingTraceWriter {
-            w,
-            written: 0,
-            buf: Vec::with_capacity(BLOCK_RECORDS * RECORD_BYTES),
-        })
-    }
-
-    /// Appends one record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from flushing a full block.
-    pub fn push(&mut self, a: &MemAccess) -> Result<(), TraceIoError> {
-        let mut rec = [0u8; RECORD_BYTES];
-        encode_record(a, &mut rec);
-        self.buf.extend_from_slice(&rec);
-        self.written += 1;
-        if self.buf.len() >= BLOCK_RECORDS * RECORD_BYTES {
-            self.w.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-
-    /// Flushes buffered records, backpatches the true record count into
-    /// the header, and returns the sink (positioned at end of stream).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the flush, seeks, or count patch.
-    pub fn finish(mut self) -> Result<W, TraceIoError> {
-        if !self.buf.is_empty() {
-            self.w.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        self.w.seek(SeekFrom::Start(COUNT_OFFSET))?;
-        self.w.write_all(&self.written.to_le_bytes())?;
-        self.w.seek(SeekFrom::End(0))?;
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
 /// Writes a trace to `w`. A `&mut` writer works too (`Write` is
 /// implemented for `&mut W`).
 ///
@@ -475,7 +408,6 @@ fn field<const N: usize>(bytes: &[u8]) -> [u8; N] {
 mod tests {
     use super::*;
     use crate::gen::StrideGen;
-    use std::io::Cursor;
 
     fn sample() -> Trace {
         let mut t = Trace::new();
@@ -655,20 +587,6 @@ mod tests {
                 written: 2
             })
         ));
-    }
-
-    #[test]
-    fn streaming_writer_backpatches_count() {
-        let t = sample();
-        let mut writer = StreamingTraceWriter::new(Cursor::new(Vec::new())).unwrap();
-        for a in t.iter() {
-            writer.push(a).unwrap();
-        }
-        assert_eq!(writer.written, t.len() as u64);
-        let buf = writer.finish().unwrap().into_inner();
-        let mut direct = Vec::new();
-        write_trace(&t, &mut direct).unwrap();
-        assert_eq!(buf, direct);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use sdam_hbm::{Geometry, Hbm, Timing};
 use sdam_mapping::{select, AddressMapping, BitFlipRateVector, PhysAddr};
-use sdam_trace::io::{read_trace, write_trace, StreamingTraceWriter, TraceReader};
+use sdam_trace::io::{read_trace, write_trace, TraceReader, TraceWriter};
 use sdam_trace::stats::{ReuseProfile, StrideHistogram, WorkingSet};
 use sdam_trace::{MemAccess, VariableId};
 use sdam_workloads::analytics::HashJoin;
@@ -86,14 +86,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::remove_file(&path)?;
 
     // 5. Streaming: traces that never fit in memory. Write a large
-    // synthetic trace record-at-a-time (the count is backpatched on
-    // finish, so no in-memory Trace exists at any point), then replay
+    // synthetic trace record-at-a-time (the header declares the count
+    // up front, so no in-memory Trace exists at any point), then replay
     // it straight off disk into the simulator. Resident memory is one
     // 96 KiB I/O block plus the simulator's bounded pending queues,
     // independent of trace length.
     let big_path = std::env::temp_dir().join("streaming.sdamtrc");
-    let mut writer = StreamingTraceWriter::new(std::fs::File::create(&big_path)?)?;
     let records: u64 = 1 << 20;
+    let mut writer = TraceWriter::with_count(std::fs::File::create(&big_path)?, records)?;
     for i in 0..records {
         // A mix of two strided streams, like the capture above but 4000x
         // longer than Scale::tiny().

@@ -1,16 +1,11 @@
 //! Property tests for the binary trace format: the streaming codecs
-//! ([`TraceReader`], [`TraceWriter`], [`StreamingTraceWriter`]) must
-//! agree byte-for-byte and record-for-record with the in-memory
-//! [`read_trace`]/[`write_trace`] pair, and any truncation of a valid
-//! stream must surface as a typed error, never a panic or a silently
-//! short trace.
-
-use std::io::Cursor;
+//! ([`TraceReader`], [`TraceWriter`]) must agree byte-for-byte and
+//! record-for-record with the in-memory [`read_trace`]/[`write_trace`]
+//! pair, and any truncation of a valid stream must surface as a typed
+//! error, never a panic or a silently short trace.
 
 use proptest::prelude::*;
-use sdam_trace::io::{
-    read_trace, write_trace, StreamingTraceWriter, TraceIoError, TraceReader, TraceWriter,
-};
+use sdam_trace::io::{read_trace, write_trace, TraceIoError, TraceReader, TraceWriter};
 use sdam_trace::{MemAccess, ThreadId, Trace, VariableId};
 
 /// Traces of up to `n` records with all fields exercised (full-domain
@@ -44,13 +39,6 @@ proptest! {
             w.push(a).unwrap();
         }
         prop_assert_eq!(&w.finish().unwrap(), &via_fn);
-
-        // The backpatching writer produces identical bytes.
-        let mut sw = StreamingTraceWriter::new(Cursor::new(Vec::new())).unwrap();
-        for a in trace.iter() {
-            sw.push(a).unwrap();
-        }
-        prop_assert_eq!(&sw.finish().unwrap().into_inner(), &via_fn);
 
         // Both read paths recover the original trace.
         prop_assert_eq!(&read_trace(via_fn.as_slice()).unwrap(), &trace);

@@ -8,7 +8,10 @@
 //! that stay public for another reason sit on [`KEEP`] with that reason.
 //!
 //! The scan matches names, not paths, so it is a floor: a name that
-//! some other crate happens to use too counts as called. Each file is
+//! some other crate happens to use too counts as called. A `pub fn`
+//! with a common name (`map`, `decode`) can therefore escape it while
+//! nothing outside its crate calls it, so review such names by hand.
+//! Each file is
 //! read up to its first `#[cfg(test)]`, so unit-test helpers are not
 //! surface. Binaries under `src/bin/` are separate targets and count as
 //! callers of their crate's library. This file itself is skipped, since
