@@ -9,9 +9,10 @@ use sdam::{pipeline, Experiment, SystemConfig};
 use sdam_bench::{exit_on_err, f2, header, scale_from_args};
 use sdam_mapping::Cmt;
 use sdam_workloads::datacopy::DataCopy;
+use sdam_workloads::Scale;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(Scale::tiny());
     header("Ablation: chunk size (paper picks 2 MB = 21 bits)");
     println!(
         "{:<10} {:>10} {:>12} {:>14} {:>12}",

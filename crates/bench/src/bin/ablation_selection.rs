@@ -18,6 +18,7 @@ use sdam_mapping::{
     select, AddressMapping, BitFlipRateVector, BitPermutation, BitShuffleMapping, PhysAddr,
 };
 use sdam_workloads::graph::Sssp;
+use sdam_workloads::Scale;
 
 /// The paper's literal rule: channel ← strictly highest flip rates.
 fn literal_selection(bfrv: &BitFlipRateVector, geom: Geometry) -> BitShuffleMapping {
@@ -55,11 +56,7 @@ fn concentration(m: &dyn AddressMapping, geom: Geometry, addrs: &[u64]) -> f64 {
 fn main() {
     let geom = Geometry::hbm2_8gb();
     let mut exp = Experiment::bench();
-    exp.scale = if std::env::args().len() > 1 {
-        scale_from_args()
-    } else {
-        sdam_workloads::Scale::small()
-    };
+    exp.scale = scale_from_args(Scale::small());
 
     header("Ablation: literal flip-rate ranking vs ratio-banded ranking");
     row(&[

@@ -9,11 +9,12 @@
 use sdam::{pipeline, Experiment, SystemConfig};
 use sdam_bench::{exit_on_err, f2, header, row, scale_from_args};
 use sdam_workloads::datacopy::DataCopy;
+use sdam_workloads::Scale;
 use sdam_workloads::Workload;
 
 fn main() {
     let mut exp = Experiment::quick();
-    exp.scale = scale_from_args();
+    exp.scale = scale_from_args(Scale::tiny());
 
     header("Extension: co-running tenants (shared memory, shared CMT)");
     type TenantPair = (&'static str, Box<dyn Workload>, Box<dyn Workload>);

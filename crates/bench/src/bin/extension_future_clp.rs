@@ -10,10 +10,11 @@ use sdam::{pipeline, Experiment, SystemConfig};
 use sdam_bench::{exit_on_err, f2, header, row, scale_from_args};
 use sdam_hbm::Geometry;
 use sdam_workloads::datacopy::DataCopy;
+use sdam_workloads::Scale;
 
 fn main() {
     let mut base = Experiment::quick();
-    base.scale = scale_from_args();
+    base.scale = scale_from_args(Scale::tiny());
     header("Extension: SDAM benefit vs channel count (future CLP growth)");
     row(&[
         "channels".into(),

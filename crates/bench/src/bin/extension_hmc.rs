@@ -12,6 +12,7 @@ use sdam::{pipeline, Experiment, SystemConfig};
 use sdam_bench::{exit_on_err, f2, gbps, header, row, scale_from_args};
 use sdam_hbm::{Geometry, HardwareAddr, Hbm, Timing};
 use sdam_workloads::datacopy::DataCopy;
+use sdam_workloads::Scale;
 
 fn main() {
     let geom = Geometry::hmc_4gb();
@@ -36,7 +37,7 @@ fn main() {
     header("End-to-end on HMC: stride-16 data copy");
     let mut exp = Experiment::quick();
     exp.geometry = geom;
-    exp.scale = scale_from_args();
+    exp.scale = scale_from_args(Scale::tiny());
     let w = DataCopy::new(vec![16]);
     let cmp = exit_on_err(pipeline::try_compare(
         &w,

@@ -9,10 +9,11 @@ use sdam_bench::{
 use sdam_hbm::{Geometry, Hbm, Timing};
 use sdam_mapping::{select, AddressMapping, BitFlipRateVector, HashMapping, PhysAddr};
 use sdam_workloads::datacopy::DataCopy;
+use sdam_workloads::Scale;
 
 fn part_a() {
     let mut exp = Experiment::bench();
-    exp.scale = scale_from_args();
+    exp.scale = scale_from_args(Scale::tiny());
     let configs = [
         SystemConfig::BsDm,
         SystemConfig::BsBsm,

@@ -10,7 +10,7 @@ use sdam_bench::{
     exit_on_err, f2, header, merged_comparison_metrics, scale_from_args, write_metrics_sidecar,
 };
 use sdam_mapping::BitFlipRateVector;
-use sdam_workloads::{data_intensive_suite, standard_suite, Workload};
+use sdam_workloads::{data_intensive_suite, standard_suite, Scale, Workload};
 
 /// When `SDAM_CSV_DIR` is set, speedup tables are also written there as
 /// CSV for plotting.
@@ -113,11 +113,7 @@ fn main() {
     let mut exp = Experiment::bench();
     // Fig. 12 defaults to the `small` scale: at `tiny` the data-intensive
     // kernels fit the 64 KB L1 and memory mapping cannot matter.
-    exp.scale = if std::env::args().len() > 1 {
-        scale_from_args()
-    } else {
-        sdam_workloads::Scale::small()
-    };
+    exp.scale = scale_from_args(Scale::small());
 
     let std_cmp = run_suite("a: standard benchmarks", &standard_suite(), &exp);
     let di_cmp = run_suite(

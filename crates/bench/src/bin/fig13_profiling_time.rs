@@ -10,15 +10,11 @@ use std::time::Instant;
 
 use sdam::{pipeline, profiling, Experiment, SystemConfig};
 use sdam_bench::{exit_on_err, header, row, scale_from_args};
-use sdam_workloads::{standard_suite, Workload};
+use sdam_workloads::{standard_suite, Scale, Workload};
 
 fn main() {
     let mut exp = Experiment::bench();
-    exp.scale = if std::env::args().len() > 1 {
-        scale_from_args()
-    } else {
-        sdam_workloads::Scale::small()
-    };
+    exp.scale = scale_from_args(Scale::small());
     // A representative subset (running all 19 through DL twice is slow).
     let names = ["perlbench", "mcf", "omnetpp", "streamcluster"];
     let suite = standard_suite();

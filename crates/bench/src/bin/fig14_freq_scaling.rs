@@ -6,7 +6,7 @@ use sdam::{pipeline, report, Experiment, SystemConfig};
 use sdam_bench::{exit_on_err, f2, header, row, scale_from_args};
 use sdam_hbm::Timing;
 use sdam_sys::MachineConfig;
-use sdam_workloads::{data_intensive_suite, Workload};
+use sdam_workloads::{data_intensive_suite, Scale, Workload};
 
 fn geomean_for(exp: &Experiment, suite: &[Box<dyn Workload>], config: SystemConfig) -> f64 {
     let comparisons: Vec<report::Comparison> = suite
@@ -19,11 +19,7 @@ fn geomean_for(exp: &Experiment, suite: &[Box<dyn Workload>], config: SystemConf
 fn main() {
     let mut base = Experiment::bench();
     // Default to `small`: at `tiny` the kernels are cache-resident.
-    base.scale = if std::env::args().len() > 1 {
-        scale_from_args()
-    } else {
-        sdam_workloads::Scale::small()
-    };
+    base.scale = scale_from_args(Scale::small());
     let config = SystemConfig::SdmBsmMl { clusters: 32 };
     // A subset keeps the sweep fast while covering both graph and
     // analytics behaviour.

@@ -12,16 +12,13 @@ use sdam_bench::{
 };
 use sdam_sys::MachineConfig;
 use sdam_workloads::data_intensive_suite;
+use sdam_workloads::Scale;
 
 fn main() {
     let mut exp = Experiment::bench();
     // Default to `small`: at `tiny` the kernels are cache-resident and
     // the memory mapping cannot matter.
-    exp.scale = if std::env::args().len() > 1 {
-        scale_from_args()
-    } else {
-        sdam_workloads::Scale::small()
-    };
+    exp.scale = scale_from_args(Scale::small());
     exp.machine = MachineConfig::accelerator();
 
     let configs = [

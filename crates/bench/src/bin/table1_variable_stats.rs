@@ -9,10 +9,11 @@
 use sdam_bench::{header, scale_from_args};
 use sdam_trace::profile;
 use sdam_workloads::suites::{table1, Surrogate};
+use sdam_workloads::Scale;
 use sdam_workloads::Workload;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(Scale::tiny());
     header("Table 1: variable-level statistics (measured vs paper)");
     println!(
         "{:<14} {:>8} {:>8} | {:>8} {:>8} | {:>12} {:>12}",

@@ -12,24 +12,40 @@
 //! ./target/release/repro_all tiny -j 2
 //! ```
 //!
-//! Most binaries accept a scale argument (`tiny` | `small` | `large`,
-//! default `tiny`) controlling workload size.
+//! Most binaries accept a scale argument (`tiny` | `small` | `large`)
+//! controlling workload size; each has its own default (`tiny`, or
+//! `small` where `tiny` kernels are cache-resident), and an unknown
+//! name exits with status 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sdam_workloads::Scale;
 
-/// Parses the common CLI scale argument (first positional arg).
-pub fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("small") => Scale::small(),
-        Some("large") => Scale::large(),
-        Some("tiny") | None => Scale::tiny(),
-        Some(other) => {
-            eprintln!("unknown scale '{other}', expected tiny|small|large; using tiny");
-            Scale::tiny()
-        }
+/// Parses the common CLI scale argument (first positional arg),
+/// returning `default` when there is none. An unknown name prints a
+/// message and exits with status 2, so a misspelt scale never runs a
+/// figure at the wrong size.
+pub fn scale_from_args(default: Scale) -> Scale {
+    let arg = std::env::args().nth(1);
+    parse_scale(arg.as_deref(), default).unwrap_or_else(|| {
+        eprintln!(
+            "unknown scale '{}', expected tiny|small|large",
+            arg.unwrap_or_default()
+        );
+        std::process::exit(2);
+    })
+}
+
+/// The scale a name stands for (`default` for no name); `None` for an
+/// unknown name.
+fn parse_scale(arg: Option<&str>, default: Scale) -> Option<Scale> {
+    match arg {
+        None => Some(default),
+        Some("tiny") => Some(Scale::tiny()),
+        Some("small") => Some(Scale::small()),
+        Some("large") => Some(Scale::large()),
+        Some(_) => None,
     }
 }
 
@@ -55,9 +71,8 @@ pub fn header(title: &str) {
 /// Writes a figure binary's merged observability snapshot as a stable
 /// JSON sidecar: `$SDAM_METRICS_DIR/<tag>.metrics.json` (default
 /// `target/metrics/`). The snapshot is [`sdam_obs::Registry::stable_json`]
-/// — deterministic, so CI can pin it with a golden test. A build with
-/// the `obs` feature disabled produces empty registries and writes
-/// nothing.
+/// — deterministic, so CI can pin it with a golden test. An empty
+/// registry (a figure that ran nothing) writes nothing.
 pub fn write_metrics_sidecar(tag: &str, reg: &sdam_obs::Registry) {
     if reg.is_empty() {
         return;
@@ -173,5 +188,17 @@ mod tests {
     fn median_takes_the_upper_middle() {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    fn scale_names_parse_and_default() {
+        let small = Scale::small();
+        assert_eq!(parse_scale(Some("tiny"), small), Some(Scale::tiny()));
+        assert_eq!(parse_scale(Some("small"), small), Some(Scale::small()));
+        assert_eq!(parse_scale(Some("large"), small), Some(Scale::large()));
+        assert_eq!(parse_scale(None, small), Some(small));
+        assert_eq!(parse_scale(None, Scale::tiny()), Some(Scale::tiny()));
+        assert_eq!(parse_scale(Some("smal"), small), None);
+        assert_eq!(parse_scale(Some(""), small), None);
     }
 }

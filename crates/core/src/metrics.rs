@@ -12,12 +12,6 @@
 //! (channel order, core order, process order, lineup order), never
 //! racily.
 //!
-//! The merge is gated on the `obs` cargo feature. With the feature off
-//! every function here returns/leaves an empty registry, the per-run
-//! cost is a handful of branch-on-constant checks, and downstream
-//! consumers (`RunResult::metrics`, JSON sidecars) see an empty — but
-//! still schema-valid — snapshot.
-//!
 //! ## Namespace
 //!
 //! | prefix     | source                                              |
@@ -40,24 +34,16 @@ use crate::report::{PhaseTimes, RunResult};
 use crate::stage::StageCache;
 use crate::system::SdamSystem;
 
-/// Whether snapshot collection is compiled in (the `obs` feature).
-pub const OBS_ENABLED: bool = cfg!(feature = "obs");
-
 /// Builds the per-run snapshot from the run's sharded accumulators:
 /// the machine report (which carries the HBM and translation stats),
 /// the system the trace was allocated into (chunk/malloc counters and
 /// the allocation event trace), and the host-side phase times.
-///
-/// Returns an empty registry when the `obs` feature is off.
 pub fn collect_run_metrics(
     report: &ExecutionReport,
     sys: Option<&SdamSystem>,
     phases: &PhaseTimes,
 ) -> Registry {
     let mut reg = Registry::new();
-    if !OBS_ENABLED {
-        return reg;
-    }
     reg.incr("machine.cycles", report.cycles);
     reg.incr("machine.accesses", report.accesses);
     reg.incr("machine.memory_requests", report.memory_requests);
@@ -104,9 +90,6 @@ fn export_adapt(report: &ExecutionReport, reg: &mut Registry) {
 /// section (excluded from [`Registry::stable_json`] — wall-clock can
 /// never be deterministic).
 pub(crate) fn export_phases(phases: &PhaseTimes, reg: &mut Registry) {
-    if !OBS_ENABLED {
-        return;
-    }
     reg.set_volatile("stage.profile.nanos", phases.profile.as_nanos() as u64);
     reg.set_volatile("stage.select.nanos", phases.select.as_nanos() as u64);
     reg.set_volatile(
@@ -125,9 +108,6 @@ pub(crate) fn export_phases(phases: &PhaseTimes, reg: &mut Registry) {
 /// does not depend on thread interleaving.
 pub(crate) fn merge_sweep_metrics(results: &[RunResult], cache: &StageCache) -> Registry {
     let mut reg = Registry::new();
-    if !OBS_ENABLED {
-        return reg;
-    }
     for r in results {
         reg.merge(&r.metrics);
     }
@@ -167,10 +147,6 @@ mod tests {
     #[test]
     fn adapt_metrics_only_appear_for_adaptive_runs() {
         let plain = collect_run_metrics(&report(), None, &PhaseTimes::default());
-        if !OBS_ENABLED {
-            assert!(plain.is_empty());
-            return;
-        }
         assert!(
             !plain.stable_json().contains("machine.migrations"),
             "non-adaptive snapshots must not grow adapt keys"
@@ -196,10 +172,6 @@ mod tests {
     #[test]
     fn run_metrics_cover_machine_hbm_and_cmt() {
         let reg = collect_run_metrics(&report(), None, &PhaseTimes::default());
-        if !OBS_ENABLED {
-            assert!(reg.is_empty());
-            return;
-        }
         assert_eq!(reg.counter("machine.cycles"), 1000);
         assert_eq!(reg.counter("machine.l1_hits"), 60);
         assert_eq!(reg.counter("hbm.requests"), 40);
@@ -214,9 +186,6 @@ mod tests {
             ..PhaseTimes::default()
         };
         let reg = collect_run_metrics(&report(), None, &phases);
-        if !OBS_ENABLED {
-            return;
-        }
         assert_eq!(reg.volatile("stage.execute.nanos"), 1234);
         assert!(
             !reg.stable_json().contains("stage.execute.nanos"),

@@ -339,9 +339,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cmp.results.len(), 4, "BS+DM prepended");
-        if !crate::metrics::OBS_ENABLED {
-            return;
-        }
         assert_eq!(
             cmp.metrics.counter("stage.profile_cache.misses"),
             1,

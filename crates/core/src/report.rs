@@ -45,7 +45,7 @@ pub struct RunResult {
     pub phases: PhaseTimes,
     /// Observability snapshot for this run (see [`crate::metrics`]):
     /// `hbm.*`, `cmt.*`, `mem.*`, `machine.*` counters plus the run's
-    /// event trace. Empty when the `obs` feature is disabled.
+    /// event trace.
     pub metrics: Registry,
 }
 
@@ -59,7 +59,7 @@ pub struct Comparison {
     pub results: Vec<RunResult>,
     /// The per-run snapshots merged in lineup order, plus the
     /// `stage.*` cache counters of the sweep. Counters are sums across
-    /// the runs; empty when the `obs` feature is disabled.
+    /// the runs.
     pub metrics: Registry,
 }
 

@@ -19,7 +19,6 @@ use sdam_mem::{MemError, VirtAddr};
 use sdam_obs::{EventRing, Registry, DEFAULT_RING_CAPACITY};
 
 use crate::error::SdamError;
-use crate::metrics::OBS_ENABLED;
 
 /// Identifies a process sharing the system's physical memory and CMT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -108,8 +107,7 @@ pub struct SdamSystem {
     retired: RetiredCounters,
     /// Structured allocation/CMT event trace. All pushes happen on the
     /// system's serial mutation paths (`malloc_in`, `touch_in`), so the
-    /// order is deterministic by construction; with the `obs` feature
-    /// off the ring stays empty.
+    /// order is deterministic by construction.
     events: EventRing,
 }
 
@@ -143,11 +141,7 @@ impl SdamSystem {
             page_bits,
             users: vec![Vec::new(); MAX_MAPPINGS],
             retired: RetiredCounters::default(),
-            events: EventRing::with_capacity(if OBS_ENABLED {
-                DEFAULT_RING_CAPACITY
-            } else {
-                0
-            }),
+            events: EventRing::with_capacity(DEFAULT_RING_CAPACITY),
         })
     }
 
@@ -205,10 +199,8 @@ impl SdamSystem {
         }
         self.processes[pid.0 as usize] = None;
         self.free_pids.push(pid.0);
-        if OBS_ENABLED {
-            self.events
-                .push("sys.process_exit", &[("pid", u64::from(pid.0))]);
-        }
+        self.events
+            .push("sys.process_exit", &[("pid", u64::from(pid.0))]);
         Ok(())
     }
 
@@ -362,10 +354,8 @@ impl SdamSystem {
                 p.mappings.retain(|&m| m != id);
             }
         }
-        if OBS_ENABLED {
-            self.events
-                .push("sys.mapping_removed", &[("mapping", u64::from(id.0))]);
-        }
+        self.events
+            .push("sys.mapping_removed", &[("mapping", u64::from(id.0))]);
         Ok(())
     }
 
@@ -472,11 +462,8 @@ impl SdamSystem {
     }
 
     /// Records one `mem.heap_grow` event per freshly mapped heap
-    /// region (no-op with the `obs` feature off).
+    /// region.
     fn trace_heap_growth(&mut self, pid: ProcessId, regions: &[sdam_mem::heap::HeapRegion]) {
-        if !OBS_ENABLED {
-            return;
-        }
         for region in regions {
             self.events.push(
                 "mem.heap_grow",
@@ -636,21 +623,17 @@ impl SdamSystem {
                     self.cmt
                         .assign_chunk(chunk, mapping)
                         .map_err(|_| MemError::UnknownMapping(mapping))?;
-                    if OBS_ENABLED {
-                        self.events.push(
-                            "cmt.assign_chunk",
-                            &[("chunk", chunk), ("mapping", u64::from(mapping.0))],
-                        );
-                    }
+                    self.events.push(
+                        "cmt.assign_chunk",
+                        &[("chunk", chunk), ("mapping", u64::from(mapping.0))],
+                    );
                 }
                 ChunkEvent::Released { chunk } => {
                     // Back to the default mapping; the chunk is free.
                     self.cmt
                         .assign_chunk(chunk, MappingId::DEFAULT)
                         .map_err(|_| MemError::UnknownMapping(MappingId::DEFAULT))?;
-                    if OBS_ENABLED {
-                        self.events.push("cmt.release_chunk", &[("chunk", chunk)]);
-                    }
+                    self.events.push("cmt.release_chunk", &[("chunk", chunk)]);
                 }
             }
         }
@@ -709,8 +692,7 @@ impl SdamSystem {
         1u64 << self.page_bits
     }
 
-    /// The allocation/CMT event trace recorded so far (empty with the
-    /// `obs` feature off).
+    /// The allocation/CMT event trace recorded so far.
     pub fn events(&self) -> &EventRing {
         &self.events
     }
@@ -1167,17 +1149,15 @@ mod tests {
         let before = sys.events().total_pushed();
         sys.remove_mapping(id).unwrap();
         assert_eq!(sys.in_use_chunks(), 0);
-        if OBS_ENABLED {
-            let released: Vec<u64> = sys
-                .events()
-                .iter()
-                .filter(|e| e.seq >= before && e.kind == "cmt.release_chunk")
-                .map(|e| e.fields[0].1)
-                .collect();
-            let mut want = vec![low_chunk];
-            want.extend(&high_chunks);
-            assert_eq!(released, want, "lower pid's chunks return first");
-        }
+        let released: Vec<u64> = sys
+            .events()
+            .iter()
+            .filter(|e| e.seq >= before && e.kind == "cmt.release_chunk")
+            .map(|e| e.fields[0].1)
+            .collect();
+        let mut want = vec![low_chunk];
+        want.extend(&high_chunks);
+        assert_eq!(released, want, "lower pid's chunks return first");
         assert_invariants(&sys);
     }
 

@@ -24,74 +24,50 @@ use std::collections::BTreeMap;
 use sdam_hbm::{bank_hashed, Geometry, RowOutcome};
 use sdam_mapping::{Cmt, MappingId, PhysAddr};
 
-/// Policy knobs for the adaptive remapping controller.
+/// Trace accesses per observation window. Boundaries are evaluated at
+/// driver block edges, so the effective boundary lands at the first
+/// block edge at or past each multiple of this.
+const WINDOW_ACCESSES: u64 = 4096;
+/// A chunk qualifies as mismatched when `conflicts / requests` in a
+/// window reaches this rate ...
+const CONFLICT_THRESHOLD: f64 = 0.15;
+/// ... and it saw at least this many requests (noise floor) ...
+const MIN_CHUNK_REQUESTS: u64 = 64;
+/// ... and its traffic touched at most this many distinct channels (the
+/// channel-level-parallelism starvation signal: a well-spread chunk may
+/// still conflict, but remapping cannot help it).
+const MAX_CHUNK_CHANNELS: u32 = 4;
+/// Consecutive qualifying windows before a chunk is remapped
+/// (hysteresis against transient phases).
+const SUSTAIN_WINDOWS: u32 = 2;
+/// Window boundaries a chunk sits out after a migration — or after
+/// scoring found no better mapping; it is eligible again at the
+/// `COOLDOWN_WINDOWS`-th boundary after.
+const COOLDOWN_WINDOWS: u32 = 8;
+/// Migrations allowed at one window boundary.
+const MAX_MIGRATIONS_PER_WINDOW: u32 = 2;
+/// Per-chunk physical-address samples kept per window for candidate
+/// scoring.
+const SAMPLE_LINES: usize = 64;
+
+/// The adaptive remapping controller's one policy knob.
 ///
-/// The defaults are tuned for the phase-change stride workloads of
+/// The detection policy is fixed in private constants of this module,
+/// tuned for the phase-change stride workloads of
 /// `examples/adaptive.rs`: detection within two 4096-access windows,
-/// a cooldown long enough that a migrated chunk is not reconsidered
-/// while its post-migration traffic pattern settles, and a total
-/// migration budget that bounds worst-case injected traffic.
+/// and a cooldown long enough that a migrated chunk is not reconsidered
+/// while its post-migration traffic pattern settles. The migration
+/// budget bounds worst-case injected traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
-    /// Trace accesses per observation window. Boundaries are evaluated
-    /// at driver block edges, so the effective boundary lands at the
-    /// first block edge at or past each multiple of this.
-    pub window_accesses: u64,
-    /// A chunk qualifies as mismatched when `conflicts / requests` in a
-    /// window reaches this rate ...
-    pub conflict_threshold: f64,
-    /// ... and it saw at least this many requests (noise floor) ...
-    pub min_chunk_requests: u64,
-    /// ... and its traffic touched at most this many distinct channels
-    /// (the channel-level-parallelism starvation signal: a well-spread
-    /// chunk may still conflict, but remapping cannot help it).
-    pub max_chunk_channels: u32,
-    /// Consecutive qualifying windows before a chunk is remapped
-    /// (hysteresis against transient phases).
-    pub sustain_windows: u32,
-    /// Windows a chunk is exempt from reconsideration after a
-    /// migration — or after scoring found no better mapping.
-    pub cooldown_windows: u32,
     /// Total migration budget for the run (bounds injected traffic);
     /// `0` makes the controller observe only.
     pub max_migrations: u32,
-    /// Migrations allowed at one window boundary.
-    pub max_migrations_per_window: u32,
-    /// Per-chunk physical-address samples kept per window for candidate
-    /// scoring.
-    pub sample_lines: usize,
-}
-
-impl AdaptConfig {
-    /// Validates the knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a window or sample size is zero, or the conflict
-    /// threshold lies outside `[0, 1]`.
-    pub fn validate(&self) {
-        assert!(self.window_accesses > 0, "window must cover accesses");
-        assert!(self.sample_lines > 0, "scoring needs at least one sample");
-        assert!(
-            (0.0..=1.0).contains(&self.conflict_threshold),
-            "conflict threshold is a rate"
-        );
-    }
 }
 
 impl Default for AdaptConfig {
     fn default() -> Self {
-        AdaptConfig {
-            window_accesses: 4096,
-            conflict_threshold: 0.15,
-            min_chunk_requests: 64,
-            max_chunk_channels: 4,
-            sustain_windows: 2,
-            cooldown_windows: 8,
-            max_migrations: 8,
-            max_migrations_per_window: 2,
-            sample_lines: 64,
-        }
+        AdaptConfig { max_migrations: 8 }
     }
 }
 
@@ -155,7 +131,7 @@ struct ChunkWindow {
     /// Bit per channel touched (channels ≥ 64 saturate the guard bit —
     /// such a chunk is already spread and never qualifies anyway).
     channel_mask: u64,
-    /// First `sample_lines` miss PAs, in trace order, for scoring.
+    /// First `SAMPLE_LINES` miss PAs, in trace order, for scoring.
     samples: Vec<u64>,
 }
 
@@ -169,7 +145,7 @@ struct ChunkWindow {
 /// * **suspect** — the chunk qualified (hot, conflicted, pinned) for
 ///   1..K consecutive windows.
 /// * **cooling** — the chunk was migrated (or scoring declined to), and
-///   is exempt for `cooldown_windows` windows.
+///   is exempt until `COOLDOWN_WINDOWS` boundaries have passed.
 ///
 /// All state lives in `BTreeMap`s keyed by chunk number, so iteration —
 /// and therefore plan order — is deterministic.
@@ -189,7 +165,6 @@ pub(crate) struct RemapController {
 impl RemapController {
     /// A controller for a run over `geom` with the engine's chunk size.
     pub fn new(cfg: AdaptConfig, chunk_bits: u32, geom: Geometry) -> Self {
-        let next = cfg.window_accesses;
         RemapController {
             cfg,
             chunk_bits,
@@ -198,7 +173,7 @@ impl RemapController {
             sustain: BTreeMap::new(),
             cooldown: BTreeMap::new(),
             accesses_seen: 0,
-            next_window_at: next,
+            next_window_at: WINDOW_ACCESSES,
             report: AdaptReport {
                 enabled: true,
                 ..AdaptReport::default()
@@ -207,13 +182,13 @@ impl RemapController {
     }
 
     /// Records an external miss (phase A of the driver): counts the
-    /// request against its chunk and keeps the first `sample_lines`
+    /// request against its chunk and keeps the first `SAMPLE_LINES`
     /// physical addresses for candidate scoring. The driver calls this
     /// in trace order, before translation.
     pub(crate) fn note_access(&mut self, pa: u64) {
         let w = self.window.entry(pa >> self.chunk_bits).or_default();
         w.requests += 1;
-        if w.samples.len() < self.cfg.sample_lines {
+        if w.samples.len() < SAMPLE_LINES {
             w.samples.push(pa);
         }
     }
@@ -238,7 +213,7 @@ impl RemapController {
             return false;
         }
         while self.next_window_at <= self.accesses_seen {
-            self.next_window_at += self.cfg.window_accesses;
+            self.next_window_at += WINDOW_ACCESSES;
         }
         true
     }
@@ -251,8 +226,9 @@ impl RemapController {
     pub(crate) fn end_window(&mut self, cmt: &Cmt) -> Vec<MigrationPlan> {
         self.report.windows += 1;
 
-        // Cooldowns tick down first; a chunk whose cooldown expires this
-        // window still starts from zero sustain.
+        // Cooldowns tick down first, so a chunk whose cooldown ends at
+        // this boundary is eligible at it (its streak kept counting
+        // while it cooled).
         self.cooldown.retain(|_, left| {
             *left -= 1;
             *left > 0
@@ -276,14 +252,14 @@ impl RemapController {
             .sustain
             .iter()
             .filter(|(chunk, &streak)| {
-                streak >= self.cfg.sustain_windows && !self.cooldown.contains_key(chunk)
+                streak >= SUSTAIN_WINDOWS && !self.cooldown.contains_key(chunk)
             })
             .map(|(&chunk, _)| (chunk, self.window[&chunk].conflicts))
             .collect();
         ripe.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
         let budget = (self.cfg.max_migrations as u64).saturating_sub(self.report.migrations);
-        let take = (self.cfg.max_migrations_per_window as u64).min(budget) as usize;
+        let take = u64::from(MAX_MIGRATIONS_PER_WINDOW).min(budget) as usize;
 
         let mut plans = Vec::new();
         for &(chunk, _) in ripe.iter().take(take) {
@@ -292,9 +268,7 @@ impl RemapController {
             // migrates or scoring found nothing better — both enter
             // cooldown so the controller does not re-score every window.
             self.sustain.remove(&chunk);
-            if self.cfg.cooldown_windows > 0 {
-                self.cooldown.insert(chunk, self.cfg.cooldown_windows);
-            }
+            self.cooldown.insert(chunk, COOLDOWN_WINDOWS);
             let samples = &self.window[&chunk].samples;
             let Some(current_score) = score_mapping(cmt, self.geom, current, samples) else {
                 continue;
@@ -323,9 +297,9 @@ impl RemapController {
 
     /// The per-window mismatch predicate: hot, conflicted, and pinned.
     fn qualifies(&self, w: &ChunkWindow) -> bool {
-        w.requests >= self.cfg.min_chunk_requests
-            && w.conflicts as f64 >= self.cfg.conflict_threshold * w.requests as f64
-            && w.channel_mask.count_ones() <= self.cfg.max_chunk_channels
+        w.requests >= MIN_CHUNK_REQUESTS
+            && w.conflicts as f64 >= CONFLICT_THRESHOLD * w.requests as f64
+            && w.channel_mask.count_ones() <= MAX_CHUNK_CHANNELS
     }
 
     /// Folds the current window's counters into the cumulative
@@ -426,15 +400,8 @@ mod tests {
         let geom = Geometry::hbm2_8gb();
         let cmt = cmt_with_rotation();
         let mut ctl = RemapController::new(AdaptConfig::default(), 21, geom);
-        pinned_window(&mut ctl, 3);
-        assert!(
-            ctl.end_window(&cmt).is_empty(),
-            "one window is not sustained"
-        );
-        pinned_window(&mut ctl, 3);
-        let plans = ctl.end_window(&cmt);
         assert_eq!(
-            plans,
+            sustained(&mut ctl, &cmt, &[3]),
             vec![MigrationPlan {
                 chunk: 3,
                 from: MappingId(0),
@@ -460,47 +427,91 @@ mod tests {
         }
     }
 
+    /// Feeds `SUSTAIN_WINDOWS` windows of pinned traffic on `chunks`,
+    /// checks that no window before the last one plans anything, and
+    /// returns the last window's plans.
+    fn sustained(ctl: &mut RemapController, cmt: &Cmt, chunks: &[u64]) -> Vec<MigrationPlan> {
+        for w in 1..=SUSTAIN_WINDOWS {
+            for &chunk in chunks {
+                pinned_window(ctl, chunk);
+            }
+            let plans = ctl.end_window(cmt);
+            if w == SUSTAIN_WINDOWS {
+                return plans;
+            }
+            assert!(plans.is_empty(), "window {w} is not sustained");
+        }
+        unreachable!("SUSTAIN_WINDOWS is at least 1")
+    }
+
     #[test]
     fn interrupted_streaks_reset() {
         let geom = Geometry::hbm2_8gb();
         let cmt = cmt_with_rotation();
-        let cfg = AdaptConfig {
-            sustain_windows: 2,
-            ..AdaptConfig::default()
-        };
-        let mut ctl = RemapController::new(cfg, 21, geom);
-        pinned_window(&mut ctl, 3);
-        assert!(ctl.end_window(&cmt).is_empty());
+        let mut ctl = RemapController::new(AdaptConfig::default(), 21, geom);
+        for _ in 1..SUSTAIN_WINDOWS {
+            pinned_window(&mut ctl, 3);
+            assert!(ctl.end_window(&cmt).is_empty());
+        }
         // A quiet window breaks the streak...
         assert!(ctl.end_window(&cmt).is_empty());
-        pinned_window(&mut ctl, 3);
-        // ...so one more qualifying window is again not enough.
-        assert!(ctl.end_window(&cmt).is_empty());
+        // ...so the chunk needs a full streak again.
+        assert_eq!(sustained(&mut ctl, &cmt, &[3]).len(), 1);
     }
 
     #[test]
     fn cooldown_and_budget_bound_migrations() {
         let geom = Geometry::hbm2_8gb();
         let cmt = cmt_with_rotation();
-        let cfg = AdaptConfig {
-            sustain_windows: 1,
-            cooldown_windows: 100,
-            max_migrations: 1,
-            ..AdaptConfig::default()
-        };
+        let cfg = AdaptConfig { max_migrations: 1 };
         let mut ctl = RemapController::new(cfg, 21, geom);
-        pinned_window(&mut ctl, 3);
-        assert_eq!(ctl.end_window(&cmt).len(), 1);
+        assert_eq!(sustained(&mut ctl, &cmt, &[3]).len(), 1);
         ctl.note_migration(1, 1 << 21);
-        // Same pressure again: the chunk is cooling *and* the run
-        // budget is spent.
-        pinned_window(&mut ctl, 3);
-        assert!(ctl.end_window(&cmt).is_empty());
-        pinned_window(&mut ctl, 5);
+        // Same pressure again, plus a new chunk: the run budget is spent,
+        // so neither the cooling chunk nor the new one plans.
         assert!(
-            ctl.end_window(&cmt).is_empty(),
+            sustained(&mut ctl, &cmt, &[3, 5]).is_empty(),
             "run budget must also stop new chunks"
         );
+    }
+
+    #[test]
+    fn per_window_cap_defers_the_third_ripe_chunk() {
+        let geom = Geometry::hbm2_8gb();
+        let cmt = cmt_with_rotation();
+        let mut ctl = RemapController::new(AdaptConfig::default(), 21, geom);
+        // Three chunks with equal conflicts ripen at the same boundary;
+        // the chunk number breaks the tie.
+        let plans = sustained(&mut ctl, &cmt, &[5, 3, 4]);
+        assert_eq!(plans.len(), MAX_MIGRATIONS_PER_WINDOW as usize);
+        assert_eq!(
+            plans.iter().map(|p| p.chunk).collect::<Vec<_>>(),
+            vec![3, 4]
+        );
+        // The deferred chunk kept its streak: one more pinned window
+        // plans it.
+        pinned_window(&mut ctl, 5);
+        let next = ctl.end_window(&cmt);
+        assert_eq!(next.iter().map(|p| p.chunk).collect::<Vec<_>>(), vec![5]);
+    }
+
+    #[test]
+    fn cooling_chunk_is_eligible_exactly_when_its_cooldown_ends() {
+        let geom = Geometry::hbm2_8gb();
+        let cmt = cmt_with_rotation();
+        let mut ctl = RemapController::new(AdaptConfig::default(), 21, geom);
+        assert_eq!(sustained(&mut ctl, &cmt, &[3]).len(), 1);
+        // The driver would flip the CMT entry; this CMT keeps chunk 3 on
+        // the identity, so it stays mismatched under pressure.
+        for boundary in 1..COOLDOWN_WINDOWS {
+            pinned_window(&mut ctl, 3);
+            assert!(
+                ctl.end_window(&cmt).is_empty(),
+                "cooling at boundary {boundary}"
+            );
+        }
+        pinned_window(&mut ctl, 3);
+        assert_eq!(ctl.end_window(&cmt).len(), 1, "cooldown over");
     }
 
     #[test]
@@ -533,16 +544,16 @@ mod tests {
     #[test]
     fn block_done_crosses_windows_once() {
         let geom = Geometry::hbm2_8gb();
-        let cfg = AdaptConfig {
-            window_accesses: 4096,
-            ..AdaptConfig::default()
-        };
-        let mut ctl = RemapController::new(cfg, 21, geom);
-        assert!(!ctl.block_done(4095));
+        let mut ctl = RemapController::new(AdaptConfig::default(), 21, geom);
+        let window = WINDOW_ACCESSES as usize;
+        assert!(!ctl.block_done(window - 1));
         assert!(ctl.block_done(1));
-        assert!(!ctl.block_done(4095));
-        // A block that crosses several windows still reports once.
-        assert!(ctl.block_done(10_000));
-        assert!(!ctl.block_done(1));
+        assert!(!ctl.block_done(window - 1));
+        // A block that crosses several windows still reports once...
+        assert!(ctl.block_done(2 * window + 1));
+        // ...and, as that block ended on a boundary, the next one is a
+        // full window later.
+        assert!(!ctl.block_done(window - 1));
+        assert!(ctl.block_done(1));
     }
 }

@@ -1,8 +1,7 @@
 //! The machine model: cores (or accelerator lanes) with bounded
 //! memory-level parallelism in front of the HBM simulator.
 //!
-//! Each core advances a local clock: compute cycles per access, cache
-//! hit latencies, and — on an LLC miss — a request issued into the HBM
+//! Each core advances a local clock: cache hit latencies and — on an LLC miss — a request issued into the HBM
 //! device through the configured [`MappingEngine`]. A core may have up
 //! to `mlp_window` misses outstanding; when the window is full it stalls
 //! until the oldest completes. Total execution time is the slowest
@@ -29,8 +28,6 @@ pub struct MachineConfig {
     pub num_cores: usize,
     /// Maximum outstanding LLC misses per core.
     pub mlp_window: usize,
-    /// Compute cycles consumed per memory access in the trace.
-    pub compute_cycles: u64,
     /// Per-core first-level cache (`None` for cacheless engines).
     pub l1: Option<CacheConfig>,
     /// Shared last-level cache.
@@ -49,7 +46,6 @@ impl MachineConfig {
         MachineConfig {
             num_cores: 4,
             mlp_window: 16,
-            compute_cycles: 0,
             l1: Some(CacheConfig::boom_l1()),
             llc: None,
         }
@@ -70,7 +66,6 @@ impl MachineConfig {
         MachineConfig {
             num_cores: 4,
             mlp_window: 64,
-            compute_cycles: 0,
             l1: Some(CacheConfig::accelerator_buffer()),
             llc: None,
         }
@@ -193,8 +188,7 @@ struct MissStage {
     /// Write flags, per core.
     writes: Vec<Vec<bool>>,
     /// The core's accumulated phase-A clock additions at the time of
-    /// each miss (compute cycles + cache-hit latencies since block
-    /// start, including this access's compute cycles).
+    /// each miss (cache-hit latencies since block start).
     advances: Vec<Vec<u64>>,
     /// Decoded (and bank-hashed) hardware addresses, per core; filled
     /// by phase B.
@@ -300,7 +294,7 @@ impl Machine {
 
     /// The original per-request serial driver, kept verbatim as the
     /// oracle the block-based [`Machine::run`] is tested against: every
-    /// access runs compute, cache probe, window stall, translation, and
+    /// access runs cache probe, window stall, translation, and
     /// memory service inline before the next access is considered.
     pub fn run_reference(&mut self, trace: &Trace, engine: &MappingEngine) -> ExecutionReport {
         let n = self.config.num_cores;
@@ -318,7 +312,6 @@ impl Machine {
         for a in trace.iter() {
             let core = a.thread.index() % n;
             per_core[core].accesses += 1;
-            clocks[core] += self.config.compute_cycles;
 
             if let Some(l1) = &mut l1s[core] {
                 if l1.access(a.addr) == CacheOutcome::Hit {
@@ -394,17 +387,12 @@ impl Machine {
     /// For a non-chunked engine (no per-chunk assignment to adapt) this
     /// is exactly [`Machine::run`] — bit-identical report, `adapt`
     /// all-default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid ([`AdaptConfig::validate`]).
     pub fn run_adaptive(
         &mut self,
         trace: &Trace,
         engine: &mut MappingEngine,
         cfg: &AdaptConfig,
     ) -> ExecutionReport {
-        cfg.validate();
         let Some(chunk_bits) = engine.as_chunked().map(Cmt::chunk_bits) else {
             return self.run(trace, engine);
         };
@@ -421,10 +409,6 @@ impl Machine {
     /// run is always serial, because handing single channel services
     /// (~12 ns each) to other threads costs more than it saves
     /// (DESIGN.md §8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid ([`AdaptConfig::validate`]).
     pub fn run_adaptive_with(
         &mut self,
         trace: &Trace,
@@ -468,7 +452,6 @@ impl Machine {
             for a in block {
                 let core = a.thread.index() % n;
                 per_core[core].accesses += 1;
-                advance[core] += self.config.compute_cycles;
 
                 if let Some(l1) = &mut l1s[core] {
                     if l1.access(a.addr) == CacheOutcome::Hit {
@@ -943,13 +926,10 @@ mod tests {
             MappingEngine::Global(Box::new(sdam_mapping::select::shuffle_for_stride(32, geom))),
             MappingEngine::Chunked(cmt),
         ];
-        let mut slow_cfg = MachineConfig::cpu();
-        slow_cfg.compute_cycles = 3;
         let configs = [
             MachineConfig::cpu(),
             cpu_with_llc(),
             MachineConfig::accelerator(),
-            slow_cfg,
         ];
         // 0 accesses, under one block, and several blocks (4 threads x
         // 3_000 = 12_000 accesses with MISS_BLOCK = 4096).

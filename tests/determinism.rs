@@ -58,8 +58,6 @@ fn metrics_snapshot_identical_serial_and_threaded() {
     // stable snapshot — every counter, every histogram bucket, and the
     // event trace *in order* — is bit-identical between the serial
     // pipeline and the threaded one, for every thread count.
-    // (With the `obs` feature off all snapshots are empty and the
-    // comparison is trivially exact.)
     let w = DataCopy::new(vec![1, 32]);
     let configs = [
         SystemConfig::BsBsm,
@@ -271,10 +269,7 @@ fn adaptive_observe_only_is_bit_identical_to_plain_run() {
     // Both the small scenario and the `adapt` bench's mid-run input.
     let geom = Geometry::hbm2_8gb();
     let (small, engine) = adaptive_scenario();
-    let cfg = AdaptConfig {
-        max_migrations: 0,
-        ..AdaptConfig::default()
-    };
+    let cfg = AdaptConfig { max_migrations: 0 };
     for trace in [small, break_even_trace(0.5)] {
         let mut m = Machine::new(MachineConfig::accelerator(), geom);
         let plain = m.run(&trace, &engine());

@@ -15,8 +15,6 @@
 //! 4. chunk claims − releases equal live chunks (and the event trace
 //!    agrees with the counters when nothing was dropped).
 
-#![cfg(feature = "obs")]
-
 use proptest::prelude::*;
 use sdam::obs::Registry;
 use sdam::{pipeline, Experiment, Parallelism, SystemConfig};

@@ -12,8 +12,6 @@
 //! SDAM_BLESS=1 cargo test --test obs_snapshot
 //! ```
 
-#![cfg(feature = "obs")]
-
 use sdam::{pipeline, Experiment, Parallelism, SystemConfig};
 use sdam_workloads::datacopy::DataCopy;
 

@@ -7,15 +7,20 @@
 //! outside its crate names should be `pub(crate)` (or gone); the few
 //! that stay public for another reason sit on [`KEEP`] with that reason.
 //!
+//! The same holds for the `pub` fields of every `pub struct *Config`: a
+//! knob nothing outside its crate sets or reads is an option with one
+//! value in use, so it should be a private constant. The few fields
+//! kept anyway sit on [`KEEP_FIELDS`] with their reason.
+//!
 //! The scan matches names, not paths, so it is a floor: a name that
 //! some other crate happens to use too counts as called. A `pub fn`
-//! with a common name (`map`, `decode`) can therefore escape it while
-//! nothing outside its crate calls it, so review such names by hand.
-//! Each file is
+//! (or field) with a common name (`map`, `decode`) can therefore escape
+//! it while nothing outside its crate calls it, so review such names by
+//! hand. Each file is
 //! read up to its first `#[cfg(test)]`, so unit-test helpers are not
 //! surface. Binaries under `src/bin/` are separate targets and count as
 //! callers of their crate's library. This file itself is skipped, since
-//! [`KEEP`] names the kept functions. Nothing is built.
+//! [`KEEP`] and [`KEEP_FIELDS`] name the kept items. Nothing is built.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -39,6 +44,27 @@ const KEEP: &[(&str, &str)] = &[
     (
         "bank_hashed_reference",
         "the oracle the bank-hash fold is proven against; oracles leave the libraries together, not one by one",
+    ),
+];
+
+/// `Config` struct fields no file outside their crate names, as
+/// `Struct::field`, each with the reason it stays a field.
+const KEEP_FIELDS: &[(&str, &str)] = &[
+    (
+        "MachineConfig::mlp_window",
+        "the CPU and accelerator presets set it to 16 and 64; the depth of the miss window is the paper's reason accelerators gain more (section 7.4)",
+    ),
+    (
+        "KMeansConfig::max_iters",
+        "the k-means iteration cap; its unit tests sweep it to check that the loss never grows",
+    ),
+    (
+        "ChurnConfig::max_alloc_pages",
+        "the churn generator's allocation-size ceiling; `ChurnScript::config` reports it with the other generating parameters",
+    ),
+    (
+        "ChurnConfig::sensitive_pct",
+        "the churn generator's share of guard-isolated allocations; `ChurnScript::config` reports it with the other generating parameters",
     ),
 ];
 
@@ -81,56 +107,108 @@ fn pub_fns(text: &str) -> Vec<String> {
     names
 }
 
-#[test]
-fn every_public_function_has_a_caller_outside_its_crate() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in ["crates", "tests", "examples", "src", "benchmark/src"] {
-        rs_files(&root.join(dir), &mut files);
-    }
-    // This file names the kept functions; it calls none of them.
-    files.retain(|f| !f.ends_with(file!()));
-    // word -> files that contain it
-    let mut index: HashMap<String, BTreeSet<usize>> = HashMap::new();
-    let mut texts = Vec::new();
-    for (i, f) in files.iter().enumerate() {
-        let text = fs::read_to_string(f).unwrap();
-        for w in words(&text) {
-            index.entry(w.to_string()).or_default().insert(i);
+/// The `pub` fields of every `pub struct *Config` in `text` before its
+/// first `#[cfg(test)]`, as `Struct::field`.
+fn pub_config_fields(text: &str) -> Vec<String> {
+    let mut fields = Vec::new();
+    let mut within: Option<String> = None;
+    for line in text.lines() {
+        let line = line.trim_start();
+        if line.starts_with("#[cfg(test)]") {
+            break;
         }
-        texts.push(text);
-    }
-
-    // (crate library source dir, name) for every public function.
-    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut defined = 0;
-    for (i, f) in files.iter().enumerate() {
-        let rel = f.strip_prefix(root).unwrap();
-        let parts: Vec<_> = rel.iter().map(|p| p.to_str().unwrap()).collect();
-        if parts[0] != "crates" || parts[2] != "src" || parts[3] == "bin" {
-            continue;
-        }
-        let own = root.join("crates").join(parts[1]).join("src");
-        let bins = own.join("bin");
-        for name in pub_fns(&texts[i]) {
-            defined += 1;
-            let called = index.get(&name).is_some_and(|users| {
-                users
-                    .iter()
-                    .any(|&u| !files[u].starts_with(&own) || files[u].starts_with(&bins))
-            });
-            if !called {
-                unreferenced
-                    .entry(name)
-                    .or_default()
-                    .push(rel.display().to_string());
+        match &within {
+            None => {
+                let name = line
+                    .strip_prefix("pub struct ")
+                    .and_then(|r| words(r).next());
+                if let Some(name) = name.filter(|n| n.ends_with("Config") && line.ends_with('{')) {
+                    within = Some(name.to_string());
+                }
+            }
+            Some(_) if line.starts_with('}') => within = None,
+            Some(name) => {
+                if let Some((field, _)) = line.strip_prefix("pub ").and_then(|r| r.split_once(':'))
+                {
+                    fields.push(format!("{name}::{}", field.trim()));
+                }
             }
         }
     }
-    assert!(defined > 300, "scan found only {defined} definitions");
+    fields
+}
 
-    let keep: BTreeMap<&str, &str> = KEEP.iter().copied().collect();
-    for (name, reason) in KEEP {
+/// Every `.rs` file the scan reads, with a word → files index.
+struct Corpus {
+    root: PathBuf,
+    files: Vec<PathBuf>,
+    texts: Vec<String>,
+    index: HashMap<String, BTreeSet<usize>>,
+}
+
+impl Corpus {
+    fn load() -> Corpus {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+        let mut files = Vec::new();
+        for dir in ["crates", "tests", "examples", "src", "benchmark/src"] {
+            rs_files(&root.join(dir), &mut files);
+        }
+        // This file names the kept items; it uses none of them.
+        files.retain(|f| !f.ends_with(file!()));
+        let mut index: HashMap<String, BTreeSet<usize>> = HashMap::new();
+        let mut texts = Vec::new();
+        for (i, f) in files.iter().enumerate() {
+            let text = fs::read_to_string(f).unwrap();
+            for w in words(&text) {
+                index.entry(w.to_string()).or_default().insert(i);
+            }
+            texts.push(text);
+        }
+        Corpus {
+            root,
+            files,
+            texts,
+            index,
+        }
+    }
+
+    /// For each library source file (under `crates/*/src`, `bin/`
+    /// excepted): its path relative to the root, its text, and its
+    /// crate's source directory.
+    fn library_files(&self) -> impl Iterator<Item = (String, &str, PathBuf)> + '_ {
+        self.files.iter().zip(&self.texts).filter_map(|(f, text)| {
+            let rel = f.strip_prefix(&self.root).unwrap();
+            let parts: Vec<_> = rel.iter().map(|p| p.to_str().unwrap()).collect();
+            if parts[0] != "crates" || parts[2] != "src" || parts[3] == "bin" {
+                return None;
+            }
+            let own = self.root.join("crates").join(parts[1]).join("src");
+            Some((rel.display().to_string(), text.as_str(), own))
+        })
+    }
+
+    /// Whether a file outside the crate whose sources are `own` names
+    /// `word`; the crate's own binaries count as outside.
+    fn named_outside(&self, word: &str, own: &Path) -> bool {
+        let bins = own.join("bin");
+        self.index.get(word).is_some_and(|users| {
+            users
+                .iter()
+                .any(|&u| !self.files[u].starts_with(own) || self.files[u].starts_with(&bins))
+        })
+    }
+}
+
+/// Fails on every item of `unreferenced` (name → defining files) that
+/// `keep` does not list, and on every `keep` entry that is no longer
+/// unreferenced.
+fn check_against_keep(
+    what: &str,
+    unreferenced: &BTreeMap<String, Vec<String>>,
+    keep: &[(&str, &str)],
+) {
+    let keep: BTreeMap<&str, &str> = keep.iter().copied().collect();
+    for (name, reason) in &keep {
         assert!(!reason.is_empty(), "`{name}` is kept without a reason");
     }
     let uncalled: Vec<String> = unreferenced
@@ -140,8 +218,8 @@ fn every_public_function_has_a_caller_outside_its_crate() {
         .collect();
     assert!(
         uncalled.is_empty(),
-        "public functions nothing outside their crate calls; make them \
-         pub(crate), delete them, or add them to KEEP with a reason:\n  {}",
+        "{what} nothing outside their crate names; make them private, \
+         delete them, or keep them with a reason:\n  {}",
         uncalled.join("\n  ")
     );
     let stale: Vec<&str> = keep
@@ -151,6 +229,41 @@ fn every_public_function_has_a_caller_outside_its_crate() {
         .collect();
     assert!(
         stale.is_empty(),
-        "KEEP entries that are now called outside their crate, or gone: {stale:?}"
+        "kept {what} that are now named outside their crate, or gone: {stale:?}"
     );
+}
+
+#[test]
+fn every_public_function_has_a_caller_outside_its_crate() {
+    let corpus = Corpus::load();
+    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut defined = 0;
+    for (rel, text, own) in corpus.library_files() {
+        for name in pub_fns(text) {
+            defined += 1;
+            if !corpus.named_outside(&name, &own) {
+                unreferenced.entry(name).or_default().push(rel.clone());
+            }
+        }
+    }
+    assert!(defined > 300, "scan found only {defined} definitions");
+    check_against_keep("public functions", &unreferenced, KEEP);
+}
+
+#[test]
+fn every_config_field_is_named_outside_its_crate() {
+    let corpus = Corpus::load();
+    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut defined = 0;
+    for (rel, text, own) in corpus.library_files() {
+        for path in pub_config_fields(text) {
+            defined += 1;
+            let field = path.rsplit("::").next().unwrap();
+            if !corpus.named_outside(field, &own) {
+                unreferenced.entry(path).or_default().push(rel.clone());
+            }
+        }
+    }
+    assert!(defined > 20, "scan found only {defined} config fields");
+    check_against_keep("config fields", &unreferenced, KEEP_FIELDS);
 }
