@@ -16,7 +16,7 @@ use sdam_mem::heap::MultiHeapMalloc;
 use sdam_mem::phys::{ChunkAllocator, ChunkEvent};
 use sdam_mem::vma::AddressSpace;
 use sdam_mem::{MemError, VirtAddr};
-use sdam_obs::{EventRing, Registry, DEFAULT_RING_CAPACITY};
+use sdam_obs::{EventRing, Registry};
 
 use crate::error::SdamError;
 
@@ -141,7 +141,7 @@ impl SdamSystem {
             page_bits,
             users: vec![Vec::new(); MAX_MAPPINGS],
             retired: RetiredCounters::default(),
-            events: EventRing::with_capacity(DEFAULT_RING_CAPACITY),
+            events: EventRing::default(),
         })
     }
 
@@ -309,7 +309,7 @@ impl SdamSystem {
     /// [`SdamSystem::exit_process`] does both for a whole tenant).
     pub fn remove_mapping(&mut self, id: MappingId) -> Result<(), MemError> {
         let slot = id.0 as usize;
-        if id == MappingId::DEFAULT || !self.is_registered(id) {
+        if id == MappingId::DEFAULT || !self.cmt.is_registered(id) {
             return Err(MemError::UnknownMapping(id));
         }
         // Pre-check every user before mutating any, so a failure leaves
@@ -359,12 +359,6 @@ impl SdamSystem {
         Ok(())
     }
 
-    /// Whether `id` is registered in the CMT — the single registration
-    /// authority (the default mapping always is).
-    fn is_registered(&self, id: MappingId) -> bool {
-        self.cmt.registered_ids_slice().binary_search(&id).is_ok()
-    }
-
     /// Looks up a process, rejecting pids this system never handed out
     /// and pids whose process has exited.
     fn process_mut(&mut self, pid: ProcessId) -> Result<&mut Process, MemError> {
@@ -380,7 +374,7 @@ impl SdamSystem {
         pid: ProcessId,
         mapping: Option<MappingId>,
     ) -> Result<&mut Process, MemError> {
-        if let Some(id) = mapping.filter(|&id| !self.is_registered(id)) {
+        if let Some(id) = mapping.filter(|&id| !self.cmt.is_registered(id)) {
             return Err(MemError::UnknownMapping(id));
         }
         let p = self

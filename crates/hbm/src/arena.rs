@@ -61,19 +61,8 @@ pub struct RequestArena {
 
 impl RequestArena {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RequestArena::default()
-    }
-
-    /// An empty arena with room for `cap` requests.
-    pub fn with_capacity(cap: usize) -> Self {
-        RequestArena {
-            row: Vec::with_capacity(cap),
-            bank: Vec::with_capacity(cap),
-            col: Vec::with_capacity(cap),
-            arrival: Vec::with_capacity(cap),
-            is_write: Vec::with_capacity(cap),
-        }
     }
 
     /// Number of pending requests.
@@ -356,7 +345,7 @@ mod tests {
 
     #[test]
     fn compact_preserves_order_and_capacity() {
-        let mut a = RequestArena::with_capacity(8);
+        let mut a = RequestArena::new();
         for i in 0..6u64 {
             a.push(da(i, 0, 0), false, i);
         }

@@ -4,14 +4,19 @@
 //! (paper §5.2). Its configuration is `n` integers of `ceil(log2(n))`
 //! bits — the closed-switch row for each column — so a 15-bit offset
 //! needs `15 × 4 = 60` bits of configuration, the entry width of the
-//! CMT's second-level table.
+//! CMT's second-level table. The crossbar datapath itself is
+//! [`BitPermutation::apply`]; this module holds the packed hardware
+//! encoding of its configuration.
 
 use crate::{BitPermutation, PermError};
 
 /// Re-export of the access granularity for convenience.
 pub use sdam_hbm::LINE_BYTES;
 
-/// A packed AMU crossbar configuration, as stored in the CMT.
+/// A packed AMU crossbar configuration: the 60-bit entry of the
+/// hardware CMT's second-level table. The simulated [`crate::Cmt`]
+/// keeps the decoded [`BitPermutation`] instead and packs it only to
+/// report its storage.
 ///
 /// # Example
 ///
@@ -81,39 +86,6 @@ impl AmuConfig {
     }
 }
 
-/// The AMU itself: a configured crossbar that permutes chunk-offset bits.
-///
-/// The hardware cost model lives in [`crate::area`]; the datapath is
-/// simply [`BitPermutation::apply`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Amu {
-    perm: BitPermutation,
-}
-
-impl Amu {
-    /// Creates an AMU directly from a permutation.
-    pub fn new(perm: BitPermutation) -> Self {
-        Amu { perm }
-    }
-
-    /// Permutes the offset bits of an address.
-    #[inline]
-    pub fn apply(&self, addr: u64) -> u64 {
-        self.perm.apply(addr)
-    }
-
-    /// [`Amu::apply`] in place over a block of addresses.
-    #[inline]
-    pub(crate) fn apply_block(&self, addrs: &mut [u64]) {
-        self.perm.apply_block(addrs);
-    }
-
-    /// The configured permutation.
-    pub fn permutation(&self) -> &BitPermutation {
-        &self.perm
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,14 +105,6 @@ mod tests {
         let perm = BitPermutation::new(6, table).unwrap();
         let cfg = AmuConfig::pack(&perm);
         assert_eq!(cfg.unpack(6).unwrap(), perm);
-    }
-
-    #[test]
-    fn amu_applies_its_permutation() {
-        let perm = BitPermutation::new(6, vec![1, 0, 2]).unwrap();
-        let amu = Amu::new(perm);
-        assert_eq!(amu.apply(1 << 6), 1 << 7);
-        assert_eq!(amu.apply(1 << 7), 1 << 6);
     }
 
     #[test]

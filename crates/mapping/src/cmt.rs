@@ -14,7 +14,7 @@
 
 use sdam_hbm::HardwareAddr;
 
-use crate::{Amu, AmuConfig, BitPermutation, MappingId, PhysAddr};
+use crate::{AmuConfig, BitPermutation, MappingId, PhysAddr};
 
 /// Lookup latency of the CMT SRAM in nanoseconds (paper §5.3: "6 ns …
 /// negligible in comparison to the HBM access latency (> 130 ns)").
@@ -114,7 +114,13 @@ impl std::fmt::Display for CmtError {
 
 impl std::error::Error for CmtError {}
 
-/// The two-level chunk mapping table plus its attached AMUs.
+/// The two-level chunk mapping table: a mapping index per chunk and
+/// one PA→HA permutation slot per mapping id.
+///
+/// The slot holds the decoded crossbar configuration the AMU applies;
+/// an empty slot is an unregistered id. The hardware's packed 60-bit
+/// entry ([`AmuConfig`]) is derived from a slot only for the storage
+/// figures.
 ///
 /// # Example
 ///
@@ -144,24 +150,16 @@ pub struct Cmt {
     chunk_bits: u32,
     /// First-level table: mapping index per chunk.
     chunk_index: Vec<u8>,
-    /// Second-level table: packed crossbar configuration per mapping.
-    configs: Vec<Option<AmuConfig>>,
-    /// Decoded AMUs (the hardware keeps these as live crossbar state).
-    amus: Vec<Option<Amu>>,
-    /// Inverse AMUs, computed once at registration so
-    /// [`Cmt::translate_inverse`] never recomputes a permutation
-    /// inversion on the lookup path.
-    inverse_amus: Vec<Option<Amu>>,
+    /// Second-level table: the crossbar permutation per mapping id,
+    /// `None` while the id is unregistered. No chunk can point at an
+    /// empty slot ([`Cmt::assign_chunk`] and [`Cmt::unregister`] refuse
+    /// it), and translation passes an address through such a slot
+    /// unchanged, so the lookup path stays infallible.
+    perms: Vec<Option<BitPermutation>>,
     /// Configuration epoch: bumped by every [`Cmt::register`] and
     /// [`Cmt::assign_chunk`], so outstanding [`CmtLookupCache`]s
     /// self-invalidate instead of serving stale mapping indices.
     epoch: u64,
-    /// Identity AMU served if a chunk ever points at an unregistered
-    /// slot. [`Cmt::assign_chunk`] makes that unreachable, but the
-    /// translate hot path must stay infallible without a panic site
-    /// (identity is its own inverse, so one fallback serves both
-    /// directions).
-    fallback_amu: Amu,
     /// Recyclable id slots (LIFO). [`Cmt::allocate_id`] pops,
     /// [`Cmt::unregister`] pushes, so register → unregister → register
     /// reuses slots in O(1) and long-uptime churn never exhausts the
@@ -174,9 +172,6 @@ pub struct Cmt {
     /// refused while non-zero, so no chunk can ever point at an empty
     /// slot and stale-id translation stays a typed error.
     assigned: Vec<u64>,
-    /// Registered ids in ascending order, maintained incrementally —
-    /// the allocation-free view behind [`Cmt::registered_ids_slice`].
-    ids_cache: Vec<MappingId>,
 }
 
 /// A one-entry memo of the last chunk→mapping lookup, for the
@@ -250,14 +245,8 @@ impl Cmt {
             });
         }
         let chunks = 1usize << (phys_bits - chunk_bits);
-        let mut configs = vec![None; MAX_MAPPINGS];
-        let mut amus = vec![None; MAX_MAPPINGS];
-        let mut inverse_amus = vec![None; MAX_MAPPINGS];
-        let identity = BitPermutation::identity(6, (chunk_bits - 6) as usize);
-        configs[0] = Some(AmuConfig::pack(&identity));
-        inverse_amus[0] = Some(Amu::new(identity.invert()));
-        let fallback_amu = Amu::new(identity.clone());
-        amus[0] = Some(Amu::new(identity));
+        let mut perms = vec![None; MAX_MAPPINGS];
+        perms[0] = Some(BitPermutation::identity(6, (chunk_bits - 6) as usize));
         let mut assigned = vec![0u64; MAX_MAPPINGS];
         assigned[0] = chunks as u64;
         let mut in_free = vec![true; MAX_MAPPINGS];
@@ -265,17 +254,13 @@ impl Cmt {
         Ok(Cmt {
             chunk_bits,
             chunk_index: vec![0; chunks],
-            configs,
-            amus,
-            inverse_amus,
+            perms,
             epoch: 0,
-            fallback_amu,
             // Reverse order so pops hand out 1, 2, 3, … while the
             // stack top always holds the most recently recycled id.
             free_ids: (1..=u8::MAX).rev().collect(),
             in_free,
             assigned,
-            ids_cache: vec![MappingId(0)],
         })
     }
 
@@ -331,13 +316,7 @@ impl Cmt {
                 chunk_bits: self.chunk_bits,
             });
         }
-        if self.configs[id.index()].is_none() {
-            let pos = self.ids_cache.partition_point(|&m| m < id);
-            self.ids_cache.insert(pos, id);
-        }
-        self.configs[id.index()] = Some(AmuConfig::pack(perm));
-        self.inverse_amus[id.index()] = Some(Amu::new(perm.invert()));
-        self.amus[id.index()] = Some(Amu::new(perm.clone()));
+        self.perms[id.index()] = Some(perm.clone());
         self.epoch += 1;
         Ok(())
     }
@@ -357,7 +336,7 @@ impl Cmt {
             self.in_free[id as usize] = false;
             // Ids registered directly (without allocate_id) may still
             // sit on the stack from construction; skip them lazily.
-            if self.configs[id as usize].is_none() {
+            if self.perms[id as usize].is_none() {
                 return Ok(MappingId(id));
             }
         }
@@ -378,7 +357,7 @@ impl Cmt {
     /// assigned to the mapping, and always for the default id 0 (the
     /// boot-time identity must stay translatable).
     pub fn unregister(&mut self, id: MappingId) -> Result<(), CmtError> {
-        if self.configs[id.index()].is_none() {
+        if !self.is_registered(id) {
             return Err(CmtError::UnregisteredMapping(id));
         }
         if id.0 == 0 || self.assigned[id.index()] > 0 {
@@ -387,12 +366,7 @@ impl Cmt {
                 assigned_chunks: self.assigned[id.index()],
             });
         }
-        self.configs[id.index()] = None;
-        self.amus[id.index()] = None;
-        self.inverse_amus[id.index()] = None;
-        if let Ok(pos) = self.ids_cache.binary_search(&id) {
-            self.ids_cache.remove(pos);
-        }
+        self.perms[id.index()] = None;
         if !self.in_free[id.index()] {
             self.in_free[id.index()] = true;
             self.free_ids.push(id.0);
@@ -415,7 +389,7 @@ impl Cmt {
                 chunks: self.num_chunks(),
             });
         }
-        if self.configs[id.index()].is_none() {
+        if !self.is_registered(id) {
             return Err(CmtError::UnregisteredMapping(id));
         }
         let old = self.chunk_index[chunk as usize] as usize;
@@ -443,9 +417,8 @@ impl Cmt {
     /// Panics if the address lies beyond the covered physical space.
     pub fn translate(&self, pa: PhysAddr) -> HardwareAddr {
         let chunk = pa.chunk_number(self.chunk_bits);
-        let id = self.chunk_index[chunk as usize] as usize;
-        let amu = self.amus[id].as_ref().unwrap_or(&self.fallback_amu);
-        HardwareAddr(amu.apply(pa.0))
+        let perm = self.perms[self.chunk_index[chunk as usize] as usize].as_ref();
+        HardwareAddr(perm.map_or(pa.0, |p| p.apply(pa.0)))
     }
 
     /// [`Cmt::translate`] with a per-stream memo of the last chunk's
@@ -457,15 +430,15 @@ impl Cmt {
     /// superseded mapping.
     #[inline]
     pub fn translate_cached(&self, pa: PhysAddr, cache: &mut CmtLookupCache) -> HardwareAddr {
-        let amu = self.memo_amu(pa.chunk_number(self.chunk_bits), cache);
-        HardwareAddr(amu.apply(pa.0))
+        let perm = self.memo_perm(pa.chunk_number(self.chunk_bits), cache);
+        HardwareAddr(perm.map_or(pa.0, |p| p.apply(pa.0)))
     }
 
-    /// The AMU of `chunk`, looked up through the per-stream memo: a hit
-    /// when the memo holds this chunk from the current epoch, otherwise a
-    /// CMT read that refills the memo.
+    /// The permutation of `chunk`, looked up through the per-stream
+    /// memo: a hit when the memo holds this chunk from the current
+    /// epoch, otherwise a CMT read that refills the memo.
     #[inline]
-    fn memo_amu(&self, chunk: u64, cache: &mut CmtLookupCache) -> &Amu {
+    fn memo_perm(&self, chunk: u64, cache: &mut CmtLookupCache) -> Option<&BitPermutation> {
         let id = match cache.entry {
             Some((c, id)) if c == chunk && cache.epoch == self.epoch => {
                 cache.hits += 1;
@@ -479,9 +452,7 @@ impl Cmt {
                 id
             }
         };
-        self.amus[id as usize]
-            .as_ref()
-            .unwrap_or(&self.fallback_amu)
+        self.perms[id as usize].as_ref()
     }
 
     /// Translates a block of raw physical addresses in place, through
@@ -506,24 +477,13 @@ impl Cmt {
             while j < addrs.len() && PhysAddr(addrs[j]).chunk_number(self.chunk_bits) == chunk {
                 j += 1;
             }
-            let amu = self.memo_amu(chunk, cache);
+            let perm = self.memo_perm(chunk, cache);
             cache.hits += (j - i - 1) as u64;
-            amu.apply_block(&mut addrs[i..j]);
+            if let Some(p) = perm {
+                p.apply_block(&mut addrs[i..j]);
+            }
             i = j;
         }
-    }
-
-    /// Inverts [`Cmt::translate`] (used by tests and by DMA-style
-    /// debugging tools; the hardware never needs it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address lies beyond the covered physical space.
-    pub fn translate_inverse(&self, ha: HardwareAddr) -> PhysAddr {
-        let chunk = ha.raw() >> self.chunk_bits;
-        let id = self.chunk_index[chunk as usize] as usize;
-        let amu = self.inverse_amus[id].as_ref().unwrap_or(&self.fallback_amu);
-        PhysAddr(amu.apply(ha.raw()))
     }
 
     /// Storage of the two-level organization in bits:
@@ -535,7 +495,9 @@ impl Cmt {
     /// Packed crossbar-configuration width in bits (the identity slot is
     /// registered at construction, so the table always has one).
     fn config_bits(&self) -> u64 {
-        self.configs[0].map_or(0, |c| c.storage_bits() as u64)
+        self.perms[0]
+            .as_ref()
+            .map_or(0, |p| AmuConfig::pack(p).storage_bits() as u64)
     }
 
     /// Storage of the equivalent flat organization in bits:
@@ -544,19 +506,19 @@ impl Cmt {
         self.num_chunks() * self.config_bits()
     }
 
-    /// Number of distinct mapping ids currently registered.
-    pub fn registered_mappings(&self) -> usize {
-        self.ids_cache.len()
+    /// Whether `id` has a registered permutation (the default mapping,
+    /// id 0, always has).
+    #[inline]
+    pub fn is_registered(&self, id: MappingId) -> bool {
+        self.perms[id.index()].is_some()
     }
 
-    /// The registered mapping ids in ascending id order, as a borrowed
-    /// slice — maintained incrementally on register/unregister, so
-    /// per-window scoring loops iterate candidates with zero allocation
-    /// and a membership test is a binary search. Adaptive controllers
-    /// iterate this to score candidate mappings for a chunk.
-    #[inline]
-    pub fn registered_ids_slice(&self) -> &[MappingId] {
-        &self.ids_cache
+    /// The registered mapping ids in ascending id order. Adaptive
+    /// controllers iterate this to score candidate mappings for a chunk.
+    pub fn registered_ids(&self) -> impl Iterator<Item = MappingId> + '_ {
+        (0..=u8::MAX)
+            .map(MappingId)
+            .filter(|&id| self.is_registered(id))
     }
 
     /// Translates a physical address under a *specific* registered
@@ -572,8 +534,8 @@ impl Cmt {
     /// Returns [`CmtError::UnregisteredMapping`] if `id` has no
     /// registered configuration.
     pub fn translate_under(&self, id: MappingId, pa: PhysAddr) -> Result<HardwareAddr, CmtError> {
-        match self.amus[id.index()].as_ref() {
-            Some(amu) => Ok(HardwareAddr(amu.apply(pa.0))),
+        match self.perms[id.index()].as_ref() {
+            Some(p) => Ok(HardwareAddr(p.apply(pa.0))),
             None => Err(CmtError::UnregisteredMapping(id)),
         }
     }
@@ -680,34 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn translate_inverse_round_trips() {
-        let mut cmt = Cmt::new(33, 21);
-        cmt.register(MappingId(1), &swap_perm(2, 9, 15));
-        cmt.assign_chunk(0, MappingId(1)).unwrap();
-        for pa in (0..(1u64 << 21)).step_by(0x3_077) {
-            let pa = PhysAddr(pa);
-            assert_eq!(cmt.translate_inverse(cmt.translate(pa)), pa);
-        }
-    }
-
-    #[test]
-    fn cached_inverse_round_trips_after_reregistration() {
-        // The inverse AMU is computed at `register` time; re-registering
-        // an id must refresh it, and the round trip must hold for every
-        // registered mapping, not just the one touched last.
-        let mut cmt = Cmt::new(33, 21);
-        cmt.register(MappingId(1), &swap_perm(2, 9, 15));
-        cmt.register(MappingId(2), &swap_perm(0, 14, 15));
-        cmt.register(MappingId(1), &swap_perm(3, 11, 15));
-        cmt.assign_chunk(0, MappingId(1)).unwrap();
-        cmt.assign_chunk(1, MappingId(2)).unwrap();
-        for pa in (0..(2u64 << 21)).step_by(0x3_077) {
-            let pa = PhysAddr(pa);
-            assert_eq!(cmt.translate_inverse(cmt.translate(pa)), pa);
-        }
-    }
-
-    #[test]
     fn translate_cached_matches_translate() {
         let mut cmt = Cmt::new(33, 21);
         cmt.register(MappingId(1), &swap_perm(2, 9, 15));
@@ -806,10 +740,10 @@ mod tests {
     #[test]
     fn register_replaces() {
         let mut cmt = Cmt::new(33, 21);
-        assert_eq!(cmt.registered_mappings(), 1);
+        assert_eq!(cmt.registered_ids().count(), 1);
         cmt.register(MappingId(1), &swap_perm(0, 1, 15));
         cmt.register(MappingId(1), &swap_perm(0, 2, 15));
-        assert_eq!(cmt.registered_mappings(), 2);
+        assert_eq!(cmt.registered_ids().count(), 2);
         cmt.assign_chunk(0, MappingId(1)).unwrap();
         assert_eq!(
             cmt.translate(PhysAddr(1 << 6)).raw(),
@@ -884,7 +818,7 @@ mod tests {
             cmt.register(id, &swap_perm(0, 1 + (round as usize % 14), 15));
             cmt.unregister(id).unwrap();
         }
-        assert_eq!(cmt.registered_mappings(), 1);
+        assert_eq!(cmt.registered_ids().count(), 1);
     }
 
     #[test]
@@ -898,7 +832,7 @@ mod tests {
             cmt.allocate_id().unwrap_err(),
             CmtError::MappingIdsExhausted
         );
-        assert_eq!(cmt.registered_mappings(), 256);
+        assert_eq!(cmt.registered_ids().count(), 256);
     }
 
     #[test]
@@ -985,18 +919,35 @@ mod tests {
     }
 
     #[test]
-    fn registered_ids_slice_tracks_register_and_unregister() {
+    fn registered_ids_track_register_unregister_and_reuse() {
         let mut cmt = Cmt::new(33, 21);
+        let ids = |cmt: &Cmt| cmt.registered_ids().collect::<Vec<_>>();
+        assert_eq!(ids(&cmt), [MappingId(0)]);
+        assert!(cmt.is_registered(MappingId(0)));
         cmt.register(MappingId(9), &swap_perm(0, 1, 15));
         cmt.register(MappingId(3), &swap_perm(0, 2, 15));
-        assert_eq!(
-            cmt.registered_ids_slice(),
-            &[MappingId(0), MappingId(3), MappingId(9)]
-        );
+        assert_eq!(ids(&cmt), [MappingId(0), MappingId(3), MappingId(9)]);
         cmt.unregister(MappingId(3)).unwrap();
-        assert_eq!(cmt.registered_ids_slice(), &[MappingId(0), MappingId(9)]);
-        // Re-registration is idempotent on the cache.
+        assert_eq!(ids(&cmt), [MappingId(0), MappingId(9)]);
+        assert!(!cmt.is_registered(MappingId(3)));
+        // Re-registration replaces the slot without listing it twice.
         cmt.register(MappingId(9), &swap_perm(0, 3, 15));
-        assert_eq!(cmt.registered_ids_slice(), &[MappingId(0), MappingId(9)]);
+        assert_eq!(ids(&cmt), [MappingId(0), MappingId(9)]);
+        // Ids from the free list: a reserved id stays unregistered until
+        // its registration lands, and a released one is reused first.
+        let a = cmt.allocate_id().unwrap();
+        let b = cmt.allocate_id().unwrap();
+        assert!(!cmt.is_registered(a));
+        cmt.register(a, &swap_perm(0, 4, 15));
+        cmt.register(b, &swap_perm(0, 5, 15));
+        assert!(cmt.is_registered(a));
+        assert_eq!(ids(&cmt), [MappingId(0), a, b, MappingId(9)]);
+        cmt.unregister(a).unwrap();
+        assert_eq!(ids(&cmt), [MappingId(0), b, MappingId(9)]);
+        assert_eq!(cmt.allocate_id().unwrap(), a);
+        assert!(!cmt.is_registered(a));
+        cmt.register(a, &swap_perm(0, 6, 15));
+        assert_eq!(ids(&cmt), [MappingId(0), a, b, MappingId(9)]);
+        assert!(!cmt.is_registered(MappingId(u8::MAX)));
     }
 }

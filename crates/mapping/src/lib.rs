@@ -15,11 +15,12 @@
 //!   [`HashMapping`] (XOR entropy harvesting, "HM", after Liu et al.),
 //! * [`BitPermutation`] — validated bit permutations, the software view
 //!   of the AMU crossbar configuration,
-//! * [`Amu`] — the address mapping unit: a crossbar model with the
-//!   paper's compact `n × log2(n)`-bit configuration encoding and an
-//!   area model,
+//! * [`AmuConfig`] — the address mapping unit's compact
+//!   `n × log2(n)`-bit crossbar configuration encoding (its datapath is
+//!   [`BitPermutation::apply`]; its area model is [`area`]),
 //! * [`Cmt`] — the two-level chunk mapping table (64 K chunk entries ×
-//!   8-bit index + 256 mapping entries × 60-bit config ≈ 68 KB),
+//!   8-bit index + 256 mapping entries × 60-bit config ≈ 68 KB), which
+//!   holds each registered mapping once, in the PA→HA direction,
 //! * [`BitFlipRateVector`] — the BFRV profiling statistic (paper Eq. 1)
 //!   and [`select::shuffle_for_bfrv`], which places the
 //!   highest-flipping address bits into the channel field,
@@ -65,7 +66,7 @@ pub mod select;
 pub mod shuffle;
 
 pub use addr::{MappingId, PhysAddr};
-pub use amu::{Amu, AmuConfig};
+pub use amu::AmuConfig;
 pub use bfrv::{BfrvAccumulator, BitFlipRateVector};
 pub use cmt::{Cmt, CmtError, CmtLookupCache};
 pub use hash::{optimize_hash, HashMapping};

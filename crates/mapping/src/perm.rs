@@ -276,26 +276,6 @@ impl BitPermutation {
         }
         BitPermutation::from_table(self.lo, table)
     }
-
-    /// Composes two permutations over the same window:
-    /// `a.compose(&b).apply(x) == b.apply(a.apply(x))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the windows differ.
-    pub fn compose(&self, then: &BitPermutation) -> BitPermutation {
-        assert_eq!(self.lo, then.lo, "window mismatch");
-        assert_eq!(self.table.len(), then.table.len(), "window mismatch");
-        // Output bit d of `then` reads its input bit then.table[d], which
-        // is output bit then.table[d] of `self`, which reads source
-        // self.table[then.table[d]].
-        let table = then
-            .table
-            .iter()
-            .map(|&mid| self.table[mid as usize])
-            .collect();
-        BitPermutation::from_table(self.lo, table)
-    }
 }
 
 /// The partition of a permutation window's *destination* bits into
@@ -498,16 +478,6 @@ mod tests {
             let addr = (w << 6) | 0b101010;
             assert_eq!(inv.apply(p.apply(addr)), addr);
             assert_eq!(p.apply(inv.apply(addr)), addr);
-        }
-    }
-
-    #[test]
-    fn compose_matches_sequential_application() {
-        let a = BitPermutation::new(0, vec![1, 2, 3, 0]).unwrap();
-        let b = BitPermutation::new(0, vec![3, 2, 1, 0]).unwrap();
-        let c = a.compose(&b);
-        for x in 0..16u64 {
-            assert_eq!(c.apply(x), b.apply(a.apply(x)));
         }
     }
 

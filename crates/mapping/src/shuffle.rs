@@ -24,29 +24,19 @@ use crate::{AddressMapping, BitPermutation, PhysAddr};
 /// let bsm = BitShuffleMapping::new(perm);
 /// let ha = bsm.map(PhysAddr(1 << 10));
 /// assert_eq!(ha.raw(), 1 << 6);
-/// assert_eq!(bsm.unmap(ha), PhysAddr(1 << 10));
+/// // The inverse permutation recovers the physical address.
+/// assert_eq!(bsm.permutation().invert().apply(ha.raw()), 1 << 10);
 /// # Ok::<(), sdam_mapping::PermError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitShuffleMapping {
     forward: BitPermutation,
-    inverse: BitPermutation,
 }
 
 impl BitShuffleMapping {
     /// Creates a bit-shuffle mapping from a validated permutation.
     pub fn new(perm: BitPermutation) -> Self {
-        let inverse = perm.invert();
-        BitShuffleMapping {
-            forward: perm,
-            inverse,
-        }
-    }
-
-    /// The identity shuffle over `len` bits starting at `lo` —
-    /// behaviourally equal to [`crate::IdentityMapping`].
-    pub fn identity(lo: u32, len: usize) -> Self {
-        BitShuffleMapping::new(BitPermutation::identity(lo, len))
+        BitShuffleMapping { forward: perm }
     }
 
     /// The underlying forward permutation (the AMU configuration).
@@ -62,10 +52,6 @@ impl AddressMapping for BitShuffleMapping {
 
     fn map_block(&self, addrs: &mut [u64]) {
         self.forward.apply_block(addrs);
-    }
-
-    fn unmap(&self, ha: HardwareAddr) -> PhysAddr {
-        PhysAddr(self.inverse.apply(ha.0))
     }
 
     fn name(&self) -> &str {
@@ -85,16 +71,17 @@ mod tests {
     #[test]
     fn round_trip_is_exhaustive_on_small_window() {
         let m = reversal(6, 8);
+        let inverse = m.permutation().invert();
         for w in 0..(1u64 << 8) {
             let pa = PhysAddr((w << 6) | 0x15);
-            assert_eq!(m.unmap(m.map(pa)), pa);
+            assert_eq!(inverse.apply(m.map(pa).raw()), pa.raw());
         }
     }
 
     #[test]
     fn identity_shuffle_matches_identity_mapping() {
         use crate::IdentityMapping;
-        let id = BitShuffleMapping::identity(6, 15);
+        let id = BitShuffleMapping::new(BitPermutation::identity(6, 15));
         for a in [0u64, 64, 4096, 0xabcdef] {
             assert_eq!(id.map(PhysAddr(a)), IdentityMapping.map(PhysAddr(a)));
         }

@@ -24,7 +24,7 @@ pub struct BitSet {
 
 impl BitSet {
     /// An empty set over indices `0..capacity`.
-    pub fn with_capacity(capacity: u64) -> Self {
+    pub(crate) fn with_capacity(capacity: u64) -> Self {
         let mut levels = Vec::new();
         let mut n = capacity.max(1);
         loop {

@@ -169,7 +169,7 @@ impl BuddyAllocatorReference {
     /// # Panics
     ///
     /// Panics if `max_order > 30`.
-    pub fn new(max_order: u32) -> Self {
+    pub(crate) fn new(max_order: u32) -> Self {
         assert!(max_order <= 30, "unreasonable buddy region");
         let mut free_lists = vec![std::collections::BTreeSet::new(); (max_order + 1) as usize];
         free_lists[max_order as usize].insert(0);

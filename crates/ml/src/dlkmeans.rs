@@ -40,7 +40,7 @@ impl DeltaVocab {
     /// # Panics
     ///
     /// Panics if `cap < 2`.
-    pub fn build<'a, I>(streams: I, cap: usize) -> Self
+    pub(crate) fn build<'a, I>(streams: I, cap: usize) -> Self
     where
         I: IntoIterator<Item = &'a [u64]>,
     {

@@ -23,7 +23,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new<R: Rng>(vocab: usize, dim: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(vocab: usize, dim: usize, rng: &mut R) -> Self {
         let table = Mat::xavier(vocab, dim, rng);
         Embedding {
             grad: Mat::zeros(vocab, dim),

@@ -44,7 +44,7 @@ pub struct StepCache {
 impl LstmLayer {
     /// Creates a layer with Xavier-initialized weights and a forget-gate
     /// bias of 1 (the standard trick for gradient flow).
-    pub fn new<R: Rng>(input_dim: usize, hidden_dim: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(input_dim: usize, hidden_dim: usize, rng: &mut R) -> Self {
         let rows = 4 * hidden_dim;
         let cols = input_dim + hidden_dim;
         let mut b = vec![0.0; rows];
@@ -177,7 +177,12 @@ impl Lstm {
     /// # Panics
     ///
     /// Panics if `layers` is zero.
-    pub fn new<R: Rng>(input_dim: usize, hidden_dim: usize, layers: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(
+        input_dim: usize,
+        hidden_dim: usize,
+        layers: usize,
+        rng: &mut R,
+    ) -> Self {
         assert!(layers > 0, "need at least one layer");
         let mut v = Vec::with_capacity(layers);
         v.push(LstmLayer::new(input_dim, hidden_dim, rng));

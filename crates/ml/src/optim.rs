@@ -14,7 +14,7 @@ pub struct Adam {
 impl Adam {
     /// Creates optimizer state for a tensor of `len` parameters with the
     /// standard β₁ = 0.9, β₂ = 0.999.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         Adam {
             m: vec![0.0; len],
             v: vec![0.0; len],

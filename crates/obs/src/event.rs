@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 /// Default capacity of an [`EventRing`].
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// One structured event: a dotted kind (`mem.chunk_acquired`), a
 /// monotonic sequence number assigned by the ring, and a small set of
@@ -41,9 +41,8 @@ impl Default for EventRing {
 }
 
 impl EventRing {
-    /// A ring holding at most `cap` events (`cap == 0` keeps nothing
-    /// but still counts and sequences pushes).
-    pub fn with_capacity(cap: usize) -> Self {
+    /// A ring holding at most `cap` events (at least one).
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         Self {
             cap,
             next_seq: 0,
@@ -57,10 +56,6 @@ impl EventRing {
     pub fn push(&mut self, kind: &str, fields: &[(&str, u64)]) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.cap == 0 {
-            self.dropped += 1;
-            return seq;
-        }
         if self.events.len() == self.cap {
             self.events.pop_front();
             self.dropped += 1;
@@ -93,7 +88,7 @@ impl EventRing {
         self.cap
     }
 
-    /// Events evicted (or refused by a zero-capacity ring) so far.
+    /// Events evicted so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -109,10 +104,6 @@ impl EventRing {
         for e in other.iter() {
             let seq = self.next_seq;
             self.next_seq += 1;
-            if self.cap == 0 {
-                self.dropped += 1;
-                continue;
-            }
             if self.events.len() == self.cap {
                 self.events.pop_front();
                 self.dropped += 1;
@@ -148,15 +139,6 @@ mod tests {
         let kinds: Vec<&str> = r.iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds, vec!["b", "c"]);
         assert_eq!(r.iter().next().unwrap().seq, 1);
-    }
-
-    #[test]
-    fn zero_capacity_counts_but_holds_nothing() {
-        let mut r = EventRing::with_capacity(0);
-        r.push("a", &[]);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 1);
-        assert_eq!(r.total_pushed(), 1);
     }
 
     #[test]

@@ -135,11 +135,6 @@ pub struct CountHistogram {
 }
 
 impl CountHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one observation of `key`.
     pub fn record(&mut self, key: i64) {
         self.record_n(key, 1);
@@ -261,7 +256,7 @@ mod tests {
 
     #[test]
     fn count_histogram_exact() {
-        let mut h = CountHistogram::new();
+        let mut h = CountHistogram::default();
         h.record(-8);
         h.record(64);
         h.record(64);
@@ -277,18 +272,18 @@ mod tests {
 
     #[test]
     fn count_histogram_mode_tie_prefers_smaller_key() {
-        let mut h = CountHistogram::new();
+        let mut h = CountHistogram::default();
         h.record(3);
         h.record(-2);
         assert_eq!(h.mode(), Some(-2));
-        assert_eq!(CountHistogram::new().mode(), None);
+        assert_eq!(CountHistogram::default().mode(), None);
     }
 
     #[test]
     fn count_histogram_merge() {
-        let mut a = CountHistogram::new();
+        let mut a = CountHistogram::default();
         a.record(1);
-        let mut b = CountHistogram::new();
+        let mut b = CountHistogram::default();
         b.record(1);
         b.record(2);
         a.merge(&b);

@@ -33,7 +33,7 @@ pub struct Writer {
 
 impl Writer {
     /// A writer positioned at the start of a document.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             buf: String::new(),
             indent: 0,

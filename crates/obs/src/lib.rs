@@ -44,6 +44,6 @@ mod hist;
 mod json;
 mod registry;
 
-pub use event::{Event, EventRing, DEFAULT_RING_CAPACITY};
+pub use event::{Event, EventRing};
 pub use hist::{CountHistogram, Log2Histogram, LOG2_BUCKETS};
 pub use registry::Registry;

@@ -37,7 +37,7 @@ impl Gf2System {
     /// # Panics
     ///
     /// Panics if `unknowns > 64`.
-    pub fn new(unknowns: u32) -> Gf2System {
+    pub(crate) fn new(unknowns: u32) -> Gf2System {
         assert!(unknowns <= 64, "at most 64 unknowns per system");
         Gf2System {
             unknowns,

@@ -164,7 +164,7 @@ pub(crate) struct RemapController {
 
 impl RemapController {
     /// A controller for a run over `geom` with the engine's chunk size.
-    pub fn new(cfg: AdaptConfig, chunk_bits: u32, geom: Geometry) -> Self {
+    pub(crate) fn new(cfg: AdaptConfig, chunk_bits: u32, geom: Geometry) -> Self {
         RemapController {
             cfg,
             chunk_bits,
@@ -274,9 +274,7 @@ impl RemapController {
                 continue;
             };
             let best = cmt
-                .registered_ids_slice()
-                .iter()
-                .copied()
+                .registered_ids()
                 .filter(|&id| id != current)
                 .filter_map(|id| score_mapping(cmt, self.geom, id, samples).map(|s| (s, id)))
                 .min();

@@ -85,14 +85,6 @@ impl MemAccess {
         }
     }
 
-    /// A write access with the given address and variable, thread 0.
-    pub fn write(addr: u64, variable: VariableId) -> Self {
-        MemAccess {
-            is_write: true,
-            ..MemAccess::read(addr, variable)
-        }
-    }
-
     /// The address of the 64 B line containing this access.
     #[inline]
     pub(crate) fn line_addr(&self) -> u64 {
@@ -109,8 +101,8 @@ mod tests {
         let r = MemAccess::read(100, VariableId(2));
         assert!(!r.is_write);
         assert_eq!(r.variable, VariableId(2));
-        let w = MemAccess::write(100, VariableId(2));
-        assert!(w.is_write);
+        assert_eq!(r.addr, 100);
+        assert_eq!(r.thread, ThreadId(0));
     }
 
     #[test]

@@ -116,7 +116,11 @@ impl Phased {
     ///
     /// Panics if `switches` is empty, not strictly ascending, or
     /// contains a fraction outside `(0, 1)`.
-    pub fn alternating(a: Box<dyn Workload>, b: Box<dyn Workload>, switches: Vec<f64>) -> Self {
+    pub(crate) fn alternating(
+        a: Box<dyn Workload>,
+        b: Box<dyn Workload>,
+        switches: Vec<f64>,
+    ) -> Self {
         assert!(!switches.is_empty(), "need at least one switch point");
         for w in switches.windows(2) {
             assert!(w[0] < w[1], "switch points must be strictly ascending");

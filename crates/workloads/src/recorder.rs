@@ -81,7 +81,7 @@ impl Recorder {
     /// ([`crate::Scale::accesses`]), so passing it here removes all
     /// doubling-growth reallocations from trace capture; the hint also
     /// sizes the per-lane traces of [`run_parallel`].
-    pub fn with_capacity(accesses: usize) -> Self {
+    pub(crate) fn with_capacity(accesses: usize) -> Self {
         Recorder {
             trace: Trace::with_capacity(accesses),
             capacity_hint: accesses,

@@ -69,23 +69,11 @@ pub struct HistogramBuild {
     bins: usize,
 }
 
-impl HistogramBuild {
-    /// A histogram with the given number of 8-byte bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero.
-    pub fn new(bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        HistogramBuild { bins }
-    }
-}
-
 impl Default for HistogramBuild {
     /// 4096 bins (32 KB of counters: larger than an accelerator buffer,
     /// smaller than an L1).
     fn default() -> Self {
-        HistogramBuild::new(4096)
+        HistogramBuild { bins: 4096 }
     }
 }
 
@@ -160,11 +148,5 @@ mod tests {
             assert_eq!(a, w.generate(Scale::tiny()), "{}", w.name());
             assert!(a.len() <= Scale::tiny().accesses * 2, "{}", w.name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bins_rejected() {
-        let _ = HistogramBuild::new(0);
     }
 }

@@ -37,7 +37,7 @@ pub struct Stream {
 
 impl Stream {
     /// A specific kernel.
-    pub fn new(kernel: StreamKernel) -> Self {
+    pub(crate) fn new(kernel: StreamKernel) -> Self {
         Stream { kernel }
     }
 

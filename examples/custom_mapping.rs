@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nCMT after setup: {} mappings registered, {:.1} KB of SRAM",
-        cmt.registered_mappings(),
+        cmt.registered_ids().count(),
         cmt.storage_bits_two_level() as f64 / 8.0 / 1000.0
     );
     Ok(())

@@ -198,7 +198,7 @@ fn main() -> Result<(), SdamError> {
     );
     assert_eq!(sys.in_use_chunks(), 0, "the drain returns every chunk");
     assert!(
-        u64::from(script.sessions) > sys.cmt().registered_mappings() as u64,
+        u64::from(script.sessions) > sys.cmt().registered_ids().count() as u64,
         "sessions outnumber CMT slots — ids must have been recycled"
     );
 

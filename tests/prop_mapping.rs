@@ -1,7 +1,9 @@
 //! Property-based tests for the address-mapping layer: every mapping
 //! must be a bijection (the paper's functional-correctness requirement),
 //! chunk numbers must never change, and configuration encodings must
-//! round-trip.
+//! round-trip. Only the PA→HA direction is modelled, so bijectivity is
+//! checked through each family's own inverse: the inverted permutation
+//! for bit shuffles and the CMT, the hash itself for the XOR hash.
 
 use proptest::prelude::*;
 use sdam_hbm::{Geometry, HardwareAddr};
@@ -20,7 +22,8 @@ proptest! {
     fn shuffle_round_trips_everywhere(table in perm_table(15), addr in any::<u64>()) {
         let addr = addr & ((1 << 33) - 1);
         let m = BitShuffleMapping::new(BitPermutation::new(6, table).unwrap());
-        prop_assert_eq!(m.unmap(m.map(PhysAddr(addr))), PhysAddr(addr));
+        let inverse = m.permutation().invert();
+        prop_assert_eq!(inverse.apply(m.map(PhysAddr(addr)).raw()), addr);
     }
 
     #[test]
@@ -30,21 +33,6 @@ proptest! {
         // Line offset and bits above the window are untouched.
         prop_assert_eq!(ha.raw() & 0x3f, addr & 0x3f);
         prop_assert_eq!(ha.raw() >> 21, addr >> 21);
-    }
-
-    #[test]
-    fn permutation_composition_is_associative(
-        a in perm_table(8),
-        b in perm_table(8),
-        c in perm_table(8),
-        x in any::<u64>(),
-    ) {
-        let pa = BitPermutation::new(0, a).unwrap();
-        let pb = BitPermutation::new(0, b).unwrap();
-        let pc = BitPermutation::new(0, c).unwrap();
-        let left = pa.compose(&pb).compose(&pc);
-        let right = pa.compose(&pb.compose(&pc));
-        prop_assert_eq!(left.apply(x & 0xff), right.apply(x & 0xff));
     }
 
     #[test]
@@ -60,7 +48,7 @@ proptest! {
         let geom = Geometry::hbm2_8gb();
         let addr = addr & (geom.capacity_bytes() - 1);
         let hm = HashMapping::for_geometry(geom);
-        prop_assert_eq!(hm.unmap(hm.map(PhysAddr(addr))), PhysAddr(addr));
+        prop_assert_eq!(hm.map(PhysAddr(hm.map(PhysAddr(addr)).raw())).raw(), addr);
     }
 
     #[test]
@@ -93,7 +81,37 @@ proptest! {
             }
             prop_assert_eq!(hm.map(PhysAddr(a)).raw(), want, "addr {:#x}", a);
             prop_assert_eq!(mapped, want);
-            prop_assert_eq!(hm.unmap(HardwareAddr(want)), PhysAddr(a));
+            prop_assert_eq!(hm.map(PhysAddr(want)).raw(), a, "not an involution");
+        }
+    }
+
+    #[test]
+    fn every_accepted_hash_is_an_involution(
+        (channel_lo, channel_bits) in (0u32..=40, 1u32..=6),
+        raw_sources in proptest::collection::vec(proptest::collection::vec(0u32..64, 0..10), 6),
+        addrs in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        // Source sets drawn over the whole address, the channel field
+        // included. The constructor must refuse every set that reads a
+        // channel bit, and every set it accepts must be its own inverse:
+        // a channel-field source would read a bit the fold itself flips.
+        let sources: Vec<Vec<u32>> = raw_sources[..channel_bits as usize].to_vec();
+        let built = std::panic::catch_unwind(|| {
+            HashMapping::with_sources(channel_lo, channel_bits, sources.clone())
+        });
+        let in_field = sources
+            .iter()
+            .flatten()
+            .any(|&b| (channel_lo..channel_lo + channel_bits).contains(&b));
+        match built {
+            Ok(hm) => {
+                for &a in &addrs {
+                    let back = hm.map(PhysAddr(hm.map(PhysAddr(a)).raw())).raw();
+                    prop_assert_eq!(back, a, "not an involution at {:#x}", a);
+                }
+                prop_assert!(!in_field, "accepted a channel-field source: {:?}", sources);
+            }
+            Err(_) => prop_assert!(in_field, "refused a valid source set: {:?}", sources),
         }
     }
 
@@ -104,12 +122,13 @@ proptest! {
         offset in 0u64..(1 << 21),
     ) {
         let mut cmt = Cmt::new(33, 21);
-        cmt.register(MappingId(1), &BitPermutation::new(6, table).unwrap());
+        cmt.register(MappingId(1), &BitPermutation::new(6, table.clone()).unwrap());
         cmt.assign_chunk(chunk, MappingId(1)).unwrap();
         let pa = PhysAddr((chunk << 21) | offset);
         let ha = cmt.translate(pa);
         prop_assert_eq!(ha.raw() >> 21, chunk, "chunk number must be preserved");
-        prop_assert_eq!(cmt.translate_inverse(ha), pa);
+        let inverse = BitPermutation::new(6, table).unwrap().invert();
+        prop_assert_eq!(inverse.apply(ha.raw()), pa.raw());
     }
 
     #[test]
@@ -175,7 +194,7 @@ proptest! {
                 cmt.unregister(id).unwrap();
             }
             // +1: the always-registered default mapping.
-            prop_assert_eq!(cmt.registered_mappings(), live.len() + 1);
+            prop_assert_eq!(cmt.registered_ids().count(), live.len() + 1);
         }
     }
 
@@ -232,8 +251,9 @@ proptest! {
         let perm = select::permutation_for_bfrv_windowed(&bfrv, geom, 21);
         // Validity is checked by construction; bijection spot-check:
         let m = BitShuffleMapping::new(perm);
+        let inverse = m.permutation().invert();
         for a in [0u64, 64, 4096, (1 << 21) - 64] {
-            prop_assert_eq!(m.unmap(m.map(PhysAddr(a))), PhysAddr(a));
+            prop_assert_eq!(inverse.apply(m.map(PhysAddr(a)).raw()), a);
         }
     }
 

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sdam_hbm::{Geometry, Timing};
-use sdam_mapping::{BitPermutation, BitShuffleMapping, HashMapping};
+use sdam_mapping::{AddressMapping, BitPermutation, BitShuffleMapping, HashMapping, PhysAddr};
 use sdam_probe::Agent;
 use sdam_sys::{EngineTarget, MappingEngine};
 
@@ -65,6 +65,11 @@ proptest! {
         let geom = geometries()[geom_idx];
         let sources = random_sources(geom, &[m0, m1, m2, m3, m4]);
         let hm = HashMapping::with_sources(geom.line_bits(), geom.channel_bits(), sources);
+        // The hidden hash is a bijection: it is its own inverse.
+        for a in [0, m0, m1, m2, m3, m4] {
+            let a = a & (geom.capacity_bytes() - 1);
+            prop_assert_eq!(hm.map(PhysAddr(hm.map(PhysAddr(a)).raw())).raw(), a);
+        }
         let mut target = EngineTarget::new(
             MappingEngine::Global(Box::new(hm.clone())),
             geom,

@@ -7,6 +7,12 @@
 //! outside its crate names should be `pub(crate)` (or gone); the few
 //! that stay public for another reason sit on [`KEEP`] with that reason.
 //!
+//! A `pub fn` without a receiver inside an inherent `impl Type` block
+//! is held to more: a file outside the crate must name it by path, as
+//! `Type::name`, since a bare word like `new` says nothing about which
+//! type's constructor is called. The few kept anyway sit on
+//! [`KEEP_ASSOCIATED`] with their reason.
+//!
 //! The same holds for the `pub` fields of every `pub struct *Config`: a
 //! knob nothing outside its crate sets or reads is an option with one
 //! value in use, so it should be a private constant. The few fields
@@ -16,11 +22,13 @@
 //! some other crate happens to use too counts as called. A `pub fn`
 //! (or field) with a common name (`map`, `decode`) can therefore escape
 //! it while nothing outside its crate calls it, so review such names by
-//! hand. Each file is
+//! hand (the `Type::name` rule closes that gap for associated
+//! functions, not for methods). Each file is
 //! read up to its first `#[cfg(test)]`, so unit-test helpers are not
 //! surface. Binaries under `src/bin/` are separate targets and count as
 //! callers of their crate's library. This file itself is skipped, since
-//! [`KEEP`] and [`KEEP_FIELDS`] name the kept items. Nothing is built.
+//! [`KEEP`], [`KEEP_ASSOCIATED`] and [`KEEP_FIELDS`] name the kept
+//! items. Nothing is built.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -46,6 +54,10 @@ const KEEP: &[(&str, &str)] = &[
         "the oracle the bank-hash fold is proven against; oracles leave the libraries together, not one by one",
     ),
 ];
+
+/// Associated functions without a receiver that no file outside their
+/// crate names as `Type::name`, each with the reason it stays public.
+const KEEP_ASSOCIATED: &[(&str, &str)] = &[];
 
 /// `Config` struct fields no file outside their crate names, as
 /// `Struct::field`, each with the reason it stays a field.
@@ -89,22 +101,133 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
-/// The `pub fn` names of `text` before its first `#[cfg(test)]`.
-fn pub_fns(text: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in text.lines() {
-        let line = line.trim_start();
+/// Every `A::B` path pair of `text`: two identifiers joined by `::`.
+fn path_pairs(text: &str) -> impl Iterator<Item = String> + '_ {
+    let bytes = text.as_bytes();
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut pairs = Vec::new();
+    let mut i = 0;
+    while let Some(at) = text[i..].find("::").map(|k| k + i) {
+        let start = (0..at).rev().take_while(|&k| is_ident(bytes[k])).last();
+        let end = (at + 2..bytes.len())
+            .take_while(|&k| is_ident(bytes[k]))
+            .last();
+        if let (Some(start), Some(end)) = (start, end) {
+            pairs.push(text[start..=end].to_string());
+        }
+        i = at + 2;
+    }
+    pairs.into_iter()
+}
+
+/// A `pub fn` of a library file.
+struct PubFn {
+    name: String,
+    /// The type of the inherent `impl` block, for a function without a
+    /// receiver defined inside one.
+    owner: Option<String>,
+}
+
+/// `text` past a leading generic parameter list `<...>`, if any (an
+/// `->` inside it, as in `F: Fn() -> u8`, closes nothing).
+fn after_generics(text: &str) -> &str {
+    if !text.starts_with('<') {
+        return text;
+    }
+    let mut depth = 0;
+    let mut prev = ' ';
+    for (k, c) in text.char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return &text[k + 1..];
+        }
+        prev = c;
+    }
+    ""
+}
+
+/// The type an `impl` header line implements for, or `None` for a
+/// trait impl (which declares no `pub fn`).
+fn impl_type(header: &str) -> Option<String> {
+    let rest = header.strip_prefix("impl")?;
+    if !rest.starts_with(['<', ' ']) {
+        return None;
+    }
+    let rest = after_generics(rest);
+    if rest.contains(" for ") {
+        return None;
+    }
+    let path = rest.trim_start().split(['<', ' ', '{']).next()?;
+    path.rsplit("::").next().map(str::to_string)
+}
+
+/// Whether a signature, from just past `pub fn name`, opens its
+/// parameter list with a `self` receiver.
+fn has_receiver(sig: &str) -> bool {
+    let Some(mut p) = after_generics(sig).trim_start().strip_prefix('(') else {
+        return false;
+    };
+    p = p.trim_start();
+    if let Some(r) = p.strip_prefix('&') {
+        p = r.trim_start();
+        if p.starts_with('\'') {
+            p = p.split_once(' ').map_or("", |(_, r)| r).trim_start();
+        }
+    }
+    if let Some(r) = p.strip_prefix("mut ") {
+        p = r.trim_start();
+    }
+    words(p).next() == Some("self")
+}
+
+/// The `pub fn`s of `text` before its first `#[cfg(test)]`. A receiver
+/// may sit on a later line of the signature, so each signature is read
+/// up to its parameter list.
+fn pub_fns(text: &str) -> Vec<PubFn> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut fns = Vec::new();
+    // The type and the indentation of the enclosing inherent `impl`.
+    let mut within: Option<(String, usize)> = None;
+    for (i, raw) in lines.iter().enumerate() {
+        let line = raw.trim_start();
+        let indent = raw.len() - line.len();
         if line.starts_with("#[cfg(test)]") {
             break;
+        }
+        match &within {
+            Some((_, at)) if indent == *at && line.starts_with('}') => within = None,
+            // A one-line `impl T {}` opens no block.
+            None if !line.ends_with("{}") => within = impl_type(line).map(|ty| (ty, indent)),
+            _ => {}
         }
         let rest = line
             .strip_prefix("pub fn ")
             .or_else(|| line.strip_prefix("pub const fn "));
-        if let Some(name) = rest.and_then(|r| words(r).next()) {
-            names.push(name.to_string());
+        let Some(name) = rest.and_then(|r| words(r).next()) else {
+            continue;
+        };
+        let mut sig = rest.unwrap_or_default()[name.len()..].to_string();
+        for next in lines.iter().skip(i + 1).take(16) {
+            if sig.contains('(') && sig.contains(')') {
+                break;
+            }
+            sig.push(' ');
+            sig.push_str(next.trim());
         }
+        let owner = match &within {
+            Some((ty, _)) if !has_receiver(&sig) => Some(ty.clone()),
+            _ => None,
+        };
+        fns.push(PubFn {
+            name: name.to_string(),
+            owner,
+        });
     }
-    names
+    fns
 }
 
 /// The `pub` fields of every `pub struct *Config` in `text` before its
@@ -143,6 +266,7 @@ struct Corpus {
     root: PathBuf,
     files: Vec<PathBuf>,
     texts: Vec<String>,
+    /// Word and `A::B` path → the files naming it.
     index: HashMap<String, BTreeSet<usize>>,
 }
 
@@ -161,6 +285,9 @@ impl Corpus {
             let text = fs::read_to_string(f).unwrap();
             for w in words(&text) {
                 index.entry(w.to_string()).or_default().insert(i);
+            }
+            for path in path_pairs(&text) {
+                index.entry(path).or_default().insert(i);
             }
             texts.push(text);
         }
@@ -188,7 +315,8 @@ impl Corpus {
     }
 
     /// Whether a file outside the crate whose sources are `own` names
-    /// `word`; the crate's own binaries count as outside.
+    /// `word` (an identifier or an `A::B` path); the crate's own
+    /// binaries count as outside.
     fn named_outside(&self, word: &str, own: &Path) -> bool {
         let bins = own.join("bin");
         self.index.get(word).is_some_and(|users| {
@@ -239,15 +367,64 @@ fn every_public_function_has_a_caller_outside_its_crate() {
     let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut defined = 0;
     for (rel, text, own) in corpus.library_files() {
-        for name in pub_fns(text) {
+        for f in pub_fns(text) {
             defined += 1;
-            if !corpus.named_outside(&name, &own) {
-                unreferenced.entry(name).or_default().push(rel.clone());
+            if !corpus.named_outside(&f.name, &own) {
+                unreferenced.entry(f.name).or_default().push(rel.clone());
             }
         }
     }
     assert!(defined > 300, "scan found only {defined} definitions");
     check_against_keep("public functions", &unreferenced, KEEP);
+}
+
+#[test]
+fn every_associated_function_is_named_by_path_outside_its_crate() {
+    let corpus = Corpus::load();
+    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut defined = 0;
+    for (rel, text, own) in corpus.library_files() {
+        for f in pub_fns(text) {
+            let Some(owner) = f.owner else { continue };
+            defined += 1;
+            let path = format!("{owner}::{}", f.name);
+            if !corpus.named_outside(&path, &own) {
+                unreferenced.entry(path).or_default().push(rel.clone());
+            }
+        }
+    }
+    assert!(
+        defined > 60,
+        "scan found only {defined} associated functions"
+    );
+    check_against_keep("associated functions", &unreferenced, KEEP_ASSOCIATED);
+}
+
+#[test]
+fn the_scan_reads_receivers_and_impl_types() {
+    assert_eq!(impl_type("impl Cmt {").as_deref(), Some("Cmt"));
+    assert_eq!(
+        impl_type("impl<T: Fn() -> u8> Ring<T> {").as_deref(),
+        Some("Ring")
+    );
+    assert_eq!(impl_type("impl Default for Ring {"), None);
+    assert_eq!(impl_type("impl_trait!(x);"), None);
+    assert!(has_receiver("(&self) -> u64 {"));
+    assert!(has_receiver("<'a>( &'a mut self, id: u8,"));
+    assert!(has_receiver("(mut self, x: u8)"));
+    assert!(!has_receiver("<F: Fn(&self_like) -> u8>(f: F)"));
+    assert!(!has_receiver("(selfish: u8)"));
+    let fns = pub_fns("impl Cmt {\n    pub fn new() -> Self {\n    }\n    pub fn get(\n        &self,\n    ) {}\n}\npub fn free() {}\n");
+    let owners: Vec<(&str, Option<&str>)> = fns
+        .iter()
+        .map(|f| (f.name.as_str(), f.owner.as_deref()))
+        .collect();
+    assert_eq!(
+        owners,
+        [("new", Some("Cmt")), ("get", None), ("free", None)]
+    );
+    let pairs: Vec<String> = path_pairs("Cmt::new(a::b::C) :: x").collect();
+    assert_eq!(pairs, ["Cmt::new", "a::b", "b::C"]);
 }
 
 #[test]
