@@ -116,16 +116,6 @@ pub struct SdamProbeRegion {
 }
 
 impl SdamProbeRegion {
-    /// Physical base of the probe window.
-    pub fn base_pa(&self) -> u64 {
-        self.base_pa
-    }
-
-    /// Width of the probe window in bits.
-    pub fn probe_bits(&self) -> u32 {
-        self.probe_bits
-    }
-
     /// A black-box target over this region: it routes probes through a
     /// clone of the live CMT (the `Chunked` engine) into a fresh device.
     ///
@@ -489,8 +479,8 @@ mod tests {
         let lo = geom.line_bits();
         let perm = BitPermutation::new(lo, (0..15u32).rev().collect()).unwrap();
         let region = sdam_probe_region(&perm, geom, Timing::hbm2(), 21).unwrap();
-        assert_eq!(region.probe_bits(), 21 + geom.bank_bits());
-        assert_eq!(region.base_pa() & ((1 << region.probe_bits()) - 1), 0);
+        assert_eq!(region.probe_bits, 21 + geom.bank_bits());
+        assert_eq!(region.base_pa & ((1 << region.probe_bits) - 1), 0);
         // The truth derived through translate_under is the registered
         // permutation itself.
         let truth = region.window_truth().unwrap();

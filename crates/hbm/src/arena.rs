@@ -8,7 +8,7 @@
 //!
 //! * [`RequestArena`] holds the pending requests as parallel column
 //!   vectors (`channel` is implicit — each [`crate::channel::ChannelSim`]
-//!   owns one arena; `row`/`bank`/`col`/`arrival`/`is_write` are columns),
+//!   owns one arena; `row`/`bank`/`arrival`/`is_write` are columns),
 //!   so pushing is a handful of vector appends and the drain walks flat
 //!   `u64`/`u32` slices instead of chasing struct fields.
 //! * [`DrainScratch`] is the reusable drain state: an intrusive
@@ -51,10 +51,9 @@ pub const NIL: u32 = u32::MAX;
 /// Capacity is retained across drains, so a steady-state
 /// push/drain cycle allocates nothing.
 #[derive(Debug, Clone, Default)]
-pub struct RequestArena {
+pub(crate) struct RequestArena {
     row: Vec<u64>,
     bank: Vec<u32>,
-    col: Vec<u32>,
     arrival: Vec<Cycle>,
     is_write: Vec<bool>,
 }
@@ -75,7 +74,6 @@ impl RequestArena {
     pub fn reserve(&mut self, additional: usize) {
         self.row.reserve(additional);
         self.bank.reserve(additional);
-        self.col.reserve(additional);
         self.arrival.reserve(additional);
         self.is_write.reserve(additional);
     }
@@ -86,14 +84,13 @@ impl RequestArena {
         self.row.is_empty()
     }
 
-    /// Appends one request. The decoded channel field is dropped: the
-    /// arena belongs to exactly one channel, so the channel id is the
-    /// shard key, not a column.
+    /// Appends one request. The decoded channel and column fields are
+    /// dropped: the arena belongs to exactly one channel, so the channel
+    /// id is the shard key, and no scheduling decision reads the column.
     #[inline]
     pub fn push(&mut self, addr: DecodedAddr, is_write: bool, arrival: Cycle) {
         self.row.push(addr.row);
         self.bank.push(addr.bank as u32);
-        self.col.push(addr.col as u32);
         self.arrival.push(arrival);
         self.is_write.push(is_write);
     }
@@ -122,26 +119,10 @@ impl RequestArena {
         &self.is_write
     }
 
-    /// Reconstructs request `i` as a decoded address (channel `ch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn addr(&self, i: usize, ch: u64) -> DecodedAddr {
-        DecodedAddr {
-            row: self.row[i],
-            bank: self.bank[i] as u64,
-            channel: ch,
-            col: self.col[i] as u64,
-        }
-    }
-
     /// Removes all requests, keeping the allocations.
     pub fn clear(&mut self) {
         self.row.clear();
         self.bank.clear();
-        self.col.clear();
         self.arrival.clear();
         self.is_write.clear();
     }
@@ -162,7 +143,6 @@ impl RequestArena {
                 if w != i {
                     self.row[w] = self.row[i];
                     self.bank[w] = self.bank[i];
-                    self.col[w] = self.col[i];
                     self.arrival[w] = self.arrival[i];
                     self.is_write[w] = self.is_write[i];
                 }
@@ -171,7 +151,6 @@ impl RequestArena {
         }
         self.row.truncate(w);
         self.bank.truncate(w);
-        self.col.truncate(w);
         self.arrival.truncate(w);
         self.is_write.truncate(w);
         w
@@ -200,7 +179,7 @@ struct RowSlot {
 /// no `fill`, no rehash, no allocation (stamps are wiped only on the
 /// `u32` generation wrap, once every 4 billion drains).
 #[derive(Debug, Clone, Default)]
-pub struct RowTable {
+pub(crate) struct RowTable {
     slots: Vec<RowSlot>,
     gen: u32,
     /// `64 - log2(capacity)`: multiply-shift hashing keeps the probe
@@ -289,16 +268,16 @@ impl RowTable {
 #[derive(Debug, Clone, Default)]
 pub struct DrainScratch {
     /// Next request in the same `(bank, row)` list, [`NIL`] at tails.
-    pub link: Vec<u32>,
+    pub(crate) link: Vec<u32>,
     /// Tombstones: true once a request has been served.
-    pub served: Vec<bool>,
+    pub(crate) served: Vec<bool>,
     /// The `(bank, row)` -> list-head index.
-    pub table: RowTable,
+    pub(crate) table: RowTable,
     /// Per-bank oldest unserved request to the bank's open row.
-    pub candidates: Vec<u32>,
+    pub(crate) candidates: Vec<u32>,
     /// Number of non-[`NIL`] entries in `candidates`; when zero the
     /// per-pick candidate scan is skipped entirely.
-    pub live_candidates: usize,
+    pub(crate) live_candidates: usize,
 }
 
 impl DrainScratch {
@@ -339,8 +318,6 @@ mod tests {
         assert_eq!(a.banks(), &[2, 0]);
         assert_eq!(a.arrivals(), &[40, 41]);
         assert_eq!(a.is_writes(), &[true, false]);
-        let back = a.addr(0, 3);
-        assert_eq!(back, da(7, 2, 1));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! Every request, queued or not, is served by the same private service
 //! core. The batch path stores pending requests in a struct-of-arrays
-//! [`RequestArena`] and drains them with a caller-owned [`DrainScratch`],
+//! `RequestArena` and drains them with a caller-owned [`DrainScratch`],
 //! so a steady-state push/drain cycle performs no allocation at all (see
 //! the `arena` module docs for the column layout and index-link
 //! invariants). The definitional linear-scan scheduler is preserved as

@@ -48,15 +48,15 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod arena;
+mod arena;
 pub mod bank;
 pub mod channel;
 pub mod geometry;
-pub mod sim;
+mod sim;
 pub mod stats;
 pub mod timing;
 
-pub use arena::{DrainScratch, RequestArena};
+pub use arena::DrainScratch;
 pub use bank::RowOutcome;
 pub use geometry::{DecodedAddr, Geometry, HardwareAddr};
 pub use sim::{bank_hashed, bank_hashed_reference, open_loop_reference, Hbm};

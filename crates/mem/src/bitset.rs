@@ -6,15 +6,15 @@
 //! a [`BitSet`] — a column of leaf words plus `log64` summary levels.
 //! Membership updates touch at most one word per level and `first`/
 //! `next_set` walk the summary tree, so every operation is O(levels)
-//! with zero heap allocation after construction. Iteration order is
+//! with zero heap allocation after construction. Both walk members in
 //! ascending index order, which is exactly the `BTreeSet` iteration
 //! order the allocators' determinism contract is written against.
 
 /// A fixed-capacity ordered set of `u64` indices backed by a leaf
 /// bitmap plus summary levels (64-way tree). All operations are
-/// O(levels) ≈ O(1); iteration is ascending.
+/// O(levels) ≈ O(1); `first`/`next_set` walk members in ascending order.
 #[derive(Debug, Clone)]
-pub struct BitSet {
+pub(crate) struct BitSet {
     /// `levels[0]` holds one bit per index; `levels[k][w]` bit `b` is
     /// set iff word `w * 64 + b` of `levels[k - 1]` is non-zero.
     levels: Vec<Vec<u64>>,
@@ -52,12 +52,6 @@ impl BitSet {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The exclusive upper bound on member indices.
-    #[inline]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// True when `i` is a member.
@@ -137,11 +131,6 @@ impl BitSet {
         None
     }
 
-    /// Iterates members in ascending order.
-    pub fn iter(&self) -> BitSetIter<'_> {
-        BitSetIter { set: self, next: 0 }
-    }
-
     /// The leaf-level words (one bit per index, 64 indices per word) —
     /// the raw column for callers that need word-parallel scans such as
     /// neighbor masking or contiguous-run measurement.
@@ -172,26 +161,14 @@ impl BitSet {
     }
 }
 
-/// Ascending-order iterator over a [`BitSet`].
-#[derive(Debug)]
-pub struct BitSetIter<'a> {
-    set: &'a BitSet,
-    next: u64,
-}
-
-impl Iterator for BitSetIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        let i = self.set.next_set(self.next)?;
-        self.next = i + 1;
-        Some(i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The members of `s` in ascending order, walked with `next_set`.
+    fn members(s: &BitSet) -> Vec<u64> {
+        std::iter::successors(s.first(), |&i| s.next_set(i + 1)).collect()
+    }
 
     #[test]
     fn insert_remove_contains() {
@@ -221,7 +198,7 @@ mod tests {
         assert_eq!(s.next_set(66), Some(100_000));
         assert_eq!(s.next_set(100_001), Some(1_000_000));
         assert_eq!(s.next_set(1_000_001), None);
-        let all: Vec<u64> = s.iter().collect();
+        let all = members(&s);
         assert_eq!(all, vec![7, 64, 65, 100_000, 1_000_000]);
     }
 
@@ -254,10 +231,7 @@ mod tests {
                 "next_set({probe}) diverged"
             );
         }
-        assert_eq!(
-            s.iter().collect::<Vec<_>>(),
-            oracle.iter().copied().collect::<Vec<_>>()
-        );
+        assert_eq!(members(&s), oracle.iter().copied().collect::<Vec<_>>());
     }
 
     #[test]
@@ -277,6 +251,6 @@ mod tests {
         let mut s = BitSet::with_capacity(2);
         assert!(s.insert(0));
         assert!(s.insert(1));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(members(&s), vec![0, 1]);
     }
 }

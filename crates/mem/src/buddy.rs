@@ -6,9 +6,9 @@
 //! `2^order` pages, split on demand, coalesced with their buddy on free.
 //!
 //! Two implementations live here. [`BuddyAllocator`] keeps each order's
-//! free list as a block-indexed [`BitSet`] column, so alloc/free/coalesce
+//! free list as a block-indexed `BitSet` column, so alloc/free/coalesce
 //! are word operations with zero heap allocation after construction.
-//! [`BuddyAllocatorReference`] is the original `BTreeSet`-based version,
+//! `BuddyAllocatorReference` is the original `BTreeSet`-based version,
 //! retained as the golden oracle: both pick the same block for every
 //! request (smallest sufficient order, then lowest offset) and panic on
 //! the same misuse, which the equivalence tests below pin down.
@@ -156,7 +156,7 @@ impl BuddyAllocator {
 /// golden oracle for [`BuddyAllocator`]. Same picks, same panics — only
 /// the free-list representation differs.
 #[derive(Debug, Clone)]
-pub struct BuddyAllocatorReference {
+pub(crate) struct BuddyAllocatorReference {
     max_order: u32,
     /// free_lists[order] = sorted set of free block offsets of that order.
     free_lists: Vec<std::collections::BTreeSet<u64>>,

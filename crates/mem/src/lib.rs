@@ -45,7 +45,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod bitset;
+mod bitset;
 pub mod buddy;
 pub mod error;
 pub mod heap;

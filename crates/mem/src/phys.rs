@@ -14,7 +14,7 @@
 //! [`ChunkAllocator`] is the production control plane: all allocator
 //! state lives in flat per-chunk columns indexed by chunk number
 //! (mapping id, sensitivity, guard refcount, per-block order bytes) plus
-//! [`BitSet`] index columns for the free list, the allocatable list, and
+//! `BitSet` index columns for the free list, the allocatable list, and
 //! each `(mapping, sensitivity, largest-free-order)` group bucket.
 //! Every operation on the warm path is a handful of array and word
 //! updates with zero heap allocation; ascending-index iteration of the

@@ -11,7 +11,7 @@ use crate::optim::Adam;
 
 /// An embedding table with gradient accumulation and Adam state.
 #[derive(Debug, Clone)]
-pub struct Embedding {
+pub(crate) struct Embedding {
     table: Mat,
     grad: Mat,
     adam: Adam,

@@ -39,11 +39,11 @@
 pub mod autoencoder;
 pub mod config;
 pub mod dlkmeans;
-pub mod embedding;
+mod embedding;
 pub mod kmeans;
-pub mod linalg;
-pub mod lstm;
-pub mod optim;
+mod linalg;
+mod lstm;
+mod optim;
 
 pub use config::{TrainingConfig, TrainingError};
 pub use kmeans::{kmeans, Clustering, KMeansConfig, KMeansError};

@@ -8,7 +8,7 @@
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mat {
+pub(crate) struct Mat {
     rows: usize,
     cols: usize,
     data: Vec<f64>,

@@ -16,7 +16,7 @@ use crate::optim::Adam;
 
 /// One LSTM layer with its parameters, gradients, and optimizer state.
 #[derive(Debug, Clone)]
-pub struct LstmLayer {
+pub(crate) struct LstmLayer {
     input_dim: usize,
     hidden_dim: usize,
     /// Packed gate weights: `4·hidden × (input + hidden)`.
@@ -31,7 +31,7 @@ pub struct LstmLayer {
 
 /// Cached activations of one forward step, needed by the backward pass.
 #[derive(Debug, Clone)]
-pub struct StepCache {
+pub(crate) struct StepCache {
     z: Vec<f64>,
     i: Vec<f64>,
     f: Vec<f64>,
@@ -160,13 +160,13 @@ impl LstmLayer {
 
 /// A stack of LSTM layers run over a sequence.
 #[derive(Debug, Clone)]
-pub struct Lstm {
+pub(crate) struct Lstm {
     layers: Vec<LstmLayer>,
 }
 
 /// Caches of a full sequence forward pass (per step, per layer).
 #[derive(Debug, Clone, Default)]
-pub struct SeqCache {
+pub(crate) struct SeqCache {
     steps: Vec<Vec<StepCache>>,
 }
 

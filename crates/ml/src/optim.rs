@@ -2,7 +2,7 @@
 
 /// Adam state for one parameter tensor.
 #[derive(Debug, Clone)]
-pub struct Adam {
+pub(crate) struct Adam {
     m: Vec<f64>,
     v: Vec<f64>,
     t: u64,

@@ -25,7 +25,7 @@ pub fn escape(s: &str) -> String {
 
 /// Incremental pretty-printer. The caller is responsible for balanced
 /// `open`/`close` calls; commas and indentation are handled here.
-pub struct Writer {
+pub(crate) struct Writer {
     buf: String,
     indent: usize,
     need_comma: Vec<bool>,

@@ -10,14 +10,14 @@
 /// A system of XOR equations `⊕_{b ∈ mask} x_b = rhs` over at most 64
 /// unknowns, each unknown a bit-vector packed into a `u64`.
 #[derive(Debug, Clone, Default)]
-pub struct Gf2System {
+pub(crate) struct Gf2System {
     unknowns: u32,
     rows: Vec<(u64, u64)>,
 }
 
 /// The outcome of eliminating a [`Gf2System`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Gf2Solution {
+pub(crate) enum Gf2Solution {
     /// Full rank: the single satisfying assignment, indexed by unknown.
     Unique(Vec<u64>),
     /// Some equations contradict each other (an `0 = rhs` row with

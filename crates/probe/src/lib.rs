@@ -90,13 +90,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod agent;
-pub mod calibrate;
-pub mod gf2;
+mod calibrate;
+mod gf2;
 pub mod report;
 mod target;
 
 pub use agent::{Agent, FoldRecovery, HashRecovery, PermRecovery, RecoveryError};
 pub use calibrate::{Calibrator, LatencyClass};
-pub use gf2::{Gf2Solution, Gf2System};
 pub use report::{FunctionReport, RecoveryReport};
 pub use target::ProbeTarget;

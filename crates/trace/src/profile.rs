@@ -11,7 +11,7 @@ use crate::{Trace, VariableId};
 
 /// Per-variable statistics, one row of the paper's Table 1 machinery.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VariableStats {
+pub(crate) struct VariableStats {
     /// The variable.
     pub variable: VariableId,
     /// External references in the trace.

@@ -117,7 +117,7 @@ impl Workload for KMeansWorkload {
 /// approximation): greedy best-first walks over a random neighbour
 /// graph — the pointer-chasing extreme.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Hnsw;
+pub(crate) struct Hnsw;
 
 impl Workload for Hnsw {
     fn name(&self) -> &str {

@@ -23,7 +23,7 @@ const LANES: usize = 4;
 
 /// An R-MAT graph in CSR form.
 #[derive(Debug, Clone)]
-pub struct Csr {
+pub(crate) struct Csr {
     /// Per-vertex edge-list start offsets (`n + 1` entries).
     pub offsets: Vec<u32>,
     /// Edge targets.

@@ -11,7 +11,7 @@
 //!   (BFS / PageRank / SSSP over R-MAT graphs in [`graph`], hash join
 //!   and merge-sort join in [`analytics`], K-Means / HNSW / IVFPQ in
 //!   [`ann`]) running over *instrumented* data structures
-//!   ([`recorder`]) so their address streams are the streams of the
+//!   (`recorder`) so their address streams are the streams of the
 //!   actual algorithm, tagged with the variable (allocation) each access
 //!   belongs to.
 //!
@@ -42,12 +42,12 @@ pub mod churn;
 pub mod datacopy;
 pub mod graph;
 pub mod phased;
-pub mod recorder;
+mod recorder;
 pub mod sparse;
 pub mod stream;
 pub mod suites;
 
-pub use recorder::{Recorder, Region};
+use recorder::{Recorder, Region};
 
 use sdam_trace::Trace;
 

@@ -11,7 +11,7 @@ use sdam_trace::{MemAccess, ThreadId, Trace, VariableId};
 
 /// An allocated region of the synthetic address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Region {
+pub(crate) struct Region {
     /// Base address (page-aligned).
     pub base: u64,
     /// Size in bytes.
@@ -42,7 +42,7 @@ const NO_LINE: u64 = u64::MAX;
 
 /// Allocates regions and records accesses into a [`Trace`].
 #[derive(Debug, Clone)]
-pub struct Recorder {
+pub(crate) struct Recorder {
     trace: Trace,
     next_base: u64,
     next_variable: u32,
@@ -155,11 +155,6 @@ impl Recorder {
         self.trace.len()
     }
 
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
     /// Finishes recording and returns the trace.
     pub fn into_trace(self) -> Trace {
         self.trace
@@ -192,7 +187,7 @@ impl Recorder {
 ///
 /// Each lane's closure receives `(lane_index, &mut Recorder)`; the lane
 /// recorder is pre-tagged with `ThreadId(lane_index)`.
-pub fn run_parallel<F>(parent: &mut Recorder, lanes: usize, mut f: F)
+pub(crate) fn run_parallel<F>(parent: &mut Recorder, lanes: usize, mut f: F)
 where
     F: FnMut(usize, &mut Recorder),
 {

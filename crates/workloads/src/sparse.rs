@@ -17,7 +17,7 @@ const LANES: usize = 4;
 /// Sparse matrix–vector multiply over an R-MAT-structured CSR matrix:
 /// `y = A·x`. Rows are processed block-cyclically by four lanes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Spmv;
+pub(crate) struct Spmv;
 
 impl Workload for Spmv {
     fn name(&self) -> &str {
@@ -65,7 +65,7 @@ impl Workload for Spmv {
 /// Histogram building: stream a large input, scatter increments into a
 /// small bin table (read-modify-write on hot lines).
 #[derive(Debug, Clone, Copy)]
-pub struct HistogramBuild {
+pub(crate) struct HistogramBuild {
     bins: usize,
 }
 

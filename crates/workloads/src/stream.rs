@@ -1,4 +1,4 @@
-//! STREAM-style bandwidth kernels (McCalpin): copy, scale, add, triad.
+//! STREAM-style bandwidth kernels (McCalpin): copy and triad.
 //!
 //! The paper's Fig. 12 discussion singles out "stream" as a benchmark
 //! where the per-application SDM+BSM mapping can *regress* (pure
@@ -18,13 +18,9 @@ const LANES: usize = 4;
 
 /// Which STREAM kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamKernel {
+pub(crate) enum StreamKernel {
     /// `c[i] = a[i]`
     Copy,
-    /// `b[i] = s * c[i]`
-    Scale,
-    /// `c[i] = a[i] + b[i]`
-    Add,
     /// `a[i] = b[i] + s * c[i]`
     Triad,
 }
@@ -57,8 +53,6 @@ impl Workload for Stream {
     fn name(&self) -> &str {
         match self.kernel {
             StreamKernel::Copy => "stream-copy",
-            StreamKernel::Scale => "stream-scale",
-            StreamKernel::Add => "stream-add",
             StreamKernel::Triad => "stream-triad",
         }
     }
@@ -88,15 +82,6 @@ impl Workload for Stream {
                             r.read(a, i);
                             r.write(c, i);
                         }
-                        StreamKernel::Scale => {
-                            r.read(c, i);
-                            r.write(b, i);
-                        }
-                        StreamKernel::Add => {
-                            r.read(a, i);
-                            r.read(b, i);
-                            r.write(c, i);
-                        }
                         StreamKernel::Triad => {
                             r.read(b, i);
                             r.read(c, i);
@@ -115,7 +100,7 @@ impl Workload for Stream {
 /// mapping follows the allocation site, not the phase; this workload
 /// lets the test suite measure what phase changes cost.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseCopy;
+pub(crate) struct PhaseCopy;
 
 impl Workload for PhaseCopy {
     fn name(&self) -> &str {
@@ -152,12 +137,7 @@ mod tests {
 
     #[test]
     fn all_kernels_have_expected_variable_counts() {
-        for (k, vars) in [
-            (StreamKernel::Copy, 2),
-            (StreamKernel::Scale, 2),
-            (StreamKernel::Add, 3),
-            (StreamKernel::Triad, 3),
-        ] {
+        for (k, vars) in [(StreamKernel::Copy, 2), (StreamKernel::Triad, 3)] {
             let t = Stream::new(k).generate(Scale::tiny());
             assert_eq!(t.variables().len(), vars, "{k:?}");
             assert!(!t.is_empty());

@@ -20,7 +20,7 @@ use crate::{Scale, Workload};
 
 /// Which benchmark suite a spec belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Suite {
+pub(crate) enum Suite {
     /// SPEC CPU2006 integer.
     Spec2006,
     /// PARSEC.
@@ -33,7 +33,7 @@ pub struct BenchmarkSpec {
     /// Benchmark name as printed in the paper.
     pub name: &'static str,
     /// Suite.
-    pub suite: Suite,
+    pub(crate) suite: Suite,
     /// Total number of variables ("# of Var.").
     pub num_variables: u64,
     /// Number of major variables ("# of Major Var.").
@@ -94,11 +94,6 @@ impl Surrogate {
     /// Wraps a spec.
     pub fn new(spec: BenchmarkSpec) -> Self {
         Surrogate { spec }
-    }
-
-    /// The underlying Table 1 row.
-    pub fn spec(&self) -> &BenchmarkSpec {
-        &self.spec
     }
 
     /// Footprints (bytes) assigned to the major variables: a linear ramp

@@ -18,17 +18,27 @@
 //! value in use, so it should be a private constant. The few fields
 //! kept anyway sit on [`KEEP_FIELDS`] with their reason.
 //!
+//! Every `pub struct`, `enum`, `trait`, `type` and `mod` must be named
+//! outside its crate as well. A type that nothing outside names may
+//! still have to stay public: a public signature or re-export exposes
+//! it (rustc's `private_interfaces` lint), or another crate reaches it
+//! through type inference, as a caller reads a field of a returned
+//! value. Such types sit on [`KEEP_TYPES`], each reason naming the
+//! exposing item and its caller outside the crate. An exposing item
+//! that has no such caller is narrowed instead, and the type with it.
+//!
 //! The scan matches names, not paths, so it is a floor: a name that
 //! some other crate happens to use too counts as called. A `pub fn`
 //! (or field) with a common name (`map`, `decode`) can therefore escape
 //! it while nothing outside its crate calls it, so review such names by
 //! hand (the `Type::name` rule closes that gap for associated
-//! functions, not for methods). Each file is
-//! read up to its first `#[cfg(test)]`, so unit-test helpers are not
+//! functions, not for methods). A type escapes it the same way when
+//! another package defines a type of the same name, or names it only in
+//! a comment. Each file is read up to its first `#[cfg(test)]`, so unit-test helpers are not
 //! surface. Binaries under `src/bin/` are separate targets and count as
 //! callers of their crate's library. This file itself is skipped, since
-//! [`KEEP`], [`KEEP_ASSOCIATED`] and [`KEEP_FIELDS`] name the kept
-//! items. Nothing is built.
+//! [`KEEP`], [`KEEP_ASSOCIATED`], [`KEEP_TYPES`] and [`KEEP_FIELDS`]
+//! name the kept items. Nothing is built.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -58,6 +68,92 @@ const KEEP: &[(&str, &str)] = &[
 /// Associated functions without a receiver that no file outside their
 /// crate names as `Type::name`, each with the reason it stays public.
 const KEEP_ASSOCIATED: &[(&str, &str)] = &[];
+
+/// Public types and modules no file outside their crate names, each
+/// with the public signature, re-export or cross-crate use that keeps
+/// it public.
+const KEEP_TYPES: &[(&str, &str)] = &[
+    (
+        "AdaptReport",
+        "the `ExecutionReport::adapt` field, which tests/determinism.rs and tests/obs_invariants.rs read",
+    ),
+    (
+        "AllocatorReport",
+        "returned by `ChunkAllocator::report`, which tests/prop_alloc.rs compares against its model",
+    ),
+    (
+        "AreaReport",
+        "returned by `area::area_report`, which the table3_area binary prints",
+    ),
+    (
+        "BenchmarkSpec",
+        "returned by `suites::table1` and taken by `Surrogate::new`, which the table1_variable_stats binary calls",
+    ),
+    (
+        "CoreStats",
+        "the element of the `ExecutionReport::per_core` field, which the benchmark's `wl/mod.rs` and sdam-sys's props test read",
+    ),
+    (
+        "DescriptorError",
+        "returned by `MappingDescriptor::compile_windowed`, which `sdam::probing` and the adapt bench call",
+    ),
+    (
+        "DlClustering",
+        "returned by `dlkmeans::cluster_variables_dl`, whose `assignments` `sdam::profiling` reads",
+    ),
+    (
+        "Event",
+        "yielded by `EventRing::iter`, whose `kind` tests/obs_invariants.rs reads; re-exported from `sdam_obs`",
+    ),
+    (
+        "FoldRecovery",
+        "returned by `Agent::recover_bank_fold`, which `sdam::probing` and tests/probe_suite.rs call; re-exported from `sdam_probe`",
+    ),
+    (
+        "GeometryError",
+        "returned by `Geometry::new`, which tests/error_paths.rs and the extension_future_clp binary call",
+    ),
+    (
+        "HashRecovery",
+        "returned by `Agent::recover_channel_hash`, which `sdam::probing` calls; re-exported from `sdam_probe`",
+    ),
+    (
+        "PageAlloc",
+        "returned by `ChunkAllocator::alloc_page` and `alloc_block`, which tests/prop_alloc.rs and the churn bench call",
+    ),
+    (
+        "PermError",
+        "returned by `BitPermutation::new`, which sdam-sys, sdam-probe, `sdam`, the benchmark and the tests call; re-exported from `sdam_mapping`",
+    ),
+    (
+        "PermRecovery",
+        "returned by `Agent::recover_permutation`, which `sdam::probing` and tests/probe_suite.rs call; re-exported from `sdam_probe`",
+    ),
+    (
+        "ProbingError",
+        "returned by `probing::seeded_suite`, `run_seeded_suite` and `sdam_probe_region`, which tests/probe_suite.rs calls",
+    ),
+    (
+        "SdamProbeRegion",
+        "returned by `probing::sdam_probe_region`, which tests/probe_suite.rs calls",
+    ),
+    (
+        "StepLoss",
+        "returned by `LstmAutoencoder::train_minibatch`, which tests/prop_ml.rs and the clustering bench call",
+    ),
+    (
+        "SuiteEntry",
+        "returned by `probing::seeded_suite`, which tests/probe_suite.rs and examples/reverse_engineer.rs call",
+    ),
+    (
+        "TimingClasses",
+        "returned by `sdam_mapping::timing_classes`, which sdam-probe's agent calls; re-exported from `sdam_mapping`",
+    ),
+    (
+        "WorkloadVariableSummary",
+        "returned by `profile::summarize`, which the table1_variable_stats binary calls",
+    ),
+];
 
 /// `Config` struct fields no file outside their crate names, as
 /// `Struct::field`, each with the reason it stays a field.
@@ -228,6 +324,31 @@ fn pub_fns(text: &str) -> Vec<PubFn> {
         });
     }
     fns
+}
+
+/// The names of the `pub struct/enum/trait/type/mod` items of `text`
+/// before its first `#[cfg(test)]`.
+fn pub_types(text: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for line in text.lines() {
+        let line = line.trim_start();
+        if line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        let rest = [
+            "pub struct ",
+            "pub enum ",
+            "pub trait ",
+            "pub type ",
+            "pub mod ",
+        ]
+        .iter()
+        .find_map(|item| line.strip_prefix(item));
+        if let Some(name) = rest.and_then(|r| words(r).next()) {
+            names.push(name.to_string());
+        }
+    }
+    names
 }
 
 /// The `pub` fields of every `pub struct *Config` in `text` before its
@@ -425,6 +546,32 @@ fn the_scan_reads_receivers_and_impl_types() {
     );
     let pairs: Vec<String> = path_pairs("Cmt::new(a::b::C) :: x").collect();
     assert_eq!(pairs, ["Cmt::new", "a::b", "b::C"]);
+}
+
+#[test]
+fn the_scan_reads_type_items() {
+    let text = "pub struct Foo<'a, T> {\n    x: &'a T,\n}\npub(crate) struct Hidden;\npub(super) enum Up {}\npub enum Kind {\n    A,\n}\npub trait Walk {}\npub type Id = u8;\npub mod bitset;\nmod inner {\n    pub struct Nested(u8);\n}\n#[cfg(test)]\nmod tests {\n    pub struct Helper;\n}\npub struct Late;\n";
+    assert_eq!(
+        pub_types(text),
+        ["Foo", "Kind", "Walk", "Id", "bitset", "Nested"]
+    );
+}
+
+#[test]
+fn every_public_type_and_module_is_named_outside_its_crate() {
+    let corpus = Corpus::load();
+    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut defined = 0;
+    for (rel, text, own) in corpus.library_files() {
+        for name in pub_types(text) {
+            defined += 1;
+            if !corpus.named_outside(&name, &own) {
+                unreferenced.entry(name).or_default().push(rel.clone());
+            }
+        }
+    }
+    assert!(defined > 150, "scan found only {defined} types and modules");
+    check_against_keep("public types and modules", &unreferenced, KEEP_TYPES);
 }
 
 #[test]
