@@ -3,7 +3,7 @@
 //! A *static* mapping is chosen once for the whole run; a workload whose
 //! access pattern flips mid-run therefore punishes whichever phase the
 //! mapping was not chosen for. [`Phased`] splices two access patterns at
-//! configurable switch points, and [`StrideLoop`] provides the canonical
+//! one switch point, and [`StrideLoop`] provides the canonical
 //! phase ingredients: multi-lane strided walks that *wrap* within a
 //! bounded region, so the same chunks stay hot while the stride — and
 //! hence the channel-level parallelism under a given mapping — changes.
@@ -82,19 +82,18 @@ impl Workload for StrideLoop {
     }
 }
 
-/// Splices two access patterns at configurable switch points.
+/// Splices two access patterns at one switch point.
 ///
-/// The run's access budget is cut at each switch fraction and the
-/// segments alternate between pattern `a` and pattern `b` (a single
-/// switch point produces the classic two-phase workload). Each segment
-/// is generated at a proportionally scaled [`Scale`] and the segments
-/// are joined with [`Trace::concat`], so every phase keeps its own
-/// internal lane interleaving.
+/// The run's access budget is cut at the switch fraction: pattern `a`
+/// fills the budget before the cut and pattern `b` the rest. Each phase
+/// is generated at a proportionally scaled [`Scale`] and the two are
+/// joined with [`Trace::concat`], so every phase keeps its own internal
+/// lane interleaving.
 #[derive(Debug)]
 pub struct Phased {
     a: Box<dyn Workload>,
     b: Box<dyn Workload>,
-    switches: Vec<f64>,
+    switch_at: f64,
     name: String,
 }
 
@@ -105,47 +104,17 @@ impl Phased {
     ///
     /// Panics if `switch_at` is outside `(0, 1)`.
     pub fn new(a: Box<dyn Workload>, b: Box<dyn Workload>, switch_at: f64) -> Self {
-        Self::alternating(a, b, vec![switch_at])
-    }
-
-    /// Alternates `a` and `b` across an ascending list of switch
-    /// fractions: `a` until `switches[0]`, `b` until `switches[1]`, and
-    /// so on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `switches` is empty, not strictly ascending, or
-    /// contains a fraction outside `(0, 1)`.
-    pub(crate) fn alternating(
-        a: Box<dyn Workload>,
-        b: Box<dyn Workload>,
-        switches: Vec<f64>,
-    ) -> Self {
-        assert!(!switches.is_empty(), "need at least one switch point");
-        for w in switches.windows(2) {
-            assert!(w[0] < w[1], "switch points must be strictly ascending");
-        }
-        for &s in &switches {
-            assert!(s > 0.0 && s < 1.0, "switch points must lie in (0, 1)");
-        }
+        assert!(
+            switch_at > 0.0 && switch_at < 1.0,
+            "switch point must lie in (0, 1)"
+        );
         let name = format!("phased({}->{})", a.name(), b.name());
         Phased {
             a,
             b,
-            switches,
+            switch_at,
             name,
         }
-    }
-
-    /// The boundaries of each segment in accesses, for a total budget.
-    fn cuts(&self, accesses: usize) -> Vec<usize> {
-        let mut cuts: Vec<usize> = self
-            .switches
-            .iter()
-            .map(|&s| (accesses as f64 * s) as usize)
-            .collect();
-        cuts.push(accesses);
-        cuts
     }
 }
 
@@ -155,29 +124,21 @@ impl Workload for Phased {
     }
 
     fn generate(&self, scale: Scale) -> Trace {
-        let cuts = self.cuts(scale.accesses);
-        let mut segments = Vec::with_capacity(cuts.len());
-        let mut start = 0usize;
-        for (i, &end) in cuts.iter().enumerate() {
-            let budget = end.saturating_sub(start);
-            start = end;
-            if budget == 0 {
-                continue;
-            }
-            let seg_scale = Scale {
-                accesses: budget,
-                ..scale
-            };
-            let phase: &dyn Workload = if i % 2 == 0 {
-                self.a.as_ref()
-            } else {
-                self.b.as_ref()
-            };
-            let mut seg = phase.generate(seg_scale);
-            seg.truncate(budget);
-            segments.push(seg);
-        }
-        Trace::concat(segments)
+        let cut = (scale.accesses as f64 * self.switch_at) as usize;
+        let phases = [
+            (self.a.as_ref(), cut),
+            (self.b.as_ref(), scale.accesses - cut),
+        ];
+        Trace::concat(phases.into_iter().filter(|&(_, budget)| budget > 0).map(
+            |(phase, budget)| {
+                let mut seg = phase.generate(Scale {
+                    accesses: budget,
+                    ..scale
+                });
+                seg.truncate(budget);
+                seg
+            },
+        ))
     }
 }
 
@@ -236,16 +197,24 @@ mod tests {
     }
 
     #[test]
-    fn phased_alternating_counts_segments() {
+    fn phased_fills_both_phases_to_the_budget() {
         let a = Box::new(StrideLoop::new(1, 1 << 20, 1));
         let b = Box::new(StrideLoop::new(32, 1 << 20, 1));
-        let p = Phased::alternating(a, b, vec![0.25, 0.5, 0.75]);
+        let p = Phased::new(a, b, 0.75);
         let t = p.generate(Scale {
             n: 1 << 10,
             accesses: 4_000,
             seed: 1,
         });
         assert_eq!(t.len(), 4_000);
+        // 3,000 unit-stride accesses, then 1,000 at the 32-line stride,
+        // each phase starting from the region base.
+        let (head, tail) = t.accesses().split_at(3_000);
+        assert!(head.iter().zip(0u64..).all(|(a, i)| a.addr == i * 64));
+        assert!(tail
+            .iter()
+            .zip(0u64..)
+            .all(|(a, i)| a.addr == (i * 32 * 64) % (1 << 20)));
     }
 
     #[test]
