@@ -2,8 +2,8 @@
 //!
 //! Each layer keeps its own error — [`ConfigError`] for shapes,
 //! [`MemError`] for the allocation stack, [`CmtError`] for the mapping
-//! hardware, [`TraceIoError`] for trace files, [`KMeansError`] for
-//! clustering — and the pipeline's
+//! hardware, [`TraceIoError`] for trace files, [`KMeansError`] and
+//! [`DlError`] for clustering — and the pipeline's
 //! entry points (`try_run`, `try_compare`, `try_run_corun`) fold them
 //! all into [`SdamError`], so a caller embedding the evaluation
 //! pipeline handles one type. The figure binaries, which want fail-fast
@@ -11,6 +11,7 @@
 
 use sdam_mapping::CmtError;
 use sdam_mem::MemError;
+use sdam_ml::dlkmeans::DlError;
 use sdam_ml::KMeansError;
 use sdam_sys::ConfigError;
 use sdam_trace::io::TraceIoError;
@@ -106,6 +107,18 @@ impl From<sdam_ml::TrainingError> for SdamError {
     }
 }
 
+impl From<DlError> for SdamError {
+    fn from(e: DlError) -> Self {
+        match e {
+            DlError::AddrBits(_) => SdamError::Config(ConfigError::Training {
+                what: "DL clustering needs an address width in 1..=64",
+            }),
+            DlError::Training(e) => e.into(),
+            DlError::KMeans(e) => e.into(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +139,13 @@ mod tests {
         let e: SdamError = KMeansError::NonFinite { point: 3 }.into();
         assert!(matches!(e, SdamError::Clustering(_)));
         assert!(e.to_string().contains("point 3"), "{e}");
+        let e: SdamError = DlError::KMeans(KMeansError::ZeroClusters).into();
+        assert!(matches!(
+            e,
+            SdamError::Clustering(KMeansError::ZeroClusters)
+        ));
+        let e: SdamError = DlError::AddrBits(65).into();
+        assert!(matches!(e, SdamError::Config(ConfigError::Training { .. })));
         use std::error::Error;
         assert!(SdamError::Mem(MemError::MappingIdsExhausted)
             .source()
