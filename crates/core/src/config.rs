@@ -103,7 +103,7 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// The worker-thread count this setting resolves to (>= 1).
-    pub fn threads(self) -> usize {
+    pub(crate) fn threads(self) -> usize {
         match self {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),

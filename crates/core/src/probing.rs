@@ -29,13 +29,13 @@ use crate::system::{ProcessId, SdamSystem};
 
 /// Committed probe-count ceiling for a bank-fold recovery (CI guard;
 /// measured ≈ 131 on `hbm2_8gb`).
-pub const PROBE_CEILING_FOLD: u64 = 256;
+const PROBE_CEILING_FOLD: u64 = 256;
 /// Committed probe-count ceiling for a channel-hash recovery (CI
 /// guard; measured ≈ 1 300 on `hbm2_8gb`).
-pub const PROBE_CEILING_HASH: u64 = 1_600;
+const PROBE_CEILING_HASH: u64 = 1_600;
 /// Committed probe-count ceiling for an AMU window recovery (CI guard;
 /// measured ≈ 400 for the 15-bit window).
-pub const PROBE_CEILING_WINDOW: u64 = 600;
+const PROBE_CEILING_WINDOW: u64 = 600;
 
 /// Errors from building suite targets or running recoveries on them.
 #[derive(Debug, Clone, PartialEq, Eq)]

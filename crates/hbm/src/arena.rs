@@ -103,13 +103,13 @@ impl RequestArena {
 
     /// Bank column.
     #[inline]
-    pub fn banks(&self) -> &[u32] {
+    pub(crate) fn banks(&self) -> &[u32] {
         &self.bank
     }
 
     /// Arrival-cycle column.
     #[inline]
-    pub fn arrivals(&self) -> &[Cycle] {
+    pub(crate) fn arrivals(&self) -> &[Cycle] {
         &self.arrival
     }
 

@@ -98,14 +98,6 @@ impl BankState {
         self.ready = data_start;
         (data_start, outcome)
     }
-
-    /// Closes the open row (models an explicit precharge-all), leaving
-    /// the bank idle from cycle `now + tRP`.
-    pub fn precharge(&mut self, now: Cycle, timing: &Timing) {
-        if self.open_row.take().is_some() {
-            self.ready = now.max(self.ras_done) + timing.t_rp;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,17 +149,6 @@ mod tests {
             d2 >= d1 + tm.cl,
             "second hit cannot start before bank ready"
         );
-    }
-
-    #[test]
-    fn precharge_closes_row() {
-        let tm = t();
-        let mut b = BankState::new();
-        b.access(9, 0, &tm);
-        b.precharge(1000, &tm);
-        assert_eq!(b.open_row(), None);
-        let (_, o) = b.access(9, 2000, &tm);
-        assert_eq!(o, RowOutcome::Miss, "after precharge the bank is idle");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use timing::Timing;
 /// A memory-controller clock cycle count.
 ///
 /// All latencies and timestamps in this crate are expressed in controller
-/// cycles; [`Timing::clock_ghz`] converts cycle counts to wall-clock time.
+/// cycles; the device clock converts cycle counts to wall-clock time.
 pub type Cycle = u64;
 
 /// The access granularity of the memory system in bytes.

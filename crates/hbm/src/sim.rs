@@ -8,7 +8,7 @@ use crate::{Cycle, DecodedAddr, Geometry, Timing};
 
 /// Default FR-FCFS reorder window, matching the modest queues of FPGA
 /// memory-controller IP.
-pub const DEFAULT_REORDER_WINDOW: usize = 16;
+const DEFAULT_REORDER_WINDOW: usize = 16;
 
 /// Requests an open-loop run pushes between partial drains. A drain
 /// threads its whole queue through the row table and link column, so

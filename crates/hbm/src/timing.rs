@@ -20,33 +20,33 @@ use crate::Cycle;
 ///
 /// let t = Timing::hbm2();
 /// // A row hit is cheaper than a row conflict.
-/// assert!(t.cl + t.t_burst < t.t_rp + t.t_rcd + t.cl + t.t_burst);
+/// assert!(t.hit_latency() < t.conflict_latency());
 /// // Fig. 14 of the paper slows HBM to a quarter frequency.
 /// let slow = t.scaled(4);
-/// assert_eq!(slow.t_burst, t.t_burst * 4);
+/// assert_eq!(slow.hit_latency(), t.hit_latency() * 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timing {
     /// Row-to-column delay: cycles from ACT until a column command.
     pub t_rcd: Cycle,
     /// Precharge latency: cycles to close an open row.
-    pub t_rp: Cycle,
+    pub(crate) t_rp: Cycle,
     /// CAS latency: column command to first data beat.
-    pub cl: Cycle,
+    pub(crate) cl: Cycle,
     /// Data-bus occupancy per 64 B line transfer.
-    pub t_burst: Cycle,
+    pub(crate) t_burst: Cycle,
     /// Minimum cycles a row must stay open after activation.
     pub t_ras: Cycle,
     /// Write-to-read turnaround penalty when a channel switches data
     /// direction (0 disables the model).
-    pub t_wtr: Cycle,
+    pub(crate) t_wtr: Cycle,
     /// Refresh interval: every `t_refi` cycles a channel pauses for
-    /// [`Timing::t_rfc`] (0 disables refresh).
+    /// `t_rfc` cycles (0 disables refresh).
     pub t_refi: Cycle,
     /// Refresh cycle time (ignored when `t_refi` is 0).
-    pub t_rfc: Cycle,
+    pub(crate) t_rfc: Cycle,
     /// Controller clock in GHz, used to convert cycles to seconds.
-    pub clock_ghz: f64,
+    clock_ghz: f64,
 }
 
 impl Timing {

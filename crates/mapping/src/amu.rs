@@ -68,12 +68,6 @@ impl AmuConfig {
         BitPermutation::new(lo, table)
     }
 
-    /// The crossbar dimension `n`.
-    #[inline]
-    pub fn dimension(&self) -> usize {
-        self.n as usize
-    }
-
     /// Storage size of this configuration in bits:
     /// `n × ceil(log2(n))` (paper: `15 × log2(15) ≈ 60` bits).
     pub fn storage_bits(&self) -> u32 {
@@ -96,7 +90,6 @@ mod tests {
         let perm = BitPermutation::identity(6, 15);
         let cfg = AmuConfig::pack(&perm);
         assert_eq!(cfg.storage_bits(), 60);
-        assert_eq!(cfg.dimension(), 15);
     }
 
     #[test]

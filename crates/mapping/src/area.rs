@@ -13,32 +13,32 @@ use crate::Cmt;
 
 /// LUT budget of the paper's VU37P FPGA (Xilinx product table: 1,304k
 /// CLB LUTs).
-pub const VU37P_LUTS: u64 = 1_304_000;
+const VU37P_LUTS: u64 = 1_304_000;
 
 /// On-chip SRAM budget of the VU37P in bits (70.9 Mb BRAM + 270 Mb
 /// URAM ≈ 341 Mb).
-pub const VU37P_SRAM_BITS: u64 = 341_000_000;
+const VU37P_SRAM_BITS: u64 = 341_000_000;
 
 /// Fraction of FPGA logic used by the 4-core BOOM system (paper
 /// Table 3).
-pub const BOOM_LOGIC_FRACTION: f64 = 0.918;
+const BOOM_LOGIC_FRACTION: f64 = 0.918;
 
 /// Fraction of FPGA SRAM used by the BOOM system (paper Table 3).
-pub const BOOM_SRAM_FRACTION: f64 = 0.880;
+const BOOM_SRAM_FRACTION: f64 = 0.880;
 
 /// Fraction of FPGA logic used by the HBM controller (paper Table 3).
-pub const HBM_CTRL_LOGIC_FRACTION: f64 = 0.075;
+const HBM_CTRL_LOGIC_FRACTION: f64 = 0.075;
 
 /// Fraction of FPGA SRAM used by the HBM controller (paper Table 3).
-pub const HBM_CTRL_SRAM_FRACTION: f64 = 0.102;
+const HBM_CTRL_SRAM_FRACTION: f64 = 0.102;
 
 /// Resource estimate for one block, as fractions of the device budget.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceEstimate {
     /// Fraction of device LUTs.
-    pub logic_fraction: f64,
+    logic_fraction: f64,
     /// Fraction of device SRAM bits.
-    pub sram_fraction: f64,
+    sram_fraction: f64,
 }
 
 impl ResourceEstimate {

@@ -115,12 +115,6 @@ impl BfrvAccumulator {
         self.prev = Some(addr);
     }
 
-    /// Number of consecutive pairs absorbed so far.
-    #[inline]
-    pub fn pairs(&self) -> u64 {
-        self.pairs
-    }
-
     /// Folds the counter planes into the per-bit totals.
     fn fold_block(&mut self) {
         for (j, plane) in self.planes.iter_mut().enumerate() {
@@ -242,7 +236,7 @@ impl BitFlipRateVector {
 
     /// Number of address bits covered.
     #[inline]
-    pub fn width(&self) -> u32 {
+    pub(crate) fn width(&self) -> u32 {
         self.rates.len() as u32
     }
 
@@ -278,21 +272,6 @@ impl BitFlipRateVector {
                 .then(a.cmp(&b))
         });
         bits
-    }
-
-    /// Euclidean distance to another BFRV (the K-Means metric of Eq. 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn distance(&self, other: &BitFlipRateVector) -> f64 {
-        assert_eq!(self.width(), other.width(), "BFRV width mismatch");
-        self.rates
-            .iter()
-            .zip(&other.rates)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// The element-wise mean of a non-empty set of BFRVs (a K-Means
@@ -392,7 +371,7 @@ mod tests {
         for &a in &addrs {
             acc.push(a);
         }
-        assert_eq!(acc.pairs(), 499);
+        assert_eq!(acc.pairs, 499);
         let streamed = acc.finish();
         assert_eq!(
             streamed,
@@ -401,20 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn distance_and_mean() {
+    fn mean_is_element_wise() {
         let a = BitFlipRateVector::from_rates(vec![0.0, 1.0]);
         let b = BitFlipRateVector::from_rates(vec![1.0, 0.0]);
-        assert!((a.distance(&b) - std::f64::consts::SQRT_2).abs() < 1e-12);
         let m = BitFlipRateVector::mean([&a, &b]);
         assert_eq!(m.rates(), &[0.5, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn distance_width_mismatch_panics() {
-        let a = BitFlipRateVector::from_rates(vec![0.0]);
-        let b = BitFlipRateVector::from_rates(vec![0.0, 0.0]);
-        let _ = a.distance(&b);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! let geom = Geometry::hbm2_8gb();
 //! let perm = MappingDescriptor::new(geom)
 //!     .channel_bits([11, 12, 13, 14, 15])
-//!     .compile()?;
+//!     .compile_windowed(geom.addr_bits())?;
 //! let m = BitShuffleMapping::new(perm);
 //! let chans: std::collections::HashSet<u64> = (0..64u64)
 //!     .map(|i| geom.decode(m.map(PhysAddr(i * 2048))).channel)
@@ -58,6 +58,16 @@ pub enum DescriptorError {
         /// How many sources were given.
         given: usize,
     },
+    /// The window's top bit is not above the line offset, or lies past
+    /// the device address width.
+    WindowOutOfRange {
+        /// The requested window top (one past its highest bit).
+        window_hi: u32,
+        /// Lowest permutable bit (the line offset is fixed).
+        lo: u32,
+        /// The device address width.
+        addr_bits: u32,
+    },
 }
 
 impl std::fmt::Display for DescriptorError {
@@ -79,6 +89,13 @@ impl std::fmt::Display for DescriptorError {
                     "field `{field}` has {width} bits but {given} sources were given"
                 )
             }
+            DescriptorError::WindowOutOfRange {
+                window_hi,
+                lo,
+                addr_bits,
+            } => {
+                write!(f, "window top {window_hi} is outside ({lo}, {addr_bits}]")
+            }
         }
     }
 }
@@ -87,9 +104,8 @@ impl std::error::Error for DescriptorError {}
 
 /// A declarative description of where physical-address bits should go.
 ///
-/// Compile with [`MappingDescriptor::compile`] (full address width) or
-/// [`MappingDescriptor::compile_windowed`] (chunk-offset scope, for the
-/// CMT).
+/// Compile with [`MappingDescriptor::compile_windowed`]: over the full
+/// address width, or over the chunk-offset scope for the CMT.
 #[derive(Debug, Clone)]
 pub struct MappingDescriptor {
     geom: Geometry,
@@ -120,32 +136,25 @@ impl MappingDescriptor {
         self
     }
 
-    /// Compiles over the full device address width.
+    /// Compiles restricted to the window `[line_bits, window_hi)`: the
+    /// full device address width, or chunk-offset scope for CMT
+    /// registration.
     ///
     /// # Errors
     ///
-    /// Returns a [`DescriptorError`] for out-of-range, duplicated, or
-    /// over-long bit lists.
-    pub fn compile(&self) -> Result<BitPermutation, DescriptorError> {
-        self.compile_windowed(self.geom.addr_bits())
-    }
-
-    /// Compiles restricted to the window `[line_bits, window_hi)` —
-    /// chunk-offset scope for CMT registration.
-    ///
-    /// # Errors
-    ///
-    /// As [`MappingDescriptor::compile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_hi` is not within the device address width.
+    /// [`DescriptorError::WindowOutOfRange`] unless `window_hi` lies in
+    /// `(line_bits, addr_bits]`; otherwise a [`DescriptorError`] for
+    /// out-of-range, duplicated, or over-long bit lists.
     pub fn compile_windowed(&self, window_hi: u32) -> Result<BitPermutation, DescriptorError> {
         let lo = self.geom.line_bits();
-        assert!(
-            window_hi > lo && window_hi <= self.geom.addr_bits(),
-            "window must fit the device"
-        );
+        let addr_bits = self.geom.addr_bits();
+        if window_hi <= lo || window_hi > addr_bits {
+            return Err(DescriptorError::WindowOutOfRange {
+                window_hi,
+                lo,
+                addr_bits,
+            });
+        }
         let n = (window_hi - lo) as usize;
 
         // Validate the requested bits.
@@ -231,7 +240,7 @@ mod tests {
     fn channel_request_is_honored() {
         let perm = MappingDescriptor::new(geom())
             .channel_bits([11, 12, 13, 14, 15])
-            .compile()
+            .compile_windowed(geom().addr_bits())
             .unwrap();
         let m = BitShuffleMapping::new(perm);
         // Stride 2 KB cycles the requested bits → all channels.
@@ -244,7 +253,9 @@ mod tests {
     #[test]
     fn unspecified_bits_stay_near_identity() {
         // Asking for nothing compiles to the identity.
-        let perm = MappingDescriptor::new(geom()).compile().unwrap();
+        let perm = MappingDescriptor::new(geom())
+            .compile_windowed(geom().addr_bits())
+            .unwrap();
         assert_eq!(perm, BitPermutation::identity(6, 27));
     }
 
@@ -254,7 +265,7 @@ mod tests {
         // named ones land exactly where asked.
         let perm = MappingDescriptor::new(geom())
             .channel_bits([20, 21])
-            .compile()
+            .compile_windowed(geom().addr_bits())
             .unwrap();
         let m = BitShuffleMapping::new(perm);
         assert_eq!(m.map(PhysAddr(1 << 20)).raw(), 1 << 6);
@@ -266,7 +277,7 @@ mod tests {
         let perm = MappingDescriptor::new(geom())
             .channel_bits([14, 15, 16, 17, 18])
             .bank_bits([21, 22])
-            .compile()
+            .compile_windowed(geom().addr_bits())
             .unwrap();
         let m = BitShuffleMapping::new(perm);
         let d = geom().decode(m.map(PhysAddr(1 << 21)));
@@ -281,7 +292,9 @@ mod tests {
     #[test]
     fn errors_detected() {
         assert_eq!(
-            MappingDescriptor::new(geom()).channel_bits([3]).compile(),
+            MappingDescriptor::new(geom())
+                .channel_bits([3])
+                .compile_windowed(geom().addr_bits()),
             Err(DescriptorError::BitOutOfRange {
                 bit: 3,
                 lo: 6,
@@ -292,13 +305,13 @@ mod tests {
             MappingDescriptor::new(geom())
                 .channel_bits([10])
                 .bank_bits([10])
-                .compile(),
+                .compile_windowed(geom().addr_bits()),
             Err(DescriptorError::DuplicateBit { bit: 10 })
         );
         assert_eq!(
             MappingDescriptor::new(geom())
                 .channel_bits([10, 11, 12, 13, 14, 15])
-                .compile(),
+                .compile_windowed(geom().addr_bits()),
             Err(DescriptorError::TooManyBits {
                 field: "channel",
                 width: 5,

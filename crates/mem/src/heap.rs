@@ -30,7 +30,7 @@ use crate::{MemError, U64Map, VirtAddr};
 
 /// Default size of a newly created heap (glibc's per-thread heaps are
 /// 64 MB; we default smaller so tests exercise heap growth).
-pub const DEFAULT_HEAP_BYTES: u64 = 1 << 22;
+const DEFAULT_HEAP_BYTES: u64 = 1 << 22;
 
 /// Base virtual address of the first heap.
 const HEAP_BASE: u64 = 1 << 44;
@@ -271,7 +271,7 @@ impl Heap {
 /// let a = m.malloc(1024, Some(stream_map))?;
 /// let b = m.malloc(1024, Some(random_map))?;
 /// // Different mappings live in different heaps, hence different pages.
-/// assert_ne!(a.vpn(12), b.vpn(12));
+/// assert_ne!(a.raw() >> 12, b.raw() >> 12);
 /// m.free(a)?;
 /// m.free(b)?;
 /// # Ok::<(), sdam_mem::MemError>(())

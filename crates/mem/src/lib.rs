@@ -103,7 +103,7 @@ impl VirtAddr {
 
     /// The virtual page number for `page_bits`-sized pages.
     #[inline]
-    pub fn vpn(self, page_bits: u32) -> u64 {
+    pub(crate) fn vpn(self, page_bits: u32) -> u64 {
         self.0 >> page_bits
     }
 

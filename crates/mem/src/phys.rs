@@ -68,7 +68,7 @@ pub struct PageAlloc {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocatorReport {
     /// All chunks in the physical space.
-    pub total_chunks: u64,
+    total_chunks: u64,
     /// Chunks on the global free list (guards included).
     pub free_chunks: u64,
     /// Free chunks withheld as rowhammer guards.
@@ -76,9 +76,9 @@ pub struct AllocatorReport {
     /// `(mapping, chunks)` per non-empty chunk group.
     pub groups: Vec<(MappingId, u64)>,
     /// Pages allocated across all chunks.
-    pub allocated_pages: u64,
+    allocated_pages: u64,
     /// Free pages stranded inside in-use chunks.
-    pub fragmentation_pages: u64,
+    fragmentation_pages: u64,
 }
 
 impl std::fmt::Display for AllocatorReport {

@@ -80,9 +80,9 @@ pub struct MiniBatchItem<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepLoss {
     /// Reconstruction loss (BCE over Δ bits).
-    pub reconstruct: f64,
+    reconstruct: f64,
     /// Clustering loss (`||z − µ||²`; 0 when no target given).
-    pub cluster: f64,
+    cluster: f64,
 }
 
 impl StepLoss {
@@ -147,7 +147,7 @@ impl LstmAutoencoder {
     }
 
     /// The embedding dimension of `z` (the LSTM hidden size).
-    pub fn embedding_dim(&self) -> usize {
+    pub(crate) fn embedding_dim(&self) -> usize {
         self.encoder.hidden_dim()
     }
 
@@ -160,22 +160,6 @@ impl LstmAutoencoder {
             panic!("a validated sample has at least one step");
         };
         z
-    }
-
-    /// Reconstruction loss of a sample without updating parameters.
-    pub fn evaluate(&self, sample: &SeqSample) -> f64 {
-        let z = self.embed(sample);
-        let dec_in = vec![z; sample.delta_ids.len()];
-        let (dec_top, _) = self.decoder.forward(&dec_in);
-        let mut loss = 0.0;
-        for (t, h) in dec_top.iter().enumerate() {
-            let mut logits = self.w_out.matvec(h);
-            add_assign(&mut logits, &self.b_out);
-            for (j, &l) in logits.iter().enumerate() {
-                loss += bce(sigmoid(l), sample.delta_bits[t][j]);
-            }
-        }
-        loss / (dec_top.len() * self.bits) as f64
     }
 
     /// One optimizer step over a weighted mini-batch. The objective is
@@ -320,6 +304,24 @@ fn bce(p: f64, y: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LstmAutoencoder {
+        /// Reconstruction loss of a sample without updating parameters.
+        fn evaluate(&self, sample: &SeqSample) -> f64 {
+            let z = self.embed(sample);
+            let dec_in = vec![z; sample.delta_ids.len()];
+            let (dec_top, _) = self.decoder.forward(&dec_in);
+            let mut loss = 0.0;
+            for (t, h) in dec_top.iter().enumerate() {
+                let mut logits = self.w_out.matvec(h);
+                add_assign(&mut logits, &self.b_out);
+                for (j, &l) in logits.iter().enumerate() {
+                    loss += bce(sigmoid(l), sample.delta_bits[t][j]);
+                }
+            }
+            loss / (dec_top.len() * self.bits) as f64
+        }
+    }
 
     fn tiny_config() -> TrainingConfig {
         TrainingConfig {

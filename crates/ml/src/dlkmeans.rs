@@ -16,13 +16,13 @@
 use std::collections::HashMap;
 
 use crate::autoencoder::{LstmAutoencoder, MiniBatchItem, SeqSample};
-use crate::kmeans::{kmeans, Clustering, KMeansConfig, KMeansError};
+use crate::kmeans::{kmeans, KMeansConfig, KMeansError};
 use crate::{TrainingConfig, TrainingError};
 
 /// XOR deltas between consecutive addresses (the paper's Δ).
 ///
 /// An input of fewer than two addresses yields an empty delta trace.
-pub fn deltas(addrs: &[u64]) -> Vec<u64> {
+fn deltas(addrs: &[u64]) -> Vec<u64> {
     addrs.windows(2).map(|w| w[0] ^ w[1]).collect()
 }
 
@@ -121,17 +121,8 @@ impl From<KMeansError> for DlError {
 pub struct DlClustering {
     /// Cluster index per input variable (parallel to the input order).
     pub assignments: Vec<usize>,
-    /// Final per-variable embeddings.
-    pub embeddings: Vec<Vec<f64>>,
-    /// The final K-Means state on the embeddings.
-    pub clustering: Clustering,
-    /// Mean reconstruction loss at the end of training.
-    pub final_reconstruction_loss: f64,
     /// Number of autoencoder training steps executed.
     pub train_steps: usize,
-    /// Reconstruction loss sampled every 32 steps (for convergence
-    /// inspection and tests).
-    pub loss_curve: Vec<f64>,
 }
 
 /// Converts a variable's address trace into training windows.
@@ -230,16 +221,6 @@ fn dedup_windows(ws: &[SeqSample]) -> Vec<(SeqSample, f64)> {
     out
 }
 
-/// What the training phases record together: optimizer steps so far,
-/// the last batch's reconstruction loss, and that loss every 32 steps
-/// (counted across both phases).
-#[derive(Default)]
-struct TrainLog {
-    steps: usize,
-    last_loss: f64,
-    curve: Vec<f64>,
-}
-
 /// Windows per mini-batch. Batches walk the deduplicated windows
 /// round-robin — no sampling RNG; coverage of every distinct window per
 /// cycle.
@@ -256,7 +237,6 @@ fn train_phase<'t>(
     cap: usize,
     target: impl Fn(usize) -> Option<&'t [f64]>,
     config: &TrainingConfig,
-    log: &mut TrainLog,
 ) -> usize {
     let mut stop = EarlyStop::new(config.patience, config.min_delta);
     for step in 0..cap {
@@ -271,11 +251,6 @@ fn train_phase<'t>(
             })
             .collect();
         let l = ae.train_minibatch(&items, config.learning_rate);
-        log.last_loss = l.reconstruct;
-        if log.steps.is_multiple_of(32) {
-            log.curve.push(log.last_loss);
-        }
-        log.steps += 1;
         if stop.update(l.total(config.lambda)) {
             return step + 1;
         }
@@ -402,21 +377,13 @@ pub fn cluster_variables_dl(
         ..KMeansConfig::default()
     };
 
-    let mut log = TrainLog::default();
+    let mut train_steps = 0;
     let mut phase2_embeddings = None;
 
     if !uniq.is_empty() {
         // Phase 1: reconstruction pre-training.
         let phase1_cap = config.steps / 2;
-        train_phase(
-            &mut ae,
-            &uniq,
-            &weight,
-            phase1_cap,
-            |_| None,
-            config,
-            &mut log,
-        );
+        train_steps = train_phase(&mut ae, &uniq, &weight, phase1_cap, |_| None, config);
         // Phase 2: initial clustering on embeddings.
         let embeddings = embed_vars(&ae);
         let clustering = kmeans(&embeddings, &kcfg)?;
@@ -428,15 +395,8 @@ pub fn cluster_variables_dl(
         let centroid_of =
             |i: usize| Some(&clustering.centroids[clustering.assignments[owner[i]]][..dim]);
         let phase3_cap = config.steps.saturating_sub(phase1_cap);
-        let phase3_steps = train_phase(
-            &mut ae,
-            &uniq,
-            &weight,
-            phase3_cap,
-            centroid_of,
-            config,
-            &mut log,
-        );
+        let phase3_steps = train_phase(&mut ae, &uniq, &weight, phase3_cap, centroid_of, config);
+        train_steps += phase3_steps;
         if phase3_steps > 0 {
             phase2_embeddings = None; // parameters moved; re-encode
         }
@@ -448,14 +408,9 @@ pub fn cluster_variables_dl(
         Some(e) => e,
         None => embed_vars(&ae),
     };
-    let clustering = kmeans(&embeddings, &kcfg)?;
     Ok(DlClustering {
-        assignments: clustering.assignments.clone(),
-        embeddings,
-        clustering,
-        final_reconstruction_loss: log.last_loss,
-        train_steps: log.steps,
-        loss_curve: log.curve,
+        assignments: kmeans(&embeddings, &kcfg)?.assignments,
+        train_steps,
     })
 }
 
@@ -570,26 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_curve_trends_downward() {
-        let traces = vec![stride_trace(1, 300), stride_trace(16, 300)];
-        // patience: 0 — this test needs the full fixed schedule so the
-        // curve has enough samples to compare head vs tail.
-        let cfg = TrainingConfig {
-            steps: 640,
-            patience: 0,
-            ..TrainingConfig::laptop()
-        };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
-        assert!(r.loss_curve.len() >= 10);
-        let head: f64 = r.loss_curve[..3].iter().sum::<f64>() / 3.0;
-        let tail: f64 = r.loss_curve[r.loss_curve.len() - 3..].iter().sum::<f64>() / 3.0;
-        assert!(
-            tail < head,
-            "training did not reduce the loss: {head} -> {tail}"
-        );
-    }
-
-    #[test]
     fn tiny_traces_do_not_crash() {
         let traces = vec![vec![0u64], vec![64, 128, 192, 256]];
         let cfg = TrainingConfig {
@@ -610,7 +545,6 @@ mod tests {
         let a = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
         let b = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
         assert_eq!(a.assignments, b.assignments);
-        assert_eq!(a.embeddings, b.embeddings);
     }
 
     #[test]

@@ -40,14 +40,14 @@ impl Embedding {
 
     /// Embedding dimension.
     #[inline]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.table.cols()
     }
 
     /// Scales all embeddings by `factor`. Used to damp auxiliary inputs
     /// (the VID embedding) at initialization so the primary signal (Δ)
     /// dominates early training.
-    pub fn scale(&mut self, factor: f64) {
+    pub(crate) fn scale(&mut self, factor: f64) {
         for v in self.table.data_mut() {
             *v *= factor;
         }
@@ -58,7 +58,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if `id` is out of vocabulary.
-    pub fn lookup(&self, id: usize) -> Vec<f64> {
+    pub(crate) fn lookup(&self, id: usize) -> Vec<f64> {
         assert!(id < self.vocab(), "id {id} out of vocabulary");
         (0..self.dim()).map(|c| self.table.get(id, c)).collect()
     }
@@ -68,7 +68,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if dimensions mismatch.
-    pub fn accumulate(&mut self, id: usize, grad: &[f64]) {
+    pub(crate) fn accumulate(&mut self, id: usize, grad: &[f64]) {
         assert!(id < self.vocab(), "id {id} out of vocabulary");
         assert_eq!(grad.len(), self.dim(), "gradient dimension mismatch");
         for (c, g) in grad.iter().enumerate() {
@@ -82,7 +82,7 @@ impl Embedding {
     }
 
     /// Adam step.
-    pub fn step(&mut self, lr: f64) {
+    pub(crate) fn step(&mut self, lr: f64) {
         self.adam.step(self.table.data_mut(), self.grad.data(), lr);
     }
 }

@@ -10,6 +10,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::linalg::sq_dist;
 
+/// Lloyd iterations stop once the loss improves by less than this
+/// (absolute).
+const TOLERANCE: f64 = 1e-9;
+
 /// K-Means parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
@@ -17,8 +21,6 @@ pub struct KMeansConfig {
     pub k: usize,
     /// Maximum Lloyd iterations.
     pub max_iters: usize,
-    /// Stop when the loss improves by less than this (absolute).
-    pub tolerance: f64,
     /// RNG seed for k-means++ initialization.
     pub seed: u64,
 }
@@ -28,7 +30,6 @@ impl Default for KMeansConfig {
         KMeansConfig {
             k: 4,
             max_iters: 100,
-            tolerance: 1e-9,
             seed: 0x5da0,
         }
     }
@@ -43,19 +44,6 @@ pub struct Clustering {
     pub centroids: Vec<Vec<f64>>,
     /// Final clustering loss (Eq. 2).
     pub loss: f64,
-    /// Lloyd iterations executed.
-    pub iterations: usize,
-}
-
-impl Clustering {
-    /// Members of cluster `c`.
-    pub fn members(&self, c: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| (a == c).then_some(i))
-            .collect()
-    }
 }
 
 /// Why [`kmeans`] refused its input.
@@ -140,10 +128,7 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Result<Clustering, 
     let mut centroids = kmeans_pp_init(points, k, &mut rng);
     let mut assignments = vec![0usize; points.len()];
     let mut loss = f64::INFINITY;
-    let mut iterations = 0;
-
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
+    for _ in 0..config.max_iters {
         // Assignment step.
         let mut new_loss = 0.0;
         for (i, p) in points.iter().enumerate() {
@@ -153,7 +138,7 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Result<Clustering, 
         }
         // Update step.
         update_centroids(points, &assignments, &mut centroids);
-        if loss - new_loss < config.tolerance {
+        if loss - new_loss < TOLERANCE {
             loss = new_loss;
             break;
         }
@@ -164,7 +149,6 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Result<Clustering, 
         assignments,
         centroids,
         loss,
-        iterations,
     })
 }
 
@@ -303,7 +287,6 @@ mod tests {
                 &KMeansConfig {
                     k: 2,
                     max_iters: iters,
-                    tolerance: 0.0,
                     seed: 1,
                 },
             )
@@ -341,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn members_returns_cluster_contents() {
+    fn far_point_gets_its_own_cluster() {
         let pts = vec![vec![0.0], vec![0.1], vec![9.0]];
         let r = kmeans(
             &pts,
@@ -351,8 +334,8 @@ mod tests {
             },
         )
         .unwrap();
-        let c_of_far = r.assignments[2];
-        assert_eq!(r.members(c_of_far), vec![2]);
+        assert_eq!(r.assignments[0], r.assignments[1]);
+        assert_ne!(r.assignments[1], r.assignments[2]);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl Mat {
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -64,7 +64,7 @@ impl Mat {
 
     /// The flat row-major buffer.
     #[inline]
-    pub fn data(&self) -> &[f64] {
+    pub(crate) fn data(&self) -> &[f64] {
         &self.data
     }
 
@@ -120,7 +120,7 @@ impl Mat {
     }
 
     /// Fills with zeros (gradient reset).
-    pub fn zero(&mut self) {
+    pub(crate) fn zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 }

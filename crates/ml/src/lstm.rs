@@ -65,7 +65,7 @@ impl LstmLayer {
 
     /// Hidden dimension.
     #[inline]
-    pub fn hidden_dim(&self) -> usize {
+    pub(crate) fn hidden_dim(&self) -> usize {
         self.hidden_dim
     }
 
@@ -152,7 +152,7 @@ impl LstmLayer {
     }
 
     /// Applies an Adam step with the accumulated gradients.
-    pub fn step(&mut self, lr: f64) {
+    pub(crate) fn step(&mut self, lr: f64) {
         self.adam_w.step(self.w.data_mut(), self.dw.data(), lr);
         self.adam_b.step(&mut self.b, &self.db, lr);
     }
@@ -194,13 +194,13 @@ impl Lstm {
 
     /// Hidden dimension.
     #[inline]
-    pub fn hidden_dim(&self) -> usize {
+    pub(crate) fn hidden_dim(&self) -> usize {
         self.layers[0].hidden_dim()
     }
 
     /// Runs the stack over `inputs`, returning the top-layer hidden
     /// state at every step and the cache for backprop.
-    pub fn forward(&self, inputs: &[Vec<f64>]) -> (Vec<Vec<f64>>, SeqCache) {
+    pub(crate) fn forward(&self, inputs: &[Vec<f64>]) -> (Vec<Vec<f64>>, SeqCache) {
         let h_d = self.hidden_dim();
         let mut h = vec![vec![0.0; h_d]; self.layers.len()];
         let mut c = vec![vec![0.0; h_d]; self.layers.len()];
@@ -270,7 +270,7 @@ impl Lstm {
     }
 
     /// Adam step on all layers.
-    pub fn step(&mut self, lr: f64) {
+    pub(crate) fn step(&mut self, lr: f64) {
         for l in &mut self.layers {
             l.step(lr);
         }

@@ -30,7 +30,7 @@ impl Adam {
     /// # Panics
     ///
     /// Panics if `param` / `grad` lengths differ from the state.
-    pub fn step(&mut self, param: &mut [f64], grad: &[f64], lr: f64) {
+    pub(crate) fn step(&mut self, param: &mut [f64], grad: &[f64], lr: f64) {
         assert_eq!(param.len(), self.m.len(), "parameter length mismatch");
         assert_eq!(grad.len(), self.m.len(), "gradient length mismatch");
         self.t += 1;

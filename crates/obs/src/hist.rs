@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 /// Number of buckets in a [`Log2Histogram`]: bucket 0 holds the value
 /// `0`, bucket `b` (1..=64) holds values with `floor(log2(v)) == b - 1`,
 /// i.e. `v` in `[2^(b-1), 2^b)`.
-pub const LOG2_BUCKETS: usize = 65;
+const LOG2_BUCKETS: usize = 65;
 
 /// A histogram with fixed power-of-two buckets.
 ///
@@ -69,15 +69,6 @@ impl Log2Histogram {
     /// Sum of all observed values (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Mean observed value; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
     }
 
     /// Non-empty buckets as `(bucket_index, count)` in index order.
@@ -158,11 +149,6 @@ impl CountHistogram {
         self.total
     }
 
-    /// Number of distinct keys observed.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
     /// `(key, count)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
         self.counts.iter().map(|(&k, &c)| (k, c))
@@ -229,8 +215,7 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.buckets[3], 2);
         assert_eq!(h.nonzero_buckets().count(), 4);
-        assert_eq!(h.mean(), Some(1011.0 / 5.0));
-        assert_eq!(Log2Histogram::new().mean(), None);
+        assert_eq!(h.sum(), 1011);
     }
 
     #[test]
@@ -262,7 +247,7 @@ mod tests {
         h.record(64);
         h.record_n(0, 0); // no-op
         assert_eq!(h.total(), 3);
-        assert_eq!(h.distinct(), 2);
+        assert_eq!(h.counts.len(), 2);
         assert_eq!(h.count(64), 2);
         assert_eq!(h.mode(), Some(64));
         assert!((h.fraction(64) - 2.0 / 3.0).abs() < 1e-12);

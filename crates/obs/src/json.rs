@@ -7,7 +7,7 @@
 //! from `BTreeMap`s, so equal registries produce byte-equal JSON.
 
 /// Escapes `s` for use inside a JSON string literal.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -45,5 +45,5 @@ mod json;
 mod registry;
 
 pub use event::{Event, EventRing};
-pub use hist::{CountHistogram, Log2Histogram, LOG2_BUCKETS};
+pub use hist::{CountHistogram, Log2Histogram};
 pub use registry::Registry;

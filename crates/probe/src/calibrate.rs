@@ -40,10 +40,9 @@ pub struct Calibrator {
 
 impl Calibrator {
     /// Probes issued by one [`Calibrator::train`] call.
-    pub const TRAIN_PROBES: u64 = 3;
+    pub(crate) const TRAIN_PROBES: u64 = 3;
 
-    /// Trains thresholds on a fresh target. Issues
-    /// [`Calibrator::TRAIN_PROBES`] accesses.
+    /// Trains thresholds on a fresh target. Issues three accesses.
     pub fn train(target: &mut dyn ProbeTarget) -> Calibrator {
         target.settle();
         let closed = target.access(0);

@@ -159,7 +159,7 @@ impl Cache {
     }
 
     /// The configuration.
-    pub fn config(&self) -> CacheConfig {
+    pub(crate) fn config(&self) -> CacheConfig {
         self.config
     }
 

@@ -266,11 +266,6 @@ impl Machine {
         self
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> MachineConfig {
-        self.config
-    }
-
     /// Runs a trace of *physical* addresses through caches, the mapping
     /// engine, and the memory device. Each access is attributed to core
     /// `thread % num_cores`.

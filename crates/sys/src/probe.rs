@@ -84,11 +84,6 @@ impl EngineTarget {
         self.probes
     }
 
-    /// Settle barriers issued so far.
-    pub fn settles(&self) -> u64 {
-        self.settles
-    }
-
     /// Exports the probe session's counters (`probe.*`), the device
     /// statistics (`hbm.*`), and the translation-memo counters
     /// (`cmt.*`) into `reg` — probes are real traffic and show up in

@@ -21,7 +21,7 @@
 //! * [`read_trace`] / [`write_trace`] — whole-trace convenience wrappers
 //!   that materialize the entire trace in memory, and
 //! * [`TraceReader`] / [`TraceWriter`] — streaming codecs that touch a
-//!   bounded buffer (one block of [`BLOCK_RECORDS`] records) regardless
+//!   bounded buffer (one block of `BLOCK_RECORDS` records) regardless
 //!   of trace size, so traces larger than RAM can be produced and
 //!   replayed record-at-a-time.
 //!
@@ -33,17 +33,17 @@ use std::io::{self, Read, Write};
 use crate::{MemAccess, ThreadId, Trace, VariableId};
 
 /// File magic.
-pub const MAGIC: [u8; 8] = *b"SDAMTRC\0";
+const MAGIC: [u8; 8] = *b"SDAMTRC\0";
 
 /// Current format version.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 
 /// Bytes per record in the on-disk format.
-pub const RECORD_BYTES: usize = 24;
+const RECORD_BYTES: usize = 24;
 
 /// Records per streaming I/O block (the resident-buffer unit of
 /// [`TraceReader`] and [`TraceWriter`]): 4096 records = 96 KiB.
-pub const BLOCK_RECORDS: usize = 4096;
+const BLOCK_RECORDS: usize = 4096;
 
 const HEADER_BYTES: usize = 24;
 
@@ -145,7 +145,7 @@ fn encode_header(count: u64) -> [u8; HEADER_BYTES] {
 
 /// A streaming trace reader: parses the header eagerly, then yields
 /// records through [`Iterator`] from a bounded internal buffer
-/// ([`BLOCK_RECORDS`] records), so resident memory is constant no
+/// (`BLOCK_RECORDS` records), so resident memory is constant no
 /// matter how large the trace on disk is.
 ///
 /// Truncation is typed: if the stream ends before the declared record
@@ -288,7 +288,7 @@ impl<R: Read> Iterator for TraceReader<R> {
 /// [`TraceWriter::finish`] verifies the caller delivered exactly that
 /// many records.
 ///
-/// Records are batched through a [`BLOCK_RECORDS`]-record buffer, so
+/// Records are batched through a `BLOCK_RECORDS`-record buffer, so
 /// arbitrarily long traces stream to disk with constant resident
 /// memory.
 pub struct TraceWriter<W: Write> {

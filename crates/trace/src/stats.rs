@@ -53,11 +53,6 @@ impl StrideHistogram {
         Some((stride, self.counts.fraction(stride)))
     }
 
-    /// The fraction of samples with the given stride.
-    pub fn share_of(&self, stride_lines: i64) -> f64 {
-        self.counts.fraction(stride_lines)
-    }
-
     /// Iterates `(stride, count)` in stride order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
         self.counts.iter()
@@ -127,16 +122,6 @@ impl ReuseProfile {
         ReuseProfile { distances, cold }
     }
 
-    /// Number of reuses observed.
-    pub fn reuses(&self) -> u64 {
-        self.distances.len() as u64
-    }
-
-    /// Cold (first-touch) accesses.
-    pub fn cold(&self) -> u64 {
-        self.cold
-    }
-
     /// Estimated hit rate of a fully-associative LRU cache holding
     /// `lines` lines: the fraction of accesses whose reuse distance is
     /// below the capacity.
@@ -169,7 +154,7 @@ mod tests {
         let (stride, share) = h.dominant().unwrap();
         assert_eq!(stride, 16);
         assert!(share > 0.98);
-        assert!(h.share_of(1) < 0.02);
+        assert!(h.counts.fraction(1) < 0.02);
         assert_eq!(h.samples(), 999 + 9);
     }
 
@@ -204,8 +189,8 @@ mod tests {
             }
         }
         let p = ReuseProfile::of(&t);
-        assert_eq!(p.cold(), 8);
-        assert_eq!(p.reuses(), 16);
+        assert_eq!(p.cold, 8);
+        assert_eq!(p.distances.len(), 16);
         assert!(p.distances.iter().all(|&d| d == 7));
         // A cache of 8 lines captures every reuse; one of 4 captures none.
         assert!((p.hit_rate_at(8) - 16.0 / 24.0).abs() < 1e-12);

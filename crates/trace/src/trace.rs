@@ -155,17 +155,6 @@ impl Trace {
             .copied()
             .collect()
     }
-
-    /// Every `step`-th access — cheap downsampling for expensive
-    /// analyses (e.g. exact reuse distance).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    pub fn sample(&self, step: usize) -> Trace {
-        assert!(step > 0, "sample step must be non-zero");
-        self.accesses.iter().step_by(step).copied().collect()
-    }
 }
 
 impl FromIterator<MemAccess> for Trace {
@@ -250,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_slice_and_sample() {
+    fn thread_slice_keeps_one_lane() {
         let mut t = Trace::new();
         for i in 0..10u64 {
             t.push(MemAccess {
@@ -261,9 +250,6 @@ mod tests {
         let lane0 = t.thread_slice(crate::ThreadId(0));
         assert_eq!(lane0.len(), 5);
         assert!(lane0.iter().all(|a| a.thread.0 == 0));
-        let sampled = t.sample(3);
-        assert_eq!(sampled.len(), 4); // indices 0,3,6,9
-        assert_eq!(sampled.accesses()[1].addr, 3 * 64);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl DataCopy {
         }
     }
 
-    /// The strides in lines.
-    pub fn strides(&self) -> &[u64] {
-        &self.strides_lines
-    }
-
     /// The stride assigned to a thread.
     pub(crate) fn stride_of_thread(&self, t: usize) -> u64 {
         self.strides_lines[t % self.strides_lines.len()]

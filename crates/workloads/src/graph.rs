@@ -42,7 +42,7 @@ impl Csr {
     }
 
     /// The neighbours of `v`.
-    pub fn neighbours(&self, v: usize) -> &[u32] {
+    fn neighbours(&self, v: usize) -> &[u32] {
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 }

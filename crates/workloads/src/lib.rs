@@ -3,6 +3,9 @@
 //! The paper evaluates SDAM on (§7.2):
 //!
 //! * a synthetic strided data-copy benchmark ([`datacopy`]),
+//! * the STREAM triad ([`stream`]), the sequential case where the
+//!   paper's Fig. 12 discussion expects per-application mapping to
+//!   gain little or regress,
 //! * the 12 SPEC2006 integer applications and 7 PARSEC applications —
 //!   we cannot ship those binaries, so [`suites`] provides per-benchmark
 //!   *surrogates* whose variable population (count, major-variable
@@ -43,7 +46,6 @@ pub mod datacopy;
 pub mod graph;
 pub mod phased;
 mod recorder;
-pub mod sparse;
 pub mod stream;
 pub mod suites;
 
@@ -139,19 +141,6 @@ pub fn data_intensive_suite() -> Vec<Box<dyn Workload>> {
         Box::new(ann::KMeansWorkload),
         Box::new(ann::Hnsw),
         Box::new(ann::Ivfpq),
-    ]
-}
-
-/// Extra microbenchmarks beyond the paper's suites: STREAM kernels (the
-/// "stream" the paper's Fig. 12 discussion references) and the
-/// phase-change stressor.
-pub fn microbenchmarks() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(stream::Stream::new(stream::StreamKernel::Copy)),
-        Box::new(stream::Stream::triad()),
-        Box::new(stream::PhaseCopy),
-        Box::new(sparse::Spmv),
-        Box::new(sparse::HistogramBuild::default()),
     ]
 }
 

@@ -30,7 +30,7 @@ pub struct StrideLoop {
     /// Stride between consecutive accesses, in 64-byte lines.
     pub stride_lines: u64,
     /// Total region the lanes share, in bytes (split evenly per lane).
-    pub region_bytes: u64,
+    region_bytes: u64,
     /// Number of lanes (threads) walking the region.
     pub threads: u16,
     name: String,

@@ -120,7 +120,7 @@ impl Recorder {
 
     /// Records a write of element `i` of `region`.
     #[inline]
-    pub fn write(&mut self, region: Region, i: usize) {
+    pub(crate) fn write(&mut self, region: Region, i: usize) {
         self.touch(region, i, true);
     }
 

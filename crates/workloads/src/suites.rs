@@ -18,30 +18,19 @@ use sdam_trace::{ThreadId, Trace, VariableId};
 
 use crate::{Scale, Workload};
 
-/// Which benchmark suite a spec belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Suite {
-    /// SPEC CPU2006 integer.
-    Spec2006,
-    /// PARSEC.
-    Parsec,
-}
-
 /// One row of the paper's Table 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     /// Benchmark name as printed in the paper.
     pub name: &'static str,
-    /// Suite.
-    pub(crate) suite: Suite,
     /// Total number of variables ("# of Var.").
     pub num_variables: u64,
     /// Number of major variables ("# of Major Var.").
     pub num_major: u64,
     /// Average major-variable size in MB ("Avg. Major Var. Size").
-    pub avg_major_mb: f64,
+    avg_major_mb: f64,
     /// Minimum major-variable size in MB ("Min. Major Var. Size").
-    pub min_major_mb: f64,
+    min_major_mb: f64,
 }
 
 /// The paper's Table 1, verbatim.
@@ -49,35 +38,35 @@ pub struct BenchmarkSpec {
 /// (The printed astar row has `avg 1.8 MB < min 9 MB`; we keep the
 /// numbers as printed and the generator clamps `avg = max(avg, min)`.)
 pub fn table1() -> Vec<BenchmarkSpec> {
-    use Suite::*;
-    let row = |name, suite, num_variables, num_major, avg_major_mb, min_major_mb| BenchmarkSpec {
+    let row = |name, num_variables, num_major, avg_major_mb, min_major_mb| BenchmarkSpec {
         name,
-        suite,
         num_variables,
         num_major,
         avg_major_mb,
         min_major_mb,
     };
     vec![
-        row("perlbench", Spec2006, 7268, 1, 910.0, 910.0),
-        row("bzip2", Spec2006, 10, 10, 32.0, 4.0),
-        row("gcc", Spec2006, 49690, 34, 59.0, 4.0),
-        row("mcf", Spec2006, 3, 3, 1215.0, 953.0),
-        row("gobmk", Spec2006, 43, 5, 8.0, 7.0),
-        row("hmmer", Spec2006, 84, 10, 6.0, 4.0),
-        row("sjeng", Spec2006, 4, 4, 60.0, 54.0),
-        row("libquantum", Spec2006, 10, 7, 212.0, 4.0),
-        row("h264ref", Spec2006, 193, 8, 24.0, 7.0),
-        row("omnetpp", Spec2006, 9400, 65, 3.0, 1.0),
-        row("astar", Spec2006, 178, 38, 1.8, 9.0),
-        row("xalancbmk", Spec2006, 4802, 4, 230.0, 78.0),
-        row("bodytrack", Parsec, 220, 12, 212.0, 36.0),
-        row("cenneal", Parsec, 17, 9, 365.0, 69.0),
-        row("dedup", Parsec, 29, 15, 215.0, 12.0),
-        row("ferret", Parsec, 109, 22, 65.0, 23.0),
-        row("freqmine", Parsec, 60, 9, 215.0, 37.0),
-        row("streamcluster", Parsec, 35, 9, 234.0, 68.0),
-        row("vips", Parsec, 892, 25, 125.0, 36.0),
+        // SPEC CPU2006 integer.
+        row("perlbench", 7268, 1, 910.0, 910.0),
+        row("bzip2", 10, 10, 32.0, 4.0),
+        row("gcc", 49690, 34, 59.0, 4.0),
+        row("mcf", 3, 3, 1215.0, 953.0),
+        row("gobmk", 43, 5, 8.0, 7.0),
+        row("hmmer", 84, 10, 6.0, 4.0),
+        row("sjeng", 4, 4, 60.0, 54.0),
+        row("libquantum", 10, 7, 212.0, 4.0),
+        row("h264ref", 193, 8, 24.0, 7.0),
+        row("omnetpp", 9400, 65, 3.0, 1.0),
+        row("astar", 178, 38, 1.8, 9.0),
+        row("xalancbmk", 4802, 4, 230.0, 78.0),
+        // PARSEC.
+        row("bodytrack", 220, 12, 212.0, 36.0),
+        row("cenneal", 17, 9, 365.0, 69.0),
+        row("dedup", 29, 15, 215.0, 12.0),
+        row("ferret", 109, 22, 65.0, 23.0),
+        row("freqmine", 60, 9, 215.0, 37.0),
+        row("streamcluster", 35, 9, 234.0, 68.0),
+        row("vips", 892, 25, 125.0, 36.0),
     ]
 }
 
@@ -232,8 +221,6 @@ mod tests {
     fn table1_has_19_rows_with_paper_values() {
         let t = table1();
         assert_eq!(t.len(), 19);
-        assert_eq!(t.iter().filter(|s| s.suite == Suite::Spec2006).count(), 12);
-        assert_eq!(t.iter().filter(|s| s.suite == Suite::Parsec).count(), 7);
         let mcf = t.iter().find(|s| s.name == "mcf").unwrap();
         assert_eq!(mcf.num_variables, 3);
         assert_eq!(mcf.num_major, 3);

@@ -1,10 +1,14 @@
 //! The public surface stays what the product calls.
 //!
-//! Every `pub fn` in a library crate under `crates/*/src` must be named
-//! somewhere outside that crate's own sources: in another crate
+//! Every `pub fn` in a library crate under `crates/*/src` must be
+//! called somewhere outside that crate's own sources: in another crate
 //! (benches and binaries included), in `tests/`, `examples/`, `src/`, or
-//! the standalone benchmark's `benchmark/src`. A function nothing
-//! outside its crate names should be `pub(crate)` (or gone); the few
+//! the standalone benchmark's `benchmark/src`. A free function counts
+//! as called when such a file names it. A method (a `pub fn` with a
+//! `self` receiver) counts only in call position, as `.name(` or as
+//! `Type::name` for its own type, since a bare word like `map` is as
+//! likely a local variable or another type's field. A function nothing
+//! outside its crate calls should be `pub(crate)` (or gone); the few
 //! that stay public for another reason sit on [`KEEP`] with that reason.
 //!
 //! A `pub fn` without a receiver inside an inherent `impl Type` block
@@ -13,10 +17,12 @@
 //! type's constructor is called. The few kept anyway sit on
 //! [`KEEP_ASSOCIATED`] with their reason.
 //!
-//! The same holds for the `pub` fields of every `pub struct *Config`: a
-//! knob nothing outside its crate sets or reads is an option with one
-//! value in use, so it should be a private constant. The few fields
-//! kept anyway sit on [`KEEP_FIELDS`] with their reason.
+//! Every `pub const` and `pub static` must be named outside its crate
+//! too, or sit on [`KEEP_CONSTS`]. So must the named `pub` fields of
+//! every `pub struct`: a field nothing outside its crate sets or reads
+//! is either an option with one value in use, which should be a private
+//! constant, or a result nobody looks at. The few fields kept anyway
+//! sit on [`KEEP_FIELDS`] with their reason.
 //!
 //! Every `pub struct`, `enum`, `trait`, `type` and `mod` must be named
 //! outside its crate as well. A type that nothing outside names may
@@ -27,36 +33,46 @@
 //! exposing item and its caller outside the crate. An exposing item
 //! that has no such caller is narrowed instead, and the type with it.
 //!
-//! The scan matches names, not paths, so it is a floor: a name that
-//! some other crate happens to use too counts as called. A `pub fn`
-//! (or field) with a common name (`map`, `decode`) can therefore escape
-//! it while nothing outside its crate calls it, so review such names by
-//! hand (the `Type::name` rule closes that gap for associated
-//! functions, not for methods). A type escapes it the same way when
-//! another package defines a type of the same name, or names it only in
-//! a comment. Each file is read up to its first `#[cfg(test)]`, so unit-test helpers are not
-//! surface. Binaries under `src/bin/` are separate targets and count as
-//! callers of their crate's library. This file itself is skipped, since
-//! [`KEEP`], [`KEEP_ASSOCIATED`], [`KEEP_TYPES`] and [`KEEP_FIELDS`]
+//! Only code is read: comments (doc comments and their examples
+//! included), string, byte-string and char literals are blanked before
+//! any file is indexed or parsed. Each library file is read up to its
+//! first `#[cfg(test)]`, so unit-test helpers are not surface. Binaries
+//! under `src/bin/` are separate targets and count as callers of their
+//! crate's library. This file itself is skipped, since its `KEEP` lists
 //! name the kept items. Nothing is built.
+//!
+//! The scan matches names, not resolved paths, so it is a floor. A name
+//! counts as used wherever it appears in code: a free function, type,
+//! constant or field passes when another crate uses the same word for
+//! anything (a local variable, a method, an item of its own), and a
+//! method passes when any type's method of that name is called
+//! (`.len(`, `.map(`), so review such names by hand. A doc example is
+//! a caller rustc compiles but the scan blanks, so an item only a doc
+//! example uses is kept with that reason. Items a macro generates or
+//! only a glob import reaches are not seen; trait methods are not
+//! scanned (their visibility is the trait's), nor are the fields of
+//! tuple structs and enum variants, nor a struct whose header does not
+//! end its line with `{`. A `pub` item inside a private module is
+//! scanned like any other, although rustc already keeps it inside its
+//! crate.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Public functions no file outside their crate names, each with the
-/// reason it stays public.
+/// Public functions no file outside their crate calls (methods as
+/// `Type::name`), each with the reason it stays public.
 const KEEP: &[(&str, &str)] = &[
     (
-        "heap_region",
+        "MultiHeapMalloc::heap_region",
         "sdam-mem's crate doc example wires a heap to a VMA with it",
     ),
     (
-        "mmap_fixed",
+        "AddressSpace::mmap_fixed",
         "sdam-mem's crate doc example maps a heap region with it",
     ),
     (
-        "malloc_sensitive_in",
+        "SdamSystem::malloc_sensitive_in",
         "the paper's section 4 guard-chunk allocation, named in README and DESIGN section 6",
     ),
     (
@@ -90,12 +106,12 @@ const KEEP_TYPES: &[(&str, &str)] = &[
         "returned by `suites::table1` and taken by `Surrogate::new`, which the table1_variable_stats binary calls",
     ),
     (
-        "CoreStats",
-        "the element of the `ExecutionReport::per_core` field, which the benchmark's `wl/mod.rs` and sdam-sys's props test read",
+        "ChannelStats",
+        "the element of the `SimStats::per_channel` field, which tests/prop_hbm.rs reads",
     ),
     (
-        "DescriptorError",
-        "returned by `MappingDescriptor::compile_windowed`, which `sdam::probing` and the adapt bench call",
+        "CoreStats",
+        "the element of the `ExecutionReport::per_core` field, which the benchmark's `wl/mod.rs` and sdam-sys's props test read",
     ),
     (
         "DlClustering",
@@ -155,7 +171,11 @@ const KEEP_TYPES: &[(&str, &str)] = &[
     ),
 ];
 
-/// `Config` struct fields no file outside their crate names, as
+/// Public constants and statics no file outside their crate names,
+/// each with the reason it stays public.
+const KEEP_CONSTS: &[(&str, &str)] = &[];
+
+/// Public struct fields no file outside their crate names, as
 /// `Struct::field`, each with the reason it stays a field.
 const KEEP_FIELDS: &[(&str, &str)] = &[
     (
@@ -191,6 +211,76 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// `text` with every comment, string literal and char literal blanked
+/// to spaces, line breaks kept, so that only code is left to read.
+fn strip_code(text: &str) -> String {
+    let cs: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let mut i = 0;
+    while i < cs.len() {
+        match literal_end(&cs, i) {
+            Some(end) => {
+                out.extend(cs[i..end].iter().map(|&c| if c == '\n' { c } else { ' ' }));
+                i = end;
+            }
+            None => {
+                out.push(cs[i]);
+                i += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The end of the comment or literal that opens at `cs[i]`, if one
+/// does. Block comments nest. A quote opens a char literal only when an
+/// escape follows it or it closes two characters on (`'"'`), so
+/// lifetimes and labels (`'a`, `'static`) stay code.
+fn literal_end(cs: &[char], i: usize) -> Option<usize> {
+    let at = |k: usize| cs.get(k).copied().unwrap_or('\0');
+    match (at(i), at(i + 1)) {
+        ('/', '/') => return Some((i..cs.len()).find(|&k| cs[k] == '\n').unwrap_or(cs.len())),
+        ('/', '*') => {
+            let (mut k, mut depth) = (i, 0);
+            while k < cs.len() {
+                match (at(k), at(k + 1)) {
+                    ('/', '*') => (k, depth) = (k + 2, depth + 1),
+                    ('*', '/') if depth == 1 => return Some(k + 2),
+                    ('*', '/') => (k, depth) = (k + 2, depth - 1),
+                    _ => k += 1,
+                }
+            }
+            return Some(cs.len());
+        }
+        _ => {}
+    }
+    // A literal's prefix (`b`, `c`, `r`, `br`, `cr`) starts a token.
+    if i > 0 && (cs[i - 1].is_alphanumeric() || cs[i - 1] == '_') {
+        return None;
+    }
+    let mut k = i + usize::from(matches!(at(i), 'b' | 'c'));
+    if at(k) == 'r' {
+        let hashes = (k + 1..cs.len()).take_while(|&h| cs[h] == '#').count();
+        k += 1 + hashes;
+        if at(k) != '"' {
+            return None;
+        }
+        let closes = |e: usize| at(e) == '"' && (1..=hashes).all(|h| at(e + h) == '#');
+        let end = (k + 1..cs.len()).find(|&e| closes(e));
+        return Some(end.map_or(cs.len(), |e| e + 1 + hashes));
+    }
+    let close = match (at(k), at(k + 1), at(k + 2)) {
+        ('"', ..) => '"',
+        ('\'', '\\', _) | ('\'', _, '\'') => '\'',
+        _ => return None,
+    };
+    k += 1;
+    while k < cs.len() && cs[k] != close {
+        k += if cs[k] == '\\' { 2 } else { 1 };
+    }
+    Some((k + 1).min(cs.len()))
+}
+
 /// Every identifier-like word of `text`.
 fn words(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
@@ -216,12 +306,26 @@ fn path_pairs(text: &str) -> impl Iterator<Item = String> + '_ {
     pairs.into_iter()
 }
 
+/// Every method call of `text`, `.name(` or `.name::<`, as `.name`.
+fn calls(text: &str) -> impl Iterator<Item = String> + '_ {
+    text.match_indices('.').filter_map(|(at, _)| {
+        // The second dot of a range `a..b` calls nothing.
+        if text[..at].ends_with('.') {
+            return None;
+        }
+        let rest = text[at + 1..].trim_start();
+        let name = words(rest).next().filter(|w| rest.starts_with(w))?;
+        let after = rest[name.len()..].trim_start();
+        (after.starts_with('(') || after.starts_with("::")).then(|| format!(".{name}"))
+    })
+}
+
 /// A `pub fn` of a library file.
 struct PubFn {
     name: String,
-    /// The type of the inherent `impl` block, for a function without a
-    /// receiver defined inside one.
+    /// The type of the enclosing inherent `impl` block, if any.
     owner: Option<String>,
+    receiver: bool,
 }
 
 /// `text` past a leading generic parameter list `<...>`, if any (an
@@ -280,20 +384,23 @@ fn has_receiver(sig: &str) -> bool {
     words(p).next() == Some("self")
 }
 
+/// The trimmed lines of `text` before its first `#[cfg(test)]`, with
+/// the indentation of each.
+fn surface_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .map(|raw| (raw.len() - raw.trim_start().len(), raw.trim()))
+        .take_while(|(_, line)| !line.starts_with("#[cfg(test)]"))
+}
+
 /// The `pub fn`s of `text` before its first `#[cfg(test)]`. A receiver
 /// may sit on a later line of the signature, so each signature is read
 /// up to its parameter list.
 fn pub_fns(text: &str) -> Vec<PubFn> {
-    let lines: Vec<&str> = text.lines().collect();
+    let lines: Vec<(usize, &str)> = surface_lines(text).collect();
     let mut fns = Vec::new();
     // The type and the indentation of the enclosing inherent `impl`.
     let mut within: Option<(String, usize)> = None;
-    for (i, raw) in lines.iter().enumerate() {
-        let line = raw.trim_start();
-        let indent = raw.len() - line.len();
-        if line.starts_with("#[cfg(test)]") {
-            break;
-        }
+    for (i, &(indent, line)) in lines.iter().enumerate() {
         match &within {
             Some((_, at)) if indent == *at && line.starts_with('}') => within = None,
             // A one-line `impl T {}` opens no block.
@@ -307,68 +414,45 @@ fn pub_fns(text: &str) -> Vec<PubFn> {
             continue;
         };
         let mut sig = rest.unwrap_or_default()[name.len()..].to_string();
-        for next in lines.iter().skip(i + 1).take(16) {
+        for (_, next) in lines.iter().skip(i + 1).take(16) {
             if sig.contains('(') && sig.contains(')') {
                 break;
             }
             sig.push(' ');
-            sig.push_str(next.trim());
+            sig.push_str(next);
         }
-        let owner = match &within {
-            Some((ty, _)) if !has_receiver(&sig) => Some(ty.clone()),
-            _ => None,
-        };
         fns.push(PubFn {
             name: name.to_string(),
-            owner,
+            owner: within.as_ref().map(|(ty, _)| ty.clone()),
+            receiver: has_receiver(&sig),
         });
     }
     fns
 }
 
-/// The names of the `pub struct/enum/trait/type/mod` items of `text`
-/// before its first `#[cfg(test)]`.
-fn pub_types(text: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in text.lines() {
-        let line = line.trim_start();
-        if line.starts_with("#[cfg(test)]") {
-            break;
-        }
-        let rest = [
-            "pub struct ",
-            "pub enum ",
-            "pub trait ",
-            "pub type ",
-            "pub mod ",
-        ]
-        .iter()
-        .find_map(|item| line.strip_prefix(item));
-        if let Some(name) = rest.and_then(|r| words(r).next()) {
-            names.push(name.to_string());
-        }
-    }
-    names
+/// The names of the items of `text` before its first `#[cfg(test)]`
+/// that open with one of `heads` (`"pub struct "`, ...).
+fn pub_items(text: &str, heads: &[&str]) -> Vec<String> {
+    surface_lines(text)
+        .filter_map(|(_, line)| heads.iter().find_map(|head| line.strip_prefix(head)))
+        .filter_map(|rest| words(rest.strip_prefix("mut ").unwrap_or(rest)).next())
+        .filter(|name| *name != "fn")
+        .map(str::to_string)
+        .collect()
 }
 
-/// The `pub` fields of every `pub struct *Config` in `text` before its
+/// The `pub` named fields of every `pub struct` in `text` before its
 /// first `#[cfg(test)]`, as `Struct::field`.
-fn pub_config_fields(text: &str) -> Vec<String> {
+fn pub_fields(text: &str) -> Vec<String> {
     let mut fields = Vec::new();
-    let mut within: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim_start();
-        if line.starts_with("#[cfg(test)]") {
-            break;
-        }
-        match &within {
+    let mut within: Option<&str> = None;
+    for (_, line) in surface_lines(text) {
+        match within {
             None => {
-                let name = line
+                within = line
                     .strip_prefix("pub struct ")
+                    .filter(|_| line.ends_with('{'))
                     .and_then(|r| words(r).next());
-                if let Some(name) = name.filter(|n| n.ends_with("Config") && line.ends_with('{')) {
-                    within = Some(name.to_string());
-                }
             }
             Some(_) if line.starts_with('}') => within = None,
             Some(name) => {
@@ -382,12 +466,13 @@ fn pub_config_fields(text: &str) -> Vec<String> {
     fields
 }
 
-/// Every `.rs` file the scan reads, with a word → files index.
+/// Every `.rs` file the scan reads, stripped to code, with an index
+/// from each name to the files naming it.
 struct Corpus {
     root: PathBuf,
     files: Vec<PathBuf>,
     texts: Vec<String>,
-    /// Word and `A::B` path → the files naming it.
+    /// Word, `A::B` path and `.method` call → the files naming it.
     index: HashMap<String, BTreeSet<usize>>,
 }
 
@@ -403,12 +488,13 @@ impl Corpus {
         let mut index: HashMap<String, BTreeSet<usize>> = HashMap::new();
         let mut texts = Vec::new();
         for (i, f) in files.iter().enumerate() {
-            let text = fs::read_to_string(f).unwrap();
-            for w in words(&text) {
-                index.entry(w.to_string()).or_default().insert(i);
-            }
-            for path in path_pairs(&text) {
-                index.entry(path).or_default().insert(i);
+            let text = strip_code(&fs::read_to_string(f).unwrap());
+            let names = words(&text)
+                .map(str::to_string)
+                .chain(path_pairs(&text))
+                .chain(calls(&text));
+            for name in names {
+                index.entry(name).or_default().insert(i);
             }
             texts.push(text);
         }
@@ -421,7 +507,7 @@ impl Corpus {
     }
 
     /// For each library source file (under `crates/*/src`, `bin/`
-    /// excepted): its path relative to the root, its text, and its
+    /// excepted): its path relative to the root, its code, and its
     /// crate's source directory.
     fn library_files(&self) -> impl Iterator<Item = (String, &str, PathBuf)> + '_ {
         self.files.iter().zip(&self.texts).filter_map(|(f, text)| {
@@ -436,8 +522,8 @@ impl Corpus {
     }
 
     /// Whether a file outside the crate whose sources are `own` names
-    /// `word` (an identifier or an `A::B` path); the crate's own
-    /// binaries count as outside.
+    /// `word` (an identifier, an `A::B` path or a `.method` call); the
+    /// crate's own binaries count as outside.
     fn named_outside(&self, word: &str, own: &Path) -> bool {
         let bins = own.join("bin");
         self.index.get(word).is_some_and(|users| {
@@ -446,6 +532,32 @@ impl Corpus {
                 .any(|&u| !self.files[u].starts_with(own) || self.files[u].starts_with(&bins))
         })
     }
+
+    /// The items `items` lists for each library file, by display name
+    /// and the names that count as a use, that no file outside their
+    /// crate names: display name → defining files. Also the count of
+    /// items listed.
+    fn unreferenced(
+        &self,
+        items: impl Fn(&str) -> Vec<(String, Vec<String>)>,
+    ) -> (BTreeMap<String, Vec<String>>, usize) {
+        let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        let mut defined = 0;
+        for (rel, text, own) in self.library_files() {
+            for (shown, uses) in items(text) {
+                defined += 1;
+                if !uses.iter().any(|u| self.named_outside(u, &own)) {
+                    unreferenced.entry(shown).or_default().push(rel.clone());
+                }
+            }
+        }
+        (unreferenced, defined)
+    }
+}
+
+/// Items that count as used where their own name appears.
+fn by_name(names: Vec<String>) -> Vec<(String, Vec<String>)> {
+    names.into_iter().map(|n| (n.clone(), vec![n])).collect()
 }
 
 /// Fails on every item of `unreferenced` (name → defining files) that
@@ -484,41 +596,83 @@ fn check_against_keep(
 
 #[test]
 fn every_public_function_has_a_caller_outside_its_crate() {
-    let corpus = Corpus::load();
-    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut defined = 0;
-    for (rel, text, own) in corpus.library_files() {
-        for f in pub_fns(text) {
-            defined += 1;
-            if !corpus.named_outside(&f.name, &own) {
-                unreferenced.entry(f.name).or_default().push(rel.clone());
-            }
-        }
-    }
-    assert!(defined > 300, "scan found only {defined} definitions");
+    let (unreferenced, defined) = Corpus::load().unreferenced(|text| {
+        pub_fns(text)
+            .into_iter()
+            .filter_map(|f| match (f.owner, f.receiver) {
+                (None, _) => Some((f.name.clone(), vec![f.name])),
+                (Some(owner), true) => {
+                    let path = format!("{owner}::{}", f.name);
+                    Some((path.clone(), vec![format!(".{}", f.name), path]))
+                }
+                // Left to the associated-function rule.
+                (Some(_), false) => None,
+            })
+            .collect()
+    });
+    assert!(
+        defined > 300,
+        "scan found only {defined} functions and methods"
+    );
     check_against_keep("public functions", &unreferenced, KEEP);
 }
 
 #[test]
 fn every_associated_function_is_named_by_path_outside_its_crate() {
-    let corpus = Corpus::load();
-    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut defined = 0;
-    for (rel, text, own) in corpus.library_files() {
-        for f in pub_fns(text) {
-            let Some(owner) = f.owner else { continue };
-            defined += 1;
-            let path = format!("{owner}::{}", f.name);
-            if !corpus.named_outside(&path, &own) {
-                unreferenced.entry(path).or_default().push(rel.clone());
-            }
-        }
-    }
+    let (unreferenced, defined) = Corpus::load().unreferenced(|text| {
+        pub_fns(text)
+            .into_iter()
+            .filter(|f| !f.receiver)
+            .filter_map(|f| {
+                let path = format!("{}::{}", f.owner?, f.name);
+                Some((path.clone(), vec![path]))
+            })
+            .collect()
+    });
     assert!(
         defined > 60,
         "scan found only {defined} associated functions"
     );
     check_against_keep("associated functions", &unreferenced, KEEP_ASSOCIATED);
+}
+
+#[test]
+fn every_public_type_and_module_is_named_outside_its_crate() {
+    let heads = [
+        "pub struct ",
+        "pub enum ",
+        "pub trait ",
+        "pub type ",
+        "pub mod ",
+    ];
+    let (unreferenced, defined) =
+        Corpus::load().unreferenced(|text| by_name(pub_items(text, &heads)));
+    assert!(defined > 150, "scan found only {defined} types and modules");
+    check_against_keep("public types and modules", &unreferenced, KEEP_TYPES);
+}
+
+#[test]
+fn every_public_constant_is_named_outside_its_crate() {
+    let heads = ["pub const ", "pub static "];
+    let (unreferenced, defined) =
+        Corpus::load().unreferenced(|text| by_name(pub_items(text, &heads)));
+    assert!(defined > 2, "scan found only {defined} constants");
+    check_against_keep("public constants", &unreferenced, KEEP_CONSTS);
+}
+
+#[test]
+fn every_public_field_is_named_outside_its_crate() {
+    let (unreferenced, defined) = Corpus::load().unreferenced(|text| {
+        pub_fields(text)
+            .into_iter()
+            .map(|path| {
+                let field = path.rsplit("::").next().unwrap().to_string();
+                (path, vec![field])
+            })
+            .collect()
+    });
+    assert!(defined > 150, "scan found only {defined} fields");
+    check_against_keep("public fields", &unreferenced, KEEP_FIELDS);
 }
 
 #[test]
@@ -536,13 +690,17 @@ fn the_scan_reads_receivers_and_impl_types() {
     assert!(!has_receiver("<F: Fn(&self_like) -> u8>(f: F)"));
     assert!(!has_receiver("(selfish: u8)"));
     let fns = pub_fns("impl Cmt {\n    pub fn new() -> Self {\n    }\n    pub fn get(\n        &self,\n    ) {}\n}\npub fn free() {}\n");
-    let owners: Vec<(&str, Option<&str>)> = fns
+    let owners: Vec<(&str, Option<&str>, bool)> = fns
         .iter()
-        .map(|f| (f.name.as_str(), f.owner.as_deref()))
+        .map(|f| (f.name.as_str(), f.owner.as_deref(), f.receiver))
         .collect();
     assert_eq!(
         owners,
-        [("new", Some("Cmt")), ("get", None), ("free", None)]
+        [
+            ("new", Some("Cmt"), false),
+            ("get", Some("Cmt"), true),
+            ("free", None, false)
+        ]
     );
     let pairs: Vec<String> = path_pairs("Cmt::new(a::b::C) :: x").collect();
     assert_eq!(pairs, ["Cmt::new", "a::b", "b::C"]);
@@ -552,42 +710,65 @@ fn the_scan_reads_receivers_and_impl_types() {
 fn the_scan_reads_type_items() {
     let text = "pub struct Foo<'a, T> {\n    x: &'a T,\n}\npub(crate) struct Hidden;\npub(super) enum Up {}\npub enum Kind {\n    A,\n}\npub trait Walk {}\npub type Id = u8;\npub mod bitset;\nmod inner {\n    pub struct Nested(u8);\n}\n#[cfg(test)]\nmod tests {\n    pub struct Helper;\n}\npub struct Late;\n";
     assert_eq!(
-        pub_types(text),
+        pub_items(
+            text,
+            &[
+                "pub struct ",
+                "pub enum ",
+                "pub trait ",
+                "pub type ",
+                "pub mod "
+            ]
+        ),
         ["Foo", "Kind", "Walk", "Id", "bitset", "Nested"]
     );
 }
 
 #[test]
-fn every_public_type_and_module_is_named_outside_its_crate() {
-    let corpus = Corpus::load();
-    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut defined = 0;
-    for (rel, text, own) in corpus.library_files() {
-        for name in pub_types(text) {
-            defined += 1;
-            if !corpus.named_outside(&name, &own) {
-                unreferenced.entry(name).or_default().push(rel.clone());
-            }
-        }
-    }
-    assert!(defined > 150, "scan found only {defined} types and modules");
-    check_against_keep("public types and modules", &unreferenced, KEEP_TYPES);
+fn the_scan_reads_constants_and_fields() {
+    let text = "pub const A: u8 = 1;\npub(crate) const B: u8 = 2;\npub const fn c() {}\npub static D: u8 = 3;\npub static mut E: u8 = 4;\nimpl X {\n    pub const F: u8 = 5;\n}\npub struct S<'a> {\n    pub x: &'a u8,\n    y: u8,\n    pub(crate) z: u8,\n    pub w: [u8; 2], // pub v: u8\n}\npub struct T(pub u8, pub u8);\npub(crate) struct U {\n    pub u: u8,\n}\n#[cfg(test)]\npub const G: u8 = 6;\npub struct V {\n    pub v: u8,\n}\n";
+    let code = strip_code(text);
+    assert_eq!(
+        pub_items(&code, &["pub const ", "pub static "]),
+        ["A", "D", "E", "F"]
+    );
+    assert_eq!(pub_fields(&code), ["S::x", "S::w"]);
 }
 
 #[test]
-fn every_config_field_is_named_outside_its_crate() {
-    let corpus = Corpus::load();
-    let mut unreferenced: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut defined = 0;
-    for (rel, text, own) in corpus.library_files() {
-        for path in pub_config_fields(text) {
-            defined += 1;
-            let field = path.rsplit("::").next().unwrap();
-            if !corpus.named_outside(field, &own) {
-                unreferenced.entry(path).or_default().push(rel.clone());
-            }
-        }
+fn the_scan_ignores_comments_and_strings() {
+    let text = r###"//! hid1
+/// hid2
+// hid3
+/* a /* hid4 */ hid5 */
+let s = "a \" hid6";
+let r = r#"hid7 " "#;
+let b = b"hid8";
+let q = '"'; seen1(q);
+let e = '\''; seen2(e);
+fn f<'a>(x: &'a str) -> &'static str { seen3(x) }
+let c = 'x'; 'outer: loop { seen4(c) }
+"###;
+    let code = strip_code(text);
+    assert_eq!(code.lines().count(), text.lines().count());
+    let found: BTreeSet<&str> = words(&code).collect();
+    for hidden in [
+        "hid1", "hid2", "hid3", "hid4", "hid5", "hid6", "hid7", "hid8",
+    ] {
+        assert!(
+            !found.contains(hidden),
+            "`{hidden}` read as code in:\n{code}"
+        );
     }
-    assert!(defined > 20, "scan found only {defined} config fields");
-    check_against_keep("config fields", &unreferenced, KEEP_FIELDS);
+    for seen in ["seen1", "seen2", "seen3", "seen4", "a", "static", "outer"] {
+        assert!(found.contains(seen), "`{seen}` blanked in:\n{code}");
+    }
+}
+
+#[test]
+fn the_scan_finds_methods_by_call() {
+    let code = "let vpn = 1;\nx.mean(); y\n    .distinct::<u8>(); z.field;\nfor i in 0..len {}\nlet f = Foo::strides;\n";
+    let found: Vec<String> = calls(code).collect();
+    assert_eq!(found, [".mean", ".distinct"]);
+    assert!(path_pairs(code).any(|p| p == "Foo::strides"));
 }
