@@ -23,19 +23,20 @@
 //!   the tenant owns, not what the process table holds.
 //!
 //! Any violation panics, so the CI "Bench smoke" step fails loudly.
-//! The full-stack replay's own conservation (no chunk in use and only
-//! the primordial process left after the drain) is checked by
-//! `tests/system_churn_golden.rs`, which also pins its digest.
+//! The full-stack replay runs the library's `ChurnPlayer`; its own
+//! conservation (no chunk in use and only the primordial process left
+//! after the drain) is checked by `tests/system_churn_golden.rs`, which
+//! also pins the player's digest.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, Criterion};
-use sdam::{ProcessId, SdamSystem};
+use sdam::churn::ChurnPlayer;
+use sdam::SdamSystem;
 use sdam_bench::median;
 use sdam_hbm::Geometry;
-use sdam_mapping::{BitPermutation, MappingId, PhysAddr};
+use sdam_mapping::{MappingId, PhysAddr};
 use sdam_mem::phys::{ChunkAllocator, ChunkAllocatorReference, FragmentationStats};
-use sdam_mem::VirtAddr;
 use sdam_workloads::churn::{generate, ChurnConfig, ChurnScript, TenantOp};
 
 /// 8 GB in 2 MB chunks: 4096 chunks, 512 pages each.
@@ -286,15 +287,6 @@ fn run_scale(tenants: usize, runs: usize) -> ScaleRow {
     }
 }
 
-/// Permutation for a tenant's dedicated mapping: a session-dependent
-/// swap inside the chunk-offset window.
-fn tenant_perm(session: u32) -> BitPermutation {
-    let n = (CHUNK_BITS - 6) as usize;
-    let mut table: Vec<u32> = (0..n as u32).collect();
-    table.swap(session as usize % (n - 1), session as usize % (n - 1) + 1);
-    BitPermutation::new(6, table).expect("a swap is a permutation")
-}
-
 struct SystemRow {
     tenants: usize,
     ops: u64,
@@ -306,10 +298,10 @@ struct SystemRow {
     in_use_after_drain: u64,
 }
 
-/// Full-stack churn: the same script drives a live `SdamSystem` —
-/// processes spawn and exit, heaps grow, pages fault chunks in, pids
-/// and mapping ids recycle through their free lists. Ops/s is the
-/// median over `runs` replays.
+/// Full-stack churn: `sdam::churn::ChurnPlayer` replays the same script
+/// on a live `SdamSystem` — processes spawn and exit, heaps grow, pages
+/// fault chunks in, pids and mapping ids recycle through their free
+/// lists. Ops/s is the median over `runs` replays.
 fn run_system_churn(tenants: usize, runs: usize) -> SystemRow {
     let script = generate(ChurnConfig {
         tenants,
@@ -326,91 +318,15 @@ fn run_system_churn(tenants: usize, runs: usize) -> SystemRow {
 
 /// One replay of `script` through a fresh `SdamSystem`.
 fn replay_system(script: &ChurnScript) -> SystemRow {
-    #[derive(Default)]
-    struct Tenant {
-        pid: ProcessId,
-        mapping: Option<MappingId>,
-        objects: Vec<(VirtAddr, u64)>,
-        regions: Vec<(VirtAddr, u64)>,
-    }
     let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), CHUNK_BITS).unwrap();
-    let mut slots: Vec<Option<Tenant>> = (0..script.sessions).map(|_| None).collect();
+    let mut player = ChurnPlayer::new(script);
     let t0 = Instant::now();
     let mut applied = 0u64;
     for op in &script.ops {
         applied += 1;
-        match *op {
-            TenantOp::Arrive {
-                session,
-                own_mapping,
-            } => {
-                let mapping =
-                    own_mapping.then(|| sys.add_mapping(&tenant_perm(session)).expect("under cap"));
-                slots[session as usize] = Some(Tenant {
-                    pid: sys.spawn_process(),
-                    mapping,
-                    objects: Vec::new(),
-                    regions: Vec::new(),
-                });
-            }
-            TenantOp::Malloc { session, bytes, .. } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                let va = sys
-                    .malloc_in(t.pid, bytes, t.mapping)
-                    .expect("8 GB outlasts the working set");
-                t.objects.push((va, bytes));
-            }
-            TenantOp::Free { session, pick } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                if !t.objects.is_empty() {
-                    let (va, _) = t.objects.swap_remove(pick as usize % t.objects.len());
-                    sys.free_in(t.pid, va).expect("freeing a live allocation");
-                }
-            }
-            TenantOp::Mmap { session, pages } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                let len = u64::from(pages) << PAGE_BITS;
-                let va = sys.mmap_in(t.pid, len, t.mapping.unwrap_or(MappingId::DEFAULT));
-                t.regions.push((va.expect("address space is vast"), len));
-            }
-            TenantOp::Munmap { session, pick } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                if !t.regions.is_empty() {
-                    let (va, _) = t.regions.swap_remove(pick as usize % t.regions.len());
-                    sys.munmap_in(t.pid, va).expect("unmapping a live region");
-                }
-            }
-            TenantOp::Touch {
-                session,
-                pick,
-                pages,
-            } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                let all = t.objects.len() + t.regions.len();
-                if all == 0 {
-                    continue;
-                }
-                let i = pick as usize % all;
-                let (va, len) = if i < t.objects.len() {
-                    t.objects[i]
-                } else {
-                    t.regions[i - t.objects.len()]
-                };
-                let pid = t.pid;
-                let max_pages = (len >> PAGE_BITS).max(1);
-                for p in 0..u64::from(pages).min(max_pages) {
-                    sys.touch_in(pid, VirtAddr(va.raw() + (p << PAGE_BITS)))
-                        .expect("touching a mapped page");
-                }
-            }
-            TenantOp::Depart { session } => {
-                let t = slots[session as usize].take().expect("live session");
-                sys.exit_process(t.pid).expect("live process");
-                if let Some(id) = t.mapping {
-                    sys.remove_mapping(id).expect("tenant owned the mapping");
-                }
-            }
-        }
+        player
+            .apply(&mut sys, op)
+            .expect("8 GB and 200 mappings outlast the script");
     }
     let secs = t0.elapsed().as_secs_f64();
     SystemRow {

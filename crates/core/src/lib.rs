@@ -28,7 +28,8 @@
 //!    address translation all the way to memory coordinates. Every
 //!    per-process operation names its [`ProcessId`]; the system starts
 //!    with the primordial `ProcessId(0)`, and the CMT alone decides
-//!    which mapping ids are registered.
+//!    which mapping ids are registered. [`churn::ChurnPlayer`] replays
+//!    a tenant-churn script on it, one op at a time.
 //! 2. [`pipeline`] — the evaluation harness: profile a workload,
 //!    select mappings under one of the paper's six
 //!    [`SystemConfig`]urations, allocate, execute on the machine
@@ -57,6 +58,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod churn;
 pub mod config;
 pub mod error;
 pub mod metrics;

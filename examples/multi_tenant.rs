@@ -6,9 +6,10 @@
 //!
 //! The run has two phases:
 //!
-//! 1. **Lifecycle** — a seeded [`sdam_workloads::churn`] script drives
-//!    a live [`SdamSystem`]: every session spawns a process, tenants
-//!    under the mapping cap register a dedicated address mapping
+//! 1. **Lifecycle** — [`ChurnPlayer`], the library's one definition of
+//!    what each op does, replays a seeded [`sdam_workloads::churn`]
+//!    script on a live [`SdamSystem`]: every session spawns a process,
+//!    tenants under the mapping cap register a dedicated address mapping
 //!    (recycled on departure), and each page touch demand-pages through
 //!    the CMT. Every touched page's decoded hardware address is kept
 //!    per session.
@@ -28,127 +29,44 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use sdam::{ProcessId, SdamError, SdamSystem};
+use sdam::churn::{Applied, ChurnPlayer};
+use sdam::{SdamError, SdamSystem};
 use sdam_hbm::{DecodedAddr, Geometry, Hbm, Timing};
-use sdam_mapping::{BitPermutation, MappingId};
-use sdam_mem::VirtAddr;
+use sdam_mem::MemError;
 use sdam_obs::{Log2Histogram, Registry};
-use sdam_workloads::churn::{generate, ChurnConfig, TenantOp};
+use sdam_workloads::churn::{generate, ChurnConfig, ChurnScript, TenantOp};
 
-const PAGE_BITS: u64 = 12;
 const CHUNK_BITS: u32 = 21;
 const THREADS: usize = 4;
 /// Issue interval in device cycles during the measurement replay.
 const ISSUE_GAP: u64 = 2;
 
-#[derive(Default)]
-struct Tenant {
-    pid: ProcessId,
-    mapping: Option<MappingId>,
-    objects: Vec<(VirtAddr, u64)>,
-    regions: Vec<(VirtAddr, u64)>,
-}
-
-/// A session-dependent permutation of the chunk-offset window: a swap
-/// of two adjacent bits, varying with the session so co-resident
-/// tenants hold distinct mappings.
-fn tenant_perm(session: u32) -> BitPermutation {
-    let n = (CHUNK_BITS - 6) as usize;
-    let mut table: Vec<u32> = (0..n as u32).collect();
-    let i = session as usize % (n - 1);
-    table.swap(i, i + 1);
-    BitPermutation::new(6, table).expect("a swap is a permutation")
-}
-
 /// Phase 1: replay the lifecycle script on a live system, collecting
-/// every touched page's decoded hardware address per session.
+/// every touched page's decoded hardware address per session and
+/// whether each session registered a dedicated mapping.
 fn run_lifecycle(
     sys: &mut SdamSystem,
-    script: &sdam_workloads::churn::ChurnScript,
-) -> (Vec<Vec<DecodedAddr>>, Vec<bool>) {
-    let mut slots: Vec<Option<Tenant>> = (0..script.sessions).map(|_| None).collect();
+    script: &ChurnScript,
+) -> Result<(Vec<Vec<DecodedAddr>>, Vec<bool>), MemError> {
+    let mut player = ChurnPlayer::new(script);
     let mut accesses: Vec<Vec<DecodedAddr>> = (0..script.sessions).map(|_| Vec::new()).collect();
     let mut dedicated = vec![false; script.sessions as usize];
     for op in &script.ops {
-        match *op {
-            TenantOp::Arrive {
-                session,
-                own_mapping,
-            } => {
-                let mapping =
-                    own_mapping.then(|| sys.add_mapping(&tenant_perm(session)).expect("under cap"));
-                dedicated[session as usize] = own_mapping;
-                slots[session as usize] = Some(Tenant {
-                    pid: sys.spawn_process(),
-                    mapping,
-                    objects: Vec::new(),
-                    regions: Vec::new(),
-                });
+        match (op, player.apply(sys, op)?) {
+            (&TenantOp::Arrive { session, .. }, Applied::Arrived { mapping, .. }) => {
+                dedicated[session as usize] = mapping.is_some();
             }
-            TenantOp::Malloc { session, bytes, .. } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                let va = sys
-                    .malloc_in(t.pid, bytes, t.mapping)
-                    .expect("8 GB outlasts the working set");
-                t.objects.push((va, bytes));
+            (&TenantOp::Touch { session, .. }, Applied::Touched(frames)) => {
+                // What `SdamSystem::access_in` returns for each page.
+                let decoded = frames
+                    .iter()
+                    .map(|&pa| sys.geometry().decode(sys.cmt().translate(pa)));
+                accesses[session as usize].extend(decoded);
             }
-            TenantOp::Free { session, pick } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                if !t.objects.is_empty() {
-                    let (va, _) = t.objects.swap_remove(pick as usize % t.objects.len());
-                    sys.free_in(t.pid, va).expect("freeing a live allocation");
-                }
-            }
-            TenantOp::Mmap { session, pages } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                let len = u64::from(pages) << PAGE_BITS;
-                let va = sys
-                    .mmap_in(t.pid, len, t.mapping.unwrap_or(MappingId::DEFAULT))
-                    .expect("address space is vast");
-                t.regions.push((va, len));
-            }
-            TenantOp::Munmap { session, pick } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                if !t.regions.is_empty() {
-                    let (va, _) = t.regions.swap_remove(pick as usize % t.regions.len());
-                    sys.munmap_in(t.pid, va).expect("unmapping a live region");
-                }
-            }
-            TenantOp::Touch {
-                session,
-                pick,
-                pages,
-            } => {
-                let t = slots[session as usize].as_mut().expect("live session");
-                let all = t.objects.len() + t.regions.len();
-                if all == 0 {
-                    continue;
-                }
-                let i = pick as usize % all;
-                let (va, len) = if i < t.objects.len() {
-                    t.objects[i]
-                } else {
-                    t.regions[i - t.objects.len()]
-                };
-                let pid = t.pid;
-                let max_pages = (len >> PAGE_BITS).max(1);
-                for p in 0..u64::from(pages).min(max_pages) {
-                    let dec = sys
-                        .access_in(pid, VirtAddr(va.raw() + (p << PAGE_BITS)))
-                        .expect("touching a mapped page");
-                    accesses[session as usize].push(dec);
-                }
-            }
-            TenantOp::Depart { session } => {
-                let t = slots[session as usize].take().expect("live session");
-                sys.exit_process(t.pid).expect("live process");
-                if let Some(id) = t.mapping {
-                    sys.remove_mapping(id).expect("tenant owned the mapping");
-                }
-            }
+            _ => {}
         }
     }
-    (accesses, dedicated)
+    Ok((accesses, dedicated))
 }
 
 /// Phase 2 worker: replays each session's accesses against a private
@@ -180,7 +98,7 @@ fn main() -> Result<(), SdamError> {
     };
     let script = generate(config);
     let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), CHUNK_BITS)?;
-    let (accesses, dedicated) = run_lifecycle(&mut sys, &script);
+    let (accesses, dedicated) = run_lifecycle(&mut sys, &script)?;
 
     println!("tenant churn over one shared SDAM control plane");
     println!(

@@ -5,6 +5,7 @@
 //! `unwrap()` or index its way into, and pins the exact error variant
 //! the workspace-level [`SdamError`] taxonomy assigns it.
 
+use sdam::churn::ChurnPlayer;
 use sdam::{pipeline, Experiment, ProcessId, SdamError, SdamSystem, SystemConfig};
 use sdam_hbm::Geometry;
 use sdam_mapping::descriptor::{DescriptorError, MappingDescriptor};
@@ -13,6 +14,7 @@ use sdam_mem::{MemError, VirtAddr};
 use sdam_ml::dlkmeans::{cluster_variables_dl, DlError};
 use sdam_ml::{TrainingConfig, TrainingError};
 use sdam_sys::ConfigError;
+use sdam_workloads::churn::{ChurnConfig, ChurnScript, TenantOp};
 use sdam_workloads::datacopy::DataCopy;
 
 /// The primordial process every system starts with.
@@ -196,6 +198,67 @@ fn unknown_process_is_a_typed_error() {
         sys.touch_in(ghost, VirtAddr(0)),
         Err(MemError::UnknownProcess { pid: 42 })
     ));
+}
+
+#[test]
+fn churn_op_on_a_session_not_live_is_a_typed_error() {
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
+    let script = ChurnScript {
+        ops: Vec::new(),
+        config: ChurnConfig::default(),
+        sessions: 2,
+    };
+    let mut player = ChurnPlayer::new(&script);
+    let counters = |sys: &SdamSystem| {
+        (
+            sys.process_count(),
+            sys.chunks_claimed(),
+            sys.page_faults(),
+            sys.cmt().registered_ids().count(),
+        )
+    };
+    let rejected = |player: &mut ChurnPlayer, sys: &mut SdamSystem, op: TenantOp, session: u32| {
+        let before = counters(sys);
+        assert_eq!(
+            player.apply(sys, &op).err(),
+            Some(MemError::UnknownProcess { pid: session }),
+            "{op:?}"
+        );
+        assert_eq!(counters(sys), before, "{op:?} moved the system");
+    };
+    // Session 1 never arrives.
+    for op in [
+        TenantOp::Malloc {
+            session: 1,
+            bytes: 4096,
+            sensitive: false,
+        },
+        TenantOp::Touch {
+            session: 1,
+            pick: 0,
+            pages: 1,
+        },
+        TenantOp::Depart { session: 1 },
+    ] {
+        rejected(&mut player, &mut sys, op, 1);
+    }
+    // Session 0 arrives, departs, then departs again.
+    for op in [
+        TenantOp::Arrive {
+            session: 0,
+            own_mapping: true,
+        },
+        TenantOp::Depart { session: 0 },
+    ] {
+        player.apply(&mut sys, &op).unwrap();
+    }
+    rejected(&mut player, &mut sys, TenantOp::Depart { session: 0 }, 0);
+    // A session beyond the script's range cannot arrive.
+    let beyond = TenantOp::Arrive {
+        session: 2,
+        own_mapping: true,
+    };
+    rejected(&mut player, &mut sys, beyond, 2);
 }
 
 #[test]
