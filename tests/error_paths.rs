@@ -262,6 +262,42 @@ fn churn_op_on_a_session_not_live_is_a_typed_error() {
 }
 
 #[test]
+fn churn_arrive_on_a_live_session_is_a_typed_error() {
+    let mut sys = SdamSystem::try_new(Geometry::hbm2_8gb(), 21).unwrap();
+    let script = ChurnScript {
+        ops: Vec::new(),
+        config: ChurnConfig::default(),
+        sessions: 1,
+    };
+    let mut player = ChurnPlayer::new(&script);
+    let counters = |sys: &SdamSystem| {
+        (
+            sys.process_count(),
+            sys.chunks_claimed(),
+            sys.page_faults(),
+            sys.cmt().registered_ids().count(),
+        )
+    };
+    let empty = counters(&sys);
+    let arrive = TenantOp::Arrive {
+        session: 0,
+        own_mapping: true,
+    };
+    player.apply(&mut sys, &arrive).unwrap();
+    let live = counters(&sys);
+    assert!(
+        player.apply(&mut sys, &arrive).is_err(),
+        "a second Arrive on a live session must be refused"
+    );
+    assert_eq!(counters(&sys), live, "the refused Arrive moved the system");
+    // The first tenant still owns the slot, so one Depart releases all.
+    player
+        .apply(&mut sys, &TenantOp::Depart { session: 0 })
+        .unwrap();
+    assert_eq!(counters(&sys), empty, "the first tenant leaked");
+}
+
+#[test]
 fn empty_profile_is_a_typed_error_for_learned_configs() {
     let exp = Experiment::quick();
     let empty = sdam::profiling::empty_profile(&exp);
