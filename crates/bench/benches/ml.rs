@@ -11,7 +11,8 @@
 //! `tests/dl_golden.rs::seeded_dl_assignments_match_golden`.
 
 use criterion::{black_box, criterion_group, Criterion};
-use sdam::{profiling, Experiment};
+use sdam::profiling::{self, ProfileData};
+use sdam::Experiment;
 use sdam_ml::dlkmeans::cluster_variables_dl;
 use sdam_workloads::datacopy::DataCopy;
 
@@ -19,26 +20,37 @@ const CLUSTERS: usize = 4;
 /// Hard ceiling on the median selection latency, in milliseconds.
 const CEILING_MS: f64 = 50.0;
 
-/// The per-variable physical-address traces the DL selector trains on.
-fn bench_traces() -> (Vec<Vec<u64>>, Experiment) {
+/// The profile whose per-variable physical-address traces and flip
+/// rates the DL selector trains on.
+fn bench_profile() -> (ProfileData, Experiment) {
     let exp = Experiment::quick();
     let w = DataCopy::new(vec![1, 16]);
-    let data = profiling::try_profile_on_baseline(&w, &exp).unwrap();
-    let traces = data
-        .major
-        .iter()
-        .map(|v| data.pa_streams[v].clone())
-        .collect();
-    (traces, exp)
+    (profiling::try_profile_on_baseline(&w, &exp).unwrap(), exp)
+}
+
+/// `data`'s major variables' PA streams and flip rates, in order.
+fn dl_inputs(data: &ProfileData) -> (Vec<&[u64]>, Vec<&[f64]>) {
+    let traces = data.major.iter().map(|v| &data.pa_streams[v][..]).collect();
+    let rates = data.major.iter().map(|v| data.bfrvs[v].rates()).collect();
+    (traces, rates)
 }
 
 fn bench_dl_select(c: &mut Criterion) {
-    let (traces, exp) = bench_traces();
+    let (data, exp) = bench_profile();
+    let (traces, rates) = dl_inputs(&data);
     let bits = exp.geometry.addr_bits();
     let mut g = c.benchmark_group("dl_select");
     g.sample_size(10);
     g.bench_function("laptop", |b| {
-        b.iter(|| black_box(cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training)))
+        b.iter(|| {
+            black_box(cluster_variables_dl(
+                &traces,
+                &rates,
+                bits,
+                CLUSTERS,
+                &exp.training,
+            ))
+        })
     });
     g.finish();
 }
@@ -46,10 +58,11 @@ fn bench_dl_select(c: &mut Criterion) {
 /// Measures the selection, enforces the latency guard, and writes
 /// `BENCH_ml.json`.
 fn record_ml_times() {
-    let (traces, exp) = bench_traces();
+    let (data, exp) = bench_profile();
+    let (traces, rates) = dl_inputs(&data);
     let bits = exp.geometry.addr_bits();
 
-    let select = || cluster_variables_dl(&traces, bits, CLUSTERS, &exp.training).unwrap();
+    let select = || cluster_variables_dl(&traces, &rates, bits, CLUSTERS, &exp.training).unwrap();
     let train_steps = select().train_steps;
     let runs = sdam_bench::bench_samples(9);
     let median_ms = sdam_bench::median_ms(runs, select);

@@ -91,8 +91,9 @@ impl ChurnPlayer {
     ///
     /// [`MemError::UnknownProcess`], with the session number as `pid`,
     /// for an op on a session that is not live (never arrived, departed
-    /// or out of the script's range), leaving `sys` untouched; any
-    /// other error is the system call's.
+    /// or out of the script's range), and [`MemError::ProcessLive`] for
+    /// an `Arrive` on a session that is, both leaving `sys` untouched;
+    /// any other error is the system call's.
     pub fn apply(&mut self, sys: &mut SdamSystem, op: &TenantOp) -> Result<Applied<'_>, MemError> {
         match *op {
             TenantOp::Arrive {
@@ -103,6 +104,9 @@ impl ChurnPlayer {
                     .slots
                     .get_mut(session as usize)
                     .ok_or(MemError::UnknownProcess { pid: session })?;
+                if slot.is_some() {
+                    return Err(MemError::ProcessLive { pid: session });
+                }
                 let mapping = if own_mapping {
                     Some(sys.add_mapping(&tenant_perm(session, sys.cmt().chunk_bits()))?)
                 } else {

@@ -113,6 +113,9 @@ impl From<DlError> for SdamError {
             DlError::AddrBits(_) => SdamError::Config(ConfigError::Training {
                 what: "DL clustering needs an address width in 1..=64",
             }),
+            DlError::FlipRates => SdamError::Config(ConfigError::Training {
+                what: "DL clustering needs one address-wide flip-rate vector per variable",
+            }),
             DlError::Training(e) => e.into(),
             DlError::KMeans(e) => e.into(),
         }

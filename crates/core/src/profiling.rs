@@ -368,13 +368,11 @@ pub fn try_select_mappings(
             if data.major.is_empty() {
                 return Err(SdamError::EmptyProfile);
             }
-            let traces: Vec<Vec<u64>> = data
-                .major
-                .iter()
-                .map(|v| data.pa_streams[v].clone())
-                .collect();
+            let traces: Vec<&[u64]> = data.major.iter().map(|v| &data.pa_streams[v][..]).collect();
+            let rates: Vec<&[f64]> = data.major.iter().map(|v| data.bfrvs[v].rates()).collect();
             let clustering = sdam_ml::dlkmeans::cluster_variables_dl(
                 &traces,
+                &rates,
                 exp.geometry.addr_bits(),
                 clusters,
                 &exp.training,

@@ -38,6 +38,12 @@ pub enum MemError {
         /// The offending process id.
         pid: u32,
     },
+    /// The process id already names a live process (used by
+    /// `sdam::churn`, whose sessions each hold at most one tenant).
+    ProcessLive {
+        /// The offending process id.
+        pid: u32,
+    },
 }
 
 impl std::fmt::Display for MemError {
@@ -58,6 +64,7 @@ impl std::fmt::Display for MemError {
             }
             MemError::InvalidSize { size } => write!(f, "invalid allocation size {size}"),
             MemError::UnknownProcess { pid } => write!(f, "process {pid} is not live"),
+            MemError::ProcessLive { pid } => write!(f, "process {pid} is already live"),
         }
     }
 }

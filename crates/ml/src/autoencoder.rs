@@ -215,15 +215,15 @@ impl LstmAutoencoder {
         let Some(z) = enc_top.last().cloned() else {
             panic!("a validated sample has at least one step");
         };
-        let dec_inputs = vec![z.clone(); steps];
-        let (dec_top, dec_cache) = self.decoder.forward(&dec_inputs);
+        let (dec_top, dec_cache) = self.decoder.forward(&vec![z.as_slice(); steps]);
 
         let mut loss = 0.0;
-        let mut d_dec_top = vec![vec![0.0; self.decoder.hidden_dim()]; steps];
+        let mut d_dec_top = Vec::with_capacity(steps);
+        let mut logits = vec![0.0; self.bits];
+        let mut dlogits = vec![0.0; self.bits];
         for t in 0..steps {
-            let mut logits = self.w_out.matvec(&dec_top[t]);
+            self.w_out.matvec_into(&dec_top[t], &mut logits);
             add_assign(&mut logits, &self.b_out);
-            let mut dlogits = vec![0.0; self.bits];
             for j in 0..self.bits {
                 let p = sigmoid(logits[j]);
                 let y = sample.delta_bits[t][j];
@@ -232,7 +232,7 @@ impl LstmAutoencoder {
             }
             self.dw_out.add_outer(&dlogits, &dec_top[t]);
             add_assign(&mut self.db_out, &dlogits);
-            d_dec_top[t] = self.w_out.matvec_t(&dlogits);
+            d_dec_top.push(self.w_out.matvec_t(&dlogits));
         }
         let d_dec_inputs = self.decoder.backward(&dec_cache, &d_dec_top, None);
         let mut dz = vec![0.0; z.len()];
@@ -267,11 +267,7 @@ impl LstmAutoencoder {
             .delta_ids
             .iter()
             .zip(&sample.vid_ids)
-            .map(|(&d, &v)| {
-                let mut x = self.delta_embed.lookup(d);
-                x.extend(self.vid_embed.lookup(v));
-                x
-            })
+            .map(|(&d, &v)| [self.delta_embed.row(d), self.vid_embed.row(v)].concat())
             .collect()
     }
 

@@ -78,6 +78,8 @@ impl DeltaVocab {
 pub enum DlError {
     /// The address width is not in `1..=64`.
     AddrBits(u32),
+    /// The flip rates are not one `addr_bits`-wide vector per trace.
+    FlipRates,
     /// The training configuration is invalid.
     Training(TrainingError),
     /// A K-Means run refused its points.
@@ -88,6 +90,9 @@ impl std::fmt::Display for DlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DlError::AddrBits(bits) => write!(f, "address width {bits} is not in 1..=64"),
+            DlError::FlipRates => {
+                write!(f, "flip rates must be one address-wide vector per trace")
+            }
             DlError::Training(e) => write!(f, "{e}"),
             DlError::KMeans(e) => write!(f, "{e}"),
         }
@@ -97,7 +102,7 @@ impl std::fmt::Display for DlError {
 impl std::error::Error for DlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            DlError::AddrBits(_) => None,
+            DlError::AddrBits(_) | DlError::FlipRates => None,
             DlError::Training(e) => Some(e),
             DlError::KMeans(e) => Some(e),
         }
@@ -125,16 +130,15 @@ pub struct DlClustering {
     pub train_steps: usize,
 }
 
-/// Converts a variable's address trace into training windows.
+/// Converts a variable's Δ trace into training windows.
 fn windows_for(
-    addrs: &[u64],
+    ds: &[u64],
     vid: usize,
     vocab: &DeltaVocab,
     bits: usize,
     seq_len: usize,
     max_windows: usize,
 ) -> Vec<SeqSample> {
-    let ds = deltas(addrs);
     let mut out = Vec::new();
     for chunk in ds.chunks(seq_len) {
         if chunk.len() < 2 {
@@ -260,6 +264,9 @@ fn train_phase<'t>(
 
 /// Runs the full DL-assisted K-Means pipeline over per-variable address
 /// traces (`traces[i]` is the ordered address stream of variable `i`).
+/// `flip_rates[i]` is the bit-flip-rate vector of `traces[i]` over
+/// `addr_bits` bits (the profile's BFRV); it is appended to the
+/// learned embedding before clustering.
 ///
 /// Phases, following the paper: (1) train the autoencoder on
 /// reconstruction only; (2) K-Means on the embeddings; (3) continue
@@ -276,11 +283,13 @@ fn train_phase<'t>(
 /// [`DlError::KMeans`] with [`KMeansError::NoPoints`] if `traces` is
 /// empty, [`KMeansError::ZeroClusters`] if `k` is zero, or any other
 /// error of the two [`kmeans`] runs (a non-finite embedding);
-/// [`DlError::AddrBits`] if `addr_bits` is not in `1..=64`; and
-/// [`DlError::Training`] if `config` is invalid. Every input is checked
-/// before training starts.
+/// [`DlError::AddrBits`] if `addr_bits` is not in `1..=64`;
+/// [`DlError::FlipRates`] unless `flip_rates` holds one vector of
+/// `addr_bits` rates per trace; and [`DlError::Training`] if `config`
+/// is invalid. Every input is checked before training starts.
 pub fn cluster_variables_dl(
-    traces: &[Vec<u64>],
+    traces: &[&[u64]],
+    flip_rates: &[&[f64]],
     addr_bits: u32,
     k: usize,
     config: &TrainingConfig,
@@ -294,8 +303,11 @@ pub fn cluster_variables_dl(
     if !(1..=64).contains(&addr_bits) {
         return Err(DlError::AddrBits(addr_bits));
     }
-    config.try_validate()?;
     let bits = addr_bits as usize;
+    if flip_rates.len() != traces.len() || flip_rates.iter().any(|r| r.len() != bits) {
+        return Err(DlError::FlipRates);
+    }
+    config.try_validate()?;
 
     let delta_streams: Vec<Vec<u64>> = traces.iter().map(|t| deltas(t)).collect();
     let vocab = DeltaVocab::build(
@@ -303,26 +315,12 @@ pub fn cluster_variables_dl(
         config.delta_vocab_cap,
     );
 
-    // Per-variable bit-flip-rate features, appended to the learned
-    // embedding before clustering. The paper clusters on the embedding
-    // alone; we found that on workloads whose BFRVs are already clean
-    // the hybrid representation lets the DL path never fall below the
-    // plain-K-Means path while keeping the embedding's tie-breaking
-    // power on messy traces.
-    let bfrv_features: Vec<Vec<f64>> = traces
-        .iter()
-        .map(|t| {
-            let mut flips = vec![0.0f64; bits];
-            for w in t.windows(2) {
-                let x = w[0] ^ w[1];
-                for (b, f) in flips.iter_mut().enumerate() {
-                    *f += ((x >> b) & 1) as f64;
-                }
-            }
-            let n = t.len().saturating_sub(1).max(1) as f64;
-            flips.iter().map(|f| f / n).collect()
-        })
-        .collect();
+    // The flip rates are appended to the learned embedding before
+    // clustering. The paper clusters on the embedding alone; we found
+    // that on workloads whose BFRVs are already clean the hybrid
+    // representation lets the DL path never fall below the plain-K-Means
+    // path while keeping the embedding's tie-breaking power on messy
+    // traces.
 
     // Windows per variable (at most 8, so no variable dominates
     // training), deduplicated: `uniq[i]` carries `weight[i]` duplicates
@@ -333,8 +331,8 @@ pub fn cluster_variables_dl(
     let mut owner: Vec<usize> = Vec::new();
     // Window ranges per variable, for the per-variable embedding mean.
     let mut var_ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    for (vid, t) in traces.iter().enumerate() {
-        let ws = windows_for(t, vid, &vocab, bits, config.seq_len, max_windows);
+    for (vid, ds) in delta_streams.iter().enumerate() {
+        let ws = windows_for(ds, vid, &vocab, bits, config.seq_len, max_windows);
         let start = uniq.len();
         for (w, mult) in dedup_windows(&ws) {
             uniq.push(w);
@@ -349,7 +347,7 @@ pub fn cluster_variables_dl(
     let embed_vars = |ae: &LstmAutoencoder| -> Vec<Vec<f64>> {
         var_ranges
             .iter()
-            .zip(&bfrv_features)
+            .zip(flip_rates)
             .map(|(range, bfrv)| {
                 let mut acc = vec![0.0; ae.embedding_dim()];
                 if !range.is_empty() {
@@ -422,6 +420,36 @@ mod tests {
         (0..n as u64).map(|i| i * stride * 64).collect()
     }
 
+    /// Each trace's flip rates over `bits` bits: the fraction of
+    /// consecutive pairs in which each bit differs (zero without pairs).
+    fn flip_rates(traces: &[Vec<u64>], bits: u32) -> Vec<Vec<f64>> {
+        traces
+            .iter()
+            .map(|t| {
+                let pairs = t.len().saturating_sub(1).max(1) as f64;
+                (0..bits)
+                    .map(|b| {
+                        let flips = t.windows(2).filter(|w| (w[0] ^ w[1]) >> b & 1 == 1);
+                        flips.count() as f64 / pairs
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `cluster_variables_dl` over owned traces at `bits` bits.
+    fn cluster(
+        traces: &[Vec<u64>],
+        bits: u32,
+        k: usize,
+        cfg: &TrainingConfig,
+    ) -> Result<DlClustering, DlError> {
+        let rates = flip_rates(traces, bits);
+        let traces: Vec<&[u64]> = traces.iter().map(Vec::as_slice).collect();
+        let rates: Vec<&[f64]> = rates.iter().map(Vec::as_slice).collect();
+        cluster_variables_dl(&traces, &rates, bits, k, cfg)
+    }
+
     #[test]
     fn deltas_are_xors() {
         assert_eq!(deltas(&[1, 3, 7]), vec![2, 4]);
@@ -475,7 +503,7 @@ mod tests {
             steps: 200,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
+        let r = cluster(&traces, 33, 2, &cfg).unwrap();
         assert_eq!(r.assignments.len(), 4);
         assert_eq!(r.assignments[0], r.assignments[1], "stride-1 pair split");
         assert_eq!(r.assignments[2], r.assignments[3], "stride-16 pair split");
@@ -508,16 +536,16 @@ mod tests {
         // carrying the full multiplicity.
         let t: Vec<u64> = (0..200u64).map(|i| (i % 2) * 64).collect();
         let cfg = TrainingConfig::laptop();
-        let deltas_v: Vec<Vec<u64>> = vec![deltas(&t)];
-        let vocab = DeltaVocab::build(deltas_v.iter().map(|v| v.as_slice()), cfg.delta_vocab_cap);
-        let ws = windows_for(&t, 0, &vocab, 33, cfg.seq_len, 8);
+        let ds = deltas(&t);
+        let vocab = DeltaVocab::build([ds.as_slice()], cfg.delta_vocab_cap);
+        let ws = windows_for(&ds, 0, &vocab, 33, cfg.seq_len, 8);
         assert!(ws.len() > 1);
         let uniq = dedup_windows(&ws);
         assert_eq!(uniq.len(), 1, "identical windows not collapsed");
         assert_eq!(uniq[0].1, ws.len() as f64, "multiplicity lost");
         // Distinct windows stay distinct.
         let t2: Vec<u64> = (0..40u64).map(|i| i * i * 64).collect();
-        let ws2 = windows_for(&t2, 0, &vocab, 33, cfg.seq_len, 8);
+        let ws2 = windows_for(&deltas(&t2), 0, &vocab, 33, cfg.seq_len, 8);
         let uniq2 = dedup_windows(&ws2);
         assert!(uniq2.len() > 1, "distinct windows merged");
         let total: f64 = uniq2.iter().map(|(_, w)| w).sum();
@@ -531,7 +559,7 @@ mod tests {
             steps: 10,
             ..TrainingConfig::laptop()
         };
-        let r = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
+        let r = cluster(&traces, 33, 2, &cfg).unwrap();
         assert_eq!(r.assignments.len(), 2);
     }
 
@@ -542,17 +570,27 @@ mod tests {
             steps: 50,
             ..TrainingConfig::laptop()
         };
-        let a = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
-        let b = cluster_variables_dl(&traces, 33, 2, &cfg).unwrap();
+        let a = cluster(&traces, 33, 2, &cfg).unwrap();
+        let b = cluster(&traces, 33, 2, &cfg).unwrap();
         assert_eq!(a.assignments, b.assignments);
     }
 
     #[test]
     fn degenerate_inputs_are_typed_errors() {
         let cfg = TrainingConfig::laptop();
-        let r = cluster_variables_dl(&[], 33, 2, &cfg);
+        let r = cluster(&[], 33, 2, &cfg);
         assert_eq!(r.err(), Some(DlError::KMeans(KMeansError::NoPoints)));
-        let r = cluster_variables_dl(&[stride_trace(1, 20)], 33, 0, &cfg);
+        let r = cluster(&[stride_trace(1, 20)], 33, 0, &cfg);
         assert_eq!(r.err(), Some(DlError::KMeans(KMeansError::ZeroClusters)));
+        // Flip rates of the wrong count or width.
+        let t = stride_trace(1, 20);
+        let rates = flip_rates(&[t.clone()], 33);
+        for (traces, rates) in [
+            (vec![t.as_slice(), t.as_slice()], vec![rates[0].as_slice()]),
+            (vec![t.as_slice()], vec![&rates[0][..32]]),
+        ] {
+            let r = cluster_variables_dl(&traces, &rates, 33, 2, &cfg);
+            assert_eq!(r.err(), Some(DlError::FlipRates));
+        }
     }
 }

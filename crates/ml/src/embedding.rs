@@ -53,14 +53,14 @@ impl Embedding {
         }
     }
 
-    /// Looks up the embedding of `id`.
+    /// The embedding of `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of vocabulary.
-    pub(crate) fn lookup(&self, id: usize) -> Vec<f64> {
+    pub(crate) fn row(&self, id: usize) -> &[f64] {
         assert!(id < self.vocab(), "id {id} out of vocabulary");
-        (0..self.dim()).map(|c| self.table.get(id, c)).collect()
+        &self.table.data()[id * self.dim()..(id + 1) * self.dim()]
     }
 
     /// Accumulates gradient for the row of `id`.
@@ -94,24 +94,24 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn lookup_matches_table() {
+    fn row_matches_table() {
         let mut rng = StdRng::seed_from_u64(5);
         let e = Embedding::new(4, 3, &mut rng);
-        let v = e.lookup(2);
+        let v = e.row(2);
         assert_eq!(v.len(), 3);
-        assert_eq!(v[1], e.lookup(2)[1]);
+        assert_eq!(v[1], e.row(2)[1]);
     }
 
     #[test]
     fn gradient_only_touches_looked_up_rows() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut e = Embedding::new(3, 2, &mut rng);
-        let before0 = e.lookup(0);
-        let before1 = e.lookup(1);
+        let before0 = e.row(0).to_vec();
+        let before1 = e.row(1).to_vec();
         e.accumulate(1, &[1.0, -1.0]);
         e.step(0.1);
-        assert_eq!(e.lookup(0), before0, "untouched row moved");
-        assert_ne!(e.lookup(1), before1, "updated row did not move");
+        assert_eq!(e.row(0), &before0[..], "untouched row moved");
+        assert_ne!(e.row(1), &before1[..], "updated row did not move");
     }
 
     #[test]
@@ -120,13 +120,13 @@ mod tests {
         let mut e = Embedding::new(2, 2, &mut rng);
         // Minimize ||emb(0) - [1,2]||^2 / 2.
         for _ in 0..2000 {
-            let v = e.lookup(0);
-            let g = vec![v[0] - 1.0, v[1] - 2.0];
+            let v = e.row(0);
+            let g = [v[0] - 1.0, v[1] - 2.0];
             e.zero_grad();
             e.accumulate(0, &g);
             e.step(0.01);
         }
-        let v = e.lookup(0);
+        let v = e.row(0);
         assert!(
             (v[0] - 1.0).abs() < 0.01 && (v[1] - 2.0).abs() < 0.01,
             "{v:?}"
@@ -138,6 +138,6 @@ mod tests {
     fn oov_panics() {
         let mut rng = StdRng::seed_from_u64(8);
         let e = Embedding::new(2, 2, &mut rng);
-        let _ = e.lookup(5);
+        let _ = e.row(5);
     }
 }

@@ -51,7 +51,7 @@ impl Mat {
     }
 
     /// Element access.
-    #[inline]
+    #[cfg(test)]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
@@ -80,14 +80,47 @@ impl Mat {
     ///
     /// Panics if `x.len() != cols`.
     pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        self.data
-            .chunks_exact(self.cols)
-            .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect()
+        let mut y = vec![0.0; self.rows];
+        self.matvec_into(x, &mut y);
+        y
     }
 
-    /// `x = Aᵀ·y` (the backward pass of `Mat::matvec`).
+    /// `y = A·x` into a caller's buffer. Four rows are summed at once
+    /// with independent accumulators; each row is still summed in
+    /// column order from `-0.0`, as `Iterator::sum` does, so every
+    /// entry is bit-identical to `row·x` summed alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols` or `y.len() != rows`.
+    pub(crate) fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.rows, "matvec output mismatch");
+        let quads = self.data.chunks_exact(4 * self.cols);
+        let rest = quads.remainder();
+        let mut ys = y.chunks_exact_mut(4);
+        for (quad, yq) in quads.zip(&mut ys) {
+            let (r0, r) = quad.split_at(self.cols);
+            let (r1, r) = r.split_at(self.cols);
+            let (r2, r3) = r.split_at(self.cols);
+            let mut s = [-0.0f64; 4];
+            for ((((&xv, a0), a1), a2), a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                s[0] += a0 * xv;
+                s[1] += a1 * xv;
+                s[2] += a2 * xv;
+                s[3] += a3 * xv;
+            }
+            yq.copy_from_slice(&s);
+        }
+        for (row, yv) in rest.chunks_exact(self.cols).zip(ys.into_remainder()) {
+            *yv = row.iter().zip(x).map(|(a, b)| a * b).sum();
+        }
+    }
+
+    /// `x = Aᵀ·y` (the backward pass of `Mat::matvec`). Four rows are
+    /// added per pass over `x`, each entry still accumulating the rows
+    /// in order from `0.0`, so the result is bit-identical to one
+    /// `x += row·y[r]` pass per row.
     ///
     /// # Panics
     ///
@@ -95,7 +128,18 @@ impl Mat {
     pub(crate) fn matvec_t(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.rows, "matvec_t dimension mismatch");
         let mut x = vec![0.0; self.cols];
-        for (row, &yv) in self.data.chunks_exact(self.cols).zip(y) {
+        let quads = self.data.chunks_exact(4 * self.cols);
+        let rest = quads.remainder();
+        let mut ys = y.chunks_exact(4);
+        for (quad, yq) in quads.zip(&mut ys) {
+            let (r0, r) = quad.split_at(self.cols);
+            let (r1, r) = r.split_at(self.cols);
+            let (r2, r3) = r.split_at(self.cols);
+            for ((((xc, a0), a1), a2), a3) in x.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+                *xc = *xc + a0 * yq[0] + a1 * yq[1] + a2 * yq[2] + a3 * yq[3];
+            }
+        }
+        for (row, &yv) in rest.chunks_exact(self.cols).zip(ys.remainder()) {
             for (xc, a) in x.iter_mut().zip(row) {
                 *xc += a * yv;
             }
@@ -216,6 +260,72 @@ mod tests {
         add_assign(&mut a, &[0.5, 0.5]);
         assert_eq!(a, vec![1.5, 2.5]);
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
+    }
+
+    #[test]
+    fn matvec_and_transpose_match_row_loops_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        // Row counts around the 4-row blocks and signed zeros. The last
+        // row is all -0.0 and `x` is non-negative, so that row's
+        // products are all -0.0 and its sum from -0.0 stays -0.0.
+        for rows in [1, 2, 3, 4, 5, 7, 8, 9, 34, 48] {
+            for cols in [1, 3, 12] {
+                let data: Vec<f64> = (0..rows * cols)
+                    .map(|i| match i % 5 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => rng.gen_range(-2.0..2.0),
+                    })
+                    .collect();
+                let mut a = Mat { rows, cols, data };
+                for c in 0..cols {
+                    *a.get_mut(rows - 1, c) = -0.0;
+                }
+                let x: Vec<f64> = (0..cols)
+                    .map(|c| {
+                        if c % 4 == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(0.25..2.0)
+                        }
+                    })
+                    .collect();
+                let expected: Vec<u64> = a
+                    .data()
+                    .chunks_exact(cols)
+                    .map(|row| {
+                        row.iter()
+                            .zip(&x)
+                            .map(|(p, q)| p * q)
+                            .sum::<f64>()
+                            .to_bits()
+                    })
+                    .collect();
+                let got: Vec<u64> = a.matvec(&x).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expected, "{rows}x{cols}");
+                assert!(a.matvec(&x)[rows - 1].is_sign_negative(), "{rows}x{cols}");
+                // The transpose against one accumulation pass per row.
+                let y: Vec<f64> = (0..rows)
+                    .map(|r| {
+                        if r % 3 == 0 {
+                            -0.0
+                        } else {
+                            rng.gen_range(-2.0..2.0)
+                        }
+                    })
+                    .collect();
+                let mut expected = vec![0.0f64; cols];
+                for (row, &yv) in a.data().chunks_exact(cols).zip(&y) {
+                    for (e, p) in expected.iter_mut().zip(row) {
+                        *e += p * yv;
+                    }
+                }
+                let expected: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = a.matvec_t(&y).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expected, "transpose {rows}x{cols}");
+            }
+        }
     }
 
     #[test]

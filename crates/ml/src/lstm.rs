@@ -32,13 +32,21 @@ pub(crate) struct LstmLayer {
 /// Cached activations of one forward step, needed by the backward pass.
 #[derive(Debug, Clone)]
 pub(crate) struct StepCache {
+    /// The step's input and previous hidden state, `[x | h_prev]`.
     z: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    o: Vec<f64>,
-    g: Vec<f64>,
-    c_prev: Vec<f64>,
-    c: Vec<f64>,
+    /// Gate activations `[i | f | o | g]`, `hidden` each.
+    gates: Vec<f64>,
+    /// Cell states and the new state's `tanh`, `[c_prev | c | tanh(c)]`,
+    /// `hidden` each.
+    cells: Vec<f64>,
+}
+
+impl StepCache {
+    /// The cell state this step produced.
+    fn c(&self) -> &[f64] {
+        let h_d = self.cells.len() / 3;
+        &self.cells[h_d..2 * h_d]
+    }
 }
 
 impl LstmLayer {
@@ -69,7 +77,7 @@ impl LstmLayer {
         self.hidden_dim
     }
 
-    /// One forward step. Returns `(h, c, cache)`.
+    /// One forward step. Returns `h` and the cache, which holds `c`.
     ///
     /// # Panics
     ///
@@ -79,31 +87,33 @@ impl LstmLayer {
         x: &[f64],
         h_prev: &[f64],
         c_prev: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, StepCache) {
+    ) -> (Vec<f64>, StepCache) {
         assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
         assert_eq!(h_prev.len(), self.hidden_dim, "hidden dimension mismatch");
         let mut z = Vec::with_capacity(self.input_dim + self.hidden_dim);
         z.extend_from_slice(x);
         z.extend_from_slice(h_prev);
-        let mut pre = self.w.matvec(&z);
-        add_assign(&mut pre, &self.b);
+        let mut gates = self.w.matvec(&z);
+        add_assign(&mut gates, &self.b);
         let h_d = self.hidden_dim;
-        let i: Vec<f64> = pre[0..h_d].iter().map(|&v| sigmoid(v)).collect();
-        let f: Vec<f64> = pre[h_d..2 * h_d].iter().map(|&v| sigmoid(v)).collect();
-        let o: Vec<f64> = pre[2 * h_d..3 * h_d].iter().map(|&v| sigmoid(v)).collect();
-        let g: Vec<f64> = pre[3 * h_d..4 * h_d].iter().map(|&v| v.tanh()).collect();
-        let c: Vec<f64> = (0..h_d).map(|j| f[j] * c_prev[j] + i[j] * g[j]).collect();
-        let h: Vec<f64> = (0..h_d).map(|j| o[j] * c[j].tanh()).collect();
-        let cache = StepCache {
-            z,
-            i,
-            f,
-            o,
-            g,
-            c_prev: c_prev.to_vec(),
-            c: c.clone(),
-        };
-        (h, c, cache)
+        let (sig, cand) = gates.split_at_mut(3 * h_d);
+        sig.iter_mut().for_each(|v| *v = sigmoid(*v));
+        cand.iter_mut().for_each(|v| *v = v.tanh());
+        let (i, f, o, g) = (
+            &gates[..h_d],
+            &gates[h_d..2 * h_d],
+            &gates[2 * h_d..3 * h_d],
+            &gates[3 * h_d..],
+        );
+        let mut cells = Vec::with_capacity(3 * h_d);
+        cells.extend_from_slice(c_prev);
+        cells.extend((0..h_d).map(|j| f[j] * c_prev[j] + i[j] * g[j]));
+        for j in h_d..2 * h_d {
+            cells.push(cells[j].tanh());
+        }
+        let tanh_c = &cells[2 * h_d..];
+        let h: Vec<f64> = (0..h_d).map(|j| o[j] * tanh_c[j]).collect();
+        (h, StepCache { z, gates, cells })
     }
 
     /// One backward step: given `dh` and `dc` flowing into this step's
@@ -116,32 +126,28 @@ impl LstmLayer {
         dc_in: &[f64],
     ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let h_d = self.hidden_dim;
+        let gate = |k: usize| &cache.gates[k * h_d..(k + 1) * h_d];
+        let (i, f, o, g) = (gate(0), gate(1), gate(2), gate(3));
+        let (c_prev, tanh_c) = (&cache.cells[..h_d], &cache.cells[2 * h_d..]);
         let mut dpre = vec![0.0; 4 * h_d];
+        let mut dc_prev = vec![0.0; h_d];
         for j in 0..h_d {
-            let tanh_c = cache.c[j].tanh();
+            let tanh_c = tanh_c[j];
             let do_ = dh[j] * tanh_c;
-            let dc = dc_in[j] + dh[j] * cache.o[j] * (1.0 - tanh_c * tanh_c);
-            let di = dc * cache.g[j];
-            let df = dc * cache.c_prev[j];
-            let dg = dc * cache.i[j];
-            dpre[j] = di * cache.i[j] * (1.0 - cache.i[j]);
-            dpre[h_d + j] = df * cache.f[j] * (1.0 - cache.f[j]);
-            dpre[2 * h_d + j] = do_ * cache.o[j] * (1.0 - cache.o[j]);
-            dpre[3 * h_d + j] = dg * (1.0 - cache.g[j] * cache.g[j]);
+            let dc = dc_in[j] + dh[j] * o[j] * (1.0 - tanh_c * tanh_c);
+            let di = dc * g[j];
+            let df = dc * c_prev[j];
+            let dg = dc * i[j];
+            dpre[j] = di * i[j] * (1.0 - i[j]);
+            dpre[h_d + j] = df * f[j] * (1.0 - f[j]);
+            dpre[2 * h_d + j] = do_ * o[j] * (1.0 - o[j]);
+            dpre[3 * h_d + j] = dg * (1.0 - g[j] * g[j]);
+            dc_prev[j] = dc * f[j];
         }
         self.dw.add_outer(&dpre, &cache.z);
         add_assign(&mut self.db, &dpre);
-        let dz = self.w.matvec_t(&dpre);
-        let dx = dz[0..self.input_dim].to_vec();
-        let dh_prev = dz[self.input_dim..].to_vec();
-        // dc_prev = dc * f, where dc is recomputed per element.
-        let dc_prev: Vec<f64> = (0..h_d)
-            .map(|j| {
-                let tanh_c = cache.c[j].tanh();
-                let dc = dc_in[j] + dh[j] * cache.o[j] * (1.0 - tanh_c * tanh_c);
-                dc * cache.f[j]
-            })
-            .collect();
+        let mut dx = self.w.matvec_t(&dpre);
+        let dh_prev = dx.split_off(self.input_dim);
         (dx, dh_prev, dc_prev)
     }
 
@@ -200,20 +206,21 @@ impl Lstm {
 
     /// Runs the stack over `inputs`, returning the top-layer hidden
     /// state at every step and the cache for backprop.
-    pub(crate) fn forward(&self, inputs: &[Vec<f64>]) -> (Vec<Vec<f64>>, SeqCache) {
+    pub(crate) fn forward<X: AsRef<[f64]>>(&self, inputs: &[X]) -> (Vec<Vec<f64>>, SeqCache) {
         let h_d = self.hidden_dim();
-        let mut h = vec![vec![0.0; h_d]; self.layers.len()];
-        let mut c = vec![vec![0.0; h_d]; self.layers.len()];
+        let zeros = vec![0.0; h_d];
+        let mut h = vec![zeros.clone(); self.layers.len()];
         let mut top = Vec::with_capacity(inputs.len());
         let mut cache = SeqCache::default();
         for x in inputs {
             let mut layer_caches = Vec::with_capacity(self.layers.len());
-            let mut cur = x.clone();
             for (l, layer) in self.layers.iter().enumerate() {
-                let (nh, nc, sc) = layer.forward_step(&cur, &h[l], &c[l]);
-                cur = nh.clone();
+                // Layer `l` reads the hidden state layer `l - 1` produced
+                // this step, and its own cell state from the last step.
+                let input = if l == 0 { x.as_ref() } else { &h[l - 1] };
+                let c_prev = cache.steps.last().map_or(&zeros[..], |s| s[l].c());
+                let (nh, sc) = layer.forward_step(input, &h[l], c_prev);
                 h[l] = nh;
-                c[l] = nc;
                 layer_caches.push(sc);
             }
             let Some(h_top) = h.last() else {
@@ -246,18 +253,19 @@ impl Lstm {
         }
         let mut d_inputs = vec![Vec::new(); steps];
         for t in (0..steps).rev() {
-            // Gradient flowing into the top layer at step t.
-            let mut d_from_above = d_top[t].clone();
+            // Gradient flowing into layer `l` from above at step t: the
+            // loss gradient for the top layer, then each layer's `dx`.
+            let mut d_from_above: Option<Vec<f64>> = None;
             for l in (0..nl).rev() {
-                let mut dh = dh_next[l].clone();
-                add_assign(&mut dh, &d_from_above);
+                let above = d_from_above.as_deref().unwrap_or(&d_top[t]);
+                let dh: Vec<f64> = dh_next[l].iter().zip(above).map(|(a, b)| a + b).collect();
                 let (dx, dh_prev, dc_prev) =
                     self.layers[l].backward_step(&cache.steps[t][l], &dh, &dc_next[l]);
                 dh_next[l] = dh_prev;
                 dc_next[l] = dc_prev;
-                d_from_above = dx;
+                d_from_above = Some(dx);
             }
-            d_inputs[t] = d_from_above;
+            d_inputs[t] = d_from_above.unwrap_or_default();
         }
         d_inputs
     }

@@ -12,7 +12,7 @@
 //! concurrent-request stream whose channel conflicts the paper measures.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use sdam_trace::Trace;
 
 use crate::recorder::run_parallel;
@@ -47,6 +47,38 @@ impl Csr {
     }
 }
 
+/// Graph500's R-MAT quadrant probabilities `(A, B, C)`; `D` is the rest.
+const RMAT_ABC: (f64, f64, f64) = (0.57, 0.19, 0.19);
+
+/// The `f64` quadrant thresholds `A`, `A+B` and `A+B+C` as integer
+/// thresholds on a 53-bit draw `k`, the draw behind the uniform
+/// `r = k · 2⁻⁵³`. Each threshold `t` lies in `[0.5, 1)`, where the
+/// `f64` spacing is exactly `2⁻⁵³`, so `t · 2⁵³` is an integer and
+/// `r >= t` holds exactly when `k >= t · 2⁵³`.
+const RMAT_THRESHOLDS: [u64; 3] = {
+    const fn draw_threshold(t: f64) -> u64 {
+        assert!(t >= 0.5 && t < 1.0, "threshold outside [0.5, 1)");
+        (t * (1u64 << 53) as f64) as u64
+    }
+    let (a, b, c) = RMAT_ABC;
+    [
+        draw_threshold(a),
+        draw_threshold(a + b),
+        draw_threshold(a + b + c),
+    ]
+};
+
+/// One R-MAT step's `(source, destination)` bits for the 53-bit draw
+/// `k`. Quadrants `[0, A)` → (0,0), `[A, A+B)` → (0,1), `[A+B, A+B+C)`
+/// → (1,0), the rest → (1,1), picked without branches: the source bit
+/// is the upper half, the destination bit the parity of the thresholds
+/// crossed.
+#[inline]
+fn rmat_bits(k: u64, [t1, t2, t3]: [u64; 3]) -> (u32, u32) {
+    let (c1, c2, c3) = (k >= t1, k >= t2, k >= t3);
+    (c2 as u32, (c1 ^ c2 ^ c3) as u32)
+}
+
 /// Generates an R-MAT graph with Graph500's skew parameters
 /// (A = 0.57, B = 0.19, C = 0.19) and the paper's edge factor 16.
 ///
@@ -61,21 +93,16 @@ pub(crate) fn rmat(n: usize, edge_factor: usize, seed: u64) -> Csr {
     let scale = n.trailing_zeros();
     let mut rng = StdRng::seed_from_u64(seed);
     let m = n * edge_factor;
-    let (a, b, c) = (0.57, 0.19, 0.19);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
     for _ in 0..m {
-        let (mut src, mut dst) = (0usize, 0usize);
+        let (mut src, mut dst) = (0u32, 0u32);
         for _ in 0..scale {
-            // Quadrants [0,a) → (0,0), [a,a+b) → (0,1), [a+b,a+b+c) →
-            // (1,0), the rest → (1,1), picked without branches: the
-            // source bit is the upper half, the destination bit the
-            // parity of the thresholds crossed.
-            let r: f64 = rng.gen();
-            let (t1, t2, t3) = (r >= a, r >= a + b, r >= a + b + c);
-            src = (src << 1) | t2 as usize;
-            dst = (dst << 1) | (t1 ^ t2 ^ t3) as usize;
+            // The top 53 bits of the word, as `Rng::gen::<f64>` draws.
+            let (s, d) = rmat_bits(rng.next_u64() >> 11, RMAT_THRESHOLDS);
+            src = (src << 1) | s;
+            dst = (dst << 1) | d;
         }
-        edges.push((src as u32, dst as u32));
+        edges.push((src, dst));
     }
     // Build CSR.
     let mut degree = vec![0u32; n];
@@ -294,6 +321,56 @@ mod tests {
         assert_eq!(g.num_edges(), 256 * 16);
         assert_eq!(*g.offsets.last().unwrap() as usize, g.num_edges());
         assert!(g.targets.iter().all(|&t| (t as usize) < 256));
+    }
+
+    /// The `f64` quadrant rule: `r = k · 2⁻⁵³` as `Rng::gen::<f64>`
+    /// builds it, compared against `A`, `A+B` and `A+B+C`.
+    fn f64_bits(k: u64) -> (u32, u32) {
+        let (a, b, c) = RMAT_ABC;
+        let r = k as f64 * (1.0 / (1u64 << 53) as f64);
+        let (t1, t2, t3) = (r >= a, r >= a + b, r >= a + b + c);
+        (t2 as u32, (t1 ^ t2 ^ t3) as u32)
+    }
+
+    #[test]
+    fn integer_thresholds_match_the_f64_rule_at_each_boundary() {
+        for t in RMAT_THRESHOLDS {
+            for k in [t - 1, t, t + 1] {
+                assert_eq!(rmat_bits(k, RMAT_THRESHOLDS), f64_bits(k), "k = {k}");
+            }
+        }
+        for k in [0, 1, (1 << 52) - 1, (1 << 53) - 1] {
+            assert_eq!(rmat_bits(k, RMAT_THRESHOLDS), f64_bits(k), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn rmat_matches_the_f64_generator() {
+        // The generator as it was before the integer thresholds: one
+        // `f64` draw per level, `usize` accumulators.
+        let (n, edge_factor, seed) = (1024usize, 16, 11);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges: Vec<(u32, u32)> = (0..n * edge_factor)
+            .map(|_| {
+                let (mut src, mut dst) = (0usize, 0usize);
+                for _ in 0..n.trailing_zeros() {
+                    let r: f64 = rng.gen();
+                    let (a, b, c) = RMAT_ABC;
+                    let (t1, t2, t3) = (r >= a, r >= a + b, r >= a + b + c);
+                    src = (src << 1) | t2 as usize;
+                    dst = (dst << 1) | (t1 ^ t2 ^ t3) as usize;
+                }
+                (src as u32, dst as u32)
+            })
+            .collect();
+        let g = rmat(n, edge_factor, seed);
+        let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (s, d) in edges {
+            expected[s as usize].push(d);
+        }
+        for (v, targets) in expected.iter().enumerate() {
+            assert_eq!(g.neighbours(v), targets.as_slice(), "vertex {v}");
+        }
     }
 
     #[test]

@@ -51,9 +51,10 @@ pub(crate) struct Recorder {
     /// Last 64 B line touched per variable, indexed by variable id, for
     /// coalescing ([`NO_LINE`] = none yet).
     last_line: Vec<u64>,
-    /// Expected total accesses, used to size lane traces in
-    /// [`run_parallel`]; zero means unknown.
-    capacity_hint: usize,
+    /// The lane recorders of [`run_parallel`], kept between its calls
+    /// so each lane buffer grows once per recorder rather than being
+    /// allocated and freed per call.
+    lanes: Vec<Recorder>,
 }
 
 impl Default for Recorder {
@@ -72,19 +73,17 @@ impl Recorder {
             thread: ThreadId(0),
             next_pc: 0x40_0000,
             last_line: Vec::new(),
-            capacity_hint: 0,
+            lanes: Vec::new(),
         }
     }
 
     /// A fresh recorder whose trace is pre-sized for roughly `accesses`
     /// records. Workload generators know their access budget
-    /// ([`crate::Scale::accesses`]), so passing it here removes all
-    /// doubling-growth reallocations from trace capture; the hint also
-    /// sizes the per-lane traces of [`run_parallel`].
+    /// ([`crate::Scale::accesses`]), so passing it here saves the
+    /// doubling-growth reallocations up to that budget.
     pub(crate) fn with_capacity(accesses: usize) -> Self {
         Recorder {
             trace: Trace::with_capacity(accesses),
-            capacity_hint: accesses,
             ..Recorder::new()
         }
     }
@@ -160,24 +159,21 @@ impl Recorder {
         self.trace
     }
 
-    /// Forks an empty child recorder for one parallel lane. The child
-    /// shares no allocation state — allocate regions on the parent
-    /// first, then hand them to the lanes.
-    pub(crate) fn fork(&self, thread: ThreadId) -> Recorder {
-        Recorder {
-            trace: Trace::new(),
-            next_base: self.next_base,
-            next_variable: self.next_variable,
-            thread,
-            next_pc: self.next_pc,
-            last_line: Vec::new(),
-            capacity_hint: 0,
+    /// Empties the lane recorders of [`run_parallel`] for `lanes` lanes,
+    /// each tagged with its `ThreadId`, its coalescing state reset and
+    /// its trace keeping its buffer. A lane shares no allocation state:
+    /// allocate regions on the parent first, then hand them to the
+    /// lanes.
+    fn reset_lanes(&mut self, lanes: usize) {
+        while self.lanes.len() < lanes {
+            let mut lane = Recorder::new();
+            lane.thread = ThreadId(self.lanes.len() as u16);
+            self.lanes.push(lane);
         }
-    }
-
-    /// Reserves room for `additional` more accesses.
-    pub fn reserve(&mut self, additional: usize) {
-        self.trace.reserve(additional);
+        for lane in &mut self.lanes[..lanes] {
+            lane.trace.truncate(0);
+            lane.last_line.clear();
+        }
     }
 }
 
@@ -186,21 +182,35 @@ impl Recorder {
 /// of a data-parallel loop on `lanes` cores.
 ///
 /// Each lane's closure receives `(lane_index, &mut Recorder)`; the lane
-/// recorder is pre-tagged with `ThreadId(lane_index)`.
+/// recorder is pre-tagged with `ThreadId(lane_index)` and starts empty.
 pub(crate) fn run_parallel<F>(parent: &mut Recorder, lanes: usize, mut f: F)
 where
     F: FnMut(usize, &mut Recorder),
 {
-    let mut traces = Vec::with_capacity(lanes);
-    let per_lane = parent.capacity_hint / lanes.max(1);
-    for lane in 0..lanes {
-        let mut rec = parent.fork(ThreadId(lane as u16));
-        rec.reserve(per_lane);
-        f(lane, &mut rec);
-        traces.push(rec.into_trace());
+    parent.reset_lanes(lanes);
+    for (lane, rec) in parent.lanes[..lanes].iter_mut().enumerate() {
+        f(lane, rec);
     }
-    let merged = sdam_trace::gen::interleave_round_robin(traces);
-    parent.trace.extend_from(&merged);
+    let lane_traces = parent.lanes[..lanes].iter().map(|r| r.trace.accesses());
+    interleave_into(&mut parent.trace, lane_traces);
+}
+
+/// Appends `streams` to `out` one access at a time in rotation until
+/// all are exhausted: the order of
+/// [`sdam_trace::gen::interleave_round_robin`], with no merged trace in
+/// between.
+fn interleave_into<'a>(out: &mut Trace, streams: impl Iterator<Item = &'a [MemAccess]>) {
+    let mut live: Vec<&[MemAccess]> = streams.filter(|s| !s.is_empty()).collect();
+    out.reserve(live.iter().map(|s| s.len()).sum());
+    let mut round = 0;
+    while let Some(end) = live.iter().map(|s| s.len()).min() {
+        // Every live stream has an access in each round up to `end`.
+        for i in round..end {
+            out.extend(live.iter().map(|s| s[i]));
+        }
+        round = end;
+        live.retain(|s| s.len() > end);
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +265,46 @@ mod tests {
         r.read(a, 0);
         let t = r.into_trace();
         assert_eq!(t.accesses()[0].thread, ThreadId(3));
+    }
+
+    #[test]
+    fn lane_interleave_matches_round_robin_with_unequal_lanes() {
+        let lane = |thread: u16, len: u64| -> Trace {
+            (0..len)
+                .map(|i| MemAccess {
+                    addr: i * 64,
+                    pc: 0x40_0000,
+                    thread: ThreadId(thread),
+                    variable: VariableId(thread as u32),
+                    is_write: i % 3 == 0,
+                })
+                .collect()
+        };
+        for lens in [[5, 0, 2, 7], [0, 0, 0, 0], [3, 3, 3, 3], [1, 9, 0, 4]] {
+            let traces: Vec<Trace> = (0..4).map(|l| lane(l as u16, lens[l])).collect();
+            let mut out = lane(9, 2);
+            interleave_into(&mut out, traces.iter().map(Trace::accesses));
+            let mut expected = lane(9, 2);
+            expected.extend_from(&sdam_trace::gen::interleave_round_robin(traces));
+            assert_eq!(out.accesses(), expected.accesses(), "lanes {lens:?}");
+        }
+    }
+
+    #[test]
+    fn lanes_start_empty_on_every_run() {
+        let mut r = Recorder::new();
+        let a = r.alloc(100, 8);
+        // Lane 1 reads the same line in two calls: the second call's
+        // lane starts with no coalescing state, so both are recorded.
+        for _ in 0..2 {
+            run_parallel(&mut r, 2, |lane, rec| {
+                assert_eq!(rec.len(), 0);
+                assert_eq!(rec.thread, ThreadId(lane as u16));
+                rec.read(a, lane);
+            });
+        }
+        let threads: Vec<u16> = r.into_trace().iter().map(|x| x.thread.0).collect();
+        assert_eq!(threads, vec![0, 1, 0, 1]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use sdam::churn::ChurnPlayer;
 use sdam::{pipeline, Experiment, ProcessId, SdamError, SdamSystem, SystemConfig};
 use sdam_hbm::Geometry;
 use sdam_mapping::descriptor::{DescriptorError, MappingDescriptor};
-use sdam_mapping::{BitPermutation, Cmt, CmtError, MappingId};
+use sdam_mapping::{BitFlipRateVector, BitPermutation, Cmt, CmtError, MappingId};
 use sdam_mem::{MemError, VirtAddr};
 use sdam_ml::dlkmeans::{cluster_variables_dl, DlError};
 use sdam_ml::{TrainingConfig, TrainingError};
@@ -285,8 +285,9 @@ fn churn_arrive_on_a_live_session_is_a_typed_error() {
     };
     player.apply(&mut sys, &arrive).unwrap();
     let live = counters(&sys);
-    assert!(
-        player.apply(&mut sys, &arrive).is_err(),
+    assert_eq!(
+        player.apply(&mut sys, &arrive).err(),
+        Some(MemError::ProcessLive { pid: 0 }),
         "a second Arrive on a live session must be refused"
     );
     assert_eq!(counters(&sys), live, "the refused Arrive moved the system");
@@ -359,10 +360,24 @@ fn dl_traces() -> Vec<Vec<u64>> {
     ]
 }
 
+/// DL clustering over [`dl_traces`] with their flip rates at `bits`
+/// address bits (`bits` clamped into `1..=64` for the rates).
+fn dl_cluster(bits: u32, config: &TrainingConfig) -> Result<Vec<usize>, DlError> {
+    let traces = dl_traces();
+    let width = bits.clamp(1, 64);
+    let bfrvs: Vec<BitFlipRateVector> = traces
+        .iter()
+        .map(|t| BitFlipRateVector::from_addrs(t.iter().copied(), width))
+        .collect();
+    let traces: Vec<&[u64]> = traces.iter().map(Vec::as_slice).collect();
+    let rates: Vec<&[f64]> = bfrvs.iter().map(BitFlipRateVector::rates).collect();
+    cluster_variables_dl(&traces, &rates, bits, 2, config).map(|c| c.assignments)
+}
+
 #[test]
 fn dl_clustering_rejects_an_address_width_outside_1_to_64() {
     for bits in [0, 65] {
-        let r = cluster_variables_dl(&dl_traces(), bits, 2, &TrainingConfig::laptop());
+        let r = dl_cluster(bits, &TrainingConfig::laptop());
         assert_eq!(r.err(), Some(DlError::AddrBits(bits)));
     }
 }
@@ -373,12 +388,32 @@ fn dl_clustering_rejects_an_invalid_training_config() {
         steps: 0,
         ..TrainingConfig::laptop()
     };
-    let r = cluster_variables_dl(&dl_traces(), 34, 2, &bad);
+    let r = dl_cluster(34, &bad);
     assert_eq!(
         r.err(),
         Some(DlError::Training(TrainingError {
             what: "steps must be positive"
         }))
+    );
+}
+
+#[test]
+fn dl_clustering_rejects_flip_rates_of_another_width() {
+    let traces = dl_traces();
+    let traces: Vec<&[u64]> = traces.iter().map(Vec::as_slice).collect();
+    let narrow = vec![0.5; 33];
+    let r = cluster_variables_dl(
+        &traces,
+        &[&narrow, &narrow],
+        34,
+        2,
+        &TrainingConfig::laptop(),
+    );
+    assert_eq!(r.err(), Some(DlError::FlipRates));
+    let e: SdamError = DlError::FlipRates.into();
+    assert!(
+        matches!(e, SdamError::Config(ConfigError::Training { .. })),
+        "{e:?}"
     );
 }
 
