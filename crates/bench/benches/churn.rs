@@ -18,9 +18,13 @@
 //!   fragmentation is left;
 //! * flat scaling: ops/s at 4096 tenants stays within 2x of 64
 //!   tenants (the O(1) headline);
-//! * full-stack scaling: `SdamSystem` ops/s at 4096 tenants stays
-//!   within 3x of 64 tenants, so tenant arrival and departure cost what
-//!   the tenant owns, not what the process table holds.
+//! * full-stack cost: the `SdamSystem` replay at 4096 tenants costs at
+//!   most `SYSTEM_CEILING_RATIO` times as much per op as the BTree
+//!   reference allocator per control op on the 4096-tenant lowered
+//!   stream, both timed interleaved in this process, so tenant arrival
+//!   and departure cost what the tenant owns, not what the process
+//!   table holds, and host load moves the ceiling with the figure it
+//!   bounds.
 //!
 //! Any violation panics, so the CI "Bench smoke" step fails loudly.
 //! The full-stack replay runs the library's `ChurnPlayer`; its own
@@ -52,6 +56,15 @@ const SYSTEM_STEADY_OPS: usize = 40_000;
 const SYSTEM_TENANTS: [usize; 2] = [64, 4096];
 /// Dedicated-mapping cap shared by all scales.
 const MAPPING_CAP: usize = 200;
+/// Ceiling on the 4096-tenant `SdamSystem` replay's ns per op as a
+/// multiple of the reference allocator's ns per control op on the
+/// 4096-tenant lowered stream. The ratio read 1.12–1.28 on a
+/// shared 2-CPU host; the whole-table walk the system path replaced
+/// cost about 4x as much per op at 4096 tenants, which breaches it.
+const SYSTEM_CEILING_RATIO: f64 = 2.5;
+/// Interleaved system/reference timing pairs behind the guard's two
+/// medians, as many whatever `SDAM_BENCH_SAMPLES` says.
+const GUARD_PAIRS: usize = 5;
 
 /// The tenant script lowered to raw allocator operations.
 #[derive(Debug, Clone, Copy)]
@@ -341,6 +354,32 @@ fn replay_system(script: &ChurnScript) -> SystemRow {
     }
 }
 
+/// The full-stack cost guard's two medians, in ns per op: the
+/// 4096-tenant `SdamSystem` replay and the reference allocator on the
+/// 4096-tenant lowered stream, timed in interleaved pairs.
+fn system_cost_per_op() -> (f64, f64) {
+    let tenants = SYSTEM_TENANTS[SYSTEM_TENANTS.len() - 1];
+    let script = generate(ChurnConfig {
+        tenants,
+        ops: SYSTEM_STEADY_OPS,
+        mapping_cap: MAPPING_CAP,
+        ..ChurnConfig::default()
+    });
+    let (stream, sessions) = lower(ChurnConfig {
+        tenants,
+        ops: STEADY_OPS,
+        mapping_cap: MAPPING_CAP,
+        ..ChurnConfig::default()
+    });
+    let (mut system_ns, mut reference_ns) = (Vec::new(), Vec::new());
+    for _ in 0..GUARD_PAIRS {
+        system_ns.push(1e9 / black_box(replay_system(&script)).ops_per_s);
+        let (r, _, secs) = black_box(drive_reference(&stream, sessions, false));
+        reference_ns.push(secs * 1e9 / r.ctl_ops as f64);
+    }
+    (median(&mut system_ns), median(&mut reference_ns))
+}
+
 fn bench_churn(c: &mut Criterion) {
     let (stream, sessions) = lower(ChurnConfig {
         tenants: 64,
@@ -382,15 +421,18 @@ fn record_churn() {
         .iter()
         .map(|&t| run_system_churn(t, runs))
         .collect();
-    // Tenant arrive/depart must cost what the tenant owns: the full
-    // stack may slow with the population (bigger live working set), but
-    // not in proportion to it.
     let sys_64 = systems[0].ops_per_s;
     let sys_4096 = systems[1].ops_per_s;
+    // Tenant arrive/depart must cost what the tenant owns. The 4096 row
+    // is bounded by its own cost per op against a same-process
+    // reference, so a faster 64-tenant row cannot trip it.
+    let (system_ns, reference_ns) = system_cost_per_op();
+    let ceiling_ns = reference_ns * SYSTEM_CEILING_RATIO;
     assert!(
-        sys_4096 * 3.0 >= sys_64,
-        "SdamSystem churn degraded with tenant count: \
-         {sys_64:.0} ops/s at 64 tenants vs {sys_4096:.0} at 4096"
+        system_ns <= ceiling_ns,
+        "SdamSystem churn at 4096 tenants costs {system_ns:.0} ns/op, over its ceiling of \
+         {ceiling_ns:.0} ns ({SYSTEM_CEILING_RATIO} x the reference allocator's \
+         {reference_ns:.0} ns per control op)"
     );
 
     let scaling: Vec<String> = rows
@@ -442,14 +484,19 @@ fn record_churn() {
          \"reference_ops_per_s_4096_over_64\": {:.3},\n  \
          \"system_churn\": [\n{}\n  ],\n  \
          \"system_ops_per_s_4096_over_64\": {:.3},\n  \
+         \"system_4096_ns_per_op\": {system_ns:.0},\n  \
+         \"reference_4096_ns_per_ctl_op\": {reference_ns:.0},\n  \
+         \"system_4096_over_reference\": {:.3},\n  \
+         \"system_ceiling_ratio\": {SYSTEM_CEILING_RATIO},\n  \
          \"golden_equivalence\": true,\n  \
          \"runs\": {runs},\n  \
-         \"note\": \"Both allocators replay the identical lowered op stream; the checksum over every returned physical address plus error and claim/release counters must match exactly (asserted). The flat allocator keeps per-chunk state columns and per-(mapping,sensitivity) largest-free-order buckets, so alloc/free cost no longer grows with live tenants or group sizes; the guard asserts 4096-tenant ops/s stays within 2x of 64-tenant ops/s. Fragmentation (free-list length, longest contiguous free run) is read directly off the flat bitmap at peak occupancy. The system rows replay the same lifecycle ({SYSTEM_STEADY_OPS} steady ops) through SdamSystem end to end — spawn/exit, heap growth, demand paging, CMT writes, pid and mapping-id recycling; 'in_use_after_drain' is read off the system after the drain, and tests/system_churn_golden.rs asserts it is 0. Processes register a mapping lazily on first use and each mapping keeps the list of its users, so add/spawn/exit/remove cost what the tenant or mapping owns rather than a walk of the process table; the guard asserts 4096-tenant system ops/s stays within 3x of 64-tenant ops/s (the whole-table walk it replaced fell about 4x).\"\n}}\n",
+         \"note\": \"Both allocators replay the identical lowered op stream; the checksum over every returned physical address plus error and claim/release counters must match exactly (asserted). The flat allocator keeps per-chunk state columns and per-(mapping,sensitivity) largest-free-order buckets, so alloc/free cost no longer grows with live tenants or group sizes; the guard asserts 4096-tenant ops/s stays within 2x of 64-tenant ops/s. Fragmentation (free-list length, longest contiguous free run) is read directly off the flat bitmap at peak occupancy. The system rows replay the same lifecycle ({SYSTEM_STEADY_OPS} steady ops) through SdamSystem end to end — spawn/exit, heap growth, demand paging, CMT writes, pid and mapping-id recycling; 'in_use_after_drain' is read off the system after the drain, and tests/system_churn_golden.rs asserts it is 0. Processes register a mapping lazily on first use and each mapping keeps the list of its users, so add/spawn/exit/remove cost what the tenant or mapping owns rather than a walk of the process table; the guard bounds the 4096-tenant system replay's ns per op by {SYSTEM_CEILING_RATIO}x the reference allocator's ns per control op on the 4096-tenant lowered stream, the medians of {GUARD_PAIRS} interleaved pairs in this process (the whole-table walk it replaced cost about 4x per op). system_ops_per_s_4096_over_64 is recorded, not guarded.\"\n}}\n",
         scaling.join(",\n"),
         flat_4096 / flat_64,
         rows[2].reference_ops_per_s / rows[0].reference_ops_per_s,
         system_rows.join(",\n"),
         sys_4096 / sys_64,
+        system_ns / reference_ns,
     );
     sdam_bench::write_bench_json("BENCH_churn.json", &json);
 }

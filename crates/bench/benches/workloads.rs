@@ -1,5 +1,7 @@
 //! Criterion benches for workload generation and trace I/O — the
-//! harness's own overheads.
+//! harness's own overheads. Generation is timed at `Scale::tiny` for a
+//! cross-section of the suites and at `Scale::small` for the three
+//! graph kernels, which dominate Fig. 12(b)'s generation time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sdam_trace::io::{read_trace, write_trace};
@@ -17,6 +19,24 @@ fn bench_generators(c: &mut Criterion) {
     for w in workloads {
         g.bench_function(w.name(), |b| {
             b.iter(|| black_box(w.generate(Scale::tiny())))
+        });
+    }
+    g.finish();
+}
+
+/// The three R-MAT graph kernels at `Scale::small`, the size the
+/// Fig. 12(b) benchmark cell generates once per cell.
+fn bench_generators_small(c: &mut Criterion) {
+    let mut g = c.benchmark_group("generate_small");
+    g.sample_size(10);
+    let workloads: Vec<Box<dyn Workload>> = vec![
+        Box::new(sdam_workloads::graph::Bfs),
+        Box::new(sdam_workloads::graph::PageRank),
+        Box::new(sdam_workloads::graph::Sssp),
+    ];
+    for w in workloads {
+        g.bench_function(w.name(), |b| {
+            b.iter(|| black_box(w.generate(Scale::small())))
         });
     }
     g.finish();
@@ -56,6 +76,7 @@ fn bench_profiling_stats(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_generators,
+    bench_generators_small,
     bench_trace_io,
     bench_profiling_stats
 );

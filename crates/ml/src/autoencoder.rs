@@ -221,16 +221,16 @@ impl LstmAutoencoder {
         let mut d_dec_top = Vec::with_capacity(steps);
         let mut logits = vec![0.0; self.bits];
         let mut dlogits = vec![0.0; self.bits];
-        for t in 0..steps {
-            self.w_out.matvec_into(&dec_top[t], &mut logits);
+        for (h, targets) in dec_top.iter().zip(&sample.delta_bits) {
+            self.w_out.matvec_into(h, &mut logits);
             add_assign(&mut logits, &self.b_out);
             for j in 0..self.bits {
                 let p = sigmoid(logits[j]);
-                let y = sample.delta_bits[t][j];
+                let y = targets[j];
                 loss += bce(p, y);
                 dlogits[j] = grad_scale * (p - y) / denom;
             }
-            self.dw_out.add_outer(&dlogits, &dec_top[t]);
+            self.dw_out.add_outer(&dlogits, h);
             add_assign(&mut self.db_out, &dlogits);
             d_dec_top.push(self.w_out.matvec_t(&dlogits));
         }

@@ -584,7 +584,7 @@ mod tests {
         assert_eq!(r.err(), Some(DlError::KMeans(KMeansError::ZeroClusters)));
         // Flip rates of the wrong count or width.
         let t = stride_trace(1, 20);
-        let rates = flip_rates(&[t.clone()], 33);
+        let rates = flip_rates(std::slice::from_ref(&t), 33);
         for (traces, rates) in [
             (vec![t.as_slice(), t.as_slice()], vec![rates[0].as_slice()]),
             (vec![t.as_slice()], vec![&rates[0][..32]]),

@@ -50,12 +50,6 @@ impl Mat {
         self.cols
     }
 
-    /// Element access.
-    #[cfg(test)]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols + c]
-    }
-
     /// Mutable element access.
     #[inline]
     pub fn get_mut(&mut self, r: usize, c: usize) -> &mut f64 {

@@ -336,8 +336,8 @@ mod tests {
             let w = &lstm.layers[l].w;
             let probe = [(0, 0), (1, 2), (w.rows() - 1, w.cols() - 1)];
             for &(r, c) in &probe {
-                let analytic = lstm.layers[l].dw.get(r, c);
-                let orig = lstm.layers[l].w.get(r, c);
+                let analytic = *lstm.layers[l].dw.get_mut(r, c);
+                let orig = *lstm.layers[l].w.get_mut(r, c);
                 *lstm.layers[l].w.get_mut(r, c) = orig + eps;
                 let plus = loss_of(&lstm, &inputs);
                 *lstm.layers[l].w.get_mut(r, c) = orig - eps;

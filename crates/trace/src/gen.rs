@@ -190,20 +190,25 @@ impl RandomGen {
 /// Streams are consumed one access at a time in rotation until all are
 /// exhausted.
 pub fn interleave_round_robin(streams: Vec<Trace>) -> Trace {
-    let total: usize = streams.iter().map(Trace::len).sum();
-    let mut iters: Vec<_> = streams.into_iter().map(Trace::into_iter).collect();
-    let mut out = Trace::with_capacity(total);
-    let mut live = true;
-    while live {
-        live = false;
-        for it in &mut iters {
-            if let Some(a) = it.next() {
-                out.push(a);
-                live = true;
-            }
-        }
-    }
+    let mut out = Trace::new();
+    extend_round_robin(&mut out, streams.iter().map(Trace::accesses));
     out
+}
+
+/// Appends `streams` to `out` in the order of
+/// [`interleave_round_robin`], with no merged trace in between.
+pub fn extend_round_robin<'a>(out: &mut Trace, streams: impl IntoIterator<Item = &'a [MemAccess]>) {
+    let mut live: Vec<&[MemAccess]> = streams.into_iter().filter(|s| !s.is_empty()).collect();
+    out.reserve(live.iter().map(|s| s.len()).sum());
+    let mut round = 0;
+    while let Some(end) = live.iter().map(|s| s.len()).min() {
+        // Every live stream has an access in each round up to `end`.
+        for i in round..end {
+            out.extend(live.iter().map(|s| s[i]));
+        }
+        round = end;
+        live.retain(|s| s.len() > end);
+    }
 }
 
 /// Burst-granular interleaving: streams take turns emitting a random
@@ -307,5 +312,37 @@ mod tests {
     #[test]
     fn interleave_empty_is_empty() {
         assert!(interleave_round_robin(vec![]).is_empty());
+    }
+
+    #[test]
+    fn extend_round_robin_matches_a_rotation_over_unequal_streams() {
+        let stream = |v: u32, len: u64| {
+            StrideGen::new(u64::from(v) << 20, 64, len)
+                .variable(VariableId(v))
+                .into_trace()
+        };
+        for lens in [[5, 0, 2, 7], [0, 0, 0, 0], [3, 3, 3, 3], [1, 9, 0, 4]] {
+            let streams: Vec<Trace> = (0..4).map(|v| stream(v, lens[v as usize])).collect();
+            // One access per live stream in rotation until all are empty.
+            let mut expected = stream(9, 2);
+            let mut iters: Vec<_> = streams.iter().map(Trace::iter).collect();
+            let mut live = true;
+            while live {
+                live = false;
+                for it in &mut iters {
+                    if let Some(&a) = it.next() {
+                        expected.push(a);
+                        live = true;
+                    }
+                }
+            }
+            let mut out = stream(9, 2);
+            extend_round_robin(&mut out, streams.iter().map(Trace::accesses));
+            assert_eq!(out, expected, "lengths {lens:?}");
+            assert_eq!(
+                interleave_round_robin(streams).accesses(),
+                &expected.accesses()[2..]
+            );
+        }
     }
 }

@@ -120,11 +120,6 @@ impl Trace {
         out
     }
 
-    /// Concatenates another trace onto this one.
-    pub fn extend_from(&mut self, other: &Trace) {
-        self.accesses.extend_from_slice(&other.accesses);
-    }
-
     /// Shortens the trace to at most `len` accesses, dropping the tail.
     pub fn truncate(&mut self, len: usize) {
         self.accesses.truncate(len);
@@ -232,7 +227,7 @@ mod tests {
             .collect();
         assert_eq!(t.len(), 5);
         let mut u = Trace::new();
-        u.extend_from(&t);
+        u.extend(t.iter().copied());
         u.extend((0..3u64).map(|i| MemAccess::read(i, VariableId(1))));
         assert_eq!(u.len(), 8);
         assert_eq!(u.variables(), vec![VariableId(0), VariableId(1)]);

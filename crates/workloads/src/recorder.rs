@@ -192,25 +192,7 @@ where
         f(lane, rec);
     }
     let lane_traces = parent.lanes[..lanes].iter().map(|r| r.trace.accesses());
-    interleave_into(&mut parent.trace, lane_traces);
-}
-
-/// Appends `streams` to `out` one access at a time in rotation until
-/// all are exhausted: the order of
-/// [`sdam_trace::gen::interleave_round_robin`], with no merged trace in
-/// between.
-fn interleave_into<'a>(out: &mut Trace, streams: impl Iterator<Item = &'a [MemAccess]>) {
-    let mut live: Vec<&[MemAccess]> = streams.filter(|s| !s.is_empty()).collect();
-    out.reserve(live.iter().map(|s| s.len()).sum());
-    let mut round = 0;
-    while let Some(end) = live.iter().map(|s| s.len()).min() {
-        // Every live stream has an access in each round up to `end`.
-        for i in round..end {
-            out.extend(live.iter().map(|s| s[i]));
-        }
-        round = end;
-        live.retain(|s| s.len() > end);
-    }
+    sdam_trace::gen::extend_round_robin(&mut parent.trace, lane_traces);
 }
 
 #[cfg(test)]
@@ -265,29 +247,6 @@ mod tests {
         r.read(a, 0);
         let t = r.into_trace();
         assert_eq!(t.accesses()[0].thread, ThreadId(3));
-    }
-
-    #[test]
-    fn lane_interleave_matches_round_robin_with_unequal_lanes() {
-        let lane = |thread: u16, len: u64| -> Trace {
-            (0..len)
-                .map(|i| MemAccess {
-                    addr: i * 64,
-                    pc: 0x40_0000,
-                    thread: ThreadId(thread),
-                    variable: VariableId(thread as u32),
-                    is_write: i % 3 == 0,
-                })
-                .collect()
-        };
-        for lens in [[5, 0, 2, 7], [0, 0, 0, 0], [3, 3, 3, 3], [1, 9, 0, 4]] {
-            let traces: Vec<Trace> = (0..4).map(|l| lane(l as u16, lens[l])).collect();
-            let mut out = lane(9, 2);
-            interleave_into(&mut out, traces.iter().map(Trace::accesses));
-            let mut expected = lane(9, 2);
-            expected.extend_from(&sdam_trace::gen::interleave_round_robin(traces));
-            assert_eq!(out.accesses(), expected.accesses(), "lanes {lens:?}");
-        }
     }
 
     #[test]

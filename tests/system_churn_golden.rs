@@ -50,6 +50,7 @@ fn error_code(e: &MemError) -> u64 {
         MemError::MappingInUse(_) => 7,
         MemError::InvalidSize { .. } => 8,
         MemError::UnknownProcess { .. } => 9,
+        MemError::ProcessLive { .. } => 10,
     }
 }
 
