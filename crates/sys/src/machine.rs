@@ -845,11 +845,10 @@ mod tests {
         // traffic drops.
         let geom = Geometry::hbm2_8gb();
         let mut t = Trace::new();
-        for pass in 0..2 {
+        for _ in 0..2 {
             for core in 0..2u16 {
                 StrideGen::new(0, 64, 8192)
                     .thread(ThreadId(core))
-                    .pc(pass)
                     .emit(&mut t);
             }
         }

@@ -51,20 +51,18 @@ impl std::fmt::Display for ThreadId {
     }
 }
 
-/// One external memory access, as the paper's profiler records it:
-/// the (virtual or physical) address, the program counter of the
-/// instruction, the issuing thread, and the already-attributed variable.
+/// One external memory access: the (virtual or physical) address, the
+/// issuing thread, the already-attributed variable and the direction.
 ///
-/// Workload generators attribute the variable at generation time (they
-/// know which data structure they are touching) — the role the gcc
-/// PC→variable table plays on the paper's platform.
+/// The paper's profiler also logs the instruction's program counter and
+/// maps it to a variable through gcc's PC→variable table. Workload
+/// generators here attribute the variable at generation time (they know
+/// which data structure they are touching), so no program counter is
+/// carried and a record is 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MemAccess {
     /// Byte address of the access.
     pub addr: u64,
-    /// Program counter of the load/store (synthetic but stable per
-    /// generator, enabling PC-based attribution).
-    pub pc: u64,
     /// Issuing thread.
     pub thread: ThreadId,
     /// The variable this access belongs to.
@@ -78,7 +76,6 @@ impl MemAccess {
     pub fn read(addr: u64, variable: VariableId) -> Self {
         MemAccess {
             addr,
-            pc: 0,
             thread: ThreadId(0),
             variable,
             is_write: false,
@@ -110,6 +107,13 @@ mod tests {
         assert_eq!(MemAccess::read(130, VariableId(0)).line_addr(), 128);
         assert_eq!(MemAccess::read(64, VariableId(0)).line_addr(), 64);
         assert_eq!(MemAccess::read(63, VariableId(0)).line_addr(), 0);
+    }
+
+    #[test]
+    fn mem_access_is_16_bytes() {
+        // Every in-memory trace pays this per access: a new field must
+        // be a deliberate choice, not a silent regrowth.
+        assert_eq!(std::mem::size_of::<MemAccess>(), 16);
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub struct StrideGen {
     count: u64,
     variable: VariableId,
     thread: ThreadId,
-    pc: u64,
     write: bool,
     wrap_bytes: Option<u64>,
 }
@@ -46,7 +45,6 @@ impl StrideGen {
             count,
             variable: VariableId(0),
             thread: ThreadId(0),
-            pc: 0x1000,
             write: false,
             wrap_bytes: None,
         }
@@ -61,12 +59,6 @@ impl StrideGen {
     /// Sets the issuing thread.
     pub fn thread(mut self, t: ThreadId) -> Self {
         self.thread = t;
-        self
-    }
-
-    /// Sets the synthetic program counter.
-    pub fn pc(mut self, pc: u64) -> Self {
-        self.pc = pc;
         self
     }
 
@@ -98,7 +90,6 @@ impl StrideGen {
             }
             trace.push(MemAccess {
                 addr: self.base + off,
-                pc: self.pc,
                 thread: self.thread,
                 variable: self.variable,
                 is_write: self.write,
@@ -123,7 +114,6 @@ pub struct RandomGen {
     count: u64,
     variable: VariableId,
     thread: ThreadId,
-    pc: u64,
     seed: u64,
 }
 
@@ -142,7 +132,6 @@ impl RandomGen {
             count,
             variable: VariableId(0),
             thread: ThreadId(0),
-            pc: 0x2000,
             seed,
         }
     }
@@ -168,7 +157,6 @@ impl RandomGen {
             let line = rng.gen_range(0..lines);
             trace.push(MemAccess {
                 addr: self.base + line * 64,
-                pc: self.pc,
                 thread: self.thread,
                 variable: self.variable,
                 is_write: false,
@@ -272,13 +260,11 @@ mod tests {
         let t = StrideGen::new(100, 64, 1)
             .variable(VariableId(9))
             .thread(ThreadId(3))
-            .pc(0xabc)
             .writes()
             .into_trace();
         let a = t.accesses()[0];
         assert_eq!(a.variable, VariableId(9));
         assert_eq!(a.thread, ThreadId(3));
-        assert_eq!(a.pc, 0xabc);
         assert!(a.is_write);
     }
 

@@ -9,10 +9,10 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"SDAMTRC\0"
-//! 8       1     version (currently 1)
+//! 8       1     version (currently 2)
 //! 9       7     reserved (zero)
 //! 16      8     record count (u64 LE)
-//! 24      24*n  records: addr u64 | pc u64 | thread u16 | variable u32
+//! 24      16*n  records: addr u64 | thread u16 | variable u32
 //!               | flags u8 (bit 0 = write) | pad u8
 //! ```
 //!
@@ -36,13 +36,13 @@ use crate::{MemAccess, ThreadId, Trace, VariableId};
 const MAGIC: [u8; 8] = *b"SDAMTRC\0";
 
 /// Current format version.
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 /// Bytes per record in the on-disk format.
-const RECORD_BYTES: usize = 24;
+const RECORD_BYTES: usize = 16;
 
 /// Records per streaming I/O block (the resident-buffer unit of
-/// [`TraceReader`] and [`TraceWriter`]): 4096 records = 96 KiB.
+/// [`TraceReader`] and [`TraceWriter`]): 4096 records = 64 KiB.
 const BLOCK_RECORDS: usize = 4096;
 
 const HEADER_BYTES: usize = 24;
@@ -117,21 +117,19 @@ impl From<io::Error> for TraceIoError {
 #[inline]
 fn encode_record(a: &MemAccess, rec: &mut [u8; RECORD_BYTES]) {
     rec[0..8].copy_from_slice(&a.addr.to_le_bytes());
-    rec[8..16].copy_from_slice(&a.pc.to_le_bytes());
-    rec[16..18].copy_from_slice(&a.thread.0.to_le_bytes());
-    rec[18..22].copy_from_slice(&a.variable.0.to_le_bytes());
-    rec[22] = u8::from(a.is_write);
-    rec[23] = 0;
+    rec[8..10].copy_from_slice(&a.thread.0.to_le_bytes());
+    rec[10..14].copy_from_slice(&a.variable.0.to_le_bytes());
+    rec[14] = u8::from(a.is_write);
+    rec[15] = 0;
 }
 
 #[inline]
 fn decode_record(rec: &[u8]) -> MemAccess {
     MemAccess {
         addr: u64::from_le_bytes(field(&rec[0..8])),
-        pc: u64::from_le_bytes(field(&rec[8..16])),
-        thread: ThreadId(u16::from_le_bytes(field(&rec[16..18]))),
-        variable: VariableId(u32::from_le_bytes(field(&rec[18..22]))),
-        is_write: rec[22] & 1 != 0,
+        thread: ThreadId(u16::from_le_bytes(field(&rec[8..10]))),
+        variable: VariableId(u32::from_le_bytes(field(&rec[10..14]))),
+        is_write: rec[14] & 1 != 0,
     }
 }
 
@@ -256,7 +254,7 @@ impl<R: Read> Iterator for TraceReader<R> {
                 return Some(Err(TraceIoError::Io(e)));
             }
             if self.filled < RECORD_BYTES {
-                // Fewer than 24 bytes remain in the whole stream: the
+                // Less than one record remains in the whole stream: the
                 // trailing partial record (if any) counts as truncation,
                 // exactly like `read_exact`'s UnexpectedEof did.
                 self.failed = true;
@@ -414,7 +412,6 @@ mod tests {
         StrideGen::new(0x1000, 64, 100)
             .variable(VariableId(3))
             .thread(ThreadId(2))
-            .pc(0xdead)
             .emit(&mut t);
         StrideGen::new(1 << 30, 4096, 50).writes().emit(&mut t);
         t
@@ -425,7 +422,7 @@ mod tests {
         let t = sample();
         let mut buf = Vec::new();
         write_trace(&t, &mut buf).unwrap();
-        assert_eq!(buf.len(), 24 + 24 * t.len());
+        assert_eq!(buf.len(), HEADER_BYTES + RECORD_BYTES * t.len());
         let back = read_trace(buf.as_slice()).unwrap();
         assert_eq!(back, t);
     }
@@ -449,13 +446,17 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        buf[8] = 9;
-        assert!(matches!(
-            read_trace(buf.as_slice()),
-            Err(TraceIoError::BadVersion(9))
-        ));
+        // Version 1 carried a program counter in a 24-byte record; its
+        // streams are refused, not misparsed at the 16-byte stride.
+        for v in [1, 9] {
+            let mut buf = Vec::new();
+            write_trace(&sample(), &mut buf).unwrap();
+            buf[8] = v;
+            assert!(matches!(
+                read_trace(buf.as_slice()),
+                Err(TraceIoError::BadVersion(got)) if got == v
+            ));
+        }
     }
 
     #[test]
@@ -489,7 +490,7 @@ mod tests {
     fn mid_record_truncation_detected() {
         let mut buf = Vec::new();
         write_trace(&sample(), &mut buf).unwrap();
-        buf.truncate(24 + RECORD_BYTES / 2);
+        buf.truncate(HEADER_BYTES + RECORD_BYTES / 2);
         match read_trace(buf.as_slice()) {
             Err(TraceIoError::Truncated { expected, got }) => {
                 assert_eq!(expected, 150);

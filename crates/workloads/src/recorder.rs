@@ -47,7 +47,6 @@ pub(crate) struct Recorder {
     next_base: u64,
     next_variable: u32,
     thread: ThreadId,
-    next_pc: u64,
     /// Last 64 B line touched per variable, indexed by variable id, for
     /// coalescing ([`NO_LINE`] = none yet).
     last_line: Vec<u64>,
@@ -71,7 +70,6 @@ impl Recorder {
             next_base: 0,
             next_variable: 0,
             thread: ThreadId(0),
-            next_pc: 0x40_0000,
             last_line: Vec::new(),
             lanes: Vec::new(),
         }
@@ -112,7 +110,6 @@ impl Recorder {
         };
         self.next_base += len + 4096; // guard page
         self.next_variable += 1;
-        self.next_pc += 0x100;
         region
     }
 
@@ -147,7 +144,6 @@ impl Recorder {
         self.last_line[v] = line;
         self.trace.push(MemAccess {
             addr,
-            pc: 0x40_0000 + region.variable.0 as u64 * 0x100,
             thread: self.thread,
             variable: region.variable,
             is_write,

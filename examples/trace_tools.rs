@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // synthetic trace record-at-a-time (the header declares the count
     // up front, so no in-memory Trace exists at any point), then replay
     // it straight off disk into the simulator. Resident memory is one
-    // 96 KiB I/O block plus the simulator's bounded pending queues,
+    // 64 KiB I/O block plus the simulator's bounded pending queues,
     // independent of trace length.
     let big_path = std::env::temp_dir().join("streaming.sdamtrc");
     let records: u64 = 1 << 20;

@@ -8,15 +8,18 @@ use proptest::prelude::*;
 use sdam_trace::io::{read_trace, write_trace, TraceIoError, TraceReader, TraceWriter};
 use sdam_trace::{MemAccess, ThreadId, Trace, VariableId};
 
+/// Bytes of the format's header and of one record (version 2).
+const HEADER: usize = 24;
+const RECORD: usize = 16;
+
 /// Traces of up to `n` records with all fields exercised (full-domain
-/// addresses and pcs, both directions, many threads/variables).
+/// addresses, both directions, many threads/variables).
 fn traces(n: usize) -> impl Strategy<Value = Trace> {
     proptest::collection::vec(any::<u64>(), 0..n).prop_map(|seeds| {
         seeds
             .iter()
             .map(|&s| MemAccess {
                 addr: s,
-                pc: s.rotate_left(17) ^ 0xabcd_ef01,
                 thread: ThreadId((s >> 11) as u16),
                 variable: VariableId((s >> 29) as u32),
                 is_write: s & 1 == 1,
@@ -56,21 +59,21 @@ proptest! {
         let cut = (cut_seed % buf.len() as u64) as usize;
         let short = &buf[..cut];
         match read_trace(short) {
-            // Fewer than 24 bytes cannot even prove the magic.
-            Err(TraceIoError::BadMagic) => prop_assert!(cut < 24),
+            // Less than a header cannot even prove the magic.
+            Err(TraceIoError::BadMagic) => prop_assert!(cut < HEADER),
             // With a header, the reader must report the declared count
             // and exactly the number of complete records present.
             Err(TraceIoError::Truncated { expected, got }) => {
-                prop_assert!(cut >= 24);
+                prop_assert!(cut >= HEADER);
                 prop_assert_eq!(expected, trace.len() as u64);
-                prop_assert_eq!(got, ((cut - 24) / 24) as u64);
+                prop_assert_eq!(got, ((cut - HEADER) / RECORD) as u64);
             }
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
             Ok(t) => prop_assert!(false, "truncated stream read {} records", t.len()),
         }
         // The streaming reader agrees: complete records first, then the
         // same typed error.
-        if cut >= 24 {
+        if cut >= HEADER {
             let mut reader = TraceReader::new(short).unwrap();
             let mut complete = 0u64;
             let mut saw_truncation = false;
@@ -85,7 +88,7 @@ proptest! {
                 }
             }
             prop_assert!(saw_truncation);
-            prop_assert_eq!(complete, ((cut - 24) / 24) as u64);
+            prop_assert_eq!(complete, ((cut - HEADER) / RECORD) as u64);
         }
     }
 }
