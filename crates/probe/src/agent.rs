@@ -8,7 +8,7 @@
 //! `sdam-mapping`), which is the information-theoretic limit of a
 //! latency-only observer.
 
-use sdam_hbm::Geometry;
+use sdam_hbm::{bank_hashed, Geometry, HardwareAddr};
 use sdam_mapping::{timing_classes, BitPermutation};
 
 use crate::calibrate::{Calibrator, LatencyClass};
@@ -178,34 +178,19 @@ fn sample64(index: u64, salt: u64) -> u64 {
 
 /// Predicts the pair-protocol latency class of a *hardware-address*
 /// delta under the controller's fold policy. `None` means the delta is
-/// zero (no experiment).
+/// zero (no experiment). The fold is GF(2)-linear, so the folded delta
+/// is the delta between the two accesses' folded addresses.
 fn class_of_ha_delta(geom: Geometry, d: u64) -> Option<LatencyClass> {
-    let ch_lo = geom.line_bits();
-    let col_lo = ch_lo + geom.channel_bits();
-    let bank_lo = col_lo + geom.col_bits();
-    let row_lo = bank_lo + geom.bank_bits();
-    let bank_bits = geom.bank_bits();
-    if (d >> ch_lo) & ((1 << geom.channel_bits()) - 1) != 0 {
-        return Some(LatencyClass::Miss);
+    let f = bank_hashed(geom, geom.decode(HardwareAddr(d)));
+    if f.channel != 0 || f.bank != 0 {
+        Some(LatencyClass::Miss)
+    } else if f.row != 0 {
+        Some(LatencyClass::Conflict)
+    } else if f.col != 0 {
+        Some(LatencyClass::Hit)
+    } else {
+        None
     }
-    let bank_delta = (d >> bank_lo) & ((1 << bank_bits) - 1);
-    let row_delta = d >> row_lo;
-    let mut fold = 0u64;
-    let mut r = row_delta;
-    while r != 0 {
-        fold ^= r & ((1 << bank_bits) - 1);
-        r >>= bank_bits;
-    }
-    if bank_delta ^ fold != 0 {
-        return Some(LatencyClass::Miss);
-    }
-    if row_delta != 0 {
-        return Some(LatencyClass::Conflict);
-    }
-    if (d >> col_lo) & ((1 << geom.col_bits()) - 1) != 0 {
-        return Some(LatencyClass::Hit);
-    }
-    None
 }
 
 impl Agent {
