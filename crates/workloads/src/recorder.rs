@@ -81,9 +81,9 @@ impl Recorder {
     /// up to one pass (the graph kernels end at 1.4–1.7× at
     /// `Scale::small`); twice the budget holds that overshoot without a
     /// reallocation. Capacity never written is never touched, so it
-    /// costs address space, not resident memory: in `fig12-di` runs it
-    /// cut minor page faults from about 64 k to 28 k at the same peak
-    /// RSS.
+    /// costs address space, not resident memory: with 16-byte records,
+    /// `fig12-di` runs (seeds 1–3) read 13–71 k minor page faults with
+    /// it and 31–154 k reserving the budget alone, at a similar peak RSS.
     pub(crate) fn with_capacity(accesses: usize) -> Self {
         Recorder {
             trace: Trace::with_capacity(2 * accesses),
